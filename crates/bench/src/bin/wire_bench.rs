@@ -137,7 +137,6 @@ fn round_ms(
 ) -> f64 {
     let config = VerifierConfig::builder()
         .continue_on_failure(true)
-        .pipeline_depth(8)
         .wire_batch(wire_batch)
         .build()
         .expect("bench config is valid");

@@ -148,7 +148,8 @@ pub struct ResumePlan {
 }
 
 impl ResumePlan {
-    /// The acked agent ids, for the scheduler's skip set.
+    /// The acked agent ids — what a resumed round's command list leaves
+    /// out.
     pub fn acked_ids(&self) -> std::collections::BTreeSet<AgentId> {
         self.acked.iter().map(|r| r.id.clone()).collect()
     }
@@ -460,12 +461,21 @@ impl VerifierJournal {
 
         // ② Enrolments and per-agent state. An agent with an ack is
         // restored to its exact journaled state; one without is
-        // re-enrolled fresh (it had no attested state to lose).
+        // re-enrolled fresh (it had no attested state to lose). The same
+        // pass over the acks picks out the rows of a started-but-
+        // uncommitted round — the agents a resume must not re-attest.
+        let started = Self::round_mark(&log, KEY_STARTED)?;
+        let committed = Self::round_mark(&log, KEY_COMMITTED)?;
         let mut acks: BTreeMap<AgentId, AckRecord> = BTreeMap::new();
+        let mut in_flight: Vec<AgentRoundResult> = Vec::new();
         for (key, bytes) in log.scan_prefix(PREFIX_ACK.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
             let id = AgentId::new(what.trim_start_matches(PREFIX_ACK));
-            acks.insert(id, decode(&what, &bytes)?);
+            let ack: AckRecord = decode(&what, &bytes)?;
+            if started > committed && ack.round == started {
+                in_flight.push(ack.result.clone());
+            }
+            acks.insert(id, ack);
         }
         let current = verifier.policy_store().shared();
         for (key, bytes) in log.scan_prefix(PREFIX_ENROL.as_bytes())? {
@@ -516,28 +526,13 @@ impl VerifierJournal {
         }
 
         // ③ Round progress: a started-but-uncommitted round resumes.
-        let started = Self::round_mark(&log, KEY_STARTED)?;
-        let committed = Self::round_mark(&log, KEY_COMMITTED)?;
-        let resume = if started > committed {
-            let acked: Vec<AgentRoundResult> = {
-                let mut rows: Vec<AgentRoundResult> = Vec::new();
-                for (key, bytes) in log.scan_prefix(PREFIX_ACK.as_bytes())? {
-                    let what = String::from_utf8_lossy(&key).into_owned();
-                    let ack: AckRecord = decode(&what, &bytes)?;
-                    if ack.round == started {
-                        rows.push(ack.result);
-                    }
-                }
-                rows.sort_by(|a, b| a.id.cmp(&b.id));
-                rows
-            };
-            Some(ResumePlan {
+        let resume = (started > committed).then(|| {
+            in_flight.sort_by(|a, b| a.id.cmp(&b.id));
+            ResumePlan {
                 round: started,
-                acked,
-            })
-        } else {
-            None
-        };
+                acked: in_flight,
+            }
+        });
 
         Ok(Recovered {
             verifier,

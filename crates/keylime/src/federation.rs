@@ -19,8 +19,8 @@
 //! [`ConcurrentPolicyStore::laggards`] describe the whole fleet.
 //!
 //! **Replay independence.** Transport lanes are assigned from the
-//! *fleet-wide* sorted enrolment order and passed to each shard as a
-//! lane-override map, so the fault stream an agent sees under a
+//! *fleet-wide* sorted enrolment order and handed to each shard in its
+//! command list, so the fault stream an agent sees under a
 //! [`crate::chaos::FaultPlan`] is a pure function of (plan, fleet
 //! membership) — not of how many shards the fleet happens to be split
 //! into. A one-shard federation produces bit-identical traces to a
@@ -41,7 +41,7 @@
 //! lane, attempt) and each agent is still fetched exactly once on its
 //! own lane.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cia_wire::{DuplexShardTransport, ShardTransport, TcpShardTransport};
@@ -51,7 +51,7 @@ use crate::agent::Agent;
 use crate::config::VerifierConfig;
 use crate::ids::AgentId;
 use crate::policy::{PolicyDelta, RuntimePolicy};
-use crate::remote::{self, DrivenRound};
+use crate::remote;
 use crate::ring::HashRing;
 use crate::scheduler::{AgentRoundResult, FleetScheduler, MetricsSnapshot, RoundReport};
 use crate::store::{ConcurrentPolicyStore, PolicyEpoch};
@@ -333,19 +333,28 @@ impl Federation {
         }
     }
 
-    /// Fleet-wide transport lanes: every enrolled agent's position in
-    /// the *fleet* sorted enrolment order — exactly the lane a single
+    /// The command list of a full federated round, split by shard: every
+    /// live shard's enrolled ids, each at its position in the
+    /// *fleet-wide* sorted enrolment order — exactly the lane a single
     /// un-sharded verifier would assign it, which is what makes traces
-    /// shard-count independent.
-    fn global_lanes(&self) -> BTreeMap<AgentId, u64> {
-        let mut ids: BTreeSet<AgentId> = BTreeSet::new();
-        for shard in self.shards.values() {
-            ids.extend(shard.verifier.agent_ids());
+    /// shard-count independent. Every live shard has an entry, so an
+    /// empty shard still runs (and counts) its round.
+    fn commands_by_shard(&self) -> BTreeMap<u32, Vec<(AgentId, u64)>> {
+        let mut placed: Vec<(AgentId, u32)> = self
+            .shards
+            .iter()
+            .flat_map(|(&sid, shard)| {
+                let ids = shard.verifier.agent_ids();
+                ids.into_iter().map(move |id| (id, sid))
+            })
+            .collect();
+        placed.sort();
+        let mut commands: BTreeMap<u32, Vec<(AgentId, u64)>> =
+            self.shards.keys().map(|&sid| (sid, Vec::new())).collect();
+        for ((id, sid), lane) in placed.into_iter().zip(0u64..) {
+            commands.entry(sid).or_default().push((id, lane));
         }
-        ids.into_iter()
-            .enumerate()
-            .map(|(lane, id)| (id, lane as u64))
-            .collect()
+        commands
     }
 
     /// Runs one federated round: every shard's round runs concurrently
@@ -362,190 +371,75 @@ impl Federation {
     where
         T: Transport + Sync,
     {
-        match self.config.transport {
-            ShardTransportKind::InProc => self.run_round_inproc(agents, transport),
-            ShardTransportKind::Duplex => {
-                let conns: BTreeMap<u32, _> = self
-                    .shards
-                    .keys()
-                    .map(|&sid| (sid, DuplexShardTransport::pair()))
-                    .collect();
-                self.run_round_wire(agents, transport, conns)
-            }
-            ShardTransportKind::Tcp => {
-                let conns: BTreeMap<u32, _> = self
-                    .shards
-                    .keys()
-                    .map(|&sid| {
-                        let pair =
-                            remote::require(TcpShardTransport::loopback_pair(), "tcp loopback");
-                        (sid, pair)
-                    })
-                    .collect();
-                self.run_round_wire(agents, transport, conns)
-            }
-        }
+        let commands = self.commands_by_shard();
+        let results = self.fan_out(agents, transport, commands);
+        self.sync_pins();
+        self.finish_report(results)
     }
 
-    /// The in-process round: scoped threads calling straight into each
-    /// shard's scheduler — the identity transport.
-    fn run_round_inproc<T>(&mut self, agents: &mut [Agent], transport: &T) -> FederatedRoundReport
+    /// The one shard fan-out: every shard named in `commands` runs the
+    /// round engine over its command list, concurrently, with the agent
+    /// processes the ring places on it. Returns each shard's result
+    /// rows. In-process, a shard thread calls straight into its
+    /// scheduler; over a wire transport it runs [`wire_round`] instead.
+    fn fan_out<T>(
+        &mut self,
+        agents: &mut [Agent],
+        transport: &T,
+        mut commands: BTreeMap<u32, Vec<(AgentId, u64)>>,
+    ) -> BTreeMap<u32, Vec<AgentRoundResult>>
     where
         T: Transport + Sync,
     {
-        let lanes = self.global_lanes();
         let mut pools: BTreeMap<u32, Vec<&mut Agent>> = BTreeMap::new();
         for agent in agents.iter_mut() {
             if let Some(sid) = self.ring.place(agent.id()) {
                 pools.entry(sid).or_default().push(agent);
             }
         }
+        let kind = self.config.transport;
+        let window = self.config.wire_window;
         let mut results: BTreeMap<u32, Vec<AgentRoundResult>> = BTreeMap::new();
         crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (&sid, shard) in self.shards.iter_mut() {
-                let pool = pools.remove(&sid).unwrap_or_default();
-                let lanes = &lanes;
-                handles.push((
-                    sid,
-                    scope.spawn(move || {
-                        shard.scheduler.run_round_core(
-                            &mut shard.verifier,
-                            pool.into_iter(),
-                            transport,
-                            None,
-                            Some(lanes),
-                            |_, _| {},
-                        )
-                    }),
-                ));
-            }
-            for (sid, handle) in handles {
-                let report = match handle.join() {
-                    Ok(report) => report,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                results.insert(sid, report.results);
-            }
-        });
-        self.sync_pins();
-        self.finish_report(results)
-    }
-
-    /// The wire round: each shard runs behind one connection of the
-    /// binary RPC protocol. Per shard, a *server* thread runs the shard
-    /// event loop ([`remote::serve_round`] — reader, streamed
-    /// dispatcher, batching writer) and a *driver* thread plays the
-    /// coordinator ([`remote::drive_round`] — batched, windowed
-    /// commands). The merged report is built **from the driver side's
-    /// decoded rows**, so everything in it round-tripped the codec;
-    /// equivalence with the server's own report is debug-asserted.
-    fn run_round_wire<T, C>(
-        &mut self,
-        agents: &mut [Agent],
-        transport: &T,
-        mut conns: BTreeMap<u32, (C, C)>,
-    ) -> FederatedRoundReport
-    where
-        T: Transport + Sync,
-        C: ShardTransport + Send,
-    {
-        let lanes = self.global_lanes();
-        let mut pools: BTreeMap<u32, Vec<&mut Agent>> = BTreeMap::new();
-        for agent in agents.iter_mut() {
-            if let Some(sid) = self.ring.place(agent.id()) {
-                pools.entry(sid).or_default().push(agent);
-            }
-        }
-        // The command list per shard: its enrolled agents (sorted) with
-        // their fleet-wide lanes — exactly what run_round_core would
-        // build locally.
-        let mut commands_by_sid: BTreeMap<u32, Vec<(AgentId, u64)>> = BTreeMap::new();
-        for (&sid, shard) in &self.shards {
-            let commands = shard
-                .verifier
-                .agent_ids()
-                .into_iter()
-                .map(|id| {
-                    let lane = lanes.get(&id).copied().unwrap_or_default();
-                    (id, lane)
-                })
-                .collect();
-            commands_by_sid.insert(sid, commands);
-        }
-        let wire_batch = self.config.verifier.wire_batch;
-        let window = self.config.wire_window;
-
-        let mut results: BTreeMap<u32, Vec<AgentRoundResult>> = BTreeMap::new();
-        let mut server_reports: BTreeMap<u32, RoundReport> = BTreeMap::new();
-        let mut driven_rounds: BTreeMap<u32, DrivenRound> = BTreeMap::new();
-        crossbeam::thread::scope(|scope| {
-            let mut servers = Vec::new();
-            let mut drivers = Vec::new();
-            for (&sid, shard) in self.shards.iter_mut() {
-                let pool = pools.remove(&sid).unwrap_or_default();
-                let Some((server_conn, driver_conn)) = conns.remove(&sid) else {
-                    debug_assert!(false, "one connection pair per shard");
+                let Some(commands) = commands.remove(&sid) else {
                     continue;
                 };
-                let commands = commands_by_sid.remove(&sid).unwrap_or_default();
-                let verifier = &mut shard.verifier;
-                let scheduler = &shard.scheduler;
-                servers.push((
-                    sid,
-                    scope.spawn(move || {
-                        remote::serve_round(
-                            scheduler,
-                            verifier,
-                            pool.into_iter(),
-                            transport,
-                            server_conn,
-                        )
-                    }),
-                ));
-                drivers.push((
-                    sid,
-                    scope.spawn(move || {
-                        remote::drive_round(driver_conn, &commands, wire_batch, window)
-                    }),
-                ));
+                let pool = pools.remove(&sid).unwrap_or_default();
+                let round = move || match kind {
+                    ShardTransportKind::InProc => {
+                        shard
+                            .scheduler
+                            .run_round_streamed(
+                                &mut shard.verifier,
+                                pool.into_iter(),
+                                transport,
+                                commands.into_iter(),
+                                |_, _| {},
+                            )
+                            .results
+                    }
+                    ShardTransportKind::Duplex => {
+                        let conns = DuplexShardTransport::pair();
+                        wire_round(shard, pool, transport, &commands, conns, window)
+                    }
+                    ShardTransportKind::Tcp => {
+                        let conns =
+                            remote::require(TcpShardTransport::loopback_pair(), "tcp loopback");
+                        wire_round(shard, pool, transport, &commands, conns, window)
+                    }
+                };
+                handles.push((sid, scope.spawn(round)));
             }
-            for (sid, handle) in drivers {
-                let driven = match handle.join() {
-                    Ok(res) => remote::require(res, "shard wire driver"),
+            for (sid, handle) in handles {
+                match handle.join() {
+                    Ok(rows) => results.insert(sid, rows),
                     Err(payload) => std::panic::resume_unwind(payload),
                 };
-                driven_rounds.insert(sid, driven);
-            }
-            for (sid, handle) in servers {
-                let report = match handle.join() {
-                    Ok(res) => remote::require(res, "shard wire server"),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                server_reports.insert(sid, report);
             }
         });
-        for (sid, driven) in driven_rounds {
-            if let Some(server) = server_reports.get(&sid) {
-                debug_assert_eq!(driven.health, server.health, "shard {sid} health drifted");
-                debug_assert_eq!(
-                    driven.epoch, server.policy_epoch,
-                    "shard {sid} epoch drifted"
-                );
-                debug_assert_eq!(
-                    {
-                        let mut sorted = driven.rows.clone();
-                        sorted.sort_by(|a, b| a.id.cmp(&b.id));
-                        sorted
-                    },
-                    server.results,
-                    "shard {sid} rows lost in transit"
-                );
-            }
-            results.insert(sid, driven.rows);
-        }
-        self.sync_pins();
-        self.finish_report(results)
+        results
     }
 
     /// Adds an empty shard to a live federation: the new verifier
@@ -630,102 +524,30 @@ impl Federation {
         assert!(self.shards.contains_key(&kill), "unknown shard {kill}");
         assert!(self.shards.len() > 1, "cannot kill the only shard");
 
-        // Lanes are computed over the full fleet *before* the kill, so
-        // every agent keeps the lane the no-kill round would use.
-        let lanes = self.global_lanes();
-        let mut pools: BTreeMap<u32, Vec<&mut Agent>> = BTreeMap::new();
-        let mut dead_pool: Vec<&mut Agent> = Vec::new();
-        for agent in agents.iter_mut() {
-            match self.ring.place(agent.id()) {
-                Some(sid) if sid == kill => dead_pool.push(agent),
-                Some(sid) => pools.entry(sid).or_default().push(agent),
-                None => {}
-            }
-        }
-
-        // Survivors' main round — the dead shard contributes nothing.
-        let mut results: BTreeMap<u32, Vec<AgentRoundResult>> = BTreeMap::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (&sid, shard) in self.shards.iter_mut() {
-                if sid == kill {
-                    continue;
-                }
-                let pool = pools.remove(&sid).unwrap_or_default();
-                let lanes = &lanes;
-                handles.push((
-                    sid,
-                    scope.spawn(move || {
-                        shard.scheduler.run_round_core(
-                            &mut shard.verifier,
-                            pool.into_iter(),
-                            transport,
-                            None,
-                            Some(lanes),
-                            |_, _| {},
-                        )
-                    }),
-                ));
-            }
-            for (sid, handle) in handles {
-                let report = match handle.join() {
-                    Ok(report) => report,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                results.insert(sid, report.results);
-            }
-        });
+        // Commands (and so lanes) are taken over the full fleet *before*
+        // the kill, so every agent keeps the lane the no-kill round
+        // would use. Survivors run their own slices — the dead shard
+        // contributes nothing.
+        let mut commands = self.commands_by_shard();
+        let dead_commands = commands.remove(&kill).unwrap_or_default();
+        let mut results = self.fan_out(agents, transport, commands);
 
         // Rebalance: ring-remove the dead shard and migrate its records.
         let migrated = self.kill_shard(kill);
-        let migrated_set: BTreeSet<AgentId> = migrated.iter().cloned().collect();
 
-        // Catch-up sub-round: each surviving shard polls only the agents
-        // it just inherited (its pre-existing enrolments are skipped, so
-        // nobody is attested twice). Same lanes, same chaos round — the
-        // fault stream each migrated agent sees is exactly the one the
-        // no-kill round would have dealt it.
-        let mut catchup_pools: BTreeMap<u32, Vec<&mut Agent>> = BTreeMap::new();
-        for agent in dead_pool {
-            if let Some(sid) = self.ring.place(agent.id()) {
-                catchup_pools.entry(sid).or_default().push(agent);
+        // Catch-up sub-round: each surviving shard polls exactly the
+        // agents it just inherited, at their pre-kill lanes in the same
+        // chaos round — the fault stream each migrated agent sees is
+        // exactly the one the no-kill round would have dealt it.
+        let mut catchup: BTreeMap<u32, Vec<(AgentId, u64)>> = BTreeMap::new();
+        for (id, lane) in dead_commands {
+            if let Some(sid) = self.ring.place(&id) {
+                catchup.entry(sid).or_default().push((id, lane));
             }
         }
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (&sid, shard) in self.shards.iter_mut() {
-                let Some(pool) = catchup_pools.remove(&sid) else {
-                    continue;
-                };
-                let skip: BTreeSet<AgentId> = shard
-                    .verifier
-                    .agent_ids()
-                    .into_iter()
-                    .filter(|id| !migrated_set.contains(id))
-                    .collect();
-                let lanes = &lanes;
-                handles.push((
-                    sid,
-                    scope.spawn(move || {
-                        shard.scheduler.run_round_core(
-                            &mut shard.verifier,
-                            pool.into_iter(),
-                            transport,
-                            Some(&skip),
-                            Some(lanes),
-                            |_, _| {},
-                        )
-                    }),
-                ));
-            }
-            for (sid, handle) in handles {
-                let report = match handle.join() {
-                    Ok(report) => report,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                results.entry(sid).or_default().extend(report.results);
-            }
-        });
+        for (sid, rows) in self.fan_out(agents, transport, catchup) {
+            results.entry(sid).or_default().extend(rows);
+        }
 
         self.sync_pins();
         (self.finish_report(results), migrated)
@@ -849,4 +671,62 @@ impl Federation {
             per_shard,
         }
     }
+}
+
+/// One shard's round behind a wire connection of the binary RPC
+/// protocol: a *server* thread runs the shard event loop
+/// ([`remote::serve_round`] — reader, round engine, batching writer)
+/// while the calling thread plays the coordinator
+/// ([`remote::drive_round`] — batched, windowed commands). The rows
+/// returned are the **driver side's decoded rows**, so everything in the
+/// merged report round-tripped the codec; equivalence with the server's
+/// own report is debug-asserted.
+fn wire_round<T, C>(
+    shard: &mut Shard,
+    pool: Vec<&mut Agent>,
+    transport: &T,
+    commands: &[(AgentId, u64)],
+    (server_conn, driver_conn): (C, C),
+    window: usize,
+) -> Vec<AgentRoundResult>
+where
+    T: Transport + Sync,
+    C: ShardTransport + Send,
+{
+    let wire_batch = shard.verifier.config().wire_batch;
+    let Shard {
+        verifier,
+        scheduler,
+    } = shard;
+    crossbeam::thread::scope(|scope| {
+        let server = scope.spawn(move || {
+            remote::serve_round(
+                scheduler,
+                verifier,
+                pool.into_iter(),
+                transport,
+                server_conn,
+            )
+        });
+        let driven = remote::require(
+            remote::drive_round(driver_conn, commands, wire_batch, window),
+            "shard wire driver",
+        );
+        let report = match server.join() {
+            Ok(res) => remote::require(res, "shard wire server"),
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        debug_assert_eq!(driven.health, report.health, "shard health drifted");
+        debug_assert_eq!(driven.epoch, report.policy_epoch, "shard epoch drifted");
+        debug_assert_eq!(
+            {
+                let mut sorted = driven.rows.clone();
+                sorted.sort_by(|a, b| a.id.cmp(&b.id));
+                sorted
+            },
+            report.results,
+            "shard rows lost in transit"
+        );
+        driven.rows
+    })
 }

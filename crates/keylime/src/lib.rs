@@ -10,7 +10,7 @@
 //!   replays the IMA log against quoted PCR 10, validates
 //!   `boot_aggregate` against quoted PCRs 0–9, and evaluates every new
 //!   log entry against the agent's [`RuntimePolicy`].
-//! - [`Tenant`]/[`Cluster`] — the operator-facing orchestration layer
+//! - [`Cluster`] — the tenant: the operator-facing orchestration layer
 //!   (enroll machines, push policies, resolve failures).
 //!
 //! On top of the single-agent protocol sits the **fleet engine**
@@ -117,7 +117,6 @@ pub mod error;
 pub mod federation;
 pub mod ids;
 pub mod payload;
-pub mod pipeline;
 pub mod policy;
 pub mod registrar;
 pub mod remote;
@@ -153,7 +152,7 @@ pub use scheduler::{
     RoundOutcome, RoundReport, SchedulerMetrics,
 };
 pub use store::{ConcurrentPolicyStore, PolicyEpoch, PolicyStore, SharedPolicy};
-pub use tenant::{Cluster, Tenant};
+pub use tenant::Cluster;
 pub use transport::{LossyTransport, ReliableTransport, Transport, TransportError};
 pub use verifier::{
     AgentHealth, AgentStateSnapshot, AgentStatus, Alert, AttestationOutcome, FailureKind,

@@ -31,23 +31,21 @@
 //!   rows are coalesced into frames of up to `wire_batch` messages, so
 //!   framing + CRC + syscall cost is amortised across a batch instead
 //!   of paid per agent.
-//! - **Pipelining** ([`drive_round`]'s `window`): the driver keeps up
+//! - **Windowing** ([`drive_round`]'s `window`): the driver keeps up
 //!   to `window` command batches unacknowledged in flight, so the
-//!   shard's fetch/appraise pipeline never drains while the next
-//!   commands cross the wire. Composes with
-//!   [`VerifierConfig::pipeline_depth`] on the server side.
+//!   shard's workers never run dry while the next commands cross the
+//!   wire.
 //!
-//! The server dispatches through
-//! [`FleetScheduler::run_round_streamed`], which shares the exact
-//! fetch/appraise/accounting halves of an in-process round — so a wire
-//! round's [`RoundReport`] is **bit-identical** to the in-process
-//! report for the same fleet, seed and lanes. Deadlock freedom comes
-//! from the server's reader draining commands eagerly into an
-//! unbounded channel (the *driver* bounds in-flight work), so neither
-//! side ever blocks on a peer that is blocked on it.
+//! The server feeds the decoded command stream to
+//! [`FleetScheduler::run_round_streamed`] — the one round engine every
+//! in-process round runs on too — so a wire round's [`RoundReport`] is
+//! **bit-identical** to the in-process report for the same commands
+//! and seed. Deadlock freedom comes from the server's reader draining
+//! commands eagerly into an unbounded channel (the *driver* bounds
+//! in-flight work), so neither side ever blocks on a peer that is
+//! blocked on it.
 //!
 //! [`VerifierConfig::wire_batch`]: crate::VerifierConfig::wire_batch
-//! [`VerifierConfig::pipeline_depth`]: crate::VerifierConfig::pipeline_depth
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
@@ -426,9 +424,9 @@ impl Wire for ShardReply {
 ///   forwards poll batches — eagerly, into an unbounded queue, so the
 ///   socket is always drained and the driver can never deadlock
 ///   against a full send buffer;
-/// - the calling thread dispatches those commands through
-///   [`FleetScheduler::run_round_streamed`] (the same engine as an
-///   in-process round);
+/// - the calling thread runs the round engine
+///   ([`FleetScheduler::run_round_streamed`]) over those commands as
+///   they arrive;
 /// - a writer thread coalesces finished result rows into
 ///   [`ShardReply::Results`] frames of up to
 ///   [`VerifierConfig::wire_batch`](crate::VerifierConfig::wire_batch)
@@ -502,7 +500,7 @@ where
             verifier,
             agents,
             agent_transport,
-            cmd_rx,
+            std::iter::from_fn(move || cmd_rx.recv().ok()).flatten(),
             |result: &AgentRoundResult, _state| {
                 let _ = row_tx.send(result.clone());
             },

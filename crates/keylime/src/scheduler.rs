@@ -133,12 +133,6 @@ impl SchedulerMetrics {
         Self::add(&per_backend[backend.index()], 1);
     }
 
-    /// Accumulates serialized transport bytes (the pipeline module's
-    /// write point for per-lane byte totals).
-    pub(crate) fn add_wire_bytes(&self, n: u64) {
-        Self::add(&self.wire_bytes, n);
-    }
-
     /// Records one fleet-wide policy push: the epoch gauge moves to
     /// `epoch`, and the push duration and delta entry operations (0 for a
     /// full publish) accumulate.
@@ -606,15 +600,12 @@ impl RoundReport {
     }
 }
 
-/// One unit of work: an agent, its verifier record, and its lane. A
-/// pipelined round moves the whole job across the evidence channel, so
-/// the record's mutations stay sequential even though fetch and
-/// appraisal run on different workers.
-pub(crate) struct Job<'a> {
-    pub(crate) id: AgentId,
-    pub(crate) lane: u64,
-    pub(crate) record: &'a mut crate::verifier::AgentRecord,
-    pub(crate) agent: &'a mut Agent,
+/// One unit of work: an agent, its verifier record, and its lane.
+struct Job<'a> {
+    id: AgentId,
+    lane: u64,
+    record: &'a mut crate::verifier::AgentRecord,
+    agent: &'a mut Agent,
 }
 
 /// The concurrent fleet attestation engine. See the module docs.
@@ -658,187 +649,47 @@ impl FleetScheduler {
     where
         T: Transport + Sync,
     {
-        self.run_round_observed(verifier, agents, transport, None, |_, _| {})
-    }
-
-    /// [`FleetScheduler::run_round`] with two durability hooks:
-    ///
-    /// - `skip`: agents to leave untouched this round — the already-acked
-    ///   set when resuming a crashed round. Skipped agents keep their
-    ///   transport *lane numbers* (lanes are assigned by enrolment-map
-    ///   position over the full map, skipped or not), so a resumed
-    ///   partial round re-polls each remaining agent over exactly the
-    ///   lane it would have had in the uncrashed round.
-    /// - `observer`: called once per completed agent, from the worker
-    ///   that finished it, with the result and the agent record's
-    ///   post-attestation state — the write point for journal acks.
-    ///
-    /// Orphaned enrolments (no agent process) are reported in the
-    /// round's results but not observed: their records never change.
-    pub fn run_round_observed<T, F>(
-        &self,
-        verifier: &mut Verifier,
-        agents: &mut [Agent],
-        transport: &T,
-        skip: Option<&std::collections::BTreeSet<AgentId>>,
-        observer: F,
-    ) -> RoundReport
-    where
-        T: Transport + Sync,
-        F: Fn(&AgentRoundResult, crate::verifier::AgentStateSnapshot) + Sync,
-    {
-        self.run_round_core(verifier, agents.iter_mut(), transport, skip, None, observer)
-    }
-
-    /// The full-generality round driver beneath the public entry points,
-    /// with two extra degrees of freedom the federation layer needs:
-    ///
-    /// - `agents` is any iterator of agent processes, so a shard can run
-    ///   over the subset of a fleet the consistent-hash ring placed on
-    ///   it without owning a contiguous slice;
-    /// - `lanes` overrides the transport lane per agent. By default a
-    ///   lane is the agent's position in this verifier's enrolment map;
-    ///   a federation passes each shard the *fleet-wide* sorted-order
-    ///   lane instead, so the chaos fault stream an agent sees is
-    ///   independent of how the fleet is sharded and the trace replays
-    ///   bit-identically across shard counts.
-    ///
-    /// Dispatch is pipelined when [`VerifierConfig::pipeline_depth`] is
-    /// positive (see [`crate::pipeline`]) and classic
-    /// fetch-and-appraise-inline otherwise; both paths drive the same
-    /// fetch/appraise halves, so verdicts and counters are identical.
-    pub(crate) fn run_round_core<'e, T, F>(
-        &self,
-        verifier: &mut Verifier,
-        agents: impl Iterator<Item = &'e mut Agent>,
-        transport: &T,
-        skip: Option<&std::collections::BTreeSet<AgentId>>,
-        lanes: Option<&std::collections::BTreeMap<AgentId, u64>>,
-        observer: F,
-    ) -> RoundReport
-    where
-        T: Transport + Sync,
-        F: Fn(&AgentRoundResult, crate::verifier::AgentStateSnapshot) + Sync,
-    {
-        let (config, shared, records) = verifier.scheduler_view();
-        self.metrics
-            .policy_epoch
-            .store(shared.epoch.as_u64(), Ordering::Relaxed);
-
-        // Pair each enrolled record with its agent process. Lanes are
-        // assigned by enrolment-map order (sorted ids) — or by the
-        // caller's override map — so a fleet's drop patterns are a pure
-        // function of (base seed, membership).
-        let mut agent_by_id: std::collections::BTreeMap<AgentId, &mut Agent> =
-            agents.map(|a| (a.id().clone(), a)).collect();
-
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        let mut orphaned: Vec<(AgentId, BackendKind, PolicyEpoch, bool)> = Vec::new();
-        for (position, (id, record)) in records.iter_mut().enumerate() {
-            // The lane is taken from the agent's position in the full
-            // enrolment map *before* the skip filter, so resuming a
-            // partial round preserves every remaining agent's lane.
-            let lane = lanes
-                .and_then(|m| m.get(id).copied())
-                .unwrap_or(position as u64);
-            if skip.is_some_and(|s| s.contains(id)) {
-                continue;
-            }
-            match agent_by_id.remove(id) {
-                Some(agent) => jobs.push(Job {
-                    id: id.clone(),
-                    lane,
-                    record,
-                    agent,
-                }),
-                None => orphaned.push((
-                    id.clone(),
-                    record.backend_kind(),
-                    record.policy_epoch(),
-                    record.follows_shared_store(),
-                )),
-            }
-        }
-
-        let expected = jobs.len();
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job<'_>>();
-        let worker_count = config.worker_count.clamp(1, jobs.len().max(1));
-        for job in jobs {
-            let sent = job_tx.send(job);
-            assert!(sent.is_ok(), "job receiver alive until workers finish");
-        }
-        drop(job_tx);
-        let mut results = dispatch_jobs(
-            &config,
-            &shared,
-            &self.metrics,
-            job_rx,
-            worker_count,
+        let commands = full_round(verifier);
+        self.run_round_streamed(
+            verifier,
+            agents.iter_mut(),
             transport,
-            &observer,
-        );
-        debug_assert_eq!(
-            results.len(),
-            expected,
-            "every job must produce exactly one result"
-        );
-        for (id, backend, policy_epoch, shared_policy) in orphaned {
-            self.metrics.add_outcome(
-                &self.metrics.unreachable,
-                &self.metrics.backend_unreachable,
-                backend,
-            );
-            SchedulerMetrics::add(&self.metrics.orphaned, 1);
-            results.push(AgentRoundResult {
-                id,
-                backend,
-                day: 0,
-                attempts: 0,
-                backoff_ms: 0,
-                policy_epoch,
-                shared_policy,
-                outcome: RoundOutcome::Unreachable {
-                    reason: "no agent process supplied for enrolled id".to_string(),
-                },
-            });
-        }
-        results.sort_by(|a, b| a.id.cmp(&b.id));
-        SchedulerMetrics::add(&self.metrics.rounds, 1);
-
-        let mut health = HealthCounts::default();
-        for record in records.values() {
-            health.count(record.health());
-        }
-        RoundReport {
-            results,
-            health,
-            policy_epoch: shared.epoch,
-        }
+            commands.into_iter(),
+            |_, _| {},
+        )
     }
 
-    /// [`FleetScheduler::run_round_core`] fed by a *stream* of poll
-    /// commands instead of an upfront job list — the shard-side half of
-    /// a wire round (see [`crate::remote`]). Each received batch of
-    /// `(agent id, lane)` pairs is matched to its record and agent
-    /// process and dispatched immediately, so the first agents are
-    /// already fetching while later commands are still in flight from
-    /// the coordinator; dispatch itself is the same pipelined-or-pool
-    /// engine as every other round.
+    /// The round engine: every way of running a round — a full round, a
+    /// resumed one, a shard's slice of a federated round, the catch-up
+    /// after a shard kill, a wire round — is this function fed a
+    /// different list of `(agent id, lane)` poll commands.
     ///
-    /// Accounting is identical to [`FleetScheduler::run_round_core`]
-    /// with one documented difference: orphaned commands (an enrolled
-    /// record whose agent process is missing) *are* passed to
-    /// `observer`, because a wire server streams every result row —
-    /// orphan rows included — back through it. Their records still never
-    /// change. Commands naming un-enrolled ids, and duplicate commands,
-    /// are ignored. Enrolled records that never receive a command
-    /// produce no row: the command stream defines the round's extent.
+    /// - `commands` defines the round's extent. Each command is matched
+    ///   to its record and agent process and dispatched as it is pulled
+    ///   from the iterator, so a wire server can hand in the live command
+    ///   stream and have the first agents fetching while later commands
+    ///   are still in flight. Enrolled records that receive no command
+    ///   produce no row and are not touched; commands naming un-enrolled
+    ///   ids, and duplicate commands, are ignored.
+    /// - The *lane* is the transport lane ([`Transport::fork`]) the agent
+    ///   is polled over. It is the caller's to choose because it must not
+    ///   depend on the list: every builder takes it from the agent's
+    ///   position in the full sorted enrolment order, so the fault stream
+    ///   an agent sees is the same whichever list it arrives in.
+    /// - `agents` is any iterator of agent processes, so a shard can run
+    ///   over the subset of a fleet the ring placed on it.
+    /// - `observer` is called exactly once per result row, from the
+    ///   thread that finished it, with the row and the record's
+    ///   post-attestation state — the write point for journal acks and
+    ///   wire result frames. That includes orphaned commands (an enrolled
+    ///   record whose agent process is missing): their row reports
+    ///   [`RoundOutcome::Unreachable`] and their record is unchanged.
     pub(crate) fn run_round_streamed<'e, T, F>(
         &self,
         verifier: &mut Verifier,
         agents: impl Iterator<Item = &'e mut Agent>,
         transport: &T,
-        commands: crossbeam::channel::Receiver<Vec<(AgentId, u64)>>,
+        commands: impl Iterator<Item = (AgentId, u64)> + Send,
         observer: F,
     ) -> RoundReport
     where
@@ -853,83 +704,72 @@ impl FleetScheduler {
         let mut agent_by_id: std::collections::BTreeMap<AgentId, &mut Agent> =
             agents.map(|a| (a.id().clone(), a)).collect();
         let mut record_by_id: std::collections::BTreeMap<
-            AgentId,
+            &AgentId,
             &mut crate::verifier::AgentRecord,
-        > = records.iter_mut().map(|(id, r)| (id.clone(), r)).collect();
+        > = records.iter_mut().collect();
 
-        let worker_count = config.worker_count.max(1);
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job<'_>>();
-        let (mut results, orphaned) = std::thread::scope(|scope| {
-            // The feeder turns command batches into jobs as they arrive;
+        let metrics = &self.metrics;
+        let observer = &observer;
+        let mut results = std::thread::scope(|scope| {
+            // The feeder turns commands into jobs as they arrive;
             // dispatch runs concurrently on this thread and drains the
             // job channel until the feeder drops its sender.
             let feeder = scope.spawn(move || {
-                let mut orphaned: Vec<(AgentId, BackendKind, PolicyEpoch, bool)> = Vec::new();
-                while let Ok(batch) = commands.recv() {
-                    for (id, lane) in batch {
-                        let Some(record) = record_by_id.remove(&id) else {
-                            continue;
-                        };
-                        match agent_by_id.remove(&id) {
-                            Some(agent) => {
-                                let sent = job_tx.send(Job {
-                                    id,
-                                    lane,
-                                    record,
-                                    agent,
-                                });
-                                assert!(sent.is_ok(), "dispatch outlives the feeder");
-                            }
-                            None => orphaned.push((
-                                id,
-                                record.backend_kind(),
-                                record.policy_epoch(),
-                                record.follows_shared_store(),
-                            )),
-                        }
+                let mut orphan_rows: Vec<AgentRoundResult> = Vec::new();
+                for (id, lane) in commands {
+                    let Some(record) = record_by_id.remove(&id) else {
+                        continue;
+                    };
+                    if let Some(agent) = agent_by_id.remove(&id) {
+                        let sent = job_tx.send(Job {
+                            id,
+                            lane,
+                            record,
+                            agent,
+                        });
+                        assert!(sent.is_ok(), "dispatch outlives the feeder");
+                        continue;
                     }
+                    let backend = record.backend_kind();
+                    metrics.add_outcome(
+                        &metrics.unreachable,
+                        &metrics.backend_unreachable,
+                        backend,
+                    );
+                    SchedulerMetrics::add(&metrics.orphaned, 1);
+                    let row = AgentRoundResult {
+                        id,
+                        backend,
+                        day: 0,
+                        attempts: 0,
+                        backoff_ms: 0,
+                        policy_epoch: record.policy_epoch(),
+                        shared_policy: record.follows_shared_store(),
+                        outcome: RoundOutcome::Unreachable {
+                            reason: "no agent process supplied for enrolled id".to_string(),
+                        },
+                    };
+                    observer(&row, record.snapshot_state());
+                    orphan_rows.push(row);
                 }
-                orphaned
+                orphan_rows
             });
-            let results = dispatch_jobs(
+            let mut results = dispatch_jobs(
                 &config,
                 &shared,
-                &self.metrics,
+                metrics,
                 job_rx,
-                worker_count,
+                config.worker_count.max(1),
                 transport,
-                &observer,
+                observer,
             );
-            let orphaned = match feeder.join() {
-                Ok(orphaned) => orphaned,
+            match feeder.join() {
+                Ok(orphan_rows) => results.extend(orphan_rows),
                 Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (results, orphaned)
-        });
-        for (id, backend, policy_epoch, shared_policy) in orphaned {
-            self.metrics.add_outcome(
-                &self.metrics.unreachable,
-                &self.metrics.backend_unreachable,
-                backend,
-            );
-            SchedulerMetrics::add(&self.metrics.orphaned, 1);
-            let row = AgentRoundResult {
-                id,
-                backend,
-                day: 0,
-                attempts: 0,
-                backoff_ms: 0,
-                policy_epoch,
-                shared_policy,
-                outcome: RoundOutcome::Unreachable {
-                    reason: "no agent process supplied for enrolled id".to_string(),
-                },
-            };
-            if let Some(record) = records.get(&row.id) {
-                observer(&row, record.snapshot_state());
             }
-            results.push(row);
-        }
+            results
+        });
         results.sort_by(|a, b| a.id.cmp(&b.id));
         SchedulerMetrics::add(&self.metrics.rounds, 1);
 
@@ -945,16 +785,20 @@ impl FleetScheduler {
     }
 }
 
-/// Drains a channel of jobs through the round engine — pipelined when
-/// [`VerifierConfig::pipeline_depth`] is positive, the classic
-/// fetch-and-appraise-inline pool otherwise — and returns the
-/// (unsorted) result rows. Both the upfront-list and streamed round
-/// entry points funnel through here, so wire rounds cannot drift from
-/// in-process rounds.
-pub(crate) fn dispatch_jobs<'a, T, F>(
+/// The command list of a full round: every enrolled id, its lane its
+/// position in the sorted enrolment order — so a fleet's drop patterns
+/// are a pure function of (base seed, membership).
+pub(crate) fn full_round(verifier: &Verifier) -> Vec<(AgentId, u64)> {
+    verifier.agent_ids().into_iter().zip(0u64..).collect()
+}
+
+/// Drains a channel of jobs through a pool of `worker_count` workers,
+/// each fetching and appraising one agent at a time over that job's own
+/// transport lane, and returns the (unsorted) result rows.
+fn dispatch_jobs<'a, T, F>(
     config: &VerifierConfig,
     shared: &SharedPolicy,
-    metrics: &Arc<SchedulerMetrics>,
+    metrics: &SchedulerMetrics,
     job_rx: crossbeam::channel::Receiver<Job<'a>>,
     worker_count: usize,
     transport: &T,
@@ -964,28 +808,16 @@ where
     T: Transport + Sync,
     F: Fn(&AgentRoundResult, crate::verifier::AgentStateSnapshot) + Sync,
 {
-    if config.pipeline_depth > 0 {
-        return crate::pipeline::run_pipelined(
-            config,
-            shared,
-            metrics,
-            job_rx,
-            worker_count,
-            transport,
-            observer,
-        );
-    }
     let (res_tx, res_rx) = crossbeam::channel::unbounded::<AgentRoundResult>();
     std::thread::scope(|scope| {
         for _ in 0..worker_count {
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
-            let metrics = Arc::clone(metrics);
             scope.spawn(move || {
                 while let Ok(mut job) = job_rx.recv() {
                     let mut lane_transport = transport.fork(job.lane);
                     let result =
-                        attest_with_retry(config, shared, &metrics, &mut job, &mut lane_transport);
+                        attest_with_retry(config, shared, metrics, &mut job, &mut lane_transport);
                     // The lane is fresh per job, so its byte total is
                     // exactly this agent's round traffic.
                     SchedulerMetrics::add(&metrics.wire_bytes, lane_transport.wire_bytes());
@@ -1005,12 +837,11 @@ where
     res_rx.iter().collect()
 }
 
-/// Drives one agent's poll to a terminal outcome: retries dropped calls
-/// with bounded exponential backoff, records latency, and classifies the
-/// result. Never panics, never loses the agent. Composed from
-/// [`fetch_with_retry`] and [`appraise_fetched`] — the same two halves
-/// the pipelined path runs on separate workers — so the inline and
-/// pipelined rounds cannot drift apart.
+/// Drives one agent's poll to a terminal outcome: quarantine gating, the
+/// quote fetch with bounded exponential backoff around dropped calls,
+/// then appraisal of whatever evidence came back. Never panics, never
+/// loses the agent. Latency and timeout metering cover the fetch — the
+/// wire round-trip the budget is about — not the appraisal CPU time.
 fn attest_with_retry<T: Transport>(
     config: &VerifierConfig,
     shared: &SharedPolicy,
@@ -1018,56 +849,24 @@ fn attest_with_retry<T: Transport>(
     job: &mut Job<'_>,
     transport: &mut T,
 ) -> AgentRoundResult {
-    match fetch_with_retry(config, shared, metrics, job, transport) {
-        FetchOutcome::Terminal(result) => result,
-        FetchOutcome::Evidence {
-            resp,
-            nonce,
-            day,
-            attempts,
-            backoff_ms,
-        } => appraise_fetched(
-            config, metrics, job, resp, &nonce, day, attempts, backoff_ms,
-        ),
-    }
-}
-
-/// What one agent's transport stage produced.
-pub(crate) enum FetchOutcome {
-    /// The slot reached a terminal outcome without evidence to appraise:
-    /// quarantine skip, paused agent, or unreachable after retries.
-    Terminal(AgentRoundResult),
-    /// Evidence in hand; appraisal still owed. Carries the attempt and
-    /// backoff accounting the final result row must report.
-    Evidence {
-        /// The quote response to appraise.
-        resp: crate::agent::QuoteResponse,
-        /// The nonce the quote must bind.
-        nonce: Vec<u8>,
-        /// The simulation day the poll ran at.
-        day: u32,
-        /// Transport attempts spent (1 = no retries).
-        attempts: u32,
-        /// Total backoff recorded across those attempts, in ms.
-        backoff_ms: u64,
-    },
-}
-
-/// The transport half of one agent's slot: quarantine gating, the quote
-/// fetch, and the retry/backoff loop around dropped calls. Latency and
-/// timeout metering cover the fetch — the wire round-trip the budget is
-/// about — not the appraisal CPU time.
-pub(crate) fn fetch_with_retry<T: Transport>(
-    config: &VerifierConfig,
-    shared: &SharedPolicy,
-    metrics: &SchedulerMetrics,
-    job: &mut Job<'_>,
-    transport: &mut T,
-) -> FetchOutcome {
     let day = job.agent.day();
     // Appraisal is against the enrolment-proven backend, so the result
     // row reports that identity — not whatever the wire tag claims.
     let backend = job.record.backend_kind();
+    let mut attempts = 0u32;
+    let mut backoff_ms = 0u64;
+    // The row for the slot's current accounting and record state.
+    let row =
+        |job: &Job<'_>, attempts: u32, backoff_ms: u64, outcome: RoundOutcome| AgentRoundResult {
+            id: job.id.clone(),
+            backend,
+            day,
+            attempts,
+            backoff_ms,
+            policy_epoch: job.record.policy_epoch(),
+            shared_policy: job.record.follows_shared_store(),
+            outcome,
+        };
 
     // Quarantine gate: a quarantined agent is polled only when its
     // re-probe is due; otherwise the round costs zero transport calls.
@@ -1077,23 +876,17 @@ pub(crate) fn fetch_with_retry<T: Transport>(
     if config.quarantine_enabled && job.record.health() == AgentHealth::Quarantined {
         if let Some(next_probe_in) = job.record.tick_reprobe() {
             SchedulerMetrics::add(&metrics.quarantine_skips, 1);
-            return FetchOutcome::Terminal(AgentRoundResult {
-                id: job.id.clone(),
-                backend,
-                day,
-                attempts: 0,
-                backoff_ms: 0,
-                policy_epoch: job.record.policy_epoch(),
-                shared_policy: job.record.follows_shared_store(),
-                outcome: RoundOutcome::SkippedQuarantined { next_probe_in },
-            });
+            return row(
+                job,
+                0,
+                0,
+                RoundOutcome::SkippedQuarantined { next_probe_in },
+            );
         }
         SchedulerMetrics::add(&metrics.probes, 1);
         retry_budget = 0;
     }
 
-    let mut attempts = 0u32;
-    let mut backoff_ms_total = 0u64;
     loop {
         attempts += 1;
         SchedulerMetrics::add(&metrics.calls, 1);
@@ -1114,25 +907,11 @@ pub(crate) fn fetch_with_retry<T: Transport>(
                 SchedulerMetrics::add(&metrics.skipped_paused, 1);
                 // Nothing was requested: no reachability evidence, so
                 // health stays as it was.
-                return FetchOutcome::Terminal(AgentRoundResult {
-                    id: job.id.clone(),
-                    backend,
-                    day,
-                    attempts,
-                    backoff_ms: backoff_ms_total,
-                    policy_epoch: job.record.policy_epoch(),
-                    shared_policy: job.record.follows_shared_store(),
-                    outcome: RoundOutcome::SkippedPaused,
-                });
+                return row(job, attempts, backoff_ms, RoundOutcome::SkippedPaused);
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                return FetchOutcome::Evidence {
-                    resp: *resp,
-                    nonce,
-                    day,
-                    attempts,
-                    backoff_ms: backoff_ms_total,
-                };
+                let outcome = appraise_fetched(config, metrics, job, *resp, &nonce, day);
+                return row(job, attempts, backoff_ms, outcome);
             }
             Err(e) => e,
         };
@@ -1144,51 +923,41 @@ pub(crate) fn fetch_with_retry<T: Transport>(
         if !retryable || attempts > retry_budget {
             metrics.add_outcome(&metrics.unreachable, &metrics.backend_unreachable, backend);
             update_health(job.record, ReachClass::Unreachable, config, metrics);
-            return FetchOutcome::Terminal(AgentRoundResult {
-                id: job.id.clone(),
-                backend,
-                day,
+            let reason = error.to_string();
+            return row(
+                job,
                 attempts,
-                backoff_ms: backoff_ms_total,
-                policy_epoch: job.record.policy_epoch(),
-                shared_policy: job.record.follows_shared_store(),
-                outcome: RoundOutcome::Unreachable {
-                    reason: error.to_string(),
-                },
-            });
+                backoff_ms,
+                RoundOutcome::Unreachable { reason },
+            );
         }
         SchedulerMetrics::add(&metrics.retries, 1);
         // Backoff is recorded, not slept: the schedule is part of the
         // engine's observable behaviour (and tested), but simulated
         // rounds should not wait out wall-clock time.
         let backoff = config.backoff_for_attempt(attempts).as_millis() as u64;
-        backoff_ms_total += backoff;
+        backoff_ms += backoff;
         SchedulerMetrics::add(&metrics.backoff_ms, backoff);
     }
 }
 
-/// The CPU half of one agent's slot: appraises fetched evidence, applies
-/// the health transition, and builds the result row. Runs on the same
-/// worker inline, or on an appraisal worker when pipelined — either way
-/// it holds the job's `&mut` record, so mutations stay sequential.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn appraise_fetched(
+/// Appraises fetched evidence, counts the verdict, and applies the
+/// health transition.
+fn appraise_fetched(
     config: &VerifierConfig,
     metrics: &SchedulerMetrics,
     job: &mut Job<'_>,
     resp: crate::agent::QuoteResponse,
     nonce: &[u8],
     day: u32,
-    attempts: u32,
-    backoff_ms: u64,
-) -> AgentRoundResult {
+) -> RoundOutcome {
     let backend = job.record.backend_kind();
     let mut hot = HotStats::default();
     let outcome =
         Verifier::appraise_evidence(config, job.record, &job.id, resp, nonce, day, &mut hot);
     SchedulerMetrics::add(&metrics.entries_evaluated, hot.entries_evaluated);
     SchedulerMetrics::add(&metrics.policy_check_ns, hot.policy_check_ns);
-    let round_outcome = match outcome {
+    match outcome {
         AttestationOutcome::Verified { new_entries } => {
             metrics.add_outcome(&metrics.verified, &metrics.backend_verified, backend);
             update_health(job.record, ReachClass::Verified, config, metrics);
@@ -1206,16 +975,6 @@ pub(crate) fn appraise_fetched(
             SchedulerMetrics::add(&metrics.skipped_paused, 1);
             RoundOutcome::SkippedPaused
         }
-    };
-    AgentRoundResult {
-        id: job.id.clone(),
-        backend,
-        day,
-        attempts,
-        backoff_ms,
-        policy_epoch: job.record.policy_epoch(),
-        shared_policy: job.record.follows_shared_store(),
-        outcome: round_outcome,
     }
 }
 
@@ -1285,6 +1044,45 @@ mod tests {
             !report.epoch_converged(),
             "a lagging shared agent breaks it"
         );
+    }
+
+    /// The engine's orphan contract: a command for an enrolled id with
+    /// no agent process yields one `Unreachable` row, observed exactly
+    /// once, and the record is left exactly as it was.
+    #[test]
+    fn orphaned_command_is_observed_once_and_its_record_is_unchanged() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let ak = cia_crypto::KeyPair::generate(&mut rng).verifying;
+        let mut verifier = Verifier::new(VerifierConfig::engine_default());
+        let id = AgentId::from("orphan");
+        verifier.add_agent_shared(id.clone(), ak);
+        let before = verifier.export_agent_state(&id).unwrap();
+
+        let scheduler = FleetScheduler::new();
+        let observed = parking_lot::Mutex::new(Vec::new());
+        let report = scheduler.run_round_streamed(
+            &mut verifier,
+            std::iter::empty(),
+            &crate::transport::ReliableTransport::new(),
+            vec![(id.clone(), 0), (AgentId::from("not-enrolled"), 1)].into_iter(),
+            |row, state| observed.lock().push((row.clone(), state)),
+        );
+
+        assert_eq!(report.results.len(), 1, "un-enrolled commands are ignored");
+        assert!(matches!(
+            report.results[0].outcome,
+            RoundOutcome::Unreachable { .. }
+        ));
+        assert_eq!(report.results[0].attempts, 0, "an orphan spends no call");
+        assert_eq!(
+            observed.into_inner(),
+            vec![(report.results[0].clone(), before.clone())]
+        );
+        assert_eq!(verifier.export_agent_state(&id).unwrap(), before);
+        let snap = scheduler.snapshot();
+        assert_eq!((snap.orphaned, snap.unreachable, snap.calls), (1, 1, 0));
+        assert!(snap.is_conserved());
     }
 
     #[test]

@@ -25,42 +25,12 @@ use crate::payload::{KeyShare, PayloadBundle};
 use crate::policy::{PolicyDelta, RuntimePolicy};
 use crate::registrar::{Registrar, RegistrationRecord};
 use crate::revocation::{RevocationBus, RevocationEmitter};
-use crate::scheduler::{AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
+use crate::scheduler::{self, AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
 use crate::store::PolicyEpoch;
 use crate::transport::{ReliableTransport, Transport};
 use crate::verifier::{
     AgentStateSnapshot, AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig,
 };
-
-/// The command-line management tool's operations, expressed as a trait so
-/// experiments can drive any cluster-like object.
-pub trait Tenant {
-    /// Enrols a new machine: registers its TPM and adds it to the
-    /// verifier with `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Registration or transport failures.
-    fn enroll(
-        &mut self,
-        config: MachineConfig,
-        policy: RuntimePolicy,
-    ) -> Result<AgentId, KeylimeError>;
-
-    /// Pushes a new runtime policy to an enrolled agent.
-    ///
-    /// # Errors
-    ///
-    /// [`KeylimeError::UnknownAgent`].
-    fn push_policy(&mut self, id: &AgentId, policy: RuntimePolicy) -> Result<(), KeylimeError>;
-
-    /// Polls one agent.
-    ///
-    /// # Errors
-    ///
-    /// Unknown agent or transport failures.
-    fn attest(&mut self, id: &AgentId) -> Result<AttestationOutcome, KeylimeError>;
-}
 
 /// Everything needed to run attestation experiments in one process: a TPM
 /// manufacturer, a registrar trusting it, a verifier, a transport, the
@@ -382,35 +352,22 @@ impl<T: Transport> Cluster<T> {
     where
         T: Sync,
     {
-        let journal = self
-            .journal
-            .as_mut()
-            .expect("attest_fleet_resume requires durability");
-        journal
-            .begin_round(plan.round)
-            .expect("journal round start");
-        let skip = plan.acked_ids();
-        let ackbuf: Mutex<Vec<(AgentRoundResult, AgentStateSnapshot)>> =
-            Mutex::new(Vec::new()).named("ackbuf");
-        let partial = self.scheduler.run_round_observed(
-            &mut self.verifier,
-            &mut self.agents,
-            &self.transport,
-            Some(&skip),
-            |result, state| ackbuf.lock().push((result.clone(), state)),
-        );
-        Self::write_acks(journal, &self.verifier, plan.round, ackbuf.into_inner());
-        journal
-            .commit_round(plan.round)
-            .expect("journal round commit");
-        self.commit_round_side_effects(&partial.results);
+        assert!(self.is_durable(), "attest_fleet_resume requires durability");
+        // The resumed round is the full command list minus the acked
+        // agents. Lanes still come from each agent's position in the
+        // *full* enrolment order, so everyone left is re-polled over
+        // exactly the lane the uncrashed round would have used.
+        let acked = plan.acked_ids();
+        let mut commands = scheduler::full_round(&self.verifier);
+        commands.retain(|(id, _)| !acked.contains(id));
+        let partial = self.run_commands(Some(plan.round), commands);
         let mut results = plan.acked.clone();
         results.extend(partial.results.iter().cloned());
         results.sort_by(|a, b| a.id.cmp(&b.id));
         RoundReport {
             results,
             // Health was counted over *every* enrolled record after the
-            // resumed round — skipped agents included — so it already
+            // resumed round — acked agents included — so it already
             // matches what the uncrashed round would have reported.
             health: partial.health,
             policy_epoch: partial.policy_epoch,
@@ -564,23 +521,27 @@ impl<T: Transport> Cluster<T> {
     /// in result order (already sorted by id).
     fn commit_round_side_effects(&mut self, results: &[AgentRoundResult]) {
         for result in results {
-            let audit_outcome = match &result.outcome {
-                RoundOutcome::Verified { .. } => AuditOutcome::Verified,
-                RoundOutcome::Failed { .. } => AuditOutcome::Failed,
-                RoundOutcome::SkippedPaused => AuditOutcome::Skipped,
-                RoundOutcome::SkippedQuarantined { .. } => AuditOutcome::Skipped,
-                RoundOutcome::Unreachable { .. } => AuditOutcome::Unreachable,
+            let (outcome, alerts): (_, &[Alert]) = match &result.outcome {
+                RoundOutcome::Verified { .. } => (AuditOutcome::Verified, &[]),
+                RoundOutcome::Failed { alerts } => (AuditOutcome::Failed, alerts),
+                RoundOutcome::SkippedPaused => (AuditOutcome::Skipped, &[]),
+                RoundOutcome::SkippedQuarantined { .. } => (AuditOutcome::Skipped, &[]),
+                RoundOutcome::Unreachable { .. } => (AuditOutcome::Unreachable, &[]),
             };
-            self.audit.record(result.day, &result.id, audit_outcome);
-            if let RoundOutcome::Failed { alerts } = &result.outcome {
-                if let Some(first) = alerts.first() {
-                    let notice = self
-                        .revocation
-                        .emit(&result.id, result.day, first.kind.clone());
-                    let key = self.revocation.public_key().clone();
-                    self.revocation_bus.publish(&notice, &key);
-                }
-            }
+            self.commit_outcome(result.day, &result.id, outcome, alerts);
+        }
+    }
+
+    /// Durable attestation: every outcome enters the audit chain, and a
+    /// failed one (`alerts` non-empty) is published on the revocation
+    /// bus, so subscribed systems can react (drop connections, cordon,
+    /// ...).
+    fn commit_outcome(&mut self, day: u32, id: &AgentId, outcome: AuditOutcome, alerts: &[Alert]) {
+        self.audit.record(day, id, outcome);
+        if let Some(first) = alerts.first() {
+            let notice = self.revocation.emit(id, day, first.kind.clone());
+            let key = self.revocation.public_key().clone();
+            self.revocation_bus.publish(&notice, &key);
         }
     }
 
@@ -723,39 +684,29 @@ impl<T: Transport> Cluster<T> {
         let agent = &mut self.agents[idx];
         let day = agent.day();
         let outcome = self.verifier.attest(&mut self.transport, agent, day)?;
-        // Durable attestation: every outcome enters the audit chain.
-        let audit_outcome = match &outcome {
-            AttestationOutcome::Verified { .. } => AuditOutcome::Verified,
-            AttestationOutcome::Failed { .. } => AuditOutcome::Failed,
-            AttestationOutcome::SkippedPaused => AuditOutcome::Skipped,
+        let (audit_outcome, alerts): (_, &[Alert]) = match &outcome {
+            AttestationOutcome::Verified { .. } => (AuditOutcome::Verified, &[]),
+            AttestationOutcome::Failed { alerts } => (AuditOutcome::Failed, alerts),
+            AttestationOutcome::SkippedPaused => (AuditOutcome::Skipped, &[]),
         };
-        self.audit.record(day, id, audit_outcome);
-        // Failed attestations are published on the revocation bus, so
-        // subscribed systems can react (drop connections, cordon, ...).
-        if let AttestationOutcome::Failed { alerts } = &outcome {
-            if let Some(first) = alerts.first() {
-                let notice = self.revocation.emit(id, day, first.kind.clone());
-                let key = self.revocation.public_key().clone();
-                self.revocation_bus.publish(&notice, &key);
-            }
-        }
+        self.commit_outcome(day, id, audit_outcome, alerts);
         Ok(outcome)
     }
 
-    /// Polls every agent once, sequentially, returning `(id, outcome)`
-    /// pairs. Prefer [`Cluster::attest_fleet`] for large fleets.
+    /// Pushes a new runtime policy to one enrolled agent, making it a
+    /// per-agent override.
     ///
     /// # Errors
     ///
-    /// First transport failure encountered.
-    pub fn attest_all(&mut self) -> Result<Vec<(AgentId, AttestationOutcome)>, KeylimeError> {
-        let ids = self.agent_ids();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let outcome = self.attest(&id)?;
-            out.push((id, outcome));
-        }
-        Ok(out)
+    /// [`KeylimeError::UnknownAgent`].
+    pub fn push_policy(&mut self, id: &AgentId, policy: RuntimePolicy) -> Result<(), KeylimeError> {
+        self.verifier.update_policy(id, policy)?;
+        // The agent is now an override: re-journal its enrolment (with
+        // the new policy document embedded) and its current state, so a
+        // recovery lands on the post-push view.
+        self.journal_agent_snapshot(id)
+            .expect("journal override push");
+        Ok(())
     }
 
     /// One concurrent fleet round: every enrolled agent is attested by
@@ -768,32 +719,44 @@ impl<T: Transport> Cluster<T> {
     where
         T: Sync,
     {
-        let report = match self.journal.as_mut() {
-            None => self
-                .scheduler
-                .run_round(&mut self.verifier, &mut self.agents, &self.transport),
-            Some(journal) => {
-                // Durable round protocol: stamp the start, collect each
-                // agent's (result, post-round state) from the workers,
-                // append the acks sorted by id, seal with the commit
-                // mark. A crash between any two appends leaves a clean
-                // resumable prefix.
-                let round = journal.next_round();
-                journal.begin_round(round).expect("journal round start");
-                let ackbuf: Mutex<Vec<(AgentRoundResult, AgentStateSnapshot)>> =
-                    Mutex::new(Vec::new()).named("ackbuf");
-                let report = self.scheduler.run_round_observed(
-                    &mut self.verifier,
-                    &mut self.agents,
-                    &self.transport,
-                    None,
-                    |result, state| ackbuf.lock().push((result.clone(), state)),
-                );
-                Self::write_acks(journal, &self.verifier, round, ackbuf.into_inner());
-                journal.commit_round(round).expect("journal round commit");
-                report
-            }
-        };
+        let round = self.journal.as_ref().map(VerifierJournal::next_round);
+        let commands = scheduler::full_round(&self.verifier);
+        self.run_commands(round, commands)
+    }
+
+    /// The one fleet-round body: the round engine over `commands`, then
+    /// the sequential side effects. With durability on, `round` is the
+    /// journal round the run is recorded under, by the durable round
+    /// protocol: stamp the start, collect each agent's (result,
+    /// post-round state) from the workers, append the acks sorted by id,
+    /// seal with the commit mark. A crash between any two appends leaves
+    /// a clean resumable prefix.
+    fn run_commands(&mut self, round: Option<u64>, commands: Vec<(AgentId, u64)>) -> RoundReport
+    where
+        T: Sync,
+    {
+        let mut journaled = self.journal.as_mut().zip(round);
+        if let Some((journal, round)) = &mut journaled {
+            journal.begin_round(*round).expect("journal round start");
+        }
+        let ackbuf: Mutex<Vec<(AgentRoundResult, AgentStateSnapshot)>> =
+            Mutex::new(Vec::new()).named("ackbuf");
+        let collect_acks = journaled.is_some();
+        let report = self.scheduler.run_round_streamed(
+            &mut self.verifier,
+            self.agents.iter_mut(),
+            &self.transport,
+            commands.into_iter(),
+            |result, state| {
+                if collect_acks {
+                    ackbuf.lock().push((result.clone(), state));
+                }
+            },
+        );
+        if let Some((journal, round)) = journaled {
+            Self::write_acks(journal, &self.verifier, round, ackbuf.into_inner());
+            journal.commit_round(round).expect("journal round commit");
+        }
         self.commit_round_side_effects(&report.results);
         report
     }
@@ -862,29 +825,5 @@ impl<T: Transport> Cluster<T> {
     /// [`KeylimeError::UnknownAgent`].
     pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
         self.verifier.alerts(id)
-    }
-}
-
-impl<T: Transport> Tenant for Cluster<T> {
-    fn enroll(
-        &mut self,
-        config: MachineConfig,
-        policy: RuntimePolicy,
-    ) -> Result<AgentId, KeylimeError> {
-        self.add_machine(config, policy)
-    }
-
-    fn push_policy(&mut self, id: &AgentId, policy: RuntimePolicy) -> Result<(), KeylimeError> {
-        self.verifier.update_policy(id, policy)?;
-        // The agent is now an override: re-journal its enrolment (with
-        // the new policy document embedded) and its current state, so a
-        // recovery lands on the post-push view.
-        self.journal_agent_snapshot(id)
-            .expect("journal override push");
-        Ok(())
-    }
-
-    fn attest(&mut self, id: &AgentId) -> Result<AttestationOutcome, KeylimeError> {
-        Cluster::attest(self, id)
     }
 }

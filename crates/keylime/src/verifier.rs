@@ -206,8 +206,7 @@ impl AttestationOutcome {
 }
 
 /// Evidence pulled from one agent by [`Verifier::fetch_evidence`],
-/// before appraisal has touched it — the unit that crosses a pipelined
-/// round's evidence channel.
+/// before appraisal has touched it.
 #[derive(Debug, Clone)]
 pub(crate) enum FetchedEvidence {
     /// The agent is paused under stop-on-failure; no quote was
@@ -862,9 +861,9 @@ impl Verifier {
     /// [`scheduler`](crate::scheduler) can drive many records in
     /// parallel, each worker holding one `&mut AgentRecord`. Composed
     /// from [`Verifier::fetch_evidence`] (the transport half) and
-    /// [`Verifier::appraise_evidence`] (the CPU half) — the pipelined
-    /// round runs the same two halves on different workers, so inline
-    /// and pipelined verdicts agree by construction.
+    /// [`Verifier::appraise_evidence`] (the CPU half) — the same two
+    /// halves the scheduler wraps its retry loop and latency metering
+    /// around, so direct and fleet-round verdicts agree by construction.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn attest_record<T: Transport>(
         config: &VerifierConfig,
@@ -886,9 +885,8 @@ impl Verifier {
 
     /// The transport half of one attestation: shared-policy adoption,
     /// wire-format negotiation, the quote request, and the post-reboot
-    /// re-quote. Returns the evidence still unappraised so a pipelined
-    /// round can hand it to a separate appraisal worker while this lane
-    /// fetches the next agent's quote.
+    /// re-quote. Returns the evidence still unappraised: the scheduler
+    /// meters and retries this half alone.
     pub(crate) fn fetch_evidence<T: Transport>(
         config: &VerifierConfig,
         shared: &SharedPolicy,
@@ -969,8 +967,7 @@ impl Verifier {
     }
 
     /// The CPU half of one attestation: appraises fetched evidence
-    /// against the record's policy. Pure of transport — safe to run on
-    /// an appraisal worker while the fetching lane moves on.
+    /// against the record's policy. Pure of transport.
     pub(crate) fn appraise_evidence(
         config: &VerifierConfig,
         record: &mut AgentRecord,

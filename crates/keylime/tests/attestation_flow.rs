@@ -301,10 +301,11 @@ fn multi_agent_cluster_attests_independently() {
         m.write_executable(&p("/usr/bin/evil"), b"evil").unwrap();
         m.exec(&p("/usr/bin/evil"), ExecMethod::Direct).unwrap();
     }
-    let outcomes = cluster.attest_all().unwrap();
-    assert!(outcomes[0].1.is_verified());
-    assert!(matches!(outcomes[1].1, AttestationOutcome::Failed { .. }));
-    assert!(outcomes[2].1.is_verified());
+    let outcomes: Vec<AttestationOutcome> =
+        ids.iter().map(|id| cluster.attest(id).unwrap()).collect();
+    assert!(outcomes[0].is_verified());
+    assert!(matches!(outcomes[1], AttestationOutcome::Failed { .. }));
+    assert!(outcomes[2].is_verified());
 }
 
 #[test]

@@ -1,12 +1,20 @@
 //! Fleet-engine integration tests: a lossy concurrent round reaches
-//! every agent, retries are visible in the metrics, and the whole
-//! retry/backoff schedule is deterministic under a fixed seed.
+//! every agent, retries are visible in the metrics, the whole
+//! retry/backoff schedule is deterministic under a fixed seed, and a
+//! round is nothing but its command list.
 
 use cia_keylime::{
-    AgentId, Cluster, LossyTransport, RoundOutcome, RoundReport, RuntimePolicy, VerifierConfig,
+    drive_round, serve_round, Agent, AgentId, AgentRoundResult, AgentStateSnapshot, ChaosTransport,
+    Cluster, FaultPlan, FaultTarget, FleetScheduler, LossyTransport, MetricsSnapshot, Registrar,
+    ReliableTransport, RoundOutcome, RoundReport, RuntimePolicy, Verifier, VerifierConfig,
+    DEFAULT_WIRE_WINDOW,
 };
-use cia_os::MachineConfig;
+use cia_os::{Machine, MachineConfig};
+use cia_tpm::Manufacturer;
+use cia_wire::DuplexShardTransport;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn lossy_fleet(
     size: u64,
@@ -165,5 +173,144 @@ proptest! {
         prop_assert_eq!(snap_a.drops, snap_b.drops);
         prop_assert_eq!(snap_a.backoff_ms, snap_b.backoff_ms);
         prop_assert_eq!(snap_a.verified, snap_b.verified);
+    }
+}
+
+/// A verifier, its scheduler and its fleet owned directly — no
+/// `Cluster` — so rounds can be driven one command list at a time.
+struct Rig {
+    verifier: Verifier,
+    scheduler: FleetScheduler,
+    agents: Vec<Agent>,
+    transport: ChaosTransport<ReliableTransport>,
+}
+
+fn rig(seed: u64, nodes: u64, workers: usize, plan: FaultPlan) -> Rig {
+    let config = VerifierConfig::builder()
+        .continue_on_failure(true)
+        .quarantine_enabled(true)
+        .degraded_after(1)
+        .quarantine_after(2)
+        .reprobe_backoff_rounds(1)
+        .reprobe_backoff_max_rounds(4)
+        .max_retries(2)
+        .worker_count(workers)
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let manufacturer = Manufacturer::generate(&mut rng);
+    let mut registrar = Registrar::new(vec![manufacturer.public_key().clone()], seed);
+    let mut enrolment = ReliableTransport::new();
+    let mut verifier = Verifier::new(config);
+    verifier.publish_policy(RuntimePolicy::new());
+    let mut agents = Vec::new();
+    for i in 0..nodes {
+        let machine = MachineConfig {
+            hostname: format!("node-{i:02}"),
+            seed: 300 + i,
+            ..MachineConfig::default()
+        };
+        let mut agent = Agent::new(Machine::new(&manufacturer, machine));
+        registrar.register(&mut enrolment, &mut agent).unwrap();
+        let record = registrar.record_for(agent.id()).unwrap().clone();
+        verifier.add_agent_shared_with_identity(agent.id().clone(), record.ak, record.identity);
+        agents.push(agent);
+    }
+    Rig {
+        verifier,
+        scheduler: FleetScheduler::new(),
+        agents,
+        transport: ChaosTransport::new(ReliableTransport::new(), plan),
+    }
+}
+
+impl Rig {
+    /// Runs one command list through the public wire entry points and
+    /// returns the rows the driver decoded.
+    fn run_commands(&mut self, commands: &[(AgentId, u64)]) -> Vec<AgentRoundResult> {
+        let (server, driver) = DuplexShardTransport::pair();
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| {
+                serve_round(
+                    &self.scheduler,
+                    &mut self.verifier,
+                    self.agents.iter_mut(),
+                    &self.transport,
+                    server,
+                )
+            });
+            let driven = drive_round(driver, commands, 0, DEFAULT_WIRE_WINDOW);
+            served.join().unwrap().unwrap();
+            driven.unwrap().rows
+        })
+    }
+
+    fn states(&self) -> Vec<AgentStateSnapshot> {
+        let ids = self.verifier.agent_ids();
+        ids.iter()
+            .map(|id| self.verifier.export_agent_state(id).unwrap())
+            .collect()
+    }
+
+    /// Every counter that is a function of the trace alone — and not
+    /// `rounds`, which counts engine runs rather than agent work.
+    fn counters(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            rounds: 0,
+            timeouts: 0,
+            policy_check_ns: 0,
+            latency_ns_buckets: Vec::new(),
+            ..self.scheduler.snapshot()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A round is its command list: splitting the sorted enrolment list
+    /// any way into two lists, run back to back in the same chaos round,
+    /// leaves the same rows, the same per-agent state and the same
+    /// counters as one `FleetScheduler::run_round`. Resume (the full
+    /// list minus the acked agents) and shard-kill catch-up (the
+    /// migrated agents at their pre-kill lanes) both rest on this.
+    #[test]
+    fn a_round_is_its_command_list(
+        seed in 0u64..500,
+        nodes in 4u64..13,
+        workers in prop_oneof![Just(1usize), Just(4usize)],
+        split in any::<u16>(),
+        loss in prop_oneof![Just(None), Just(Some(0.3)), Just(Some(0.6))],
+        partition_lane in prop_oneof![Just(None), (0u64..4).prop_map(Some)],
+    ) {
+        const ROUNDS: u64 = 4;
+        let make_plan = || {
+            let mut plan = FaultPlan::new(seed ^ 0x11575);
+            if let Some(rate) = loss {
+                plan = plan.loss(0..ROUNDS, FaultTarget::AllAgents, rate);
+            }
+            if let Some(lane) = partition_lane {
+                plan = plan.partition(1..3, FaultTarget::lanes([lane]));
+            }
+            plan
+        };
+        let mut whole = rig(seed, nodes, workers, make_plan());
+        let mut halves = rig(seed, nodes, workers, make_plan());
+        let full: Vec<(AgentId, u64)> = halves.verifier.agent_ids().into_iter().zip(0u64..).collect();
+        let (first, second): (Vec<_>, Vec<_>) =
+            full.iter().cloned().partition(|(_, lane)| split >> lane & 1 == 1);
+
+        for round in 0..ROUNDS {
+            whole.transport.set_round(round);
+            halves.transport.set_round(round);
+            let expected =
+                whole.scheduler.run_round(&mut whole.verifier, &mut whole.agents, &whole.transport);
+            let mut rows = halves.run_commands(&first);
+            rows.extend(halves.run_commands(&second));
+            rows.sort_by(|a, b| a.id.cmp(&b.id));
+            prop_assert_eq!(rows, expected.results, "round {} rows diverged", round);
+        }
+        prop_assert_eq!(halves.states(), whole.states());
+        prop_assert_eq!(halves.counters(), whole.counters());
     }
 }

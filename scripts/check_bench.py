@@ -86,18 +86,9 @@ def check_recovery(doc, path):
 
 
 def check_fleet(doc, path):
-    require(doc, ["bench", "baseline_entries_per_s", "pipeline_10k",
-                  "fleet_scaling"], path)
+    require(doc, ["bench", "fleet_scaling"], path)
     if doc["bench"] != "fleet_federation":
         fail(f"{path} is not a fleet_federation document")
-    pipe = doc["pipeline_10k"]
-    require(pipe, ["entries", "iters", "inline", "pipelined",
-                   "beats_baseline"], f"{path} pipeline_10k")
-    best = pipe["pipelined"]["entries_per_s_best"]
-    baseline = doc["baseline_entries_per_s"]
-    if not pipe["beats_baseline"] or best <= baseline:
-        fail(f"{path}: pipelined round ({best}/s) does not beat the "
-             f"committed single-verifier record ({baseline}/s)")
     sizes = sorted({r["agents"] for r in doc["fleet_scaling"]})
     if sizes != [10000, 100000, 1000000]:
         fail(f"{path} must cover the 10k/100k/1M rungs, got {sizes}")
@@ -108,8 +99,7 @@ def check_fleet(doc, path):
             fail(f"{path}: {rung['agents']}-agent rung lost a structural "
                  "gate (verification or counter conservation)")
     million = max(doc["fleet_scaling"], key=lambda r: r["agents"])
-    return (f"pipelined {best} entries/s (> {baseline}), "
-            f"1M-agent round in {million['round_ms']/1000:.1f}s "
+    return (f"1M-agent round in {million['round_ms']/1000:.1f}s "
             f"across {million['shards']} shards")
 
 

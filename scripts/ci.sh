@@ -5,7 +5,7 @@
 # a single-iteration bench smoke pass plus the committed BENCH_*.json
 # gates (scripts/check_bench.py), the storage/durability suite
 # (append-only log engine + recovery equivalence), the federation suite
-# (consistent-hash ring, pipelined rounds, shard-kill chaos), the
+# (consistent-hash ring, sharded rounds, shard-kill chaos), the
 # wire-protocol suite (codec robustness corpus, remote shard RPC,
 # transport equivalence), the chaos scenario corpus in release mode,
 # and the lock-sanitizer suite (runtime lock-order cycle detection plus
@@ -60,9 +60,8 @@ echo "== backends: heterogeneous-fleet suite (trait refactor equivalence) =="
 cargo test "${OFFLINE[@]}" -q -p cia-keylime --test backend_fleet
 cargo test "${OFFLINE[@]}" -q -p cia-core --lib hetero
 
-echo "== federation: ring + pipeline units, sharded rounds, shard-kill chaos =="
+echo "== federation: ring units, sharded rounds, shard-kill chaos =="
 cargo test "${OFFLINE[@]}" -q -p cia-keylime ring::
-cargo test "${OFFLINE[@]}" -q -p cia-keylime --lib pipeline
 cargo test "${OFFLINE[@]}" --release --test federation_sharding
 cargo test "${OFFLINE[@]}" --release --test federation_sharding shard_kill
 cargo test "${OFFLINE[@]}" -q -p cia-sim --test properties fleet_metrics

@@ -27,11 +27,6 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
         ready: Condvar,
-        /// Senders blocked on a full bounded channel wait here; every
-        /// pop (and receiver disconnect) signals it.
-        space: Condvar,
-        /// `None` = unbounded; `Some(n)` = at most `n` queued values.
-        capacity: Option<usize>,
         senders: AtomicUsize,
         receivers: AtomicUsize,
         /// Happens-before identity for the race detector's channel clock.
@@ -39,12 +34,11 @@ pub mod channel {
         hb: parking_lot::sanitizer::LazyLockId,
     }
 
-    fn make<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// Creates an unbounded MPMC channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
-            space: Condvar::new(),
-            capacity,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             #[cfg(feature = "lock-sanitizer")]
@@ -56,19 +50,6 @@ pub mod channel {
             },
             Receiver { shared },
         )
-    }
-
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        make(None)
-    }
-
-    /// Creates a bounded MPMC channel: `send` blocks while `cap` values
-    /// are queued, which is the backpressure the pipelined scheduler
-    /// relies on. A zero `cap` is promoted to 1 (this shim has no
-    /// rendezvous mode).
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        make(Some(cap.max(1)))
     }
 
     /// The sending half; cloneable.
@@ -125,7 +106,12 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last sender: wake blocked receivers so they observe
-                // disconnection.
+                // disconnection. Taking (and releasing) the queue lock
+                // first closes the lost-wakeup window: a receiver checks
+                // `senders` and parks under that lock, so it has either
+                // not checked yet (and will see 0) or is already waiting
+                // (and gets this notification).
+                drop(self.shared.queue.lock().unwrap_or_else(|e| e.into_inner()));
                 self.shared.ready.notify_all();
             }
         }
@@ -142,34 +128,17 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver: wake senders blocked on a full bounded
-                // channel so they observe disconnection.
-                self.shared.space.notify_all();
-            }
+            self.shared.receivers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     impl<T> Sender<T> {
         /// Enqueues `value`; fails only when all receivers are dropped.
-        /// On a bounded channel, blocks while the queue is at capacity.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             if self.shared.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(value));
             }
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = self.shared.capacity {
-                while queue.len() >= cap {
-                    if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                        return Err(SendError(value));
-                    }
-                    queue = self
-                        .shared
-                        .space
-                        .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
             // Recorded under the queue lock so a receiver that pops this
             // value (also under the lock) observes the send's clock.
             #[cfg(feature = "lock-sanitizer")]
@@ -189,8 +158,6 @@ pub mod channel {
                 if let Some(value) = queue.pop_front() {
                     #[cfg(feature = "lock-sanitizer")]
                     parking_lot::racecheck::channel_recv(self.shared.hb.get());
-                    drop(queue);
-                    self.shared.space.notify_one();
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::SeqCst) == 0 {
@@ -210,8 +177,6 @@ pub mod channel {
             if let Some(value) = queue.pop_front() {
                 #[cfg(feature = "lock-sanitizer")]
                 parking_lot::racecheck::channel_recv(self.shared.hb.get());
-                drop(queue);
-                self.shared.space.notify_one();
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::SeqCst) == 0 {
@@ -264,22 +229,50 @@ pub mod channel {
             assert_eq!(rx.recv(), Err(RecvError));
         }
 
+        /// Regression: the last `Sender::drop` used to notify without
+        /// holding the queue lock, so the notification could land between
+        /// a receiver's disconnect check and its wait — and that receiver
+        /// slept forever. Each iteration aims the drop at that window
+        /// (the receiver raises a flag right before `recv`, the dropper
+        /// spins a varying few cycles past it); the watchdog turns a hang
+        /// into a failure.
         #[test]
-        fn bounded_send_blocks_until_a_pop() {
-            let (tx, rx) = bounded::<u32>(2);
-            tx.send(1).unwrap();
-            tx.send(2).unwrap();
-            // Third send must block until the consumer drains one slot.
-            let h = std::thread::spawn(move || tx.send(3).unwrap());
-            assert_eq!(rx.recv(), Ok(1));
-            h.join().unwrap();
-            assert_eq!(rx.recv(), Ok(2));
-            assert_eq!(rx.recv(), Ok(3));
+        fn last_sender_drop_always_wakes_a_parked_receiver() {
+            use std::sync::atomic::AtomicBool;
+            const ITERATIONS: usize = 50_000;
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let stress = std::thread::spawn(move || {
+                for i in 0..ITERATIONS {
+                    let (tx, rx) = unbounded::<u8>();
+                    let entering = Arc::new(AtomicBool::new(false));
+                    let flag = Arc::clone(&entering);
+                    let receiver = std::thread::spawn(move || {
+                        flag.store(true, Ordering::SeqCst);
+                        rx.recv()
+                    });
+                    while !entering.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    for _ in 0..i % 64 {
+                        std::hint::spin_loop();
+                    }
+                    drop(tx);
+                    assert_eq!(receiver.join().unwrap(), Err(RecvError));
+                }
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .is_ok(),
+                "a receiver slept through the last sender's drop"
+            );
+            stress.join().unwrap();
         }
 
         #[test]
-        fn bounded_send_fails_when_receivers_die() {
-            let (tx, rx) = bounded::<u8>(1);
+        fn send_fails_when_receivers_die() {
+            let (tx, rx) = unbounded::<u8>();
             tx.send(9).unwrap();
             drop(rx);
             assert_eq!(tx.send(10), Err(SendError(10)));

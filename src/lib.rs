@@ -73,7 +73,7 @@ pub mod prelude {
         FederatedRoundReport, Federation, FederationConfig, FleetScheduler, HashRing, HealthCounts,
         LossyTransport, MetricsSnapshot, PolicyDelta, PolicyEpoch, PolicyStore, ReliableTransport,
         ResumePlan, RoundOutcome, RoundReport, RuntimePolicy, SecureWorldConfig,
-        ShardTransportKind, Tenant, Transport, VerifierConfig, VerifierJournal,
+        ShardTransportKind, Transport, VerifierConfig, VerifierJournal,
     };
     pub use cia_os::{ExecMethod, Machine, MachineConfig, SimClock};
     pub use cia_tpm::{Manufacturer, Tpm};

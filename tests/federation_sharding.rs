@@ -10,9 +10,7 @@
 //!   report conserves every enrolled agent, and the whole kill trace
 //!   equals the no-kill trace;
 //! - all shards adopt policy from one shared store: a delta publishes
-//!   once fleet-wide and every shard converges on the same epoch;
-//! - pipelined appraisal (`pipeline_depth > 0`) produces the identical
-//!   trace to the classic inline path.
+//!   once fleet-wide and every shard converges on the same epoch.
 
 use continuous_attestation::crypto::Sha256;
 use continuous_attestation::keylime::Agent;
@@ -23,7 +21,7 @@ type ChaosCluster = Cluster<ChaosTransport<ReliableTransport>>;
 const NODES: u64 = 12;
 const ROUNDS: u64 = 8;
 
-fn corpus_config(workers: usize, pipeline_depth: usize) -> VerifierConfig {
+fn corpus_config(workers: usize) -> VerifierConfig {
     VerifierConfig::builder()
         .continue_on_failure(true)
         .quarantine_enabled(true)
@@ -33,7 +31,6 @@ fn corpus_config(workers: usize, pipeline_depth: usize) -> VerifierConfig {
         .reprobe_backoff_max_rounds(4)
         .max_retries(2)
         .worker_count(workers)
-        .pipeline_depth(pipeline_depth)
         .build()
         .unwrap()
 }
@@ -54,7 +51,7 @@ fn corpus_plan() -> FaultPlan {
 
 /// A fleet of [`NODES`] shared-store agents, each having run one
 /// policy-approved tool, with the policy published at epoch 1.
-fn fleet_cluster(workers: usize, pipeline_depth: usize) -> (ChaosCluster, Vec<AgentId>) {
+fn fleet_cluster(workers: usize) -> (ChaosCluster, Vec<AgentId>) {
     let tool = VfsPath::new("/usr/bin/service").unwrap();
     let content: &[u8] = b"federated service v1";
     let mut policy = RuntimePolicy::new();
@@ -63,7 +60,7 @@ fn fleet_cluster(workers: usize, pipeline_depth: usize) -> (ChaosCluster, Vec<Ag
 
     let mut cluster = Cluster::with_transport(
         0xFED,
-        corpus_config(workers, pipeline_depth),
+        corpus_config(workers),
         ChaosTransport::new(ReliableTransport::new(), corpus_plan()),
     );
     cluster.publish_policy(policy);
@@ -88,14 +85,13 @@ fn fleet_cluster(workers: usize, pipeline_depth: usize) -> (ChaosCluster, Vec<Ag
 /// fleet-level trace and the merged fleet metrics.
 fn run_federated(
     workers: usize,
-    pipeline_depth: usize,
     shards: u32,
     kill: Option<(u64, u32)>,
 ) -> (Vec<RoundReport>, MetricsSnapshot) {
-    let (mut cluster, ids) = fleet_cluster(workers, pipeline_depth);
+    let (mut cluster, ids) = fleet_cluster(workers);
     let mut fed = Federation::from_verifier(
         &cluster.verifier,
-        FederationConfig::new(shards, corpus_config(workers, pipeline_depth)),
+        FederationConfig::new(shards, corpus_config(workers)),
     );
     assert_eq!(fed.agent_count(), ids.len());
 
@@ -139,8 +135,8 @@ fn run_federated(
 }
 
 /// Runs the corpus on the plain (un-federated) cluster.
-fn run_plain(workers: usize, pipeline_depth: usize) -> (Vec<RoundReport>, MetricsSnapshot) {
-    let (mut cluster, _ids) = fleet_cluster(workers, pipeline_depth);
+fn run_plain(workers: usize) -> (Vec<RoundReport>, MetricsSnapshot) {
+    let (mut cluster, _ids) = fleet_cluster(workers);
     let mut trace = Vec::new();
     for round in 0..ROUNDS {
         cluster.transport.set_round(round);
@@ -169,8 +165,8 @@ fn strip_wall_clock(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
 /// per-round reports, same conserved counters.
 #[test]
 fn one_shard_federation_equals_plain_cluster_trace() {
-    let (plain_trace, plain_metrics) = run_plain(4, 0);
-    let (fed_trace, fed_metrics) = run_federated(4, 0, 1, None);
+    let (plain_trace, plain_metrics) = run_plain(4);
+    let (fed_trace, fed_metrics) = run_federated(4, 1, None);
     assert_eq!(fed_trace, plain_trace);
     assert_eq!(fed_metrics, plain_metrics);
     // The corpus is non-trivial: the partition actually bit.
@@ -183,13 +179,13 @@ fn one_shard_federation_equals_plain_cluster_trace() {
 /// × shard count combination.
 #[test]
 fn fleet_trace_is_identical_across_worker_and_shard_counts() {
-    let (baseline, _) = run_federated(1, 0, 1, None);
+    let (baseline, _) = run_federated(1, 1, None);
     for workers in [1usize, 4, 8] {
         for shards in [1u32, 2, 4] {
             if (workers, shards) == (1, 1) {
                 continue;
             }
-            let (trace, _) = run_federated(workers, 0, shards, None);
+            let (trace, _) = run_federated(workers, shards, None);
             assert_eq!(
                 trace, baseline,
                 "trace diverged at workers={workers} shards={shards}"
@@ -205,10 +201,10 @@ fn fleet_trace_is_identical_across_worker_and_shard_counts() {
 #[test]
 fn shard_kill_trace_equals_no_kill_trace_across_the_matrix() {
     const KILL_ROUND: u64 = 3;
-    let (baseline, _) = run_federated(1, 0, 1, None);
+    let (baseline, _) = run_federated(1, 1, None);
     for workers in [1usize, 4, 8] {
         for shards in [2u32, 4] {
-            let (trace, _) = run_federated(workers, 0, shards, Some((KILL_ROUND, 0)));
+            let (trace, _) = run_federated(workers, shards, Some((KILL_ROUND, 0)));
             assert_eq!(
                 trace, baseline,
                 "kill trace diverged at workers={workers} shards={shards}"
@@ -221,10 +217,10 @@ fn shard_kill_trace_equals_no_kill_trace_across_the_matrix() {
 /// their placement, and the survivors between them hold the whole fleet.
 #[test]
 fn shard_kill_moves_only_the_dead_shards_agents() {
-    let (cluster, ids) = fleet_cluster(2, 0);
+    let (cluster, ids) = fleet_cluster(2);
     let mut fed = Federation::from_verifier(
         &cluster.verifier,
-        FederationConfig::new(4, corpus_config(2, 0)),
+        FederationConfig::new(4, corpus_config(2)),
     );
     let before: Vec<(AgentId, u32)> = ids
         .iter()
@@ -253,10 +249,10 @@ fn shard_kill_moves_only_the_dead_shards_agents() {
 fn federation_publishes_policy_once_and_every_shard_converges() {
     let maint = VfsPath::new("/usr/local/bin/maint").unwrap();
     let maint_content: &[u8] = b"federated maintenance";
-    let (mut cluster, ids) = fleet_cluster(2, 0);
+    let (mut cluster, ids) = fleet_cluster(2);
     let mut fed = Federation::from_verifier(
         &cluster.verifier,
-        FederationConfig::new(3, corpus_config(2, 0)),
+        FederationConfig::new(3, corpus_config(2)),
     );
     assert_eq!(
         fed.store().epoch().as_u64(),
@@ -298,20 +294,4 @@ fn federation_publishes_policy_once_and_every_shard_converges() {
     assert!(report.fleet.epoch_converged());
     assert!(fed.store().converged(), "pin sync reaches the store");
     assert!(fed.store().laggards().is_empty());
-}
-
-/// Tentpole equivalence: pipelined appraisal is a pure performance
-/// lever. Plain and federated traces with `pipeline_depth > 0` equal
-/// the inline traces exactly — verdicts, retries, health, counters.
-#[test]
-fn pipelined_rounds_produce_identical_traces() {
-    let (inline_trace, inline_metrics) = run_plain(4, 0);
-    let (piped_trace, piped_metrics) = run_plain(4, 8);
-    assert_eq!(piped_trace, inline_trace);
-    assert_eq!(piped_metrics, inline_metrics);
-
-    let (fed_inline, _) = run_federated(4, 0, 2, None);
-    let (fed_piped, _) = run_federated(4, 8, 2, None);
-    assert_eq!(fed_piped, fed_inline);
-    assert_eq!(fed_inline, inline_trace, "sharding and pipelining compose");
 }

@@ -1,14 +1,15 @@
 //! Wire-transport scenario corpus: putting the binary RPC protocol —
-//! codec, frames, batching, pipelining, sockets — between the
+//! codec, frames, batching, windowing, sockets — between the
 //! federation coordinator and its shards must be an *observationally
 //! invisible* deployment choice.
 //!
 //! - the federated trace is bit-identical across transports {in-proc,
 //!   duplex channel, TCP loopback} × worker counts {1, 4, 8} × shard
 //!   counts {1, 2, 4} under chaos;
-//! - batching and pipelining knobs (`wire_batch`, `wire_window`) are
+//! - batching and windowing knobs (`wire_batch`, `wire_window`) are
 //!   pure performance levers: any setting produces the same trace;
-//! - the wire path composes with pipelined appraisal;
+//! - a shard killed at round start is caught up over the same wire
+//!   transport, and the kill trace equals the no-kill trace;
 //! - a shard *added* to a live federation takes over exactly the agents
 //!   consistent hashing assigns it, nobody else moves, and the
 //!   before/after traces agree wherever placement is irrelevant.
@@ -22,7 +23,7 @@ type ChaosCluster = Cluster<ChaosTransport<ReliableTransport>>;
 const NODES: u64 = 12;
 const ROUNDS: u64 = 8;
 
-fn corpus_config(workers: usize, pipeline_depth: usize, wire_batch: usize) -> VerifierConfig {
+fn corpus_config(workers: usize, wire_batch: usize) -> VerifierConfig {
     VerifierConfig::builder()
         .continue_on_failure(true)
         .quarantine_enabled(true)
@@ -32,7 +33,6 @@ fn corpus_config(workers: usize, pipeline_depth: usize, wire_batch: usize) -> Ve
         .reprobe_backoff_max_rounds(4)
         .max_retries(2)
         .worker_count(workers)
-        .pipeline_depth(pipeline_depth)
         .wire_batch(wire_batch)
         .build()
         .unwrap()
@@ -86,13 +86,32 @@ fn fleet_cluster(config: VerifierConfig) -> (ChaosCluster, Vec<AgentId>) {
 /// returning the full per-round reports (fleet *and* per-shard).
 fn run_wired(
     workers: usize,
-    pipeline_depth: usize,
     shards: u32,
     transport_kind: ShardTransportKind,
     wire_batch: usize,
     wire_window: usize,
 ) -> Vec<FederatedRoundReport> {
-    let config = corpus_config(workers, pipeline_depth, wire_batch);
+    run_wired_killing(
+        workers,
+        shards,
+        transport_kind,
+        wire_batch,
+        wire_window,
+        None,
+    )
+}
+
+/// [`run_wired`] with shard `kill.1` (if any) dying at the start of
+/// round `kill.0`.
+fn run_wired_killing(
+    workers: usize,
+    shards: u32,
+    transport_kind: ShardTransportKind,
+    wire_batch: usize,
+    wire_window: usize,
+    kill: Option<(u64, u32)>,
+) -> Vec<FederatedRoundReport> {
+    let config = corpus_config(workers, wire_batch);
     let (mut cluster, ids) = fleet_cluster(config);
     let mut fed = Federation::from_verifier(
         &cluster.verifier,
@@ -105,7 +124,14 @@ fn run_wired(
     for round in 0..ROUNDS {
         cluster.transport.set_round(round);
         let (agents, transport) = cluster.federation_parts();
-        let report = fed.run_round(agents, transport);
+        let report = match kill {
+            Some((kill_round, sid)) if kill_round == round => {
+                let (report, migrated) = fed.run_round_with_kill(agents, transport, sid);
+                assert!(!migrated.is_empty(), "the dead shard owned agents");
+                report
+            }
+            _ => fed.run_round(agents, transport),
+        };
         assert_eq!(
             report.fleet.results.len(),
             ids.len(),
@@ -123,17 +149,17 @@ fn run_wired(
 /// worker counts {1, 4, 8} × shard counts {1, 2, 4}.
 #[test]
 fn wire_transports_are_invisible_across_the_matrix() {
-    let baseline = run_wired(1, 0, 1, ShardTransportKind::InProc, 0, 2);
+    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
     for workers in [1usize, 4, 8] {
         for shards in [1u32, 2, 4] {
-            let inproc = run_wired(workers, 0, shards, ShardTransportKind::InProc, 0, 2);
+            let inproc = run_wired(workers, shards, ShardTransportKind::InProc, 0, 2);
             assert_eq!(
                 fleet_of(&inproc),
                 fleet_of(&baseline),
                 "in-proc drifted at workers={workers} shards={shards}"
             );
             for kind in [ShardTransportKind::Duplex, ShardTransportKind::Tcp] {
-                let wired = run_wired(workers, 0, shards, kind, 0, 2);
+                let wired = run_wired(workers, shards, kind, 0, 2);
                 assert_eq!(
                     wired, inproc,
                     "{kind:?} diverged at workers={workers} shards={shards}"
@@ -153,25 +179,39 @@ fn fleet_of(trace: &[FederatedRoundReport]) -> Vec<&RoundReport> {
 /// reproduce the default trace.
 #[test]
 fn batching_and_windowing_do_not_change_the_trace() {
-    let baseline = run_wired(4, 0, 2, ShardTransportKind::Duplex, 0, 2);
+    let baseline = run_wired(4, 2, ShardTransportKind::Duplex, 0, 2);
     for (batch, window) in [(1, 1), (3, 1), (3, 8), (1024, 2)] {
-        let trace = run_wired(4, 0, 2, ShardTransportKind::Duplex, batch, window);
+        let trace = run_wired(4, 2, ShardTransportKind::Duplex, batch, window);
         assert_eq!(trace, baseline, "batch={batch} window={window} diverged");
     }
     // And over real sockets.
-    let tcp = run_wired(4, 0, 2, ShardTransportKind::Tcp, 3, 2);
+    let tcp = run_wired(4, 2, ShardTransportKind::Tcp, 3, 2);
     assert_eq!(tcp, baseline);
 }
 
-/// The wire path composes with pipelined appraisal: each shard's
-/// fetch→appraise pipeline runs behind the socket and the trace still
-/// equals the classic inline in-proc run.
+/// A shard kill honours the configured transport: survivors' rounds
+/// and the catch-up over the migrated agents both cross the wire, and
+/// the fleet trace — kill round included — equals the in-proc kill
+/// trace and the in-proc no-kill trace.
 #[test]
-fn wire_composes_with_pipelined_appraisal() {
-    let inline_inproc = run_wired(4, 0, 2, ShardTransportKind::InProc, 0, 2);
-    for kind in [ShardTransportKind::Duplex, ShardTransportKind::Tcp] {
-        let piped = run_wired(4, 8, 2, kind, 3, 2);
-        assert_eq!(piped, inline_inproc, "{kind:?} pipeline diverged");
+fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
+    const KILL: Option<(u64, u32)> = Some((3, 0));
+    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
+    for workers in [1usize, 4] {
+        for shards in [2u32, 4] {
+            for kind in [
+                ShardTransportKind::InProc,
+                ShardTransportKind::Duplex,
+                ShardTransportKind::Tcp,
+            ] {
+                let killed = run_wired_killing(workers, shards, kind, 0, 2, KILL);
+                assert_eq!(
+                    fleet_of(&killed),
+                    fleet_of(&baseline),
+                    "{kind:?} kill trace diverged at workers={workers} shards={shards}"
+                );
+            }
+        }
     }
 }
 
@@ -180,7 +220,7 @@ fn wire_composes_with_pipelined_appraisal() {
 /// put — and the fleet stays whole.
 #[test]
 fn add_shard_moves_only_the_agents_the_ring_assigns_it() {
-    let config = corpus_config(2, 0, 0);
+    let config = corpus_config(2, 0);
     let (cluster, ids) = fleet_cluster(config);
     let mut fed = Federation::from_verifier(&cluster.verifier, FederationConfig::new(2, config));
     let before: Vec<(AgentId, u32)> = ids
@@ -218,7 +258,7 @@ fn rounds_stay_conserved_after_a_shard_joins_mid_run() {
         ShardTransportKind::Duplex,
         ShardTransportKind::Tcp,
     ] {
-        let config = corpus_config(4, 0, 3);
+        let config = corpus_config(4, 3);
         let (mut cluster, ids) = fleet_cluster(config);
         let mut fed = Federation::from_verifier(
             &cluster.verifier,
