@@ -15,7 +15,8 @@
 use cia_crypto::KeyPair;
 use cia_keylime::{
     AgentId, AgentRoundResult, AgentStateSnapshot, BackendIdentity, BackendKind, PolicyDelta,
-    PolicyEpoch, RoundOutcome, RuntimePolicy, VerifierJournal, DEFAULT_JOURNAL_DIR,
+    PolicyEpoch, RoundOutcome, RuntimePolicy, Verifier, VerifierConfig, VerifierJournal,
+    DEFAULT_JOURNAL_DIR,
 };
 use cia_vfs::{Vfs, VfsPath};
 
@@ -71,6 +72,10 @@ pub fn journaled_fleet(fleet: usize, rounds: u64, in_flight_acks: usize) -> Veri
     journal
         .checkpoint_base(base_epoch, &policy)
         .expect("base checkpoint");
+    // The journal records an enrolment as a verifier holds it: this one
+    // sits at the base checkpoint and enrols every agent on its store.
+    let mut enrolled = Verifier::new(VerifierConfig::default());
+    enrolled.restore_store(std::sync::Arc::new(policy), base_epoch);
     let mut epoch = base_epoch;
     for e in 0..DELTA_EPOCHS {
         epoch = epoch.next();
@@ -88,8 +93,9 @@ pub fn journaled_fleet(fleet: usize, rounds: u64, in_flight_acks: usize) -> Veri
         .map(|i| AgentId::from(format!("agent-{i:05}")))
         .collect();
     for id in &ids {
+        enrolled.add_agent_shared_with_identity(id.clone(), ak.clone(), BackendIdentity::tpm_ima());
         journal
-            .record_enrolment(id, &ak, BackendIdentity::tpm_ima(), true, base_epoch, None)
+            .record_enrolment(&enrolled, id)
             .expect("enrolment record");
     }
 

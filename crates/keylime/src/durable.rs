@@ -29,12 +29,26 @@
 //!
 //! # Round protocol
 //!
-//! `begin_round` stamps `meta/started = R`; the scheduler's ack hook
-//! collects each agent's `(result, post-round state)` pair; the acks
-//! are then appended **sorted by agent id** (so the journal's bytes are
-//! identical for any worker count) and `meta/committed = R` seals the
-//! round. A crash between any two appends leaves `started > committed`
-//! and a prefix of the acks — exactly what [`ResumePlan`] reports.
+//! `begin_round` stamps `meta/started = R`; the round engine runs; the
+//! cluster then walks the round's result rows — **sorted by agent id**,
+//! so the journal's bytes are identical for any worker count — and
+//! appends one ack per row from the agent's record, read in place
+//! (nothing touches a record between its row and the engine's return,
+//! so the post-round record is the state that produced the row);
+//! `meta/committed = R` seals the round. A crash between any two
+//! appends leaves `started > committed` and a prefix of the acks —
+//! exactly what [`ResumePlan`] reports.
+//!
+//! # When an ack embeds the policy document
+//!
+//! Recovery resolves a shared agent's policy from the journaled
+//! publishes (base checkpoint + every later epoch) and reads an ack's
+//! embedded document only when that fails. So an ack embeds the
+//! document iff the agent is an override, or is pinned on an epoch
+//! older than the base checkpoint — one rule, in
+//! [`VerifierJournal::record_agent_ack`]. Embedding more writes the
+//! fleet policy once per agent; embedding less loses a pre-checkpoint
+//! laggard's policy on its next (last-write-wins) ack.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,7 +62,7 @@ use crate::ids::AgentId;
 use crate::policy::{PolicyDelta, RuntimePolicy};
 use crate::scheduler::AgentRoundResult;
 use crate::store::PolicyEpoch;
-use crate::verifier::{AgentStateSnapshot, Verifier, VerifierConfig};
+use crate::verifier::{AgentRecord, AgentStateSnapshot, Verifier, VerifierConfig};
 
 /// Where a cluster's journal lives inside its virtual filesystem.
 pub const DEFAULT_JOURNAL_DIR: &str = "/var/lib/keylime/journal";
@@ -125,8 +139,7 @@ struct AckRecord {
     result: AgentRoundResult,
     state: AgentStateSnapshot,
     /// The agent's policy document when it cannot be resolved from the
-    /// store's epoch history (override agents, whose policy never came
-    /// from a journaled publish).
+    /// journaled publishes (see the module docs for the rule).
     policy_json: Option<String>,
 }
 
@@ -175,6 +188,9 @@ pub struct VerifierJournal {
     log: LogStore,
     started: u64,
     committed: u64,
+    /// The epoch of the `policy/base` checkpoint: publishes at or below
+    /// it are folded into the checkpoint and cannot be resolved singly.
+    base_epoch: u64,
 }
 
 impl VerifierJournal {
@@ -186,19 +202,24 @@ impl VerifierJournal {
     /// [`StorageError`] on filesystem or codec failures.
     pub fn create(vfs: Vfs, dir: &VfsPath) -> Result<Self, StorageError> {
         let (mut log, _) = LogStore::open(vfs, dir)?;
-        if log.get(KEY_BASE)?.is_none() {
-            let base = BaseCheckpoint {
-                epoch: PolicyEpoch::ZERO.as_u64(),
-                policy_json: RuntimePolicy::new().to_json(),
-            };
-            log.put(KEY_BASE, &encode("policy/base", &base)?)?;
-        }
+        let base_epoch = match log.get(KEY_BASE)? {
+            Some(bytes) => decode::<BaseCheckpoint>("policy/base", &bytes)?.epoch,
+            None => {
+                let base = BaseCheckpoint {
+                    epoch: PolicyEpoch::ZERO.as_u64(),
+                    policy_json: RuntimePolicy::new().to_json(),
+                };
+                log.put(KEY_BASE, &encode("policy/base", &base)?)?;
+                base.epoch
+            }
+        };
         let started = Self::round_mark(&log, KEY_STARTED)?;
         let committed = Self::round_mark(&log, KEY_COMMITTED)?;
         Ok(VerifierJournal {
             log,
             started,
             committed,
+            base_epoch,
         })
     }
 
@@ -227,6 +248,7 @@ impl VerifierJournal {
             policy_json: policy.to_json(),
         };
         self.log.put(KEY_BASE, &encode("policy/base", &base)?)?;
+        self.base_epoch = base.epoch;
         Ok(())
     }
 
@@ -251,28 +273,30 @@ impl VerifierJournal {
         self.started + 1
     }
 
-    /// Journals one enrolment.
+    /// Journals the enrolment of `id` as `verifier` holds it: the
+    /// record's constants, and its policy document if it is an override.
     ///
     /// # Errors
     ///
-    /// [`StorageError`].
+    /// [`StorageError`]; `id` not being enrolled is reported as one.
     pub fn record_enrolment(
         &mut self,
+        verifier: &Verifier,
         id: &AgentId,
-        ak: &cia_crypto::VerifyingKey,
-        identity: BackendIdentity,
-        shared: bool,
-        epoch: PolicyEpoch,
-        override_policy: Option<&RuntimePolicy>,
     ) -> Result<(), StorageError> {
-        let record = EnrolmentRecord {
-            ak: ak.clone(),
-            identity,
-            shared,
-            epoch: epoch.as_u64(),
-            override_policy: override_policy.map(RuntimePolicy::to_json),
+        let record = verifier.record(id).map_err(|e| StorageError::Codec {
+            what: format!("enrol/{id}"),
+            reason: e.to_string(),
+        })?;
+        let state = record.state();
+        let enrolment = EnrolmentRecord {
+            ak: record.ak().clone(),
+            identity: record.backend_identity(),
+            shared: state.shared_policy,
+            epoch: state.policy_epoch.as_u64(),
+            override_policy: (!state.shared_policy).then(|| record.policy().to_json()),
         };
-        let bytes = encode("enrolment", &record)?;
+        let bytes = encode("enrolment", &enrolment)?;
         self.log.put(&enrol_key(id), &bytes)?;
         Ok(())
     }
@@ -327,8 +351,8 @@ impl VerifierJournal {
 
     /// Journals one agent's ack for `round`: its result and the record
     /// state that produced it. `policy_json` carries the agent's policy
-    /// document when it cannot be resolved from the store's epoch
-    /// history (override agents).
+    /// document when recovery could not resolve it from the journaled
+    /// publishes; [`VerifierJournal::record_agent_ack`] decides that.
     ///
     /// # Errors
     ///
@@ -349,6 +373,26 @@ impl VerifierJournal {
         let bytes = encode("agent ack", &ack)?;
         self.log.put(&ack_key(&result.id), &bytes)?;
         Ok(())
+    }
+
+    /// Journals `record`'s ack for `round`. The one place that decides
+    /// whether an ack embeds the policy document (see the module docs):
+    /// iff the agent is an override, or is pinned on an epoch older than
+    /// the base checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError`].
+    pub(crate) fn record_agent_ack(
+        &mut self,
+        round: u64,
+        result: &AgentRoundResult,
+        record: &AgentRecord,
+    ) -> Result<(), StorageError> {
+        let state = record.state();
+        let unresolvable = !state.shared_policy || state.policy_epoch.as_u64() < self.base_epoch;
+        let policy_json = unresolvable.then(|| record.policy().to_json());
+        self.record_ack(round, result, state, policy_json)
     }
 
     /// Seals round `round` (`meta/committed`).
@@ -409,11 +453,7 @@ impl VerifierJournal {
                     reason: e.to_string(),
                 }
             })?);
-            let mut epoch = PolicyEpoch::ZERO;
-            while epoch.as_u64() < base.epoch {
-                epoch = epoch.next();
-            }
-            verifier.restore_store(Arc::clone(&policy), epoch);
+            verifier.restore_store(Arc::clone(&policy), epoch_at(base.epoch));
             epoch_policies.insert(base.epoch, policy);
         }
         for (key, bytes) in log.scan_prefix(PREFIX_PUB.as_bytes())? {
@@ -540,6 +580,7 @@ impl VerifierJournal {
                 log,
                 started,
                 committed,
+                base_epoch,
             },
             resume,
             storage_report,
@@ -594,31 +635,13 @@ mod tests {
             let id = AgentId::numbered("node", i);
             let key = ak(i);
             verifier.add_agent_shared(id.clone(), key.clone());
-            journal
-                .record_enrolment(
-                    &id,
-                    &key,
-                    BackendIdentity::tpm_ima(),
-                    true,
-                    verifier.current_epoch(),
-                    None,
-                )
-                .unwrap();
+            journal.record_enrolment(&verifier, &id).unwrap();
         }
         let override_policy = policy_with(&["/special"]);
         let oid = AgentId::new("override-node");
         let okey = ak(99);
         verifier.add_agent(oid.clone(), okey.clone(), override_policy.clone());
-        journal
-            .record_enrolment(
-                &oid,
-                &okey,
-                BackendIdentity::tpm_ima(),
-                false,
-                verifier.current_epoch(),
-                Some(&override_policy),
-            )
-            .unwrap();
+        journal.record_enrolment(&verifier, &oid).unwrap();
 
         // Two publishes: one full, one delta.
         let p1 = policy_with(&["/a"]);
@@ -663,16 +686,7 @@ mod tests {
         let id = AgentId::new("solo");
         let key = ak(7);
         verifier.add_agent_shared(id.clone(), key.clone());
-        journal
-            .record_enrolment(
-                &id,
-                &key,
-                BackendIdentity::tpm_ima(),
-                true,
-                verifier.current_epoch(),
-                None,
-            )
-            .unwrap();
+        journal.record_enrolment(&verifier, &id).unwrap();
 
         journal.begin_round(1).unwrap();
         let result = AgentRoundResult {
@@ -707,16 +721,7 @@ mod tests {
         let id = AgentId::new("node");
         let key = ak(3);
         verifier.add_agent_shared(id.clone(), key.clone());
-        journal
-            .record_enrolment(
-                &id,
-                &key,
-                BackendIdentity::tpm_ima(),
-                true,
-                verifier.current_epoch(),
-                None,
-            )
-            .unwrap();
+        journal.record_enrolment(&verifier, &id).unwrap();
         for i in 0..5 {
             let p = policy_with(&[&format!("/gen{i}")]);
             let e = verifier.publish_policy(p.clone());

@@ -185,10 +185,10 @@ impl Federation {
     }
 
     /// Re-shards an existing single verifier into a federation: the
-    /// source's store snapshot/epoch seed the shared store, and every
-    /// enrolment (constants + mutable state + the exact policy handle
-    /// the record held) is placed onto its ring shard. The source is
-    /// not consumed — the caller decides when to stop driving it.
+    /// source's store snapshot/epoch seed the shared store, and a clone
+    /// of every record (which shares the exact policy handle the record
+    /// holds) is placed onto its ring shard. The source is not consumed
+    /// — the caller decides when to stop driving it.
     pub fn from_verifier(source: &Verifier, config: FederationConfig) -> Self {
         let shared = source.policy_store().shared();
         let mut fed = Federation::new(config);
@@ -201,27 +201,14 @@ impl Federation {
                 .verifier
                 .restore_store(Arc::clone(&shared.snapshot), shared.epoch);
         }
-        for (id, ak, identity, shared_policy, policy) in source.enrolment_view() {
-            let Ok(state) = source.export_agent_state(id) else {
-                debug_assert!(false, "enrolment_view yields enrolled ids");
-                continue;
-            };
-            let acked_epoch = state.policy_epoch;
+        for (id, record) in source.records() {
             let Some(shard) = fed.ring.place(id).and_then(|sid| fed.shards.get_mut(&sid)) else {
                 debug_assert!(false, "a federation ring is never empty");
                 continue;
             };
-            shard.verifier.restore_agent(
-                id.clone(),
-                ak.clone(),
-                identity,
-                Arc::clone(policy),
-                state,
-            );
-            if shared_policy {
-                fed.store.record_pin(id, acked_epoch);
-            }
+            shard.verifier.put_record(id.clone(), record.clone());
         }
+        fed.sync_pins();
         fed
     }
 
@@ -323,11 +310,9 @@ impl Federation {
     /// actually hold (quarantined laggards included).
     fn sync_pins(&self) {
         for shard in self.shards.values() {
-            for (id, _ak, _identity, shared_policy, _policy) in shard.verifier.enrolment_view() {
-                if shared_policy {
-                    if let Ok(epoch) = shard.verifier.agent_policy_epoch(id) {
-                        self.store.record_pin(id, epoch);
-                    }
+            for (id, record) in shard.verifier.records() {
+                if record.state().shared_policy {
+                    self.store.record_pin(id, record.state().policy_epoch);
                 }
             }
         }
@@ -416,7 +401,7 @@ impl Federation {
                                 pool.into_iter(),
                                 transport,
                                 commands.into_iter(),
-                                |_, _| {},
+                                |_| {},
                             )
                             .results
                     }
@@ -445,9 +430,8 @@ impl Federation {
     /// Adds an empty shard to a live federation: the new verifier
     /// adopts the store's current snapshot/epoch, joins the ring, and —
     /// consistent hashing's promise — *only* the agents whose placement
-    /// now maps to the new shard migrate onto it (enrolment constants,
-    /// full mutable state, and the exact policy `Arc` each record
-    /// held); nobody else moves. Returns the migrated ids, sorted.
+    /// now maps to the new shard migrate onto it, each record moved
+    /// whole; nobody else moves. Returns the migrated ids, sorted.
     /// No-op returning empty when `shard` is already live.
     pub fn add_shard(&mut self, shard: u32) -> Vec<AgentId> {
         if self.shards.contains_key(&shard) {
@@ -461,39 +445,21 @@ impl Federation {
         self.ring.add_shard(shard);
 
         // Everything whose ring placement moved to the joining shard.
-        let mut moves: Vec<(u32, AgentId)> = Vec::new();
-        for (&sid, source) in &self.shards {
-            for (id, ..) in source.verifier.enrolment_view() {
-                if self.ring.place(id) == Some(shard) {
-                    moves.push((sid, id.clone()));
+        let mut migrated = Vec::new();
+        for source in self.shards.values_mut() {
+            let moving: Vec<AgentId> = source
+                .verifier
+                .records()
+                .map(|(id, _)| id)
+                .filter(|id| self.ring.place(id) == Some(shard))
+                .cloned()
+                .collect();
+            for id in moving {
+                if let Some(record) = source.verifier.take_record(&id) {
+                    joined.verifier.put_record(id.clone(), record);
+                    migrated.push(id);
                 }
             }
-        }
-        let mut migrated = Vec::with_capacity(moves.len());
-        for (sid, id) in moves {
-            let Some(source) = self.shards.get_mut(&sid) else {
-                debug_assert!(false, "move source is live");
-                continue;
-            };
-            let Some((ak, identity, policy, state)) = source
-                .verifier
-                .enrolment_view()
-                .find_map(|(eid, ak, identity, _shared, policy)| {
-                    (eid == &id).then(|| (ak.clone(), identity, Arc::clone(policy)))
-                })
-                .and_then(|(ak, identity, policy)| {
-                    let state = source.verifier.export_agent_state(&id).ok()?;
-                    Some((ak, identity, policy, state))
-                })
-            else {
-                debug_assert!(false, "moved id is enrolled on its source");
-                continue;
-            };
-            source.verifier.remove_agent(&id);
-            joined
-                .verifier
-                .restore_agent(id.clone(), ak, identity, policy, state);
-            migrated.push(id);
         }
         self.shards.insert(shard, joined);
         migrated.sort();
@@ -554,11 +520,10 @@ impl Federation {
     }
 
     /// Removes `shard` from the federation outside a round: its metrics
-    /// fold into the retired accumulator and each of its records
-    /// (constants, mutable state, and the exact policy `Arc` it held —
-    /// quarantined agents stay pinned on their acknowledged snapshot)
-    /// migrates to its new ring placement. Returns the migrated ids,
-    /// sorted. No-op returning empty when `shard` is not live.
+    /// fold into the retired accumulator and each of its records moves,
+    /// whole, to its new ring placement (so a quarantined agent stays
+    /// pinned on the snapshot it acknowledged). Returns the migrated
+    /// ids, sorted. No-op returning empty when `shard` is not live.
     ///
     /// # Panics
     ///
@@ -576,30 +541,22 @@ impl Federation {
         let folded = self.retired.get().merged(&dead.scheduler.snapshot());
         self.retired.set(folded);
 
-        let moves: Vec<_> = dead
-            .verifier
-            .enrolment_view()
-            .filter_map(|(id, ak, identity, _shared, policy)| {
-                let state = dead.verifier.export_agent_state(id).ok()?;
-                Some((id.clone(), ak.clone(), identity, Arc::clone(policy), state))
-            })
-            .collect();
-        let mut migrated = Vec::with_capacity(moves.len());
-        for (id, ak, identity, policy, state) in moves {
-            let Some(target) = self
+        let mut dead = dead.verifier;
+        let mut migrated = Vec::new();
+        // Ids come out of the dead shard's map in order, so `migrated`
+        // is born sorted.
+        for id in dead.agent_ids() {
+            let target = self
                 .ring
                 .place(&id)
-                .and_then(|sid| self.shards.get_mut(&sid))
-            else {
+                .and_then(|sid| self.shards.get_mut(&sid));
+            let (Some(target), Some(record)) = (target, dead.take_record(&id)) else {
                 debug_assert!(false, "survivors remain on the ring");
                 continue;
             };
-            target
-                .verifier
-                .restore_agent(id.clone(), ak, identity, policy, state);
+            target.verifier.put_record(id.clone(), record);
             migrated.push(id);
         }
-        migrated.sort();
         migrated
     }
 
@@ -729,4 +686,78 @@ where
         );
         driven.rows
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verifier::{AgentStateSnapshot, ReachClass};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    type Held = BTreeMap<AgentId, (Arc<RuntimePolicy>, AgentStateSnapshot)>;
+
+    /// Every record sits on the shard the ring names, holding exactly
+    /// the policy handle and state in `held`.
+    fn assert_holds(fed: &Federation, held: &Held, when: &str) {
+        assert_eq!(fed.agent_count(), held.len(), "{when}: record count");
+        for (id, (policy, state)) in held {
+            let shard = &fed.shards[&fed.placement(id).unwrap()];
+            let record = shard.verifier.record(id).unwrap();
+            assert!(Arc::ptr_eq(record.policy(), policy), "{when}: {id} handle");
+            assert_eq!(record.state(), state, "{when}: {id} state");
+        }
+    }
+
+    /// `from_verifier`, `add_shard` and `kill_shard` move records whole:
+    /// the same policy `Arc` (current snapshot, a laggard's older
+    /// snapshot, an override's private one) and an equal state.
+    #[test]
+    fn migrations_preserve_policy_handle_and_state() {
+        let config = VerifierConfig::builder()
+            .quarantine_after(2)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut ak = || cia_crypto::KeyPair::generate(&mut rng).verifying;
+        let mut source = Verifier::new(config);
+        source.publish_policy(RuntimePolicy::new());
+        for i in 0..24 {
+            source.add_agent_shared(AgentId::numbered("node", i), ak());
+        }
+        let mut private = RuntimePolicy::new();
+        private.allow("/opt/private", "aa");
+        source.add_agent("override", ak(), private);
+        // One agent is quarantined before a push, so it stays pinned on
+        // the older snapshot.
+        let laggard = AgentId::numbered("node", 7);
+        let mut record = source.take_record(&laggard).unwrap();
+        record.apply_health(ReachClass::Unreachable, &config);
+        record.apply_health(ReachClass::Unreachable, &config);
+        source.put_record(laggard.clone(), record);
+        let mut pushed = RuntimePolicy::new();
+        pushed.allow("/usr/bin/new", "bb");
+        source.publish_policy(pushed);
+        assert_ne!(
+            source.agent_policy_epoch(&laggard).unwrap(),
+            source.current_epoch()
+        );
+
+        let held: Held = source
+            .records()
+            .map(|(id, r)| (id.clone(), (Arc::clone(r.policy()), r.state().clone())))
+            .collect();
+        let mut fed = Federation::from_verifier(&source, FederationConfig::new(3, config));
+        assert_holds(&fed, &held, "from_verifier");
+        let pinned: Vec<AgentId> = fed.store().laggards().into_iter().map(|l| l.0).collect();
+        assert_eq!(pinned, vec![laggard], "pins synced from the records");
+
+        let joined = fed.add_shard(3);
+        assert!(!joined.is_empty(), "the new shard took over some agents");
+        assert_holds(&fed, &held, "add_shard");
+
+        let moved = fed.kill_shard(0);
+        assert!(!moved.is_empty(), "the dead shard owned agents");
+        assert_holds(&fed, &held, "kill_shard");
+    }
 }

@@ -426,7 +426,8 @@ impl Wire for ShardReply {
 ///   against a full send buffer;
 /// - the calling thread runs the round engine
 ///   ([`FleetScheduler::run_round_streamed`]) over those commands as
-///   they arrive;
+///   they arrive, its observer handing each finished row — the row is
+///   all the observer gets — to the writer;
 /// - a writer thread coalesces finished result rows into
 ///   [`ShardReply::Results`] frames of up to
 ///   [`VerifierConfig::wire_batch`](crate::VerifierConfig::wire_batch)
@@ -501,7 +502,7 @@ where
             agents,
             agent_transport,
             std::iter::from_fn(move || cmd_rx.recv().ok()).flatten(),
-            |result: &AgentRoundResult, _state| {
+            |result: &AgentRoundResult| {
                 let _ = row_tx.send(result.clone());
             },
         );

@@ -18,18 +18,18 @@
 //! - a round never aborts early: every agent produces exactly one
 //!   [`AgentRoundResult`] — verified, failed, skipped or unreachable —
 //!   so nothing is ever silently skipped;
-//! - counters and latency histograms accumulate in a lock-free
-//!   [`SchedulerMetrics`] registry, exportable as a serializable
-//!   [`MetricsSnapshot`].
+//! - counters and latency histograms are one [`MetricsSnapshot`]: each
+//!   worker counts into its own and folds it into the
+//!   [`SchedulerMetrics`] registry when it exits.
 //!
 //! Combined with [`VerifierConfig::engine_default`] (continue-on-failure
 //! on), this is the paper's §IV-C recommendation operationalised: the
 //! fleet keeps attesting through failures instead of pausing on them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::agent::Agent;
@@ -47,148 +47,52 @@ use crate::verifier::{
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket is open-ended).
 pub const LATENCY_BUCKETS: usize = 32;
 
-/// Lock-free counters and histograms for the fleet engine.
-///
-/// All counters accumulate across rounds; [`SchedulerMetrics::snapshot`]
-/// captures a consistent-enough view for reporting (individual loads are
-/// relaxed — the registry is a telemetry surface, not a synchronisation
-/// primitive).
-#[derive(Debug, Default)]
+/// The fleet engine's counter registry: one [`MetricsSnapshot`] that
+/// accumulates across rounds. The hot path never touches it — every
+/// worker counts into a snapshot of its own and merges it in once, with
+/// [`MetricsSnapshot::merged`], when its round ends.
+#[derive(Debug)]
 pub struct SchedulerMetrics {
-    rounds: AtomicU64,
-    /// Transport attempts, including retries.
-    calls: AtomicU64,
-    retries: AtomicU64,
-    /// Calls observed to fail with a dropped request/response.
-    drops: AtomicU64,
-    /// Calls whose latency exceeded the configured per-call budget.
-    timeouts: AtomicU64,
-    verified: AtomicU64,
-    failed: AtomicU64,
-    skipped_paused: AtomicU64,
-    unreachable: AtomicU64,
-    alerts: AtomicU64,
-    /// Enrolled ids with no agent process supplied (reported unreachable
-    /// without spending a call).
-    orphaned: AtomicU64,
-    /// Total backoff scheduled (virtually) across all retries, in ms.
-    backoff_ms: AtomicU64,
-    /// Quarantined agents skipped without any transport call.
-    quarantine_skips: AtomicU64,
-    /// Quarantine re-probes issued (single-attempt polls).
-    probes: AtomicU64,
-    /// Health transitions into Degraded.
-    to_degraded: AtomicU64,
-    /// Health transitions into Quarantined.
-    to_quarantined: AtomicU64,
-    /// Health transitions into Recovering.
-    to_recovering: AtomicU64,
-    /// Health transitions into Healthy (recoveries completed).
-    to_healthy: AtomicU64,
-    /// Log entries evaluated against policies (hot-path throughput).
-    entries_evaluated: AtomicU64,
-    /// Serialized bytes across all transport lanes, both directions.
-    wire_bytes: AtomicU64,
-    /// Nanoseconds spent in the policy-evaluation loop.
-    policy_check_ns: AtomicU64,
-    /// The active shared-store epoch (a gauge, set at each round/push).
-    policy_epoch: AtomicU64,
-    /// Nanoseconds spent publishing policies/deltas to the fleet.
-    policy_push_ns: AtomicU64,
-    /// Entry operations applied through policy deltas.
-    delta_entries_applied: AtomicU64,
-    /// Per-backend splits of `verified`/`failed`/`unreachable`, indexed
-    /// by [`BackendKind::index`]. Pure refinements of the aggregate
-    /// counters — they stay outside the conservation identity.
-    backend_verified: [AtomicU64; BackendKind::ALL.len()],
-    backend_failed: [AtomicU64; BackendKind::ALL.len()],
-    backend_unreachable: [AtomicU64; BackendKind::ALL.len()],
-    latency_ns: [AtomicU64; LATENCY_BUCKETS],
+    totals: Mutex<MetricsSnapshot>,
+}
+
+impl Default for SchedulerMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SchedulerMetrics {
     /// A zeroed registry.
     pub fn new() -> Self {
-        Self::default()
+        let zeroed = MetricsSnapshot {
+            latency_ns_buckets: vec![0; LATENCY_BUCKETS],
+            ..MetricsSnapshot::default()
+        };
+        SchedulerMetrics {
+            totals: Mutex::new(zeroed).named("totals"),
+        }
     }
 
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_latency_ns(&self, nanos: u64) {
-        let bucket = (63 - nanos.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        Self::add(&self.latency_ns[bucket], 1);
-    }
-
-    /// Bumps an aggregate outcome counter together with its per-backend
-    /// refinement, keeping the two views in lockstep.
-    fn add_outcome(
-        &self,
-        aggregate: &AtomicU64,
-        per_backend: &[AtomicU64; BackendKind::ALL.len()],
-        backend: BackendKind,
-    ) {
-        Self::add(aggregate, 1);
-        Self::add(&per_backend[backend.index()], 1);
+    /// Merges one thread's round-local counts into the registry.
+    fn fold(&self, counts: &MetricsSnapshot) {
+        let mut totals = self.totals.lock();
+        *totals = totals.merged(counts);
     }
 
     /// Records one fleet-wide policy push: the epoch gauge moves to
     /// `epoch`, and the push duration and delta entry operations (0 for a
     /// full publish) accumulate.
     pub fn record_policy_push(&self, epoch: PolicyEpoch, push_ns: u64, delta_entries: u64) {
-        self.policy_epoch.store(epoch.as_u64(), Ordering::Relaxed);
-        Self::add(&self.policy_push_ns, push_ns);
-        Self::add(&self.delta_entries_applied, delta_entries);
+        let mut totals = self.totals.lock();
+        totals.policy_epoch = epoch.as_u64();
+        totals.policy_push_ns += push_ns;
+        totals.delta_entries_applied += delta_entries;
     }
 
     /// Captures the registry as a serializable value.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            rounds: self.rounds.load(Ordering::Relaxed),
-            calls: self.calls.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            drops: self.drops.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            skipped_paused: self.skipped_paused.load(Ordering::Relaxed),
-            unreachable: self.unreachable.load(Ordering::Relaxed),
-            alerts: self.alerts.load(Ordering::Relaxed),
-            orphaned: self.orphaned.load(Ordering::Relaxed),
-            backoff_ms: self.backoff_ms.load(Ordering::Relaxed),
-            quarantine_skips: self.quarantine_skips.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            to_degraded: self.to_degraded.load(Ordering::Relaxed),
-            to_quarantined: self.to_quarantined.load(Ordering::Relaxed),
-            to_recovering: self.to_recovering.load(Ordering::Relaxed),
-            to_healthy: self.to_healthy.load(Ordering::Relaxed),
-            entries_evaluated: self.entries_evaluated.load(Ordering::Relaxed),
-            wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
-            policy_check_ns: self.policy_check_ns.load(Ordering::Relaxed),
-            policy_epoch: self.policy_epoch.load(Ordering::Relaxed),
-            policy_push_ns: self.policy_push_ns.load(Ordering::Relaxed),
-            delta_entries_applied: self.delta_entries_applied.load(Ordering::Relaxed),
-            per_backend: PerBackendCounts {
-                tpm_ima: self.backend_counts(BackendKind::TpmIma),
-                secure_world: self.backend_counts(BackendKind::SecureWorld),
-                confidential_vm: self.backend_counts(BackendKind::ConfidentialVm),
-            },
-            latency_ns_buckets: self
-                .latency_ns
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    fn backend_counts(&self, kind: BackendKind) -> BackendCounts {
-        let i = kind.index();
-        BackendCounts {
-            verified: self.backend_verified[i].load(Ordering::Relaxed),
-            failed: self.backend_failed[i].load(Ordering::Relaxed),
-            unreachable: self.backend_unreachable[i].load(Ordering::Relaxed),
-        }
+        self.totals.lock().clone()
     }
 }
 
@@ -225,6 +129,14 @@ pub struct PerBackendCounts {
 }
 
 impl PerBackendCounts {
+    fn for_kind_mut(&mut self, kind: BackendKind) -> &mut BackendCounts {
+        match kind {
+            BackendKind::TpmIma => &mut self.tpm_ima,
+            BackendKind::SecureWorld => &mut self.secure_world,
+            BackendKind::ConfidentialVm => &mut self.confidential_vm,
+        }
+    }
+
     /// The counters for one backend family.
     pub fn for_kind(&self, kind: BackendKind) -> BackendCounts {
         match kind {
@@ -311,6 +223,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    fn record_latency_ns(&mut self, nanos: u64) {
+        let bucket = (63 - nanos.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+        if self.latency_ns_buckets.len() < LATENCY_BUCKETS {
+            self.latency_ns_buckets.resize(LATENCY_BUCKETS, 0);
+        }
+        self.latency_ns_buckets[bucket] += 1;
+    }
+
     /// Approximate p-th latency percentile (0–100) in nanoseconds, from
     /// the histogram's bucket upper bounds. `None` when no samples.
     pub fn latency_percentile_ns(&self, p: f64) -> Option<u64> {
@@ -655,7 +575,7 @@ impl FleetScheduler {
             agents.iter_mut(),
             transport,
             commands.into_iter(),
-            |_, _| {},
+            |_| {},
         )
     }
 
@@ -679,11 +599,13 @@ impl FleetScheduler {
     /// - `agents` is any iterator of agent processes, so a shard can run
     ///   over the subset of a fleet the ring placed on it.
     /// - `observer` is called exactly once per result row, from the
-    ///   thread that finished it, with the row and the record's
-    ///   post-attestation state — the write point for journal acks and
-    ///   wire result frames. That includes orphaned commands (an enrolled
-    ///   record whose agent process is missing): their row reports
+    ///   thread that finished it — the write point for wire result
+    ///   frames. That includes orphaned commands (an enrolled record
+    ///   whose agent process is missing): their row reports
     ///   [`RoundOutcome::Unreachable`] and their record is unchanged.
+    ///   Nothing touches a record between its row and the engine's
+    ///   return, so a caller that wants the post-round state (the
+    ///   journal) reads the record itself afterwards.
     pub(crate) fn run_round_streamed<'e, T, F>(
         &self,
         verifier: &mut Verifier,
@@ -694,12 +616,9 @@ impl FleetScheduler {
     ) -> RoundReport
     where
         T: Transport + Sync,
-        F: Fn(&AgentRoundResult, crate::verifier::AgentStateSnapshot) + Sync,
+        F: Fn(&AgentRoundResult) + Sync,
     {
         let (config, shared, records) = verifier.scheduler_view();
-        self.metrics
-            .policy_epoch
-            .store(shared.epoch.as_u64(), Ordering::Relaxed);
 
         let mut agent_by_id: std::collections::BTreeMap<AgentId, &mut Agent> =
             agents.map(|a| (a.id().clone(), a)).collect();
@@ -716,6 +635,7 @@ impl FleetScheduler {
             // dispatch runs concurrently on this thread and drains the
             // job channel until the feeder drops its sender.
             let feeder = scope.spawn(move || {
+                let mut counts = MetricsSnapshot::default();
                 let mut orphan_rows: Vec<AgentRoundResult> = Vec::new();
                 for (id, lane) in commands {
                     let Some(record) = record_by_id.remove(&id) else {
@@ -731,28 +651,26 @@ impl FleetScheduler {
                         assert!(sent.is_ok(), "dispatch outlives the feeder");
                         continue;
                     }
-                    let backend = record.backend_kind();
-                    metrics.add_outcome(
-                        &metrics.unreachable,
-                        &metrics.backend_unreachable,
-                        backend,
-                    );
-                    SchedulerMetrics::add(&metrics.orphaned, 1);
+                    let backend = record.backend_identity().kind();
+                    counts.unreachable += 1;
+                    counts.per_backend.for_kind_mut(backend).unreachable += 1;
+                    counts.orphaned += 1;
                     let row = AgentRoundResult {
                         id,
                         backend,
                         day: 0,
                         attempts: 0,
                         backoff_ms: 0,
-                        policy_epoch: record.policy_epoch(),
-                        shared_policy: record.follows_shared_store(),
+                        policy_epoch: record.state().policy_epoch,
+                        shared_policy: record.state().shared_policy,
                         outcome: RoundOutcome::Unreachable {
                             reason: "no agent process supplied for enrolled id".to_string(),
                         },
                     };
-                    observer(&row, record.snapshot_state());
+                    observer(&row);
                     orphan_rows.push(row);
                 }
+                metrics.fold(&counts);
                 orphan_rows
             });
             let mut results = dispatch_jobs(
@@ -771,11 +689,15 @@ impl FleetScheduler {
             results
         });
         results.sort_by(|a, b| a.id.cmp(&b.id));
-        SchedulerMetrics::add(&self.metrics.rounds, 1);
+        {
+            let mut totals = self.metrics.totals.lock();
+            totals.rounds += 1;
+            totals.policy_epoch = shared.epoch.as_u64();
+        }
 
         let mut health = HealthCounts::default();
         for record in records.values() {
-            health.count(record.health());
+            health.count(record.state().health);
         }
         RoundReport {
             results,
@@ -794,7 +716,9 @@ pub(crate) fn full_round(verifier: &Verifier) -> Vec<(AgentId, u64)> {
 
 /// Drains a channel of jobs through a pool of `worker_count` workers,
 /// each fetching and appraising one agent at a time over that job's own
-/// transport lane, and returns the (unsorted) result rows.
+/// transport lane, and returns the (unsorted) result rows. A worker
+/// counts into its own [`MetricsSnapshot`] and folds it into `metrics`
+/// when the channel runs dry.
 fn dispatch_jobs<'a, T, F>(
     config: &VerifierConfig,
     shared: &SharedPolicy,
@@ -806,7 +730,7 @@ fn dispatch_jobs<'a, T, F>(
 ) -> Vec<AgentRoundResult>
 where
     T: Transport + Sync,
-    F: Fn(&AgentRoundResult, crate::verifier::AgentStateSnapshot) + Sync,
+    F: Fn(&AgentRoundResult) + Sync,
 {
     let (res_tx, res_rx) = crossbeam::channel::unbounded::<AgentRoundResult>();
     std::thread::scope(|scope| {
@@ -814,19 +738,23 @@ where
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
             scope.spawn(move || {
+                let mut counts = MetricsSnapshot::default();
                 while let Ok(mut job) = job_rx.recv() {
                     let mut lane_transport = transport.fork(job.lane);
-                    let result =
-                        attest_with_retry(config, shared, metrics, &mut job, &mut lane_transport);
+                    let result = attest_with_retry(
+                        config,
+                        shared,
+                        &mut counts,
+                        &mut job,
+                        &mut lane_transport,
+                    );
                     // The lane is fresh per job, so its byte total is
                     // exactly this agent's round traffic.
-                    SchedulerMetrics::add(&metrics.wire_bytes, lane_transport.wire_bytes());
-                    // The ack hook sees the record *after* the round's
-                    // mutations — what a journal must replay to land
-                    // the recovered verifier on this exact state.
-                    observer(&result, job.record.snapshot_state());
+                    counts.wire_bytes += lane_transport.wire_bytes();
+                    observer(&result);
                     let _ = res_tx.send(result);
                 }
+                metrics.fold(&counts);
             });
         }
     });
@@ -845,14 +773,14 @@ where
 fn attest_with_retry<T: Transport>(
     config: &VerifierConfig,
     shared: &SharedPolicy,
-    metrics: &SchedulerMetrics,
+    counts: &mut MetricsSnapshot,
     job: &mut Job<'_>,
     transport: &mut T,
 ) -> AgentRoundResult {
     let day = job.agent.day();
     // Appraisal is against the enrolment-proven backend, so the result
     // row reports that identity — not whatever the wire tag claims.
-    let backend = job.record.backend_kind();
+    let backend = job.record.backend_identity().kind();
     let mut attempts = 0u32;
     let mut backoff_ms = 0u64;
     // The row for the slot's current accounting and record state.
@@ -863,8 +791,8 @@ fn attest_with_retry<T: Transport>(
             day,
             attempts,
             backoff_ms,
-            policy_epoch: job.record.policy_epoch(),
-            shared_policy: job.record.follows_shared_store(),
+            policy_epoch: job.record.state().policy_epoch,
+            shared_policy: job.record.state().shared_policy,
             outcome,
         };
 
@@ -873,9 +801,9 @@ fn attest_with_retry<T: Transport>(
     // The probe itself gets a single attempt — no retry budget — so a
     // still-dead agent costs one call instead of 1 + max_retries.
     let mut retry_budget = config.max_retries;
-    if config.quarantine_enabled && job.record.health() == AgentHealth::Quarantined {
+    if config.quarantine_enabled && job.record.state().health == AgentHealth::Quarantined {
         if let Some(next_probe_in) = job.record.tick_reprobe() {
-            SchedulerMetrics::add(&metrics.quarantine_skips, 1);
+            counts.quarantine_skips += 1;
             return row(
                 job,
                 0,
@@ -883,13 +811,13 @@ fn attest_with_retry<T: Transport>(
                 RoundOutcome::SkippedQuarantined { next_probe_in },
             );
         }
-        SchedulerMetrics::add(&metrics.probes, 1);
+        counts.probes += 1;
         retry_budget = 0;
     }
 
     loop {
         attempts += 1;
-        SchedulerMetrics::add(&metrics.calls, 1);
+        counts.calls += 1;
         // lint:allow(determinism): latency metering only — the reading
         // feeds SchedulerMetrics histograms, never an attestation verdict
         // or anything replayed by the sim.
@@ -897,20 +825,20 @@ fn attest_with_retry<T: Transport>(
         let result =
             Verifier::fetch_evidence(config, shared, job.record, &job.id, transport, job.agent);
         let elapsed = start.elapsed();
-        metrics.record_latency_ns(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        counts.record_latency_ns(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
         if elapsed.as_millis() as u64 > config.call_timeout_ms {
-            SchedulerMetrics::add(&metrics.timeouts, 1);
+            counts.timeouts += 1;
         }
 
         let error = match result {
             Ok(FetchedEvidence::Paused) => {
-                SchedulerMetrics::add(&metrics.skipped_paused, 1);
+                counts.skipped_paused += 1;
                 // Nothing was requested: no reachability evidence, so
                 // health stays as it was.
                 return row(job, attempts, backoff_ms, RoundOutcome::SkippedPaused);
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                let outcome = appraise_fetched(config, metrics, job, *resp, &nonce, day);
+                let outcome = appraise_fetched(config, counts, job, *resp, &nonce, day);
                 return row(job, attempts, backoff_ms, outcome);
             }
             Err(e) => e,
@@ -918,11 +846,12 @@ fn attest_with_retry<T: Transport>(
 
         let retryable = matches!(&error, KeylimeError::Transport(t) if t.is_retryable());
         if retryable {
-            SchedulerMetrics::add(&metrics.drops, 1);
+            counts.drops += 1;
         }
         if !retryable || attempts > retry_budget {
-            metrics.add_outcome(&metrics.unreachable, &metrics.backend_unreachable, backend);
-            update_health(job.record, ReachClass::Unreachable, config, metrics);
+            counts.unreachable += 1;
+            counts.per_backend.for_kind_mut(backend).unreachable += 1;
+            update_health(job.record, ReachClass::Unreachable, config, counts);
             let reason = error.to_string();
             return row(
                 job,
@@ -931,13 +860,13 @@ fn attest_with_retry<T: Transport>(
                 RoundOutcome::Unreachable { reason },
             );
         }
-        SchedulerMetrics::add(&metrics.retries, 1);
+        counts.retries += 1;
         // Backoff is recorded, not slept: the schedule is part of the
         // engine's observable behaviour (and tested), but simulated
         // rounds should not wait out wall-clock time.
         let backoff = config.backoff_for_attempt(attempts).as_millis() as u64;
         backoff_ms += backoff;
-        SchedulerMetrics::add(&metrics.backoff_ms, backoff);
+        counts.backoff_ms += backoff;
     }
 }
 
@@ -945,34 +874,36 @@ fn attest_with_retry<T: Transport>(
 /// health transition.
 fn appraise_fetched(
     config: &VerifierConfig,
-    metrics: &SchedulerMetrics,
+    counts: &mut MetricsSnapshot,
     job: &mut Job<'_>,
     resp: crate::agent::QuoteResponse,
     nonce: &[u8],
     day: u32,
 ) -> RoundOutcome {
-    let backend = job.record.backend_kind();
+    let backend = job.record.backend_identity().kind();
     let mut hot = HotStats::default();
     let outcome =
         Verifier::appraise_evidence(config, job.record, &job.id, resp, nonce, day, &mut hot);
-    SchedulerMetrics::add(&metrics.entries_evaluated, hot.entries_evaluated);
-    SchedulerMetrics::add(&metrics.policy_check_ns, hot.policy_check_ns);
+    counts.entries_evaluated += hot.entries_evaluated;
+    counts.policy_check_ns += hot.policy_check_ns;
     match outcome {
         AttestationOutcome::Verified { new_entries } => {
-            metrics.add_outcome(&metrics.verified, &metrics.backend_verified, backend);
-            update_health(job.record, ReachClass::Verified, config, metrics);
+            counts.verified += 1;
+            counts.per_backend.for_kind_mut(backend).verified += 1;
+            update_health(job.record, ReachClass::Verified, config, counts);
             RoundOutcome::Verified { new_entries }
         }
         AttestationOutcome::Failed { alerts } => {
-            metrics.add_outcome(&metrics.failed, &metrics.backend_failed, backend);
-            SchedulerMetrics::add(&metrics.alerts, alerts.len() as u64);
-            update_health(job.record, ReachClass::ReachedNotVerified, config, metrics);
+            counts.failed += 1;
+            counts.per_backend.for_kind_mut(backend).failed += 1;
+            counts.alerts += alerts.len() as u64;
+            update_health(job.record, ReachClass::ReachedNotVerified, config, counts);
             RoundOutcome::Failed { alerts }
         }
         // Appraisal never pauses — the paused check lives in the fetch
         // half — but the match stays total.
         AttestationOutcome::SkippedPaused => {
-            SchedulerMetrics::add(&metrics.skipped_paused, 1);
+            counts.skipped_paused += 1;
             RoundOutcome::SkippedPaused
         }
     }
@@ -984,18 +915,17 @@ fn update_health(
     record: &mut crate::verifier::AgentRecord,
     class: ReachClass,
     config: &VerifierConfig,
-    metrics: &SchedulerMetrics,
+    counts: &mut MetricsSnapshot,
 ) {
-    let before = record.health();
+    let before = record.state().health;
     let after = record.apply_health(class, config);
     if before != after {
-        let counter = match after {
-            AgentHealth::Healthy => &metrics.to_healthy,
-            AgentHealth::Degraded => &metrics.to_degraded,
-            AgentHealth::Quarantined => &metrics.to_quarantined,
-            AgentHealth::Recovering => &metrics.to_recovering,
-        };
-        SchedulerMetrics::add(counter, 1);
+        *match after {
+            AgentHealth::Healthy => &mut counts.to_healthy,
+            AgentHealth::Degraded => &mut counts.to_degraded,
+            AgentHealth::Quarantined => &mut counts.to_quarantined,
+            AgentHealth::Recovering => &mut counts.to_recovering,
+        } += 1;
     }
 }
 
@@ -1066,7 +996,7 @@ mod tests {
             std::iter::empty(),
             &crate::transport::ReliableTransport::new(),
             vec![(id.clone(), 0), (AgentId::from("not-enrolled"), 1)].into_iter(),
-            |row, state| observed.lock().push((row.clone(), state)),
+            |row| observed.lock().push(row.clone()),
         );
 
         assert_eq!(report.results.len(), 1, "un-enrolled commands are ignored");
@@ -1075,10 +1005,7 @@ mod tests {
             RoundOutcome::Unreachable { .. }
         ));
         assert_eq!(report.results[0].attempts, 0, "an orphan spends no call");
-        assert_eq!(
-            observed.into_inner(),
-            vec![(report.results[0].clone(), before.clone())]
-        );
+        assert_eq!(observed.into_inner(), report.results);
         assert_eq!(verifier.export_agent_state(&id).unwrap(), before);
         let snap = scheduler.snapshot();
         assert_eq!((snap.orphaned, snap.unreachable, snap.calls), (1, 1, 0));
@@ -1087,12 +1014,11 @@ mod tests {
 
     #[test]
     fn latency_histogram_buckets() {
-        let m = SchedulerMetrics::new();
-        m.record_latency_ns(1); // bucket 0
-        m.record_latency_ns(2); // bucket 1
-        m.record_latency_ns(3); // bucket 1
-        m.record_latency_ns(1024); // bucket 10
-        let snap = m.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.record_latency_ns(1); // bucket 0
+        snap.record_latency_ns(2); // bucket 1
+        snap.record_latency_ns(3); // bucket 1
+        snap.record_latency_ns(1024); // bucket 10
         assert_eq!(snap.latency_ns_buckets[0], 1);
         assert_eq!(snap.latency_ns_buckets[1], 2);
         assert_eq!(snap.latency_ns_buckets[10], 1);
@@ -1101,12 +1027,11 @@ mod tests {
 
     #[test]
     fn percentile_from_histogram() {
-        let m = SchedulerMetrics::new();
+        let mut snap = MetricsSnapshot::default();
         for _ in 0..99 {
-            m.record_latency_ns(100); // bucket 6 → upper bound 128
+            snap.record_latency_ns(100); // bucket 6 → upper bound 128
         }
-        m.record_latency_ns(1 << 20); // one slow call
-        let snap = m.snapshot();
+        snap.record_latency_ns(1 << 20); // one slow call
         assert_eq!(snap.latency_percentile_ns(50.0), Some(128));
         assert!(snap.latency_percentile_ns(99.9).unwrap() > 1 << 20);
         assert_eq!(MetricsSnapshot::default().latency_percentile_ns(50.0), None);
@@ -1115,8 +1040,12 @@ mod tests {
     #[test]
     fn snapshot_serializes() {
         let m = SchedulerMetrics::new();
-        SchedulerMetrics::add(&m.retries, 7);
+        m.fold(&MetricsSnapshot {
+            retries: 7,
+            ..MetricsSnapshot::default()
+        });
         let snap = m.snapshot();
+        assert_eq!(snap.latency_ns_buckets, vec![0; LATENCY_BUCKETS]);
         let wire = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&wire).unwrap();
         assert_eq!(back, snap);
@@ -1214,12 +1143,22 @@ mod tests {
 
     #[test]
     fn per_backend_splits_refine_aggregates() {
-        let m = SchedulerMetrics::new();
-        m.add_outcome(&m.verified, &m.backend_verified, BackendKind::TpmIma);
-        m.add_outcome(&m.verified, &m.backend_verified, BackendKind::SecureWorld);
-        m.add_outcome(&m.failed, &m.backend_failed, BackendKind::ConfidentialVm);
-        m.add_outcome(&m.unreachable, &m.backend_unreachable, BackendKind::TpmIma);
-        let snap = m.snapshot();
+        let mut snap = MetricsSnapshot {
+            verified: 2,
+            failed: 1,
+            unreachable: 1,
+            ..MetricsSnapshot::default()
+        };
+        snap.per_backend.for_kind_mut(BackendKind::TpmIma).verified += 1;
+        snap.per_backend
+            .for_kind_mut(BackendKind::SecureWorld)
+            .verified += 1;
+        snap.per_backend
+            .for_kind_mut(BackendKind::ConfidentialVm)
+            .failed += 1;
+        snap.per_backend
+            .for_kind_mut(BackendKind::TpmIma)
+            .unreachable += 1;
         assert!(snap.backends_consistent());
         assert_eq!(snap.per_backend.for_kind(BackendKind::TpmIma).verified, 1);
         assert_eq!(

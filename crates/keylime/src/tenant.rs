@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use cia_storage::StorageError;
 use cia_vfs::{Vfs, VfsPath};
-use parking_lot::Mutex;
 
 use crate::agent::Agent;
 use crate::audit::{AuditLog, AuditOutcome};
@@ -28,9 +27,7 @@ use crate::revocation::{RevocationBus, RevocationEmitter};
 use crate::scheduler::{self, AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
 use crate::store::PolicyEpoch;
 use crate::transport::{ReliableTransport, Transport};
-use crate::verifier::{
-    AgentStateSnapshot, AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig,
-};
+use crate::verifier::{AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig};
 
 /// Everything needed to run attestation experiments in one process: a TPM
 /// manufacturer, a registrar trusting it, a verifier, a transport, the
@@ -402,34 +399,21 @@ impl<T: Transport> Cluster<T> {
                 twin.current_epoch()
             ));
         }
-        if twin.policy_store().policy().to_json() != self.verifier.policy_store().policy().to_json()
-        {
+        if twin.policy_store().policy() != self.verifier.policy_store().policy() {
             return Err("shared policy content diverged after recovery".to_string());
         }
-        let live_ids = self.verifier.agent_ids();
-        if twin.agent_ids() != live_ids {
+        if twin.agent_ids() != self.verifier.agent_ids() {
             return Err("enrolled agent set diverged after recovery".to_string());
         }
-        for id in &live_ids {
-            let live = self
-                .verifier
-                .export_agent_state(id)
-                .map_err(|e| format!("live state export failed for {id}: {e:?}"))?;
-            let rec = twin
-                .export_agent_state(id)
-                .map_err(|e| format!("recovered state export failed for {id}: {e:?}"))?;
-            if live != rec {
+        for ((id, live), (_, rec)) in self.verifier.records().zip(twin.records()) {
+            if live.state() != rec.state() {
                 return Err(format!(
-                    "agent {id} state diverged after recovery:\n live {live:?}\n rec  {rec:?}"
+                    "agent {id} state diverged after recovery:\n live {:?}\n rec  {:?}",
+                    live.state(),
+                    rec.state()
                 ));
             }
-            let live_policy = self
-                .verifier
-                .policy(id)
-                .map_err(|e| format!("{e:?}"))?
-                .to_json();
-            let rec_policy = twin.policy(id).map_err(|e| format!("{e:?}"))?.to_json();
-            if live_policy != rec_policy {
+            if live.policy() != rec.policy() {
                 return Err(format!("agent {id} policy content diverged after recovery"));
             }
         }
@@ -441,78 +425,42 @@ impl<T: Transport> Cluster<T> {
     /// override pushes. The ack is written under the last *committed*
     /// round, so it never masquerades as progress of an in-flight one.
     fn journal_agent_snapshot(&mut self, id: &AgentId) -> Result<(), StorageError> {
-        let Some(journal) = self.journal.as_mut() else {
+        let (Some(journal), Ok(record)) = (self.journal.as_mut(), self.verifier.record(id)) else {
             return Ok(());
         };
-        let Some((_, ak, identity, shared, policy)) = self
-            .verifier
-            .enrolment_view()
-            .find(|(eid, ..)| *eid == id)
-            .map(|(eid, ak, identity, shared, policy)| {
-                (eid, ak.clone(), identity, shared, policy.to_json())
-            })
-        else {
-            return Ok(());
-        };
-        let Ok(state) = self.verifier.export_agent_state(id) else {
-            return Ok(());
-        };
-        let override_doc;
-        let override_policy = if shared {
-            None
-        } else {
-            override_doc = RuntimePolicy::from_json(&policy).map_err(|e| StorageError::Codec {
-                what: format!("enrol/{id}"),
-                reason: e.to_string(),
-            })?;
-            Some(&override_doc)
-        };
-        journal.record_enrolment(
-            id,
-            &ak,
-            identity,
-            shared,
-            state.policy_epoch,
-            override_policy,
-        )?;
+        journal.record_enrolment(&self.verifier, id)?;
         // A synthetic ack carries the agent's current mutable state; its
         // result row is filler (round 0 / last-committed acks are never
         // part of a resume plan).
         let result = AgentRoundResult {
             id: id.clone(),
-            backend: identity.kind(),
+            backend: record.backend_identity().kind(),
             day: 0,
             attempts: 0,
             backoff_ms: 0,
-            policy_epoch: state.policy_epoch,
-            shared_policy: shared,
+            policy_epoch: record.state().policy_epoch,
+            shared_policy: record.state().shared_policy,
             outcome: RoundOutcome::Verified { new_entries: 0 },
         };
-        let round = journal.last_committed();
-        journal.record_ack(round, &result, &state, Some(policy))?;
-        Ok(())
+        journal.record_agent_ack(journal.last_committed(), &result, record)
     }
 
-    /// Appends the journal acks for one completed round, sorted by agent
-    /// id so the journal's bytes are identical for any worker count.
+    /// Appends the journal acks for one completed round: one per result
+    /// row — the rows are sorted by agent id, so the journal's bytes are
+    /// identical for any worker count — each from the agent's record as
+    /// the round left it.
     fn write_acks(
         journal: &mut VerifierJournal,
         verifier: &Verifier,
         round: u64,
-        mut acks: Vec<(AgentRoundResult, AgentStateSnapshot)>,
+        results: &[AgentRoundResult],
     ) {
-        acks.sort_by(|a, b| a.0.id.cmp(&b.0.id));
-        for (result, state) in &acks {
-            // Override agents embed their policy document (it has no
-            // epoch history to resolve from); shared agents resolve
-            // theirs from the journaled publishes.
-            let policy_json = if state.shared_policy {
-                None
-            } else {
-                verifier.policy(&result.id).ok().map(RuntimePolicy::to_json)
-            };
+        for result in results {
+            let record = verifier
+                .record(&result.id)
+                .expect("the engine only reports enrolled agents");
             journal
-                .record_ack(round, result, state, policy_json)
+                .record_agent_ack(round, result, record)
                 .expect("journal ack append");
         }
     }
@@ -727,10 +675,10 @@ impl<T: Transport> Cluster<T> {
     /// The one fleet-round body: the round engine over `commands`, then
     /// the sequential side effects. With durability on, `round` is the
     /// journal round the run is recorded under, by the durable round
-    /// protocol: stamp the start, collect each agent's (result,
-    /// post-round state) from the workers, append the acks sorted by id,
-    /// seal with the commit mark. A crash between any two appends leaves
-    /// a clean resumable prefix.
+    /// protocol: stamp the start, run the engine, append one ack per
+    /// result row from the post-round records, seal with the commit
+    /// mark. A crash between any two appends leaves a clean resumable
+    /// prefix.
     fn run_commands(&mut self, round: Option<u64>, commands: Vec<(AgentId, u64)>) -> RoundReport
     where
         T: Sync,
@@ -739,22 +687,15 @@ impl<T: Transport> Cluster<T> {
         if let Some((journal, round)) = &mut journaled {
             journal.begin_round(*round).expect("journal round start");
         }
-        let ackbuf: Mutex<Vec<(AgentRoundResult, AgentStateSnapshot)>> =
-            Mutex::new(Vec::new()).named("ackbuf");
-        let collect_acks = journaled.is_some();
         let report = self.scheduler.run_round_streamed(
             &mut self.verifier,
             self.agents.iter_mut(),
             &self.transport,
             commands.into_iter(),
-            |result, state| {
-                if collect_acks {
-                    ackbuf.lock().push((result.clone(), state));
-                }
-            },
+            |_| {},
         );
         if let Some((journal, round)) = journaled {
-            Self::write_acks(journal, &self.verifier, round, ackbuf.into_inner());
+            Self::write_acks(journal, &self.verifier, round, &report.results);
             journal.commit_round(round).expect("journal round commit");
         }
         self.commit_round_side_effects(&report.results);

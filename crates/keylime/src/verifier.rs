@@ -231,9 +231,14 @@ pub(crate) enum FetchedEvidence {
 /// plus the epoch map reconstructs the full record bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentStateSnapshot {
-    /// The store epoch the agent last acknowledged.
+    /// The store epoch the agent last acknowledged (adopted). A
+    /// quarantined agent keeps appraising against this epoch until it
+    /// recovers, which is exactly the skew the chaos tests exercise.
     pub policy_epoch: PolicyEpoch,
-    /// Whether the agent follows the shared store.
+    /// Whether the agent follows the shared store. False for agents
+    /// enrolled with a per-agent override policy (the heterogeneous-fleet
+    /// case, e.g. the snap-scrubbed subset); such agents never adopt
+    /// store snapshots.
     pub shared_policy: bool,
     /// Index of the first unprocessed log entry.
     pub next_entry: usize,
@@ -281,196 +286,6 @@ impl AgentStateSnapshot {
             reprobe_backoff: 0,
         }
     }
-}
-
-#[derive(Debug)]
-pub(crate) struct AgentRecord {
-    ak: cia_crypto::VerifyingKey,
-    /// The backend identity the registrar proved at enrolment — the
-    /// appraisal ground truth (never the evidence's own claim).
-    backend: BackendIdentity,
-    /// Handle to the policy this agent appraises against. Shared agents
-    /// hold an `Arc` clone of a [`PolicyStore`] snapshot (a fleet-wide
-    /// push is a handle swap, never a deep copy); override agents hold
-    /// their own privately published snapshot.
-    policy: Arc<RuntimePolicy>,
-    /// The store epoch this agent last acknowledged (adopted). A
-    /// quarantined agent keeps appraising against this epoch until it
-    /// recovers, which is exactly the skew the chaos tests exercise.
-    policy_epoch: PolicyEpoch,
-    /// False for agents enrolled with a per-agent override policy (the
-    /// heterogeneous-fleet case, e.g. the snap-scrubbed subset); such
-    /// agents never adopt store snapshots.
-    shared_policy: bool,
-    /// Index of the first unprocessed log entry.
-    next_entry: usize,
-    /// Fold of the template hashes of all *processed* entries.
-    replayed_pcr: Digest,
-    last_boot_count: Option<u64>,
-    status: AgentStatus,
-    alerts: Vec<Alert>,
-    attestations: u64,
-    nonce_counter: u64,
-    health: AgentHealth,
-    consecutive_unreachable: u32,
-    /// Rounds to skip before the next quarantine probe.
-    reprobe_in: u32,
-    /// Current re-probe interval (doubles per failed probe, capped).
-    reprobe_backoff: u32,
-}
-
-impl AgentRecord {
-    /// The agent's current reachability health.
-    pub(crate) fn health(&self) -> AgentHealth {
-        self.health
-    }
-
-    /// The enrolled backend identity.
-    pub(crate) fn backend_identity(&self) -> BackendIdentity {
-        self.backend
-    }
-
-    /// The enrolled backend kind.
-    pub(crate) fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    /// The store epoch the agent last acknowledged.
-    pub(crate) fn policy_epoch(&self) -> PolicyEpoch {
-        self.policy_epoch
-    }
-
-    /// True when the agent follows the shared store (false for per-agent
-    /// overrides, which never adopt store snapshots).
-    pub(crate) fn follows_shared_store(&self) -> bool {
-        self.shared_policy
-    }
-
-    /// Swaps in the published snapshot — one `Arc` clone, zero policy
-    /// copies — if this agent follows the shared store, is behind, and is
-    /// not quarantined (a quarantined agent cannot acknowledge a push; it
-    /// keeps appraising against the epoch it last adopted until its
-    /// recovery round).
-    pub(crate) fn adopt_shared(&mut self, shared: &SharedPolicy) {
-        if self.shared_policy
-            && self.policy_epoch != shared.epoch
-            && self.health != AgentHealth::Quarantined
-        {
-            self.policy = Arc::clone(&shared.snapshot);
-            self.policy_epoch = shared.epoch;
-        }
-    }
-
-    /// Quarantine scheduling: decides whether this round probes the
-    /// agent. Returns `Some(rounds_until_probe)` when the round should be
-    /// skipped (the counter has been decremented), `None` when a probe is
-    /// due now. Only meaningful while Quarantined.
-    pub(crate) fn tick_reprobe(&mut self) -> Option<u32> {
-        if self.reprobe_in == 0 {
-            return None;
-        }
-        self.reprobe_in -= 1;
-        Some(self.reprobe_in)
-    }
-
-    /// Advances the health machine after a round's terminal outcome.
-    /// Returns the new health.
-    pub(crate) fn apply_health(
-        &mut self,
-        class: ReachClass,
-        config: &VerifierConfig,
-    ) -> AgentHealth {
-        match class {
-            ReachClass::Verified => {
-                self.consecutive_unreachable = 0;
-                self.health = match self.health {
-                    // A verified *probe* starts recovery; a verified round
-                    // while Recovering completes it. Full trust is never
-                    // restored in one step from Quarantined.
-                    AgentHealth::Quarantined => {
-                        self.reprobe_in = 0;
-                        self.reprobe_backoff = 0;
-                        AgentHealth::Recovering
-                    }
-                    AgentHealth::Recovering => AgentHealth::Healthy,
-                    _ => AgentHealth::Healthy,
-                };
-            }
-            ReachClass::ReachedNotVerified => {
-                // The channel works, so unreachable streaks reset, but an
-                // unverified verdict cannot progress recovery.
-                self.consecutive_unreachable = 0;
-                match self.health {
-                    AgentHealth::Degraded => self.health = AgentHealth::Healthy,
-                    AgentHealth::Quarantined => self.escalate_reprobe(config),
-                    AgentHealth::Healthy | AgentHealth::Recovering => {}
-                }
-            }
-            ReachClass::Unreachable => {
-                self.consecutive_unreachable = self.consecutive_unreachable.saturating_add(1);
-                match self.health {
-                    AgentHealth::Healthy | AgentHealth::Degraded => {
-                        if self.consecutive_unreachable >= config.quarantine_after {
-                            self.enter_quarantine(config);
-                        } else if self.consecutive_unreachable >= config.degraded_after {
-                            self.health = AgentHealth::Degraded;
-                        }
-                    }
-                    AgentHealth::Recovering => self.enter_quarantine(config),
-                    AgentHealth::Quarantined => self.escalate_reprobe(config),
-                }
-            }
-        }
-        self.health
-    }
-
-    /// Copies out the mutable state for journaling.
-    pub(crate) fn snapshot_state(&self) -> AgentStateSnapshot {
-        AgentStateSnapshot {
-            policy_epoch: self.policy_epoch,
-            shared_policy: self.shared_policy,
-            next_entry: self.next_entry,
-            replayed_pcr: self.replayed_pcr,
-            last_boot_count: self.last_boot_count,
-            status: self.status,
-            alerts: self.alerts.clone(),
-            attestations: self.attestations,
-            nonce_counter: self.nonce_counter,
-            health: self.health,
-            consecutive_unreachable: self.consecutive_unreachable,
-            reprobe_in: self.reprobe_in,
-            reprobe_backoff: self.reprobe_backoff,
-        }
-    }
-
-    /// Overwrites the mutable state from a journaled snapshot. The
-    /// policy handle is set separately (it is resolved from the
-    /// journal's policy-epoch records, not stored per agent).
-    pub(crate) fn restore_state(&mut self, state: AgentStateSnapshot) {
-        self.policy_epoch = state.policy_epoch;
-        self.shared_policy = state.shared_policy;
-        self.next_entry = state.next_entry;
-        self.replayed_pcr = state.replayed_pcr;
-        self.last_boot_count = state.last_boot_count;
-        self.status = state.status;
-        self.alerts = state.alerts;
-        self.attestations = state.attestations;
-        self.nonce_counter = state.nonce_counter;
-        self.health = state.health;
-        self.consecutive_unreachable = state.consecutive_unreachable;
-        self.reprobe_in = state.reprobe_in;
-        self.reprobe_backoff = state.reprobe_backoff;
-    }
-
-    /// The enrolled AK public key.
-    pub(crate) fn ak(&self) -> &cia_crypto::VerifyingKey {
-        &self.ak
-    }
-
-    /// The current policy handle.
-    pub(crate) fn policy_handle(&self) -> &Arc<RuntimePolicy> {
-        &self.policy
-    }
 
     fn enter_quarantine(&mut self, config: &VerifierConfig) {
         self.health = AgentHealth::Quarantined;
@@ -485,6 +300,126 @@ impl AgentRecord {
             .saturating_mul(2)
             .min(config.reprobe_backoff_max_rounds.max(1));
         self.reprobe_in = self.reprobe_backoff;
+    }
+}
+
+/// Everything the verifier holds about one agent: the enrolment-time
+/// constants, the policy handle, and — once, in `state` — everything a
+/// round can change. The journal, the federation and the round engine
+/// all move or borrow this value; none of them re-lists its fields.
+#[derive(Debug, Clone)]
+pub(crate) struct AgentRecord {
+    ak: cia_crypto::VerifyingKey,
+    /// The backend identity the registrar proved at enrolment — the
+    /// appraisal ground truth (never the evidence's own claim).
+    backend: BackendIdentity,
+    /// Handle to the policy this agent appraises against. Shared agents
+    /// hold an `Arc` clone of a [`PolicyStore`] snapshot (a fleet-wide
+    /// push is a handle swap, never a deep copy); override agents hold
+    /// their own privately published snapshot.
+    policy: Arc<RuntimePolicy>,
+    state: AgentStateSnapshot,
+}
+
+impl AgentRecord {
+    /// The enrolled AK public key.
+    pub(crate) fn ak(&self) -> &cia_crypto::VerifyingKey {
+        &self.ak
+    }
+
+    /// The enrolled backend identity.
+    pub(crate) fn backend_identity(&self) -> BackendIdentity {
+        self.backend
+    }
+
+    /// The current policy handle.
+    pub(crate) fn policy(&self) -> &Arc<RuntimePolicy> {
+        &self.policy
+    }
+
+    /// The mutable state, read in place — what the journal acks and what
+    /// a migration carries.
+    pub(crate) fn state(&self) -> &AgentStateSnapshot {
+        &self.state
+    }
+
+    /// Swaps in the published snapshot — one `Arc` clone, zero policy
+    /// copies — if this agent follows the shared store, is behind, and is
+    /// not quarantined (a quarantined agent cannot acknowledge a push; it
+    /// keeps appraising against the epoch it last adopted until its
+    /// recovery round).
+    pub(crate) fn adopt_shared(&mut self, shared: &SharedPolicy) {
+        if self.state.shared_policy
+            && self.state.policy_epoch != shared.epoch
+            && self.state.health != AgentHealth::Quarantined
+        {
+            self.policy = Arc::clone(&shared.snapshot);
+            self.state.policy_epoch = shared.epoch;
+        }
+    }
+
+    /// Quarantine scheduling: decides whether this round probes the
+    /// agent. Returns `Some(rounds_until_probe)` when the round should be
+    /// skipped (the counter has been decremented), `None` when a probe is
+    /// due now. Only meaningful while Quarantined.
+    pub(crate) fn tick_reprobe(&mut self) -> Option<u32> {
+        if self.state.reprobe_in == 0 {
+            return None;
+        }
+        self.state.reprobe_in -= 1;
+        Some(self.state.reprobe_in)
+    }
+
+    /// Advances the health machine after a round's terminal outcome.
+    /// Returns the new health.
+    pub(crate) fn apply_health(
+        &mut self,
+        class: ReachClass,
+        config: &VerifierConfig,
+    ) -> AgentHealth {
+        let state = &mut self.state;
+        match class {
+            ReachClass::Verified => {
+                state.consecutive_unreachable = 0;
+                state.health = match state.health {
+                    // A verified *probe* starts recovery; a verified round
+                    // while Recovering completes it. Full trust is never
+                    // restored in one step from Quarantined.
+                    AgentHealth::Quarantined => {
+                        state.reprobe_in = 0;
+                        state.reprobe_backoff = 0;
+                        AgentHealth::Recovering
+                    }
+                    AgentHealth::Recovering => AgentHealth::Healthy,
+                    _ => AgentHealth::Healthy,
+                };
+            }
+            ReachClass::ReachedNotVerified => {
+                // The channel works, so unreachable streaks reset, but an
+                // unverified verdict cannot progress recovery.
+                state.consecutive_unreachable = 0;
+                match state.health {
+                    AgentHealth::Degraded => state.health = AgentHealth::Healthy,
+                    AgentHealth::Quarantined => state.escalate_reprobe(config),
+                    AgentHealth::Healthy | AgentHealth::Recovering => {}
+                }
+            }
+            ReachClass::Unreachable => {
+                state.consecutive_unreachable = state.consecutive_unreachable.saturating_add(1);
+                match state.health {
+                    AgentHealth::Healthy | AgentHealth::Degraded => {
+                        if state.consecutive_unreachable >= config.quarantine_after {
+                            state.enter_quarantine(config);
+                        } else if state.consecutive_unreachable >= config.degraded_after {
+                            state.health = AgentHealth::Degraded;
+                        }
+                    }
+                    AgentHealth::Recovering => state.enter_quarantine(config),
+                    AgentHealth::Quarantined => state.escalate_reprobe(config),
+                }
+            }
+        }
+        state.health
     }
 }
 
@@ -542,11 +477,13 @@ impl Verifier {
         identity: BackendIdentity,
         policy: RuntimePolicy,
     ) {
-        let epoch = self.store.epoch();
-        self.agents.insert(
-            id.into(),
-            Self::fresh_record(ak, identity, Arc::new(policy), epoch, false),
-        );
+        let record = AgentRecord {
+            ak,
+            backend: identity,
+            policy: Arc::new(policy),
+            state: AgentStateSnapshot::fresh(self.store.epoch(), false),
+        };
+        self.agents.insert(id.into(), record);
     }
 
     /// Enrols an agent that follows the shared policy store: it starts on
@@ -564,39 +501,13 @@ impl Verifier {
         ak: cia_crypto::VerifyingKey,
         identity: BackendIdentity,
     ) {
-        let snapshot = Arc::clone(self.store.snapshot());
-        let epoch = self.store.epoch();
-        self.agents.insert(
-            id.into(),
-            Self::fresh_record(ak, identity, snapshot, epoch, true),
-        );
-    }
-
-    fn fresh_record(
-        ak: cia_crypto::VerifyingKey,
-        backend: BackendIdentity,
-        policy: Arc<RuntimePolicy>,
-        policy_epoch: PolicyEpoch,
-        shared_policy: bool,
-    ) -> AgentRecord {
-        AgentRecord {
+        let record = AgentRecord {
             ak,
-            backend,
-            policy,
-            policy_epoch,
-            shared_policy,
-            next_entry: 0,
-            replayed_pcr: HashAlgorithm::Sha256.zero_digest(),
-            last_boot_count: None,
-            status: AgentStatus::Trusted,
-            alerts: Vec::new(),
-            attestations: 0,
-            nonce_counter: 0,
-            health: AgentHealth::Healthy,
-            consecutive_unreachable: 0,
-            reprobe_in: 0,
-            reprobe_backoff: 0,
-        }
+            backend: identity,
+            policy: Arc::clone(self.store.snapshot()),
+            state: AgentStateSnapshot::fresh(self.store.epoch(), true),
+        };
+        self.agents.insert(id.into(), record);
     }
 
     /// The enrolled agent ids, in order.
@@ -619,8 +530,8 @@ impl Verifier {
         let epoch = self.store.epoch();
         let record = self.record_mut(id)?;
         record.policy = Arc::new(policy);
-        record.policy_epoch = epoch;
-        record.shared_policy = false;
+        record.state.policy_epoch = epoch;
+        record.state.shared_policy = false;
         Ok(())
     }
 
@@ -634,7 +545,7 @@ impl Verifier {
     pub fn use_shared_policy(&mut self, id: &AgentId) -> Result<(), KeylimeError> {
         let shared = self.store.shared();
         let record = self.record_mut(id)?;
-        record.shared_policy = true;
+        record.state.shared_policy = true;
         record.adopt_shared(&shared);
         Ok(())
     }
@@ -688,7 +599,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn agent_policy_epoch(&self, id: &AgentId) -> Result<PolicyEpoch, KeylimeError> {
-        Ok(self.record(id)?.policy_epoch)
+        Ok(self.record(id)?.state.policy_epoch)
     }
 
     /// The agent's current policy.
@@ -706,7 +617,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn status(&self, id: &AgentId) -> Result<AgentStatus, KeylimeError> {
-        Ok(self.record(id)?.status)
+        Ok(self.record(id)?.state.status)
     }
 
     /// All alerts raised for an agent so far.
@@ -715,7 +626,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
-        Ok(&self.record(id)?.alerts)
+        Ok(&self.record(id)?.state.alerts)
     }
 
     /// Number of successful attestations for an agent.
@@ -724,7 +635,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn attestation_count(&self, id: &AgentId) -> Result<u64, KeylimeError> {
-        Ok(self.record(id)?.attestations)
+        Ok(self.record(id)?.state.attestations)
     }
 
     /// The agent's reachability health.
@@ -733,7 +644,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn health(&self, id: &AgentId) -> Result<AgentHealth, KeylimeError> {
-        Ok(self.record(id)?.health)
+        Ok(self.record(id)?.state.health)
     }
 
     /// The backend identity the agent enrolled with.
@@ -742,7 +653,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn backend_identity(&self, id: &AgentId) -> Result<BackendIdentity, KeylimeError> {
-        Ok(self.record(id)?.backend_identity())
+        Ok(self.record(id)?.backend)
     }
 
     /// The PCR 10 value replayed from every entry processed so far — the
@@ -752,14 +663,14 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn replayed_pcr(&self, id: &AgentId) -> Result<Digest, KeylimeError> {
-        Ok(self.record(id)?.replayed_pcr)
+        Ok(self.record(id)?.state.replayed_pcr)
     }
 
     /// Per-state counts over every enrolled agent.
     pub fn health_counts(&self) -> HealthCounts {
         let mut counts = HealthCounts::default();
         for record in self.agents.values() {
-            counts.count(record.health);
+            counts.count(record.state.health);
         }
         counts
     }
@@ -773,7 +684,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn resume(&mut self, id: &AgentId) -> Result<(), KeylimeError> {
-        self.record_mut(id)?.status = AgentStatus::Trusted;
+        self.record_mut(id)?.state.status = AgentStatus::Trusted;
         Ok(())
     }
 
@@ -798,11 +709,11 @@ impl Verifier {
         let structured = config.structured_excerpt
             && transport.supports_structured_excerpt()
             && record.backend.kind().capabilities().structured_excerpt;
-        let nonce = Self::make_nonce(&id, record.nonce_counter);
-        record.nonce_counter += 1;
+        let nonce = Self::make_nonce(&id, record.state.nonce_counter);
+        record.state.nonce_counter += 1;
         let request = AgentRequest::Quote {
             nonce,
-            from_entry: record.next_entry,
+            from_entry: record.state.next_entry,
             structured,
         };
         let response: AgentResponse = transport.call(&request, |req| agent.handle(req))?;
@@ -820,17 +731,17 @@ impl Verifier {
             };
             if let Some(entries) = entries {
                 for entry in entries {
-                    record.replayed_pcr = extend_digest(
+                    record.state.replayed_pcr = extend_digest(
                         HashAlgorithm::Sha256,
-                        record.replayed_pcr,
+                        record.state.replayed_pcr,
                         entry.template_hash(HashAlgorithm::Sha256),
                     );
                 }
-                record.next_entry = q.total_entries;
-                record.last_boot_count = Some(q.boot_count);
+                record.state.next_entry = q.total_entries;
+                record.state.last_boot_count = Some(q.boot_count);
             }
         }
-        record.status = AgentStatus::Trusted;
+        record.state.status = AgentStatus::Trusted;
         Ok(())
     }
 
@@ -910,15 +821,15 @@ impl Verifier {
             && transport.supports_structured_excerpt()
             && record.backend.kind().capabilities().structured_excerpt;
 
-        if record.status == AgentStatus::Paused && !config.continue_on_failure {
+        if record.state.status == AgentStatus::Paused && !config.continue_on_failure {
             return Ok(FetchedEvidence::Paused);
         }
 
-        let nonce = Self::make_nonce(id, record.nonce_counter);
-        record.nonce_counter += 1;
+        let nonce = Self::make_nonce(id, record.state.nonce_counter);
+        record.state.nonce_counter += 1;
         let request = AgentRequest::Quote {
             nonce: nonce.clone(),
-            from_entry: record.next_entry,
+            from_entry: record.state.next_entry,
             structured,
         };
         let response: AgentResponse = transport.call(&request, |req| agent.handle(req))?;
@@ -934,12 +845,12 @@ impl Verifier {
 
         // Reboot detection: TPM reset counter changed (or first contact
         // after enrolment mid-boot) — restart from a fresh log.
-        let rebooted = record.last_boot_count != Some(quote_resp.boot_count);
-        if rebooted && record.last_boot_count.is_some() {
-            record.next_entry = 0;
-            record.replayed_pcr = HashAlgorithm::Sha256.zero_digest();
-            let nonce2 = Self::make_nonce(id, record.nonce_counter);
-            record.nonce_counter += 1;
+        let rebooted = record.state.last_boot_count != Some(quote_resp.boot_count);
+        if rebooted && record.state.last_boot_count.is_some() {
+            record.state.next_entry = 0;
+            record.state.replayed_pcr = HashAlgorithm::Sha256.zero_digest();
+            let nonce2 = Self::make_nonce(id, record.state.nonce_counter);
+            record.state.nonce_counter += 1;
             let request = AgentRequest::Quote {
                 nonce: nonce2.clone(),
                 from_entry: 0,
@@ -1003,8 +914,8 @@ impl Verifier {
     ) -> AttestationOutcome {
         let mut alerts: Vec<Alert> = Vec::new();
         let fail = |record: &mut AgentRecord, alerts: Vec<Alert>| {
-            record.status = AgentStatus::Paused;
-            record.alerts.extend(alerts.iter().cloned());
+            record.state.status = AgentStatus::Paused;
+            record.state.alerts.extend(alerts.iter().cloned());
             AttestationOutcome::Failed { alerts }
         };
 
@@ -1045,7 +956,7 @@ impl Verifier {
         }
 
         // Log cannot rewind within one boot.
-        if resp.total_entries < record.next_entry {
+        if resp.total_entries < record.state.next_entry {
             alerts.push(Alert {
                 agent: id.clone(),
                 day,
@@ -1096,7 +1007,7 @@ impl Verifier {
                 }
             },
         };
-        let mut full_fold = record.replayed_pcr;
+        let mut full_fold = record.state.replayed_pcr;
         for entry in entries {
             full_fold = extend_digest(
                 HashAlgorithm::Sha256,
@@ -1126,7 +1037,7 @@ impl Verifier {
         let has_boot_aggregate = identity.kind().capabilities().boot_aggregate;
         let mut processed = 0usize;
         for (offset, entry) in entries.iter().enumerate() {
-            let absolute_index = record.next_entry + offset;
+            let absolute_index = record.state.next_entry + offset;
             let verdict =
                 if has_boot_aggregate && absolute_index == 0 && entry.path == BOOT_AGGREGATE_NAME {
                     // boot_aggregate must match the quoted PCRs 0–9.
@@ -1169,14 +1080,14 @@ impl Verifier {
                     // entry; everything after it goes unevaluated. Only
                     // the accepted prefix enters the replayed fold.
                     for accepted in &entries[..processed] {
-                        record.replayed_pcr = extend_digest(
+                        record.state.replayed_pcr = extend_digest(
                             HashAlgorithm::Sha256,
-                            record.replayed_pcr,
+                            record.state.replayed_pcr,
                             accepted.template_hash(HashAlgorithm::Sha256),
                         );
                     }
-                    record.next_entry += processed;
-                    record.last_boot_count = Some(resp.boot_count);
+                    record.state.next_entry += processed;
+                    record.state.last_boot_count = Some(resp.boot_count);
                     stats.entries_evaluated += processed as u64 + 1;
                     stats.policy_check_ns += check_started.elapsed().as_nanos() as u64;
                     return fail(record, alerts);
@@ -1191,19 +1102,19 @@ impl Verifier {
         stats.policy_check_ns += check_started.elapsed().as_nanos() as u64;
         // Every entry was processed, so the replayed fold is exactly the
         // full fold verified against the quote in ②.
-        record.replayed_pcr = full_fold;
-        record.next_entry += processed;
-        record.last_boot_count = Some(resp.boot_count);
-        record.attestations += 1;
+        record.state.replayed_pcr = full_fold;
+        record.state.next_entry += processed;
+        record.state.last_boot_count = Some(resp.boot_count);
+        record.state.attestations += 1;
 
         if alerts.is_empty() {
-            record.status = AgentStatus::Trusted;
+            record.state.status = AgentStatus::Trusted;
             AttestationOutcome::Verified {
                 new_entries: processed,
             }
         } else {
             // continue_on_failure: alerts recorded, polling continues.
-            record.alerts.extend(alerts.iter().cloned());
+            record.state.alerts.extend(alerts.iter().cloned());
             AttestationOutcome::Failed { alerts }
         }
     }
@@ -1221,13 +1132,13 @@ impl Verifier {
         (self.config, self.store.shared(), &mut self.agents)
     }
 
-    /// Copies out one agent's mutable state for journaling.
+    /// Copies out one agent's mutable state.
     ///
     /// # Errors
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn export_agent_state(&self, id: &AgentId) -> Result<AgentStateSnapshot, KeylimeError> {
-        Ok(self.record(id)?.snapshot_state())
+        Ok(self.record(id)?.state.clone())
     }
 
     /// Recovery path: re-creates one agent record from its journaled
@@ -1242,14 +1153,12 @@ impl Verifier {
         policy: Arc<RuntimePolicy>,
         state: AgentStateSnapshot,
     ) {
-        let mut record = Self::fresh_record(
+        let record = AgentRecord {
             ak,
-            identity,
+            backend: identity,
             policy,
-            state.policy_epoch,
-            state.shared_policy,
-        );
-        record.restore_state(state);
+            state,
+        };
         self.agents.insert(id.into(), record);
     }
 
@@ -1259,41 +1168,33 @@ impl Verifier {
         self.store = PolicyStore::restore(snapshot, epoch);
     }
 
-    /// Withdraws one agent's record — the outward half of a federation
-    /// re-balancing migration ([`export_agent_state`] +
-    /// [`restore_agent`] on the target shard are the other half).
-    /// Returns `true` when the agent was enrolled here.
+    /// One agent's record, read in place.
     ///
-    /// [`export_agent_state`]: Verifier::export_agent_state
-    /// [`restore_agent`]: Verifier::restore_agent
-    pub fn remove_agent(&mut self, id: &AgentId) -> bool {
-        self.agents.remove(id).is_some()
+    /// # Errors
+    ///
+    /// [`KeylimeError::UnknownAgent`].
+    pub(crate) fn record(&self, id: &AgentId) -> Result<&AgentRecord, KeylimeError> {
+        self.agents
+            .get(id)
+            .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })
     }
 
-    /// Per-agent enrolment constants, for journaling: id, AK, backend
-    /// identity, shared-store membership, and the current policy handle
-    /// (only meaningful for override agents — shared agents resolve
-    /// their policy from the store's epoch history instead).
-    pub(crate) fn enrolment_view(
-        &self,
-    ) -> impl Iterator<
-        Item = (
-            &AgentId,
-            &cia_crypto::VerifyingKey,
-            BackendIdentity,
-            bool,
-            &Arc<RuntimePolicy>,
-        ),
-    > {
-        self.agents.iter().map(|(id, r)| {
-            (
-                id,
-                r.ak(),
-                r.backend_identity(),
-                r.follows_shared_store(),
-                r.policy_handle(),
-            )
-        })
+    /// Every record, in id order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (&AgentId, &AgentRecord)> {
+        self.agents.iter()
+    }
+
+    /// Withdraws one agent's record — the outward half of a federation
+    /// migration; [`Verifier::put_record`] on the target shard is the
+    /// other half.
+    pub(crate) fn take_record(&mut self, id: &AgentId) -> Option<AgentRecord> {
+        self.agents.remove(id)
+    }
+
+    /// Installs a record as-is: constants, state and the exact policy
+    /// handle it held.
+    pub(crate) fn put_record(&mut self, id: AgentId, record: AgentRecord) {
+        self.agents.insert(id, record);
     }
 
     fn make_nonce(id: &AgentId, counter: u64) -> Vec<u8> {
@@ -1301,12 +1202,6 @@ impl Verifier {
         h.update(id.as_str().as_bytes());
         h.update(&counter.to_be_bytes());
         h.finalize().as_bytes().to_vec()
-    }
-
-    fn record(&self, id: &AgentId) -> Result<&AgentRecord, KeylimeError> {
-        self.agents
-            .get(id)
-            .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })
     }
 
     fn record_mut(&mut self, id: &AgentId) -> Result<&mut AgentRecord, KeylimeError> {
@@ -1324,13 +1219,12 @@ mod tests {
 
     fn record() -> AgentRecord {
         let mut rng = StdRng::seed_from_u64(11);
-        Verifier::fresh_record(
-            cia_crypto::KeyPair::generate(&mut rng).verifying,
-            BackendIdentity::tpm_ima(),
-            Arc::new(RuntimePolicy::new()),
-            PolicyEpoch::ZERO,
-            true,
-        )
+        AgentRecord {
+            ak: cia_crypto::KeyPair::generate(&mut rng).verifying,
+            backend: BackendIdentity::tpm_ima(),
+            policy: Arc::new(RuntimePolicy::new()),
+            state: AgentStateSnapshot::fresh(PolicyEpoch::ZERO, true),
+        }
     }
 
     fn config() -> VerifierConfig {
@@ -1363,8 +1257,8 @@ mod tests {
             r.apply_health(ReachClass::Unreachable, &c),
             AgentHealth::Quarantined
         );
-        assert_eq!(r.consecutive_unreachable, 4);
-        assert_eq!(r.reprobe_backoff, 2, "enters at the base interval");
+        assert_eq!(r.state.consecutive_unreachable, 4);
+        assert_eq!(r.state.reprobe_backoff, 2, "enters at the base interval");
     }
 
     #[test]
@@ -1374,7 +1268,7 @@ mod tests {
         for _ in 0..4 {
             r.apply_health(ReachClass::Unreachable, &c);
         }
-        assert_eq!(r.health(), AgentHealth::Quarantined);
+        assert_eq!(r.state.health, AgentHealth::Quarantined);
         assert_eq!(
             r.apply_health(ReachClass::Verified, &c),
             AgentHealth::Recovering,
@@ -1384,7 +1278,7 @@ mod tests {
             r.apply_health(ReachClass::Verified, &c),
             AgentHealth::Healthy
         );
-        assert_eq!(r.consecutive_unreachable, 0);
+        assert_eq!(r.state.consecutive_unreachable, 0);
     }
 
     #[test]
@@ -1395,7 +1289,7 @@ mod tests {
             r.apply_health(ReachClass::Unreachable, &c);
         }
         r.apply_health(ReachClass::Verified, &c);
-        assert_eq!(r.health(), AgentHealth::Recovering);
+        assert_eq!(r.state.health, AgentHealth::Recovering);
         assert_eq!(
             r.apply_health(ReachClass::Unreachable, &c),
             AgentHealth::Quarantined,
@@ -1409,13 +1303,13 @@ mod tests {
         let mut r = record();
         r.apply_health(ReachClass::Unreachable, &c);
         r.apply_health(ReachClass::Unreachable, &c);
-        assert_eq!(r.health(), AgentHealth::Degraded);
+        assert_eq!(r.state.health, AgentHealth::Degraded);
         assert_eq!(
             r.apply_health(ReachClass::ReachedNotVerified, &c),
             AgentHealth::Healthy,
             "the channel works again"
         );
-        assert_eq!(r.consecutive_unreachable, 0);
+        assert_eq!(r.state.consecutive_unreachable, 0);
 
         // But while Quarantined, a failing (reachable) agent stays put.
         for _ in 0..4 {
@@ -1441,16 +1335,16 @@ mod tests {
         assert_eq!(r.tick_reprobe(), None, "probe due");
         // The probe fails: backoff doubles (2 → 4).
         r.apply_health(ReachClass::Unreachable, &c);
-        assert_eq!(r.reprobe_backoff, 4);
+        assert_eq!(r.state.reprobe_backoff, 4);
         for expected in [3, 2, 1, 0] {
             assert_eq!(r.tick_reprobe(), Some(expected));
         }
         assert_eq!(r.tick_reprobe(), None);
         // Failed probes keep doubling but cap at 8.
         r.apply_health(ReachClass::Unreachable, &c);
-        assert_eq!(r.reprobe_backoff, 8);
+        assert_eq!(r.state.reprobe_backoff, 8);
         r.apply_health(ReachClass::Unreachable, &c);
-        assert_eq!(r.reprobe_backoff, 8, "capped");
+        assert_eq!(r.state.reprobe_backoff, 8, "capped");
     }
 
     #[test]

@@ -8,8 +8,12 @@
 # (consistent-hash ring, sharded rounds, shard-kill chaos), the
 # wire-protocol suite (codec robustness corpus, remote shard RPC,
 # transport equivalence), the chaos scenario corpus in release mode,
-# and the lock-sanitizer suite (runtime lock-order cycle detection plus
-# the vector-clock happens-before race detector over the sim corpus).
+# the lock-sanitizer suite (runtime lock-order cycle detection plus
+# the vector-clock happens-before race detector over the sim corpus),
+# the paper-fidelity gate at paper scale (release), and the end-to-end
+# benchmark crate (its own workspace: builds against the public surface
+# `benchmark/README.md` lists, so a signature change that breaks it is
+# caught here rather than by the benchmark pipeline).
 #
 # Usage: scripts/ci.sh [--offline]
 #
@@ -84,5 +88,11 @@ if [[ "${CHAOS_LONG:-}" == "1" ]]; then
   echo "== chaos: 500-round long sim (CHAOS_LONG=1) =="
   CHAOS_LONG=1 cargo test "${OFFLINE[@]}" --release --test chaos_scenarios long_sim
 fi
+
+echo "== paper fidelity: paper-scale runs (release) =="
+cargo test "${OFFLINE[@]}" --release --test paper_fidelity -- --include-ignored
+
+echo "== benchmark: build + test the end-to-end benchmark crate =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI gate passed."

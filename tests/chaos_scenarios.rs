@@ -361,6 +361,129 @@ fn durable_journal_bytes_are_identical_across_worker_counts() {
     assert_eq!(sequential, run(8), "8 workers diverged from sequential");
 }
 
+/// A durable enrolment journals the agent, not the fleet policy: with a
+/// 10,000-entry policy published, enrolling shared agents appends a few
+/// hundred bytes each — the store's epoch history already holds the
+/// document they appraise against.
+#[test]
+fn durable_enrolment_bytes_do_not_grow_with_the_policy() {
+    const AGENTS: u64 = 4;
+    let mut cluster = chaos_cluster(5, FaultPlan::new(5), 2);
+    let mut policy = RuntimePolicy::new();
+    for i in 0..10_000 {
+        policy.allow(format!("/usr/bin/tool-{i:05}"), format!("{i:064x}"));
+    }
+    cluster.publish_policy(policy);
+    cluster.enable_durability().unwrap();
+
+    let journal_bytes = |c: &ChaosCluster| c.journal().unwrap().log().vfs().total_bytes();
+    let before = journal_bytes(&cluster);
+    for i in 0..AGENTS {
+        let config = MachineConfig {
+            hostname: format!("node-{i:02}"),
+            seed: 40 + i,
+            ..MachineConfig::default()
+        };
+        cluster.add_machine_shared(config).unwrap();
+    }
+    let per_enrolment = (journal_bytes(&cluster) - before) / AGENTS;
+    assert!(
+        per_enrolment < 4096,
+        "{per_enrolment} journal bytes per enrolment"
+    );
+    cluster.check_durable_equivalence().unwrap();
+}
+
+/// The two agents whose policy recovery cannot resolve from the
+/// journaled publishes, on one cluster that turns durability on late:
+/// an override agent, and a quarantined shared agent pinned on an epoch
+/// older than the journal's base checkpoint. Every ack of either must
+/// carry its policy document — through skipped rounds, a compaction,
+/// and the laggard's recovery — or the recovered verifier appraises
+/// them against the wrong policy.
+#[test]
+fn late_durability_keeps_override_and_pre_checkpoint_laggard_recoverable() {
+    let tool = VfsPath::new("/usr/bin/service").unwrap();
+    let plan = FaultPlan::new(41).partition(2..7, FaultTarget::lanes([1]));
+    let mut cluster = chaos_cluster(41, plan, 3);
+
+    let mut base = RuntimePolicy::new();
+    base.exclude("/tmp");
+    base.allow(tool.as_str(), sha256_hex(b"service v1"));
+    cluster.publish_policy(base.clone());
+
+    let mut ids = Vec::new();
+    for i in 0..4u64 {
+        let config = MachineConfig {
+            hostname: format!("node-{i:02}"),
+            seed: 700 + i,
+            ..MachineConfig::default()
+        };
+        let mut machine = Machine::new(&cluster.manufacturer, config);
+        machine.write_executable(&tool, b"service v1").unwrap();
+        machine.exec(&tool, ExecMethod::Direct).unwrap();
+        ids.push(if i == 3 {
+            cluster
+                .add_agent(Agent::new(machine), base.clone())
+                .unwrap()
+        } else {
+            cluster.add_agent_shared(Agent::new(machine)).unwrap()
+        });
+    }
+    let laggard = ids[1].clone(); // lane 1 == sorted index 1
+
+    for round in 0..12u64 {
+        if round == 4 || round == 5 {
+            // Two pushes land while the laggard is quarantined.
+            cluster.publish_delta(&PolicyDelta {
+                added: vec![(format!("/usr/local/bin/maint-{round}"), "aa".repeat(32))],
+                ..PolicyDelta::default()
+            });
+        }
+        if round == 6 {
+            // Durability comes on at store epoch 3 with the laggard
+            // still pinned on epoch 1 — older than the base checkpoint.
+            assert_eq!(cluster.health(&laggard).unwrap(), AgentHealth::Quarantined);
+            assert_eq!(
+                cluster
+                    .verifier
+                    .agent_policy_epoch(&laggard)
+                    .unwrap()
+                    .as_u64(),
+                1
+            );
+            assert_eq!(cluster.policy_epoch().as_u64(), 3);
+            cluster.enable_durability().unwrap();
+            cluster.check_durable_equivalence().unwrap();
+        }
+        if round == 8 {
+            // Restart from a compacted copy of the journal: only each
+            // agent's latest ack survives, so that ack must be enough.
+            let log = cluster.journal().unwrap().log();
+            let mut copy = VerifierJournal::create(log.vfs().clone(), log.dir()).unwrap();
+            assert!(copy.compact().unwrap() > 0);
+            let resume = cluster.recover_from_image(copy.log().vfs().clone());
+            assert_eq!(resume.unwrap(), None, "no round was in flight");
+        }
+        cluster.transport.set_round(round);
+        cluster.attest_fleet();
+        cluster
+            .check_durable_equivalence()
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+    }
+
+    // The partition healed at round 7: the laggard probed clean on its
+    // pinned epoch, then converged.
+    assert_eq!(cluster.health(&laggard).unwrap(), AgentHealth::Healthy);
+    assert_eq!(
+        cluster.verifier.agent_policy_epoch(&laggard).unwrap(),
+        cluster.policy_epoch()
+    );
+    for id in &ids {
+        assert!(cluster.alerts(id).unwrap().is_empty(), "{id} raised alerts");
+    }
+}
+
 /// The paper's March-27 incident shape: a policy update omits entries
 /// for tooling that runs fleet-wide, so *every* agent raises a false
 /// positive the same day; the corrected policy restores the fleet the
