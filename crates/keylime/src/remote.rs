@@ -16,7 +16,7 @@
 //! ```text
 //! driver                              server
 //!   │  Start                            │
-//!   │  Poll [(id, lane); ≤ batch]  ───▶ │  (dispatches immediately)
+//!   │  Poll [(id, lane); ≤ batch]  ───▶ │  (workers pull as it lands)
 //!   │  Poll …                      ───▶ │
 //!   │  ◀───  Results [row; ≤ batch]     │  (streams as rows finish)
 //!   │  Poll …                      ───▶ │
@@ -36,14 +36,16 @@
 //!   shard's workers never run dry while the next commands cross the
 //!   wire.
 //!
-//! The server feeds the decoded command stream to
+//! The server hands the decoded command stream to
 //! [`FleetScheduler::run_round_streamed`] — the one round engine every
-//! in-process round runs on too — so a wire round's [`RoundReport`] is
-//! **bit-identical** to the in-process report for the same commands
-//! and seed. Deadlock freedom comes from the server's reader draining
-//! commands eagerly into an unbounded channel (the *driver* bounds
-//! in-flight work), so neither side ever blocks on a peer that is
-//! blocked on it.
+//! in-process round runs on too — as its command iterator, which the
+//! engine's workers pull from one command at a time, so the first agents
+//! are fetching while later `Poll` frames are still in flight and a
+//! wire round's [`RoundReport`] is **bit-identical** to the in-process
+//! report for the same commands and seed. Deadlock freedom comes from
+//! the server's reader draining commands eagerly into an unbounded
+//! channel (the *driver* bounds in-flight work), so neither side ever
+//! blocks on a peer that is blocked on it.
 //!
 //! [`VerifierConfig::wire_batch`]: crate::VerifierConfig::wire_batch
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
@@ -417,21 +419,24 @@ impl Wire for ShardReply {
 
 /// Runs one shard round as the server side of the wire protocol.
 ///
-/// Splits `conn`, then runs three concerns concurrently until the
-/// driver sends `End`:
+/// Splits `conn`, then puts the two halves of the wire around the
+/// round engine until the driver sends `End`:
 ///
 /// - a reader thread decodes incoming [`ShardCommand`] frames and
 ///   forwards poll batches — eagerly, into an unbounded queue, so the
 ///   socket is always drained and the driver can never deadlock
 ///   against a full send buffer;
-/// - the calling thread runs the round engine
-///   ([`FleetScheduler::run_round_streamed`]) over those commands as
-///   they arrive, its observer handing each finished row — the row is
-///   all the observer gets — to the writer;
 /// - a writer thread coalesces finished result rows into
 ///   [`ShardReply::Results`] frames of up to
 ///   [`VerifierConfig::wire_batch`](crate::VerifierConfig::wire_batch)
 ///   rows.
+///
+/// Between them the calling thread runs
+/// [`FleetScheduler::run_round_streamed`] exactly as an in-process
+/// round would: its command iterator reads the reader's queue, so the
+/// engine's workers pull each command as it arrives, and its observer
+/// hands each finished row — the row is all the observer gets — to
+/// the writer.
 ///
 /// After the round completes the server sends
 /// [`ShardReply::Done`] and returns the same [`RoundReport`] an

@@ -6,8 +6,10 @@
 //! the rest of the round. [`FleetScheduler`] replaces the sequential
 //! sweep with a worker pool:
 //!
-//! - every enrolled agent is dispatched to one of `worker_count` workers
-//!   over an MPMC job queue (crossbeam channel);
+//! - a round is a list of poll commands; `worker_count` workers pull
+//!   from it one command at a time under a single lock, each taking the
+//!   command's verifier record and agent process with it — that lock is
+//!   all that sits between the list and the workers;
 //! - each job gets its own deterministic transport *lane*
 //!   ([`Transport::fork`]), so drop patterns depend only on the base
 //!   seed and the agent's lane — never on thread interleaving;
@@ -19,13 +21,15 @@
 //!   [`AgentRoundResult`] — verified, failed, skipped or unreachable —
 //!   so nothing is ever silently skipped;
 //! - counters and latency histograms are one [`MetricsSnapshot`]: each
-//!   worker counts into its own and folds it into the
-//!   [`SchedulerMetrics`] registry when it exits.
+//!   worker counts into its own and returns it, with its result rows,
+//!   through its join handle; the calling thread folds them into the
+//!   [`SchedulerMetrics`] registry once per round.
 //!
 //! Combined with [`VerifierConfig::engine_default`] (continue-on-failure
 //! on), this is the paper's §IV-C recommendation operationalised: the
 //! fleet keeps attesting through failures instead of pausing on them.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,8 +43,8 @@ use crate::ids::AgentId;
 use crate::store::{PolicyEpoch, SharedPolicy};
 use crate::transport::Transport;
 use crate::verifier::{
-    AgentHealth, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, HotStats, ReachClass,
-    Verifier, VerifierConfig,
+    AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, HotStats,
+    ReachClass, Verifier, VerifierConfig,
 };
 
 /// Number of log2 latency buckets (bucket i counts calls in
@@ -49,8 +53,9 @@ pub const LATENCY_BUCKETS: usize = 32;
 
 /// The fleet engine's counter registry: one [`MetricsSnapshot`] that
 /// accumulates across rounds. The hot path never touches it — every
-/// worker counts into a snapshot of its own and merges it in once, with
-/// [`MetricsSnapshot::merged`], when its round ends.
+/// worker counts into a snapshot of its own, and the thread that ran the
+/// round merges them in under one lock, with [`MetricsSnapshot::merged`],
+/// when the round ends.
 #[derive(Debug)]
 pub struct SchedulerMetrics {
     totals: Mutex<MetricsSnapshot>,
@@ -74,10 +79,13 @@ impl SchedulerMetrics {
         }
     }
 
-    /// Merges one thread's round-local counts into the registry.
-    fn fold(&self, counts: &MetricsSnapshot) {
+    /// Merges one finished round's counts into the registry and moves
+    /// the epoch gauge to the epoch the round ran under.
+    fn fold_round(&self, counts: &MetricsSnapshot, epoch: PolicyEpoch) {
         let mut totals = self.totals.lock();
         *totals = totals.merged(counts);
+        totals.rounds += 1;
+        totals.policy_epoch = epoch.as_u64();
     }
 
     /// Records one fleet-wide policy push: the epoch gauge moves to
@@ -524,7 +532,7 @@ impl RoundReport {
 struct Job<'a> {
     id: AgentId,
     lane: u64,
-    record: &'a mut crate::verifier::AgentRecord,
+    record: &'a mut AgentRecord,
     agent: &'a mut Agent,
 }
 
@@ -619,81 +627,75 @@ impl FleetScheduler {
         F: Fn(&AgentRoundResult) + Sync,
     {
         let (config, shared, records) = verifier.scheduler_view();
-
-        let mut agent_by_id: std::collections::BTreeMap<AgentId, &mut Agent> =
-            agents.map(|a| (a.id().clone(), a)).collect();
-        let mut record_by_id: std::collections::BTreeMap<
-            &AgentId,
-            &mut crate::verifier::AgentRecord,
-        > = records.iter_mut().collect();
-
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job<'_>>();
-        let metrics = &self.metrics;
-        let observer = &observer;
-        let mut results = std::thread::scope(|scope| {
-            // The feeder turns commands into jobs as they arrive;
-            // dispatch runs concurrently on this thread and drains the
-            // job channel until the feeder drops its sender.
-            let feeder = scope.spawn(move || {
+        let mut results = Vec::new();
+        let mut round_counts = MetricsSnapshot::default();
+        {
+            // The round queue: the command stream, each command claiming
+            // its record and — unless it is orphaned — its agent process
+            // as it is pulled. Commands for un-enrolled ids and repeats
+            // of a claimed id find no record and fall out here.
+            let mut unclaimed: BTreeMap<&AgentId, &mut AgentRecord> = records.iter_mut().collect();
+            let mut processes: BTreeMap<AgentId, &mut Agent> =
+                agents.map(|a| (a.id().clone(), a)).collect();
+            let queue = Mutex::new(commands.fuse().filter_map(move |(id, lane)| {
+                let record = unclaimed.remove(&id)?;
+                let agent = processes.remove(&id);
+                Some((id, lane, record, agent))
+            }))
+            .named("queue");
+            let work = || {
+                let mut rows = Vec::new();
                 let mut counts = MetricsSnapshot::default();
-                let mut orphan_rows: Vec<AgentRoundResult> = Vec::new();
-                for (id, lane) in commands {
-                    let Some(record) = record_by_id.remove(&id) else {
-                        continue;
-                    };
-                    if let Some(agent) = agent_by_id.remove(&id) {
-                        let sent = job_tx.send(Job {
-                            id,
-                            lane,
-                            record,
-                            agent,
-                        });
-                        assert!(sent.is_ok(), "dispatch outlives the feeder");
-                        continue;
-                    }
-                    let backend = record.backend_identity().kind();
-                    counts.unreachable += 1;
-                    counts.per_backend.for_kind_mut(backend).unreachable += 1;
-                    counts.orphaned += 1;
-                    let row = AgentRoundResult {
-                        id,
-                        backend,
-                        day: 0,
-                        attempts: 0,
-                        backoff_ms: 0,
-                        policy_epoch: record.state().policy_epoch,
-                        shared_policy: record.state().shared_policy,
-                        outcome: RoundOutcome::Unreachable {
-                            reason: "no agent process supplied for enrolled id".to_string(),
-                        },
+                // The guard dies when `pull` returns: a worker waits for
+                // its next command under the lock, then attests and
+                // observes it outside.
+                let pull = || queue.lock().next();
+                while let Some((id, lane, record, agent)) = pull() {
+                    let row = match agent {
+                        Some(agent) => {
+                            let mut job = Job {
+                                id,
+                                lane,
+                                record,
+                                agent,
+                            };
+                            let mut lane_transport = transport.fork(job.lane);
+                            let row = attest_with_retry(
+                                &config,
+                                &shared,
+                                &mut counts,
+                                &mut job,
+                                &mut lane_transport,
+                            );
+                            // The lane is fresh per job, so its byte total
+                            // is exactly this agent's round traffic.
+                            counts.wire_bytes += lane_transport.wire_bytes();
+                            row
+                        }
+                        None => orphan_row(id, record, &mut counts),
                     };
                     observer(&row);
-                    orphan_rows.push(row);
+                    rows.push(row);
                 }
-                metrics.fold(&counts);
-                orphan_rows
+                (rows, counts)
+            };
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..config.worker_count.max(1))
+                    .map(|_| scope.spawn(work))
+                    .collect();
+                for worker in workers {
+                    match worker.join() {
+                        Ok((rows, counts)) => {
+                            results.extend(rows);
+                            round_counts = round_counts.merged(&counts);
+                        }
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                }
             });
-            let mut results = dispatch_jobs(
-                &config,
-                &shared,
-                metrics,
-                job_rx,
-                config.worker_count.max(1),
-                transport,
-                observer,
-            );
-            match feeder.join() {
-                Ok(orphan_rows) => results.extend(orphan_rows),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-            results
-        });
-        results.sort_by(|a, b| a.id.cmp(&b.id));
-        {
-            let mut totals = self.metrics.totals.lock();
-            totals.rounds += 1;
-            totals.policy_epoch = shared.epoch.as_u64();
         }
+        results.sort_by(|a, b| a.id.cmp(&b.id));
+        self.metrics.fold_round(&round_counts, shared.epoch);
 
         let mut health = HealthCounts::default();
         for record in records.values() {
@@ -714,55 +716,26 @@ pub(crate) fn full_round(verifier: &Verifier) -> Vec<(AgentId, u64)> {
     verifier.agent_ids().into_iter().zip(0u64..).collect()
 }
 
-/// Drains a channel of jobs through a pool of `worker_count` workers,
-/// each fetching and appraising one agent at a time over that job's own
-/// transport lane, and returns the (unsorted) result rows. A worker
-/// counts into its own [`MetricsSnapshot`] and folds it into `metrics`
-/// when the channel runs dry.
-fn dispatch_jobs<'a, T, F>(
-    config: &VerifierConfig,
-    shared: &SharedPolicy,
-    metrics: &SchedulerMetrics,
-    job_rx: crossbeam::channel::Receiver<Job<'a>>,
-    worker_count: usize,
-    transport: &T,
-    observer: &F,
-) -> Vec<AgentRoundResult>
-where
-    T: Transport + Sync,
-    F: Fn(&AgentRoundResult) + Sync,
-{
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<AgentRoundResult>();
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                let mut counts = MetricsSnapshot::default();
-                while let Ok(mut job) = job_rx.recv() {
-                    let mut lane_transport = transport.fork(job.lane);
-                    let result = attest_with_retry(
-                        config,
-                        shared,
-                        &mut counts,
-                        &mut job,
-                        &mut lane_transport,
-                    );
-                    // The lane is fresh per job, so its byte total is
-                    // exactly this agent's round traffic.
-                    counts.wire_bytes += lane_transport.wire_bytes();
-                    observer(&result);
-                    let _ = res_tx.send(result);
-                }
-                metrics.fold(&counts);
-            });
-        }
-    });
-    drop(res_tx);
-    // The receiver's Job<'_> type parameter keeps the records borrow
-    // alive; release it before the caller re-reads records.
-    drop(job_rx);
-    res_rx.iter().collect()
+/// The row for an orphaned command — an enrolled record whose agent
+/// process is missing: unreachable at zero transport calls, the record
+/// left exactly as it was.
+fn orphan_row(id: AgentId, record: &AgentRecord, counts: &mut MetricsSnapshot) -> AgentRoundResult {
+    let backend = record.backend_identity().kind();
+    counts.unreachable += 1;
+    counts.per_backend.for_kind_mut(backend).unreachable += 1;
+    counts.orphaned += 1;
+    AgentRoundResult {
+        id,
+        backend,
+        day: 0,
+        attempts: 0,
+        backoff_ms: 0,
+        policy_epoch: record.state().policy_epoch,
+        shared_policy: record.state().shared_policy,
+        outcome: RoundOutcome::Unreachable {
+            reason: "no agent process supplied for enrolled id".to_string(),
+        },
+    }
 }
 
 /// Drives one agent's poll to a terminal outcome: quarantine gating, the
@@ -912,7 +885,7 @@ fn appraise_fetched(
 /// Applies one round's terminal outcome to the agent's health machine
 /// and counts the transition, if any.
 fn update_health(
-    record: &mut crate::verifier::AgentRecord,
+    record: &mut AgentRecord,
     class: ReachClass,
     config: &VerifierConfig,
     counts: &mut MetricsSnapshot,
@@ -978,38 +951,55 @@ mod tests {
 
     /// The engine's orphan contract: a command for an enrolled id with
     /// no agent process yields one `Unreachable` row, observed exactly
-    /// once, and the record is left exactly as it was.
+    /// once, and the record is left exactly as it was — whichever worker
+    /// pulls it, and however often the list names the id.
     #[test]
     fn orphaned_command_is_observed_once_and_its_record_is_unchanged() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let ak = cia_crypto::KeyPair::generate(&mut rng).verifying;
-        let mut verifier = Verifier::new(VerifierConfig::engine_default());
         let id = AgentId::from("orphan");
-        verifier.add_agent_shared(id.clone(), ak);
-        let before = verifier.export_agent_state(&id).unwrap();
+        for worker_count in [1usize, 4] {
+            let config = VerifierConfig {
+                worker_count,
+                ..VerifierConfig::engine_default()
+            };
+            let mut verifier = Verifier::new(config);
+            verifier.add_agent_shared(id.clone(), ak.clone());
+            let before = verifier.export_agent_state(&id).unwrap();
 
-        let scheduler = FleetScheduler::new();
-        let observed = parking_lot::Mutex::new(Vec::new());
-        let report = scheduler.run_round_streamed(
-            &mut verifier,
-            std::iter::empty(),
-            &crate::transport::ReliableTransport::new(),
-            vec![(id.clone(), 0), (AgentId::from("not-enrolled"), 1)].into_iter(),
-            |row| observed.lock().push(row.clone()),
-        );
+            let scheduler = FleetScheduler::new();
+            let observed = parking_lot::Mutex::new(Vec::new());
+            let report = scheduler.run_round_streamed(
+                &mut verifier,
+                std::iter::empty(),
+                &crate::transport::ReliableTransport::new(),
+                vec![
+                    (id.clone(), 0),
+                    (AgentId::from("not-enrolled"), 1),
+                    (id.clone(), 2),
+                ]
+                .into_iter(),
+                |row| observed.lock().push(row.clone()),
+            );
 
-        assert_eq!(report.results.len(), 1, "un-enrolled commands are ignored");
-        assert!(matches!(
-            report.results[0].outcome,
-            RoundOutcome::Unreachable { .. }
-        ));
-        assert_eq!(report.results[0].attempts, 0, "an orphan spends no call");
-        assert_eq!(observed.into_inner(), report.results);
-        assert_eq!(verifier.export_agent_state(&id).unwrap(), before);
-        let snap = scheduler.snapshot();
-        assert_eq!((snap.orphaned, snap.unreachable, snap.calls), (1, 1, 0));
-        assert!(snap.is_conserved());
+            assert_eq!(
+                report.results.len(),
+                1,
+                "{worker_count} workers: un-enrolled and duplicate commands are ignored"
+            );
+            assert!(matches!(
+                report.results[0].outcome,
+                RoundOutcome::Unreachable { .. }
+            ));
+            assert_eq!(report.results[0].attempts, 0, "an orphan spends no call");
+            assert_eq!(observed.into_inner(), report.results);
+            assert_eq!(verifier.export_agent_state(&id).unwrap(), before);
+            let snap = scheduler.snapshot();
+            assert_eq!((snap.orphaned, snap.unreachable, snap.calls), (1, 1, 0));
+            assert_eq!(snap.rounds, 1);
+            assert!(snap.is_conserved());
+        }
     }
 
     #[test]
@@ -1040,10 +1030,13 @@ mod tests {
     #[test]
     fn snapshot_serializes() {
         let m = SchedulerMetrics::new();
-        m.fold(&MetricsSnapshot {
-            retries: 7,
-            ..MetricsSnapshot::default()
-        });
+        m.fold_round(
+            &MetricsSnapshot {
+                retries: 7,
+                ..MetricsSnapshot::default()
+            },
+            PolicyEpoch::ZERO,
+        );
         let snap = m.snapshot();
         assert_eq!(snap.latency_ns_buckets, vec![0; LATENCY_BUCKETS]);
         let wire = serde_json::to_string(&snap).unwrap();

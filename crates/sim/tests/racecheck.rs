@@ -10,8 +10,9 @@
 //! 2. A two-shard federated round (including a mid-run shard kill that
 //!    folds the dead shard's metrics into the coordinator's audited
 //!    `retired` accumulator) records no unordered access: every
-//!    `RaceCell` touch is ordered through instrumented locks, channel
-//!    edges, or the scoped fork/join edges of the shard threads.
+//!    `RaceCell` touch is ordered through instrumented locks or the
+//!    scoped fork/join edges of the shard threads (an in-process round
+//!    has no channel to carry an edge).
 //!
 //! Detector state is process-global, so tests serialize on a file-local
 //! mutex and reset both recorders before driving traffic.
@@ -71,9 +72,9 @@ fn two_shard_fleet(workers: usize) -> (Cluster<SimTransport>, Federation, Vec<Ag
 
 /// Layer 1: the full sim invariant suite — which asserts an empty race
 /// list and a cycle-free lock graph after *every* round — passes at
-/// each worker count. One worker serializes the pipeline; four and
-/// eight exercise real contention on the instrumented locks, the
-/// crossbeam job channel, and the scoped worker threads.
+/// each worker count. One worker serializes the round; four and eight
+/// exercise real contention on the instrumented locks — the engine's
+/// round queue among them — from the scoped worker threads.
 #[test]
 fn sim_invariants_hold_across_worker_counts() {
     let _s = serial();

@@ -7,7 +7,7 @@ Each bench bin prints its document to stdout; the repo root archives the
 committed numbers; this script keeps them honest:
 
     python3 scripts/check_bench.py            # gate every registered file
-    python3 scripts/check_bench.py BENCH_fleet.json   # gate one file
+    python3 scripts/check_bench.py BENCH_wire.json   # gate one file
 
 A missing file, a stale schema, or a regressed acceptance number exits
 non-zero with the regeneration command.
@@ -85,24 +85,6 @@ def check_recovery(doc, path):
                      for f in doc["fleets"])
 
 
-def check_fleet(doc, path):
-    require(doc, ["bench", "fleet_scaling"], path)
-    if doc["bench"] != "fleet_federation":
-        fail(f"{path} is not a fleet_federation document")
-    sizes = sorted({r["agents"] for r in doc["fleet_scaling"]})
-    if sizes != [10000, 100000, 1000000]:
-        fail(f"{path} must cover the 10k/100k/1M rungs, got {sizes}")
-    for rung in doc["fleet_scaling"]:
-        require(rung, ["agents", "shards", "round_ms", "agents_per_s",
-                       "all_verified", "metrics_conserved"], f"{path} rung")
-        if not (rung["all_verified"] and rung["metrics_conserved"]):
-            fail(f"{path}: {rung['agents']}-agent rung lost a structural "
-                 "gate (verification or counter conservation)")
-    million = max(doc["fleet_scaling"], key=lambda r: r["agents"])
-    return (f"1M-agent round in {million['round_ms']/1000:.1f}s "
-            f"across {million['shards']} shards")
-
-
 def check_wire(doc, path):
     require(doc, ["bench", "codec_quote_response", "batching_10k",
                   "tcp_federation_100k"], path)
@@ -148,7 +130,6 @@ CHECKS = {
     "BENCH_attestation.json": ("hotpath", check_attestation),
     "BENCH_policy.json": ("policy_bench", check_policy),
     "BENCH_recovery.json": ("recovery_bench", check_recovery),
-    "BENCH_fleet.json": ("fleet_bench", check_fleet),
     "BENCH_wire.json": ("wire_bench", check_wire),
 }
 

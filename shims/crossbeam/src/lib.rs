@@ -1,10 +1,13 @@
 //! Offline subset of `crossbeam`.
 //!
-//! Provides the multi-producer **multi-consumer** [`channel`] the fleet
-//! scheduler's worker pool uses as its shared job queue (std's `mpsc` is
-//! single-consumer, so this is implemented directly over a
-//! `Mutex<VecDeque>` + `Condvar`), plus a [`thread`] module re-exporting
-//! std's scoped threads under crossbeam's names.
+//! Provides the multi-producer **multi-consumer** [`channel`] a wire
+//! shard's server puts around the round engine — poll batches in from
+//! its reader thread, finished rows out to its writer thread
+//! (`cia_keylime::remote::serve_round`); the in-process round itself
+//! uses no channel. Implemented directly over a `Mutex<VecDeque>` +
+//! `Condvar`. Plus a [`thread`] module re-exporting std's scoped
+//! threads under crossbeam's names, which the federation's shard
+//! fan-out runs on.
 //!
 //! With the `lock-sanitizer` feature, both primitives additionally
 //! record **happens-before edges** into the parking_lot shim's
