@@ -1,13 +1,12 @@
-//! Criterion: epoch-shared policy distribution — the tentpole numbers.
+//! Criterion: epoch-shared policy distribution.
 //!
-//! Three claims measured here, all against a 10,000-entry policy:
+//! Three things measured here, all against a 10,000-entry policy:
 //!
-//! 1. `apply_delta` (incremental merge of a ~1% delta) beats a full
-//!    `from_json` parse + index rebuild by ≥5×;
+//! 1. `apply_delta` (a ~1% delta applied in place) against a full
+//!    `from_json` parse of the merged document;
 //! 2. pushing a new epoch to a 1,000-agent shared fleet performs **zero**
-//!    `RuntimePolicy` deep copies and zero full index rebuilds — the push
-//!    is an Arc swap per record plus an O(delta) merge, independent of
-//!    fleet size;
+//!    `RuntimePolicy` deep copies — the push is an Arc swap per record
+//!    plus an O(delta) map edit, independent of fleet size;
 //! 3. the legacy per-agent override push (`update_policy` per id, one
 //!    deep copy each) is the O(fleet × policy) baseline those gates
 //!    retire — measured at 100 agents (its cost is linear in the fleet).
@@ -15,10 +14,9 @@
 //! The fixture delta is idempotent (re-adding present digests and
 //! re-retiring single-digest paths are no-ops), so steady-state pushes
 //! are measured on one persistent store without per-iteration clone or
-//! teardown noise.
-//!
-//! `BENCH_policy.json` at the repo root archives the committed numbers
-//! (regenerate with `cargo run --release -p cia-bench --bin policy_bench`).
+//! teardown noise. Committed numbers for the same operations come from
+//! the end-to-end benchmark (`policy.apply_delta_us_per_entry`,
+//! `store.publish_delta_ms`, `policy_push_ms_p50`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -31,15 +29,13 @@ const DELTA_TOUCHES: usize = 100;
 const FLEET: usize = 1_000;
 const OVERRIDE_FLEET: usize = 100;
 
-/// A 10k-entry policy with a warm index, plus an idempotent delta
-/// touching ~1% of it.
+/// A 10k-entry policy plus an idempotent delta touching ~1% of it.
 fn fixture() -> (RuntimePolicy, PolicyDelta) {
     let mut policy = RuntimePolicy::new();
     for i in 0..POLICY_ENTRIES {
         policy.allow(format!("/usr/bin/tool-{i:05}"), format!("{i:064x}"));
     }
     policy.exclude("/tmp");
-    policy.warm_index();
 
     let mut delta = PolicyDelta::default();
     for i in 0..DELTA_TOUCHES {
@@ -67,15 +63,10 @@ fn bench_apply_delta_vs_rebuild(c: &mut Criterion) {
         b.iter(|| live.apply_delta(black_box(&delta)));
     });
 
-    // The pre-store distribution cost: re-parse the merged document and
-    // rebuild its index from scratch.
+    // The pre-store distribution cost: re-parse the merged document.
     let json = live.to_json();
-    group.bench_function("from_json_rebuild", |b| {
-        b.iter(|| {
-            let p = RuntimePolicy::from_json(black_box(&json)).unwrap();
-            p.warm_index();
-            p
-        });
+    group.bench_function("from_json", |b| {
+        b.iter(|| RuntimePolicy::from_json(black_box(&json)).unwrap());
     });
     group.finish();
 }
@@ -97,20 +88,13 @@ fn bench_fleet_push(c: &mut Criterion) {
     group.bench_function("shared_store_delta_1000", |b| {
         b.iter(|| {
             let clones_before = RuntimePolicy::deep_clone_count();
-            let builds_before = RuntimePolicy::index_build_count();
             let pushed = verifier.publish_delta(black_box(&delta));
-            // The tentpole gates, enforced on every iteration: a
-            // steady-state fleet push deep-copies nothing and merges the
-            // index incrementally (zero full rebuilds).
+            // The zero-copy gate, enforced on every iteration: a
+            // steady-state fleet push deep-copies nothing.
             assert_eq!(
                 RuntimePolicy::deep_clone_count() - clones_before,
                 0,
                 "fleet push must not deep-copy the policy"
-            );
-            assert_eq!(
-                RuntimePolicy::index_build_count() - builds_before,
-                0,
-                "fleet push must merge the index, never rebuild it"
             );
             pushed
         });

@@ -1,10 +1,9 @@
 //! Criterion: the policy-check hot path.
 //!
-//! Times the binary digest index (`check_digest`) against the legacy
-//! hex-string check on allowed, excluded and not-in-policy probes, and —
-//! via a counting global allocator — *proves* the zero-copy claim: after
-//! the index is warm, the allowed and excluded fast paths perform zero
-//! heap allocations per check.
+//! Times `check_digest` on allowed, excluded and not-in-policy probes,
+//! and — via a counting global allocator — *proves* the zero-copy claim:
+//! the allowed, excluded and not-in-policy outcomes perform zero heap
+//! allocations per check (the digest is rendered to hex on the stack).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +51,6 @@ struct Fixture {
     policy: RuntimePolicy,
     allowed_path: String,
     allowed_digest: Digest,
-    allowed_hex: String,
     excluded_path: String,
     unknown_path: String,
 }
@@ -72,25 +70,17 @@ fn fixture() -> Fixture {
     policy.exclude("/var/log");
     policy.exclude("/run");
     let allowed_digest = allowed_digest.unwrap();
-    let fx = Fixture {
+    Fixture {
         policy,
         allowed_path: format!("/usr/bin/tool-{:05}", ENTRIES / 2),
-        allowed_hex: allowed_digest.to_hex(),
         allowed_digest,
         excluded_path: "/tmp/scratch/build-output.o".to_string(),
         unknown_path: "/usr/bin/never-seen".to_string(),
-    };
-    // Warm the derived index so the checks below measure (and count
-    // allocations on) the steady state, not the one-time build.
-    assert_eq!(
-        fx.policy.check_digest(&fx.allowed_path, &fx.allowed_digest),
-        PolicyCheck::Allowed
-    );
-    fx
+    }
 }
 
-/// The acceptance gate: zero heap allocations per check on the allowed
-/// and excluded fast paths once the index is warm.
+/// The acceptance gate: zero heap allocations per check on the allowed,
+/// excluded and not-in-policy outcomes.
 fn assert_zero_alloc_fast_paths(fx: &Fixture) {
     let before = allocations();
     for _ in 0..CHECKS {
@@ -127,7 +117,7 @@ fn bench_check_digest(c: &mut Criterion) {
     let fx = fixture();
     assert_zero_alloc_fast_paths(&fx);
 
-    let mut group = c.benchmark_group("policy_check/indexed");
+    let mut group = c.benchmark_group("policy_check/check_digest");
     group.throughput(Throughput::Elements(1));
     group.bench_function("allowed", |b| {
         b.iter(|| {
@@ -150,30 +140,5 @@ fn bench_check_digest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_legacy_check(c: &mut Criterion) {
-    let fx = fixture();
-    let mut group = c.benchmark_group("policy_check/legacy");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("allowed", |b| {
-        b.iter(|| {
-            fx.policy
-                .check(black_box(&fx.allowed_path), &fx.allowed_hex)
-        })
-    });
-    group.bench_function("excluded", |b| {
-        b.iter(|| {
-            fx.policy
-                .check(black_box(&fx.excluded_path), &fx.allowed_hex)
-        })
-    });
-    group.bench_function("not_in_policy", |b| {
-        b.iter(|| {
-            fx.policy
-                .check(black_box(&fx.unknown_path), &fx.allowed_hex)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_check_digest, bench_legacy_check);
+criterion_group!(benches, bench_check_digest);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! containing struct.
 //!
 //! The attestation hot path memoizes expensive derived values (template
-//! hashes, policy indexes) directly inside the structs they belong to.
+//! hashes, policy size totals) directly inside the structs they belong to.
 //! Those caches must never travel on the wire — a peer-supplied cache
 //! would be an integrity hole, and the wire format should not change
 //! shape with cache state — so `Derived<T>` serializes to `null` and

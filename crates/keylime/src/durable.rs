@@ -453,7 +453,7 @@ impl VerifierJournal {
                     reason: e.to_string(),
                 }
             })?);
-            verifier.restore_store(Arc::clone(&policy), epoch_at(base.epoch));
+            verifier.restore_store(Arc::clone(&policy), PolicyEpoch::from_raw(base.epoch));
             epoch_policies.insert(base.epoch, policy);
         }
         for (key, bytes) in log.scan_prefix(PREFIX_PUB.as_bytes())? {
@@ -532,7 +532,7 @@ impl VerifierJournal {
                     let epoch = if enrol.shared {
                         current.epoch
                     } else {
-                        epoch_at(enrol.epoch)
+                        PolicyEpoch::from_raw(enrol.epoch)
                     };
                     (AgentStateSnapshot::fresh(epoch, enrol.shared), None)
                 }
@@ -586,16 +586,6 @@ impl VerifierJournal {
             storage_report,
         })
     }
-}
-
-/// `PolicyEpoch` has no public raw constructor (epochs are minted by
-/// the store); recovery rebuilds one by stepping from zero.
-fn epoch_at(raw: u64) -> PolicyEpoch {
-    let mut epoch = PolicyEpoch::ZERO;
-    while epoch.as_u64() < raw {
-        epoch = epoch.next();
-    }
-    epoch
 }
 
 #[cfg(test)]

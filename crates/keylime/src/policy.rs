@@ -11,9 +11,13 @@
 //! so that a machine mid-upgrade stays in policy (§III-C "Handling
 //! Policy-File Consistency During Update"); after the update, outdated
 //! digests are dropped ([`RuntimePolicy::dedup_retain`]).
+//!
+//! The `path → {hex digest}` map is the policy's only representation:
+//! [`RuntimePolicy::check_digest`] answers from it (the measured digest
+//! is rendered to hex on the stack) and [`RuntimePolicy::apply_delta`]
+//! edits it in place, so a daily delta costs O(delta), not O(policy).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cia_crypto::{hex, Derived, Digest};
@@ -25,11 +29,6 @@ use crate::error::KeylimeError;
 /// delta-push benchmark gates fleet distribution on this staying flat
 /// (analogous to the zero-alloc gate on the appraisal hot path).
 static POLICY_DEEP_CLONES: AtomicU64 = AtomicU64::new(0);
-
-/// Full [`PolicyIndex`] builds since process start. A shared-store fleet
-/// builds the index at most once per published epoch, no matter how many
-/// agents appraise against it.
-static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Policy document metadata.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,10 +148,6 @@ pub struct RuntimePolicy {
     excludes: Vec<String>,
     /// Document metadata.
     pub meta: PolicyMeta,
-    /// Lazily built binary lookup structure over `digests`/`excludes`
-    /// (see [`PolicyIndex`]). Invalidated by every mutator; never on the
-    /// wire and never part of equality.
-    index: Derived<PolicyIndex>,
     /// Cached `(line, byte)` totals; maintained incrementally by
     /// [`RuntimePolicy::allow`]/[`RuntimePolicy::remove_path`]/
     /// [`RuntimePolicy::dedup_retain`] once first computed.
@@ -169,7 +164,6 @@ impl Clone for RuntimePolicy {
             digests: self.digests.clone(),
             excludes: self.excludes.clone(),
             meta: self.meta.clone(),
-            index: self.index.clone(),
             totals: self.totals.clone(),
         }
     }
@@ -189,277 +183,10 @@ fn line_bytes(path: &str) -> u64 {
     path.len() as u64 + 64 + 2 + 1
 }
 
-/// A policy digest decoded to raw bytes. Only canonical entries —
-/// lowercase, even-length hex of at most 64 characters — are
-/// representable; anything else can never equal the lowercase rendering
-/// a measured [`Digest`] produces, so such entries are simply absent
-/// from the binary index (the hex document remains authoritative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct RawDigest {
-    len: u8,
-    data: [u8; 32],
-}
-
-impl RawDigest {
-    /// Decodes a canonical policy digest; `None` when the entry is not
-    /// canonical lowercase hex (and therefore unmatchable).
-    fn parse(digest_hex: &str) -> Option<RawDigest> {
-        if digest_hex.len() > 64
-            || digest_hex
-                .bytes()
-                .any(|b| !matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        {
-            return None;
-        }
-        let mut data = [0u8; 32];
-        let len = hex::decode_to_slice(digest_hex, &mut data).ok()?;
-        Some(RawDigest {
-            len: len as u8,
-            data,
-        })
-    }
-
-    /// The raw form a measured digest compares as.
-    fn of(digest: &Digest) -> RawDigest {
-        let bytes = digest.as_bytes();
-        let mut data = [0u8; 32];
-        data[..bytes.len()].copy_from_slice(bytes);
-        RawDigest {
-            len: bytes.len() as u8,
-            data,
-        }
-    }
-}
-
-/// The binary lookup structure behind the allocation-free
-/// [`RuntimePolicy::check_digest`] hot path:
-///
-/// - an interned, sorted path table (`paths`) with a flat digest arena
-///   (`raw`, spans delimited by `starts`) holding each path's allowed
-///   digests as sorted raw bytes — hex is parsed once, at index build;
-/// - the exclude prefixes sorted for binary-search
-///   [`PolicyIndex::is_excluded`] (the serialized `excludes` Vec keeps
-///   its operator-facing insertion order).
-///
-/// Rebuilt lazily after any mutation or deserialization; lookups are two
-/// binary searches and zero heap allocations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct PolicyIndex {
-    paths: Vec<Box<str>>,
-    starts: Vec<u32>,
-    raw: Vec<RawDigest>,
-    excludes: Vec<Box<str>>,
-}
-
-impl PolicyIndex {
-    fn build(digests: &BTreeMap<String, BTreeSet<String>>, excludes: &[String]) -> PolicyIndex {
-        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut index = PolicyIndex {
-            paths: Vec::with_capacity(digests.len()),
-            starts: Vec::with_capacity(digests.len() + 1),
-            raw: Vec::new(),
-            excludes: excludes.iter().map(|e| e.as_str().into()).collect(),
-        };
-        index.excludes.sort_unstable();
-        for (path, set) in digests {
-            index.paths.push(path.as_str().into());
-            index.starts.push(index.raw.len() as u32);
-            let span_start = index.raw.len();
-            index
-                .raw
-                .extend(set.iter().filter_map(|d| RawDigest::parse(d)));
-            index.raw[span_start..].sort_unstable();
-        }
-        index.starts.push(index.raw.len() as u32);
-        index
-    }
-
-    /// Position of `path` in the interned table.
-    fn find_path(&self, path: &str) -> Option<usize> {
-        self.paths.binary_search_by(|p| p.as_ref().cmp(path)).ok()
-    }
-
-    /// Whether the digest span for path slot `i` contains `probe`.
-    fn contains(&self, i: usize, probe: &RawDigest) -> bool {
-        let span = &self.raw[self.starts[i] as usize..self.starts[i + 1] as usize];
-        span.binary_search(probe).is_ok()
-    }
-
-    /// Binary-search exclusion: probes every `/`-boundary ancestor of
-    /// `path` (plus `path` itself) against the sorted prefix table,
-    /// preserving the boundary semantics of the linear scan (`/tmp`
-    /// excludes `/tmp` and `/tmp/a`, never `/tmpfile`).
-    fn is_excluded(&self, path: &str) -> bool {
-        if self.excludes.is_empty() {
-            return false;
-        }
-        let bytes = path.as_bytes();
-        for end in 0..=bytes.len() {
-            if end < bytes.len() && bytes[end] != b'/' {
-                continue;
-            }
-            let prefix = &path[..end];
-            if self
-                .excludes
-                .binary_search_by(|e| e.as_ref().cmp(prefix))
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Appends one path with an already-sorted, deduplicated digest span.
-    fn push_span(&mut self, path: Box<str>, span: &[RawDigest]) {
-        self.paths.push(path);
-        self.starts.push(self.raw.len() as u32);
-        self.raw.extend_from_slice(span);
-    }
-
-    /// Appends `path` with its span re-parsed from the authoritative
-    /// post-delta map — the fallback for retired paths, whose final digest
-    /// set (usually a single canonical entry) is cheapest to read back.
-    /// Skips the path when it is absent from the map.
-    fn push_from_map(
-        &mut self,
-        path: Box<str>,
-        digests: &BTreeMap<String, BTreeSet<String>>,
-        scratch: &mut Vec<RawDigest>,
-    ) {
-        let Some(set) = digests.get(path.as_ref()) else {
-            return;
-        };
-        scratch.clear();
-        scratch.extend(set.iter().filter_map(|d| RawDigest::parse(d)));
-        scratch.sort_unstable();
-        self.paths.push(path);
-        self.starts.push(self.raw.len() as u32);
-        self.raw.append(scratch);
-    }
-
-    /// Sorted-merge of a built index with a [`PolicyDelta`]: interned
-    /// paths move over without re-interning, untouched digest spans copy
-    /// over without re-parsing hex, and only the delta's own entries (plus
-    /// the final sets of retired paths) are parsed. `digests` is the map
-    /// *after* the delta was applied — the authority the merged index must
-    /// agree with.
-    fn merge_delta(
-        old: PolicyIndex,
-        delta: &PolicyDelta,
-        digests: &BTreeMap<String, BTreeSet<String>>,
-    ) -> PolicyIndex {
-        let PolicyIndex {
-            paths: old_paths,
-            starts: old_starts,
-            raw: old_raw,
-            excludes,
-        } = old;
-
-        // Group the delta's additions by path (sorted, for the merge) and
-        // parse only these new digests. Paths whose added entries are all
-        // non-canonical still get a slot, exactly as in a full build.
-        let mut added: BTreeMap<&str, Vec<RawDigest>> = BTreeMap::new();
-        for (path, digest) in &delta.added {
-            let span = added.entry(path.as_str()).or_default();
-            span.extend(RawDigest::parse(digest));
-        }
-        let removed: BTreeSet<&str> = delta.removed_paths.iter().map(String::as_str).collect();
-        let retired: BTreeSet<&str> = delta.retired.iter().map(|(p, _)| p.as_str()).collect();
-
-        let mut merged = PolicyIndex {
-            paths: Vec::with_capacity(old_paths.len() + added.len()),
-            starts: Vec::with_capacity(old_paths.len() + added.len() + 1),
-            raw: Vec::with_capacity(old_raw.len() + delta.added.len()),
-            excludes,
-        };
-        let mut scratch: Vec<RawDigest> = Vec::new();
-        let mut union: Vec<RawDigest> = Vec::new();
-
-        let mut emit_new = |merged: &mut PolicyIndex, path: &str, mut span: Vec<RawDigest>| {
-            if retired.contains(path) {
-                merged.push_from_map(path.into(), digests, &mut scratch);
-            } else {
-                span.sort_unstable();
-                span.dedup();
-                merged.push_span(path.into(), &span);
-            }
-        };
-
-        let mut added_iter = added.into_iter().peekable();
-        let mut retired_scratch: Vec<RawDigest> = Vec::new();
-        for (i, path) in old_paths.into_iter().enumerate() {
-            // Brand-new paths that sort before this existing one.
-            while let Some((apath, span)) = added_iter.next_if(|(apath, _)| *apath < path.as_ref())
-            {
-                emit_new(&mut merged, apath, span);
-            }
-            let old_span = &old_raw[old_starts[i] as usize..old_starts[i + 1] as usize];
-            if let Some((_, mut span)) = added_iter.next_if(|(apath, _)| *apath == path.as_ref()) {
-                if retired.contains(path.as_ref()) {
-                    merged.push_from_map(path, digests, &mut retired_scratch);
-                } else if removed.contains(path.as_ref()) {
-                    // Removed then re-added: only the delta's digests
-                    // survive (removals apply before additions).
-                    span.sort_unstable();
-                    span.dedup();
-                    merged.push_span(path, &span);
-                } else {
-                    // Union of the untouched old span and the additions.
-                    span.sort_unstable();
-                    span.dedup();
-                    union.clear();
-                    union.reserve(old_span.len() + span.len());
-                    let (mut a, mut b) = (old_span.iter().peekable(), span.iter().peekable());
-                    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
-                        match x.cmp(&y) {
-                            std::cmp::Ordering::Less => {
-                                union.push(x);
-                                a.next();
-                            }
-                            std::cmp::Ordering::Greater => {
-                                union.push(y);
-                                b.next();
-                            }
-                            std::cmp::Ordering::Equal => {
-                                union.push(x);
-                                a.next();
-                                b.next();
-                            }
-                        }
-                    }
-                    union.extend(a.copied());
-                    union.extend(b.copied());
-                    let span_ref: &[RawDigest] = &union;
-                    merged.push_span(path, span_ref);
-                }
-            } else if removed.contains(path.as_ref()) {
-                // Dropped entirely; nothing re-added it.
-            } else if retired.contains(path.as_ref()) {
-                merged.push_from_map(path, digests, &mut retired_scratch);
-            } else {
-                merged.push_span(path, old_span);
-            }
-        }
-        for (apath, span) in added_iter {
-            emit_new(&mut merged, apath, span);
-        }
-        merged.starts.push(merged.raw.len() as u32);
-        merged
-    }
-}
-
 impl RuntimePolicy {
     /// An empty policy (everything unexpected will alert).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The binary lookup index, built on first use after any mutation or
-    /// deserialization.
-    fn index(&self) -> &PolicyIndex {
-        self.index
-            .get_or_init(|| PolicyIndex::build(&self.digests, &self.excludes))
     }
 
     /// The cached size totals, computed by full traversal once and then
@@ -481,7 +208,6 @@ impl RuntimePolicy {
         let path = path.into();
         let added_bytes = line_bytes(&path);
         if self.digests.entry(path).or_default().insert(digest.into()) {
-            self.index.clear();
             if let Some(t) = self.totals.get_mut() {
                 t.lines += 1;
                 t.bytes += added_bytes;
@@ -495,7 +221,6 @@ impl RuntimePolicy {
         let prefix = prefix.into();
         if !self.excludes.contains(&prefix) {
             self.excludes.push(prefix);
-            self.index.clear();
         }
     }
 
@@ -509,56 +234,55 @@ impl RuntimePolicy {
     pub fn remove_exclude(&mut self, prefix: &str) -> bool {
         let before = self.excludes.len();
         self.excludes.retain(|e| e != prefix);
-        let removed = self.excludes.len() != before;
-        if removed {
-            self.index.clear();
-        }
-        removed
+        self.excludes.len() != before
     }
 
-    /// True when `path` is covered by an exclude prefix.
+    /// True when `path` is covered by an exclude prefix: `e` covers
+    /// `path` iff `path == e` or `path` continues with `/` right after
+    /// `e` (`/tmp` covers `/tmp` and `/tmp/a`, never `/tmpfile`). A scan —
+    /// policies carry a handful of prefixes.
     pub fn is_excluded(&self, path: &str) -> bool {
-        self.index().is_excluded(path)
+        self.excludes.iter().any(|e| {
+            path.strip_prefix(e.as_str())
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+        })
     }
 
     /// Checks one measured `(path, digest)` pair given as hex text.
-    ///
-    /// Kept for callers holding rendered digests; the verifier's hot
-    /// path uses the allocation-free [`RuntimePolicy::check_digest`],
-    /// which agrees with this method on every canonical digest (a
-    /// property test pins the equivalence).
+    /// Zero heap allocations on the `Allowed`/`Excluded`/`NotInPolicy`
+    /// outcomes; `HashMismatch` allocates its diagnostic `expected` list
+    /// — that is the alert path, not the steady state.
     pub fn check(&self, path: &str, digest_hex: &str) -> PolicyCheck {
         if self.is_excluded(path) {
             return PolicyCheck::Excluded;
         }
+        self.lookup(path, digest_hex)
+    }
+
+    /// [`RuntimePolicy::check`] for a measured [`Digest`] — the
+    /// verifier's hot path. The digest is rendered to lowercase hex in a
+    /// stack buffer (no `String`), so a policy entry matches exactly when
+    /// it is that rendering: upper-case, odd-length and non-hex entries
+    /// never do. Exclusion is tested first so a skipped path costs no
+    /// rendering.
+    pub fn check_digest(&self, path: &str, digest: &Digest) -> PolicyCheck {
+        if self.is_excluded(path) {
+            return PolicyCheck::Excluded;
+        }
+        // A digest is at most 32 bytes, and hex digits are ASCII: the
+        // buffer always fits and the rendering is always valid UTF-8.
+        let mut buf = [0u8; 64];
+        let len = hex::encode_to_slice(digest.as_bytes(), &mut buf);
+        self.lookup(path, std::str::from_utf8(&buf[..len]).unwrap_or_default())
+    }
+
+    /// The one map lookup behind both checks, for a path already known
+    /// not to be excluded.
+    fn lookup(&self, path: &str, digest_hex: &str) -> PolicyCheck {
         match self.digests.get(path) {
             Some(allowed) if allowed.contains(digest_hex) => PolicyCheck::Allowed,
             Some(allowed) => PolicyCheck::HashMismatch {
                 expected: allowed.iter().cloned().collect(),
-            },
-            None => PolicyCheck::NotInPolicy,
-        }
-    }
-
-    /// Checks one measured `(path, digest)` pair against the binary
-    /// index: two binary searches over interned paths and raw digest
-    /// spans, zero heap allocations on the `Allowed`/`Excluded`/
-    /// `NotInPolicy` outcomes (hex was parsed once, at index build).
-    /// `HashMismatch` allocates its diagnostic `expected` list — that is
-    /// the alert path, not the steady state.
-    pub fn check_digest(&self, path: &str, digest: &Digest) -> PolicyCheck {
-        let index = self.index();
-        if index.is_excluded(path) {
-            return PolicyCheck::Excluded;
-        }
-        match index.find_path(path) {
-            Some(slot) if index.contains(slot, &RawDigest::of(digest)) => PolicyCheck::Allowed,
-            Some(_) => PolicyCheck::HashMismatch {
-                expected: self
-                    .digests
-                    .get(path)
-                    .map(|allowed| allowed.iter().cloned().collect())
-                    .unwrap_or_default(),
             },
             None => PolicyCheck::NotInPolicy,
         }
@@ -602,7 +326,6 @@ impl RuntimePolicy {
                 set.retain(|d| d == keep);
                 let removed = (before - set.len()) as u64;
                 if removed > 0 {
-                    self.index.clear();
                     if let Some(t) = self.totals.get_mut() {
                         t.lines -= removed;
                         t.bytes -= removed * line_bytes(path);
@@ -616,7 +339,6 @@ impl RuntimePolicy {
     pub fn remove_path(&mut self, path: &str) -> bool {
         match self.digests.remove(path) {
             Some(set) => {
-                self.index.clear();
                 if let Some(t) = self.totals.get_mut() {
                     t.lines -= set.len() as u64;
                     t.bytes -= set.len() as u64 * line_bytes(path);
@@ -678,17 +400,9 @@ impl RuntimePolicy {
 
     /// Applies one generator-emitted delta in order — removals, then
     /// additions, then retirements — and adopts the delta's metadata.
-    /// Returns the number of entry operations applied.
-    ///
-    /// When the binary index is already built, it is *merged* rather than
-    /// rebuilt: interned paths and parsed digest spans for untouched
-    /// entries carry over, and only the delta's own entries are parsed
-    /// ([`PolicyIndex::merge_delta`]) — O(policy + delta) pointer moves
-    /// instead of O(policy) hex parsing and interning. A property test
-    /// pins this equal to rebuilding from the merged JSON document.
+    /// Returns the number of entry operations applied. In place,
+    /// O(delta · log policy): nothing is laid out again.
     pub fn apply_delta(&mut self, delta: &PolicyDelta) -> usize {
-        let old_index = self.index.get_mut().map(mem::take);
-        self.index.clear();
         for path in &delta.removed_paths {
             self.remove_path(path);
         }
@@ -699,39 +413,13 @@ impl RuntimePolicy {
             self.dedup_retain(path, keep);
         }
         self.meta = delta.meta.clone();
-        if let Some(old) = old_index {
-            self.index
-                .prime(PolicyIndex::merge_delta(old, delta, &self.digests));
-        }
         delta.len()
-    }
-
-    /// Forces the binary index to exist now (it otherwise builds lazily on
-    /// the first appraisal). The policy store warms each published
-    /// snapshot so the per-epoch build cost is paid at publish time, once,
-    /// rather than by the first agent to appraise.
-    pub fn warm_index(&self) {
-        let _ = self.index();
     }
 
     /// Deep copies of any `RuntimePolicy` since process start (see the
     /// `Clone` impl). Benchmarks gate fleet-wide distribution on this.
     pub fn deep_clone_count() -> u64 {
         POLICY_DEEP_CLONES.load(Ordering::Relaxed)
-    }
-
-    /// Full index builds since process start; delta merges do not count.
-    pub fn index_build_count() -> u64 {
-        INDEX_BUILDS.load(Ordering::Relaxed)
-    }
-
-    /// True when the (possibly merged) binary index is byte-identical to
-    /// one rebuilt from scratch off the authoritative hex document. Test
-    /// support for the delta-merge property tests; forces a build when no
-    /// index exists yet.
-    #[doc(hidden)]
-    pub fn index_is_consistent(&self) -> bool {
-        *self.index() == PolicyIndex::build(&self.digests, &self.excludes)
     }
 }
 
@@ -964,30 +652,27 @@ mod tests {
         // Removing one prefix re-admits only its subtree.
         assert!(p.remove_exclude("/var"));
         assert!(!p.is_excluded("/var/lib/x"));
+        assert!(!p.is_excluded("/var"));
         assert!(p.is_excluded("/var/tmp/x"), "/var/tmp still excluded");
-    }
 
-    #[test]
-    fn index_survives_clone_and_json_roundtrip() {
-        use cia_crypto::HashAlgorithm;
-        let d = HashAlgorithm::Sha256.digest(b"bin");
-        let mut p = RuntimePolicy::new();
-        p.allow("/usr/bin/tool", d.to_hex());
-        p.exclude("/tmp");
-        assert_eq!(p.check_digest("/usr/bin/tool", &d), PolicyCheck::Allowed);
-        let cloned = p.clone();
-        assert_eq!(
-            cloned.check_digest("/usr/bin/tool", &d),
-            PolicyCheck::Allowed
-        );
-        let parsed = RuntimePolicy::from_json(&p.to_json()).unwrap();
-        assert_eq!(parsed, p);
-        assert_eq!(
-            parsed.check_digest("/usr/bin/tool", &d),
-            PolicyCheck::Allowed
-        );
-        assert!(parsed.is_excluded("/tmp/x"));
-        assert_totals_match(&parsed);
+        // A prefix covers a path iff the path equals it or continues with
+        // `/` right after it — one row per edge of that rule.
+        let table: [(&str, &[&str], &[&str]); 4] = [
+            ("/tmp", &["/tmp", "/tmp/a/b"], &["/tmpfile", "/tm", "/"]),
+            ("", &["/", "/usr/bin/ls", ""], &["relative"]),
+            ("/", &["/", "//x"], &["/x", "/tmp", ""]),
+            ("/tmp/", &["/tmp/", "/tmp//x"], &["/tmp/x", "/tmp"]),
+        ];
+        for (prefix, covered, not_covered) in table {
+            let mut p = RuntimePolicy::new();
+            p.exclude(prefix);
+            for path in covered {
+                assert!(p.is_excluded(path), "{prefix:?} must cover {path:?}");
+            }
+            for path in not_covered {
+                assert!(!p.is_excluded(path), "{prefix:?} must not cover {path:?}");
+            }
+        }
     }
 
     #[test]
@@ -1007,25 +692,17 @@ mod tests {
         HashAlgorithm::Sha256.digest(tag.as_bytes()).to_hex()
     }
 
-    /// Applies `delta` two ways — incrementally onto a warm-indexed clone,
-    /// and by mutating a cold copy that rebuilds from scratch — and checks
-    /// both the map-level diff and the index bytes agree.
+    /// Applies `delta` in place and checks the result — cached totals
+    /// included — against the same policy rebuilt from its JSON document.
     fn assert_delta_matches_rebuild(base: &RuntimePolicy, delta: &PolicyDelta) {
         let mut incremental = base.clone();
-        incremental.warm_index();
+        assert_totals_match(&incremental); // warm: the delta must maintain them
         incremental.apply_delta(delta);
-        assert!(
-            incremental.index.get().is_some(),
-            "apply_delta on a warm policy must leave a merged index, not a lazy slot"
-        );
 
-        let mut rebuilt = base.clone();
-        rebuilt.apply_delta(delta);
-        let rebuilt = RuntimePolicy::from_json(&rebuilt.to_json()).unwrap();
-
+        let rebuilt = RuntimePolicy::from_json(&incremental.to_json()).unwrap();
         assert!(incremental.diff(&rebuilt).is_empty());
         assert_eq!(incremental.meta, delta.meta);
-        assert!(incremental.index_is_consistent(), "merged index diverged");
+        assert_totals_match(&incremental);
     }
 
     #[test]
@@ -1061,7 +738,6 @@ mod tests {
         assert_delta_matches_rebuild(&base, &delta);
 
         let mut p = base.clone();
-        p.warm_index();
         p.apply_delta(&delta);
         use cia_crypto::HashAlgorithm;
         let new = HashAlgorithm::Sha256.digest(b"new");
@@ -1093,7 +769,6 @@ mod tests {
         };
         assert_delta_matches_rebuild(&base, &delta);
         let mut p = base.clone();
-        p.warm_index();
         p.apply_delta(&delta);
         let set = p.digests_for("/lib/modules/5.15/x.ko").unwrap();
         assert_eq!(set.len(), 1);
@@ -1104,8 +779,8 @@ mod tests {
     fn apply_delta_handles_noncanonical_and_empty_cases() {
         let mut base = RuntimePolicy::new();
         base.allow("/a", hex_digest("a"));
-        // Non-canonical digests are kept in the document but absent from
-        // the index — same as a full build.
+        // Non-canonical digests are kept in the document; they just never
+        // match a measured digest.
         let delta = PolicyDelta {
             added: vec![
                 ("/junk-only".into(), "NOT-HEX".into()),
@@ -1118,21 +793,6 @@ mod tests {
         let empty = PolicyDelta::default();
         assert!(empty.is_empty());
         assert_delta_matches_rebuild(&base, &empty);
-    }
-
-    #[test]
-    fn apply_delta_on_cold_policy_stays_lazy() {
-        let mut p = RuntimePolicy::new();
-        p.allow("/a", hex_digest("a"));
-        p.apply_delta(&PolicyDelta {
-            added: vec![("/b".into(), hex_digest("b"))],
-            ..PolicyDelta::default()
-        });
-        assert!(
-            p.index.get().is_none(),
-            "no index existed before the delta, so none should exist after"
-        );
-        assert!(p.index_is_consistent());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The epoch-tagged shared policy store.
 //!
 //! Fleet-wide policy distribution used to be O(fleet × policy): every
-//! agent record owned a full [`RuntimePolicy`] clone, each with its own
-//! lazily rebuilt binary index. [`PolicyStore`] holds one
-//! `Arc<RuntimePolicy>` snapshot tagged with a monotonically increasing
-//! [`PolicyEpoch`]; a fleet-wide push is one `Arc` swap per agent and the
-//! digest index is built exactly once per epoch (the store warms it at
-//! publish time). Per-agent *overrides* remain possible for heterogeneous
+//! agent record owned a full [`RuntimePolicy`] clone. [`PolicyStore`]
+//! holds one `Arc<RuntimePolicy>` snapshot tagged with a monotonically
+//! increasing [`PolicyEpoch`]; a fleet-wide push is one `Arc` swap per
+//! agent. Per-agent *overrides* remain possible for heterogeneous
 //! fleets — e.g. the snap-scrubbed subset from §III-B keeps its own
 //! policy and simply opts out of the shared snapshot.
 //!
@@ -19,7 +17,7 @@
 //! spare buffer the next epoch is built into. The spare sits some number
 //! of recorded deltas behind the published snapshot (one per epoch it
 //! missed), so a publish replays the catch-up deltas in order and then
-//! the new one — O(delta) incremental index merges, no copy, no rebuild.
+//! the new one — O(delta) map edits in place, no copy.
 //! Only a cold start (first delta after a full publish) or a straggler
 //! pinning the old snapshot across an epoch falls back to one
 //! copy-on-write clone.
@@ -60,9 +58,9 @@ impl PolicyEpoch {
         PolicyEpoch(self.0 + 1)
     }
 
-    /// Rebuilds an epoch from its raw counter — the wire decoder's
-    /// constructor. Kept crate-private so epochs still cannot be minted
-    /// outside the store/wire machinery.
+    /// Rebuilds an epoch from its raw counter — the constructor of the
+    /// wire decoder and of journal recovery. Kept crate-private so epochs
+    /// still cannot be minted outside the store/wire/journal machinery.
     pub(crate) fn from_raw(raw: u64) -> PolicyEpoch {
         PolicyEpoch(raw)
     }
@@ -123,7 +121,6 @@ impl PolicyStore {
     /// so a restored store is observationally identical to the one that
     /// crashed.
     pub fn restore(snapshot: Arc<RuntimePolicy>, epoch: PolicyEpoch) -> Self {
-        snapshot.warm_index();
         PolicyStore {
             snapshot,
             epoch,
@@ -156,9 +153,7 @@ impl PolicyStore {
         }
     }
 
-    /// Publishes a full replacement policy as a new epoch, warming its
-    /// binary index so the per-epoch build happens here, once, instead of
-    /// on the first appraisal.
+    /// Publishes a full replacement policy as a new epoch.
     pub fn publish(&mut self, policy: RuntimePolicy) -> PolicyEpoch {
         self.publish_arc(Arc::new(policy))
     }
@@ -167,7 +162,6 @@ impl PolicyStore {
     /// policy copy at all. A full replacement invalidates the spare
     /// buffer (its catch-up delta no longer composes to the new content).
     pub fn publish_arc(&mut self, policy: Arc<RuntimePolicy>) -> PolicyEpoch {
-        policy.warm_index();
         self.snapshot = policy;
         self.epoch = self.epoch.next();
         self.retiring = None;
@@ -179,10 +173,9 @@ impl PolicyStore {
     ///
     /// Steady state (spare buffer available): replay the spare's recorded
     /// catch-up deltas plus `delta` into the owned buffer and swap the
-    /// published `Arc` — **zero** policy deep copies, incremental index
-    /// merges only, no rebuild. Cold start or straggler-pinned: one
-    /// copy-on-write clone. Returns the new epoch and the number of entry
-    /// operations applied.
+    /// published `Arc` — **zero** policy deep copies. Cold start or
+    /// straggler-pinned: one copy-on-write clone. Returns the new epoch
+    /// and the number of entry operations applied.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
         self.reclaim();
         let applied;
@@ -209,10 +202,6 @@ impl PolicyStore {
             applied = Arc::make_mut(&mut self.snapshot).apply_delta(delta);
             self.retiring = Some((old, vec![delta.clone()]));
         }
-        // Keep the publish-time guarantee that the snapshot's index is
-        // ready before any appraisal: a no-op when the incremental merge
-        // already primed it.
-        self.snapshot.warm_index();
         self.epoch = self.epoch.next();
         (self.epoch, applied)
     }
@@ -493,9 +482,6 @@ mod tests {
         drop(fleet);
         assert_eq!(store.policy().path_count(), 4);
         assert_eq!(store.epoch().as_u64(), 4);
-
-        // The merged index agrees with a from-scratch build every time.
-        assert!(store.policy().index_is_consistent());
     }
 
     /// Regression (review finding): an in-place publish while a straggler
@@ -517,7 +503,6 @@ mod tests {
         for p in ["/a", "/b", "/c", "/d"] {
             assert!(store.policy().digests_for(p).is_some(), "{p} missing");
         }
-        assert!(store.policy().index_is_consistent());
     }
 
     /// Same shape, but the in-place delta *revokes* a path: the replayed
@@ -539,7 +524,6 @@ mod tests {
             "revoked path resurrected by a stale catch-up lag"
         );
         assert_eq!(store.policy().path_count(), 3);
-        assert!(store.policy().index_is_consistent());
     }
 
     /// A straggler pinning the retired snapshot across an epoch degrades
@@ -554,7 +538,6 @@ mod tests {
         store.publish_delta(&delta_adding("/d"));
         assert_eq!(straggler.path_count(), 1, "straggler view frozen");
         assert_eq!(store.policy().path_count(), 4);
-        assert!(store.policy().index_is_consistent());
     }
 }
 

@@ -422,13 +422,23 @@ impl<T: Transport> Cluster<T> {
 
     /// Journals one agent's enrolment constants and current state — the
     /// write point for enrolments, durability enablement, and per-agent
-    /// override pushes. The ack is written under the last *committed*
-    /// round, so it never masquerades as progress of an in-flight one.
+    /// override pushes.
     fn journal_agent_snapshot(&mut self, id: &AgentId) -> Result<(), StorageError> {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.record_enrolment(&self.verifier, id)?;
+        }
+        self.journal_agent_ack(id)
+    }
+
+    /// Journals one agent's current state outside any round — the write
+    /// point for everything that moves a record sequentially
+    /// ([`Cluster::attest`], [`Cluster::resolve`]). The ack is written
+    /// under the last *committed* round, so it never masquerades as
+    /// progress of an in-flight one.
+    fn journal_agent_ack(&mut self, id: &AgentId) -> Result<(), StorageError> {
         let (Some(journal), Ok(record)) = (self.journal.as_mut(), self.verifier.record(id)) else {
             return Ok(());
         };
-        journal.record_enrolment(&self.verifier, id)?;
         // A synthetic ack carries the agent's current mutable state; its
         // result row is filler (round 0 / last-committed acks are never
         // part of a resume plan).
@@ -547,12 +557,12 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// Publishes a generator delta fleet-wide as a new epoch: the store's
-    /// snapshot is updated copy-on-write, its digest index merged
-    /// incrementally, and every shared agent's handle swapped — total
-    /// cost is O(delta), independent of fleet size. Records the push
-    /// (duration and entry count) in the scheduler's metrics; when the
-    /// transport advertises delta support the wire cost metered is the
-    /// serialized delta, otherwise the full policy document.
+    /// snapshot is updated copy-on-write and every shared agent's handle
+    /// swapped — total cost is O(delta), independent of fleet size.
+    /// Records the push (duration and entry count) in the scheduler's
+    /// metrics; when the transport advertises delta support the wire
+    /// cost metered is the serialized delta, otherwise the full policy
+    /// document.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
         // lint:allow(determinism): push-duration metering only — feeds
         // SchedulerMetrics::record_policy_push, never control flow.
@@ -631,7 +641,11 @@ impl<T: Transport> Cluster<T> {
             .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })?;
         let agent = &mut self.agents[idx];
         let day = agent.day();
-        let outcome = self.verifier.attest(&mut self.transport, agent, day)?;
+        let outcome = self.verifier.attest(&mut self.transport, agent, day);
+        // Journaled before the error is looked at: a call the transport
+        // dropped has still spent a nonce.
+        self.journal_agent_ack(id).expect("journal sequential ack");
+        let outcome = outcome?;
         let (audit_outcome, alerts): (_, &[Alert]) = match &outcome {
             AttestationOutcome::Verified { .. } => (AuditOutcome::Verified, &[]),
             AttestationOutcome::Failed { alerts } => (AuditOutcome::Failed, alerts),
@@ -737,8 +751,11 @@ impl<T: Transport> Cluster<T> {
             .iter()
             .position(|a| a.id() == id)
             .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })?;
-        self.verifier
-            .resolve_by_skipping(&mut self.transport, &mut self.agents[idx])
+        let resolved = self
+            .verifier
+            .resolve_by_skipping(&mut self.transport, &mut self.agents[idx]);
+        self.journal_agent_ack(id).expect("journal sequential ack");
+        resolved
     }
 
     /// Status shortcut.

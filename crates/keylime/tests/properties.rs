@@ -95,9 +95,9 @@ proptest! {
         prop_assert!(set.contains(&keep));
     }
 
-    /// The zero-copy digest check agrees with the legacy hex-string
-    /// check on arbitrary policies, probes and exclude prefixes — the
-    /// binary index is an optimization, never a semantic change.
+    /// The typed digest check agrees with the hex-string check on
+    /// arbitrary policies, probes and exclude prefixes — rendering the
+    /// digest on the stack is never a semantic change.
     #[test]
     fn check_digest_agrees_with_legacy_check(
         entries in proptest::collection::vec((path(), digest_hex()), 0..20),
@@ -146,16 +146,16 @@ proptest! {
 // --- Delta application ---------------------------------------------------
 
 /// A small pool of paths/digests so random deltas actually collide with
-/// prior policy state (forcing every merge case: re-add after removal,
-/// retire, sorted-union merges, brand-new tails).
+/// prior policy state (re-add after removal, retire, additions to an
+/// existing path, brand-new paths).
 fn pool_path() -> impl Strategy<Value = String> {
     (0u8..8).prop_map(|i| format!("/bin/p{i}"))
 }
 
 fn pool_digest() -> impl Strategy<Value = String> {
     // Mostly canonical digests from a 6-value pool; roughly one in seven
-    // is non-canonical — those keep their policy slot but never enter
-    // the binary index's raw span (HashMismatch, not NotInPolicy).
+    // is non-canonical — those keep their policy slot but can never
+    // match a measured digest (HashMismatch, not NotInPolicy).
     (0u8..7).prop_map(|i| {
         if i < 6 {
             format!("{i:064x}")
@@ -182,10 +182,10 @@ fn arb_delta() -> impl Strategy<Value = PolicyDelta> {
 }
 
 proptest! {
-    /// Incremental delta application (with the sorted index merge) is
-    /// indistinguishable from rebuilding the policy from the merged JSON:
-    /// structurally (`PolicyDiff` empty), bit-for-bit (JSON), and at the
-    /// index level, for arbitrary delta sequences over a warm policy.
+    /// Incremental delta application is indistinguishable from
+    /// rebuilding the policy from the merged JSON: structurally
+    /// (`PolicyDiff` empty) and bit-for-bit (JSON), for arbitrary delta
+    /// sequences.
     #[test]
     fn apply_delta_equals_rebuild_from_merged_json(
         base in proptest::collection::vec((pool_path(), pool_digest()), 0..10),
@@ -195,7 +195,6 @@ proptest! {
         for (p, d) in &base {
             incremental.allow(p.clone(), d.clone());
         }
-        incremental.warm_index();
         let mut reference = RuntimePolicy::from_json(&incremental.to_json()).unwrap();
 
         for (i, delta) in deltas.iter().enumerate() {
@@ -204,7 +203,7 @@ proptest! {
             incremental.apply_delta(&delta);
 
             // Reference path: same mutations, then a full JSON round-trip
-            // so its index is rebuilt from scratch, never merged.
+            // so nothing but the document carries over.
             for path in &delta.removed_paths {
                 reference.remove_path(path);
             }
@@ -222,10 +221,6 @@ proptest! {
                 "delta {i} diverged: {:?}", incremental.diff(&reference)
             );
             prop_assert_eq!(incremental.to_json(), reference.to_json());
-            prop_assert!(
-                incremental.index_is_consistent(),
-                "merged index diverged from a fresh build after delta {i}"
-            );
         }
     }
 }

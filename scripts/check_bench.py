@@ -46,23 +46,6 @@ def check_attestation(doc, path):
             f"({doc['speedup_best']}x over pre-PR)")
 
 
-def check_policy(doc, path):
-    require(doc, ["bench", "policy_entries", "delta_entries", "fleet",
-                  "apply_delta", "from_json_rebuild",
-                  "apply_delta_speedup_best", "fleet_push",
-                  "zero_copy_gate", "hash_worker_sweep"], path)
-    if doc["bench"] != "policy_distribution":
-        fail(f"{path} is not a policy_distribution document")
-    if doc["apply_delta_speedup_best"] < 5.0:
-        fail(f"{path}: apply_delta speedup "
-             f"{doc['apply_delta_speedup_best']}x fell under the 5x gate")
-    gate = doc["zero_copy_gate"]
-    if gate["policy_deep_clones"] != 0 or gate["index_full_rebuilds"] != 0:
-        fail(f"{path}: fleet pushes were not zero-copy / rebuild-free")
-    return (f"apply_delta {doc['apply_delta_speedup_best']}x, "
-            f"{gate['pushes']} pushes with 0 copies")
-
-
 def check_recovery(doc, path):
     require(doc, ["bench", "policy_entries", "rounds_journaled", "iters",
                   "fleets"], path)
@@ -128,7 +111,6 @@ def check_wire(doc, path):
 # path -> (emitting bin, gate). Registration order is report order.
 CHECKS = {
     "BENCH_attestation.json": ("hotpath", check_attestation),
-    "BENCH_policy.json": ("policy_bench", check_policy),
     "BENCH_recovery.json": ("recovery_bench", check_recovery),
     "BENCH_wire.json": ("wire_bench", check_wire),
 }

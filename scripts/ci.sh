@@ -2,11 +2,11 @@
 # CI gate: formatting, workspace-wide clippy, the repo's own cia-lint
 # static pass (file-local rules + the cross-file semantic engine, plus
 # the --json schema gate via scripts/check_lint.py), the tier-1 suite,
-# a single-iteration bench smoke pass plus the four committed
-# BENCH_*.json gates (scripts/check_bench.py: attestation, policy,
-# recovery, wire — fleet-round numbers are `benchmark/run.sh
-# --workload steady_fleet|sharded_tcp`), the storage/durability suite
-# (append-only log engine + recovery equivalence), the federation suite
+# a single-iteration bench smoke pass plus the three committed
+# BENCH_*.json gates (scripts/check_bench.py: attestation, recovery,
+# wire — fleet-round and policy-push numbers are `benchmark/run.sh`'s),
+# the storage/durability suite (append-only log engine + recovery
+# equivalence), the federation suite
 # (consistent-hash ring, sharded rounds, shard-kill chaos), the
 # wire-protocol suite (codec robustness corpus, remote shard RPC,
 # transport equivalence), the chaos scenario corpus in release mode,

@@ -19,7 +19,7 @@
 
 use cia_sim::{SimConfig, SimRunner};
 use continuous_attestation::crypto::Sha256;
-use continuous_attestation::keylime::Agent;
+use continuous_attestation::keylime::{Agent, Verifier};
 use continuous_attestation::prelude::*;
 
 type ChaosCluster = Cluster<ChaosTransport<ReliableTransport>>;
@@ -392,6 +392,71 @@ fn durable_enrolment_bytes_do_not_grow_with_the_policy() {
         "{per_enrolment} journal bytes per enrolment"
     );
     cluster.check_durable_equivalence().unwrap();
+}
+
+/// The sequential path journals too. `Cluster::attest` and
+/// `Cluster::resolve` move an agent's record (nonce counter, log cursor,
+/// alerts, status) outside any round, so each writes the agent's ack;
+/// without it a crash rewinds the nonce counter — a recorded quote for
+/// the reused nonce replays — and forgets a `Paused` verdict.
+#[test]
+fn sequential_attest_and_resolve_are_journaled() {
+    let tool = VfsPath::new("/usr/bin/service").unwrap();
+    let mut policy = RuntimePolicy::new();
+    policy.allow(tool.as_str(), sha256_hex(b"service v1"));
+    // Stock posture: the first failure pauses the agent.
+    let mut cluster = Cluster::new(61, VerifierConfig::default());
+    let mut ids = Vec::new();
+    for i in 0..2u64 {
+        let config = MachineConfig {
+            hostname: format!("node-{i:02}"),
+            seed: 610 + i,
+            ..MachineConfig::default()
+        };
+        let mut machine = Machine::new(&cluster.manufacturer, config);
+        machine.write_executable(&tool, b"service v1").unwrap();
+        machine.exec(&tool, ExecMethod::Direct).unwrap();
+        ids.push(cluster.add_agent_shared(Agent::new(machine)).unwrap());
+    }
+    cluster.publish_policy(policy);
+    cluster.enable_durability().unwrap();
+    let (clean, tampered) = (ids[0].clone(), ids[1].clone());
+
+    let nonce_counter =
+        |verifier: &Verifier, id: &AgentId| verifier.export_agent_state(id).unwrap().nonce_counter;
+    let assert_journaled = |cluster: &Cluster<ReliableTransport>, id: &AgentId, step: &str| {
+        cluster
+            .check_durable_equivalence()
+            .unwrap_or_else(|e| panic!("{step}: {e}"));
+        let log = cluster.journal().unwrap().log();
+        let recovered =
+            VerifierJournal::recover(log.vfs().clone(), log.dir(), cluster.verifier.config())
+                .unwrap();
+        assert_eq!(
+            nonce_counter(&recovered.verifier, id),
+            nonce_counter(&cluster.verifier, id),
+            "{step}: recovery rewound the nonce counter"
+        );
+    };
+
+    let outcome = cluster.attest(&clean).unwrap();
+    assert!(matches!(outcome, AttestationOutcome::Verified { .. }));
+    assert_eq!(nonce_counter(&cluster.verifier, &clean), 1);
+    assert_journaled(&cluster, &clean, "clean attest");
+
+    let rogue = VfsPath::new("/usr/local/bin/rogue").unwrap();
+    let m = cluster.agent_mut(&tampered).unwrap().machine_mut();
+    m.write_executable(&rogue, b"not in any policy").unwrap();
+    m.exec(&rogue, ExecMethod::Direct).unwrap();
+    let outcome = cluster.attest(&tampered).unwrap();
+    assert!(matches!(outcome, AttestationOutcome::Failed { .. }));
+    assert_eq!(cluster.status(&tampered).unwrap(), AgentStatus::Paused);
+    assert_journaled(&cluster, &tampered, "tampered attest");
+
+    cluster.resolve(&tampered).unwrap();
+    assert_eq!(cluster.status(&tampered).unwrap(), AgentStatus::Trusted);
+    assert_eq!(nonce_counter(&cluster.verifier, &tampered), 2);
+    assert_journaled(&cluster, &tampered, "resolve");
 }
 
 /// The two agents whose policy recovery cannot resolve from the
