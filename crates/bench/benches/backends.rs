@@ -29,7 +29,6 @@ fn mixed_cluster(n: usize, entries: usize, workers: usize) -> Cluster<ReliableTr
     let config = VerifierConfig::builder()
         .continue_on_failure(true)
         .worker_count(workers)
-        .structured_excerpt(true)
         .build()
         .unwrap();
     let mut cluster = Cluster::new(9, config);

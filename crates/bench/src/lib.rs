@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod recovery_fixture;
-
 /// Mean of a sample.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {

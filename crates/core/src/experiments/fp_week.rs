@@ -139,7 +139,6 @@ impl FpWeekReport {
                 FailureKind::PcrMismatch => "pcr-mismatch",
                 FailureKind::LogRewound => "log-rewound",
                 FailureKind::BootAggregateMismatch => "boot-aggregate",
-                FailureKind::LogParse { .. } => "log-parse",
                 FailureKind::BackendNotAllowed { .. } => "backend-not-allowed",
                 FailureKind::BackendMismatch { .. } => "backend-mismatch",
                 FailureKind::LaunchMeasurementMismatch => "launch-mismatch",

@@ -114,7 +114,6 @@ pub fn run_hetero(config: HeteroConfig) -> HeteroReport {
         .max_retries(16)
         .retry_backoff_ms(5)
         .worker_count(config.workers.max(1))
-        .structured_excerpt(true)
         .build()
         .expect("hetero verifier config is valid");
     let transport = LossyTransport::new(config.drop_rate, config.seed ^ 0xbe7e);

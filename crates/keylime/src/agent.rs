@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{
     AttestationBackend, Backend, BackendCapabilities, BackendCert, BackendKind, ChallengeBinding,
-    EvidenceFormat,
 };
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
@@ -33,10 +32,9 @@ pub enum AgentRequest {
         nonce: Vec<u8>,
         /// Send measurement-list entries starting at this index.
         from_entry: usize,
-        /// When `true`, reply with the typed entry list
-        /// ([`QuoteResponse::entries`]) instead of the ASCII rendering —
-        /// the v2 wire format the verifier requests when its config, the
-        /// transport capability, and the backend capability all allow it.
+        /// Inert: the agent ignores it and the verifier always sends
+        /// `true`. Still here because `benchmark/src/probes.rs` builds
+        /// this request by field name.
         structured: bool,
     },
 }
@@ -99,16 +97,11 @@ pub struct QuoteResponse {
     pub(crate) backend: BackendKind,
     /// Signed quote over the backend's registers.
     pub(crate) quote: Quote,
-    /// Canonical ASCII measurement-list lines from `from_entry` on.
-    /// Empty when `entries` carries the excerpt instead — the agent
-    /// never sends both renderings of the same data.
-    pub(crate) log_excerpt: String,
-    /// Structured (v2) excerpt: the typed entries from `from_entry` on.
-    /// `None` on the legacy text path. Memoized template hashes never
-    /// travel inside the entries; the verifier recomputes them, so a
-    /// tampered entry is caught by the register replay exactly as on the
-    /// text path.
-    pub(crate) entries: Option<Vec<ImaLogEntry>>,
+    /// The excerpt: the measurement-list entries from `from_entry` on.
+    /// Memoized template hashes never travel inside the entries; the
+    /// verifier recomputes them from the entry fields, so an entry
+    /// altered in flight is caught by the register replay.
+    pub(crate) entries: Vec<ImaLogEntry>,
     /// Total entries currently in the measurement list.
     pub(crate) total_entries: usize,
     /// Platform reset counter, so the verifier can detect reboots.
@@ -121,15 +114,13 @@ impl QuoteResponse {
     pub fn new(
         backend: BackendKind,
         quote: Quote,
-        log_excerpt: String,
-        entries: Option<Vec<ImaLogEntry>>,
+        entries: Vec<ImaLogEntry>,
         total_entries: usize,
     ) -> Self {
         QuoteResponse {
             backend,
             boot_count: quote.boot_count,
             quote,
-            log_excerpt,
             entries,
             total_entries,
         }
@@ -146,14 +137,9 @@ impl QuoteResponse {
         &self.quote
     }
 
-    /// The ASCII excerpt (empty on the structured path).
-    pub fn log_excerpt(&self) -> &str {
-        &self.log_excerpt
-    }
-
-    /// The typed (v2) excerpt, when the structured path was negotiated.
-    pub fn entries(&self) -> Option<&[ImaLogEntry]> {
-        self.entries.as_deref()
+    /// The excerpt: the entries from the requested `from_entry` on.
+    pub fn entries(&self) -> &[ImaLogEntry] {
+        &self.entries
     }
 
     /// Total entries in the agent's measurement list.
@@ -306,18 +292,13 @@ impl Agent {
                 },
             },
             AgentRequest::Quote {
-                nonce,
-                from_entry,
-                structured,
-            } => {
-                let format = EvidenceFormat::from_structured(structured);
-                match self.backend.quote(&nonce, from_entry, format) {
-                    Ok(resp) => AgentResponse::Quote(resp),
-                    Err(e) => AgentResponse::Error {
-                        reason: e.to_string(),
-                    },
-                }
-            }
+                nonce, from_entry, ..
+            } => match self.backend.quote(&nonce, from_entry) {
+                Ok(resp) => AgentResponse::Quote(resp),
+                Err(e) => AgentResponse::Error {
+                    reason: e.to_string(),
+                },
+            },
         }
     }
 
@@ -361,78 +342,54 @@ mod tests {
         }
     }
 
+    fn quote(a: &mut Agent, from_entry: usize) -> QuoteResponse {
+        match a.handle(AgentRequest::Quote {
+            nonce: b"n1".to_vec(),
+            from_entry,
+            structured: true,
+        }) {
+            AgentResponse::Quote(q) => q,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn quote_covers_log() {
         let mut a = agent();
         assert_eq!(a.backend_kind(), BackendKind::TpmIma);
-        let resp = a.handle(AgentRequest::Quote {
-            nonce: b"n1".to_vec(),
-            from_entry: 0,
-            structured: false,
-        });
-        match resp {
-            AgentResponse::Quote(q) => {
-                assert_eq!(q.backend(), BackendKind::TpmIma);
-                assert_eq!(q.total_entries(), 1, "boot_aggregate only");
-                assert!(q.log_excerpt().contains("boot_aggregate"));
-                assert_eq!(q.entries(), None, "text path carries no typed list");
-                let ak = a.machine().tpm.ak_public().unwrap();
-                assert!(q.quote().verify(ak, b"n1"));
-                assert!(q.quote().pcr_value(10).is_some());
-                assert!(q.quote().pcr_value(0).is_some());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let q = quote(&mut a, 0);
+        assert_eq!(q.backend(), BackendKind::TpmIma);
+        assert_eq!(q.total_entries(), 1, "boot_aggregate only");
+        assert_eq!(q.entries().len(), 1);
+        assert_eq!(q.entries()[0].path, "boot_aggregate");
+        let ak = a.machine().tpm.ak_public().unwrap();
+        assert!(q.quote().verify(ak, b"n1"));
+        assert!(q.quote().pcr_value(10).is_some());
+        assert!(q.quote().pcr_value(0).is_some());
     }
 
     #[test]
     fn incremental_excerpt() {
         let mut a = agent();
-        let resp = a.handle(AgentRequest::Quote {
-            nonce: b"n".to_vec(),
-            from_entry: 1,
-            structured: false,
-        });
-        match resp {
-            AgentResponse::Quote(q) => {
-                assert!(q.log_excerpt().is_empty());
-                assert_eq!(q.total_entries(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let q = quote(&mut a, 1);
+        assert!(q.entries().is_empty());
+        assert_eq!(q.total_entries(), 1);
         // Out-of-range offsets clamp instead of panicking.
-        let resp = a.handle(AgentRequest::Quote {
-            nonce: b"n".to_vec(),
-            from_entry: 99,
-            structured: false,
-        });
-        assert!(matches!(resp, AgentResponse::Quote(_)));
+        let q = quote(&mut a, 99);
+        assert!(q.entries().is_empty());
+        assert_eq!(q.total_entries(), 1);
     }
 
+    /// The excerpt is the kernel's ASCII list, typed: rendering it with
+    /// `cia-ima` and parsing that back yields the same entries.
     #[test]
     fn structured_excerpt_matches_text_rendering() {
         let mut a = agent();
-        let text = match a.handle(AgentRequest::Quote {
-            nonce: b"n".to_vec(),
-            from_entry: 0,
-            structured: false,
-        }) {
-            AgentResponse::Quote(q) => q,
-            other => panic!("unexpected {other:?}"),
-        };
-        let typed = match a.handle(AgentRequest::Quote {
-            nonce: b"n".to_vec(),
-            from_entry: 0,
-            structured: true,
-        }) {
-            AgentResponse::Quote(q) => q,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(typed.log_excerpt().is_empty(), "never both renderings");
-        let entries = typed.entries().expect("structured path sends entries");
-        assert_eq!(entries.len(), typed.total_entries());
-        let rendered: String = entries.iter().map(|e| e.render() + "\n").collect();
-        assert_eq!(rendered, text.log_excerpt(), "same excerpt, two encodings");
+        let q = quote(&mut a, 0);
+        assert_eq!(q.entries().len(), q.total_entries());
+        let rendered: String = q.entries().iter().map(|e| e.render() + "\n").collect();
+        let parsed = cia_ima::MeasurementLog::parse(&rendered).expect("own rendering parses");
+        assert_eq!(parsed.entries(), q.entries());
     }
 
     #[test]
@@ -456,16 +413,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Structured requests are refused by the backend, not dropped.
-        match a.handle(AgentRequest::Quote {
-            nonce: b"n".to_vec(),
-            from_entry: 0,
-            structured: true,
-        }) {
-            AgentResponse::Error { reason } => {
-                assert!(reason.contains("secure-world"), "got: {reason}")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let q = quote(&mut a, 0);
+        assert_eq!(q.backend(), BackendKind::SecureWorld);
+        assert!(q.entries().is_empty(), "nothing loaded yet");
     }
 }

@@ -10,17 +10,18 @@
 //! * [`SecureWorldBackend`] — a TrustZone-style secure world running its
 //!   own policy-driven measurement agent (the PDRIMA shape). Measurement
 //!   state lives behind a world-switch gate the normal world cannot
-//!   reach; evidence is text-only (register 0).
+//!   reach (evidence register 0).
 //! * [`ConfidentialVmBackend`] — privilege-separated user-space integrity
 //!   enforcement inside a confidential VM (the PS-UIE shape). Identity is
 //!   rooted in the platform-certified launch measurement (register 0);
 //!   runtime measurements extend register 1.
 //!
-//! All three produce the same [`Quote`](cia_tpm::Quote) evidence shape, so
-//! the verifier's replay/appraisal core is shared; per-backend capability
-//! flags ([`BackendCapabilities`]) drive wire-format negotiation and the
-//! appraisal dispatch differences (evidence register, boot-aggregate
-//! handling, launch-measurement pinning).
+//! All three produce the same [`Quote`](cia_tpm::Quote) evidence shape
+//! and the same excerpt (the [`ImaLogEntry`] tail), so the verifier's
+//! replay/appraisal core is shared; per-backend capability flags
+//! ([`BackendCapabilities`]) drive the appraisal dispatch differences
+//! (evidence register, boot-aggregate handling, launch-measurement
+//! pinning).
 
 use cia_crypto::{Digest, HashAlgorithm, KeyPair, Sha256, Signature, VerifyingKey};
 use cia_ima::{ImaLogEntry, IMA_PCR};
@@ -107,19 +108,14 @@ impl BackendKind {
     pub fn capabilities(self) -> BackendCapabilities {
         match self {
             BackendKind::TpmIma => BackendCapabilities {
-                structured_excerpt: true,
                 boot_aggregate: true,
                 launch_measurement: false,
             },
-            // The secure-world agent speaks only the legacy ASCII list:
-            // its measurement agent predates the v2 wire format.
             BackendKind::SecureWorld => BackendCapabilities {
-                structured_excerpt: false,
                 boot_aggregate: false,
                 launch_measurement: false,
             },
             BackendKind::ConfidentialVm => BackendCapabilities {
-                structured_excerpt: true,
                 boot_aggregate: false,
                 launch_measurement: true,
             },
@@ -133,13 +129,11 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// What a backend can do, consulted during wire-format negotiation and
-/// appraisal dispatch.
+/// What a backend's evidence carries, consulted during appraisal
+/// dispatch.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendCapabilities {
-    /// Whether the backend can emit the structured (v2) excerpt.
-    pub structured_excerpt: bool,
     /// Whether entry 0 of the measurement list is a `boot_aggregate`
     /// folding the static-boot registers.
     pub boot_aggregate: bool,
@@ -147,36 +141,10 @@ pub struct BackendCapabilities {
     pub launch_measurement: bool,
 }
 
-/// How the verifier asked for the measurement-list excerpt.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvidenceFormat {
-    /// Canonical ASCII rendering (v1).
-    Text,
-    /// Typed entry list (v2).
-    Structured,
-}
-
-impl EvidenceFormat {
-    /// Maps the wire-level `structured` flag.
-    pub fn from_structured(structured: bool) -> Self {
-        if structured {
-            EvidenceFormat::Structured
-        } else {
-            EvidenceFormat::Text
-        }
-    }
-}
-
 /// Errors a backend can produce while serving a request.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
-    /// The requested evidence format is not supported by this backend.
-    UnsupportedFormat {
-        /// The backend that refused.
-        kind: BackendKind,
-    },
     /// Quote production failed.
     Quote {
         /// Underlying platform error.
@@ -203,9 +171,6 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::UnsupportedFormat { kind } => {
-                write!(f, "backend {kind} does not support the requested format")
-            }
             // Quote/identity reasons pass through verbatim: the agent
             // surfaces them as `AgentResponse::Error`, and the TPM path
             // must keep its pre-refactor error strings.
@@ -455,7 +420,7 @@ impl ChallengeBinding {
 /// attestation key) and answers the two protocol requests: identity
 /// material at registration and quotes during continuous attestation.
 /// Everything the verifier needs to appraise heterogeneously — evidence
-/// register, format support, launch pinning — is exposed through
+/// register, boot aggregate, launch pinning — is exposed through
 /// [`BackendKind`]/[`BackendCapabilities`] rather than through downcasts.
 pub trait AttestationBackend {
     /// Which backend this is.
@@ -480,20 +445,13 @@ pub trait AttestationBackend {
     /// [`BackendError::Identity`] when the platform cannot produce it.
     fn identity(&mut self, challenge: &[u8]) -> Result<IdentityResponse, BackendError>;
 
-    /// Produces a quote plus the measurement-list excerpt from
-    /// `from_entry` on, in the requested `format`.
+    /// Produces a quote plus the measurement-list excerpt: the entries
+    /// from `from_entry` on (an offset past the end yields none).
     ///
     /// # Errors
     ///
-    /// [`BackendError::UnsupportedFormat`] when `format` is outside the
-    /// backend's capabilities; [`BackendError::Quote`] on platform
-    /// failure.
-    fn quote(
-        &mut self,
-        nonce: &[u8],
-        from_entry: usize,
-        format: EvidenceFormat,
-    ) -> Result<QuoteResponse, BackendError>;
+    /// [`BackendError::Quote`] on platform failure.
+    fn quote(&mut self, nonce: &[u8], from_entry: usize) -> Result<QuoteResponse, BackendError>;
 
     /// Restarts the platform (reboot / world reset / VM relaunch).
     ///
@@ -562,12 +520,7 @@ impl AttestationBackend for TpmImaBackend {
         }
     }
 
-    fn quote(
-        &mut self,
-        nonce: &[u8],
-        from_entry: usize,
-        format: EvidenceFormat,
-    ) -> Result<QuoteResponse, BackendError> {
+    fn quote(&mut self, nonce: &[u8], from_entry: usize) -> Result<QuoteResponse, BackendError> {
         let selection = PcrSelection::of(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         let quote = self
             .machine
@@ -578,24 +531,10 @@ impl AttestationBackend for TpmImaBackend {
             })?;
         let all = self.machine.ima.log().entries();
         let from = from_entry.min(all.len());
-        let (log_excerpt, entries) = match format {
-            EvidenceFormat::Structured => (String::new(), Some(all[from..].to_vec())),
-            EvidenceFormat::Text => {
-                let mut text = String::new();
-                for e in &all[from..] {
-                    text.push_str(&e.render());
-                    text.push('\n');
-                }
-                (text, None)
-            }
-            #[allow(unreachable_patterns)]
-            _ => return Err(BackendError::UnsupportedFormat { kind: self.kind() }),
-        };
         Ok(QuoteResponse::new(
             BackendKind::TpmIma,
             quote,
-            log_excerpt,
-            entries,
+            all[from..].to_vec(),
             all.len(),
         ))
     }
@@ -762,15 +701,7 @@ impl AttestationBackend for SecureWorldBackend {
         })
     }
 
-    fn quote(
-        &mut self,
-        nonce: &[u8],
-        from_entry: usize,
-        format: EvidenceFormat,
-    ) -> Result<QuoteResponse, BackendError> {
-        if format != EvidenceFormat::Text {
-            return Err(BackendError::UnsupportedFormat { kind: self.kind() });
-        }
+    fn quote(&mut self, nonce: &[u8], from_entry: usize) -> Result<QuoteResponse, BackendError> {
         let mut world = self.world.lock();
         world.clock += 1;
         let values = vec![world.register];
@@ -783,16 +714,10 @@ impl AttestationBackend for SecureWorldBackend {
             world.clock,
         );
         let from = from_entry.min(world.entries.len());
-        let mut text = String::new();
-        for e in &world.entries[from..] {
-            text.push_str(&e.render());
-            text.push('\n');
-        }
         Ok(QuoteResponse::new(
             BackendKind::SecureWorld,
             quote,
-            text,
-            None,
+            world.entries[from..].to_vec(),
             world.entries.len(),
         ))
     }
@@ -962,12 +887,7 @@ impl AttestationBackend for ConfidentialVmBackend {
         })
     }
 
-    fn quote(
-        &mut self,
-        nonce: &[u8],
-        from_entry: usize,
-        format: EvidenceFormat,
-    ) -> Result<QuoteResponse, BackendError> {
+    fn quote(&mut self, nonce: &[u8], from_entry: usize) -> Result<QuoteResponse, BackendError> {
         self.clock += 1;
         let values = vec![self.launch_measurement, self.runtime_register];
         let quote = sign_quote(
@@ -979,24 +899,10 @@ impl AttestationBackend for ConfidentialVmBackend {
             self.clock,
         );
         let from = from_entry.min(self.entries.len());
-        let (log_excerpt, entries) = match format {
-            EvidenceFormat::Structured => (String::new(), Some(self.entries[from..].to_vec())),
-            EvidenceFormat::Text => {
-                let mut text = String::new();
-                for e in &self.entries[from..] {
-                    text.push_str(&e.render());
-                    text.push('\n');
-                }
-                (text, None)
-            }
-            #[allow(unreachable_patterns)]
-            _ => return Err(BackendError::UnsupportedFormat { kind: self.kind() }),
-        };
         Ok(QuoteResponse::new(
             BackendKind::ConfidentialVm,
             quote,
-            log_excerpt,
-            entries,
+            self.entries[from..].to_vec(),
             self.entries.len(),
         ))
     }
@@ -1166,16 +1072,11 @@ impl AttestationBackend for Backend {
         }
     }
 
-    fn quote(
-        &mut self,
-        nonce: &[u8],
-        from_entry: usize,
-        format: EvidenceFormat,
-    ) -> Result<QuoteResponse, BackendError> {
+    fn quote(&mut self, nonce: &[u8], from_entry: usize) -> Result<QuoteResponse, BackendError> {
         match self {
-            Backend::TpmIma(b) => b.quote(nonce, from_entry, format),
-            Backend::SecureWorld(b) => b.quote(nonce, from_entry, format),
-            Backend::ConfidentialVm(b) => b.quote(nonce, from_entry, format),
+            Backend::TpmIma(b) => b.quote(nonce, from_entry),
+            Backend::SecureWorld(b) => b.quote(nonce, from_entry),
+            Backend::ConfidentialVm(b) => b.quote(nonce, from_entry),
         }
     }
 
@@ -1251,18 +1152,11 @@ mod tests {
             "outside the measurement policy"
         );
         assert_eq!(sw.measured_count(), 1);
-        let resp = sw.quote(b"n", 0, EvidenceFormat::Text).unwrap();
+        let resp = sw.quote(b"n", 0).unwrap();
         assert_eq!(resp.total_entries(), 1);
+        assert_eq!(resp.entries()[0].path, "/ta/keymaster");
         assert!(resp.quote().verify(sw.public_key(), b"n"));
         assert!(resp.quote().pcr_value(SECURE_WORLD_REGISTER).is_some());
-    }
-
-    #[test]
-    fn secure_world_rejects_structured_format() {
-        let root = tee_root();
-        let mut sw = SecureWorldBackend::provision(SecureWorldConfig::new("sw-0", 1), &root);
-        let err = sw.quote(b"n", 0, EvidenceFormat::Structured).unwrap_err();
-        assert!(matches!(err, BackendError::UnsupportedFormat { .. }));
     }
 
     #[test]
@@ -1282,12 +1176,12 @@ mod tests {
         let mut vm =
             ConfidentialVmBackend::provision(ConfidentialVmConfig::new("cvm-0", 2), &platform);
         vm.exec_measured("/usr/bin/svc", b"svc-bin");
-        let resp = vm.quote(b"n", 0, EvidenceFormat::Structured).unwrap();
+        let resp = vm.quote(b"n", 0).unwrap();
         assert_eq!(
             resp.quote().pcr_value(CVM_LAUNCH_REGISTER).unwrap(),
             vm.enrolled_launch_measurement()
         );
-        assert_eq!(resp.entries().map(<[ImaLogEntry]>::len), Some(1));
+        assert_eq!(resp.entries().len(), 1);
         assert!(resp.quote().verify(vm.public_key(), b"n"));
     }
 
@@ -1298,14 +1192,14 @@ mod tests {
         let mut vm =
             ConfidentialVmBackend::provision(ConfidentialVmConfig::new("cvm-0", 2), &platform);
         vm.relaunch_with_image(b"trojaned-image");
-        let resp = vm.quote(b"n", 0, EvidenceFormat::Text).unwrap();
+        let resp = vm.quote(b"n", 0).unwrap();
         assert_ne!(
             resp.quote().pcr_value(CVM_LAUNCH_REGISTER).unwrap(),
             vm.enrolled_launch_measurement(),
             "platform measures what actually launched"
         );
         vm.restart().unwrap();
-        let resp = vm.quote(b"n2", 0, EvidenceFormat::Text).unwrap();
+        let resp = vm.quote(b"n2", 0).unwrap();
         assert_eq!(
             resp.quote().pcr_value(CVM_LAUNCH_REGISTER).unwrap(),
             vm.enrolled_launch_measurement(),
@@ -1330,9 +1224,9 @@ mod tests {
         let root = tee_root();
         let mut sw = SecureWorldBackend::provision(SecureWorldConfig::new("sw-0", 1), &root);
         sw.load_trusted_app("/ta/a", b"a");
-        let before = sw.quote(b"n", 0, EvidenceFormat::Text).unwrap();
+        let before = sw.quote(b"n", 0).unwrap();
         sw.restart().unwrap();
-        let after = sw.quote(b"n", 0, EvidenceFormat::Text).unwrap();
+        let after = sw.quote(b"n", 0).unwrap();
         assert_eq!(after.total_entries(), 0);
         assert_eq!(after.boot_count(), before.boot_count() + 1);
         assert_ne!(

@@ -419,10 +419,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.wire_bytes()
     }
 
-    fn supports_structured_excerpt(&self) -> bool {
-        self.inner.supports_structured_excerpt()
-    }
-
     fn fork(&self, lane: u64) -> Self {
         ChaosTransport {
             inner: self.inner.fork(lane),

@@ -60,16 +60,6 @@ pub struct VerifierConfig {
     pub reprobe_backoff_rounds: u32,
     /// Upper bound on the re-probe interval, in rounds.
     pub reprobe_backoff_max_rounds: u32,
-    /// When `true` (the default), quote requests ask for the structured
-    /// (typed entry list) excerpt whenever the transport reports the
-    /// capability ([`Transport::supports_structured_excerpt`]), letting
-    /// the verifier skip the ASCII parse on the hot path. Setting it
-    /// `false` forces the legacy text excerpt; verdicts are identical
-    /// either way.
-    ///
-    /// [`Transport::supports_structured_excerpt`]:
-    ///     crate::transport::Transport::supports_structured_excerpt
-    pub structured_excerpt: bool,
     /// Which attestation backends this verifier accepts evidence from.
     /// Agents enrolled with a backend outside the set fail appraisal
     /// with [`FailureKind::BackendNotAllowed`]. Defaults to every known
@@ -103,7 +93,6 @@ impl Default for VerifierConfig {
             quarantine_after: 4,
             reprobe_backoff_rounds: 2,
             reprobe_backoff_max_rounds: 32,
-            structured_excerpt: true,
             allowed_backends: BackendSet::all(),
             wire_batch: 0,
         }
@@ -314,13 +303,6 @@ impl VerifierConfigBuilder {
         self
     }
 
-    /// Enables or disables the structured quote excerpt
-    /// (see [`VerifierConfig::structured_excerpt`]).
-    pub fn structured_excerpt(mut self, on: bool) -> Self {
-        self.config.structured_excerpt = on;
-        self
-    }
-
     /// Restricts which backends the verifier accepts evidence from
     /// (see [`VerifierConfig::allowed_backends`]).
     pub fn allowed_backends(mut self, set: BackendSet) -> Self {
@@ -418,17 +400,6 @@ mod tests {
         assert!(!c.quarantine_enabled, "stock semantics retry every round");
         assert!(c.degraded_after >= 1);
         assert!(c.quarantine_after >= c.degraded_after);
-    }
-
-    #[test]
-    fn structured_excerpt_defaults_on_and_toggles() {
-        assert!(VerifierConfig::default().structured_excerpt);
-        assert!(VerifierConfig::engine_default().structured_excerpt);
-        let c = VerifierConfig::builder()
-            .structured_excerpt(false)
-            .build()
-            .unwrap();
-        assert!(!c.structured_excerpt);
     }
 
     #[test]
@@ -572,18 +543,22 @@ mod tests {
         assert_eq!(c.allowed_backends, BackendSet::all());
     }
 
-    /// Configs written while the pipelined-round depth knob existed
-    /// still carry its field; unknown fields are ignored, so they load
-    /// unchanged. (The name is spelled in two halves so a search for the
-    /// removed knob finds nothing.)
+    /// Configs written while the pipelined-round depth knob or the
+    /// excerpt-format knob existed still carry their fields; unknown
+    /// fields are ignored, so they load unchanged. (Each name is spelled
+    /// in two halves so a search for a removed knob finds nothing.)
     #[test]
     fn stale_config_with_a_removed_field_still_deserializes() {
         let json = serde_json::to_string(&VerifierConfig::engine_default()).unwrap();
-        let removed = concat!("{\"pipeline", "_depth\":8,");
-        let stale = json.replacen('{', removed, 1);
-        assert_ne!(stale, json);
-        let c: VerifierConfig = serde_json::from_str(&stale).unwrap();
-        assert_eq!(c, VerifierConfig::engine_default());
+        for removed in [
+            concat!("{\"pipeline", "_depth\":8,"),
+            concat!("{\"structured", "_excerpt\":false,"),
+        ] {
+            let stale = json.replacen('{', removed, 1);
+            assert_ne!(stale, json);
+            let c: VerifierConfig = serde_json::from_str(&stale).unwrap();
+            assert_eq!(c, VerifierConfig::engine_default());
+        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub use audit::{AuditLog, AuditOutcome, AuditRecord};
 pub use backend::{
     AttestationBackend, Backend, BackendCapabilities, BackendCert, BackendError, BackendIdentity,
     BackendKind, BackendRoot, BackendSet, ChallengeBinding, ConfidentialVmBackend,
-    ConfidentialVmConfig, EvidenceFormat, SecureWorldBackend, SecureWorldConfig, TpmImaBackend,
+    ConfidentialVmConfig, SecureWorldBackend, SecureWorldConfig, TpmImaBackend,
 };
 pub use chaos::{ChaosTransport, FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use config::{ConfigError, VerifierConfigBuilder, MAX_RETRIES_LIMIT};

@@ -130,10 +130,7 @@ impl Wire for FailureKind {
             FailureKind::PcrMismatch => w.put_u8(1),
             FailureKind::LogRewound => w.put_u8(2),
             FailureKind::BootAggregateMismatch => w.put_u8(3),
-            FailureKind::LogParse { reason } => {
-                w.put_u8(4);
-                w.put_str(reason);
-            }
+            // Tag 4 (an unparseable text excerpt) is retired.
             FailureKind::HashMismatch { path, digest } => {
                 w.put_u8(5);
                 w.put_str(path);
@@ -163,9 +160,6 @@ impl Wire for FailureKind {
             1 => FailureKind::PcrMismatch,
             2 => FailureKind::LogRewound,
             3 => FailureKind::BootAggregateMismatch,
-            4 => FailureKind::LogParse {
-                reason: r.str()?.to_string(),
-            },
             5 => FailureKind::HashMismatch {
                 path: r.str()?.to_string(),
                 digest: r.str()?.to_string(),
@@ -304,7 +298,6 @@ impl Wire for QuoteResponse {
     fn encode(&self, w: &mut Writer) {
         self.backend.encode(w);
         self.quote.encode(w);
-        w.put_str(&self.log_excerpt);
         self.entries.encode(w);
         w.put_varint(self.total_entries as u64);
     }
@@ -312,18 +305,11 @@ impl Wire for QuoteResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let backend = BackendKind::decode(r)?;
         let quote = cia_tpm::quote::Quote::decode(r)?;
-        let log_excerpt = r.str()?.to_string();
-        let entries = Option::<Vec<cia_ima::log::ImaLogEntry>>::decode(r)?;
+        let entries = Vec::<cia_ima::log::ImaLogEntry>::decode(r)?;
         let total_entries = usize::decode(r)?;
         // `new` re-syncs the boot counter from the signed quote, so the
         // unsigned wire image cannot smuggle a divergent one.
-        Ok(QuoteResponse::new(
-            backend,
-            quote,
-            log_excerpt,
-            entries,
-            total_entries,
-        ))
+        Ok(QuoteResponse::new(backend, quote, entries, total_entries))
     }
 }
 
@@ -693,9 +679,6 @@ mod tests {
             FailureKind::PcrMismatch,
             FailureKind::LogRewound,
             FailureKind::BootAggregateMismatch,
-            FailureKind::LogParse {
-                reason: "bad line".to_string(),
-            },
             FailureKind::NotInPolicy {
                 path: "/tmp/x".to_string(),
                 digest: "00".to_string(),

@@ -560,9 +560,7 @@ impl<T: Transport> Cluster<T> {
     /// snapshot is updated copy-on-write and every shared agent's handle
     /// swapped — total cost is O(delta), independent of fleet size.
     /// Records the push (duration and entry count) in the scheduler's
-    /// metrics; when the transport advertises delta support the wire
-    /// cost metered is the serialized delta, otherwise the full policy
-    /// document.
+    /// metrics.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
         // lint:allow(determinism): push-duration metering only — feeds
         // SchedulerMetrics::record_policy_push, never control flow.
@@ -581,16 +579,9 @@ impl<T: Transport> Cluster<T> {
         (epoch, applied)
     }
 
-    /// The wire bytes one policy push would cost on this cluster's
-    /// transport: the serialized delta when the transport supports delta
-    /// pushes, the full current policy document otherwise.
+    /// The wire bytes one policy push costs: the serialized delta.
     pub fn policy_push_wire_bytes(&self, delta: &PolicyDelta) -> u64 {
-        let body = if self.transport.supports_delta_push() {
-            serde_json::to_string(delta)
-        } else {
-            serde_json::to_string(self.verifier.policy_store().policy())
-        };
-        body.map(|s| s.len() as u64).unwrap_or(0)
+        serde_json::to_string(delta).map_or(0, |s| s.len() as u64)
     }
 
     /// The shared policy store's active epoch.

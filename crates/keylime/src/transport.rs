@@ -97,20 +97,16 @@ pub trait Transport: Send {
     /// directions (requests count even when the response was lost).
     fn wire_bytes(&self) -> u64;
 
-    /// Capability flag: whether the peer speaks the structured (typed
-    /// entry list) quote excerpt, or only the canonical ASCII rendering.
-    /// Both built-in transports do; a downgraded transport can override
-    /// this to force the text path, and the verifier honours the flag
-    /// when building quote requests.
+    /// Inert: nothing calls it. Still here because
+    /// `benchmark/src/trace.rs` overrides it by name.
+    #[doc(hidden)]
     fn supports_structured_excerpt(&self) -> bool {
         true
     }
 
-    /// Capability flag: whether the peer accepts incremental policy
-    /// deltas ([`crate::policy::PolicyDelta`]) or needs every update as a
-    /// full policy document. Both built-in transports do; a downgraded
-    /// transport can override this, and the cluster's delta push meters
-    /// the full-policy wire cost instead when it is off.
+    /// Inert: nothing calls it. Still here because
+    /// `benchmark/src/trace.rs` overrides it by name.
+    #[doc(hidden)]
     fn supports_delta_push(&self) -> bool {
         true
     }
@@ -298,8 +294,6 @@ mod tests {
         assert_eq!(t.requests(), 1);
         assert_eq!(t.drops(), 0);
         assert_eq!(t.wire_bytes(), 4, "\"21\" out, \"42\" back");
-        assert!(t.supports_structured_excerpt());
-        assert!(t.supports_delta_push());
     }
 
     #[test]

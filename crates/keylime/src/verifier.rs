@@ -5,12 +5,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cia_crypto::{Digest, HashAlgorithm, Sha256};
-use cia_ima::{ImaLogEntry, MeasurementLog, BOOT_AGGREGATE_NAME};
+use cia_ima::BOOT_AGGREGATE_NAME;
 use cia_tpm::pcr::extend_digest;
 use serde::{Deserialize, Serialize};
 
 use crate::agent::{Agent, AgentRequest, AgentResponse, QuoteResponse};
-use crate::backend::{BackendIdentity, BackendKind, BackendSet, CVM_LAUNCH_REGISTER};
+use crate::backend::{BackendIdentity, BackendKind, CVM_LAUNCH_REGISTER};
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
 use crate::policy::{PolicyCheck, PolicyDelta, RuntimePolicy};
@@ -32,11 +32,6 @@ pub enum FailureKind {
     LogRewound,
     /// `boot_aggregate` does not match the quoted PCRs 0–9.
     BootAggregateMismatch,
-    /// The log excerpt could not be parsed.
-    LogParse {
-        /// Parser diagnostics.
-        reason: String,
-    },
     /// A measured file hashed to a value not in the policy
     /// (§III-B "hash mismatch").
     HashMismatch {
@@ -702,35 +697,12 @@ impl Verifier {
         agent: &mut Agent,
     ) -> Result<(), KeylimeError> {
         let id = agent.id().clone();
-        let config = self.config;
         let record = self.record_mut(&id)?;
-        // Same three-way negotiation as the attestation path: config,
-        // transport capability, and the enrolled backend's capability.
-        let structured = config.structured_excerpt
-            && transport.supports_structured_excerpt()
-            && record.backend.kind().capabilities().structured_excerpt;
         let nonce = Self::make_nonce(&id, record.state.nonce_counter);
         record.state.nonce_counter += 1;
-        let request = AgentRequest::Quote {
-            nonce,
-            from_entry: record.state.next_entry,
-            structured,
-        };
-        let response: AgentResponse = transport.call(&request, |req| agent.handle(req))?;
-        if let AgentResponse::Quote(q) = response {
-            let parsed;
-            let entries: Option<&[ImaLogEntry]> = match &q.entries {
-                Some(typed) => Some(typed),
-                None => match MeasurementLog::parse(&q.log_excerpt) {
-                    Ok(log) => {
-                        parsed = log;
-                        Some(parsed.entries())
-                    }
-                    Err(_) => None,
-                },
-            };
-            if let Some(entries) = entries {
-                for entry in entries {
+        match Self::request_quote(transport, agent, &nonce, record.state.next_entry) {
+            Ok(q) => {
+                for entry in &q.entries {
                     record.state.replayed_pcr = extend_digest(
                         HashAlgorithm::Sha256,
                         record.state.replayed_pcr,
@@ -740,6 +712,10 @@ impl Verifier {
                 record.state.next_entry = q.total_entries;
                 record.state.last_boot_count = Some(q.boot_count);
             }
+            // The operator resumes the agent whatever it answered; only
+            // a transport failure aborts the resolve.
+            Err(KeylimeError::Agent { .. }) => {}
+            Err(e) => return Err(e),
         }
         record.state.status = AgentStatus::Trusted;
         Ok(())
@@ -762,42 +738,49 @@ impl Verifier {
         let config = self.config;
         let shared = self.store.shared();
         let record = self.record_mut(&id)?;
-        let mut stats = HotStats::default();
-        Self::attest_record(
-            &config, &shared, record, &id, transport, agent, day, &mut stats,
-        )
-    }
-
-    /// The per-record attestation flow, factored out so the fleet
-    /// [`scheduler`](crate::scheduler) can drive many records in
-    /// parallel, each worker holding one `&mut AgentRecord`. Composed
-    /// from [`Verifier::fetch_evidence`] (the transport half) and
-    /// [`Verifier::appraise_evidence`] (the CPU half) — the same two
-    /// halves the scheduler wraps its retry loop and latency metering
-    /// around, so direct and fleet-round verdicts agree by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn attest_record<T: Transport>(
-        config: &VerifierConfig,
-        shared: &SharedPolicy,
-        record: &mut AgentRecord,
-        id: &AgentId,
-        transport: &mut T,
-        agent: &mut Agent,
-        day: u32,
-        stats: &mut HotStats,
-    ) -> Result<AttestationOutcome, KeylimeError> {
-        match Self::fetch_evidence(config, shared, record, id, transport, agent)? {
+        // The same two halves the fleet scheduler wraps its retry loop
+        // and latency metering around, so direct and fleet-round
+        // verdicts agree by construction.
+        match Self::fetch_evidence(&config, &shared, record, &id, transport, agent)? {
             FetchedEvidence::Paused => Ok(AttestationOutcome::SkippedPaused),
             FetchedEvidence::Quote { resp, nonce } => Ok(Self::appraise_evidence(
-                config, record, id, *resp, &nonce, day, stats,
+                &config,
+                record,
+                &id,
+                *resp,
+                &nonce,
+                day,
+                &mut HotStats::default(),
             )),
         }
     }
 
+    /// One quote RPC: asks `agent` for a quote over `nonce` plus its
+    /// measurement list from `from_entry` on.
+    fn request_quote<T: Transport>(
+        transport: &mut T,
+        agent: &mut Agent,
+        nonce: &[u8],
+        from_entry: usize,
+    ) -> Result<QuoteResponse, KeylimeError> {
+        let request = AgentRequest::Quote {
+            nonce: nonce.to_vec(),
+            from_entry,
+            structured: true,
+        };
+        match transport.call(&request, |req| agent.handle(req))? {
+            AgentResponse::Quote(q) => Ok(q),
+            AgentResponse::Error { reason } => Err(KeylimeError::Agent { reason }),
+            other => Err(KeylimeError::Agent {
+                reason: format!("unexpected response {other:?}"),
+            }),
+        }
+    }
+
     /// The transport half of one attestation: shared-policy adoption,
-    /// wire-format negotiation, the quote request, and the post-reboot
-    /// re-quote. Returns the evidence still unappraised: the scheduler
-    /// meters and retries this half alone.
+    /// the quote request, and the post-reboot re-quote. Returns the
+    /// evidence still unappraised: the scheduler meters and retries this
+    /// half alone.
     pub(crate) fn fetch_evidence<T: Transport>(
         config: &VerifierConfig,
         shared: &SharedPolicy,
@@ -812,67 +795,30 @@ impl Verifier {
         // quarantined.
         record.adopt_shared(shared);
 
-        // Wire-format negotiation is three-way: the verifier's config,
-        // the transport's capability, *and* the enrolled backend's
-        // capability. A backend that only speaks the legacy text list
-        // (e.g. secure-world) must never be asked for the v2 excerpt —
-        // it would refuse the request outright.
-        let structured = config.structured_excerpt
-            && transport.supports_structured_excerpt()
-            && record.backend.kind().capabilities().structured_excerpt;
-
         if record.state.status == AgentStatus::Paused && !config.continue_on_failure {
             return Ok(FetchedEvidence::Paused);
         }
 
-        let nonce = Self::make_nonce(id, record.state.nonce_counter);
+        let mut nonce = Self::make_nonce(id, record.state.nonce_counter);
         record.state.nonce_counter += 1;
-        let request = AgentRequest::Quote {
-            nonce: nonce.clone(),
-            from_entry: record.state.next_entry,
-            structured,
-        };
-        let response: AgentResponse = transport.call(&request, |req| agent.handle(req))?;
-        let quote_resp = match response {
-            AgentResponse::Quote(q) => q,
-            AgentResponse::Error { reason } => return Err(KeylimeError::Agent { reason }),
-            other => {
-                return Err(KeylimeError::Agent {
-                    reason: format!("unexpected response {other:?}"),
-                })
-            }
-        };
+        let mut resp = Self::request_quote(transport, agent, &nonce, record.state.next_entry)?;
 
-        // Reboot detection: TPM reset counter changed (or first contact
-        // after enrolment mid-boot) — restart from a fresh log.
-        let rebooted = record.state.last_boot_count != Some(quote_resp.boot_count);
-        if rebooted && record.state.last_boot_count.is_some() {
+        // Reboot detection: TPM reset counter changed since the last
+        // contact — restart from a fresh log, under a fresh nonce.
+        if record
+            .state
+            .last_boot_count
+            .is_some_and(|last| last != resp.boot_count)
+        {
             record.state.next_entry = 0;
             record.state.replayed_pcr = HashAlgorithm::Sha256.zero_digest();
-            let nonce2 = Self::make_nonce(id, record.state.nonce_counter);
+            nonce = Self::make_nonce(id, record.state.nonce_counter);
             record.state.nonce_counter += 1;
-            let request = AgentRequest::Quote {
-                nonce: nonce2.clone(),
-                from_entry: 0,
-                structured,
-            };
-            let response: AgentResponse = transport.call(&request, |req| agent.handle(req))?;
-            let quote_resp = match response {
-                AgentResponse::Quote(q) => q,
-                other => {
-                    return Err(KeylimeError::Agent {
-                        reason: format!("unexpected response {other:?}"),
-                    })
-                }
-            };
-            return Ok(FetchedEvidence::Quote {
-                resp: Box::new(quote_resp),
-                nonce: nonce2,
-            });
+            resp = Self::request_quote(transport, agent, &nonce, 0)?;
         }
 
         Ok(FetchedEvidence::Quote {
-            resp: Box::new(quote_resp),
+            resp: Box::new(resp),
             nonce,
         })
     }
@@ -888,30 +834,6 @@ impl Verifier {
         day: u32,
         stats: &mut HotStats,
     ) -> AttestationOutcome {
-        Self::finish_attestation(
-            record,
-            id,
-            resp,
-            nonce,
-            day,
-            config.continue_on_failure,
-            config.allowed_backends,
-            stats,
-        )
-    }
-
-    /// Core verification once a quote response is in hand.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_attestation(
-        record: &mut AgentRecord,
-        id: &AgentId,
-        resp: QuoteResponse,
-        nonce: &[u8],
-        day: u32,
-        continue_on_failure: bool,
-        allowed: BackendSet,
-        stats: &mut HotStats,
-    ) -> AttestationOutcome {
         let mut alerts: Vec<Alert> = Vec::new();
         let fail = |record: &mut AgentRecord, alerts: Vec<Alert>| {
             record.state.status = AgentStatus::Paused;
@@ -923,7 +845,7 @@ impl Verifier {
         // own tag — decides how this agent is appraised; a tag that
         // disagrees with the record is a substitution attempt.
         let identity = record.backend;
-        if !allowed.contains(identity.kind()) {
+        if !config.allowed_backends.contains(identity.kind()) {
             alerts.push(Alert {
                 agent: id.clone(),
                 day,
@@ -981,32 +903,10 @@ impl Verifier {
         }
 
         // ② The excerpt must replay to the quoted evidence register
-        // (PCR 10 on TPM+IMA). A structured
-        // (v2) excerpt is used as-is — its template-hash caches never
-        // travel, so the fold below recomputes them from the entry fields
-        // and any tampering lands here as a PCR mismatch. A text excerpt
-        // must parse first (which also validates each recorded SHA-1
-        // template hash).
-        let parsed_text;
-        let entries: &[ImaLogEntry] = match &resp.entries {
-            Some(typed) => typed,
-            None => match MeasurementLog::parse(&resp.log_excerpt) {
-                Ok(log) => {
-                    parsed_text = log;
-                    parsed_text.entries()
-                }
-                Err(e) => {
-                    alerts.push(Alert {
-                        agent: id.clone(),
-                        day,
-                        kind: FailureKind::LogParse {
-                            reason: e.to_string(),
-                        },
-                    });
-                    return fail(record, alerts);
-                }
-            },
-        };
+        // (PCR 10 on TPM+IMA). Template-hash caches never travel, so the
+        // fold below recomputes them from the entry fields and any
+        // tampering lands here as a PCR mismatch.
+        let entries = &resp.entries;
         let mut full_fold = record.state.replayed_pcr;
         for entry in entries {
             full_fold = extend_digest(
@@ -1075,7 +975,7 @@ impl Verifier {
                     day,
                     kind,
                 });
-                if !continue_on_failure {
+                if !config.continue_on_failure {
                     // P2: stop here. `next_entry` stays at the failing
                     // entry; everything after it goes unevaluated. Only
                     // the accepted prefix enters the replayed fold.

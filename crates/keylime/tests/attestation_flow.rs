@@ -3,10 +3,13 @@
 
 use cia_crypto::HashAlgorithm;
 use cia_keylime::{
-    AgentId, AgentStatus, AttestationOutcome, Cluster, FailureKind, RuntimePolicy, VerifierConfig,
+    AgentId, AgentStatus, AttestationOutcome, Cluster, FailureKind, KeylimeError, RuntimePolicy,
+    Transport, TransportError, VerifierConfig,
 };
 use cia_os::{ExecMethod, MachineConfig};
 use cia_vfs::VfsPath;
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 
 fn p(s: &str) -> VfsPath {
     VfsPath::new(s).unwrap()
@@ -227,6 +230,96 @@ fn reboot_restarts_attestation_cleanly() {
         .unwrap();
     // After reboot the log restarts; the verifier notices via boot_count
     // and re-verifies from scratch.
+    match cluster.attest(&id).unwrap() {
+        AttestationOutcome::Verified { new_entries } => assert_eq!(new_entries, 1),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// A transport whose far side answers one chosen call with an agent
+/// error — a TPM too busy to quote.
+struct BusyTpmTransport {
+    requests: u64,
+    /// The call, by its `requests` count, that gets the error.
+    busy_at: Option<u64>,
+}
+
+impl Transport for BusyTpmTransport {
+    fn call<Req, Resp>(
+        &mut self,
+        request: &Req,
+        serve: impl FnOnce(Req) -> Resp,
+    ) -> Result<Resp, TransportError>
+    where
+        Req: Serialize + DeserializeOwned,
+        Resp: Serialize + DeserializeOwned,
+    {
+        let codec = |e: serde_json::Error| TransportError::Codec {
+            reason: e.to_string(),
+        };
+        self.requests += 1;
+        let wire_req = serde_json::to_string(request).map_err(codec)?;
+        let decoded: Req = serde_json::from_str(&wire_req).map_err(codec)?;
+        let mut wire_resp = serde_json::to_string(&serve(decoded)).map_err(codec)?;
+        if self.busy_at == Some(self.requests) {
+            wire_resp = r#"{"Error":{"reason":"tpm busy"}}"#.to_string();
+        }
+        serde_json::from_str(&wire_resp).map_err(codec)
+    }
+
+    fn requests(&self) -> u64 {
+        self.requests
+    }
+
+    fn drops(&self) -> u64 {
+        0
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        0
+    }
+
+    fn fork(&self, _lane: u64) -> Self {
+        BusyTpmTransport {
+            requests: 0,
+            busy_at: None,
+        }
+    }
+}
+
+/// An agent's error answer surfaces with its reason whichever of a
+/// poll's calls it answers: the quote, or the re-quote after a reboot.
+#[test]
+fn agent_error_keeps_its_reason_on_the_quote_and_the_requote() {
+    let transport = BusyTpmTransport {
+        requests: 0,
+        busy_at: None,
+    };
+    let mut cluster = Cluster::with_transport(7, VerifierConfig::default(), transport);
+    let id = cluster
+        .add_machine(MachineConfig::default(), RuntimePolicy::new())
+        .unwrap();
+    assert!(cluster.attest(&id).unwrap().is_verified());
+    let busy = KeylimeError::Agent {
+        reason: "tpm busy".to_string(),
+    };
+
+    cluster.transport.busy_at = Some(cluster.transport.requests + 1);
+    assert_eq!(cluster.attest(&id).unwrap_err(), busy);
+
+    // A reboot makes the next poll two calls; the second one fails.
+    cluster
+        .agent_mut(&id)
+        .unwrap()
+        .machine_mut()
+        .reboot()
+        .unwrap();
+    let requote = cluster.transport.requests + 2;
+    cluster.transport.busy_at = Some(requote);
+    assert_eq!(cluster.attest(&id).unwrap_err(), busy);
+    assert_eq!(cluster.transport.requests, requote, "the re-quote was sent");
+
+    // The poll after that re-quotes again and verifies from entry zero.
     match cluster.attest(&id).unwrap() {
         AttestationOutcome::Verified { new_entries } => assert_eq!(new_entries, 1),
         other => panic!("unexpected {other:?}"),

@@ -13,12 +13,11 @@
 //!   apps, the measured-prefix coverage gap, normal-world tampering,
 //!   launch-image substitution, history rewrites, backend-tag
 //!   substitution, disallowed families);
-//! - the evidence-format negotiation consulting backend capabilities;
 //! - a golden-model property test pinning the TPM+IMA appraisal to the
 //!   documented pre-refactor semantics, step by step.
 
 use cia_crypto::{Digest, HashAlgorithm, Sha256, VerifyingKey};
-use cia_ima::{ImaLogEntry, MeasurementLog, BOOT_AGGREGATE_NAME};
+use cia_ima::BOOT_AGGREGATE_NAME;
 use cia_keylime::{
     Agent, AgentId, AgentRequest, AgentResponse, AgentStatus, AttestationOutcome, BackendError,
     BackendKind, ChaosTransport, Cluster, ConfidentialVmConfig, FailureKind, FaultPlan,
@@ -480,56 +479,6 @@ fn disallowed_backend_family_is_rejected() {
     assert_eq!(cluster.status(&fleet.sw[0]).unwrap(), AgentStatus::Paused);
 }
 
-/// The structured-excerpt negotiation consults backend capabilities: a
-/// verifier configured for typed excerpts falls back to text against a
-/// text-only backend instead of sending a request it cannot serve,
-/// while capability-complete backends still get the typed path.
-#[test]
-fn capability_limited_backend_negotiates_text_excerpt() {
-    let config = VerifierConfig::builder()
-        .structured_excerpt(true)
-        .build()
-        .unwrap();
-    let mut cluster = Cluster::new(109, config);
-    let fleet = enroll_mixed(&mut cluster, 1);
-    run_clean_workload(&mut cluster, &fleet);
-
-    // The text-only secure world verifies: the verifier downgraded to
-    // text for it rather than demanding the typed format.
-    assert!(cluster.attest(&fleet.sw[0]).unwrap().is_verified());
-    assert!(cluster.attest(&fleet.sw[0]).unwrap().is_verified());
-
-    // Demanding the typed format directly is a backend error — which is
-    // exactly what the negotiation exists to avoid.
-    let response = cluster
-        .agent_mut(&fleet.sw[0])
-        .unwrap()
-        .handle(AgentRequest::Quote {
-            nonce: vec![9; 32],
-            from_entry: 0,
-            structured: true,
-        });
-    assert!(
-        matches!(response, AgentResponse::Error { .. }),
-        "text-only backend must refuse structured requests: {response:?}"
-    );
-
-    // A capability-complete backend on the same cluster still serves the
-    // typed path.
-    let response = cluster
-        .agent_mut(&fleet.tpm[0])
-        .unwrap()
-        .handle(AgentRequest::Quote {
-            nonce: vec![9; 32],
-            from_entry: 0,
-            structured: true,
-        });
-    match response {
-        AgentResponse::Quote(q) => assert!(q.entries().is_some(), "typed entries present"),
-        other => panic!("unexpected response {other:?}"),
-    }
-}
-
 /// Runs a six-round mixed-backend chaos corpus (loss + partition, a
 /// mid-corpus attack on each family's surface, a secure-world restart)
 /// and returns the reports plus the final per-agent replayed registers.
@@ -541,7 +490,6 @@ fn run_mixed_chaos(
         .max_retries(6)
         .retry_backoff_ms(5)
         .worker_count(worker_count)
-        .structured_excerpt(true)
         .build()
         .unwrap();
     let plan = FaultPlan::new(31)
@@ -623,8 +571,8 @@ fn mixed_backend_chaos_corpus_is_replay_equal() {
 // ---------------------------------------------------------------------------
 
 /// A from-scratch reimplementation of the pre-refactor TPM+IMA
-/// appraisal: quote signature and nonce, rewind detection, excerpt
-/// parse, PCR-10 replay, boot_aggregate against quoted PCRs 0–9, then
+/// appraisal: quote signature and nonce, rewind detection, PCR-10
+/// replay, boot_aggregate against quoted PCRs 0–9, then
 /// the per-entry policy walk with stop-on-failure prefix semantics.
 /// Kept deliberately independent of the verifier's code paths.
 struct ReferenceVerifier {
@@ -636,7 +584,6 @@ struct ReferenceVerifier {
     status: AgentStatus,
     nonce_counter: u64,
     continue_on_failure: bool,
-    structured: bool,
 }
 
 #[derive(Debug, PartialEq)]
@@ -647,12 +594,7 @@ enum ReferenceOutcome {
 }
 
 impl ReferenceVerifier {
-    fn new(
-        ak: VerifyingKey,
-        policy: RuntimePolicy,
-        continue_on_failure: bool,
-        structured: bool,
-    ) -> Self {
+    fn new(ak: VerifyingKey, policy: RuntimePolicy, continue_on_failure: bool) -> Self {
         ReferenceVerifier {
             ak,
             policy,
@@ -662,7 +604,6 @@ impl ReferenceVerifier {
             status: AgentStatus::Trusted,
             nonce_counter: 0,
             continue_on_failure,
-            structured,
         }
     }
 
@@ -682,7 +623,7 @@ impl ReferenceVerifier {
         let resp = match agent.handle(AgentRequest::Quote {
             nonce: nonce.clone(),
             from_entry: self.next_entry,
-            structured: self.structured,
+            structured: true,
         }) {
             AgentResponse::Quote(q) => q,
             other => panic!("unexpected response {other:?}"),
@@ -701,21 +642,7 @@ impl ReferenceVerifier {
             return self.fail(vec![FailureKind::LogRewound]);
         }
 
-        let parsed_text;
-        let entries: &[ImaLogEntry] = match resp.entries() {
-            Some(typed) => typed,
-            None => match MeasurementLog::parse(resp.log_excerpt()) {
-                Ok(log) => {
-                    parsed_text = log;
-                    parsed_text.entries()
-                }
-                Err(e) => {
-                    let reason = e.to_string();
-                    return self.fail(vec![FailureKind::LogParse { reason }]);
-                }
-            },
-        };
-
+        let entries = resp.entries();
         let mut full_fold = self.replayed_pcr;
         for entry in entries {
             full_fold = extend_digest(
@@ -815,8 +742,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For any scripted workload, both failure policies and both wire
-    /// formats: the production verifier's outcome kinds, agent status,
+    /// For any scripted workload and both failure policies: the
+    /// production verifier's outcome kinds, agent status,
     /// and replayed PCR agree round by round with the independent
     /// reference model — the backend refactor changed no appraisal bit.
     #[test]
@@ -827,13 +754,10 @@ proptest! {
         ),
         seed in 0u64..1_000,
         continue_sel in 0u8..2,
-        structured_sel in 0u8..2,
     ) {
         let continue_on_failure = continue_sel == 1;
-        let structured = structured_sel == 1;
         let config = VerifierConfig::builder()
             .continue_on_failure(continue_on_failure)
-            .structured_excerpt(structured)
             .build()
             .unwrap();
         let mut cluster = Cluster::new(seed, config);
@@ -858,7 +782,7 @@ proptest! {
         cluster.verifier.update_policy(&id, policy.clone()).unwrap();
 
         let ak = cluster.registrar.record_for(&id).unwrap().ak.clone();
-        let mut reference = ReferenceVerifier::new(ak, policy, continue_on_failure, structured);
+        let mut reference = ReferenceVerifier::new(ak, policy, continue_on_failure);
 
         let mut unique = 0usize;
         for round_ops in &script {

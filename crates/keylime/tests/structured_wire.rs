@@ -1,18 +1,20 @@
-//! Golden tests for the structured quote excerpt (wire format v2).
+//! Wire tests for the quote excerpt — the typed [`ImaLogEntry`] list a
+//! [`QuoteResponse`] carries, the only form an excerpt has.
 //!
-//! The structured excerpt is a perf optimization, never a semantic
-//! change: a verifier consuming typed [`ImaLogEntry`] lists must reach
-//! bit-identical conclusions — outcomes, statuses, and replayed PCR
-//! folds — to one parsing the canonical ASCII rendering, on clean
-//! workloads, on failing workloads, and across the chaos fault corpus.
-//! Tampering with the typed entries on the wire must be caught by the
-//! PCR replay exactly like tampering with the text would be.
+//! What crosses the wire is each entry's three semantic fields; the
+//! memoized template hashes never travel. The verifier recomputes them
+//! from what arrived, so the excerpt survives a JSON roundtrip with its
+//! register fold intact, and an entry rewritten in flight no longer
+//! replays to the quoted evidence register — whichever backend family
+//! produced it.
+//!
+//! [`ImaLogEntry`]: cia_ima::ImaLogEntry
 
-use cia_crypto::{Digest, HashAlgorithm};
+use cia_crypto::HashAlgorithm;
 use cia_keylime::{
-    Agent, AgentId, AgentRequest, AgentResponse, AgentStatus, AttestationOutcome, ChaosTransport,
-    Cluster, FailureKind, FaultPlan, FaultTarget, QuoteResponse, ReliableTransport, RoundReport,
-    RuntimePolicy, Transport, TransportError, VerifierConfig,
+    Agent, AgentRequest, AgentResponse, AgentStatus, AttestationOutcome, BackendKind, Cluster,
+    ConfidentialVmConfig, FailureKind, QuoteResponse, RuntimePolicy, SecureWorldConfig, Transport,
+    TransportError, VerifierConfig,
 };
 use cia_os::{ExecMethod, MachineConfig};
 use cia_tpm::pcr::extend_digest;
@@ -24,100 +26,7 @@ fn p(s: &str) -> VfsPath {
     VfsPath::new(s).unwrap()
 }
 
-/// Runs the same scripted workload on a fresh single-node cluster and
-/// returns, per attestation round, the outcome, the agent status, and
-/// the verifier's replayed PCR 10.
-fn run_scripted_rounds(config: VerifierConfig) -> Vec<(AttestationOutcome, AgentStatus, Digest)> {
-    let mut cluster = Cluster::new(41, config);
-    let mut policy = RuntimePolicy::new();
-    policy.exclude("/tmp");
-
-    let id = cluster
-        .add_machine(MachineConfig::default(), RuntimePolicy::new())
-        .unwrap();
-    {
-        let m = cluster.agent_mut(&id).unwrap().machine_mut();
-        m.write_executable(&p("/usr/bin/good"), b"known good binary")
-            .unwrap();
-        let digest = m
-            .vfs
-            .file_digest(&p("/usr/bin/good"), HashAlgorithm::Sha256)
-            .unwrap();
-        policy.allow("/usr/bin/good", digest.to_hex());
-        m.write_executable(&p("/usr/bin/other"), b"second good binary")
-            .unwrap();
-        let digest = m
-            .vfs
-            .file_digest(&p("/usr/bin/other"), HashAlgorithm::Sha256)
-            .unwrap();
-        policy.allow("/usr/bin/other", digest.to_hex());
-    }
-    cluster.verifier.update_policy(&id, policy).unwrap();
-
-    let mut observed = Vec::new();
-    let record = |cluster: &mut Cluster, id: &AgentId, observed: &mut Vec<_>| {
-        let outcome = cluster.attest(id).unwrap();
-        observed.push((
-            outcome,
-            cluster.status(id).unwrap(),
-            cluster.verifier.replayed_pcr(id).unwrap(),
-        ));
-    };
-
-    // Round 1: boot_aggregate only.
-    record(&mut cluster, &id, &mut observed);
-    // Round 2: a burst of allowed and excluded activity.
-    {
-        let m = cluster.agent_mut(&id).unwrap().machine_mut();
-        m.exec(&p("/usr/bin/good"), ExecMethod::Direct).unwrap();
-        m.exec(&p("/usr/bin/other"), ExecMethod::Direct).unwrap();
-        m.write_executable(&p("/tmp/scratch"), b"excluded scratch")
-            .unwrap();
-        m.exec(&p("/tmp/scratch"), ExecMethod::Direct).unwrap();
-    }
-    record(&mut cluster, &id, &mut observed);
-    // Round 3: nothing new.
-    record(&mut cluster, &id, &mut observed);
-    // Round 4: a policy violation followed by more allowed activity, so
-    // stop-on-failure and continue-on-failure configs diverge — but
-    // identically for both wire formats.
-    {
-        let m = cluster.agent_mut(&id).unwrap().machine_mut();
-        m.write_executable(&p("/usr/bin/surprise"), b"not in policy")
-            .unwrap();
-        m.exec(&p("/usr/bin/surprise"), ExecMethod::Direct).unwrap();
-        m.exec(&p("/usr/bin/good"), ExecMethod::Direct).unwrap();
-    }
-    record(&mut cluster, &id, &mut observed);
-    // Round 5: the agent stays paused (stop-on-failure) or keeps
-    // accumulating alerts (continue-on-failure).
-    if observed.last().unwrap().1 != AgentStatus::Paused {
-        record(&mut cluster, &id, &mut observed);
-    }
-    observed
-}
-
-/// The golden equivalence: text and structured excerpts yield identical
-/// outcomes, statuses and replayed PCR folds round by round, under both
-/// failure policies.
-#[test]
-fn structured_and_text_paths_reach_identical_conclusions() {
-    for continue_on_failure in [false, true] {
-        let base = VerifierConfig::builder().continue_on_failure(continue_on_failure);
-        let text = run_scripted_rounds(base.clone().structured_excerpt(false).build().unwrap());
-        let structured =
-            run_scripted_rounds(base.clone().structured_excerpt(true).build().unwrap());
-        assert_eq!(
-            text, structured,
-            "wire formats diverged (continue_on_failure={continue_on_failure})"
-        );
-        // The scripted workload exercises both verified and failed rounds.
-        assert!(text.iter().any(|(o, _, _)| o.is_verified()));
-        assert!(text.iter().any(|(o, _, _)| !o.is_verified()));
-    }
-}
-
-/// Pulls one structured quote straight from an agent.
+/// Pulls one quote straight from an agent.
 fn structured_quote(agent: &mut Agent) -> QuoteResponse {
     let response = agent.handle(AgentRequest::Quote {
         nonce: vec![7; 32],
@@ -146,16 +55,12 @@ fn structured_excerpt_roundtrips_through_the_wire() {
         m.exec(&p("/usr/bin/tool"), ExecMethod::Direct).unwrap();
     }
     let resp = structured_quote(cluster.agent_mut(&id).unwrap());
-    assert!(
-        resp.log_excerpt().is_empty(),
-        "structured replies carry no text"
-    );
-    let entries = resp.entries().expect("structured entries present");
+    let entries = resp.entries();
     assert_eq!(entries.len(), resp.total_entries());
 
     let wire = serde_json::to_string(&resp).unwrap();
     let back: QuoteResponse = serde_json::from_str(&wire).unwrap();
-    let back_entries = back.entries().expect("entries survive the wire");
+    let back_entries = back.entries();
     assert_eq!(back_entries.len(), entries.len());
 
     let mut sent_fold = HashAlgorithm::Sha256.zero_digest();
@@ -183,8 +88,13 @@ fn structured_excerpt_roundtrips_through_the_wire() {
     assert_eq!(resp.quote().pcr_value(10), Some(sent_fold));
 }
 
-/// A transport that rewrites one path inside the serialized response —
-/// the man-in-the-middle a structured excerpt must not survive.
+/// One measured path per backend family.
+const TPM_PATH: &str = "/usr/bin/good";
+const TA_PATH: &str = "/ta/keymaster";
+const CVM_PATH: &str = "/opt/svc/agentd";
+
+/// A transport that rewrites those paths inside the serialized response
+/// — the man-in-the-middle an excerpt must not survive.
 struct TamperingTransport {
     requests: u64,
 }
@@ -207,7 +117,11 @@ impl Transport for TamperingTransport {
         let decoded: Req = serde_json::from_str(&wire_req).map_err(codec)?;
         let response = serve(decoded);
         let wire_resp = serde_json::to_string(&response).map_err(codec)?;
-        let tampered = wire_resp.replace("/usr/bin/good", "/usr/bin/evil");
+        let tampered = [TPM_PATH, TA_PATH, CVM_PATH]
+            .iter()
+            .fold(wire_resp, |wire, path| {
+                wire.replace(path, &format!("{path}.evil"))
+            });
         serde_json::from_str(&tampered).map_err(codec)
     }
 
@@ -228,123 +142,57 @@ impl Transport for TamperingTransport {
     }
 }
 
-/// Tampering with a typed entry in flight lands as a PCR mismatch: the
-/// verifier recomputes template hashes from the entry fields (the
-/// memoized caches serialize to null), so the fold no longer matches
-/// the quoted PCR 10.
+/// Tampering with an entry in flight lands as a PCR mismatch on every
+/// backend family: the verifier recomputes template hashes from the
+/// entry fields (the memoized caches serialize to null), so the fold no
+/// longer matches the quoted evidence register.
 #[test]
 fn tampered_structured_excerpt_is_rejected() {
-    let config = VerifierConfig::builder()
-        .structured_excerpt(true)
-        .build()
-        .unwrap();
-    let mut cluster = Cluster::with_transport(47, config, TamperingTransport { requests: 0 });
-    let id = cluster
+    let transport = TamperingTransport { requests: 0 };
+    let mut cluster = Cluster::with_transport(47, VerifierConfig::default(), transport);
+
+    let tpm = cluster
         .add_machine(MachineConfig::default(), RuntimePolicy::new())
         .unwrap();
     {
-        let m = cluster.agent_mut(&id).unwrap().machine_mut();
-        m.write_executable(&p("/usr/bin/good"), b"known good binary")
+        let m = cluster.agent_mut(&tpm).unwrap().machine_mut();
+        m.write_executable(&p(TPM_PATH), b"known good binary")
             .unwrap();
-        m.exec(&p("/usr/bin/good"), ExecMethod::Direct).unwrap();
+        m.exec(&p(TPM_PATH), ExecMethod::Direct).unwrap();
     }
-    match cluster.attest(&id).unwrap() {
-        AttestationOutcome::Failed { alerts } => {
-            assert!(
-                alerts
-                    .iter()
-                    .any(|a| matches!(a.kind, FailureKind::PcrMismatch)),
-                "tampering must surface as a PCR mismatch: {alerts:?}"
-            );
-        }
-        other => panic!("tampered excerpt must not verify: {other:?}"),
-    }
-    assert_eq!(cluster.status(&id).unwrap(), AgentStatus::Paused);
-}
-
-/// Builds a small chaos fleet (loss + partition + crash faults, no
-/// payload corruption — corruption mutates the wire bytes themselves,
-/// which necessarily differ between formats) and runs six scheduler
-/// rounds, returning every report plus the final per-agent replayed
-/// PCRs and the deterministic entries_evaluated counter.
-fn run_chaos_corpus(structured: bool) -> (Vec<RoundReport>, Vec<(AgentId, Digest)>, u64) {
-    let config = VerifierConfig::builder()
-        .continue_on_failure(true)
-        .max_retries(6)
-        .retry_backoff_ms(5)
-        .worker_count(3)
-        .structured_excerpt(structured)
-        .build()
+    let sw = cluster
+        .add_secure_world(SecureWorldConfig::new("sw-00", 1), RuntimePolicy::new())
         .unwrap();
-    let plan = FaultPlan::new(23)
-        .loss(1..3, FaultTarget::AllAgents, 0.3)
-        .partition(3..4, FaultTarget::lanes([1]))
-        .crash(4, 2);
-    let transport = ChaosTransport::new(ReliableTransport::new(), plan);
-    let mut cluster = Cluster::with_transport(29, config, transport);
+    let world = cluster.agent_mut(&sw).unwrap().backend_mut();
+    assert!(world
+        .as_secure_world_mut()
+        .unwrap()
+        .load_trusted_app(TA_PATH, b"trusted keymaster applet"));
+    let cvm = cluster
+        .add_confidential_vm(ConfidentialVmConfig::new("cvm-00", 2), RuntimePolicy::new())
+        .unwrap();
+    let guest = cluster.agent_mut(&cvm).unwrap().backend_mut();
+    guest
+        .as_confidential_vm_mut()
+        .unwrap()
+        .exec_measured(CVM_PATH, b"confidential service daemon");
 
-    let mut policy = RuntimePolicy::new();
-    let mut ids = Vec::new();
-    for i in 0..4u64 {
-        let machine = MachineConfig {
-            hostname: format!("chaos-{i:02}"),
-            seed: i,
-            ..MachineConfig::default()
-        };
-        ids.push(cluster.add_machine(machine, RuntimePolicy::new()).unwrap());
-    }
-    {
-        let m = cluster.agent_mut(&ids[0]).unwrap().machine_mut();
-        m.write_executable(&p("/usr/bin/shared"), b"fleet-wide tool")
-            .unwrap();
-        let digest = m
-            .vfs
-            .file_digest(&p("/usr/bin/shared"), HashAlgorithm::Sha256)
-            .unwrap();
-        policy.allow("/usr/bin/shared", digest.to_hex());
-    }
-    for id in &ids {
-        cluster.verifier.update_policy(id, policy.clone()).unwrap();
-    }
-
-    let mut reports = Vec::new();
-    for round in 0..6u64 {
-        cluster.transport.set_round(round);
-        if round == 2 {
-            // Mid-corpus workload: allowed activity on agent 0, a
-            // violation on agent 3.
-            let m = cluster.agent_mut(&ids[0]).unwrap().machine_mut();
-            m.write_executable(&p("/usr/bin/shared"), b"fleet-wide tool")
-                .unwrap();
-            m.exec(&p("/usr/bin/shared"), ExecMethod::Direct).unwrap();
-            let m = cluster.agent_mut(&ids[3]).unwrap().machine_mut();
-            m.write_executable(&p("/usr/bin/dropper"), b"malicious payload")
-                .unwrap();
-            m.exec(&p("/usr/bin/dropper"), ExecMethod::Direct).unwrap();
+    for (kind, id) in [
+        (BackendKind::TpmIma, tpm),
+        (BackendKind::SecureWorld, sw),
+        (BackendKind::ConfidentialVm, cvm),
+    ] {
+        match cluster.attest(&id).unwrap() {
+            AttestationOutcome::Failed { alerts } => {
+                assert!(
+                    alerts
+                        .iter()
+                        .any(|a| matches!(a.kind, FailureKind::PcrMismatch)),
+                    "{kind}: tampering must surface as a PCR mismatch: {alerts:?}"
+                );
+            }
+            other => panic!("{kind}: tampered excerpt must not verify: {other:?}"),
         }
-        reports.push(cluster.attest_fleet());
+        assert_eq!(cluster.status(&id).unwrap(), AgentStatus::Paused);
     }
-
-    let pcrs = ids
-        .iter()
-        .map(|id| (id.clone(), cluster.verifier.replayed_pcr(id).unwrap()))
-        .collect();
-    let entries_evaluated = cluster.scheduler.metrics().snapshot().entries_evaluated;
-    (reports, pcrs, entries_evaluated)
-}
-
-/// The chaos scenario corpus is wire-format invariant: round reports,
-/// replayed PCR values and the entries_evaluated counter are
-/// bit-identical whether quotes travel as text or typed entries.
-#[test]
-fn chaos_corpus_is_wire_format_invariant() {
-    let (text_reports, text_pcrs, text_entries) = run_chaos_corpus(false);
-    let (typed_reports, typed_pcrs, typed_entries) = run_chaos_corpus(true);
-    assert_eq!(text_reports, typed_reports);
-    assert_eq!(text_pcrs, typed_pcrs);
-    assert_eq!(text_entries, typed_entries);
-    // The corpus is non-trivial: faults actually fired and at least one
-    // failure outcome exists among the reports.
-    assert!(text_reports.iter().any(|r| r.failed_count() > 0));
-    assert!(text_entries > 0);
 }
