@@ -5,7 +5,7 @@
 //!    revocation fan-out;
 //! 2. the fleet engine at scale — 1,000 agents attested concurrently
 //!    over a transport dropping 10% of all calls, with the retry,
-//!    backoff and latency metrics printed from the scheduler registry,
+//!    backoff and latency metrics printed from the scheduler's counters,
 //!    then the same fleet re-sharded across a 4-shard verifier
 //!    federation for a merged fleet-level round;
 //! 3. chaos under a scripted FaultPlan — a quarter of the fleet
@@ -19,8 +19,8 @@
 use cia_core::experiments::{run_fleet, FleetConfig};
 use cia_distro::StreamProfile;
 use cia_keylime::{
-    ChaosTransport, Cluster, FaultPlan, FaultTarget, Federation, FederationConfig, LossyTransport,
-    MetricsSnapshot, ReliableTransport, RuntimePolicy, VerifierConfig,
+    ChaosTransport, Cluster, FaultPlan, FaultTarget, Federation, FederationConfig, MetricsSnapshot,
+    ReliableTransport, RuntimePolicy, VerifierConfig,
 };
 use cia_os::MachineConfig;
 use std::time::Instant;
@@ -95,7 +95,8 @@ fn engine_at_scale_act() {
         config.worker_count
     );
 
-    let transport = LossyTransport::new(DROP_RATE, 2026);
+    let transport =
+        ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(2026, DROP_RATE));
     let mut cluster = Cluster::with_transport(7, config, transport);
     // One shared policy snapshot serves the whole fleet: enrolment takes
     // an Arc handle per agent instead of a policy copy, and a later
@@ -154,8 +155,9 @@ fn engine_at_scale_act() {
     // instances sharing one policy store and run the next round through
     // the coordinator. Lanes come from the fleet-wide sorted order, so
     // the drop pattern each agent sees is the one the single verifier
-    // would have dealt it.
+    // would have dealt it — in round 1: a new round draws new loss.
     println!("\n== federated: the same {FLEET} agents across {SHARDS} verifier shards ==\n");
+    cluster.transport.set_round(1);
     let mut fed =
         Federation::from_verifier(&cluster.verifier, FederationConfig::new(SHARDS, config));
     let round_start = Instant::now();

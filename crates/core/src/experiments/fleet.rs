@@ -20,8 +20,9 @@
 
 use cia_distro::{Mirror, ReleaseStream, StreamProfile};
 use cia_keylime::{
-    Agent, AgentId, AgentStatus, Alert, Cluster, Federation, FederationConfig, HealthCounts,
-    LossyTransport, MetricsSnapshot, RoundOutcome, ShardTransportKind, VerifierConfig,
+    Agent, AgentId, AgentStatus, Alert, ChaosTransport, Cluster, FaultPlan, Federation,
+    FederationConfig, HealthCounts, MetricsSnapshot, ReliableTransport, RoundOutcome,
+    ShardTransportKind, VerifierConfig,
 };
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_vfs::VfsPath;
@@ -151,7 +152,10 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
         .wire_batch(config.wire_batch)
         .build()
         .expect("fleet verifier config is valid");
-    let transport = LossyTransport::new(config.drop_rate, config.seed ^ 0x10a11);
+    let transport = ChaosTransport::new(
+        ReliableTransport::new(),
+        FaultPlan::lossy(config.seed ^ 0x10a11, config.drop_rate),
+    );
     let mut cluster = Cluster::with_transport(config.seed, verifier_config, transport);
     // One shared policy serves the whole fleet: publish it once, then
     // every enrolment is an `Arc` handle onto the same snapshot.
@@ -200,6 +204,9 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
     let mut report = FleetReport::default();
 
     for day in 1..=config.days {
+        // Each day's sweep is its own round of the fault plan, so it
+        // draws its own loss.
+        cluster.transport.set_round(u64::from(day));
         // Shared mirror sync + one generator pass for the whole fleet;
         // distribution is one delta publish — O(changed entries), not
         // O(fleet × policy).

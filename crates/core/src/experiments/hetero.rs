@@ -17,8 +17,9 @@
 
 use cia_crypto::HashAlgorithm;
 use cia_keylime::{
-    AgentId, Alert, BackendKind, Cluster, ConfidentialVmConfig, LossyTransport, MetricsSnapshot,
-    PerBackendCounts, RoundOutcome, RuntimePolicy, SecureWorldConfig, VerifierConfig,
+    AgentId, Alert, BackendKind, ChaosTransport, Cluster, ConfidentialVmConfig, FaultPlan,
+    MetricsSnapshot, PerBackendCounts, ReliableTransport, RoundOutcome, RuntimePolicy,
+    SecureWorldConfig, VerifierConfig,
 };
 use cia_os::{ExecMethod, MachineConfig};
 use cia_vfs::VfsPath;
@@ -116,7 +117,10 @@ pub fn run_hetero(config: HeteroConfig) -> HeteroReport {
         .worker_count(config.workers.max(1))
         .build()
         .expect("hetero verifier config is valid");
-    let transport = LossyTransport::new(config.drop_rate, config.seed ^ 0xbe7e);
+    let transport = ChaosTransport::new(
+        ReliableTransport::new(),
+        FaultPlan::lossy(config.seed ^ 0xbe7e, config.drop_rate),
+    );
     let mut cluster = Cluster::with_transport(config.seed, verifier_config, transport);
 
     let mut sw_policy = RuntimePolicy::new();
@@ -175,6 +179,8 @@ pub fn run_hetero(config: HeteroConfig) -> HeteroReport {
 
     let mut report = HeteroReport::default();
     for day in 1..=config.days {
+        // Each day's sweep draws its own loss from the fault plan.
+        cluster.transport.set_round(u64::from(day));
         // Benign daily activity on every family.
         for id in &tpm_ids {
             let m = cluster.agent_mut(id).unwrap().machine_mut();

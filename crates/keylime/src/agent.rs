@@ -11,10 +11,7 @@ use cia_os::Machine;
 use cia_tpm::{AkBinding, EkCertificate, Quote};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{
-    AttestationBackend, Backend, BackendCapabilities, BackendCert, BackendKind, ChallengeBinding,
-};
-use crate::error::KeylimeError;
+use crate::backend::{AttestationBackend, Backend, BackendCert, BackendKind, ChallengeBinding};
 use crate::ids::AgentId;
 
 /// Requests an agent answers.
@@ -201,11 +198,6 @@ impl Agent {
         self.backend.kind()
     }
 
-    /// The backend's capability flags.
-    pub fn capabilities(&self) -> BackendCapabilities {
-        self.backend.capabilities()
-    }
-
     /// Read access to the backend.
     pub fn backend(&self) -> &Backend {
         &self.backend
@@ -250,7 +242,7 @@ impl Agent {
     /// # Panics
     ///
     /// When the agent does not run the TPM+IMA backend; heterogeneous
-    /// call sites should use [`Agent::try_machine_mut`].
+    /// call sites should go through [`Agent::backend_mut`].
     pub fn machine_mut(&mut self) -> &mut Machine {
         self.backend
             .as_machine_mut()
@@ -260,11 +252,6 @@ impl Agent {
     /// The underlying machine, when this agent runs TPM+IMA.
     pub fn try_machine(&self) -> Option<&Machine> {
         self.backend.as_machine()
-    }
-
-    /// Mutable machine access, when this agent runs TPM+IMA.
-    pub fn try_machine_mut(&mut self) -> Option<&mut Machine> {
-        self.backend.as_machine_mut()
     }
 
     /// Consumes the agent, returning the machine.
@@ -299,14 +286,6 @@ impl Agent {
                     reason: e.to_string(),
                 },
             },
-        }
-    }
-
-    /// Convenience wrapper returning a typed error for `Error` responses.
-    pub fn handle_checked(&mut self, request: AgentRequest) -> Result<AgentResponse, KeylimeError> {
-        match self.handle(request) {
-            AgentResponse::Error { reason } => Err(KeylimeError::Agent { reason }),
-            ok => Ok(ok),
         }
     }
 }

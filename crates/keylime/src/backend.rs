@@ -18,10 +18,9 @@
 //!
 //! All three produce the same [`Quote`](cia_tpm::Quote) evidence shape
 //! and the same excerpt (the [`ImaLogEntry`] tail), so the verifier's
-//! replay/appraisal core is shared; per-backend capability flags
-//! ([`BackendCapabilities`]) drive the appraisal dispatch differences
-//! (evidence register, boot-aggregate handling, launch-measurement
-//! pinning).
+//! replay/appraisal core is shared; [`BackendKind`] (evidence register,
+//! boot-aggregate handling) and [`BackendIdentity`] (launch-measurement
+//! pinning) drive the appraisal dispatch differences.
 
 use cia_crypto::{Digest, HashAlgorithm, KeyPair, Sha256, Signature, VerifyingKey};
 use cia_ima::{ImaLogEntry, IMA_PCR};
@@ -104,22 +103,10 @@ impl BackendKind {
         }
     }
 
-    /// Static capability flags for this backend kind.
-    pub fn capabilities(self) -> BackendCapabilities {
-        match self {
-            BackendKind::TpmIma => BackendCapabilities {
-                boot_aggregate: true,
-                launch_measurement: false,
-            },
-            BackendKind::SecureWorld => BackendCapabilities {
-                boot_aggregate: false,
-                launch_measurement: false,
-            },
-            BackendKind::ConfidentialVm => BackendCapabilities {
-                boot_aggregate: false,
-                launch_measurement: true,
-            },
-        }
+    /// Whether entry 0 of the measurement list is a `boot_aggregate`
+    /// folding the static-boot registers.
+    pub fn has_boot_aggregate(self) -> bool {
+        self == BackendKind::TpmIma
     }
 }
 
@@ -127,18 +114,6 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// What a backend's evidence carries, consulted during appraisal
-/// dispatch.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BackendCapabilities {
-    /// Whether entry 0 of the measurement list is a `boot_aggregate`
-    /// folding the static-boot registers.
-    pub boot_aggregate: bool,
-    /// Whether evidence pins a platform-certified launch measurement.
-    pub launch_measurement: bool,
 }
 
 /// Errors a backend can produce while serving a request.
@@ -421,18 +396,13 @@ impl ChallengeBinding {
 /// material at registration and quotes during continuous attestation.
 /// Everything the verifier needs to appraise heterogeneously — evidence
 /// register, boot aggregate, launch pinning — is exposed through
-/// [`BackendKind`]/[`BackendCapabilities`] rather than through downcasts.
+/// [`BackendKind`] and [`BackendIdentity`] rather than through downcasts.
 pub trait AttestationBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
     /// The host name the agent identity derives from.
     fn hostname(&self) -> &str;
-
-    /// Capability flags (defaults to the kind's static table).
-    fn capabilities(&self) -> BackendCapabilities {
-        self.kind().capabilities()
-    }
 
     /// The platform's notion of the current simulated day (used for alert
     /// timestamps).

@@ -1,11 +1,12 @@
-//! Deterministic chaos injection: scripted fault plans over any transport.
+//! Deterministic fault injection: scripted fault plans over any transport.
 //!
-//! [`crate::transport::LossyTransport`] models failure as one scalar drop
-//! rate. Real outages have *shape*: an agent subset partitions for a few
-//! rounds, the registrar flaps during a maintenance window, a response
-//! arrives corrupted, a node crashes and comes back with a reset TPM
-//! counter. [`FaultPlan`] scripts exactly those shapes as a schedule of
-//! [`FaultEvent`]s, and [`ChaosTransport`] applies the plan as a
+//! This is the tree's one fault injector. Real outages have *shape*: a
+//! link loses a fraction of its messages, an agent subset partitions for
+//! a few rounds, the registrar flaps during a maintenance window, a
+//! response arrives corrupted, a node crashes and comes back with a reset
+//! TPM counter. [`FaultPlan`] scripts exactly those shapes as a schedule
+//! of [`FaultEvent`]s — a uniformly lossy link is the two-event plan
+//! [`FaultPlan::lossy`] — and [`ChaosTransport`] applies the plan as a
 //! decorator over any inner [`Transport`].
 //!
 //! Every fault decision is a **pure function** of
@@ -17,8 +18,9 @@
 //!
 //! Lane mapping: the fleet scheduler forks one lane per enrolled agent in
 //! sorted-id order ([`Transport::fork`]), so `lane` here is the agent's
-//! index in that order. Calls on the *base* (un-forked) transport — the
-//! registrar/enrolment channel — carry no lane and are targeted with
+//! index in that order. Calls on the *base* (un-forked) transport —
+//! registration, and the one-agent operations `Cluster::attest` and
+//! `Cluster::resolve` — carry no lane and are targeted with
 //! [`FaultTarget::Registrar`].
 //!
 //! Agent-side faults ([`FaultKind::CrashRestart`]) cannot be expressed at
@@ -42,7 +44,9 @@ pub enum FaultTarget {
     AllAgents,
     /// A specific set of agent lanes (indices in sorted-id order).
     Lanes(Vec<u64>),
-    /// The base transport: registration/enrolment traffic.
+    /// The base (un-forked) transport: registration traffic, and the
+    /// one-agent operations that use the base channel directly
+    /// (`Cluster::attest`, `Cluster::resolve`).
     Registrar,
 }
 
@@ -124,15 +128,8 @@ pub struct FaultDecision {
     pub extra_latency_ms: u64,
 }
 
-impl FaultDecision {
-    /// True when no fault applies.
-    pub fn is_clean(&self) -> bool {
-        *self == FaultDecision::default()
-    }
-}
-
-/// SplitMix64 finalizer: the same well-tested mixer the transport lanes
-/// use, applied here to hash fault coordinates instead of seeding RNGs.
+/// SplitMix64 finalizer, applied to hash fault coordinates (no RNG is
+/// seeded): adjacent seeds, rounds, lanes and attempts land far apart.
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -153,6 +150,15 @@ impl FaultPlan {
             seed,
             events: Vec::new(),
         }
+    }
+
+    /// A uniformly lossy link: every call, on every agent lane and on the
+    /// base channel, in every round, loses each direction independently
+    /// with probability `rate` (0.0 is a reliable link).
+    pub fn lossy(seed: u64, rate: f64) -> Self {
+        FaultPlan::new(seed)
+            .loss(0..u64::MAX, FaultTarget::AllAgents, rate)
+            .loss(0..u64::MAX, FaultTarget::Registrar, rate)
     }
 
     /// The seed probabilistic faults are decided from.
@@ -590,5 +596,139 @@ mod tests {
         base.set_round(4);
         let mut fresh = base.fork(1);
         assert!(fresh.call(&1, |x: i32| x).is_err(), "sees round 4");
+    }
+
+    #[test]
+    fn lossy_drops_sometimes() {
+        let mut t = chaos(FaultPlan::lossy(7, 0.5));
+        let mut ok = 0;
+        let mut err = 0;
+        for i in 0..200 {
+            match t.call(&i, |x: i32| x) {
+                Ok(_) => ok += 1,
+                Err(TransportError::RequestDropped | TransportError::ResponseDropped) => err += 1,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert!(ok > 20, "some calls must succeed ({ok})");
+        assert!(err > 20, "some calls must drop ({err})");
+        assert_eq!(t.drops() as i32, err);
+    }
+
+    #[test]
+    fn full_loss_never_delivers() {
+        let mut base = chaos(FaultPlan::lossy(1, 1.0));
+        let mut lane = base.fork(0);
+        for round in [0, 1, u64::MAX - 1] {
+            base.set_round(round);
+            for t in [&mut base, &mut lane] {
+                assert_eq!(
+                    t.call(&0, |x: i32| x).unwrap_err(),
+                    TransportError::RequestDropped
+                );
+            }
+        }
+        assert!(TransportError::RequestDropped.is_retryable());
+        assert!(!TransportError::Codec { reason: "x".into() }.is_retryable());
+        // ...and rate 0.0 is a reliable link, base channel and lanes.
+        let mut base = chaos(FaultPlan::lossy(1, 0.0));
+        let mut lane = base.fork(0);
+        for i in 0..50 {
+            assert!(base.call(&i, |x: i32| x).is_ok());
+            assert!(lane.call(&i, |x: i32| x).is_ok());
+        }
+    }
+
+    #[test]
+    fn forked_lanes_are_deterministic_and_independent() {
+        let base = chaos(FaultPlan::lossy(42, 0.3));
+        let pattern = |t: &mut ChaosTransport<ReliableTransport>| -> Vec<bool> {
+            (0..50).map(|i| t.call(&i, |x: i32| x).is_ok()).collect()
+        };
+        // The same (round, lane) forked twice: identical drop pattern.
+        let a1 = pattern(&mut base.fork(5));
+        let a2 = pattern(&mut base.fork(5));
+        assert_eq!(a1, a2);
+        // A different lane: a different pattern (with overwhelming odds).
+        let b = pattern(&mut base.fork(6));
+        assert_ne!(a1, b);
+        // A different round: the lane draws fresh loss...
+        base.set_round(1);
+        let c = pattern(&mut base.fork(5));
+        assert_ne!(a1, c);
+        // ...and going back replays the first round's.
+        base.set_round(0);
+        assert_eq!(pattern(&mut base.fork(5)), a1);
+        // Forking never disturbs the base transport's own counters.
+        assert_eq!(base.requests(), 0);
+    }
+
+    /// Regression: fault coordinates must not alias. A naive `seed + lane`
+    /// (or xor) mix would give `(seed, lane + 1)` the decisions of
+    /// `(seed + 1, lane)`, so two agents in *different* fleets — or one
+    /// agent after a seed bump — would replay each other's fault pattern.
+    /// Hashing every coordinate through the SplitMix64 finalizer keeps
+    /// every (seed, lane) pair distinct.
+    #[test]
+    fn lane_mixing_does_not_alias_adjacent_seeds_and_lanes() {
+        let decisions = |seed: u64, lane: u64| -> Vec<FaultDecision> {
+            let plan = FaultPlan::lossy(seed, 0.5);
+            (0..64).map(|a| plan.decide(0, Some(lane), a)).collect()
+        };
+        let mut derived = std::collections::BTreeSet::new();
+        for seed in 0..8u64 {
+            for lane in 0..8u64 {
+                let bits: Vec<(bool, bool)> = decisions(seed, lane)
+                    .iter()
+                    .map(|d| (d.drop_request, d.drop_response))
+                    .collect();
+                assert!(
+                    derived.insert(bits),
+                    "collision at seed {seed}, lane {lane}"
+                );
+            }
+        }
+        // The specific aliasing a plain additive mix would produce:
+        assert_ne!(decisions(10, 3), decisions(11, 2));
+        assert_ne!(decisions(10, 3), decisions(9, 4));
+        assert_ne!(decisions(10, 3), decisions(3, 10), "not symmetric either");
+    }
+
+    /// Regression: a lane's attempt-level decisions depend only on
+    /// (plan, round, lane) — never on which worker got the lane or how
+    /// many calls *other* lanes made first. Drives the same lanes under
+    /// two different worker-assignment interleavings and pins equality.
+    #[test]
+    fn lane_fault_pattern_is_independent_of_worker_assignment() {
+        let base = chaos(FaultPlan::lossy(1234, 0.35));
+        let attempts_per_lane = 40; // covers multi-retry rounds
+        let drive = |t: &mut ChaosTransport<ReliableTransport>| -> Vec<bool> {
+            (0..attempts_per_lane)
+                .map(|i| t.call(&i, |x: i32| x).is_ok())
+                .collect()
+        };
+
+        // Assignment A: workers process lanes 0,1,2,3 in order, each
+        // lane's attempts run back to back.
+        let in_order: Vec<Vec<bool>> = (0..4).map(|l| drive(&mut base.fork(l))).collect();
+
+        // Assignment B: lanes forked in reverse and attempts interleaved
+        // round-robin across all lanes, as a racing pool would.
+        let mut rev_lanes: Vec<(u64, ChaosTransport<ReliableTransport>)> =
+            (0..4u64).rev().map(|l| (l, base.fork(l))).collect();
+        let mut results: std::collections::BTreeMap<u64, Vec<bool>> =
+            (0..4u64).map(|l| (l, Vec::new())).collect();
+        for i in 0..attempts_per_lane {
+            for (lane_no, t) in rev_lanes.iter_mut() {
+                let entry = results.get_mut(lane_no).unwrap();
+                entry.push(t.call(&i, |x: i32| x).is_ok());
+            }
+        }
+        for (lane_no, pattern) in results {
+            assert_eq!(
+                pattern, in_order[lane_no as usize],
+                "lane {lane_no} pattern changed with worker assignment"
+            );
+        }
     }
 }

@@ -242,12 +242,6 @@ impl VerifierConfigBuilder {
         self
     }
 
-    /// Sets the base retry backoff.
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.config.retry_backoff_ms = backoff.as_millis().min(u128::from(u64::MAX)) as u64;
-        self
-    }
-
     /// Sets the base retry backoff in milliseconds.
     pub fn retry_backoff_ms(mut self, ms: u64) -> Self {
         self.config.retry_backoff_ms = ms;

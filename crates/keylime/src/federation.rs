@@ -167,8 +167,8 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// A federation of `config.shards` empty shards.
-    pub fn new(config: FederationConfig) -> Self {
+    /// A federation of `config.shards` empty shards over `store`.
+    fn new(config: FederationConfig, store: ConcurrentPolicyStore) -> Self {
         let mut ring = HashRing::with_replicas(config.replicas);
         let mut shards = BTreeMap::new();
         for sid in 0..config.shards.max(1) {
@@ -178,7 +178,7 @@ impl Federation {
         Federation {
             ring,
             shards,
-            store: Arc::new(ConcurrentPolicyStore::new()),
+            store: Arc::new(store),
             retired: RaceCell::new(MetricsSnapshot::default()).named("retired-metrics"),
             config,
         }
@@ -191,11 +191,10 @@ impl Federation {
     /// — the caller decides when to stop driving it.
     pub fn from_verifier(source: &Verifier, config: FederationConfig) -> Self {
         let shared = source.policy_store().shared();
-        let mut fed = Federation::new(config);
-        fed.store = Arc::new(ConcurrentPolicyStore::restore(
-            Arc::clone(&shared.snapshot),
-            shared.epoch,
-        ));
+        let mut fed = Federation::new(
+            config,
+            ConcurrentPolicyStore::restore(Arc::clone(&shared.snapshot), shared.epoch),
+        );
         for shard in fed.shards.values_mut() {
             shard
                 .verifier
@@ -249,30 +248,6 @@ impl Federation {
             .values()
             .map(|s| s.verifier.agent_ids().len())
             .sum()
-    }
-
-    /// Enrols a shared-store agent on its ring shard and pins it in the
-    /// fleet store. Returns the shard index the agent landed on.
-    pub fn enroll_shared(
-        &mut self,
-        id: impl Into<AgentId>,
-        ak: cia_crypto::VerifyingKey,
-        identity: crate::backend::BackendIdentity,
-    ) -> u32 {
-        let id = id.into();
-        // A federation always keeps >= 1 shard (construction floors the
-        // count; kill_shard refuses to remove the last), so placement
-        // cannot miss.
-        let sid = self.ring.place(&id).unwrap_or_default();
-        if let Some(shard) = self.shards.get_mut(&sid) {
-            shard
-                .verifier
-                .add_agent_shared_with_identity(id.clone(), ak, identity);
-            self.store.adopt(&id);
-        } else {
-            debug_assert!(false, "ring places on live shards");
-        }
-        sid
     }
 
     /// Publishes a full policy once fleet-wide: one new store epoch,
@@ -577,7 +552,7 @@ impl Federation {
     }
 
     /// The fleet-level metrics snapshot: the component-wise merge of
-    /// every live shard's registry plus everything folded out of killed
+    /// every live shard's totals plus everything folded out of killed
     /// shards. Conserved whenever the shard snapshots are — the
     /// identity is linear (see [`MetricsSnapshot::merged`]).
     pub fn fleet_metrics(&self) -> MetricsSnapshot {

@@ -34,19 +34,19 @@
 //!
 //! Requests and responses cross an explicit [`Transport`] — a trait over
 //! JSON-serialized request/response calls. [`ReliableTransport`] always
-//! delivers; [`LossyTransport`] drops calls with a seeded probability,
-//! and [`Transport::fork`] derives independent deterministic lanes so
-//! concurrent fleet rounds stay reproducible.
+//! delivers, and [`Transport::fork`] derives independent deterministic
+//! lanes so concurrent fleet rounds stay reproducible.
 //!
 //! Agents are named by the typed [`AgentId`] — no public API takes a
 //! bare `&str` id, so mixing up hostnames and other strings is a compile
 //! error, not an incident.
 //!
-//! For fault testing beyond a drop-rate scalar, [`ChaosTransport`]
-//! applies a seeded [`FaultPlan`] — scripted partitions, loss windows,
-//! response corruption, registrar outages, crash/restarts — decided
-//! purely by `(round, lane, attempt)` so any failure trace replays
-//! bit-identically from the plan alone. The verifier tracks a per-agent
+//! Every fault is injected one way: [`ChaosTransport`] applies a seeded
+//! [`FaultPlan`] — a uniformly lossy link ([`FaultPlan::lossy`]),
+//! scripted partitions, loss windows, response corruption, registrar
+//! outages, crash/restarts — decided purely by `(round, lane, attempt)`
+//! so any failure trace replays bit-identically from the plan alone and
+//! every round draws fresh loss. The verifier tracks a per-agent
 //! health state machine ([`AgentHealth`]: Healthy → Degraded →
 //! Quarantined → Recovering); with quarantine enabled the scheduler
 //! skips quarantined agents cheaply on a decaying re-probe backoff
@@ -72,10 +72,12 @@
 //! ```
 //!
 //! Validated configuration and a concurrent fleet round over a lossy
-//! transport:
+//! link:
 //!
 //! ```
-//! use cia_keylime::{Cluster, LossyTransport, RuntimePolicy, VerifierConfig};
+//! use cia_keylime::{
+//!     ChaosTransport, Cluster, FaultPlan, ReliableTransport, RuntimePolicy, VerifierConfig,
+//! };
 //! use cia_os::MachineConfig;
 //!
 //! let config = VerifierConfig::builder()
@@ -85,7 +87,8 @@
 //!     .worker_count(4)
 //!     .build()?;
 //!
-//! let transport = LossyTransport::new(0.10, 7); // 10% loss, seeded
+//! // 10% loss per direction, decided from seed 7.
+//! let transport = ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(7, 0.10));
 //! let mut cluster = Cluster::with_transport(42, config, transport);
 //! for i in 0..8u64 {
 //!     let machine = MachineConfig {
@@ -131,9 +134,9 @@ pub mod verifier;
 pub use agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
 pub use audit::{AuditLog, AuditOutcome, AuditRecord};
 pub use backend::{
-    AttestationBackend, Backend, BackendCapabilities, BackendCert, BackendError, BackendIdentity,
-    BackendKind, BackendRoot, BackendSet, ChallengeBinding, ConfidentialVmBackend,
-    ConfidentialVmConfig, SecureWorldBackend, SecureWorldConfig, TpmImaBackend,
+    AttestationBackend, Backend, BackendCert, BackendError, BackendIdentity, BackendKind,
+    BackendRoot, BackendSet, ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig,
+    SecureWorldBackend, SecureWorldConfig, TpmImaBackend,
 };
 pub use chaos::{ChaosTransport, FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use config::{ConfigError, VerifierConfigBuilder, MAX_RETRIES_LIMIT};
@@ -149,11 +152,11 @@ pub use revocation::{RevocationBus, RevocationEmitter, RevocationNotice, Revocat
 pub use ring::HashRing;
 pub use scheduler::{
     AgentRoundResult, BackendCounts, FleetScheduler, MetricsSnapshot, PerBackendCounts,
-    RoundOutcome, RoundReport, SchedulerMetrics,
+    RoundOutcome, RoundReport,
 };
 pub use store::{ConcurrentPolicyStore, PolicyEpoch, PolicyStore, SharedPolicy};
 pub use tenant::Cluster;
-pub use transport::{LossyTransport, ReliableTransport, Transport, TransportError};
+pub use transport::{ReliableTransport, Transport, TransportError};
 pub use verifier::{
     AgentHealth, AgentStateSnapshot, AgentStatus, Alert, AttestationOutcome, FailureKind,
     HealthCounts, Verifier, VerifierConfig,

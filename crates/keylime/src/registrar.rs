@@ -19,9 +19,9 @@ use crate::agent::{Agent, AgentRequest, AgentResponse, IdentityResponse};
 use crate::backend::BackendIdentity;
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
-use crate::transport::Transport;
 #[cfg(test)]
-use crate::transport::{LossyTransport, ReliableTransport};
+use crate::transport::ReliableTransport;
+use crate::transport::Transport;
 
 /// What the registrar stores per enrolled agent: the attestation key and
 /// the validated backend identity.
@@ -217,6 +217,7 @@ mod tests {
         BackendKind, BackendRoot, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,
         SecureWorldConfig,
     };
+    use crate::chaos::{ChaosTransport, FaultPlan};
     use cia_os::{Machine, MachineConfig};
     use cia_tpm::Manufacturer;
 
@@ -260,7 +261,7 @@ mod tests {
     fn registration_survives_retry_after_drop() {
         let (m, mut agent) = setup();
         let mut registrar = Registrar::new(vec![m.public_key().clone()], 1);
-        let mut transport = LossyTransport::new(1.0, 2);
+        let mut transport = ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(2, 1.0));
         assert!(matches!(
             registrar.register(&mut transport, &mut agent),
             Err(KeylimeError::Transport(_))

@@ -433,7 +433,7 @@ impl Wire for ShardReply {
 /// Any [`WireError`] from the connection: corrupt frames, an
 /// unexpected message, or the driver disappearing mid-round. The
 /// scheduler work that already completed is still reflected in the
-/// shard's metrics registry.
+/// shard's scheduler totals.
 pub fn serve_round<'e, T, C>(
     scheduler: &FleetScheduler,
     verifier: &mut Verifier,

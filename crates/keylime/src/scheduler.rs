@@ -11,8 +11,9 @@
 //!   command's verifier record and agent process with it — that lock is
 //!   all that sits between the list and the workers;
 //! - each job gets its own deterministic transport *lane*
-//!   ([`Transport::fork`]), so drop patterns depend only on the base
-//!   seed and the agent's lane — never on thread interleaving;
+//!   ([`Transport::fork`]), so the faults an agent sees depend only on
+//!   the fault plan, the round and the agent's lane
+//!   ([`crate::chaos`]) — never on thread interleaving;
 //! - dropped calls are retried with bounded exponential backoff
 //!   ([`VerifierConfig::max_retries`], [`VerifierConfig::retry_backoff_ms`]);
 //!   backoff is *recorded*, not slept, keeping rounds fast and
@@ -23,14 +24,13 @@
 //! - counters and latency histograms are one [`MetricsSnapshot`]: each
 //!   worker counts into its own and returns it, with its result rows,
 //!   through its join handle; the calling thread folds them into the
-//!   [`SchedulerMetrics`] registry once per round.
+//!   engine's totals ([`FleetScheduler::snapshot`]) once per round.
 //!
 //! Combined with [`VerifierConfig::engine_default`] (continue-on-failure
 //! on), this is the paper's §IV-C recommendation operationalised: the
 //! fleet keeps attesting through failures instead of pausing on them.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -50,59 +50,6 @@ use crate::verifier::{
 /// Number of log2 latency buckets (bucket i counts calls in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket is open-ended).
 pub const LATENCY_BUCKETS: usize = 32;
-
-/// The fleet engine's counter registry: one [`MetricsSnapshot`] that
-/// accumulates across rounds. The hot path never touches it — every
-/// worker counts into a snapshot of its own, and the thread that ran the
-/// round merges them in under one lock, with [`MetricsSnapshot::merged`],
-/// when the round ends.
-#[derive(Debug)]
-pub struct SchedulerMetrics {
-    totals: Mutex<MetricsSnapshot>,
-}
-
-impl Default for SchedulerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SchedulerMetrics {
-    /// A zeroed registry.
-    pub fn new() -> Self {
-        let zeroed = MetricsSnapshot {
-            latency_ns_buckets: vec![0; LATENCY_BUCKETS],
-            ..MetricsSnapshot::default()
-        };
-        SchedulerMetrics {
-            totals: Mutex::new(zeroed).named("totals"),
-        }
-    }
-
-    /// Merges one finished round's counts into the registry and moves
-    /// the epoch gauge to the epoch the round ran under.
-    fn fold_round(&self, counts: &MetricsSnapshot, epoch: PolicyEpoch) {
-        let mut totals = self.totals.lock();
-        *totals = totals.merged(counts);
-        totals.rounds += 1;
-        totals.policy_epoch = epoch.as_u64();
-    }
-
-    /// Records one fleet-wide policy push: the epoch gauge moves to
-    /// `epoch`, and the push duration and delta entry operations (0 for a
-    /// full publish) accumulate.
-    pub fn record_policy_push(&self, epoch: PolicyEpoch, push_ns: u64, delta_entries: u64) {
-        let mut totals = self.totals.lock();
-        totals.policy_epoch = epoch.as_u64();
-        totals.policy_push_ns += push_ns;
-        totals.delta_entries_applied += delta_entries;
-    }
-
-    /// Captures the registry as a serializable value.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.totals.lock().clone()
-    }
-}
 
 /// Outcome counters for one backend family — a refinement of the
 /// aggregate `verified`/`failed`/`unreachable` counters, never a
@@ -157,7 +104,8 @@ impl PerBackendCounts {
     }
 }
 
-/// A point-in-time, wire-serializable export of [`SchedulerMetrics`].
+/// The fleet engine's counters: a point-in-time, wire-serializable
+/// value ([`FleetScheduler::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Completed scheduler rounds.
@@ -458,11 +406,6 @@ impl RoundReport {
         self.count(|o| matches!(o, RoundOutcome::Failed { .. }))
     }
 
-    /// Number of agents skipped under stop-on-failure.
-    pub fn skipped_count(&self) -> usize {
-        self.count(|o| matches!(o, RoundOutcome::SkippedPaused))
-    }
-
     /// Number of quarantined agents skipped on the re-probe schedule.
     pub fn quarantine_skipped_count(&self) -> usize {
         self.count(|o| matches!(o, RoundOutcome::SkippedQuarantined { .. }))
@@ -537,25 +480,55 @@ struct Job<'a> {
 }
 
 /// The concurrent fleet attestation engine. See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FleetScheduler {
-    metrics: Arc<SchedulerMetrics>,
+    /// The engine's counters, accumulated across rounds. The hot path
+    /// never touches them — every worker counts into a snapshot of its
+    /// own, and the thread that ran the round merges them in under this
+    /// one lock, with [`MetricsSnapshot::merged`], when the round ends.
+    totals: Mutex<MetricsSnapshot>,
+}
+
+impl Default for FleetScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FleetScheduler {
-    /// Creates an engine with a fresh metrics registry.
+    /// Creates an engine with zeroed counters.
     pub fn new() -> Self {
-        Self::default()
+        let zeroed = MetricsSnapshot {
+            latency_ns_buckets: vec![0; LATENCY_BUCKETS],
+            ..MetricsSnapshot::default()
+        };
+        FleetScheduler {
+            totals: Mutex::new(zeroed).named("totals"),
+        }
     }
 
-    /// The live metrics registry (accumulates across rounds).
-    pub fn metrics(&self) -> &SchedulerMetrics {
-        &self.metrics
+    /// Merges one finished round's counts into the totals and moves the
+    /// epoch gauge to the epoch the round ran under.
+    fn fold_round(&self, counts: &MetricsSnapshot, epoch: PolicyEpoch) {
+        let mut totals = self.totals.lock();
+        *totals = totals.merged(counts);
+        totals.rounds += 1;
+        totals.policy_epoch = epoch.as_u64();
     }
 
-    /// Convenience: a serializable snapshot of the metrics.
+    /// Records one fleet-wide policy push: the epoch gauge moves to
+    /// `epoch`, and the push duration and delta entry operations (0 for a
+    /// full publish) accumulate.
+    pub fn record_policy_push(&self, epoch: PolicyEpoch, push_ns: u64, delta_entries: u64) {
+        let mut totals = self.totals.lock();
+        totals.policy_epoch = epoch.as_u64();
+        totals.policy_push_ns += push_ns;
+        totals.delta_entries_applied += delta_entries;
+    }
+
+    /// The counters so far, as a serializable value.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.totals.lock().clone()
     }
 
     /// Runs one concurrent attestation round over every enrolled agent.
@@ -695,7 +668,7 @@ impl FleetScheduler {
             });
         }
         results.sort_by(|a, b| a.id.cmp(&b.id));
-        self.metrics.fold_round(&round_counts, shared.epoch);
+        self.fold_round(&round_counts, shared.epoch);
 
         let mut health = HealthCounts::default();
         for record in records.values() {
@@ -710,8 +683,8 @@ impl FleetScheduler {
 }
 
 /// The command list of a full round: every enrolled id, its lane its
-/// position in the sorted enrolment order — so a fleet's drop patterns
-/// are a pure function of (base seed, membership).
+/// position in the sorted enrolment order — so a round's fault pattern
+/// is a pure function of (fault plan, round, membership).
 pub(crate) fn full_round(verifier: &Verifier) -> Vec<(AgentId, u64)> {
     verifier.agent_ids().into_iter().zip(0u64..).collect()
 }
@@ -792,7 +765,7 @@ fn attest_with_retry<T: Transport>(
         attempts += 1;
         counts.calls += 1;
         // lint:allow(determinism): latency metering only — the reading
-        // feeds SchedulerMetrics histograms, never an attestation verdict
+        // feeds MetricsSnapshot histograms, never an attestation verdict
         // or anything replayed by the sim.
         let start = Instant::now();
         let result =
@@ -1029,7 +1002,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes() {
-        let m = SchedulerMetrics::new();
+        let m = FleetScheduler::new();
         m.fold_round(
             &MetricsSnapshot {
                 retries: 7,
@@ -1208,7 +1181,7 @@ mod tests {
 
     #[test]
     fn policy_push_recording() {
-        let m = SchedulerMetrics::new();
+        let m = FleetScheduler::new();
         m.record_policy_push(PolicyEpoch::ZERO.next(), 500, 3);
         m.record_policy_push(PolicyEpoch::ZERO.next().next(), 700, 4);
         let snap = m.snapshot();

@@ -35,7 +35,11 @@ use crate::verifier::{AgentStatus, Alert, AttestationOutcome, Verifier, Verifier
 ///
 /// Generic over the [`Transport`]: `Cluster::new` gives the reliable
 /// default, [`Cluster::with_transport`] accepts any implementation (e.g.
-/// [`crate::transport::LossyTransport`] for loss experiments).
+/// a [`ChaosTransport`](crate::chaos::ChaosTransport) under
+/// [`FaultPlan::lossy`](crate::chaos::FaultPlan::lossy) for loss
+/// experiments). One-agent operations ([`Cluster::attest`],
+/// [`Cluster::resolve`]) and registration use the transport as-is; fleet
+/// rounds fork one lane off it per agent.
 #[derive(Debug)]
 pub struct Cluster<T: Transport = ReliableTransport> {
     /// The TPM manufacturer all machines' TPMs chain to.
@@ -189,7 +193,7 @@ impl<T: Transport> Cluster<T> {
     /// Provisions a secure-world (TrustZone-style) backend under this
     /// cluster's TEE vendor root, then registers and enrols it with
     /// `policy`. The verifier appraises it against its measurement
-    /// register instead of an IMA PCR, over text evidence only.
+    /// register instead of an IMA PCR.
     ///
     /// # Errors
     ///
@@ -540,13 +544,12 @@ impl<T: Transport> Cluster<T> {
     /// metrics.
     pub fn publish_policy(&mut self, policy: RuntimePolicy) -> PolicyEpoch {
         // lint:allow(determinism): push-duration metering only — feeds
-        // SchedulerMetrics::record_policy_push, never control flow.
+        // FleetScheduler::record_policy_push, never control flow.
         let start = std::time::Instant::now();
         let epoch = self.verifier.publish_policy(policy);
         // A full publish applies no *delta* entries — the counter tracks
         // incremental merge work only.
         self.scheduler
-            .metrics()
             .record_policy_push(epoch, start.elapsed().as_nanos() as u64, 0);
         if let Some(journal) = self.journal.as_mut() {
             journal
@@ -563,14 +566,11 @@ impl<T: Transport> Cluster<T> {
     /// metrics.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
         // lint:allow(determinism): push-duration metering only — feeds
-        // SchedulerMetrics::record_policy_push, never control flow.
+        // FleetScheduler::record_policy_push, never control flow.
         let start = std::time::Instant::now();
         let (epoch, applied) = self.verifier.publish_delta(delta);
-        self.scheduler.metrics().record_policy_push(
-            epoch,
-            start.elapsed().as_nanos() as u64,
-            applied as u64,
-        );
+        self.scheduler
+            .record_policy_push(epoch, start.elapsed().as_nanos() as u64, applied as u64);
         if let Some(journal) = self.journal.as_mut() {
             journal
                 .record_publish_delta(epoch, delta)

@@ -686,7 +686,9 @@ impl Verifier {
     /// Operator action: resolve a failure by *skipping* the offending
     /// entries — advances past everything currently in the agent's log
     /// without evaluating it, then resumes. This models the manual
-    /// clean-up the paper warns takes time (the attacker's window).
+    /// clean-up the paper warns takes time (the attacker's window). If
+    /// the agent rebooted while paused, it is the new boot's log that is
+    /// skipped, from entry 0.
     ///
     /// # Errors
     ///
@@ -698,10 +700,8 @@ impl Verifier {
     ) -> Result<(), KeylimeError> {
         let id = agent.id().clone();
         let record = self.record_mut(&id)?;
-        let nonce = Self::make_nonce(&id, record.state.nonce_counter);
-        record.state.nonce_counter += 1;
-        match Self::request_quote(transport, agent, &nonce, record.state.next_entry) {
-            Ok(q) => {
+        match Self::fetch_tail(record, &id, transport, agent) {
+            Ok((q, _nonce)) => {
                 for entry in &q.entries {
                     record.state.replayed_pcr = extend_digest(
                         HashAlgorithm::Sha256,
@@ -778,9 +778,9 @@ impl Verifier {
     }
 
     /// The transport half of one attestation: shared-policy adoption,
-    /// the quote request, and the post-reboot re-quote. Returns the
-    /// evidence still unappraised: the scheduler meters and retries this
-    /// half alone.
+    /// the paused check and [`Self::fetch_tail`]. Returns the evidence
+    /// still unappraised: the scheduler meters and retries this half
+    /// alone.
     pub(crate) fn fetch_evidence<T: Transport>(
         config: &VerifierConfig,
         shared: &SharedPolicy,
@@ -799,12 +799,27 @@ impl Verifier {
             return Ok(FetchedEvidence::Paused);
         }
 
+        let (resp, nonce) = Self::fetch_tail(record, id, transport, agent)?;
+        Ok(FetchedEvidence::Quote {
+            resp: Box::new(resp),
+            nonce,
+        })
+    }
+
+    /// The log tail since the last contact, quoted under a fresh nonce
+    /// (returned with it) — or, when the TPM reset counter says the
+    /// agent rebooted since, the new boot's whole log: the record's
+    /// cursor and fold restart from zero and the quote is taken again
+    /// from entry 0 under a second nonce.
+    fn fetch_tail<T: Transport>(
+        record: &mut AgentRecord,
+        id: &AgentId,
+        transport: &mut T,
+        agent: &mut Agent,
+    ) -> Result<(QuoteResponse, Vec<u8>), KeylimeError> {
         let mut nonce = Self::make_nonce(id, record.state.nonce_counter);
         record.state.nonce_counter += 1;
         let mut resp = Self::request_quote(transport, agent, &nonce, record.state.next_entry)?;
-
-        // Reboot detection: TPM reset counter changed since the last
-        // contact — restart from a fresh log, under a fresh nonce.
         if record
             .state
             .last_boot_count
@@ -816,11 +831,7 @@ impl Verifier {
             record.state.nonce_counter += 1;
             resp = Self::request_quote(transport, agent, &nonce, 0)?;
         }
-
-        Ok(FetchedEvidence::Quote {
-            resp: Box::new(resp),
-            nonce,
-        })
+        Ok((resp, nonce))
     }
 
     /// The CPU half of one attestation: appraises fetched evidence
@@ -934,7 +945,7 @@ impl Verifier {
         // lint:allow(determinism): policy-check latency metering only —
         // feeds HotStats::policy_check_ns, never an appraisal verdict.
         let check_started = Instant::now();
-        let has_boot_aggregate = identity.kind().capabilities().boot_aggregate;
+        let has_boot_aggregate = identity.kind().has_boot_aggregate();
         let mut processed = 0usize;
         for (offset, entry) in entries.iter().enumerate() {
             let absolute_index = record.state.next_entry + offset;

@@ -175,7 +175,7 @@ fn mixed_fleet_round_verifies_every_backend() {
         assert_eq!(result.backend, BackendKind::ConfidentialVm);
     }
 
-    let snapshot = cluster.scheduler.metrics().snapshot();
+    let snapshot = cluster.scheduler.snapshot();
     assert!(snapshot.is_conserved());
     assert!(snapshot.backends_consistent());
     for kind in BackendKind::ALL {
@@ -532,7 +532,7 @@ fn run_mixed_chaos(
         .all()
         .map(|id| (id.clone(), cluster.verifier.replayed_pcr(id).unwrap()))
         .collect();
-    let snapshot = cluster.scheduler.metrics().snapshot();
+    let snapshot = cluster.scheduler.snapshot();
     (reports, pcrs, snapshot)
 }
 

@@ -5,9 +5,8 @@
 
 use cia_keylime::{
     drive_round, serve_round, Agent, AgentId, AgentRoundResult, AgentStateSnapshot, ChaosTransport,
-    Cluster, FaultPlan, FaultTarget, FleetScheduler, LossyTransport, MetricsSnapshot, Registrar,
-    ReliableTransport, RoundOutcome, RoundReport, RuntimePolicy, Verifier, VerifierConfig,
-    DEFAULT_WIRE_WINDOW,
+    Cluster, FaultPlan, FaultTarget, FleetScheduler, MetricsSnapshot, Registrar, ReliableTransport,
+    RoundOutcome, RoundReport, RuntimePolicy, Verifier, VerifierConfig, DEFAULT_WIRE_WINDOW,
 };
 use cia_os::{Machine, MachineConfig};
 use cia_tpm::Manufacturer;
@@ -16,13 +15,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A link losing each direction of every call with probability
+/// `drop_rate`.
+fn link(drop_rate: f64, seed: u64) -> ChaosTransport<ReliableTransport> {
+    ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(seed, drop_rate))
+}
+
 fn lossy_fleet(
     size: u64,
     drop_rate: f64,
     seed: u64,
     config: VerifierConfig,
-) -> Cluster<LossyTransport> {
-    let transport = LossyTransport::new(drop_rate, seed);
+) -> Cluster<ChaosTransport<ReliableTransport>> {
+    let transport = link(drop_rate, seed);
     let mut cluster = Cluster::with_transport(seed ^ 0xf1ee7, config, transport);
     for i in 0..size {
         let machine = MachineConfig {
@@ -94,7 +99,7 @@ fn exhausted_retry_budget_reports_unreachable_not_silence() {
     let config = VerifierConfig::builder().max_retries(2).build().unwrap();
     let mut cluster = lossy_fleet(5, 0.0, 3, config);
     // Swap in a fully lossy transport after enrolment.
-    cluster.transport = LossyTransport::new(1.0, 3);
+    cluster.transport = link(1.0, 3);
     let report = cluster.attest_fleet();
 
     assert_eq!(report.results.len(), 5);
@@ -124,6 +129,35 @@ fn round_fingerprint(report: &RoundReport) -> Vec<(AgentId, u32, u64, bool)> {
             )
         })
         .collect()
+}
+
+/// Regression: loss seeded from `(seed, lane)` alone deals every round
+/// the same drop stream, so the same unlucky agents are the only ones
+/// that ever degrade. Loss is a function of the round too — and of
+/// nothing else, so the whole trace replays from `(seed, plan)`.
+#[test]
+fn a_lossy_link_draws_fresh_loss_every_round() {
+    let config = VerifierConfig::builder()
+        .continue_on_failure(true)
+        .max_retries(3)
+        .worker_count(4)
+        .build()
+        .unwrap();
+    let trace = || -> Vec<_> {
+        let mut cluster = lossy_fleet(40, 0.0, 99, config);
+        cluster.transport = link(0.30, 99);
+        (1..=5u64)
+            .map(|round| {
+                cluster.transport.set_round(round);
+                round_fingerprint(&cluster.attest_fleet())
+            })
+            .collect()
+    };
+    let first = trace();
+    for pair in first.windows(2) {
+        assert_ne!(pair[0], pair[1], "consecutive rounds drew the same loss");
+    }
+    assert_eq!(trace(), first, "the trace replays from (seed, plan)");
 }
 
 proptest! {

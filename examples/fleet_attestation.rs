@@ -6,16 +6,17 @@
 //!
 //! Run: `cargo run --example fleet_attestation`
 
-use continuous_attestation::keylime::Agent;
+use continuous_attestation::keylime::{Agent, MAX_RETRIES_LIMIT};
 use continuous_attestation::prelude::*;
 
+/// A link losing each direction of every call with probability `rate`.
+fn link(rate: f64, seed: u64) -> ChaosTransport<ReliableTransport> {
+    ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(seed, rate))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A zero-loss lossy transport: reliable now, loss dialled in later.
-    let mut cluster = Cluster::with_transport(
-        1234,
-        VerifierConfig::default(),
-        LossyTransport::new(0.0, 1234),
-    );
+    // A zero-loss link: reliable now, loss dialled in later.
+    let mut cluster = Cluster::with_transport(1234, VerifierConfig::default(), link(0.0, 1234));
 
     // One baseline policy, published once into the shared store. Every
     // node enrolled below holds an `Arc` handle to this epoch-1 snapshot
@@ -148,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The transport is a real boundary: under heavy loss, polls error out
     // and the verifier simply retries later — no state corruption.
     println!("\nsimulating 60% message loss...");
-    cluster.transport = LossyTransport::new(0.6, 99);
+    cluster.transport = link(0.6, 99);
     let mut delivered = 0;
     let mut dropped = 0;
     for _ in 0..10 {
@@ -162,11 +163,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(cluster.status(&ids[0])?, AgentStatus::Trusted);
 
     // The engine, by contrast, absorbs that loss with retries — the
-    // metrics registry shows the work it did. The default 3-retry budget
-    // is sized for mild loss; 60% needs a wider one.
+    // scheduler's counters show the work it did. The default 3-retry
+    // budget is sized for mild loss; at 60% per direction only one
+    // attempt in six gets through, so the round gets the widest one.
     cluster.verifier.set_config(
         VerifierConfig::builder()
-            .max_retries(16)
+            .max_retries(MAX_RETRIES_LIMIT)
             .retry_backoff_ms(5)
             .worker_count(4)
             .continue_on_failure(true)

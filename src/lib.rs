@@ -71,9 +71,9 @@ pub mod prelude {
         AgentHealth, AgentId, AgentStatus, AttestationOutcome, BackendKind, BackendSet,
         ChaosTransport, Cluster, ConfidentialVmConfig, FailureKind, FaultPlan, FaultTarget,
         FederatedRoundReport, Federation, FederationConfig, FleetScheduler, HashRing, HealthCounts,
-        LossyTransport, MetricsSnapshot, PolicyDelta, PolicyEpoch, PolicyStore, ReliableTransport,
-        ResumePlan, RoundOutcome, RoundReport, RuntimePolicy, SecureWorldConfig,
-        ShardTransportKind, Transport, VerifierConfig, VerifierJournal,
+        MetricsSnapshot, PolicyDelta, PolicyEpoch, PolicyStore, ReliableTransport, ResumePlan,
+        RoundOutcome, RoundReport, RuntimePolicy, SecureWorldConfig, ShardTransportKind, Transport,
+        VerifierConfig, VerifierJournal,
     };
     pub use cia_os::{ExecMethod, Machine, MachineConfig, SimClock};
     pub use cia_tpm::{Manufacturer, Tpm};

@@ -4,14 +4,15 @@
 
 use continuous_attestation::prelude::*;
 
-fn one_node(seed: u64) -> (Cluster<LossyTransport>, AgentId) {
-    // A zero-loss LossyTransport behaves like the reliable one while
-    // letting each test dial the drop rate up and down mid-run.
-    let mut cluster = Cluster::with_transport(
-        seed,
-        VerifierConfig::default(),
-        LossyTransport::new(0.0, seed),
-    );
+/// A link losing each direction of every call with probability `rate`.
+fn link(rate: f64, seed: u64) -> ChaosTransport<ReliableTransport> {
+    ChaosTransport::new(ReliableTransport::new(), FaultPlan::lossy(seed, rate))
+}
+
+fn one_node(seed: u64) -> (Cluster<ChaosTransport<ReliableTransport>>, AgentId) {
+    // A zero-loss link behaves like the reliable one while letting each
+    // test dial the drop rate up and down mid-run.
+    let mut cluster = Cluster::with_transport(seed, VerifierConfig::default(), link(0.0, seed));
     let id = cluster
         .add_machine(MachineConfig::default(), RuntimePolicy::new())
         .unwrap();
@@ -21,7 +22,7 @@ fn one_node(seed: u64) -> (Cluster<LossyTransport>, AgentId) {
 #[test]
 fn lossy_transport_never_corrupts_state() {
     let (mut cluster, id) = one_node(21);
-    cluster.transport = LossyTransport::new(0.5, 7);
+    cluster.transport = link(0.5, 7);
 
     let mut verified = 0;
     let mut transport_errors = 0;
@@ -54,7 +55,7 @@ fn lossy_transport_never_corrupts_state() {
     assert_eq!(cluster.status(&id).unwrap(), AgentStatus::Trusted);
 
     // Back on a reliable network, everything is consistent.
-    cluster.transport = LossyTransport::new(0.0, 9);
+    cluster.transport = link(0.0, 9);
     assert!(cluster.attest(&id).unwrap().is_verified());
 }
 
@@ -68,12 +69,12 @@ fn loss_during_incident_does_not_lose_the_alert() {
         m.write_executable(&mal, b"backdoor").unwrap();
         m.exec(&mal, ExecMethod::Direct).unwrap();
     }
-    cluster.transport = LossyTransport::new(1.0, 3);
+    cluster.transport = link(1.0, 3);
     for _ in 0..5 {
         assert!(cluster.attest(&id).is_err(), "total loss: no poll succeeds");
     }
     // ...the log is append-only, so the first successful poll sees it.
-    cluster.transport = LossyTransport::new(0.0, 9);
+    cluster.transport = link(0.0, 9);
     match cluster.attest(&id).unwrap() {
         AttestationOutcome::Failed { alerts } => {
             assert!(alerts
@@ -90,7 +91,7 @@ fn reboot_during_outage_is_handled_on_reconnect() {
     assert!(cluster.attest(&id).unwrap().is_verified());
 
     // Network partition; the machine reboots and does fresh work.
-    cluster.transport = LossyTransport::new(1.0, 5);
+    cluster.transport = link(1.0, 5);
     assert!(cluster.attest(&id).is_err());
     cluster
         .agent_mut(&id)
@@ -102,7 +103,7 @@ fn reboot_during_outage_is_handled_on_reconnect() {
 
     // On reconnect the verifier sees the boot-count change, resets its
     // log cursor, and re-verifies the fresh log from scratch.
-    cluster.transport = LossyTransport::new(0.0, 9);
+    cluster.transport = link(0.0, 9);
     match cluster.attest(&id).unwrap() {
         AttestationOutcome::Verified { new_entries } => assert_eq!(new_entries, 1),
         other => panic!("unexpected {other:?}"),
@@ -123,6 +124,52 @@ fn double_reboot_between_polls() {
             .unwrap();
         // Unexecuted: nothing beyond boot_aggregate gets measured.
     }
+    match cluster.attest(&id).unwrap() {
+        AttestationOutcome::Verified { new_entries } => assert_eq!(new_entries, 1),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The paper's recovery path for a paused agent is "reboot, then a fresh
+/// attestation". Resolving after the reboot must skip the *new* boot's
+/// log from entry 0 — not fold it onto the previous boot's PCR and then
+/// record the new boot counter, which hides the reboot from every later
+/// poll and leaves the agent failing `PcrMismatch` forever.
+#[test]
+fn resolve_after_a_reboot_reverifies_the_new_boot() {
+    let tools = ["/usr/bin/tool-a", "/usr/bin/tool-b"];
+    let mut policy = RuntimePolicy::new();
+    for tool in tools {
+        policy.allow(tool, HashAlgorithm::Sha256.digest(tool.as_bytes()).to_hex());
+    }
+    let mut cluster = Cluster::with_transport(25, VerifierConfig::default(), link(0.0, 25));
+    let id = cluster
+        .add_machine(MachineConfig::default(), policy)
+        .unwrap();
+    let run = |cluster: &mut Cluster<ChaosTransport<ReliableTransport>>, path: &str| {
+        let m = cluster.agent_mut(&id).unwrap().machine_mut();
+        let path = VfsPath::new(path).unwrap();
+        m.write_executable(&path, path.as_str().as_bytes()).unwrap();
+        m.exec(&path, ExecMethod::Direct).unwrap();
+    };
+
+    run(&mut cluster, tools[0]);
+    assert!(cluster.attest(&id).unwrap().is_verified());
+    run(&mut cluster, "/usr/bin/unknown");
+    assert!(!cluster.attest(&id).unwrap().is_verified());
+    assert_eq!(cluster.status(&id).unwrap(), AgentStatus::Paused);
+
+    // The operator reboots the machine, it does fresh (allowed) work,
+    // and only then is the pause resolved.
+    let machine = cluster.agent_mut(&id).unwrap().machine_mut();
+    machine.reboot().unwrap();
+    run(&mut cluster, tools[1]);
+    cluster.resolve(&id).unwrap();
+    assert_eq!(cluster.status(&id).unwrap(), AgentStatus::Trusted);
+
+    // The new boot's log so far was skipped; what is appended to it
+    // from here on verifies.
+    run(&mut cluster, tools[0]);
     match cluster.attest(&id).unwrap() {
         AttestationOutcome::Verified { new_entries } => assert_eq!(new_entries, 1),
         other => panic!("unexpected {other:?}"),
