@@ -2,7 +2,7 @@
 //!
 //! The agent is a thin protocol adapter: requests arrive over the
 //! transport, evidence production is delegated to the agent's
-//! [`AttestationBackend`]. Which backend an agent runs is fixed at
+//! [`Backend`]. Which backend an agent runs is fixed at
 //! provisioning time; the verifier learns it from the registrar record
 //! and appraises accordingly.
 
@@ -11,7 +11,7 @@ use cia_os::Machine;
 use cia_tpm::{AkBinding, EkCertificate, Quote};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{AttestationBackend, Backend, BackendCert, BackendKind, ChallengeBinding};
+use crate::backend::{Backend, BackendCert, BackendKind, ChallengeBinding};
 use crate::ids::AgentId;
 
 /// Requests an agent answers.
@@ -252,21 +252,6 @@ impl Agent {
     /// The underlying machine, when this agent runs TPM+IMA.
     pub fn try_machine(&self) -> Option<&Machine> {
         self.backend.as_machine()
-    }
-
-    /// Consumes the agent, returning the machine.
-    ///
-    /// # Panics
-    ///
-    /// When the agent does not run the TPM+IMA backend.
-    pub fn into_machine(self) -> Machine {
-        match self.backend {
-            Backend::TpmIma(b) => b.into_machine(),
-            other => panic!(
-                "agent runs the {} backend, not TPM+IMA",
-                AttestationBackend::kind(&other)
-            ),
-        }
     }
 
     /// Serves one request.

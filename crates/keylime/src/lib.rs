@@ -134,9 +134,9 @@ pub mod verifier;
 pub use agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
 pub use audit::{AuditLog, AuditOutcome, AuditRecord};
 pub use backend::{
-    AttestationBackend, Backend, BackendCert, BackendError, BackendIdentity, BackendKind,
-    BackendRoot, BackendSet, ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig,
-    SecureWorldBackend, SecureWorldConfig, TpmImaBackend,
+    Backend, BackendCert, BackendError, BackendIdentity, BackendKind, BackendRoot, BackendSet,
+    ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,
+    SecureWorldConfig,
 };
 pub use chaos::{ChaosTransport, FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use config::{ConfigError, VerifierConfigBuilder, MAX_RETRIES_LIMIT};

@@ -155,7 +155,7 @@ pub struct RuntimePolicy {
 }
 
 /// Every clone of a policy is a *deep* copy of the full digest map and is
-/// counted, so benches can prove that fleet-wide distribution through the
+/// counted, so a test can prove that fleet-wide distribution through the
 /// shared store performs none (agents swap `Arc` handles instead).
 impl Clone for RuntimePolicy {
     fn clone(&self) -> Self {
@@ -417,7 +417,8 @@ impl RuntimePolicy {
     }
 
     /// Deep copies of any `RuntimePolicy` since process start (see the
-    /// `Clone` impl). Benchmarks gate fleet-wide distribution on this.
+    /// `Clone` impl). `tests/hot_path_gates.rs` gates fleet-wide
+    /// distribution on this.
     pub fn deep_clone_count() -> u64 {
         POLICY_DEEP_CLONES.load(Ordering::Relaxed)
     }
@@ -798,8 +799,9 @@ mod tests {
     #[test]
     fn clone_counter_counts_deep_copies() {
         // Global counters are shared across concurrently running tests,
-        // so only lower bounds are assertable here; the delta-push bench
-        // gate asserts the exact zero single-threaded.
+        // so only lower bounds are assertable here; the delta-push gate in
+        // `tests/hot_path_gates.rs` asserts the exact zero in a binary where
+        // it is the only test that clones a policy.
         let mut p = RuntimePolicy::new();
         p.allow("/a", "aa");
         let before = RuntimePolicy::deep_clone_count();

@@ -415,7 +415,8 @@ mod tests {
         let snapshot = Arc::new(policy_with(&["/a"]));
         store.publish_arc(Arc::clone(&snapshot));
         // Pointer identity proves no copy was taken (the exact deep-clone
-        // counter is asserted single-threaded by the delta-push bench).
+        // counter is asserted by the delta-push gate in
+        // `tests/hot_path_gates.rs`).
         assert!(Arc::ptr_eq(store.snapshot(), &snapshot));
     }
 

@@ -509,11 +509,19 @@ impl<T: Transport> Cluster<T> {
 
     /// Registers an agent with the verifier's retry budget and stores it;
     /// returns its id and registration record (AK plus proven backend
-    /// identity) for enrolment.
+    /// identity) for enrolment. An id that is already enrolled is refused
+    /// before the registrar sees it: ids derive from host names, and a
+    /// second machine under one name would overwrite the first one's
+    /// registrar and verifier records while both stayed in the fleet.
     fn register_with_retry(
         &mut self,
         mut agent: Agent,
     ) -> Result<(AgentId, RegistrationRecord), KeylimeError> {
+        if self.registrar.record_for(agent.id()).is_some() {
+            return Err(KeylimeError::Registration {
+                reason: format!("agent `{}` is already enrolled", agent.id()),
+            });
+        }
         let max_retries = self.verifier.config().max_retries;
         let mut attempts = 0u32;
         loop {

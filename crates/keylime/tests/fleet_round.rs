@@ -1,15 +1,18 @@
 //! Fleet-engine integration tests: a lossy concurrent round reaches
 //! every agent, retries are visible in the metrics, the whole
-//! retry/backoff schedule is deterministic under a fixed seed, and a
-//! round is nothing but its command list.
+//! retry/backoff schedule is deterministic under a fixed seed, a round
+//! is nothing but its command list, and a second machine under an
+//! enrolled host name is refused rather than silently shadowing it.
 
 use cia_keylime::{
     drive_round, serve_round, Agent, AgentId, AgentRoundResult, AgentStateSnapshot, ChaosTransport,
-    Cluster, FaultPlan, FaultTarget, FleetScheduler, MetricsSnapshot, Registrar, ReliableTransport,
-    RoundOutcome, RoundReport, RuntimePolicy, Verifier, VerifierConfig, DEFAULT_WIRE_WINDOW,
+    Cluster, FaultPlan, FaultTarget, FleetScheduler, KeylimeError, MetricsSnapshot, Registrar,
+    ReliableTransport, RoundOutcome, RoundReport, RuntimePolicy, Verifier, VerifierConfig,
+    DEFAULT_WIRE_WINDOW,
 };
-use cia_os::{Machine, MachineConfig};
+use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
+use cia_vfs::VfsPath;
 use cia_wire::DuplexShardTransport;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -347,4 +350,46 @@ proptest! {
         prop_assert_eq!(halves.states(), whole.states());
         prop_assert_eq!(halves.counters(), whole.counters());
     }
+}
+
+/// Agent ids derive from host names. A second machine enrolled under a
+/// taken name used to replace the first one's registrar and verifier
+/// records while both stayed in the fleet: the first machine was never
+/// attested again, and its state and alerts were gone.
+#[test]
+fn a_duplicate_hostname_is_refused_and_the_enrolled_agent_keeps_its_record() {
+    let node = |hostname: &str, seed| MachineConfig {
+        hostname: hostname.to_string(),
+        seed,
+        ..MachineConfig::default()
+    };
+    let mut cluster = Cluster::new(5, engine_config());
+    let first = cluster
+        .add_machine(node("node-0001", 1), RuntimePolicy::new())
+        .unwrap();
+    cluster
+        .add_machine(node("node-0002", 2), RuntimePolicy::new())
+        .unwrap();
+    // Give the first agent state worth losing: an attested prefix and an
+    // alert for a binary outside its (empty) policy.
+    let rogue = VfsPath::new("/usr/local/bin/rogue").unwrap();
+    let machine = cluster.agent_mut(&first).unwrap().machine_mut();
+    machine.write_executable(&rogue, b"rogue").unwrap();
+    machine.exec(&rogue, ExecMethod::Direct).unwrap();
+    cluster.attest_fleet();
+    let before = cluster.verifier.export_agent_state(&first).unwrap();
+    assert!(!cluster.alerts(&first).unwrap().is_empty());
+
+    let err = cluster
+        .add_machine(node("node-0001", 3), RuntimePolicy::new())
+        .unwrap_err();
+    assert!(matches!(err, KeylimeError::Registration { .. }), "{err:?}");
+
+    let ids = cluster.agent_ids();
+    assert_eq!(ids, [first.clone(), AgentId::from("node-0002")]);
+    assert_eq!(cluster.verifier.export_agent_state(&first).unwrap(), before);
+
+    let report = cluster.attest_fleet();
+    let rows: Vec<AgentId> = report.results.iter().map(|r| r.id.clone()).collect();
+    assert_eq!(rows, ids, "one row per enrolled process");
 }

@@ -1,27 +1,28 @@
 #!/usr/bin/env bash
 # CI gate: formatting, workspace-wide clippy, the repo's own cia-lint
 # static pass (file-local rules + the cross-file semantic engine, plus
-# the --json schema gate via scripts/check_lint.py), the tier-1 suite,
-# every crate's unit and integration suites (`cargo test --workspace`:
-# what tier-1's default members leave out — cia-crypto, cia-vfs,
-# cia-tpm, cia-ima, cia-distro, cia-os, cia-attacks, cia-core, cia-lint
-# and the shims), a single-iteration bench smoke pass (the criterion
-# benches assert their own gates; every timing number is
-# `benchmark/run.sh`'s), then what needs another profile or feature set:
-# the sharding and wire transport-equivalence matrices and the chaos
-# scenario corpus in release mode, the lock-sanitizer suite (runtime
-# lock-order cycle detection plus the vector-clock happens-before race
-# detector over the sim corpus), the paper-fidelity gate at paper scale
-# (release), and the end-to-end benchmark crate (its own workspace:
-# builds against the public surface `benchmark/README.md` lists, so a
-# signature change that breaks it is caught here rather than by the
-# benchmark pipeline).
+# the --json schema gate via scripts/check_lint.py), the tier-1 release
+# build, every crate's unit and integration suites (`cargo test
+# --workspace`: tier-1's default members plus cia-crypto, cia-vfs,
+# cia-tpm, cia-ima, cia-distro, cia-os, cia-attacks, cia-core, cia-lint,
+# cia-bench and the shims — the hot-path gates are tier-1 tests in
+# crates/keylime/tests/hot_path_gates.rs), the paper's ablation timings
+# (`ablation_costs`, which asserts the facts behind each comparison;
+# every other timing number is `benchmark/run.sh`'s), then what needs
+# another profile or feature set: the sharding and wire
+# transport-equivalence matrices and the chaos scenario corpus in
+# release mode, the lock-sanitizer suite (runtime lock-order cycle
+# detection plus the vector-clock happens-before race detector over the
+# sim corpus), the paper-fidelity gate at paper scale (release), and the
+# end-to-end benchmark crate (its own workspace: builds against the
+# public surface `benchmark/README.md` lists, so a signature change that
+# breaks it is caught here rather than by the benchmark pipeline).
 #
 # Usage: scripts/ci.sh [--offline]
 #
 # Tier-1 is the workspace's default members: `cargo build --release &&
-# cargo test -q`. The workspace step re-runs those suites (already built,
-# same profile) along with every crate tier-1 leaves out.
+# cargo test -q`. The workspace step runs those suites once, in the same
+# profile, along with every crate tier-1 leaves out.
 # The same steps run in .github/workflows/ci.yml. Set CHAOS_LONG=1 to also
 # run the 500-round long simulation inside the chaos job (nightly-style;
 # it stays well under a minute in release).
@@ -49,14 +50,11 @@ cargo run "${OFFLINE[@]}" -q -p cia-lint -- --json | python3 scripts/check_lint.
 echo "== tier-1: cargo build --release =="
 cargo build "${OFFLINE[@]}" --release
 
-echo "== tier-1: cargo test -q =="
-cargo test "${OFFLINE[@]}" -q
-
-echo "== workspace: every crate's unit and integration suites =="
+echo "== workspace: every crate's unit and integration suites (tier-1 included) =="
 cargo test "${OFFLINE[@]}" --workspace -q
 
-echo "== bench-smoke: single-iteration criterion pass =="
-cargo bench "${OFFLINE[@]}" -p cia-bench -- --test
+echo "== ablations: the paper's design-question timings =="
+cargo run "${OFFLINE[@]}" --release -p cia-bench --bin ablation_costs
 
 echo "== federation + wire: sharding and transport-equivalence matrices (release) =="
 cargo test "${OFFLINE[@]}" --release --test federation_sharding
