@@ -8,15 +8,15 @@
 //! [`RoundReport`]s and [`MetricsSnapshot`]s back into one fleet-level
 //! view with conserved counters.
 //!
-//! **One store, many verifiers.** All shards share a single
-//! [`ConcurrentPolicyStore`]: a policy (or delta) is published exactly
-//! once fleet-wide, then every shard adopts the *same*
-//! `Arc<RuntimePolicy>` snapshot via [`Verifier::publish_policy_arc`] —
-//! zero per-shard copies, and every shard's internal epoch advances in
-//! lockstep with the store's (each publish bumps both by exactly one).
-//! After each publish or round the coordinator syncs the store's pin
-//! map from the shards, so [`ConcurrentPolicyStore::converged`] and
-//! [`ConcurrentPolicyStore::laggards`] describe the whole fleet.
+//! **One store, many verifiers.** The coordinator owns one
+//! [`PolicyStore`]: a policy (or delta) is published exactly once
+//! fleet-wide, then every shard adopts the *same* `Arc<RuntimePolicy>`
+//! snapshot via [`Verifier::publish_policy_arc`] — zero per-shard
+//! copies, and every shard's internal epoch advances in lockstep with
+//! the store's (each publish bumps both by exactly one). Which agents
+//! lag is read off the round report: each row carries the epoch that
+//! agent appraised against, and [`RoundReport::epoch_converged`] is the
+//! fleet-wide cut.
 //!
 //! **Replay independence.** Transport lanes are assigned from the
 //! *fleet-wide* sorted enrolment order and handed to each shard in its
@@ -54,7 +54,7 @@ use crate::policy::{PolicyDelta, RuntimePolicy};
 use crate::remote;
 use crate::ring::HashRing;
 use crate::scheduler::{AgentRoundResult, FleetScheduler, MetricsSnapshot, RoundReport};
-use crate::store::{ConcurrentPolicyStore, PolicyEpoch};
+use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 use crate::verifier::{HealthCounts, Verifier};
 
@@ -154,7 +154,7 @@ impl FederatedRoundReport {
 pub struct Federation {
     ring: HashRing,
     shards: BTreeMap<u32, Shard>,
-    store: Arc<ConcurrentPolicyStore>,
+    store: PolicyStore,
     /// Metrics folded out of killed shards, so the fleet-level snapshot
     /// never loses the work a dead shard already did. Audited by the
     /// race detector: the accumulator may only be touched by the
@@ -168,7 +168,7 @@ pub struct Federation {
 
 impl Federation {
     /// A federation of `config.shards` empty shards over `store`.
-    fn new(config: FederationConfig, store: ConcurrentPolicyStore) -> Self {
+    fn new(config: FederationConfig, store: PolicyStore) -> Self {
         let mut ring = HashRing::with_replicas(config.replicas);
         let mut shards = BTreeMap::new();
         for sid in 0..config.shards.max(1) {
@@ -178,7 +178,7 @@ impl Federation {
         Federation {
             ring,
             shards,
-            store: Arc::new(store),
+            store,
             retired: RaceCell::new(MetricsSnapshot::default()).named("retired-metrics"),
             config,
         }
@@ -193,7 +193,7 @@ impl Federation {
         let shared = source.policy_store().shared();
         let mut fed = Federation::new(
             config,
-            ConcurrentPolicyStore::restore(Arc::clone(&shared.snapshot), shared.epoch),
+            PolicyStore::restore(Arc::clone(&shared.snapshot), shared.epoch),
         );
         for shard in fed.shards.values_mut() {
             shard
@@ -207,7 +207,6 @@ impl Federation {
             };
             shard.verifier.put_record(id.clone(), record.clone());
         }
-        fed.sync_pins();
         fed
     }
 
@@ -227,7 +226,7 @@ impl Federation {
     }
 
     /// The fleet-wide shared policy store.
-    pub fn store(&self) -> &ConcurrentPolicyStore {
+    pub fn store(&self) -> &PolicyStore {
         &self.store
     }
 
@@ -269,27 +268,13 @@ impl Federation {
     }
 
     fn distribute(&mut self, epoch: PolicyEpoch) {
-        let snapshot = Arc::clone(&self.store.shared().snapshot);
+        let snapshot = self.store.snapshot();
         for shard in self.shards.values_mut() {
-            let shard_epoch = shard.verifier.publish_policy_arc(Arc::clone(&snapshot));
+            let shard_epoch = shard.verifier.publish_policy_arc(Arc::clone(snapshot));
             debug_assert_eq!(
                 shard_epoch, epoch,
                 "shard epochs advance in lockstep with the store"
             );
-        }
-        self.sync_pins();
-    }
-
-    /// Copies every shared agent's acknowledged epoch into the store's
-    /// pin map, so fleet-wide convergence queries see what the shards
-    /// actually hold (quarantined laggards included).
-    fn sync_pins(&self) {
-        for shard in self.shards.values() {
-            for (id, record) in shard.verifier.records() {
-                if record.state().shared_policy {
-                    self.store.record_pin(id, record.state().policy_epoch);
-                }
-            }
         }
     }
 
@@ -333,7 +318,6 @@ impl Federation {
     {
         let commands = self.commands_by_shard();
         let results = self.fan_out(agents, transport, commands);
-        self.sync_pins();
         self.finish_report(results)
     }
 
@@ -415,10 +399,9 @@ impl Federation {
             return Vec::new();
         }
         let mut joined = Shard::new(self.config.verifier);
-        let shared = self.store.shared();
         joined
             .verifier
-            .restore_store(Arc::clone(&shared.snapshot), shared.epoch);
+            .restore_store(Arc::clone(self.store.snapshot()), self.store.epoch());
         self.ring.add_shard(shard);
 
         // Everything whose ring placement moved to the joining shard.
@@ -492,7 +475,6 @@ impl Federation {
             results.entry(sid).or_default().extend(rows);
         }
 
-        self.sync_pins();
         (self.finish_report(results), migrated)
     }
 
@@ -726,8 +708,14 @@ mod tests {
             .collect();
         let mut fed = Federation::from_verifier(&source, FederationConfig::new(3, config));
         assert_holds(&fed, &held, "from_verifier");
-        let pinned: Vec<AgentId> = fed.store().laggards().into_iter().map(|l| l.0).collect();
-        assert_eq!(pinned, vec![laggard], "pins synced from the records");
+        let lagging = fed.shards[&fed.placement(&laggard).unwrap()]
+            .verifier
+            .record(&laggard)
+            .unwrap();
+        assert!(
+            lagging.state().policy_epoch < fed.store().epoch(),
+            "the laggard's record still holds its older epoch"
+        );
 
         let joined = fed.add_shard(3);
         assert!(!joined.is_empty(), "the new shard took over some agents");

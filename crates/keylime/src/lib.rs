@@ -154,7 +154,7 @@ pub use scheduler::{
     AgentRoundResult, BackendCounts, FleetScheduler, MetricsSnapshot, PerBackendCounts,
     RoundOutcome, RoundReport,
 };
-pub use store::{ConcurrentPolicyStore, PolicyEpoch, PolicyStore, SharedPolicy};
+pub use store::{PolicyEpoch, PolicyStore, SharedPolicy};
 pub use tenant::Cluster;
 pub use transport::{ReliableTransport, Transport, TransportError};
 pub use verifier::{
@@ -169,8 +169,8 @@ pub use parking_lot::sanitizer;
 
 /// The vector-clock happens-before race detector from the same shim:
 /// `racecheck::races()` must stay empty across every corpus run —
-/// every audited access to `RaceCell`-wrapped shared state (the store's
-/// pin ledger, the federation's merge accumulators) must be ordered by
+/// every audited access to `RaceCell`-wrapped shared state (the
+/// federation's retired-metrics accumulator) must be ordered by
 /// instrumented synchronization.
 #[cfg(feature = "lock-sanitizer")]
 pub use parking_lot::racecheck;

@@ -547,7 +547,8 @@ pub struct DrivenRound {
 ///
 /// Any [`WireError`] from the connection, or
 /// [`WireError::Protocol`] when the shard's replies do not add up to
-/// exactly one row per command.
+/// exactly one row per command — including as soon as it answers more
+/// commands than it has been sent.
 pub fn drive_round<C: ShardTransport>(
     conn: C,
     commands: &[(AgentId, u64)],
@@ -565,7 +566,7 @@ pub fn drive_round<C: ShardTransport>(
         // In-flight bound: wait for result rows once `window` batches
         // of commands are outstanding.
         while sent - rows.len() >= window * wire_batch {
-            recv_results(&mut rx, &mut rows)?;
+            recv_results(&mut rx, &mut rows, sent)?;
         }
         tx.send_frame(&ShardCommand::Poll(chunk.to_vec()).to_wire())?;
         sent += chunk.len();
@@ -574,7 +575,7 @@ pub fn drive_round<C: ShardTransport>(
 
     loop {
         match ShardReply::from_wire(&rx.recv_frame()?)? {
-            ShardReply::Results(batch) => rows.extend(batch),
+            ShardReply::Results(batch) => extend_rows(&mut rows, batch, sent)?,
             ShardReply::Done { health, epoch } => {
                 if rows.len() != commands.len() {
                     return Err(WireError::Protocol {
@@ -601,16 +602,34 @@ pub fn drive_round<C: ShardTransport>(
 fn recv_results<R: FrameReceiver>(
     rx: &mut R,
     rows: &mut Vec<AgentRoundResult>,
+    sent: usize,
 ) -> Result<(), WireError> {
     match ShardReply::from_wire(&rx.recv_frame()?)? {
-        ShardReply::Results(batch) => {
-            rows.extend(batch);
-            Ok(())
-        }
+        ShardReply::Results(batch) => extend_rows(rows, batch, sent),
         ShardReply::Done { .. } => Err(WireError::Protocol {
             reason: "done before end of commands".to_string(),
         }),
     }
+}
+
+/// Appends a batch of result rows, refusing the batch that would leave
+/// more rows than the `sent` commands they answer — a shard that
+/// over-delivers is a protocol error, not a window to wait out.
+fn extend_rows(
+    rows: &mut Vec<AgentRoundResult>,
+    batch: Vec<AgentRoundResult>,
+    sent: usize,
+) -> Result<(), WireError> {
+    if rows.len() + batch.len() > sent {
+        return Err(WireError::Protocol {
+            reason: format!(
+                "shard sent {} rows for {sent} commands",
+                rows.len() + batch.len()
+            ),
+        });
+    }
+    rows.extend(batch);
+    Ok(())
 }
 
 /// Unwraps a wire-round result the federation cannot recover from.
@@ -759,6 +778,37 @@ mod tests {
         let mut w = Writer::new();
         w.put_u8(3);
         assert!(ShardReply::from_wire(w.as_slice()).is_err());
+    }
+
+    /// A hostile shard answers the first one-command `Poll` with three
+    /// rows and then keeps the connection open: the driver must reject
+    /// the round at once instead of underflowing its in-flight count.
+    #[test]
+    fn a_shard_that_over_delivers_rows_is_a_protocol_error() {
+        let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
+        let shard = std::thread::spawn(move || {
+            let (mut tx, mut rx) = shard_conn.split();
+            assert_eq!(
+                ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                ShardCommand::Start
+            );
+            assert!(matches!(
+                ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                ShardCommand::Poll(_)
+            ));
+            let rows = ["a", "b", "c"]
+                .map(|id| sample_row(id, RoundOutcome::Verified { new_entries: 0 }))
+                .to_vec();
+            tx.send_frame(&ShardReply::Results(rows).to_wire()).unwrap();
+            // Hold the connection open until the driver hangs up.
+            while rx.recv_frame().is_ok() {}
+        });
+        let commands: Vec<(AgentId, u64)> = (0..4u64)
+            .map(|lane| (AgentId::numbered("agent", lane), lane))
+            .collect();
+        let err = drive_round(driver_conn, &commands, 1, 1).unwrap_err();
+        assert!(matches!(err, WireError::Protocol { .. }), "{err:?}");
+        shard.join().unwrap();
     }
 
     #[test]

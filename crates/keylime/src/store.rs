@@ -22,14 +22,11 @@
 //! pinning the old snapshot across an epoch falls back to one
 //! copy-on-write clone.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RaceCell, RwLock};
 use serde::{Deserialize, Serialize};
 
-use crate::ids::AgentId;
 use crate::policy::{PolicyDelta, RuntimePolicy};
 
 /// Monotonically increasing label for one published policy snapshot.
@@ -91,7 +88,7 @@ pub struct PolicyStore {
     /// superseded it (every epoch published since it was retired — the
     /// in-place fast path appends here too), held until every agent
     /// adopts a newer epoch and the handle becomes uniquely ours again
-    /// ([`PolicyStore::reclaim`]).
+    /// (`reclaim`).
     retiring: Option<(Arc<RuntimePolicy>, Vec<PolicyDelta>)>,
     /// An owned buffer sitting `lag.len()` recorded deltas behind
     /// `snapshot` — fuel for the zero-copy publish fast path.
@@ -207,10 +204,10 @@ impl PolicyStore {
     }
 
     /// Harvests the retired snapshot as the spare buffer if the fleet has
-    /// dropped every handle to it (runs automatically at the top of each
+    /// dropped every handle to it (the first step of each
     /// [`PolicyStore::publish_delta`]; a still-pinned handle is simply
     /// kept for a later attempt).
-    pub fn reclaim(&mut self) {
+    fn reclaim(&mut self) {
         if self.spare.is_some() {
             return;
         }
@@ -220,167 +217,6 @@ impl PolicyStore {
                 Err(arc) => self.retiring = Some((arc, lag)),
             }
         }
-    }
-}
-
-/// A [`PolicyStore`] shared across scheduler threads, plus a *pin
-/// ledger* recording the epoch each agent last adopted.
-///
-/// Two locks, with a declared total order (see `cia-lint.manifest`):
-///
-/// 1. `inner` — `RwLock` around the store. Publishes take the write
-///    lock; adopt/convergence reads take the read lock.
-/// 2. `pins`  — `Mutex` around the per-agent epoch ledger.
-///
-/// Every method acquires `inner` **before** `pins` (or only one of
-/// them). [`ConcurrentPolicyStore::adopt`] deliberately stamps the pin
-/// while still holding the `inner` read guard: releasing `inner` first
-/// would let a publish slip between snapshot and stamp, recording an
-/// adoption of an epoch the agent never saw. That nesting is exactly
-/// what the lock order exists to make safe.
-///
-/// `cia-lint` enforces the order statically where its heuristics can
-/// see; the `lock-sanitizer` feature records the runtime acquisition
-/// graph and proves it cycle-free across real interleavings.
-#[derive(Debug)]
-pub struct ConcurrentPolicyStore {
-    /// The shared store. Lock order: acquired first.
-    inner: RwLock<PolicyStore>,
-    /// Agent → last adopted epoch. Lock order: acquired second. The
-    /// ledger itself is a [`RaceCell`] so the race detector audits that
-    /// every access really is ordered through the `pins` mutex (or
-    /// another instrumented edge) — a hand-rolled fast path that peeked
-    /// at the map without the lock would be convicted, not missed.
-    pins: Mutex<RaceCell<BTreeMap<AgentId, PolicyEpoch>>>,
-}
-
-impl Default for ConcurrentPolicyStore {
-    fn default() -> Self {
-        ConcurrentPolicyStore::new()
-    }
-}
-
-impl ConcurrentPolicyStore {
-    /// A store holding the empty policy at epoch 0, no agents pinned.
-    pub fn new() -> Self {
-        ConcurrentPolicyStore {
-            inner: RwLock::new(PolicyStore::new()).named("inner"),
-            pins: Mutex::new(RaceCell::new(BTreeMap::new()).named("pin-ledger")).named("pins"),
-        }
-    }
-
-    /// A store seeded from an existing snapshot and epoch — how a
-    /// federation adopts a single verifier's store as the fleet-wide
-    /// one (see [`PolicyStore::restore`]). No agents pinned.
-    pub fn restore(snapshot: Arc<RuntimePolicy>, epoch: PolicyEpoch) -> Self {
-        ConcurrentPolicyStore {
-            inner: RwLock::new(PolicyStore::restore(snapshot, epoch)).named("inner"),
-            pins: Mutex::new(RaceCell::new(BTreeMap::new()).named("pin-ledger")).named("pins"),
-        }
-    }
-
-    /// Publishes a full replacement policy as a new epoch.
-    pub fn publish(&self, policy: RuntimePolicy) -> PolicyEpoch {
-        self.inner.write().publish(policy)
-    }
-
-    /// Publishes a delta (copy-on-write / zero-copy fast path — see
-    /// [`PolicyStore::publish_delta`]). Returns the new epoch and the
-    /// number of delta entries applied.
-    pub fn publish_delta(&self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
-        self.inner.write().publish_delta(delta)
-    }
-
-    /// The currently published epoch.
-    pub fn epoch(&self) -> PolicyEpoch {
-        self.inner.read().epoch()
-    }
-
-    /// A cheap handle to the current snapshot (one `Arc` clone).
-    pub fn shared(&self) -> SharedPolicy {
-        self.inner.read().shared()
-    }
-
-    /// Adopts the current snapshot for `agent`: returns the shared
-    /// handle and stamps the agent's pin with its epoch, atomically with
-    /// respect to publishes (the `inner` read guard is held across the
-    /// pin write, so no new epoch can be published in between).
-    pub fn adopt(&self, agent: &AgentId) -> SharedPolicy {
-        let inner = self.inner.read();
-        let shared = inner.shared();
-        self.pins
-            .lock()
-            .get_mut()
-            .insert(agent.clone(), shared.epoch);
-        shared
-    }
-
-    /// The epoch `agent` last adopted, if it ever adopted one.
-    pub fn pin_of(&self, agent: &AgentId) -> Option<PolicyEpoch> {
-        self.pins.lock().get().get(agent).copied()
-    }
-
-    /// Stamps `agent`'s pin at an *observed* epoch — the federation's
-    /// post-round sync point, where each shard reports what its agents
-    /// actually appraised against (a quarantined agent stays pinned on
-    /// the older epoch it acknowledged, unlike [`adopt`], which always
-    /// stamps the current one).
-    ///
-    /// [`adopt`]: ConcurrentPolicyStore::adopt
-    pub fn record_pin(&self, agent: &AgentId, epoch: PolicyEpoch) {
-        self.pins.lock().get_mut().insert(agent.clone(), epoch);
-    }
-
-    /// Removes `agent`'s pin (deregistration), returning it.
-    pub fn unpin(&self, agent: &AgentId) -> Option<PolicyEpoch> {
-        self.pins.lock().get_mut().remove(agent)
-    }
-
-    /// True when every pinned agent has adopted the current epoch.
-    /// Both locks are held (in order) so the answer is a consistent cut:
-    /// no publish or adoption can land between reading the epoch and
-    /// reading the pins.
-    pub fn converged(&self) -> bool {
-        let inner = self.inner.read();
-        let epoch = inner.epoch();
-        let pins = self.pins.lock();
-        pins.get().values().all(|&pinned| pinned == epoch)
-    }
-
-    /// Agents pinned strictly behind the current epoch, oldest first.
-    pub fn laggards(&self) -> Vec<(AgentId, PolicyEpoch)> {
-        let inner = self.inner.read();
-        let epoch = inner.epoch();
-        let pins = self.pins.lock();
-        let mut out: Vec<(AgentId, PolicyEpoch)> = pins
-            .get()
-            .iter()
-            .filter(|(_, &pinned)| pinned < epoch)
-            .map(|(id, &pinned)| (id.clone(), pinned))
-            .collect();
-        out.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Attempts to reclaim the retired snapshot as the spare buffer
-    /// (see [`PolicyStore::reclaim`]).
-    pub fn reclaim(&self) {
-        self.inner.write().reclaim();
-    }
-
-    /// **Deliberately wrong** adoption path: acquires `pins` *before*
-    /// `inner`, inverting the declared lock order. Exists only to prove
-    /// the `lock-sanitizer` detects inversions — compiled solely under
-    /// that feature, and statically suppressed for the same reason.
-    #[cfg(feature = "lock-sanitizer")]
-    pub fn adopt_inverted(&self, agent: &AgentId) -> SharedPolicy {
-        let mut pins = self.pins.lock();
-        // lint:allow(lock-order): intentional inversion — this is the
-        // seeded violation the sanitizer detection test must flag.
-        let inner = self.inner.read();
-        let shared = inner.shared();
-        pins.get_mut().insert(agent.clone(), shared.epoch);
-        shared
     }
 }
 
@@ -539,106 +375,5 @@ mod tests {
         store.publish_delta(&delta_adding("/d"));
         assert_eq!(straggler.path_count(), 1, "straggler view frozen");
         assert_eq!(store.policy().path_count(), 4);
-    }
-}
-
-#[cfg(test)]
-mod concurrent_tests {
-    use super::*;
-    use std::sync::Arc as StdArc;
-
-    fn policy_with(paths: &[&str]) -> RuntimePolicy {
-        let mut p = RuntimePolicy::new();
-        for path in paths {
-            p.allow(*path, "aa");
-        }
-        p
-    }
-
-    fn agent(n: u32) -> AgentId {
-        AgentId::new(format!("agent-{n}"))
-    }
-
-    #[test]
-    fn adopt_pins_the_adopted_epoch() {
-        let store = ConcurrentPolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-        let a = agent(1);
-        let shared = store.adopt(&a);
-        assert_eq!(shared.epoch, store.epoch());
-        assert_eq!(store.pin_of(&a), Some(shared.epoch));
-        assert!(store.converged());
-    }
-
-    #[test]
-    fn publish_after_adopt_breaks_convergence() {
-        let store = ConcurrentPolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-        let (a, b) = (agent(1), agent(2));
-        store.adopt(&a);
-        store.adopt(&b);
-        store.publish(policy_with(&["/a", "/b"]));
-        assert!(!store.converged());
-        let lag = store.laggards();
-        assert_eq!(lag.len(), 2);
-        store.adopt(&a);
-        store.adopt(&b);
-        assert!(store.converged());
-        assert!(store.laggards().is_empty());
-    }
-
-    #[test]
-    fn unpin_removes_the_agent_from_convergence() {
-        let store = ConcurrentPolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-        let a = agent(1);
-        store.adopt(&a);
-        store.publish(policy_with(&["/a", "/b"]));
-        assert!(!store.converged());
-        assert_eq!(store.unpin(&a), Some(PolicyEpoch::ZERO.next()));
-        assert!(store.converged(), "no pins left, trivially converged");
-    }
-
-    #[test]
-    fn concurrent_adopt_and_publish_never_skews_pins() {
-        // Every recorded pin must be an epoch that was really published,
-        // and adopt's snapshot/pin stamp must agree — under contention.
-        let store = StdArc::new(ConcurrentPolicyStore::new());
-        store.publish(policy_with(&["/seed"]));
-        let publisher = {
-            let store = StdArc::clone(&store);
-            std::thread::spawn(move || {
-                for i in 0..50u32 {
-                    store.publish(policy_with(&["/seed", &format!("/p{i}")]));
-                }
-            })
-        };
-        let adopters: Vec<_> = (0..4)
-            .map(|t| {
-                let store = StdArc::clone(&store);
-                std::thread::spawn(move || {
-                    let id = agent(t);
-                    for _ in 0..50 {
-                        let shared = store.adopt(&id);
-                        let pinned = store.pin_of(&id).expect("just adopted");
-                        assert!(
-                            pinned >= shared.epoch,
-                            "pin {pinned} older than adopted {}",
-                            shared.epoch
-                        );
-                    }
-                })
-            })
-            .collect();
-        publisher.join().expect("publisher");
-        for t in adopters {
-            t.join().expect("adopter");
-        }
-        // Final catch-up converges the fleet.
-        for t in 0..4 {
-            store.adopt(&agent(t));
-        }
-        assert!(store.converged());
-        assert_eq!(store.epoch().as_u64(), 51);
     }
 }

@@ -337,9 +337,11 @@ fn workspace_manifest_is_coherent() {
     assert!(m.is_hot_path("crates/keylime/src/verifier.rs"));
     assert!(m.is_hot_path("crates/keylime/src/scheduler.rs"));
     assert!(m.is_hot_path("crates/keylime/src/store.rs"));
-    assert_eq!(m.lock_rank("inner"), Some(0));
-    assert_eq!(m.lock_rank("pins"), Some(1));
-    assert!(m.lock_rank("pins") < m.lock_rank("map"), "pins before map");
+    assert_eq!(m.lock_rank("map"), Some(0));
+    assert!(
+        m.lock_rank("world") < m.lock_rank("totals"),
+        "world before totals"
+    );
     assert!(m.determinism_allowed("crates/bench/src/main.rs"));
     // The semantic sections are populated: the wire codec pairs, the
     // journal/command consumers, and the taint sources/sanitizers.

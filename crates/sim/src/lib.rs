@@ -354,8 +354,8 @@ impl SimRunner {
 
         // And the happens-before race detector must have convicted no
         // audited access: every read/write of `RaceCell`-wrapped shared
-        // state (pin ledger, federation accumulators) was ordered by an
-        // instrumented lock, channel, or fork/join edge.
+        // state (the federation's retired-metrics accumulator) was
+        // ordered by an instrumented lock, channel, or fork/join edge.
         #[cfg(feature = "lock-sanitizer")]
         {
             let races = cia_keylime::racecheck::races();

@@ -92,8 +92,8 @@ fn sim_invariants_hold_across_worker_counts() {
 
 /// Layer 2: a two-shard federated fleet drives rounds on scoped shard
 /// threads, then kills a shard — folding its metrics into the audited
-/// `retired` accumulator — and keeps going. No access to the pin
-/// ledger or the accumulator may be unordered, at any worker count.
+/// `retired` accumulator — and keeps going. No access to the
+/// accumulator may be unordered, at any worker count.
 #[test]
 fn two_shard_federated_round_is_race_and_cycle_free() {
     let _s = serial();

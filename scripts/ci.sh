@@ -64,7 +64,6 @@ echo "== lock-sanitizer: lock-order graph + happens-before race detector =="
 cargo test "${OFFLINE[@]}" -q -p cia-sim --features lock-sanitizer
 cargo test "${OFFLINE[@]}" -q -p parking_lot --features lock-sanitizer
 cargo test "${OFFLINE[@]}" -q -p crossbeam --features lock-sanitizer
-cargo test "${OFFLINE[@]}" -q -p cia-keylime --features lock-sanitizer store
 
 echo "== chaos: scenario corpus (release) =="
 cargo test "${OFFLINE[@]}" --release --test chaos_scenarios

@@ -86,7 +86,7 @@ impl<T> Mutex<T> {
 
     /// Registers this lock under a human-readable name in the sanitizer
     /// graph (no-op without the `lock-sanitizer` feature). Builder
-    /// style: `Mutex::new(v).named("pins")`.
+    /// style: `Mutex::new(v).named("totals")`.
     #[must_use]
     pub fn named(self, name: &'static str) -> Self {
         #[cfg(feature = "lock-sanitizer")]
@@ -193,7 +193,7 @@ impl<T> RwLock<T> {
 
     /// Registers this lock under a human-readable name in the sanitizer
     /// graph (no-op without the `lock-sanitizer` feature). Builder
-    /// style: `RwLock::new(v).named("inner")`.
+    /// style: `RwLock::new(v).named("map")`.
     #[must_use]
     pub fn named(self, name: &'static str) -> Self {
         #[cfg(feature = "lock-sanitizer")]

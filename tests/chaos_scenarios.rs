@@ -897,65 +897,6 @@ fn partition_during_policy_push_pins_acked_epoch_then_converges() {
     assert!(metrics.is_conserved());
 }
 
-/// Scenario: a publish/adopt/pin storm on the thread-safe policy store.
-/// Publishers race full and delta publishes against adopters stamping
-/// pins and probing convergence — the interleaving pressure that a
-/// lock-order inversion between the store's two locks would turn into a
-/// deadlock. (Under `cargo test -p cia-sim --features lock-sanitizer`
-/// the same storm also proves the recorded lock graph is cycle-free;
-/// here the semantic contract is the assertion.)
-#[test]
-fn concurrent_store_storm_keeps_pins_coherent() {
-    use continuous_attestation::keylime::{ConcurrentPolicyStore, PolicyDelta, RuntimePolicy};
-    use std::sync::Arc;
-
-    let store = Arc::new(ConcurrentPolicyStore::new());
-    let mut founding = RuntimePolicy::new();
-    founding.allow("/seed", "aa");
-    store.publish(founding);
-
-    let publisher = {
-        let store = Arc::clone(&store);
-        std::thread::spawn(move || {
-            for i in 0..40u32 {
-                store.publish_delta(&PolicyDelta {
-                    added: vec![(format!("/p{i}"), "bb".into())],
-                    ..PolicyDelta::default()
-                });
-                store.reclaim();
-            }
-        })
-    };
-    let adopters: Vec<_> = (0..3)
-        .map(|lane| {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || {
-                let id = AgentId::numbered("storm", lane);
-                for _ in 0..40 {
-                    let shared = store.adopt(&id);
-                    // adopt stamps the pin under the same read guard it
-                    // snapshots from: the pin can be bumped by a later
-                    // adopt, never older than what we were handed.
-                    assert!(store.pin_of(&id).expect("pinned") >= shared.epoch);
-                }
-            })
-        })
-        .collect();
-    publisher.join().expect("publisher thread");
-    for a in adopters {
-        a.join().expect("adopter thread");
-    }
-
-    // Quiesced: 41 epochs published, one catch-up adoption converges.
-    assert_eq!(store.epoch().as_u64(), 41);
-    assert!(store.shared().snapshot.digests_for("/p39").is_some());
-    for lane in 0..3 {
-        store.adopt(&AgentId::numbered("storm", lane));
-    }
-    assert!(store.converged());
-    assert!(store.laggards().is_empty());
-}
-
 /// Runs the heterogeneous chaos scenario: one fleet mixing all three
 /// backend families, a partition window over the secure-world device's
 /// lane, and a confidential-VM launch-image substitution mid-corpus.

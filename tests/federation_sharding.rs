@@ -10,7 +10,8 @@
 //!   report conserves every enrolled agent, and the whole kill trace
 //!   equals the no-kill trace;
 //! - all shards adopt policy from one shared store: a delta publishes
-//!   once fleet-wide and every shard converges on the same epoch.
+//!   once fleet-wide and every shard converges on the same epoch, while
+//!   a quarantined agent shows up as the one row on the older epoch.
 
 use continuous_attestation::crypto::Sha256;
 use continuous_attestation::keylime::Agent;
@@ -242,9 +243,9 @@ fn shard_kill_moves_only_the_dead_shards_agents() {
     assert_eq!(fed.agent_count(), ids.len(), "no record lost in migration");
 }
 
-/// All shards adopt from one [`ConcurrentPolicyStore`]: a delta
+/// All shards adopt from the federation's one [`PolicyStore`]: a delta
 /// publishes exactly once fleet-wide, every shard lands on the same
-/// epoch, and after one round the store sees the whole fleet converged.
+/// epoch, and after one round the whole fleet reports it.
 #[test]
 fn federation_publishes_policy_once_and_every_shard_converges() {
     let maint = VfsPath::new("/usr/local/bin/maint").unwrap();
@@ -292,6 +293,64 @@ fn federation_publishes_policy_once_and_every_shard_converges() {
     }
     assert_eq!(report.fleet.verified_count(), ids.len());
     assert!(report.fleet.epoch_converged());
-    assert!(fed.store().converged(), "pin sync reaches the store");
-    assert!(fed.store().laggards().is_empty());
+}
+
+/// A quarantined agent is not handed a push: after a federated delta it
+/// is the one row still stamped with the epoch it last acknowledged, so
+/// the round report alone shows who lags — and once its partition heals,
+/// a round reconverges the whole fleet on the pushed epoch.
+#[test]
+fn a_quarantined_shard_agent_is_a_visible_laggard_after_a_federated_push() {
+    const VICTIM_LANE: u64 = 5;
+    let (mut cluster, ids) = fleet_cluster(2);
+    // Lanes follow the sorted enrolment order; only the victim's lane is
+    // faulted, partitioned for rounds 0-3.
+    cluster.transport = ChaosTransport::new(
+        ReliableTransport::new(),
+        FaultPlan::new(0xFED).partition(0..4, FaultTarget::lanes([VICTIM_LANE])),
+    );
+    let victim = ids[VICTIM_LANE as usize].clone();
+    let mut fed = Federation::from_verifier(
+        &cluster.verifier,
+        FederationConfig::new(3, corpus_config(2)),
+    );
+    let enrolment_epoch = fed.store().epoch();
+
+    for round in 0..2u64 {
+        cluster.transport.set_round(round);
+        let (agents, transport) = cluster.federation_parts();
+        fed.run_round(agents, transport);
+    }
+    assert_eq!(fed.fleet_health().quarantined, 1, "only the victim");
+
+    let (epoch, _) = fed.publish_delta(&PolicyDelta {
+        added: vec![("/usr/local/bin/maint".to_string(), sha256_hex(b"maint"))],
+        ..PolicyDelta::default()
+    });
+    cluster.transport.set_round(2);
+    let (agents, transport) = cluster.federation_parts();
+    let report = fed.run_round(agents, transport);
+    assert_eq!(report.fleet.policy_epoch, epoch);
+    assert!(!report.fleet.epoch_converged(), "the skew is visible");
+    let lagging: Vec<(&AgentId, PolicyEpoch)> = report
+        .fleet
+        .results
+        .iter()
+        .filter(|r| r.shared_policy && r.policy_epoch != epoch)
+        .map(|r| (&r.id, r.policy_epoch))
+        .collect();
+    assert_eq!(lagging, vec![(&victim, enrolment_epoch)]);
+
+    // The partition lifts at round 4; the victim's re-probe adopts the
+    // pushed epoch and the fleet converges again.
+    let mut healed = false;
+    for round in 4..12u64 {
+        cluster.transport.set_round(round);
+        let (agents, transport) = cluster.federation_parts();
+        if fed.run_round(agents, transport).fleet.epoch_converged() {
+            healed = true;
+            break;
+        }
+    }
+    assert!(healed, "a healed round reconverges the fleet");
 }
