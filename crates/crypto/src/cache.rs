@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 /// A write-once memoization slot (see the module docs).
 ///
@@ -103,14 +103,15 @@ impl<T> Eq for Derived<T> {}
 
 /// Always `null` on the wire — caches are recomputed, never trusted.
 impl<T> Serialize for Derived<T> {
-    fn to_value(&self) -> Value {
-        Value::Null
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.null();
     }
 }
 
 /// Always deserializes to an empty slot, whatever the input holds.
 impl<T> Deserialize for Derived<T> {
-    fn from_value(_value: &Value) -> Result<Self, DeError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.skip_value()?;
         Ok(Derived::new())
     }
 }
@@ -254,8 +255,10 @@ mod tests {
     fn serializes_to_null_and_deserializes_empty() {
         let full: Derived<u32> = Derived::new();
         full.get_or_init(|| 3);
-        assert_eq!(full.to_value(), Value::Null);
-        let back = Derived::<u32>::from_value(&Value::U64(99)).unwrap();
+        assert_eq!(serde_json::to_string(&full).unwrap(), "null");
+        let back: Derived<u32> = serde_json::from_str("99").unwrap();
+        assert_eq!(back.get(), None);
+        let back: Derived<u32> = serde_json::from_str(r#"{"cached":[3]}"#).unwrap();
         assert_eq!(back.get(), None);
     }
 

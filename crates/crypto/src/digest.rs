@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::hex;
 
@@ -157,19 +157,20 @@ pub struct Digest {
 /// Wire form is the compact `algo:hex` string — a fraction of the size
 /// of a per-byte array encoding, and what IMA logs print anyway.
 impl Serialize for Digest {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_prefixed_hex())
+    fn write_json(&self, w: &mut JsonWriter) {
+        let mut buf = [0u8; Digest::MAX_PREFIXED_HEX];
+        let n = self.write_prefixed_hex(&mut buf);
+        // An algorithm name, `:` and hex digits: ASCII throughout.
+        w.str(std::str::from_utf8(&buf[..n]).unwrap_or_default());
     }
 }
 
+/// Parses the string in place: a digest read from JSON allocates nothing.
 impl Deserialize for Digest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => s
-                .parse()
-                .map_err(|e: ParseDigestError| DeError::new(e.to_string())),
-            other => Err(DeError::expected("`algo:hex` digest string", other)),
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.str()?
+            .parse()
+            .map_err(|e: ParseDigestError| DeError::new(e.to_string()))
     }
 }
 
@@ -399,11 +400,17 @@ mod tests {
     #[test]
     fn serde_wire_form_is_prefixed_hex() {
         let d = HashAlgorithm::Sha256.digest(b"wire");
-        assert_eq!(d.to_value(), Value::Str(d.to_prefixed_hex()));
-        let back = Digest::from_value(&d.to_value()).unwrap();
+        let wire = serde_json::to_string(&d).unwrap();
+        assert_eq!(wire, format!("\"{}\"", d.to_prefixed_hex()));
+        let back: Digest = serde_json::from_str(&wire).unwrap();
         assert_eq!(back, d);
-        assert!(Digest::from_value(&Value::U64(7)).is_err());
-        assert!(Digest::from_value(&Value::Str("sha256:zz".into())).is_err());
+        let sha1 = HashAlgorithm::Sha1.digest(b"wire");
+        assert_eq!(
+            serde_json::from_str::<Digest>(&serde_json::to_string(&sha1).unwrap()).unwrap(),
+            sha1
+        );
+        assert!(serde_json::from_str::<Digest>("7").is_err());
+        assert!(serde_json::from_str::<Digest>("\"sha256:zz\"").is_err());
     }
 
     #[test]

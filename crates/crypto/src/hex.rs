@@ -39,9 +39,9 @@ pub fn encode_to_slice(bytes: &[u8], out: &mut [u8]) -> usize {
         "hex buffer too small: need {needed}, have {}",
         out.len()
     );
-    for (i, &b) in bytes.iter().enumerate() {
-        out[i * 2] = HEX_DIGITS[(b >> 4) as usize];
-        out[i * 2 + 1] = HEX_DIGITS[(b & 0x0f) as usize];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[(b >> 4) as usize];
+        pair[1] = HEX_DIGITS[(b & 0x0f) as usize];
     }
     needed
 }
@@ -60,18 +60,8 @@ pub fn encode_to_slice(bytes: &[u8], out: &mut [u8]) -> usize {
 /// # Ok::<(), cia_crypto::hex::DecodeHexError>(())
 /// ```
 pub fn decode(s: &str) -> Result<Vec<u8>, DecodeHexError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(DecodeHexError::OddLength { len: s.len() });
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for (i, pair) in bytes.chunks_exact(2).enumerate() {
-        let hi = nibble(pair[0]).ok_or(DecodeHexError::InvalidChar { position: i * 2 })?;
-        let lo = nibble(pair[1]).ok_or(DecodeHexError::InvalidChar {
-            position: i * 2 + 1,
-        })?;
-        out.push((hi << 4) | lo);
-    }
+    let mut out = vec![0u8; s.len() / 2];
+    decode_to_slice(s, &mut out)?;
     Ok(out)
 }
 
@@ -104,39 +94,43 @@ pub fn decode_to_slice(s: &str, out: &mut [u8]) -> Result<usize, DecodeHexError>
             capacity: out.len(),
         });
     }
-    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
-        let hi = nibble(pair[0]).ok_or(DecodeHexError::InvalidChar { position: i * 2 })?;
-        let lo = nibble(pair[1]).ok_or(DecodeHexError::InvalidChar {
-            position: i * 2 + 1,
-        })?;
-        out[i] = (hi << 4) | lo;
+    // Decode every pair, OR-ing the nibbles together: a valid nibble is
+    // below 16, so one check after the loop catches any non-hex byte.
+    let mut seen = 0u8;
+    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
+        let (hi, lo) = (NIBBLES[pair[0] as usize], NIBBLES[pair[1] as usize]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
+    }
+    if seen > 0x0f {
+        let position = s
+            .bytes()
+            .position(|c| NIBBLES[c as usize] == NOT_HEX)
+            .unwrap_or_default();
+        return Err(DecodeHexError::InvalidChar { position });
     }
     Ok(needed)
 }
 
-/// Nibble values for every byte, `0xff` marking non-hex characters —
+/// The [`NIBBLES`] entry of a non-hex character.
+const NOT_HEX: u8 = 0xff;
+
+/// Nibble values for every byte, [`NOT_HEX`] marking non-hex characters —
 /// a branchless lookup for the decode hot path.
 const NIBBLES: [u8; 256] = {
-    let mut table = [0xffu8; 256];
+    let mut table = [NOT_HEX; 256];
     let mut c = 0usize;
     while c < 256 {
         table[c] = match c as u8 {
             b'0'..=b'9' => c as u8 - b'0',
             b'a'..=b'f' => c as u8 - b'a' + 10,
             b'A'..=b'F' => c as u8 - b'A' + 10,
-            _ => 0xff,
+            _ => NOT_HEX,
         };
         c += 1;
     }
     table
 };
-
-fn nibble(c: u8) -> Option<u8> {
-    match NIBBLES[c as usize] {
-        0xff => None,
-        n => Some(n),
-    }
-}
 
 /// Error returned by [`decode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 use cia_crypto::{Derived, Digest, HashAlgorithm};
 use cia_tpm::pcr::extend_digest;
 use cia_tpm::Tpm;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::error::ImaError;
 
@@ -44,26 +44,39 @@ pub struct ImaLogEntry {
 // bloat the excerpt by ~40% and invite a verifier to trust
 // attacker-controlled caches, so they are omitted and recomputed.
 impl Serialize for ImaLogEntry {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("pcr".to_string(), Value::U64(u64::from(self.pcr))),
-            ("filedata_hash".to_string(), self.filedata_hash.to_value()),
-            ("path".to_string(), Value::Str(self.path.clone())),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("pcr");
+        self.pcr.write_json(w);
+        w.key("filedata_hash");
+        self.filedata_hash.write_json(w);
+        w.key("path");
+        w.str(&self.path);
+        w.end_object();
     }
 }
 
+/// Reads like a derived impl: unknown keys are skipped, the first of
+/// duplicate keys wins, and a missing field is an error.
 impl Deserialize for ImaLogEntry {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| DeError::new(format!("missing field `{name}`")))
-        };
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let (mut pcr, mut filedata_hash, mut path) = (None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "pcr" if pcr.is_none() => pcr = Some(u8::read_json(r)?),
+                "filedata_hash" if filedata_hash.is_none() => {
+                    filedata_hash = Some(Digest::read_json(r)?);
+                }
+                "path" if path.is_none() => path = Some(String::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |name: &str| DeError::new(format!("missing field `{name}`"));
         Ok(ImaLogEntry {
-            pcr: u8::from_value(field("pcr")?)?,
-            filedata_hash: Digest::from_value(field("filedata_hash")?)?,
-            path: String::from_value(field("path")?)?,
+            pcr: pcr.ok_or_else(|| missing("pcr"))?,
+            filedata_hash: filedata_hash.ok_or_else(|| missing("filedata_hash"))?,
+            path: path.ok_or_else(|| missing("path"))?,
             tpl_sha1: Derived::new(),
             tpl_sha256: Derived::new(),
         })

@@ -20,7 +20,9 @@
 //! lane — never on which worker thread serviced it or in what order.
 //! That is what makes concurrent fleet rounds reproducible.
 
+use std::cell::Cell;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -121,6 +123,65 @@ pub trait Transport: Send {
         Self: Sized;
 }
 
+thread_local! {
+    /// This thread's wire buffer. Every message is encoded into it and
+    /// decoded from it, so once it has grown to the largest message the
+    /// codec allocates nothing for the bytes. (Growing a fresh buffer per
+    /// message costs a `realloc` chain each time, and two workers doing
+    /// that contend on the allocator's locks.)
+    static WIRE: WireBuffer = const { WireBuffer(Cell::new(Vec::new())) };
+}
+
+/// Wire buffers left by exited threads. Fleet rounds run on scoped
+/// workers that exit every round; the next round's workers pick their
+/// predecessors' buffers up instead of growing new ones.
+///
+/// A `std` mutex, not `parking_lot`'s: [`WireBuffer::drop`] takes it
+/// during thread exit, where the lock sanitizer's own thread-locals may
+/// already be gone.
+static SPARE_WIRES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// The spare buffers; a panic cannot leave the list inconsistent.
+fn spare_wires() -> MutexGuard<'static, Vec<Vec<u8>>> {
+    SPARE_WIRES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's wire buffer, handed on to [`SPARE_WIRES`] when the thread
+/// exits.
+struct WireBuffer(Cell<Vec<u8>>);
+
+impl Drop for WireBuffer {
+    fn drop(&mut self) {
+        let wire = self.0.take();
+        if wire.capacity() > 0 {
+            spare_wires().push(wire);
+        }
+    }
+}
+
+/// Encodes `message` into this thread's wire buffer and decodes a copy
+/// from it, as the far side of a network would. Returns the copy and the
+/// bytes the message took on the wire.
+///
+/// The buffer is taken out of its slot for the duration, so a nested
+/// call (a `serve` that makes calls of its own) works on a buffer of
+/// its own.
+fn cross_wire<M: Serialize + DeserializeOwned>(message: &M) -> Result<(M, u64), TransportError> {
+    let mut wire = WIRE.with(|slot| slot.0.take());
+    if wire.capacity() == 0 {
+        wire = spare_wires().pop().unwrap_or_default();
+    }
+    wire.clear();
+    let crossed = serde_json::to_writer(&mut wire, message)
+        .and_then(|()| serde_json::from_slice(&wire))
+        .map(|copy| (copy, wire.len() as u64))
+        .map_err(|e| TransportError::Codec {
+            reason: e.to_string(),
+        });
+    WIRE.with(|slot| slot.0.set(wire));
+    crossed
+}
+
 /// Serializes `request` across the wire, serves it, and brings the
 /// response back — the delivery-independent half of every [`Transport`].
 /// Returns the response together with the total bytes serialized in both
@@ -133,22 +194,9 @@ where
     Req: Serialize + DeserializeOwned,
     Resp: Serialize + DeserializeOwned,
 {
-    let wire_req = serde_json::to_string(request).map_err(|e| TransportError::Codec {
-        reason: e.to_string(),
-    })?;
-    let decoded: Req = serde_json::from_str(&wire_req).map_err(|e| TransportError::Codec {
-        reason: e.to_string(),
-    })?;
-    let response = serve(decoded);
-    let wire_resp = serde_json::to_string(&response).map_err(|e| TransportError::Codec {
-        reason: e.to_string(),
-    })?;
-    let bytes = wire_req.len() as u64 + wire_resp.len() as u64;
-    serde_json::from_str(&wire_resp)
-        .map(|resp| (resp, bytes))
-        .map_err(|e| TransportError::Codec {
-            reason: e.to_string(),
-        })
+    let (decoded, request_bytes) = cross_wire(request)?;
+    let (response, response_bytes) = cross_wire(&serve(decoded))?;
+    Ok((response, request_bytes + response_bytes))
 }
 
 /// A transport that always delivers.
@@ -265,6 +313,33 @@ mod tests {
             )
             .unwrap();
         assert_eq!(reply, "hello:3");
+    }
+
+    #[test]
+    fn nested_calls_and_fresh_threads_each_get_a_wire() {
+        let mut outer = ReliableTransport::new();
+        let reply: String = outer
+            .call(&"ping".to_string(), |s: String| {
+                let mut inner = ReliableTransport::new();
+                let echoed: String = inner.call(&s, |s: String| s + "!").unwrap();
+                assert_eq!(inner.wire_bytes(), 6 + 7);
+                echoed
+            })
+            .unwrap();
+        assert_eq!(reply, "ping!");
+        assert_eq!(outer.wire_bytes(), 6 + 7);
+        // Threads that exit hand their buffers on; later threads still
+        // encode from a cleared buffer.
+        for n in [3000usize, 10] {
+            let out = std::thread::spawn(move || {
+                ReliableTransport::new()
+                    .call(&vec![7u8; n], |v: Vec<u8>| v.len())
+                    .unwrap()
+            })
+            .join()
+            .unwrap();
+            assert_eq!(out, n);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! verifiers serialize the same state to different bytes, and every
 //! byte-compare (digest pinning, golden files, chaos replay) breaks
 //! intermittently. Inside any function that touches serialization
-//! (`serde_json`, `serialize`, `to_json`, `to_value`, `to_writer`,
-//! `Serializer`), iterating an identifier declared as `HashMap`/
+//! (`serde_json`, `serialize`, `to_json`, `write_json`, `JsonWriter`,
+//! `to_writer`, `Serializer`), iterating an identifier declared as `HashMap`/
 //! `HashSet` (`.iter()`, `.keys()`, `.values()`, `.drain(`, or
 //! `for … in name`) is flagged. The fix is a `BTreeMap` or an explicit
 //! sort before encoding.
@@ -20,11 +20,12 @@ use super::Finding;
 
 pub const RULE: &str = "wire-hygiene";
 
-const SER_MARKERS: [&str; 6] = [
+const SER_MARKERS: [&str; 7] = [
     "serde_json",
     "serialize",
     "to_json",
-    "to_value",
+    "write_json",
+    "JsonWriter",
     "to_writer",
     "Serializer",
 ];

@@ -19,3 +19,18 @@ fn frame(seen: HashSet<u64>, sink: &mut Serializer) {
         sink.serialize(id);
     }
 }
+
+struct Tally {
+    hits: HashMap<String, u64>,
+}
+
+impl Serialize for Tally {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (path, count) in self.hits.iter() { // line 30: wire-hygiene
+            w.key(path);
+            count.write_json(w);
+        }
+        w.end_object();
+    }
+}

@@ -26,3 +26,20 @@ impl Report {
         serde_json::to_string(&keys).unwrap_or_default()
     }
 }
+
+struct Tally {
+    hits: HashMap<String, u64>,
+}
+
+impl Serialize for Tally {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let mut sorted: Vec<(&String, &u64)> = self.hits.iter().collect(); // lint:allow(wire-hygiene): sorted before encoding below.
+        sorted.sort();
+        w.begin_object();
+        for (path, count) in sorted {
+            w.key(path);
+            count.write_json(w);
+        }
+        w.end_object();
+    }
+}

@@ -135,7 +135,11 @@ fn wire_hygiene_fires_at_exact_lines() {
     let findings = lint_fixture("bad_wire.rs");
     assert_eq!(
         fired(&findings),
-        vec![("wire-hygiene", 10), ("wire-hygiene", 18)],
+        vec![
+            ("wire-hygiene", 10),
+            ("wire-hygiene", 18),
+            ("wire-hygiene", 30)
+        ],
         "{findings:#?}"
     );
 }

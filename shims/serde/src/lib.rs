@@ -1,63 +1,31 @@
 //! Offline API-compatible subset of `serde`.
 //!
 //! The build environment cannot reach crates.io, so the workspace patches
-//! `serde` with this shim. The model is a self-describing [`Value`] tree:
-//! [`Serialize`] renders a type into a `Value`, [`Deserialize`] rebuilds
-//! it, and `serde_json` (also shimmed) converts `Value` to and from real
-//! JSON text. The derive macros in `serde_derive` generate the
-//! externally-tagged encoding real serde uses (unit variants as strings,
-//! newtype variants as one-entry objects, named fields as objects), so
-//! wire shapes stay familiar even though the implementation is local.
+//! `serde` with this shim. Its one data format is JSON: [`Serialize`]
+//! writes a value's JSON text straight into a [`JsonWriter`], and
+//! [`Deserialize`] reads it back from a [`JsonReader`], token by token,
+//! with no intermediate tree. `serde_json` (also shimmed) wraps the two
+//! in the real crate's entry points. The derive macros in `serde_derive`
+//! generate the externally-tagged encoding real serde uses (unit variants
+//! as strings, newtype variants as one-entry objects, named fields as
+//! objects), so wire shapes stay familiar even though the implementation
+//! is local.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing serialized value (JSON data model).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer (only used for negative values).
-    I64(i64),
-    /// A float.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Seq(Vec<Value>),
-    /// An object; insertion order preserved.
-    Map(Vec<(String, Value)>),
-}
+mod read;
+mod swar;
+mod write;
 
-impl Value {
-    /// Looks up an object key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// A short human-readable type tag for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::U64(_) | Value::I64(_) | Value::F64(_) => "number",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "array",
-            Value::Map(_) => "object",
-        }
-    }
-}
+use read::Number;
+pub use read::{JsonReader, MAX_DEPTH};
+pub use write::JsonWriter;
 
 /// Deserialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,11 +41,6 @@ impl DeError {
             message: message.into(),
         }
     }
-
-    /// Type-mismatch helper.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        DeError::new(format!("expected {what}, got {}", got.kind()))
-    }
 }
 
 impl fmt::Display for DeError {
@@ -88,16 +51,20 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types renderable into a [`Value`].
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Renders `self`.
-    fn to_value(&self) -> Value;
+    /// Appends `self`'s JSON text to `w`.
+    fn write_json(&self, w: &mut JsonWriter);
 }
 
-/// Types rebuildable from a [`Value`].
+/// Types that read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds a value of this type.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    /// Reads one value of this type from `r`.
+    ///
+    /// # Errors
+    ///
+    /// On malformed JSON or a value of the wrong shape.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError>;
 }
 
 /// Deserialization traits namespace (API parity with real serde).
@@ -116,392 +83,475 @@ pub mod ser {
 // Primitive impls
 // ---------------------------------------------------------------------
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! impl_integer {
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.$write(*self as $wide);
+            }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::new(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::I64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::new(format!("{n} out of range for {}", stringify!($t)))),
-                    other => Err(DeError::expected(stringify!($t), other)),
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                let out_of_range = |n: &dyn fmt::Display| {
+                    DeError::new(format!("{n} out of range for {}", stringify!($t)))
+                };
+                match r.number(stringify!($t))? {
+                    Number::U64(n) => <$t>::try_from(n).map_err(|_| out_of_range(&n)),
+                    Number::I64(n) => <$t>::try_from(n).map_err(|_| out_of_range(&n)),
+                    Number::F64(_) => Err(DeError::new(format!(
+                        "expected {}, got a fractional number",
+                        stringify!($t)
+                    ))),
                 }
             }
         }
     )*};
 }
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::new(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::I64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::new(format!("{n} out of range for {}", stringify!($t)))),
-                    other => Err(DeError::expected(stringify!($t), other)),
-                }
-            }
-        }
-    )*};
-}
-impl_signed!(i8, i16, i32, i64, isize);
+impl_integer!(u64 as u64: u8, u16, u32, u64, usize);
+impl_integer!(i64 as i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(*self);
     }
 }
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(DeError::expected("f64", other)),
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        Ok(match r.number("f64")? {
+            Number::F64(x) => x,
+            Number::U64(n) => n as f64,
+            Number::I64(n) => n as f64,
+        })
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(f64::from(*self));
     }
 }
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        f64::from_value(value).map(|x| x as f32)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        f64::read_json(r).map(|x| x as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other)),
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self.encode_utf8(&mut [0u8; 4]));
     }
 }
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::expected("single-char string", other)),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::expected("string", other)),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let s = r.str()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(DeError::new("expected single-char string")),
         }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+
+impl Serialize for String {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+impl Deserialize for String {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.str().map(|s| s.into_owned())
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
+impl<T: Serialize> Serialize for Box<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        T::read_json(r).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.write_json(w),
+            None => w.null(),
         }
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        if r.take_null()? {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+// ---------------------------------------------------------------------
+// Sequences
+// ---------------------------------------------------------------------
+
+/// Writes `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, w: &mut JsonWriter) {
+    w.begin_array();
+    for item in items {
+        w.element();
+        item.write_json(w);
     }
+    w.end_array();
 }
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other)),
-        }
+
+/// Reads a JSON array, handing each element's reader to `each`.
+fn read_seq(
+    r: &mut JsonReader<'_>,
+    mut each: impl FnMut(&mut JsonReader<'_>) -> Result<(), DeError>,
+) -> Result<(), DeError> {
+    r.begin_array()?;
+    while r.next_element()? {
+        each(r)?;
     }
+    Ok(())
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(self, w);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(self, w);
     }
 }
 impl<T: Deserialize + Copy + Default, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) if items.len() == N => {
-                let mut out = [T::default(); N];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = T::from_value(item)?;
-                }
-                Ok(out)
-            }
-            Value::Seq(items) => Err(DeError::new(format!(
-                "expected array of length {N}, got {}",
-                items.len()
-            ))),
-            other => Err(DeError::expected("array", other)),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = [T::default(); N];
+        let mut len = 0;
+        read_seq(r, |r| {
+            let slot = out
+                .get_mut(len)
+                .ok_or_else(|| DeError::new(format!("expected array of length {N}, got more")))?;
+            *slot = T::read_json(r)?;
+            len += 1;
+            Ok(())
+        })?;
+        if len != N {
+            return Err(DeError::new(format!(
+                "expected array of length {N}, got {len}"
+            )));
         }
+        Ok(out)
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(self, w);
+    }
+}
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = Vec::new();
+        read_seq(r, |r| {
+            out.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+}
+
+impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(self, w);
+    }
+}
+impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = BTreeSet::new();
+        read_seq(r, |r| {
+            out.insert(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+}
+
+/// Hash iteration order is nondeterministic, so items are written in the
+/// order of their JSON text: the same set always serializes the same.
+impl<T: Serialize, S> Serialize for HashSet<T, S> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let (scratch, items) = render_sorted(self.iter().map(|item| (item, ())), w);
+        w.begin_array();
+        for (text, ()) in items {
+            w.element();
+            w.raw(&scratch.as_bytes()[text]);
+        }
+        w.end_array();
+    }
+}
+impl<T, S> Deserialize for HashSet<T, S>
+where
+    T: Deserialize + Eq + Hash,
+    S: BuildHasher + Default,
+{
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = HashSet::default();
+        read_seq(r, |r| {
+            out.insert(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+)),+) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.write_json(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Seq(items) => {
-                        let mut it = items.iter();
-                        let out = ($(
-                            $name::from_value(
-                                it.next().ok_or_else(|| DeError::new("tuple too short"))?
-                            )?,
-                        )+);
-                        if it.next().is_some() {
-                            return Err(DeError::new("tuple too long"));
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                r.begin_array()?;
+                let out = ($(
+                    {
+                        if !r.next_element()? {
+                            return Err(DeError::new("tuple too short"));
                         }
-                        Ok(out)
-                    }
-                    other => Err(DeError::expected("tuple array", other)),
+                        $name::read_json(r)?
+                    },
+                )+);
+                if r.next_element()? {
+                    return Err(DeError::new("tuple too long"));
                 }
+                Ok(out)
             }
         }
     )+};
 }
 impl_tuple!((A: 0), (A: 0, B: 1), (A: 0, B: 1, C: 2), (A: 0, B: 1, C: 2, D: 3));
 
+// ---------------------------------------------------------------------
+// Maps
+// ---------------------------------------------------------------------
+
+/// Whether a rendered key can stand as an object key as it is.
+fn is_json_string(text: &[u8]) -> bool {
+    text.first() == Some(&b'"')
+}
+
+/// A map whose keys all render as strings is an object; any other map is
+/// an array of `[key, value]` pairs. Both read back either way.
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        // String keys render as a JSON object; everything else as [k, v]
-        // pairs. Round-trips through our own deserializer either way.
-        let all_strings = self.keys().all(|k| matches!(k.to_value(), Value::Str(_)));
-        if all_strings {
-            Value::Map(
-                self.iter()
-                    .map(|(k, v)| {
-                        let Value::Str(key) = k.to_value() else {
-                            unreachable!()
-                        };
-                        (key, v.to_value())
-                    })
-                    .collect(),
-            )
-        } else {
-            Value::Seq(
-                self.iter()
-                    .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
-                    .collect(),
-            )
-        }
-    }
-}
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let mut out = BTreeMap::new();
-        match value {
-            Value::Map(entries) => {
-                for (k, v) in entries {
-                    out.insert(K::from_value(&Value::Str(k.clone()))?, V::from_value(v)?);
+    fn write_json(&self, w: &mut JsonWriter) {
+        // Write an object, and start over as pairs at the first key that
+        // does not render as a string.
+        let start = w.as_bytes().len();
+        w.begin_object();
+        for (k, v) in self {
+            w.element();
+            let key_start = w.as_bytes().len();
+            k.write_json(w);
+            if !is_json_string(&w.as_bytes()[key_start..]) {
+                w.truncate(start);
+                w.begin_array();
+                for (k, v) in self {
+                    w.element();
+                    (k, v).write_json(w);
                 }
-                Ok(out)
+                w.end_array();
+                return;
             }
-            Value::Seq(items) => {
-                for item in items {
-                    let (k, v) = <(K, V)>::from_value(item)?;
-                    out.insert(k, v);
-                }
-                Ok(out)
-            }
-            other => Err(DeError::expected("map", other)),
+            w.raw(b":");
+            v.write_json(w);
         }
+        w.end_object();
     }
 }
 
-impl<K, V, S> Serialize for std::collections::HashMap<K, V, S>
-where
-    K: Serialize,
-    V: Serialize,
-{
-    fn to_value(&self) -> Value {
-        // Same encoding as BTreeMap, but hash iteration order is
-        // nondeterministic, so entries are sorted on the rendered key to
-        // keep serialized output stable across runs.
-        let mut entries: Vec<(Value, Value)> = self
+/// Renders each item's key into a scratch writer and sorts the items by
+/// that text. Returns the scratch buffer and `(key text range, item)`
+/// pairs in order.
+fn render_sorted<'a, K: Serialize + 'a, V>(
+    items: impl Iterator<Item = (&'a K, V)>,
+    w: &mut JsonWriter,
+) -> (JsonWriter, Vec<(std::ops::Range<usize>, V)>) {
+    let mut scratch = JsonWriter::default();
+    let mut sorted: Vec<_> = items
+        .map(|(k, v)| {
+            let from = scratch.as_bytes().len();
+            k.write_json(&mut scratch);
+            (from..scratch.as_bytes().len(), v)
+        })
+        .collect();
+    w.inherit_error(&scratch);
+    let text = scratch.as_bytes();
+    sorted.sort_by(|a, b| text[a.0.clone()].cmp(&text[b.0.clone()]));
+    (scratch, sorted)
+}
+
+/// The same encoding as [`BTreeMap`], with entries in the order of their
+/// keys' JSON text: hash iteration order is nondeterministic, and the
+/// same map must always serialize the same.
+impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let (scratch, entries) = render_sorted(self.iter(), w);
+        let keys = scratch.as_bytes();
+        if entries
             .iter()
-            .map(|(k, v)| (k.to_value(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
-        let all_strings = entries.iter().all(|(k, _)| matches!(k, Value::Str(_)));
-        if all_strings {
-            Value::Map(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| match k {
-                        Value::Str(s) => (s, v),
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
+            .all(|(k, _)| is_json_string(&keys[k.clone()]))
+        {
+            w.begin_object();
+            for (k, v) in entries {
+                w.element();
+                w.raw(&keys[k]);
+                w.raw(b":");
+                v.write_json(w);
+            }
+            w.end_object();
         } else {
-            Value::Seq(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| Value::Seq(vec![k, v]))
-                    .collect(),
-            )
+            w.begin_array();
+            for (k, v) in entries {
+                w.element();
+                w.begin_array();
+                w.element();
+                w.raw(&keys[k]);
+                w.element();
+                v.write_json(w);
+                w.end_array();
+            }
+            w.end_array();
         }
     }
 }
-impl<K, V, S> Deserialize for std::collections::HashMap<K, V, S>
+
+/// Reads a map written by either encoding into `insert`.
+fn read_map<K: Deserialize, V: Deserialize>(
+    r: &mut JsonReader<'_>,
+    mut insert: impl FnMut(K, V),
+) -> Result<(), DeError> {
+    if r.at_object() {
+        r.begin_object()?;
+        while r.next_entry()? {
+            let k = K::read_json(r)?;
+            r.colon()?;
+            insert(k, V::read_json(r)?);
+        }
+        Ok(())
+    } else {
+        read_seq(r, |r| {
+            let (k, v) = <(K, V)>::read_json(r)?;
+            insert(k, v);
+            Ok(())
+        })
+    }
+}
+
+impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = BTreeMap::new();
+        read_map(r, |k, v| {
+            out.insert(k, v);
+        })?;
+        Ok(out)
+    }
+}
+
+impl<K, V, S> Deserialize for HashMap<K, V, S>
 where
-    K: Deserialize + Eq + std::hash::Hash,
+    K: Deserialize + Eq + Hash,
     V: Deserialize,
-    S: std::hash::BuildHasher + Default,
+    S: BuildHasher + Default,
 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let mut out = Self::default();
-        match value {
-            Value::Map(entries) => {
-                for (k, v) in entries {
-                    out.insert(K::from_value(&Value::Str(k.clone()))?, V::from_value(v)?);
-                }
-                Ok(out)
-            }
-            Value::Seq(items) => {
-                for item in items {
-                    let (k, v) = <(K, V)>::from_value(item)?;
-                    out.insert(k, v);
-                }
-                Ok(out)
-            }
-            other => Err(DeError::expected("map", other)),
-        }
-    }
-}
-
-impl<T, S> Serialize for std::collections::HashSet<T, S>
-where
-    T: Serialize,
-{
-    fn to_value(&self) -> Value {
-        let mut items: Vec<Value> = self.iter().map(Serialize::to_value).collect();
-        items.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        Value::Seq(items)
-    }
-}
-impl<T, S> Deserialize for std::collections::HashSet<T, S>
-where
-    T: Deserialize + Eq + std::hash::Hash,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        T::from_value(value).map(Box::new)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut out = HashMap::default();
+        read_map(r, |k, v| {
+            out.insert(k, v);
+        })?;
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::borrow::Cow;
+
     use super::*;
+
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut w = JsonWriter::default();
+        value.write_json(&mut w);
+        assert_eq!(w.error(), None);
+        String::from_utf8(w.into_inner()).unwrap()
+    }
+
+    fn parse<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut r = JsonReader::new(text);
+        let value = T::read_json(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
 
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
-        assert_eq!(
-            Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
+        assert_eq!(json(&42u64), "42");
+        assert_eq!(parse::<u64>("42").unwrap(), 42);
+        assert_eq!(json(&-7i32), "-7");
+        assert_eq!(parse::<i32>("-7").unwrap(), -7);
+        assert_eq!(json("hi"), r#""hi""#);
+        assert_eq!(parse::<String>(r#""hi""#).unwrap(), "hi");
+        assert_eq!(json(&vec![1u8, 2, 3]), "[1,2,3]");
+        assert_eq!(parse::<Vec<u8>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
+        assert_eq!(parse::<Option<u8>>("null").unwrap(), None);
+        assert_eq!(json(&Some(4u8)), "4");
+        assert!(parse::<u8>("256").is_err());
+        assert!(parse::<u8>("1.5").is_err());
+        assert_eq!(parse::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert!(parse::<i64>("-9223372036854775809").is_err());
+        assert!(parse::<u64>("18446744073709551616").is_err());
+        // Integral floats keep a `.0`; an integer token reads as an f64.
+        assert_eq!(json(&2.0f64), "2.0");
+        assert_eq!(json(&0.25f64), "0.25");
+        assert_eq!(parse::<f64>("3").unwrap(), 3.0);
+        assert_eq!(parse::<f64>("-3").unwrap(), -3.0);
+        let mut w = JsonWriter::default();
+        f64::NAN.write_json(&mut w);
+        assert!(w.error().is_some());
     }
 
     #[test]
@@ -509,21 +559,99 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), 1u32);
         m.insert("b".to_string(), 2u32);
-        let v = m.to_value();
-        assert!(matches!(v, Value::Map(_)));
-        assert_eq!(BTreeMap::<String, u32>::from_value(&v).unwrap(), m);
+        assert_eq!(json(&m), r#"{"a":1,"b":2}"#);
+        assert_eq!(parse::<BTreeMap<String, u32>>(&json(&m)).unwrap(), m);
 
         let mut n = BTreeMap::new();
         n.insert(3u64, "x".to_string());
-        let v = n.to_value();
-        assert!(matches!(v, Value::Seq(_)));
-        assert_eq!(BTreeMap::<u64, String>::from_value(&v).unwrap(), n);
+        assert_eq!(json(&n), r#"[[3,"x"]]"#);
+        assert_eq!(parse::<BTreeMap<u64, String>>(&json(&n)).unwrap(), n);
+    }
+
+    /// A key that renders as a string below 10 and as a number above.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct Key(u8);
+
+    impl Serialize for Key {
+        fn write_json(&self, w: &mut JsonWriter) {
+            if self.0 < 10 {
+                w.str(&self.0.to_string());
+            } else {
+                w.u64(u64::from(self.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_map_falls_back_to_pairs_at_its_first_non_string_key() {
+        let m: BTreeMap<Key, bool> = [(Key(1), true), (Key(2), false)].into_iter().collect();
+        assert_eq!(json(&m), r#"{"1":true,"2":false}"#);
+        let m: BTreeMap<Key, bool> = [(Key(1), true), (Key(12), false)].into_iter().collect();
+        assert_eq!(json(&[m]), r#"[[["1",true],[12,false]]]"#);
+    }
+
+    #[test]
+    fn hash_containers_serialize_in_key_text_order() {
+        let m: HashMap<String, u8> = [("b", 2), ("aa", 3), ("a", 1)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(json(&m), r#"{"a":1,"aa":3,"b":2}"#);
+        assert_eq!(parse::<HashMap<String, u8>>(&json(&m)).unwrap(), m);
+        let m: HashMap<u64, bool> = [(10, true), (9, false)].into_iter().collect();
+        assert_eq!(json(&m), "[[10,true],[9,false]]");
+        assert_eq!(parse::<HashMap<u64, bool>>(&json(&m)).unwrap(), m);
+        let s: HashSet<i32> = [3, -1, 20].into_iter().collect();
+        assert_eq!(json(&s), "[-1,20,3]");
+        assert_eq!(parse::<HashSet<i32>>(&json(&s)).unwrap(), s);
     }
 
     #[test]
     fn arrays_roundtrip() {
         let a = [7u8; 32];
-        assert_eq!(<[u8; 32]>::from_value(&a.to_value()).unwrap(), a);
-        assert!(<[u8; 32]>::from_value(&vec![1u8].to_value()).is_err());
+        assert_eq!(parse::<[u8; 32]>(&json(&a)).unwrap(), a);
+        assert!(parse::<[u8; 32]>("[1]").is_err());
+        assert!(parse::<[u8; 2]>("[1,2,3]").is_err());
+        assert_eq!(json(&(1u8, "x", false)), r#"[1,"x",false]"#);
+        assert!(parse::<(u8, u8)>("[1]").is_err());
+        assert!(parse::<(u8, u8)>("[1,2,3]").is_err());
+    }
+
+    #[test]
+    fn strings_escape_and_borrow_when_they_can() {
+        let s = "q\"b\\n\nr\rt\t\u{1}é";
+        assert_eq!(json(s), r#""q\"b\\n\nr\rt\t\u0001é""#);
+        assert_eq!(parse::<String>(&json(s)).unwrap(), s);
+        assert_eq!(parse::<String>(r#""\u0041\/""#).unwrap(), "A/");
+        let mut r = JsonReader::new(r#"["plain","esc\"aped"]"#);
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "esc\"aped"));
+        assert!(!r.next_element().unwrap());
+        r.finish().unwrap();
+        assert!(parse::<String>("\"\\x\"").is_err());
+        assert!(parse::<String>("\"open").is_err());
+    }
+
+    #[test]
+    fn malformed_separators_are_rejected() {
+        for bad in [
+            "[1 2]",
+            "[,1]",
+            "[1,]",
+            "[1",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "nul",
+        ] {
+            let mut r = JsonReader::new(bad);
+            assert!(r.skip_value().and_then(|()| r.finish()).is_err(), "{bad}");
+        }
+        let mut r = JsonReader::new(r#" { "a" : [ 1 , { } , [ ] ] , "b" : null } "#);
+        r.skip_value().unwrap();
+        r.finish().unwrap();
     }
 }

@@ -15,6 +15,11 @@
 //! -> array; unit variant -> `"Variant"`; newtype variant ->
 //! `{"Variant": value}`; tuple variant -> `{"Variant": [..]}`; struct
 //! variant -> `{"Variant": {..}}`.
+//!
+//! The generated code writes and reads JSON text directly, one field at a
+//! time, through `serde::JsonWriter` and `serde::JsonReader`. Reading an
+//! object skips unknown keys, keeps the first of duplicate keys, and
+//! fails on a missing field that is not `#[serde(default)]`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -230,224 +235,212 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 // Code generation
 // ---------------------------------------------------------------------
 
+const WRITE: &str = "::serde::Serialize::write_json";
+const READ: &str = "::serde::Deserialize::read_json(__r)?";
+
+/// Statements writing `values` (expressions of reference type) as a JSON
+/// array.
+fn write_array(values: impl Iterator<Item = String>) -> String {
+    let elements: String = values
+        .map(|v| format!("__w.element(); {WRITE}({v}, __w);\n"))
+        .collect();
+    format!("__w.begin_array();\n{elements}__w.end_array();")
+}
+
+/// Statements writing `(key, value expression)` pairs as a JSON object.
+fn write_object<'a>(entries: impl Iterator<Item = (&'a str, String)>) -> String {
+    let keys: String = entries
+        .map(|(k, v)| format!("__w.key(\"{k}\"); {WRITE}({v}, __w);\n"))
+        .collect();
+    format!("__w.begin_object();\n{keys}__w.end_object();")
+}
+
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                }
-                Fields::Named(names) => {
-                    let items: Vec<String> = names
+                Fields::Unit => "__w.null();".to_string(),
+                Fields::Tuple(1) => format!("{WRITE}(&self.0, __w);"),
+                Fields::Tuple(n) => write_array((0..*n).map(|i| format!("&self.{i}"))),
+                Fields::Named(fields) => write_object(
+                    fields
                         .iter()
-                        .map(|f| {
-                            let f = &f.name;
-                            format!(
-                                "(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Value::Map(vec![{}])", items.join(", "))
-                }
+                        .map(|f| (f.name.as_str(), format!("&self.{}", f.name))),
+                ),
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
+            let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),"
-                        ),
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vname}(f0) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), ::serde::Serialize::to_value(f0))]),"
-                        ),
+                    let (pattern, payload) = match &v.fields {
+                        Fields::Unit => {
+                            return format!("{name}::{vname} => __w.str(\"{vname}\"),\n");
+                        }
+                        Fields::Tuple(1) => ("(__f0)".to_string(), format!("{WRITE}(__f0, __w);")),
                         Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vname}({}) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), ::serde::Value::Seq(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
+                            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                            (
+                                format!("({})", binds.join(", ")),
+                                write_array(binds.into_iter()),
                             )
                         }
                         Fields::Named(fields) => {
-                            let binds = fields
-                                .iter()
-                                .map(|f| f.name.clone())
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            let items: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    let f = &f.name;
-                                    format!(
-                                        "(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vname} {{ {binds} }} => ::serde::Value::Map(vec![(\"{vname}\".to_string(), ::serde::Value::Map(vec![{}]))]),",
-                                items.join(", ")
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            (
+                                format!(" {{ {} }}", binds.join(", ")),
+                                write_object(binds.iter().map(|b| (*b, b.to_string()))),
                             )
                         }
-                    }
+                    };
+                    format!(
+                        "{name}::{vname}{pattern} => {{\n\
+                             __w.begin_object();\n\
+                             __w.key(\"{vname}\");\n\
+                             {payload}\n\
+                             __w.end_object();\n\
+                         }}\n"
+                    )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{\n{}\n}}\n\
-                     }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{\n{arms}}}"))
         }
-    }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn write_json(&self, __w: &mut ::serde::JsonWriter) {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
 }
 
-fn named_field_extractors(type_name: &str, source: &str, fields: &[NamedField]) -> String {
-    fields
+/// An expression reading a JSON array of exactly `n` elements into the
+/// tuple constructor `ctor`.
+fn read_tuple(ctor: &str, n: usize) -> String {
+    let short_or_long = format!(
+        "return ::core::result::Result::Err(::serde::DeError::new(\
+             \"expected {n}-element array for {ctor}\"))"
+    );
+    let elements: String = (0..n)
+        .map(|_| format!("{{ if !__r.next_element()? {{ {short_or_long} }} {READ} }},\n"))
+        .collect();
+    format!(
+        "{{\n\
+             __r.begin_array()?;\n\
+             let __value = {ctor}(\n{elements});\n\
+             if __r.next_element()? {{ {short_or_long} }}\n\
+             __value\n\
+         }}"
+    )
+}
+
+/// An expression reading a JSON object into the named-field constructor
+/// `ctor`: unknown keys are skipped, the first of duplicate keys wins, and
+/// a missing field is an error unless it is `#[serde(default)]`.
+fn read_named(ctor: &str, fields: &[NamedField]) -> String {
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __v{i} = ::core::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
         .iter()
-        .map(|field| {
-            let f = &field.name;
-            let missing = if field.has_default {
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "\"{}\" if __v{i}.is_none() => __v{i} = ::core::option::Option::Some({READ}),\n",
+                f.name
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let missing = if f.has_default {
                 "::core::default::Default::default()".to_string()
             } else {
                 format!(
-                    "return Err(::serde::DeError::new(\n\
-                         format!(\"missing field `{f}` in {type_name}\")))"
+                    "return ::core::result::Result::Err(::serde::DeError::new(\
+                         \"missing field `{}` in {ctor}\"))",
+                    f.name
                 )
             };
             format!(
-                "{f}: match {source}.get(\"{f}\") {{\n\
-                     Some(v) => ::serde::Deserialize::from_value(v)?,\n\
-                     None => {missing},\n\
-                 }},"
+                "{}: match __v{i} {{\n\
+                     ::core::option::Option::Some(__v) => __v,\n\
+                     ::core::option::Option::None => {missing},\n\
+                 }},\n",
+                f.name
             )
         })
-        .collect::<Vec<_>>()
-        .join("\n")
+        .collect();
+    format!(
+        "{{\n\
+             {slots}\
+             __r.begin_object()?;\n\
+             while let ::core::option::Option::Some(__key) = __r.next_key()? {{\n\
+                 match &*__key {{\n\
+                     {arms}\
+                     _ => __r.skip_value()?,\n\
+                 }}\n\
+             }}\n\
+             {ctor} {{\n{inits}}}\n\
+         }}"
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => format!("{{ let _ = value; Ok({name}) }}"),
-                Fields::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(value)?))"),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                        .collect();
-                    format!(
-                        "match value {{\n\
-                             ::serde::Value::Seq(items) if items.len() == {n} =>\n\
-                                 Ok({name}({})),\n\
-                             other => Err(::serde::DeError::expected(\"{n}-element array for {name}\", other)),\n\
-                         }}",
-                        items.join(", ")
-                    )
-                }
-                Fields::Named(names) => {
-                    let extract = named_field_extractors(name, "value", names);
-                    format!(
-                        "match value {{\n\
-                             ::serde::Value::Map(_) => Ok({name} {{\n{extract}\n}}),\n\
-                             other => Err(::serde::DeError::expected(\"object for {name}\", other)),\n\
-                         }}"
-                    )
-                }
+            let value = match fields {
+                // A unit struct carries nothing: any value reads as it.
+                Fields::Unit => format!("{{ __r.skip_value()?; {name} }}"),
+                Fields::Tuple(1) => format!("{name}({READ})"),
+                Fields::Tuple(n) => read_tuple(name, *n),
+                Fields::Named(fields) => read_named(name, fields),
             };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(value: &::serde::Value) -> Result<Self, ::serde::DeError> {{\n\
-                         {body}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("::core::result::Result::Ok({value})"))
         }
         Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
+            let arms: String = variants
                 .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
+                .map(|v| {
                     let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => None,
-                        Fields::Tuple(1) => Some(format!(
-                            "\"{vname}\" => Ok({name}::{vname}(::serde::Deserialize::from_value(payload)?)),"
-                        )),
-                        Fields::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vname}\" => match payload {{\n\
-                                     ::serde::Value::Seq(items) if items.len() == {n} =>\n\
-                                         Ok({name}::{vname}({})),\n\
-                                     other => Err(::serde::DeError::expected(\"{n}-element array for {name}::{vname}\", other)),\n\
-                                 }},",
-                                items.join(", ")
-                            ))
-                        }
-                        Fields::Named(fields) => {
-                            let extract = named_field_extractors(
-                                &format!("{name}::{vname}"),
-                                "payload",
-                                fields,
-                            );
-                            Some(format!(
-                                "\"{vname}\" => match payload {{\n\
-                                     ::serde::Value::Map(_) => Ok({name}::{vname} {{\n{extract}\n}}),\n\
-                                     other => Err(::serde::DeError::expected(\"object for {name}::{vname}\", other)),\n\
-                                 }},"
-                            ))
-                        }
-                    }
+                    let ctor = format!("{name}::{vname}");
+                    let (payload, value) = match &v.fields {
+                        Fields::Unit => (false, ctor),
+                        Fields::Tuple(1) => (true, format!("{ctor}({READ})")),
+                        Fields::Tuple(n) => (true, read_tuple(&ctor, *n)),
+                        Fields::Named(fields) => (true, read_named(&ctor, fields)),
+                    };
+                    format!("(\"{vname}\", {payload}) => {value},\n")
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(value: &::serde::Value) -> Result<Self, ::serde::DeError> {{\n\
-                         match value {{\n\
-                             ::serde::Value::Str(tag) => match tag.as_str() {{\n\
-                                 {unit}\n\
-                                 other => Err(::serde::DeError::new(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                             }},\n\
-                             ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                                 let (tag, payload) = &entries[0];\n\
-                                 match tag.as_str() {{\n\
-                                     {tagged}\n\
-                                     other => Err(::serde::DeError::new(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             other => Err(::serde::DeError::expected(\"variant of {name}\", other)),\n\
-                         }}\n\
-                     }}\n\
-                 }}",
-                unit = unit_arms.join("\n"),
-                tagged = tagged_arms.join("\n"),
-            )
+            let body = format!(
+                "let (__tag, __payload) = __r.variant(\"{name}\")?;\n\
+                 let __value = match (&*__tag, __payload) {{\n\
+                     {arms}\
+                     (__other, _) => return ::core::result::Result::Err(::serde::DeError::new(\
+                         ::std::format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
+                 }};\n\
+                 if __payload {{\n\
+                     __r.end_variant(\"{name}\")?;\n\
+                 }}\n\
+                 ::core::result::Result::Ok(__value)"
+            );
+            (name, body)
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn read_json(__r: &mut ::serde::JsonReader<'_>) \
+                 -> ::core::result::Result<Self, ::serde::DeError> {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
 }
 
 /// Derives the shim's `Serialize` trait.

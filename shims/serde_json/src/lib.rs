@@ -1,15 +1,17 @@
-//! Offline JSON text layer over the local serde shim.
+//! Offline JSON entry points over the local serde shim.
 //!
-//! Provides the four entry points the workspace uses —
-//! [`to_string`], [`to_vec`], [`from_str`], [`from_slice`] — backed by a
-//! complete little JSON writer/parser over [`serde::Value`].
+//! Provides the entry points the workspace uses — [`to_string`],
+//! [`to_vec`], [`to_writer`], [`from_str`], [`from_slice`]. The JSON
+//! writer and reader themselves live in `serde` ([`serde::JsonWriter`],
+//! [`serde::JsonReader`]): every type writes and reads its own JSON text,
+//! with no intermediate tree.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 
 use serde::de::DeserializeOwned;
-use serde::{Serialize, Value};
+use serde::{JsonReader, JsonWriter, Serialize};
 
 /// Serialization/deserialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,37 +35,52 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+impl From<serde::DeError> for Error {
+    fn from(e: serde::DeError) -> Self {
+        Error::new(e.message)
+    }
+}
+
 /// Result alias (API parity).
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes a value to a JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
-    Ok(out)
+    String::from_utf8(to_vec(value)?).map_err(|e| Error::new(format!("invalid utf-8: {e}")))
 }
 
 /// Serializes a value to JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(out)
+}
+
+/// Appends a value's JSON text to `writer`, growing it in place: a buffer
+/// reused across messages stops allocating once it has grown to fit.
+/// (The real crate takes any `io::Write`; the shim takes the `Vec<u8>`
+/// the workspace passes.) On error `writer` is left as it was.
+pub fn to_writer<T: Serialize + ?Sized>(writer: &mut Vec<u8>, value: &T) -> Result<()> {
+    let start = writer.len();
+    let mut w = JsonWriter::new(std::mem::take(writer));
+    value.write_json(&mut w);
+    let error = w.error();
+    *writer = w.into_inner();
+    match error {
+        Some(reason) => {
+            writer.truncate(start);
+            Err(Error::new(reason))
+        }
+        None => Ok(()),
+    }
 }
 
 /// Deserializes a value from a JSON string.
 pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
-    }
-    T::from_value(&value).map_err(|e| Error::new(e.message))
+    let mut reader = JsonReader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 /// Deserializes a value from JSON bytes.
@@ -72,330 +89,10 @@ pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
     from_str(text)
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn write_u64(mut n: u64, out: &mut String) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-fn write_value(value: &Value, out: &mut String) -> Result<()> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => write_u64(*n, out),
-        Value::I64(n) => {
-            if *n < 0 {
-                out.push('-');
-            }
-            write_u64(n.unsigned_abs(), out);
-        }
-        Value::F64(x) => {
-            if !x.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float"));
-            }
-            // Keep integral floats distinguishable from integers so the
-            // reader reproduces Value::F64 on round-trip.
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                out.push_str(&format!("{x:.1}"));
-            } else {
-                out.push_str(&format!("{x}"));
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(v, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.reserve(s.len() + 2);
-    out.push('"');
-    // Copy maximal runs of bytes that need no escaping (everything
-    // except `"`, `\` and control characters — multi-byte UTF-8 passes
-    // through untouched) and escape only the rare exceptions.
-    let bytes = s.as_bytes();
-    let mut run_start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'"' || b == b'\\' || b < 0x20 {
-            out.push_str(&s[run_start..i]);
-            match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
-                _ => {
-                    use fmt::Write as _;
-                    let _ = write!(out, "\\u{:04x}", b);
-                }
-            }
-            run_start = i + 1;
-        }
-    }
-    out.push_str(&s[run_start..]);
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => Err(Error::new(format!(
-                "expected `{}` at offset {}, got `{}`",
-                b as char,
-                self.pos - 1,
-                got as char
-            ))),
-            None => Err(Error::new("unexpected end of input")),
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Result<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "invalid literal at offset {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => {
-                self.eat_literal("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.eat_literal("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.eat_literal("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.bump();
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.bump();
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Value::Seq(items)),
-                        _ => return Err(Error::new("expected `,` or `]` in array")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.bump();
-                let mut entries = Vec::with_capacity(8);
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.bump();
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b'}') => return Ok(Value::Map(entries)),
-                        _ => return Err(Error::new("expected `,` or `}` in object")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(Error::new(format!(
-                "unexpected character `{}` at offset {}",
-                other as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
-        }
-    }
-
-    /// Advances past a run of bytes needing no per-byte handling
-    /// (anything but `"` and `\`; the input is already valid UTF-8, so
-    /// multi-byte sequences and raw control bytes pass through) and
-    /// returns it as a str slice.
-    fn take_clean_run(&mut self) -> &'a str {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' || b == b'\\' {
-                break;
-            }
-            self.pos += 1;
-        }
-        // The parser's input came from `from_str`, so byte runs between
-        // structural characters are valid UTF-8 by construction.
-        std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("")
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        // Fast path: the whole string is one clean run — a single copy.
-        let run = self.take_clean_run();
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(run.to_string());
-        }
-        let mut out = String::from(run);
-        loop {
-            // `take_clean_run` stops only at `"`, `\` or end of input.
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| Error::new("bad unicode escape"))?,
-                        );
-                    }
-                    _ => return Err(Error::new("bad escape sequence")),
-                },
-                _ => return Err(Error::new("unterminated string")),
-            }
-            out.push_str(self.take_clean_run());
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.bump();
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.bump();
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.bump();
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
-            return Err(Error::new("invalid number"));
-        }
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|e| Error::new(format!("bad float `{text}`: {e}")))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<u64>()
-                .map_err(|e| Error::new(format!("bad int `{text}`: {e}")))
-                .map(|n| Value::I64(-(n as i64)))
-        } else {
-            text.parse::<u64>()
-                .map(Value::U64)
-                .map_err(|e| Error::new(format!("bad int `{text}`: {e}")))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use serde::Deserialize;
+
     use super::*;
 
     #[test]
@@ -426,6 +123,7 @@ mod tests {
         assert!(from_str::<u32>("").is_err());
         assert!(from_str::<u32>("42 trailing").is_err());
         assert!(from_str::<Vec<u8>>("[1,2").is_err());
+        assert!(from_slice::<String>(b"\"\xff\"").is_err());
     }
 
     #[test]
@@ -433,5 +131,153 @@ mod tests {
         let s = "héllo → wörld 🎉".to_string();
         let back: String = from_str(&to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Rec {
+        id: u32,
+        name: String,
+        #[serde(default)]
+        tags: Vec<String>,
+        ratio: f64,
+        opt: Option<u8>,
+    }
+
+    #[test]
+    fn derived_structs_read_field_by_field() {
+        let rec = Rec {
+            id: 1,
+            name: "n".into(),
+            tags: vec![],
+            ratio: 1.0,
+            opt: None,
+        };
+        let text = r#"{"id":1,"name":"n","tags":[],"ratio":1.0,"opt":null}"#;
+        assert_eq!(to_string(&rec).unwrap(), text);
+        assert_eq!(from_str::<Rec>(text).unwrap(), rec);
+        // Unknown keys are skipped, a default field may be missing, an
+        // integer token reads as an f64, and whitespace is allowed.
+        let loose = r#" { "extra" : {"x":[1,{"y":null}]}, "ratio":1, "opt":null,
+            "name":"n", "id":1 } "#;
+        assert_eq!(from_str::<Rec>(loose).unwrap(), rec);
+        // The first of duplicate keys wins; the second is only skipped.
+        let dup = r#"{"id":1,"id":"two","name":"n","ratio":1.0,"opt":null}"#;
+        assert_eq!(from_str::<Rec>(dup).unwrap(), rec);
+        let missing = from_str::<Rec>(r#"{"id":1,"ratio":1.0,"opt":null}"#).unwrap_err();
+        assert!(
+            missing.to_string().contains("missing field `name`"),
+            "{missing}"
+        );
+        assert!(from_str::<Rec>("[1]").is_err());
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Unit,
+        New(u8),
+        Pair(u8, String),
+        Named { x: i8 },
+    }
+
+    #[test]
+    fn enums_are_externally_tagged() {
+        for (shape, text) in [
+            (Shape::Unit, r#""Unit""#),
+            (Shape::New(3), r#"{"New":3}"#),
+            (Shape::Pair(1, "a".into()), r#"{"Pair":[1,"a"]}"#),
+            (Shape::Named { x: -1 }, r#"{"Named":{"x":-1}}"#),
+        ] {
+            assert_eq!(to_string(&shape).unwrap(), text);
+            assert_eq!(from_str::<Shape>(text).unwrap(), shape);
+        }
+        for bad in [
+            r#"{"Unit":null}"#,
+            r#""New""#,
+            r#""Nope""#,
+            r#"{}"#,
+            r#"{"New":1,"Unit":null}"#,
+            r#"{"Pair":[1]}"#,
+            r#"{"Pair":[1,"a",2]}"#,
+            r#"{"Named":{}}"#,
+            "3",
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Marker;
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Id(String);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Point(u8, u8);
+
+    #[test]
+    fn unit_newtype_and_tuple_structs() {
+        assert_eq!(to_string(&Marker).unwrap(), "null");
+        assert_eq!(
+            from_str::<Marker>(r#"{"any":[1,"thing"]}"#).unwrap(),
+            Marker
+        );
+        assert!(from_str::<Marker>("[1,").is_err());
+        assert_eq!(to_string(&Id("x".into())).unwrap(), r#""x""#);
+        assert_eq!(from_str::<Id>(r#""x""#).unwrap(), Id("x".into()));
+        assert_eq!(to_string(&Point(1, 2)).unwrap(), "[1,2]");
+        assert_eq!(from_str::<Point>("[1,2]").unwrap(), Point(1, 2));
+        assert!(from_str::<Point>("[1]").is_err());
+        assert!(from_str::<Point>("[1,2,3]").is_err());
+    }
+
+    #[test]
+    fn to_writer_appends_and_non_finite_floats_fail() {
+        let mut buf = b"x".to_vec();
+        to_writer(&mut buf, &[1u8, 2]).unwrap();
+        assert_eq!(buf, b"x[1,2]");
+        assert!(to_string(&f64::NAN).is_err());
+        assert!(to_writer(&mut buf, &vec![1.0, f64::INFINITY]).is_err());
+        assert_eq!(buf, b"x[1,2]", "a failed write leaves the buffer as it was");
+    }
+
+    /// Nests as deep as its input: `[[[…]]]`.
+    #[derive(Deserialize)]
+    struct Tree(Vec<Tree>);
+
+    /// Nests as deep as its input: `{"a":{"a":…}}`.
+    #[derive(Deserialize)]
+    struct Chain {
+        a: Option<Box<Chain>>,
+    }
+
+    /// Hostile input must not overflow the parser's stack: past
+    /// `serde::MAX_DEPTH` nested arrays or objects, reading fails with an
+    /// error, whether a type reads the nesting or skips it.
+    #[test]
+    fn deeply_nested_input_is_an_error_not_an_abort() {
+        const DEPTH: usize = 1_000_000;
+        assert_eq!(from_str::<Tree>("[[],[[]]]").unwrap().0.len(), 2);
+        assert!(from_str::<Chain>(r#"{"a":{"a":null}}"#)
+            .unwrap()
+            .a
+            .is_some());
+        for open in ["[", r#"{"a":"#] {
+            let text = open.repeat(DEPTH);
+            let read = match open {
+                "[" => from_str::<Tree>(&text).map(drop),
+                _ => from_str::<Chain>(&text).map(drop),
+            };
+            let read = read.unwrap_err();
+            assert!(read.to_string().contains("recursion limit"), "{read}");
+            assert!(from_str::<Rec>(&text).is_err());
+            assert!(from_str::<Vec<u8>>(&text).is_err());
+            assert!(from_str::<Shape>(&format!(r#"{{"New":{text}"#)).is_err());
+            let skipped = from_str::<Marker>(&text).unwrap_err();
+            assert!(skipped.to_string().contains("recursion limit"), "{skipped}");
+        }
+        let max = serde::MAX_DEPTH;
+        let at_limit = format!("{}{}", "[".repeat(max), "]".repeat(max));
+        assert!(from_str::<Marker>(&at_limit).is_ok());
+        assert!(from_str::<Marker>(&format!("[{at_limit}]")).is_err());
     }
 }
