@@ -1,6 +1,7 @@
 //! The dynamic policy generator.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cia_crypto::{DigestCache, HashAlgorithm, Sha256};
 use cia_distro::mirror::MirrorDiff;
@@ -341,17 +342,14 @@ impl DynamicPolicyGenerator {
             }
             return;
         }
-        let (tx, rx) = crossbeam::channel::unbounded::<&PackageFile>();
-        for file in todo {
-            tx.send(file).expect("queue open");
-        }
-        drop(tx);
+        // Workers claim files by bumping a shared index. `Relaxed` is
+        // enough: the index publishes no data, as `todo` is read-only.
+        let next = AtomicUsize::new(0);
+        let cache = &self.digest_cache;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let rx = rx.clone();
-                let cache = &self.digest_cache;
-                scope.spawn(move || {
-                    while let Ok(file) = rx.recv() {
+                scope.spawn(|| {
+                    while let Some(file) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
                         cache.get_or_compute(file.content_seed, || {
                             hash_file_content(&file.content())
                         });

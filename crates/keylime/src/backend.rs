@@ -27,7 +27,6 @@ use cia_ima::{ImaLogEntry, IMA_PCR};
 use cia_os::Machine;
 use cia_tpm::pcr::extend_digest;
 use cia_tpm::{PcrSelection, Quote};
-use parking_lot::Mutex;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -430,16 +429,16 @@ struct SecureWorldState {
 /// A TrustZone-style backend: a policy-driven measurement agent running
 /// inside a simulated secure world (PDRIMA shape).
 ///
-/// Measurement state sits behind `world`, a mutex modelling the SMC
-/// world-switch gate: every normal-world entry into the secure world
-/// serializes on it, and nothing in the normal world can reach the
-/// measurement list except through the gated entry points.
+/// Measurement state sits in the private `world` field, modelling the
+/// SMC world-switch gate: nothing in the normal world can reach the
+/// measurement list except through the typed entry points, and every
+/// entry that changes it takes `&mut self`.
 #[derive(Debug)]
 pub struct SecureWorldBackend {
     hostname: String,
     keys: KeyPair,
     certificate: BackendCert,
-    world: Mutex<SecureWorldState>,
+    world: SecureWorldState,
     day: u32,
 }
 
@@ -460,14 +459,13 @@ impl SecureWorldBackend {
             hostname: config.hostname,
             keys,
             certificate,
-            world: Mutex::new(SecureWorldState {
+            world: SecureWorldState {
                 measured_prefixes: config.measured_prefixes,
                 entries: Vec::new(),
                 register: HashAlgorithm::Sha256.zero_digest(),
                 restarts: 0,
                 clock: 0,
-            })
-            .named("world"),
+            },
             day: 0,
         }
     }
@@ -482,7 +480,7 @@ impl SecureWorldBackend {
     /// register was extended); `false` for an unmeasured load — the
     /// policy-coverage gap an attacker hides in.
     pub fn load_trusted_app(&mut self, path: &str, content: &[u8]) -> bool {
-        let mut world = self.world.lock();
+        let world = &mut self.world;
         if !world
             .measured_prefixes
             .iter()
@@ -515,7 +513,7 @@ impl SecureWorldBackend {
 
     /// Number of measured loads so far.
     pub fn measured_count(&self) -> usize {
-        self.world.lock().entries.len()
+        self.world.entries.len()
     }
 
     /// Advances the device's notion of the simulated day.
@@ -535,7 +533,7 @@ impl SecureWorldBackend {
     /// A quote over the world's register plus the measured loads from
     /// `from_entry` on (an offset past the end yields none).
     pub(crate) fn quote(&mut self, nonce: &[u8], from_entry: usize) -> QuoteResponse {
-        let mut world = self.world.lock();
+        let world = &mut self.world;
         world.clock += 1;
         let values = vec![world.register];
         let quote = sign_quote(
@@ -558,7 +556,7 @@ impl SecureWorldBackend {
     /// Resets the world: the measurement list and register clear and the
     /// restart counter bumps.
     pub(crate) fn restart(&mut self) {
-        let mut world = self.world.lock();
+        let world = &mut self.world;
         world.entries.clear();
         world.register = HashAlgorithm::Sha256.zero_digest();
         world.restarts += 1;

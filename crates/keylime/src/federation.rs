@@ -45,7 +45,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cia_wire::{DuplexShardTransport, ShardTransport, TcpShardTransport};
-use parking_lot::RaceCell;
 
 use crate::agent::Agent;
 use crate::config::VerifierConfig;
@@ -156,11 +155,8 @@ pub struct Federation {
     shards: BTreeMap<u32, Shard>,
     store: PolicyStore,
     /// Metrics folded out of killed shards, so the fleet-level snapshot
-    /// never loses the work a dead shard already did. Audited by the
-    /// race detector: the accumulator may only be touched by the
-    /// coordinator, ordered against shard-thread work through the
-    /// scoped-round join edges.
-    retired: RaceCell<MetricsSnapshot>,
+    /// never loses the work a dead shard already did.
+    retired: MetricsSnapshot,
     /// The layout this federation was built with — kept so joining
     /// shards ([`Federation::add_shard`]) and wire rounds reuse it.
     config: FederationConfig,
@@ -179,7 +175,7 @@ impl Federation {
             ring,
             shards,
             store,
-            retired: RaceCell::new(MetricsSnapshot::default()).named("retired-metrics"),
+            retired: MetricsSnapshot::default(),
             config,
         }
     }
@@ -346,7 +342,7 @@ impl Federation {
         let kind = self.config.transport;
         let window = self.config.wire_window;
         let mut results: BTreeMap<u32, Vec<AgentRoundResult>> = BTreeMap::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (&sid, shard) in self.shards.iter_mut() {
                 let Some(commands) = commands.remove(&sid) else {
@@ -497,8 +493,7 @@ impl Federation {
             return Vec::new();
         };
         self.ring.remove_shard(shard);
-        let folded = self.retired.get().merged(&dead.scheduler.snapshot());
-        self.retired.set(folded);
+        self.retired = self.retired.merged(&dead.scheduler.snapshot());
 
         let mut dead = dead.verifier;
         let mut migrated = Vec::new();
@@ -538,7 +533,7 @@ impl Federation {
     /// shards. Conserved whenever the shard snapshots are — the
     /// identity is linear (see [`MetricsSnapshot::merged`]).
     pub fn fleet_metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.retired.get().clone();
+        let mut snap = self.retired.clone();
         for shard in self.shards.values() {
             snap = snap.merged(&shard.scheduler.snapshot());
         }
@@ -614,7 +609,7 @@ where
         verifier,
         scheduler,
     } = shard;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let server = scope.spawn(move || {
             remote::serve_round(
                 scheduler,

@@ -161,16 +161,3 @@ pub use verifier::{
     AgentHealth, AgentStateSnapshot, AgentStatus, Alert, AttestationOutcome, FailureKind,
     HealthCounts, Verifier, VerifierConfig,
 };
-
-/// The runtime lock-order recorder from the instrumented `parking_lot`
-/// shim: `sanitizer::cycles()` must stay empty across every corpus run.
-#[cfg(feature = "lock-sanitizer")]
-pub use parking_lot::sanitizer;
-
-/// The vector-clock happens-before race detector from the same shim:
-/// `racecheck::races()` must stay empty across every corpus run —
-/// every audited access to `RaceCell`-wrapped shared state (the
-/// federation's retired-metrics accumulator) must be ordered by
-/// instrumented synchronization.
-#[cfg(feature = "lock-sanitizer")]
-pub use parking_lot::racecheck;

@@ -50,6 +50,8 @@
 //! [`VerifierConfig::wire_batch`]: crate::VerifierConfig::wire_batch
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
+use std::sync::mpsc;
+
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
 
 use crate::agent::{Agent, QuoteResponse};
@@ -447,8 +449,8 @@ where
 {
     let wire_batch = effective_batch(verifier.config().wire_batch);
     let (tx, mut rx) = conn.split();
-    let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded::<Vec<(AgentId, u64)>>();
-    let (row_tx, row_rx) = crossbeam::channel::unbounded::<AgentRoundResult>();
+    let (cmd_tx, cmd_rx) = mpsc::channel::<Vec<(AgentId, u64)>>();
+    let (row_tx, row_rx) = mpsc::channel::<AgentRoundResult>();
 
     std::thread::scope(|scope| {
         let reader = scope.spawn(move || -> Result<(), WireError> {

@@ -503,7 +503,7 @@ impl FleetScheduler {
             ..MetricsSnapshot::default()
         };
         FleetScheduler {
-            totals: Mutex::new(zeroed).named("totals"),
+            totals: Mutex::new(zeroed),
         }
     }
 
@@ -614,8 +614,7 @@ impl FleetScheduler {
                 let record = unclaimed.remove(&id)?;
                 let agent = processes.remove(&id);
                 Some((id, lane, record, agent))
-            }))
-            .named("queue");
+            }));
             let work = || {
                 let mut rows = Vec::new();
                 let mut counts = MetricsSnapshot::default();

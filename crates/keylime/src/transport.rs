@@ -136,9 +136,8 @@ thread_local! {
 /// workers that exit every round; the next round's workers pick their
 /// predecessors' buffers up instead of growing new ones.
 ///
-/// A `std` mutex, not `parking_lot`'s: [`WireBuffer::drop`] takes it
-/// during thread exit, where the lock sanitizer's own thread-locals may
-/// already be gone.
+/// A plain `std` mutex, held for one push or pop at a time, including
+/// from [`WireBuffer::drop`] during thread exit.
 static SPARE_WIRES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
 
 /// The spare buffers; a panic cannot leave the list inconsistent.

@@ -32,13 +32,6 @@
 //!   (`from_wire`, `check_crc`) runs, across function and file
 //!   boundaries.
 //!
-//! The static pass pairs with the *dynamic* `lock-sanitizer` feature in
-//! `shims/parking_lot`, which records the runtime lock-order graph, a
-//! vector-clock happens-before race detector, and detects cycles across
-//! actual interleavings. Static analysis proves the order is respected
-//! where the heuristics can see; the sanitizer proves it where they
-//! cannot.
-//!
 //! See `cia-lint.manifest` at the workspace root for the declared hot
 //! paths, determinism allowlist, and lock order.
 

@@ -22,9 +22,7 @@
 //! lives until `drop(name)` or the close of its binding block; an
 //! unbound (temporary) guard lives to the end of its statement. Only
 //! zero-argument `.lock()`/`.read()`/`.write()` calls are treated as
-//! acquisitions, so `vfs.read(path)` is never confused for one. The
-//! dynamic `lock-sanitizer` feature covers whatever this approximation
-//! misses across actual interleavings.
+//! acquisitions, so `vfs.read(path)` is never confused for one.
 
 use crate::manifest::Manifest;
 use crate::source::FileContext;
@@ -145,6 +143,16 @@ pub fn check(ctx: &FileContext, manifest: &Manifest, out: &mut Vec<Finding>) {
         }
         k += 1;
     }
+}
+
+/// The receiver of every acquisition outside test regions, in source
+/// order: the lock names this file takes, as the rule sees them.
+pub fn acquired_locks(ctx: &FileContext) -> Vec<String> {
+    let (toks, code) = (&ctx.tokens, &ctx.code);
+    (0..code.len())
+        .filter(|&k| is_acquisition(toks, code, k) && !ctx.in_test_region(toks[code[k]].line))
+        .filter_map(|k| receiver_name(toks, code, k))
+        .collect()
 }
 
 /// True when `code[k]` starts `.lock()` / `.read()` / `.write()` — the

@@ -44,7 +44,7 @@ pub struct Finding {
 
 /// True when `path` is first-party pipeline source the scoped rules
 /// apply to (crate or root-package `src/` trees; shims mimic external
-/// APIs and are exercised by the sanitizer instead).
+/// APIs and are not part of the pipeline).
 fn pipeline_source(path: &str) -> bool {
     (path.starts_with("crates/") || path.starts_with("src/")) && path.contains("src/")
 }

@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn cfg_feature_alone_does_not() {
-        let src = "#[cfg(feature = \"lock-sanitizer\")]\nfn live() {}\n";
+        let src = "#[cfg(feature = \"x\")]\nfn live() {}\n";
         let ctx = FileContext::new("x.rs", src);
         assert!(!ctx.in_test_region(2));
     }

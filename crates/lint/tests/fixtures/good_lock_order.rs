@@ -33,6 +33,6 @@ fn not_locks(s: &Store, vfs: &mut Vfs) {
 
 fn justified(s: &Store) {
     let pins = s.pins.lock();
-    // lint:allow(lock-order): seeded inversion for the sanitizer proof.
+    // lint:allow(lock-order): seeded inversion for a deadlock test.
     let inner = s.inner.read();
 }

@@ -6,10 +6,12 @@
 //! walker deliberately skips, so the deliberately-broken corpus never
 //! pollutes a real `cia-lint --check` run.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
-use cia_lint::{lint_source, lint_sources, Finding, Manifest};
+use cia_lint::rules::lock_order;
+use cia_lint::{lint_source, lint_sources, walk, FileContext, Finding, Manifest};
 
 /// The manifest fixtures are linted under: both panic fixtures are
 /// declared hot paths; the lock order mirrors the real workspace.
@@ -341,10 +343,15 @@ fn workspace_manifest_is_coherent() {
     assert!(m.is_hot_path("crates/keylime/src/verifier.rs"));
     assert!(m.is_hot_path("crates/keylime/src/scheduler.rs"));
     assert!(m.is_hot_path("crates/keylime/src/store.rs"));
-    assert_eq!(m.lock_rank("map"), Some(0));
+    let rank = |name: &str| {
+        m.lock_rank(name)
+            .unwrap_or_else(|| panic!("`{name}` missing from lock-order"))
+    };
+    assert_eq!(rank("map"), 0);
+    assert!(rank("map") < rank("totals"), "map before totals");
     assert!(
-        m.lock_rank("world") < m.lock_rank("totals"),
-        "world before totals"
+        rank("queue") < rank("SPARE_WIRES"),
+        "queue before SPARE_WIRES"
     );
     assert!(m.determinism_allowed("crates/bench/src/main.rs"));
     // The semantic sections are populated: the wire codec pairs, the
@@ -395,4 +402,51 @@ fn every_wire_surface_is_a_declared_hot_path() {
         missing.is_empty(),
         "wire/remote/durable files missing a `hot-path` manifest entry: {missing:?}"
     );
+}
+
+/// Declared locks that no pipeline source among `sources` acquires. A
+/// rank for a lock the code no longer takes is manifest drift: it would
+/// keep describing an order nothing follows.
+fn unacquired_locks(m: &Manifest, sources: &[(String, String)]) -> Vec<String> {
+    let acquired: BTreeSet<String> = sources
+        .iter()
+        .filter(|(path, _)| path.starts_with("crates/") || path.starts_with("src/"))
+        .flat_map(|(path, source)| lock_order::acquired_locks(&FileContext::new(path, source)))
+        .collect();
+    m.lock_order
+        .keys()
+        .filter(|name| !acquired.contains(*name))
+        .cloned()
+        .collect()
+}
+
+/// Drift guard, the other direction: every lock `cia-lint.manifest`
+/// ranks still has at least one acquisition site in the workspace.
+#[test]
+fn every_declared_lock_is_acquired_somewhere() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = fs::read_to_string(root.join("cia-lint.manifest")).expect("manifest exists");
+    let m = Manifest::parse(&text).expect("workspace manifest parses");
+    let sources: Vec<(String, String)> = walk::rust_sources(&root)
+        .expect("workspace walkable")
+        .into_iter()
+        .map(|rel| {
+            let source = fs::read_to_string(root.join(&rel)).expect("source readable");
+            (rel, source)
+        })
+        .collect();
+    let stale = unacquired_locks(&m, &sources);
+    assert!(
+        stale.is_empty(),
+        "lock-order names locks nothing acquires: {stale:?}"
+    );
+}
+
+#[test]
+fn a_declared_lock_without_an_acquisition_site_is_drift() {
+    let m = Manifest::parse("lock-order map world\n").expect("parses");
+    let source = "fn f(c: &C) {\n    let m = c.map.read();\n}\n\
+                  #[cfg(test)]\nmod tests {\n    fn g(b: &B) { b.world.lock(); }\n}\n";
+    let sources = [("crates/x/src/lib.rs".to_string(), source.to_string())];
+    assert_eq!(unacquired_locks(&m, &sources), ["world"]);
 }

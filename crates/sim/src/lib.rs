@@ -338,32 +338,6 @@ impl SimRunner {
                 panic!("round {round}: durable state diverged from memory: {divergence}");
             }
         }
-
-        // Under the sanitizer, the process-global lock-order graph must
-        // stay cycle-free after every round — a cycle means some pair of
-        // threads this run could have deadlocked under a different
-        // interleaving, even if this one got lucky.
-        #[cfg(feature = "lock-sanitizer")]
-        {
-            let cycles = cia_keylime::sanitizer::cycles();
-            assert!(
-                cycles.is_empty(),
-                "round {round}: lock-order cycles recorded: {cycles:?}"
-            );
-        }
-
-        // And the happens-before race detector must have convicted no
-        // audited access: every read/write of `RaceCell`-wrapped shared
-        // state (the federation's retired-metrics accumulator) was
-        // ordered by an instrumented lock, channel, or fork/join edge.
-        #[cfg(feature = "lock-sanitizer")]
-        {
-            let races = cia_keylime::racecheck::races();
-            assert!(
-                races.is_empty(),
-                "round {round}: unordered accesses recorded: {races:?}"
-            );
-        }
     }
 }
 

@@ -9,14 +9,12 @@
 # crates/keylime/tests/hot_path_gates.rs), the paper's ablation timings
 # (`ablation_costs`, which asserts the facts behind each comparison;
 # every other timing number is `benchmark/run.sh`'s), then what needs
-# another profile or feature set: the sharding and wire
-# transport-equivalence matrices and the chaos scenario corpus in
-# release mode, the lock-sanitizer suite (runtime lock-order cycle
-# detection plus the vector-clock happens-before race detector over the
-# sim corpus), the paper-fidelity gate at paper scale (release), and the
-# end-to-end benchmark crate (its own workspace: builds against the
-# public surface `benchmark/README.md` lists, so a signature change that
-# breaks it is caught here rather than by the benchmark pipeline).
+# another profile: the sharding and wire transport-equivalence matrices
+# and the chaos scenario corpus in release mode, the paper-fidelity gate
+# at paper scale (release), and the end-to-end benchmark crate (its own
+# workspace: builds against the public surface `benchmark/README.md`
+# lists, so a signature change that breaks it is caught here rather than
+# by the benchmark pipeline).
 #
 # Usage: scripts/ci.sh [--offline]
 #
@@ -59,11 +57,6 @@ cargo run "${OFFLINE[@]}" --release -p cia-bench --bin ablation_costs
 echo "== federation + wire: sharding and transport-equivalence matrices (release) =="
 cargo test "${OFFLINE[@]}" --release --test federation_sharding
 cargo test "${OFFLINE[@]}" --release --test wire_federation
-
-echo "== lock-sanitizer: lock-order graph + happens-before race detector =="
-cargo test "${OFFLINE[@]}" -q -p cia-sim --features lock-sanitizer
-cargo test "${OFFLINE[@]}" -q -p parking_lot --features lock-sanitizer
-cargo test "${OFFLINE[@]}" -q -p crossbeam --features lock-sanitizer
 
 echo "== chaos: scenario corpus (release) =="
 cargo test "${OFFLINE[@]}" --release --test chaos_scenarios
