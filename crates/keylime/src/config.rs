@@ -1,8 +1,7 @@
 //! Verifier and fleet-engine configuration.
 //!
 //! [`VerifierConfig`] started as a single `continue_on_failure` toggle;
-//! the fleet scheduler added retry, backoff, timeout and worker-pool
-//! knobs. Construct it three ways:
+//! the fleet scheduler added retry, backoff and worker-pool knobs. Construct it three ways:
 //!
 //! - `VerifierConfig::default()` — stock-Keylime semantics
 //!   (stop-on-failure, the paper's P2) with sane engine parameters;
@@ -38,9 +37,6 @@ pub struct VerifierConfig {
     pub retry_backoff_ms: u64,
     /// Upper bound on a single backoff step, in milliseconds.
     pub max_backoff_ms: u64,
-    /// Per-call latency budget, in milliseconds. Calls exceeding it are
-    /// counted in the scheduler's `timeouts` metric.
-    pub call_timeout_ms: u64,
     /// Worker threads in the fleet scheduler's pool.
     pub worker_count: usize,
     /// When `true`, quarantined agents are skipped cheaply on a decaying
@@ -86,7 +82,6 @@ impl Default for VerifierConfig {
             max_retries: 3,
             retry_backoff_ms: 10,
             max_backoff_ms: 1_000,
-            call_timeout_ms: 1_000,
             worker_count: 4,
             quarantine_enabled: false,
             degraded_after: 2,
@@ -157,8 +152,6 @@ pub enum ConfigError {
         /// The configured cap.
         cap_ms: u64,
     },
-    /// `call_timeout_ms` must be nonzero.
-    ZeroTimeout,
     /// `degraded_after` must be at least 1.
     ZeroDegradedThreshold,
     /// `quarantine_after` below `degraded_after` — an agent would be
@@ -194,7 +187,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "retry_backoff_ms ({base_ms}) exceeds max_backoff_ms ({cap_ms})"
             ),
-            ConfigError::ZeroTimeout => f.write_str("call_timeout_ms must be nonzero"),
             ConfigError::ZeroDegradedThreshold => f.write_str("degraded_after must be at least 1"),
             ConfigError::QuarantineBeforeDegraded {
                 quarantine_after,
@@ -251,12 +243,6 @@ impl VerifierConfigBuilder {
     /// Sets the cap on a single backoff step in milliseconds.
     pub fn max_backoff_ms(mut self, ms: u64) -> Self {
         self.config.max_backoff_ms = ms;
-        self
-    }
-
-    /// Sets the per-call latency budget in milliseconds.
-    pub fn call_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.call_timeout_ms = ms;
         self
     }
 
@@ -342,9 +328,6 @@ impl VerifierConfigBuilder {
                 base_ms: c.retry_backoff_ms,
                 cap_ms: c.max_backoff_ms,
             });
-        }
-        if c.call_timeout_ms == 0 {
-            return Err(ConfigError::ZeroTimeout);
         }
         if c.degraded_after == 0 {
             return Err(ConfigError::ZeroDegradedThreshold);
@@ -452,7 +435,6 @@ mod tests {
             .max_retries(5)
             .retry_backoff_ms(20)
             .max_backoff_ms(500)
-            .call_timeout_ms(2_000)
             .worker_count(8)
             .build()
             .unwrap();
@@ -460,7 +442,6 @@ mod tests {
         assert_eq!(c.max_retries, 5);
         assert_eq!(c.retry_backoff_ms, 20);
         assert_eq!(c.max_backoff_ms, 500);
-        assert_eq!(c.call_timeout_ms, 2_000);
         assert_eq!(c.worker_count, 8);
     }
 
@@ -481,10 +462,6 @@ mod tests {
                 .build(),
             Err(ConfigError::BackoffAboveCap { .. })
         ));
-        assert_eq!(
-            VerifierConfig::builder().call_timeout_ms(0).build(),
-            Err(ConfigError::ZeroTimeout)
-        );
     }
 
     #[test]
@@ -537,9 +514,10 @@ mod tests {
         assert_eq!(c.allowed_backends, BackendSet::all());
     }
 
-    /// Configs written while the pipelined-round depth knob or the
-    /// excerpt-format knob existed still carry their fields; unknown
-    /// fields are ignored, so they load unchanged. (Each name is spelled
+    /// Configs written while the pipelined-round depth knob, the
+    /// excerpt-format knob or the per-call latency budget existed still
+    /// carry their fields; unknown fields are ignored, so they load
+    /// unchanged. (Each name is spelled
     /// in two halves so a search for a removed knob finds nothing.)
     #[test]
     fn stale_config_with_a_removed_field_still_deserializes() {
@@ -547,6 +525,7 @@ mod tests {
         for removed in [
             concat!("{\"pipeline", "_depth\":8,"),
             concat!("{\"structured", "_excerpt\":false,"),
+            concat!("{\"call", "_timeout_ms\":1000,"),
         ] {
             let stale = json.replacen('{', removed, 1);
             assert_ne!(stale, json);

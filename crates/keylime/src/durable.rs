@@ -492,11 +492,15 @@ impl VerifierJournal {
             // each publish must land on exactly the epoch it is keyed
             // by; anything else means the journal and the store's
             // epoch arithmetic disagree.
-            assert_eq!(
-                format!("{PREFIX_PUB}{:020}", produced.as_u64()).into_bytes(),
-                key,
-                "journal epoch key out of step with the replayed store"
-            );
+            if pub_key(produced) != key {
+                return Err(StorageError::Codec {
+                    what,
+                    reason: format!(
+                        "journal epoch key out of step with the replayed store (replay produced epoch {})",
+                        produced.as_u64()
+                    ),
+                });
+            }
         }
 
         // ② Enrolments and per-agent state. An agent with an ack is
@@ -700,6 +704,26 @@ mod tests {
         assert_eq!(plan.acked, vec![result]);
         assert_eq!(plan.acked_ids().len(), 1);
         assert_eq!(recovered.journal.next_round(), 2, "resume, then round 2");
+    }
+
+    /// A publish keyed by an epoch the replay cannot reach — here epoch 3
+    /// on a fresh journal, where replay produces epoch 1 — is a typed
+    /// error, not an abort of the recovering process.
+    #[test]
+    fn a_publish_keyed_out_of_step_with_the_store_is_a_codec_error() {
+        let dir = journal_dir();
+        let mut journal = VerifierJournal::create(Vfs::with_standard_layout(), &dir).unwrap();
+        let delta = PolicyDelta {
+            added: vec![("/b".into(), "bb".into())],
+            ..PolicyDelta::default()
+        };
+        journal
+            .record_publish_delta(PolicyEpoch::ZERO.next().next().next(), &delta)
+            .unwrap();
+        let err =
+            VerifierJournal::recover(journal.log().vfs().clone(), &dir, VerifierConfig::default())
+                .unwrap_err();
+        assert!(matches!(err, StorageError::Codec { .. }), "{err:?}");
     }
 
     /// Journal compaction must not change what recovery rebuilds.

@@ -132,7 +132,7 @@ pub mod transport;
 pub mod verifier;
 
 pub use agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
-pub use audit::{AuditLog, AuditOutcome, AuditRecord};
+pub use audit::{AuditLog, AuditSeal};
 pub use backend::{
     Backend, BackendCert, BackendError, BackendIdentity, BackendKind, BackendRoot, BackendSet,
     ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,

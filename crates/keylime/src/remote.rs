@@ -50,6 +50,7 @@
 //! [`VerifierConfig::wire_batch`]: crate::VerifierConfig::wire_batch
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
@@ -548,9 +549,10 @@ pub struct DrivenRound {
 /// # Errors
 ///
 /// Any [`WireError`] from the connection, or
-/// [`WireError::Protocol`] when the shard's replies do not add up to
-/// exactly one row per command — including as soon as it answers more
-/// commands than it has been sent.
+/// [`WireError::Protocol`] when the shard's replies are not exactly one
+/// row per command sent — as soon as a row names an agent that was never
+/// sent or was already answered, or when `Done` leaves a command
+/// unanswered.
 pub fn drive_round<C: ShardTransport>(
     conn: C,
     commands: &[(AgentId, u64)],
@@ -563,27 +565,28 @@ pub fn drive_round<C: ShardTransport>(
 
     tx.send_frame(&ShardCommand::Start.to_wire())?;
     let mut rows: Vec<AgentRoundResult> = Vec::with_capacity(commands.len());
-    let mut sent = 0usize;
+    // The ids sent and not yet answered.
+    let mut pending: BTreeSet<&AgentId> = BTreeSet::new();
     for chunk in commands.chunks(wire_batch) {
         // In-flight bound: wait for result rows once `window` batches
         // of commands are outstanding.
-        while sent - rows.len() >= window * wire_batch {
-            recv_results(&mut rx, &mut rows, sent)?;
+        while pending.len() >= window * wire_batch {
+            recv_results(&mut rx, &mut rows, &mut pending)?;
         }
         tx.send_frame(&ShardCommand::Poll(chunk.to_vec()).to_wire())?;
-        sent += chunk.len();
+        pending.extend(chunk.iter().map(|(id, _)| id));
     }
     tx.send_frame(&ShardCommand::End.to_wire())?;
 
     loop {
         match ShardReply::from_wire(&rx.recv_frame()?)? {
-            ShardReply::Results(batch) => extend_rows(&mut rows, batch, sent)?,
+            ShardReply::Results(batch) => extend_rows(&mut rows, batch, &mut pending)?,
             ShardReply::Done { health, epoch } => {
-                if rows.len() != commands.len() {
+                if !pending.is_empty() {
                     return Err(WireError::Protocol {
                         reason: format!(
-                            "shard reported {} rows for {} commands",
-                            rows.len(),
+                            "shard finished with {} of {} commands unanswered",
+                            pending.len(),
                             commands.len()
                         ),
                     });
@@ -604,33 +607,32 @@ pub fn drive_round<C: ShardTransport>(
 fn recv_results<R: FrameReceiver>(
     rx: &mut R,
     rows: &mut Vec<AgentRoundResult>,
-    sent: usize,
+    pending: &mut BTreeSet<&AgentId>,
 ) -> Result<(), WireError> {
     match ShardReply::from_wire(&rx.recv_frame()?)? {
-        ShardReply::Results(batch) => extend_rows(rows, batch, sent),
+        ShardReply::Results(batch) => extend_rows(rows, batch, pending),
         ShardReply::Done { .. } => Err(WireError::Protocol {
             reason: "done before end of commands".to_string(),
         }),
     }
 }
 
-/// Appends a batch of result rows, refusing the batch that would leave
-/// more rows than the `sent` commands they answer — a shard that
-/// over-delivers is a protocol error, not a window to wait out.
+/// Appends a batch of result rows, each of which must answer one
+/// `pending` command — a row for an agent that was never sent, or was
+/// already answered, is a protocol error, not a window to wait out.
 fn extend_rows(
     rows: &mut Vec<AgentRoundResult>,
     batch: Vec<AgentRoundResult>,
-    sent: usize,
+    pending: &mut BTreeSet<&AgentId>,
 ) -> Result<(), WireError> {
-    if rows.len() + batch.len() > sent {
-        return Err(WireError::Protocol {
-            reason: format!(
-                "shard sent {} rows for {sent} commands",
-                rows.len() + batch.len()
-            ),
-        });
+    for row in batch {
+        if !pending.remove(&row.id) {
+            return Err(WireError::Protocol {
+                reason: format!("shard answered `{}`, which has no pending command", row.id),
+            });
+        }
+        rows.push(row);
     }
-    rows.extend(batch);
     Ok(())
 }
 
@@ -811,6 +813,46 @@ mod tests {
         let err = drive_round(driver_conn, &commands, 1, 1).unwrap_err();
         assert!(matches!(err, WireError::Protocol { .. }), "{err:?}");
         shard.join().unwrap();
+    }
+
+    /// A hostile shard answers `Poll[a, b]` with rows for `a, a` or
+    /// `a, z` and then reports the round done: the row counts add up,
+    /// but the driver must refuse the round instead of losing `b`.
+    #[test]
+    fn a_shard_that_answers_the_wrong_agent_is_a_protocol_error() {
+        for answered in [["a", "a"], ["a", "z"]] {
+            let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
+            let shard = std::thread::spawn(move || {
+                let (mut tx, mut rx) = shard_conn.split();
+                assert_eq!(
+                    ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                    ShardCommand::Start
+                );
+                assert!(matches!(
+                    ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                    ShardCommand::Poll(_)
+                ));
+                let rows = answered
+                    .map(|id| sample_row(id, RoundOutcome::Verified { new_entries: 0 }))
+                    .to_vec();
+                tx.send_frame(&ShardReply::Results(rows).to_wire()).unwrap();
+                let done = ShardReply::Done {
+                    health: HealthCounts::default(),
+                    epoch: PolicyEpoch::ZERO,
+                };
+                // The driver may already have hung up on the bad row.
+                let _ = tx.send_frame(&done.to_wire());
+                // Hold the connection open until the driver hangs up.
+                while rx.recv_frame().is_ok() {}
+            });
+            let commands = vec![(AgentId::from("a"), 0), (AgentId::from("b"), 1)];
+            let err = drive_round(driver_conn, &commands, 2, 1).unwrap_err();
+            assert!(
+                matches!(err, WireError::Protocol { .. }),
+                "{answered:?}: {err:?}"
+            );
+            shard.join().unwrap();
+        }
     }
 
     #[test]

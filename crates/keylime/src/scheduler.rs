@@ -116,8 +116,6 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Calls that failed with a dropped request/response.
     pub drops: u64,
-    /// Calls exceeding the per-call latency budget.
-    pub timeouts: u64,
     /// Agents whose poll verified cleanly.
     pub verified: u64,
     /// Agents whose poll raised alerts.
@@ -229,8 +227,7 @@ impl MetricsSnapshot {
     /// they do not appear in the identity; likewise the policy-push
     /// telemetry (`policy_epoch` gauge, `policy_push_ns`,
     /// `delta_entries_applied`), which never spends transport calls.
-    /// Holds across any number of rounds and any drop/timeout
-    /// interleaving.
+    /// Holds across any number of rounds and any drop interleaving.
     pub fn is_conserved(&self) -> bool {
         self.calls + self.orphaned
             == self.verified + self.failed + self.skipped_paused + self.unreachable + self.retries
@@ -286,7 +283,6 @@ impl MetricsSnapshot {
             calls: self.calls + other.calls,
             retries: self.retries + other.retries,
             drops: self.drops + other.drops,
-            timeouts: self.timeouts + other.timeouts,
             verified: self.verified + other.verified,
             failed: self.failed + other.failed,
             skipped_paused: self.skipped_paused + other.skipped_paused,
@@ -713,8 +709,8 @@ fn orphan_row(id: AgentId, record: &AgentRecord, counts: &mut MetricsSnapshot) -
 /// Drives one agent's poll to a terminal outcome: quarantine gating, the
 /// quote fetch with bounded exponential backoff around dropped calls,
 /// then appraisal of whatever evidence came back. Never panics, never
-/// loses the agent. Latency and timeout metering cover the fetch — the
-/// wire round-trip the budget is about — not the appraisal CPU time.
+/// loses the agent. Latency metering covers the fetch — the wire
+/// round-trip — not the appraisal CPU time.
 fn attest_with_retry<T: Transport>(
     config: &VerifierConfig,
     shared: &SharedPolicy,
@@ -769,11 +765,7 @@ fn attest_with_retry<T: Transport>(
         let start = Instant::now();
         let result =
             Verifier::fetch_evidence(config, shared, job.record, &job.id, transport, job.agent);
-        let elapsed = start.elapsed();
-        counts.record_latency_ns(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-        if elapsed.as_millis() as u64 > config.call_timeout_ms {
-            counts.timeouts += 1;
-        }
+        counts.record_latency_ns(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
 
         let error = match result {
             Ok(FetchedEvidence::Paused) => {

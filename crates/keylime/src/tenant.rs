@@ -12,7 +12,7 @@ use cia_storage::StorageError;
 use cia_vfs::{Vfs, VfsPath};
 
 use crate::agent::Agent;
-use crate::audit::{AuditLog, AuditOutcome};
+use crate::audit::AuditLog;
 use crate::backend::{
     BackendRoot, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend, SecureWorldConfig,
 };
@@ -27,7 +27,9 @@ use crate::revocation::{RevocationBus, RevocationEmitter};
 use crate::scheduler::{self, AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
 use crate::store::PolicyEpoch;
 use crate::transport::{ReliableTransport, Transport};
-use crate::verifier::{AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig};
+use crate::verifier::{
+    AgentRecord, AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig,
+};
 
 /// Everything needed to run attestation experiments in one process: a TPM
 /// manufacturer, a registrar trusting it, a verifier, a transport, the
@@ -60,7 +62,8 @@ pub struct Cluster<T: Transport = ReliableTransport> {
     pub revocation: RevocationEmitter,
     /// Fans revocation notices out to subscribers.
     pub revocation_bus: RevocationBus,
-    /// Durable attestation: the tamper-evident outcome history.
+    /// Durable attestation: the tamper-evident outcome history, one
+    /// sealed record per round.
     pub audit: AuditLog,
     /// The concurrent fleet attestation engine (metrics accumulate here).
     pub scheduler: FleetScheduler,
@@ -346,8 +349,8 @@ impl<T: Transport> Cluster<T> {
     /// Resumes a crashed round from its [`ResumePlan`]: agents acked
     /// before the crash are *not* re-attested — their persisted results
     /// are merged with the fresh results of everyone else, yielding the
-    /// same report shape an uncrashed round would have produced. Audit
-    /// and revocation records are emitted only for the freshly attested
+    /// same report shape an uncrashed round would have produced. The
+    /// round's audit seal and revocations cover only the freshly attested
     /// agents (the acked ones were recorded before the crash).
     pub fn attest_fleet_resume(&mut self, plan: &ResumePlan) -> RoundReport
     where
@@ -446,16 +449,7 @@ impl<T: Transport> Cluster<T> {
         // A synthetic ack carries the agent's current mutable state; its
         // result row is filler (round 0 / last-committed acks are never
         // part of a resume plan).
-        let result = AgentRoundResult {
-            id: id.clone(),
-            backend: record.backend_identity().kind(),
-            day: 0,
-            attempts: 0,
-            backoff_ms: 0,
-            policy_epoch: record.state().policy_epoch,
-            shared_policy: record.state().shared_policy,
-            outcome: RoundOutcome::Verified { new_entries: 0 },
-        };
+        let result = sequential_row(id, record, 0, 0, RoundOutcome::Verified { new_entries: 0 });
         journal.record_agent_ack(journal.last_committed(), &result, record)
     }
 
@@ -479,32 +473,22 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// Sequential post-round bookkeeping: audit chain and revocation bus,
-    /// in result order (already sorted by id).
-    fn commit_round_side_effects(&mut self, results: &[AgentRoundResult]) {
-        for result in results {
-            let (outcome, alerts): (_, &[Alert]) = match &result.outcome {
-                RoundOutcome::Verified { .. } => (AuditOutcome::Verified, &[]),
-                RoundOutcome::Failed { alerts } => (AuditOutcome::Failed, alerts),
-                RoundOutcome::SkippedPaused => (AuditOutcome::Skipped, &[]),
-                RoundOutcome::SkippedQuarantined { .. } => (AuditOutcome::Skipped, &[]),
-                RoundOutcome::Unreachable { .. } => (AuditOutcome::Unreachable, &[]),
-            };
-            self.commit_outcome(result.day, &result.id, outcome, alerts);
+    /// Sequential post-round bookkeeping. Durable attestation: the
+    /// round's rows (already sorted by id) enter the audit chain as one
+    /// seal, and each failed row's first alert is published on the
+    /// revocation bus, so subscribed systems can react (drop
+    /// connections, cordon, ...).
+    fn commit_round_side_effects(&mut self, rows: Vec<AgentRoundResult>) {
+        for row in &rows {
+            if let RoundOutcome::Failed { alerts } = &row.outcome {
+                if let Some(first) = alerts.first() {
+                    let notice = self.revocation.emit(&row.id, row.day, first.kind.clone());
+                    let key = self.revocation.public_key().clone();
+                    self.revocation_bus.publish(&notice, &key);
+                }
+            }
         }
-    }
-
-    /// Durable attestation: every outcome enters the audit chain, and a
-    /// failed one (`alerts` non-empty) is published on the revocation
-    /// bus, so subscribed systems can react (drop connections, cordon,
-    /// ...).
-    fn commit_outcome(&mut self, day: u32, id: &AgentId, outcome: AuditOutcome, alerts: &[Alert]) {
-        self.audit.record(day, id, outcome);
-        if let Some(first) = alerts.first() {
-            let notice = self.revocation.emit(id, day, first.kind.clone());
-            let key = self.revocation.public_key().clone();
-            self.revocation_bus.publish(&notice, &key);
-        }
+        self.audit.seal(rows);
     }
 
     /// Registers an agent with the verifier's retry budget and stores it;
@@ -645,12 +629,14 @@ impl<T: Transport> Cluster<T> {
         // dropped has still spent a nonce.
         self.journal_agent_ack(id).expect("journal sequential ack");
         let outcome = outcome?;
-        let (audit_outcome, alerts): (_, &[Alert]) = match &outcome {
-            AttestationOutcome::Verified { .. } => (AuditOutcome::Verified, &[]),
-            AttestationOutcome::Failed { alerts } => (AuditOutcome::Failed, alerts),
-            AttestationOutcome::SkippedPaused => (AuditOutcome::Skipped, &[]),
+        // One direct poll is a one-row round: one attempt, no backoff.
+        let row_outcome = match outcome.clone() {
+            AttestationOutcome::Verified { new_entries } => RoundOutcome::Verified { new_entries },
+            AttestationOutcome::Failed { alerts } => RoundOutcome::Failed { alerts },
+            AttestationOutcome::SkippedPaused => RoundOutcome::SkippedPaused,
         };
-        self.commit_outcome(day, id, audit_outcome, alerts);
+        let row = sequential_row(id, self.verifier.record(id)?, day, 1, row_outcome);
+        self.commit_round_side_effects(vec![row]);
         Ok(outcome)
     }
 
@@ -673,9 +659,10 @@ impl<T: Transport> Cluster<T> {
     /// One concurrent fleet round: every enrolled agent is attested by
     /// the scheduler's worker pool, with per-agent transport lanes,
     /// retry-with-backoff on dropped calls, and no early abort. After the
-    /// parallel phase, outcomes are committed to the audit chain and the
-    /// revocation bus sequentially in id order, so the durable record is
-    /// deterministic regardless of worker interleaving.
+    /// parallel phase, the round is sealed into the audit chain and
+    /// failures go to the revocation bus, sequentially in id order, so
+    /// the durable record is deterministic regardless of worker
+    /// interleaving.
     pub fn attest_fleet(&mut self) -> RoundReport
     where
         T: Sync,
@@ -711,14 +698,15 @@ impl<T: Transport> Cluster<T> {
             Self::write_acks(journal, &self.verifier, round, &report.results);
             journal.commit_round(round).expect("journal round commit");
         }
-        self.commit_round_side_effects(&report.results);
+        self.commit_round_side_effects(report.results.clone());
         report
     }
 
     /// One federated fleet round: the cluster lends its agents and
     /// transport to `federation` (see [`Federation::run_round`]), then
-    /// commits the merged fleet results to the audit chain and the
-    /// revocation bus exactly as [`Cluster::attest_fleet`] would.
+    /// seals the merged fleet results into the audit chain and publishes
+    /// failures on the revocation bus exactly as [`Cluster::attest_fleet`]
+    /// would.
     ///
     /// The federation's shards — not this cluster's verifier — hold the
     /// live per-agent verifier state once rounds run through them, so a
@@ -734,7 +722,7 @@ impl<T: Transport> Cluster<T> {
             let (agents, transport) = self.federation_parts();
             federation.run_round(agents, transport)
         };
-        self.commit_round_side_effects(&report.fleet.results);
+        self.commit_round_side_effects(report.fleet.results.clone());
         report
     }
 
@@ -782,5 +770,26 @@ impl<T: Transport> Cluster<T> {
     /// [`KeylimeError::UnknownAgent`].
     pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
         self.verifier.alerts(id)
+    }
+}
+
+/// The result row for `id`'s record as it stands, for work done outside
+/// the round engine: a direct poll, or a journal-only ack.
+fn sequential_row(
+    id: &AgentId,
+    record: &AgentRecord,
+    day: u32,
+    attempts: u32,
+    outcome: RoundOutcome,
+) -> AgentRoundResult {
+    AgentRoundResult {
+        id: id.clone(),
+        backend: record.backend_identity().kind(),
+        day,
+        attempts,
+        backoff_ms: 0,
+        policy_epoch: record.state().policy_epoch,
+        shared_policy: record.state().shared_policy,
+        outcome,
     }
 }

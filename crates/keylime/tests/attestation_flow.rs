@@ -508,7 +508,7 @@ fn update_window_retains_both_digests() {
 
 #[test]
 fn audit_chain_records_every_outcome() {
-    use cia_keylime::{AuditLog, AuditOutcome};
+    use cia_keylime::{AuditLog, RoundOutcome};
 
     let (mut cluster, id, _) = one_node(VerifierConfig::default());
     assert!(cluster.attest(&id).unwrap().is_verified());
@@ -520,23 +520,27 @@ fn audit_chain_records_every_outcome() {
     let _ = cluster.attest(&id).unwrap(); // Failed
     let _ = cluster.attest(&id).unwrap(); // SkippedPaused
 
-    let outcomes: Vec<AuditOutcome> = cluster.audit.records().iter().map(|r| r.outcome).collect();
-    assert_eq!(
-        outcomes,
-        vec![
-            AuditOutcome::Verified,
-            AuditOutcome::Failed,
-            AuditOutcome::Skipped
-        ]
+    // Each direct poll is sealed as a one-row round, whole: the failed
+    // row keeps its alerts.
+    let seals = cluster.audit.seals();
+    assert!(seals
+        .iter()
+        .all(|s| s.rows.len() == 1 && s.rows[0].id == id));
+    let outcomes: Vec<&RoundOutcome> = seals.iter().map(|s| &s.rows[0].outcome).collect();
+    assert!(
+        matches!(
+            outcomes[..],
+            [
+                RoundOutcome::Verified { .. },
+                RoundOutcome::Failed { alerts },
+                RoundOutcome::SkippedPaused
+            ] if !alerts.is_empty()
+        ),
+        "{outcomes:?}"
     );
     // The chain verifies offline against the anchored head.
     let head = cluster.audit.head().unwrap();
-    AuditLog::verify_chain(
-        cluster.audit.records(),
-        cluster.audit.public_key(),
-        Some(&head),
-    )
-    .unwrap();
+    AuditLog::verify_chain(seals, cluster.audit.public_key(), Some(&head)).unwrap();
 }
 
 #[test]

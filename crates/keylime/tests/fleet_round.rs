@@ -88,11 +88,15 @@ fn lossy_round_reaches_every_agent_with_retries_in_metrics() {
     assert!(snapshot.backoff_ms > 0);
     assert!(snapshot.latency_ns_buckets.iter().sum::<u64>() >= snapshot.calls);
 
-    // The audit chain durably records the whole round, in id order.
-    assert_eq!(cluster.audit.len(), 40);
-    let ids: Vec<&AgentId> = cluster.audit.records().iter().map(|r| &r.agent).collect();
+    // The audit chain durably records the whole round as one seal of
+    // its rows, in id order.
+    assert_eq!(cluster.audit.len(), 1);
+    let rows = &cluster.audit.seals()[0].rows;
+    assert_eq!(rows, &report.results);
+    let ids: Vec<&AgentId> = rows.iter().map(|r| &r.id).collect();
     let mut sorted = ids.clone();
     sorted.sort();
+    assert_eq!(ids.len(), 40);
     assert_eq!(ids, sorted);
 }
 
@@ -115,8 +119,13 @@ fn exhausted_retry_budget_reports_unreachable_not_silence() {
     let snapshot = cluster.scheduler.snapshot();
     assert_eq!(snapshot.unreachable, 5);
     assert_eq!(snapshot.verified, 0);
-    // The audit chain records the unreachable outcomes too.
-    assert_eq!(cluster.audit.len(), 5);
+    // The round's seal records the unreachable outcomes too.
+    assert_eq!(cluster.audit.len(), 1);
+    let rows = &cluster.audit.seals()[0].rows;
+    assert_eq!(rows.len(), 5);
+    assert!(rows
+        .iter()
+        .all(|r| matches!(r.outcome, RoundOutcome::Unreachable { .. })));
 }
 
 fn round_fingerprint(report: &RoundReport) -> Vec<(AgentId, u32, u64, bool)> {
@@ -294,7 +303,6 @@ impl Rig {
     fn counters(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             rounds: 0,
-            timeouts: 0,
             policy_check_ns: 0,
             latency_ns_buckets: Vec::new(),
             ..self.scheduler.snapshot()

@@ -222,13 +222,13 @@ const GOLDEN_RESPONSE_ERROR: &str =
 
 const GOLDEN_AGENT_STATE_SNAPSHOT: &str = r#"{"policy_epoch":1,"shared_policy":true,"next_entry":42,"replayed_pcr":"sha256:a7c0720ae236c7be1a6fa79bd8730b8acdf60a1f9be7e502d9b6b10319e8edd7","last_boot_count":2,"status":"Paused","alerts":[{"agent":"host-07","day":1,"kind":{"HashMismatch":{"path":"/usr/bin/x\"y","digest":"ab12"}}}],"attestations":9,"nonce_counter":10,"health":"Degraded","consecutive_unreachable":1,"reprobe_in":0,"reprobe_backoff":4}"#;
 
-const GOLDEN_VERIFIER_CONFIG: &str = r#"{"continue_on_failure":false,"max_retries":3,"retry_backoff_ms":10,"max_backoff_ms":1000,"call_timeout_ms":1000,"worker_count":4,"quarantine_enabled":false,"degraded_after":2,"quarantine_after":4,"reprobe_backoff_rounds":2,"reprobe_backoff_max_rounds":32,"allowed_backends":7,"wire_batch":0}"#;
+const GOLDEN_VERIFIER_CONFIG: &str = r#"{"continue_on_failure":false,"max_retries":3,"retry_backoff_ms":10,"max_backoff_ms":1000,"worker_count":4,"quarantine_enabled":false,"degraded_after":2,"quarantine_after":4,"reprobe_backoff_rounds":2,"reprobe_backoff_max_rounds":32,"allowed_backends":7,"wire_batch":0}"#;
 
 const GOLDEN_FAULT_PLAN_LOSSY: &str = r#"{"seed":7,"events":[{"from_round":0,"until_round":18446744073709551615,"target":"AllAgents","kind":{"Loss":{"rate":0.25}}},{"from_round":0,"until_round":18446744073709551615,"target":"Registrar","kind":{"Loss":{"rate":0.25}}}]}"#;
 
 const GOLDEN_FAULT_PLAN_DEAD: &str = r#"{"seed":7,"events":[{"from_round":0,"until_round":18446744073709551615,"target":"AllAgents","kind":{"Loss":{"rate":1.0}}},{"from_round":0,"until_round":18446744073709551615,"target":"Registrar","kind":{"Loss":{"rate":1.0}}}]}"#;
 
-const GOLDEN_METRICS_SNAPSHOT: &str = r#"{"rounds":4,"calls":17,"retries":1,"drops":1,"timeouts":0,"verified":15,"failed":1,"skipped_paused":0,"unreachable":0,"alerts":2,"orphaned":0,"backoff_ms":50,"quarantine_skips":0,"probes":0,"to_degraded":0,"to_quarantined":0,"to_recovering":0,"to_healthy":0,"entries_evaluated":1234,"wire_bytes":98765,"policy_check_ns":0,"policy_epoch":0,"policy_push_ns":0,"delta_entries_applied":0,"per_backend":{"tpm_ima":{"verified":0,"failed":0,"unreachable":0},"secure_world":{"verified":0,"failed":0,"unreachable":0},"confidential_vm":{"verified":0,"failed":0,"unreachable":0}},"latency_ns_buckets":[]}"#;
+const GOLDEN_METRICS_SNAPSHOT: &str = r#"{"rounds":4,"calls":17,"retries":1,"drops":1,"verified":15,"failed":1,"skipped_paused":0,"unreachable":0,"alerts":2,"orphaned":0,"backoff_ms":50,"quarantine_skips":0,"probes":0,"to_degraded":0,"to_quarantined":0,"to_recovering":0,"to_healthy":0,"entries_evaluated":1234,"wire_bytes":98765,"policy_check_ns":0,"policy_epoch":0,"policy_push_ns":0,"delta_entries_applied":0,"per_backend":{"tpm_ima":{"verified":0,"failed":0,"unreachable":0},"secure_world":{"verified":0,"failed":0,"unreachable":0},"confidential_vm":{"verified":0,"failed":0,"unreachable":0}},"latency_ns_buckets":[]}"#;
 
 const GOLDEN_POLICY_DELTA: &str = r#"{"added":[["/usr/bin/a","aa"]],"removed_paths":["/lib/modules/6.1/x.ko"],"retired":[["/usr/bin/b","bb"]],"staged_kernels":["6.2.0"],"meta":{"version":3,"generator":"keylime-policy-gen","generated_day":12}}"#;
 

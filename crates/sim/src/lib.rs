@@ -116,8 +116,8 @@ pub struct SimReport {
     /// Final per-agent health, keyed by id.
     pub final_health: BTreeMap<AgentId, AgentHealth>,
     /// The deterministic (wall-clock-free) metrics at the end of the run:
-    /// `timeouts` and the latency histogram are zeroed, everything else is
-    /// the scheduler's cumulative counters.
+    /// the policy-check time and the latency histogram are zeroed,
+    /// everything else is the scheduler's cumulative counters.
     pub metrics: MetricsSnapshot,
 }
 
@@ -129,11 +129,10 @@ impl SimReport {
 }
 
 /// Strips the wall-clock-dependent fields from a snapshot so the rest can
-/// be compared across runs (latency and timeout counts legitimately vary
-/// with machine load; every other counter is deterministic).
+/// be compared across runs (timings legitimately vary with machine load;
+/// every other counter is deterministic).
 pub fn deterministic_metrics(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     MetricsSnapshot {
-        timeouts: 0,
         policy_check_ns: 0,
         latency_ns_buckets: Vec::new(),
         ..snapshot.clone()

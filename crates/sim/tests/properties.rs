@@ -129,7 +129,6 @@ fn manual_sum(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
         out.calls += s.calls;
         out.retries += s.retries;
         out.drops += s.drops;
-        out.timeouts += s.timeouts;
         out.verified += s.verified;
         out.failed += s.failed;
         out.skipped_paused += s.skipped_paused;

@@ -136,15 +136,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(cluster.attest(&ids[7])?.is_verified());
     println!("node-06 on v2 and node-07 on v1 both verify under {epoch}");
 
-    // ...and the audit chain holds the whole history, tamper-evidently.
+    // ...and the audit chain holds the whole history, tamper-evidently:
+    // one signed seal per round (a direct poll is a one-row round).
     let head = cluster.audit.head().unwrap();
+    let seals = cluster.audit.seals();
     continuous_attestation::keylime::AuditLog::verify_chain(
-        cluster.audit.records(),
+        seals,
         cluster.audit.public_key(),
         Some(&head),
     )
     .expect("audit chain intact");
-    println!("audit chain verified: {} records", cluster.audit.len());
+    let rows: usize = seals.iter().map(|s| s.rows.len()).sum();
+    assert_eq!(seals.len(), 3, "the fleet round and two direct polls");
+    assert_eq!(
+        seals[0].rows.len(),
+        ids.len(),
+        "the fleet round is one seal"
+    );
+    println!("audit chain verified: {} seals, {rows} rows", seals.len());
 
     // The transport is a real boundary: under heavy loss, polls error out
     // and the verifier simply retries later — no state corruption.

@@ -154,7 +154,6 @@ fn run_plain(workers: usize) -> (Vec<RoundReport>, MetricsSnapshot) {
 /// run's scheduler ever meters a push).
 fn strip_wall_clock(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     MetricsSnapshot {
-        timeouts: 0,
         policy_check_ns: 0,
         policy_push_ns: 0,
         latency_ns_buckets: Vec::new(),

@@ -3,9 +3,10 @@
 //! federation coordinator and its shards must be an *observationally
 //! invisible* deployment choice.
 //!
-//! - the federated trace is bit-identical across transports {in-proc,
-//!   duplex channel, TCP loopback} × worker counts {1, 4, 8} × shard
-//!   counts {1, 2, 4} under chaos;
+//! - the federated trace, and the audit chain the cluster seals from
+//!   it, are bit-identical across transports {in-proc, duplex channel,
+//!   TCP loopback} × worker counts {1, 4, 8} × shard counts {1, 2, 4}
+//!   under chaos;
 //! - batching and windowing knobs (`wire_batch`, `wire_window`) are
 //!   pure performance levers: any setting produces the same trace;
 //! - a shard killed at round start is caught up over the same wire
@@ -83,14 +84,15 @@ fn fleet_cluster(config: VerifierConfig) -> (ChaosCluster, Vec<AgentId>) {
 }
 
 /// Runs the chaos corpus federated over the given transport and knobs,
-/// returning the full per-round reports (fleet *and* per-shard).
+/// returning the full per-round reports (fleet *and* per-shard) and the
+/// cluster's audit head after the last round.
 fn run_wired(
     workers: usize,
     shards: u32,
     transport_kind: ShardTransportKind,
     wire_batch: usize,
     wire_window: usize,
-) -> Vec<FederatedRoundReport> {
+) -> (Vec<FederatedRoundReport>, Option<Digest>) {
     run_wired_killing(
         workers,
         shards,
@@ -102,7 +104,9 @@ fn run_wired(
 }
 
 /// [`run_wired`] with shard `kill.1` (if any) dying at the start of
-/// round `kill.0`.
+/// round `kill.0`. Every other round goes through
+/// [`Cluster::attest_fleet_federated`], which seals it into the audit
+/// chain; the kill round is not sealed.
 fn run_wired_killing(
     workers: usize,
     shards: u32,
@@ -110,7 +114,7 @@ fn run_wired_killing(
     wire_batch: usize,
     wire_window: usize,
     kill: Option<(u64, u32)>,
-) -> Vec<FederatedRoundReport> {
+) -> (Vec<FederatedRoundReport>, Option<Digest>) {
     let config = corpus_config(workers, wire_batch);
     let (mut cluster, ids) = fleet_cluster(config);
     let mut fed = Federation::from_verifier(
@@ -123,14 +127,14 @@ fn run_wired_killing(
     let mut trace = Vec::new();
     for round in 0..ROUNDS {
         cluster.transport.set_round(round);
-        let (agents, transport) = cluster.federation_parts();
         let report = match kill {
             Some((kill_round, sid)) if kill_round == round => {
+                let (agents, transport) = cluster.federation_parts();
                 let (report, migrated) = fed.run_round_with_kill(agents, transport, sid);
                 assert!(!migrated.is_empty(), "the dead shard owned agents");
                 report
             }
-            _ => fed.run_round(agents, transport),
+            _ => cluster.attest_fleet_federated(&mut fed),
         };
         assert_eq!(
             report.fleet.results.len(),
@@ -141,28 +145,39 @@ fn run_wired_killing(
     }
     let fleet = fed.fleet_metrics();
     assert!(fleet.is_conserved(), "fleet metrics identity: {fleet:?}");
-    trace
+    (trace, cluster.audit.head())
 }
 
 /// Tentpole acceptance: Duplex and TCP federated rounds return
 /// bit-identical [`FederatedRoundReport`]s to the in-proc path, across
-/// worker counts {1, 4, 8} × shard counts {1, 2, 4}.
+/// worker counts {1, 4, 8} × shard counts {1, 2, 4}, and the audit
+/// chain sealed from them has the same head in every cell.
 #[test]
 fn wire_transports_are_invisible_across_the_matrix() {
-    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
+    let (baseline, head) = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
+    assert!(head.is_some(), "every round is sealed");
     for workers in [1usize, 4, 8] {
         for shards in [1u32, 2, 4] {
-            let inproc = run_wired(workers, shards, ShardTransportKind::InProc, 0, 2);
+            let (inproc, inproc_head) =
+                run_wired(workers, shards, ShardTransportKind::InProc, 0, 2);
             assert_eq!(
                 fleet_of(&inproc),
                 fleet_of(&baseline),
                 "in-proc drifted at workers={workers} shards={shards}"
             );
+            assert_eq!(
+                inproc_head, head,
+                "in-proc audit head drifted at workers={workers} shards={shards}"
+            );
             for kind in [ShardTransportKind::Duplex, ShardTransportKind::Tcp] {
-                let wired = run_wired(workers, shards, kind, 0, 2);
+                let (wired, wired_head) = run_wired(workers, shards, kind, 0, 2);
                 assert_eq!(
                     wired, inproc,
                     "{kind:?} diverged at workers={workers} shards={shards}"
+                );
+                assert_eq!(
+                    wired_head, head,
+                    "{kind:?} audit head diverged at workers={workers} shards={shards}"
                 );
             }
         }
@@ -179,13 +194,13 @@ fn fleet_of(trace: &[FederatedRoundReport]) -> Vec<&RoundReport> {
 /// reproduce the default trace.
 #[test]
 fn batching_and_windowing_do_not_change_the_trace() {
-    let baseline = run_wired(4, 2, ShardTransportKind::Duplex, 0, 2);
+    let baseline = run_wired(4, 2, ShardTransportKind::Duplex, 0, 2).0;
     for (batch, window) in [(1, 1), (3, 1), (3, 8), (1024, 2)] {
-        let trace = run_wired(4, 2, ShardTransportKind::Duplex, batch, window);
+        let trace = run_wired(4, 2, ShardTransportKind::Duplex, batch, window).0;
         assert_eq!(trace, baseline, "batch={batch} window={window} diverged");
     }
     // And over real sockets.
-    let tcp = run_wired(4, 2, ShardTransportKind::Tcp, 3, 2);
+    let tcp = run_wired(4, 2, ShardTransportKind::Tcp, 3, 2).0;
     assert_eq!(tcp, baseline);
 }
 
@@ -196,7 +211,7 @@ fn batching_and_windowing_do_not_change_the_trace() {
 #[test]
 fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
     const KILL: Option<(u64, u32)> = Some((3, 0));
-    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
+    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2).0;
     for workers in [1usize, 4] {
         for shards in [2u32, 4] {
             for kind in [
@@ -204,7 +219,7 @@ fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
                 ShardTransportKind::Duplex,
                 ShardTransportKind::Tcp,
             ] {
-                let killed = run_wired_killing(workers, shards, kind, 0, 2, KILL);
+                let killed = run_wired_killing(workers, shards, kind, 0, 2, KILL).0;
                 assert_eq!(
                     fleet_of(&killed),
                     fleet_of(&baseline),
