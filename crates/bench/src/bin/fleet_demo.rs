@@ -37,9 +37,6 @@ fn policy_fleet_act() {
         workers: 4,
         continue_on_failure: false,
         quarantine: false,
-        shards: 1,
-        shard_transport: cia_keylime::ShardTransportKind::InProc,
-        wire_batch: 0,
     };
     println!(
         "== fleet: {} nodes, {} days, daily updates from one mirror ==\n",

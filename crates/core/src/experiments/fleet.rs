@@ -20,9 +20,8 @@
 
 use cia_distro::{Mirror, ReleaseStream, StreamProfile};
 use cia_keylime::{
-    Agent, AgentId, AgentStatus, Alert, ChaosTransport, Cluster, FaultPlan, Federation,
-    FederationConfig, HealthCounts, MetricsSnapshot, ReliableTransport, RoundOutcome,
-    ShardTransportKind, VerifierConfig,
+    Agent, AgentId, AgentStatus, Alert, ChaosTransport, Cluster, FaultPlan, HealthCounts,
+    MetricsSnapshot, ReliableTransport, RoundOutcome, VerifierConfig,
 };
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_vfs::VfsPath;
@@ -53,20 +52,6 @@ pub struct FleetConfig {
     /// Quarantine cheap-skip for persistently unreachable agents (the
     /// health state machine always *tracks*; this gates the skip path).
     pub quarantine: bool,
-    /// Verifier shards the daily sweep is federated across (1 = a
-    /// single verifier, the classic shape). With more, the fleet is
-    /// split by consistent-hash placement, each shard runs its own
-    /// worker pool, and policy publishes go through the shared store
-    /// exactly once — detections, verification counts, and reachability
-    /// are identical to the single-verifier run.
-    pub shards: u32,
-    /// The coordinator↔shard transport federated sweeps run over:
-    /// in-proc (the classic shape), an in-memory duplex wire, or a TCP
-    /// loopback socket. Ignored when `shards == 1`.
-    pub shard_transport: ShardTransportKind,
-    /// Result rows per RPC frame on wire transports (0 = the wire
-    /// layer's default batch). Ignored in-proc.
-    pub wire_batch: usize,
 }
 
 impl FleetConfig {
@@ -84,9 +69,6 @@ impl FleetConfig {
             workers: 4,
             continue_on_failure: false,
             quarantine: false,
-            shards: 1,
-            shard_transport: ShardTransportKind::InProc,
-            wire_batch: 0,
         }
     }
 
@@ -149,7 +131,6 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
         .max_retries(16)
         .retry_backoff_ms(5)
         .worker_count(config.workers.max(1))
-        .wire_batch(config.wire_batch)
         .build()
         .expect("fleet verifier config is valid");
     let transport = ChaosTransport::new(
@@ -188,18 +169,6 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
         ids.push(id);
     }
 
-    // Federated shape: re-shard the enrolled verifier across
-    // `config.shards` instances sharing one policy store. From here on,
-    // policy publishes and sweeps go through the federation; the cluster
-    // keeps owning the machines, audit chain, and revocation bus.
-    let mut federation = (config.shards > 1).then(|| {
-        Federation::from_verifier(
-            &cluster.verifier,
-            FederationConfig::new(config.shards, verifier_config)
-                .with_transport(config.shard_transport),
-        )
-    });
-
     let implant_path = "/usr/sbin/implant";
     let mut report = FleetReport::default();
 
@@ -213,17 +182,7 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
         repo.apply_release(&stream.next_day());
         let diff = mirror.sync(&repo, day);
         generator.apply_diff(&diff, day);
-        let delta = generator.take_delta();
-        match federation.as_mut() {
-            // One store epoch fleet-wide; every shard adopts the same
-            // snapshot Arc.
-            Some(fed) => {
-                fed.publish_delta(&delta);
-            }
-            None => {
-                cluster.publish_delta(&delta);
-            }
-        }
+        cluster.publish_delta(&generator.take_delta());
 
         // Every node updates and works.
         for (n, id) in ids.iter().enumerate() {
@@ -259,12 +218,7 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
 
         // Concurrent attestation sweep: the whole fleet in one engine
         // round, retries and all. Every agent yields exactly one result.
-        // Federated, each shard's round runs concurrently and the merged
-        // report below is the fleet-level view.
-        let round = match federation.as_mut() {
-            Some(fed) => cluster.attest_fleet_federated(fed).fleet,
-            None => cluster.attest_fleet(),
-        };
+        let round = cluster.attest_fleet();
         assert_eq!(round.results.len(), ids.len(), "no agent may go missing");
         // Every reachable agent must have adopted the day's epoch (only
         // quarantined agents legitimately pin the last one they acked).
@@ -324,10 +278,7 @@ pub fn run_fleet(config: FleetConfig) -> FleetReport {
             })
             .count();
     }
-    report.metrics = match &federation {
-        Some(fed) => fed.fleet_metrics(),
-        None => cluster.scheduler.snapshot(),
-    };
+    report.metrics = cluster.scheduler.snapshot();
     report
 }
 
@@ -422,64 +373,6 @@ mod tests {
         assert_eq!(report.health.healthy, report.health.total());
         assert_eq!(report.health.total(), 5);
         assert!(report.metrics.is_conserved(), "{:?}", report.metrics);
-    }
-
-    #[test]
-    fn federated_fleet_matches_the_single_verifier_run() {
-        let days = u64::from(FleetConfig::small(37).days);
-        let base = run_fleet(FleetConfig::small_lossy(37));
-        for shards in [2u32, 4] {
-            let mut config = FleetConfig::small_lossy(37);
-            config.shards = shards;
-            let fed = run_fleet(config);
-
-            // The sweep's observable outcome is shard-count independent:
-            // same detections on the same days, same verification and
-            // reachability counts, same revocation fan-out.
-            assert_eq!(fed.detections, base.detections);
-            assert_eq!(fed.verified, base.verified);
-            assert_eq!(fed.attestations, base.attestations);
-            assert_eq!(fed.unreachable, base.unreachable);
-            assert_eq!(fed.revocations_seen, base.revocations_seen);
-            assert!(fed.false_positives.is_empty());
-
-            // The engine's work splits across shards but its total is
-            // conserved: lane-deterministic faults mean the same calls,
-            // retries, and drops as the single-verifier sweep.
-            assert!(fed.metrics.is_conserved(), "{:?}", fed.metrics);
-            assert_eq!(fed.metrics.calls, base.metrics.calls);
-            assert_eq!(fed.metrics.retries, base.metrics.retries);
-            assert_eq!(fed.metrics.drops, base.metrics.drops);
-            // `rounds` counts shard rounds: one per shard per day.
-            assert_eq!(fed.metrics.rounds, days * u64::from(shards));
-        }
-    }
-
-    #[test]
-    fn wire_transports_match_the_in_proc_federated_run() {
-        let mut base_config = FleetConfig::small_lossy(38);
-        base_config.shards = 2;
-        let base = run_fleet(base_config);
-        for transport in [ShardTransportKind::Duplex, ShardTransportKind::Tcp] {
-            let mut config = FleetConfig::small_lossy(38);
-            config.shards = 2;
-            config.shard_transport = transport;
-            config.wire_batch = 3; // force multi-frame result streams
-            let wired = run_fleet(config);
-
-            // Putting a codec + socket between coordinator and shard
-            // changes *nothing observable*: every detection, count, and
-            // metric matches the in-proc federated sweep bit-for-bit.
-            assert_eq!(wired.detections, base.detections, "{transport:?}");
-            assert_eq!(wired.verified, base.verified, "{transport:?}");
-            assert_eq!(wired.attestations, base.attestations);
-            assert_eq!(wired.unreachable, base.unreachable);
-            assert!(wired.false_positives.is_empty());
-            assert!(wired.metrics.is_conserved(), "{:?}", wired.metrics);
-            assert_eq!(wired.metrics.calls, base.metrics.calls);
-            assert_eq!(wired.metrics.retries, base.metrics.retries);
-            assert_eq!(wired.metrics.drops, base.metrics.drops);
-        }
     }
 
     #[test]

@@ -81,12 +81,6 @@ pub enum FaultKind {
         /// Per-direction drop probability in `[0, 1]`.
         rate: f64,
     },
-    /// Add virtual latency to every matching call, in milliseconds.
-    /// Recorded on the [`ChaosTransport`] counters, never slept.
-    Latency {
-        /// Injected per-call latency in milliseconds.
-        extra_ms: u64,
-    },
     /// The response arrives but fails to decode — the evidence channel is
     /// degraded. Surfaces as a non-retryable [`TransportError::Codec`].
     Corrupt,
@@ -124,8 +118,6 @@ pub struct FaultDecision {
     pub drop_response: bool,
     /// Deliver both ways but corrupt the response beyond decoding.
     pub corrupt_response: bool,
-    /// Virtual latency added to the call, in milliseconds.
-    pub extra_latency_ms: u64,
 }
 
 /// SplitMix64 finalizer, applied to hash fault coordinates (no RNG is
@@ -196,16 +188,6 @@ impl FaultPlan {
             kind: FaultKind::Loss {
                 rate: rate.clamp(0.0, 1.0),
             },
-        })
-    }
-
-    /// Schedules virtual latency on matching calls in `rounds`.
-    pub fn latency(self, rounds: Range<u64>, target: FaultTarget, extra_ms: u64) -> Self {
-        self.push(FaultEvent {
-            from_round: rounds.start,
-            until_round: rounds.end,
-            target,
-            kind: FaultKind::Latency { extra_ms },
         })
     }
 
@@ -290,9 +272,6 @@ impl FaultPlan {
                         decision.drop_response = true;
                     }
                 }
-                FaultKind::Latency { extra_ms } => {
-                    decision.extra_latency_ms = decision.extra_latency_ms.saturating_add(extra_ms);
-                }
                 FaultKind::Corrupt => decision.corrupt_response = true,
                 FaultKind::CrashRestart => {}
             }
@@ -319,7 +298,6 @@ pub struct ChaosTransport<T: Transport> {
     requests: u64,
     chaos_drops: u64,
     corrupted: u64,
-    injected_latency_ms: u64,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -334,7 +312,6 @@ impl<T: Transport> ChaosTransport<T> {
             requests: 0,
             chaos_drops: 0,
             corrupted: 0,
-            injected_latency_ms: 0,
         }
     }
 
@@ -363,11 +340,6 @@ impl<T: Transport> ChaosTransport<T> {
         self.corrupted
     }
 
-    /// Total virtual latency injected on this transport, in ms.
-    pub fn injected_latency_ms(&self) -> u64 {
-        self.injected_latency_ms
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
@@ -389,9 +361,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.attempt += 1;
         let round = self.round.load(Ordering::Relaxed);
         let decision = self.plan.decide(round, self.lane, attempt);
-        self.injected_latency_ms = self
-            .injected_latency_ms
-            .saturating_add(decision.extra_latency_ms);
 
         if decision.drop_request {
             self.chaos_drops += 1;
@@ -435,7 +404,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             requests: 0,
             chaos_drops: 0,
             corrupted: 0,
-            injected_latency_ms: 0,
         }
     }
 }
@@ -532,17 +500,6 @@ mod tests {
             dropped > 5 && dropped < 45,
             "rate ~0.4 must show ({dropped})"
         );
-    }
-
-    #[test]
-    fn latency_accumulates_virtually() {
-        let plan = FaultPlan::new(6).latency(0..10, FaultTarget::AllAgents, 25);
-        let base = chaos(plan);
-        let mut lane = base.fork(0);
-        for _ in 0..4 {
-            lane.call(&1, |x: i32| x).unwrap();
-        }
-        assert_eq!(lane.injected_latency_ms(), 100);
     }
 
     #[test]

@@ -65,14 +65,6 @@ pub struct VerifierConfig {
     ///     crate::verifier::FailureKind::BackendNotAllowed
     #[serde(default)]
     pub allowed_backends: BackendSet,
-    /// Result rows per RPC frame when this verifier runs as a remote
-    /// shard behind a wire transport (see [`crate::remote`]). Poll
-    /// commands are chunked and result rows coalesced into frames of
-    /// this many messages, amortising framing and syscall cost. `0`
-    /// (the default) means [`crate::remote::DEFAULT_WIRE_BATCH`];
-    /// in-process rounds ignore the knob entirely.
-    #[serde(default)]
-    pub wire_batch: usize,
 }
 
 impl Default for VerifierConfig {
@@ -89,7 +81,6 @@ impl Default for VerifierConfig {
             reprobe_backoff_rounds: 2,
             reprobe_backoff_max_rounds: 32,
             allowed_backends: BackendSet::all(),
-            wire_batch: 0,
         }
     }
 }
@@ -293,14 +284,6 @@ impl VerifierConfigBuilder {
     /// Convenience: allow exactly one backend.
     pub fn only_backend(mut self, kind: BackendKind) -> Self {
         self.config.allowed_backends = BackendSet::only(kind);
-        self
-    }
-
-    /// Sets the rows-per-frame batch size for wire-transport shard
-    /// rounds (see [`VerifierConfig::wire_batch`]; `0` means the
-    /// default batch).
-    pub fn wire_batch(mut self, batch: usize) -> Self {
-        self.config.wire_batch = batch;
         self
     }
 
@@ -515,9 +498,9 @@ mod tests {
     }
 
     /// Configs written while the pipelined-round depth knob, the
-    /// excerpt-format knob or the per-call latency budget existed still
-    /// carry their fields; unknown fields are ignored, so they load
-    /// unchanged. (Each name is spelled
+    /// excerpt-format knob, the per-call latency budget or the
+    /// rows-per-frame batch existed still carry their fields; unknown
+    /// fields are ignored, so they load unchanged. (Each name is spelled
     /// in two halves so a search for a removed knob finds nothing.)
     #[test]
     fn stale_config_with_a_removed_field_still_deserializes() {
@@ -526,29 +509,13 @@ mod tests {
             concat!("{\"pipeline", "_depth\":8,"),
             concat!("{\"structured", "_excerpt\":false,"),
             concat!("{\"call", "_timeout_ms\":1000,"),
+            concat!("{\"wire", "_batch\":64,"),
         ] {
             let stale = json.replacen('{', removed, 1);
             assert_ne!(stale, json);
             let c: VerifierConfig = serde_json::from_str(&stale).unwrap();
             assert_eq!(c, VerifierConfig::engine_default());
         }
-    }
-
-    #[test]
-    fn wire_batch_defaults_and_roundtrips() {
-        assert_eq!(VerifierConfig::default().wire_batch, 0);
-        assert_eq!(VerifierConfig::engine_default().wire_batch, 0);
-        let c = VerifierConfig::builder().wire_batch(128).build().unwrap();
-        assert_eq!(c.wire_batch, 128);
-        // Pre-wire configs on disk omit the field; it defaults to 0
-        // (meaning "use the default batch").
-        let json = serde_json::to_string(&VerifierConfig::default()).unwrap();
-        let stripped = json
-            .replace("\"wire_batch\":0,", "")
-            .replace(",\"wire_batch\":0", "");
-        assert_ne!(stripped, json, "field must be present before stripping");
-        let c: VerifierConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(c.wire_batch, 0);
     }
 
     #[test]

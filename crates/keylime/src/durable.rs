@@ -87,6 +87,16 @@ fn ack_key(id: &AgentId) -> Vec<u8> {
     format!("{PREFIX_ACK}{id}").into_bytes()
 }
 
+/// What a journal key names after its family prefix, stripped exactly
+/// once: an agent called `agent/x` has the ack key `agent/agent/x`.
+fn key_suffix<'k>(what: &'k str, prefix: &str) -> Result<&'k str, StorageError> {
+    what.strip_prefix(prefix)
+        .ok_or_else(|| StorageError::Codec {
+            what: what.to_string(),
+            reason: format!("journal key lacks its `{prefix}` prefix"),
+        })
+}
+
 fn encode<T: Serialize>(what: &str, value: &T) -> Result<Vec<u8>, StorageError> {
     serde_json::to_vec(value).map_err(|e| StorageError::Codec {
         what: what.to_string(),
@@ -462,7 +472,7 @@ impl VerifierJournal {
             // into the checkpoint (a late `checkpoint_base` supersedes
             // the individual records it summarizes).
             let keyed_epoch: u64 =
-                what.trim_start_matches(PREFIX_PUB)
+                key_suffix(&what, PREFIX_PUB)?
                     .parse()
                     .map_err(|_| StorageError::Codec {
                         what: what.clone(),
@@ -514,7 +524,7 @@ impl VerifierJournal {
         let mut in_flight: Vec<AgentRoundResult> = Vec::new();
         for (key, bytes) in log.scan_prefix(PREFIX_ACK.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
-            let id = AgentId::new(what.trim_start_matches(PREFIX_ACK));
+            let id = AgentId::new(key_suffix(&what, PREFIX_ACK)?);
             let ack: AckRecord = decode(&what, &bytes)?;
             if started > committed && ack.round == started {
                 in_flight.push(ack.result.clone());
@@ -524,7 +534,7 @@ impl VerifierJournal {
         let current = verifier.policy_store().shared();
         for (key, bytes) in log.scan_prefix(PREFIX_ENROL.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
-            let id = AgentId::new(what.trim_start_matches(PREFIX_ENROL));
+            let id = AgentId::new(key_suffix(&what, PREFIX_ENROL)?);
             let enrol: EnrolmentRecord = decode(&what, &bytes)?;
             let (state, ack_policy_json) = match acks.remove(&id) {
                 Some(ack) => (ack.state, ack.policy_json),

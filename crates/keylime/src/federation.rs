@@ -27,19 +27,17 @@
 //! plain [`Cluster`](crate::Cluster) round, and any shard count
 //! produces bit-identical traces to any other.
 //!
-//! **Shard failure.** [`Federation::run_round_with_kill`] models a
-//! shard dying at the start of a round: survivors complete their rounds
-//! untouched, the coordinator removes the dead shard from the ring
-//! (moving *only* its agents — consistent hashing), migrates each
-//! orphaned record (enrolment constants + full
+//! **Shard failure.** [`Federation::kill_shard`] removes a dead shard
+//! from the ring (moving *only* its agents — consistent hashing) and
+//! migrates each orphaned record (enrolment constants + full
 //! [`AgentStateSnapshot`](crate::AgentStateSnapshot) + the exact policy
-//! `Arc` it held) onto its new shard, and runs a catch-up sub-round
-//! over exactly the migrated agents at the *same* round number and
-//! lanes. The merged fleet report still carries one result per
-//! enrolled agent — nobody silently skipped — and equals the no-kill
-//! trace bit for bit, because fault decisions depend only on (round,
-//! lane, attempt) and each agent is still fetched exactly once on its
-//! own lane.
+//! `Arc` it held) onto its new shard. A shard dying at the start of a
+//! round is `kill_shard` followed by the ordinary
+//! [`Federation::run_round`]: lanes come from the fleet-wide sorted
+//! order, which a kill does not change, so the round still carries one
+//! result per enrolled agent — nobody silently skipped — and equals the
+//! no-kill trace bit for bit, because fault decisions depend only on
+//! (round, lane, attempt).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -76,40 +74,25 @@ pub enum ShardTransportKind {
 pub struct FederationConfig {
     /// Number of verifier shards (minimum 1).
     pub shards: u32,
-    /// Virtual points per shard on the consistent-hash ring.
-    pub replicas: u32,
     /// The per-shard verifier/scheduler configuration.
     pub verifier: VerifierConfig,
     /// The coordinator↔shard transport for federated rounds.
     pub transport: ShardTransportKind,
-    /// Command batches kept in flight per shard on a wire transport
-    /// (see [`crate::remote::drive_round`]); ignored in-process.
-    pub wire_window: usize,
 }
 
 impl FederationConfig {
-    /// `shards` shards with default ring replicas and `verifier` config,
-    /// driven in-process.
+    /// `shards` shards with `verifier` config, driven in-process.
     pub fn new(shards: u32, verifier: VerifierConfig) -> Self {
         FederationConfig {
             shards: shards.max(1),
-            replicas: crate::ring::DEFAULT_REPLICAS,
             verifier,
             transport: ShardTransportKind::InProc,
-            wire_window: remote::DEFAULT_WIRE_WINDOW,
         }
     }
 
     /// Same layout, driven over `transport`.
     pub fn with_transport(mut self, transport: ShardTransportKind) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Sets the per-shard in-flight command-batch window for wire
-    /// transports (floored to 1 at use).
-    pub fn with_wire_window(mut self, window: usize) -> Self {
-        self.wire_window = window;
         self
     }
 }
@@ -137,7 +120,7 @@ pub struct FederatedRoundReport {
     pub fleet: RoundReport,
     /// Per-shard reports (shard index ascending): each shard's results
     /// sorted by id, with health counts over the records that shard
-    /// holds *after* the round (including any just-migrated agents).
+    /// holds *after* the round.
     pub per_shard: Vec<(u32, RoundReport)>,
 }
 
@@ -165,7 +148,7 @@ pub struct Federation {
 impl Federation {
     /// A federation of `config.shards` empty shards over `store`.
     fn new(config: FederationConfig, store: PolicyStore) -> Self {
-        let mut ring = HashRing::with_replicas(config.replicas);
+        let mut ring = HashRing::new();
         let mut shards = BTreeMap::new();
         for sid in 0..config.shards.max(1) {
             ring.add_shard(sid);
@@ -298,41 +281,23 @@ impl Federation {
         commands
     }
 
-    /// Runs one federated round: every shard's round runs concurrently
-    /// (each with its own worker pool), then the per-shard reports merge
-    /// into the fleet-level report.
+    /// Runs one federated round: every live shard runs the round engine
+    /// over its command list, concurrently (each with its own worker
+    /// pool), with the agent processes the ring places on it; then the
+    /// per-shard rows merge into the fleet-level report.
     ///
     /// The coordinator↔shard path is chosen by
-    /// [`FederationConfig::transport`]: direct in-process dispatch, or
-    /// the binary wire protocol of [`crate::remote`] over in-memory
-    /// duplex channels or TCP loopback sockets. All three produce
-    /// bit-identical reports — the wire boundary changes mechanics, not
-    /// outcomes.
+    /// [`FederationConfig::transport`]. In-process, a shard thread calls
+    /// straight into its scheduler, whose workers pull from the shard's
+    /// list; over in-memory duplex channels or TCP loopback sockets it
+    /// runs [`wire_round`] instead, and the same workers pull from the
+    /// decoded `Poll` stream. All three produce bit-identical reports —
+    /// the wire boundary changes mechanics, not outcomes.
     pub fn run_round<T>(&mut self, agents: &mut [Agent], transport: &T) -> FederatedRoundReport
     where
         T: Transport + Sync,
     {
-        let commands = self.commands_by_shard();
-        let results = self.fan_out(agents, transport, commands);
-        self.finish_report(results)
-    }
-
-    /// The one shard fan-out: every shard named in `commands` runs the
-    /// round engine over its command list, concurrently, with the agent
-    /// processes the ring places on it. Returns each shard's result
-    /// rows. In-process, a shard thread calls straight into its
-    /// scheduler, whose workers pull from the shard's list; over a wire
-    /// transport it runs [`wire_round`] instead, and the same workers
-    /// pull from the decoded `Poll` stream.
-    fn fan_out<T>(
-        &mut self,
-        agents: &mut [Agent],
-        transport: &T,
-        mut commands: BTreeMap<u32, Vec<(AgentId, u64)>>,
-    ) -> BTreeMap<u32, Vec<AgentRoundResult>>
-    where
-        T: Transport + Sync,
-    {
+        let mut commands = self.commands_by_shard();
         let mut pools: BTreeMap<u32, Vec<&mut Agent>> = BTreeMap::new();
         for agent in agents.iter_mut() {
             if let Some(sid) = self.ring.place(agent.id()) {
@@ -340,7 +305,6 @@ impl Federation {
             }
         }
         let kind = self.config.transport;
-        let window = self.config.wire_window;
         let mut results: BTreeMap<u32, Vec<AgentRoundResult>> = BTreeMap::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -364,12 +328,12 @@ impl Federation {
                     }
                     ShardTransportKind::Duplex => {
                         let conns = DuplexShardTransport::pair();
-                        wire_round(shard, pool, transport, &commands, conns, window)
+                        wire_round(shard, pool, transport, &commands, conns)
                     }
                     ShardTransportKind::Tcp => {
                         let conns =
                             remote::require(TcpShardTransport::loopback_pair(), "tcp loopback");
-                        wire_round(shard, pool, transport, &commands, conns, window)
+                        wire_round(shard, pool, transport, &commands, conns)
                     }
                 };
                 handles.push((sid, scope.spawn(round)));
@@ -381,7 +345,7 @@ impl Federation {
                 };
             }
         });
-        results
+        self.finish_report(results)
     }
 
     /// Adds an empty shard to a live federation: the new verifier
@@ -420,58 +384,6 @@ impl Federation {
         self.shards.insert(shard, joined);
         migrated.sort();
         migrated
-    }
-
-    /// Runs one federated round during which shard `kill` dies at round
-    /// start: it produces no results, survivors run untouched, then the
-    /// coordinator rebalances the dead shard's agents onto survivors
-    /// (consistent-hash ring remove — nobody else moves) and drives a
-    /// catch-up sub-round over exactly the migrated agents at the same
-    /// lanes. The merged report conserves every enrolled agent.
-    ///
-    /// Returns the report and the migrated agent ids (sorted).
-    ///
-    /// # Panics
-    ///
-    /// When `kill` is not a live shard, or is the only shard left.
-    pub fn run_round_with_kill<T>(
-        &mut self,
-        agents: &mut [Agent],
-        transport: &T,
-        kill: u32,
-    ) -> (FederatedRoundReport, Vec<AgentId>)
-    where
-        T: Transport + Sync,
-    {
-        assert!(self.shards.contains_key(&kill), "unknown shard {kill}");
-        assert!(self.shards.len() > 1, "cannot kill the only shard");
-
-        // Commands (and so lanes) are taken over the full fleet *before*
-        // the kill, so every agent keeps the lane the no-kill round
-        // would use. Survivors run their own slices — the dead shard
-        // contributes nothing.
-        let mut commands = self.commands_by_shard();
-        let dead_commands = commands.remove(&kill).unwrap_or_default();
-        let mut results = self.fan_out(agents, transport, commands);
-
-        // Rebalance: ring-remove the dead shard and migrate its records.
-        let migrated = self.kill_shard(kill);
-
-        // Catch-up sub-round: each surviving shard polls exactly the
-        // agents it just inherited, at their pre-kill lanes in the same
-        // chaos round — the fault stream each migrated agent sees is
-        // exactly the one the no-kill round would have dealt it.
-        let mut catchup: BTreeMap<u32, Vec<(AgentId, u64)>> = BTreeMap::new();
-        for (id, lane) in dead_commands {
-            if let Some(sid) = self.ring.place(&id) {
-                catchup.entry(sid).or_default().push((id, lane));
-            }
-        }
-        for (sid, rows) in self.fan_out(agents, transport, catchup) {
-            results.entry(sid).or_default().extend(rows);
-        }
-
-        (self.finish_report(results), migrated)
     }
 
     /// Removes `shard` from the federation outside a round: its metrics
@@ -549,9 +461,8 @@ impl Federation {
     }
 
     /// Assembles the fleet + per-shard reports from each shard's result
-    /// rows. Health is read from the shard verifiers *after* the round
-    /// (and after any migration), so every agent is counted exactly
-    /// once.
+    /// rows. Health is read from the shard verifiers *after* the round,
+    /// so every agent is counted exactly once.
     fn finish_report(
         &self,
         mut results: BTreeMap<u32, Vec<AgentRoundResult>>,
@@ -598,13 +509,11 @@ fn wire_round<T, C>(
     transport: &T,
     commands: &[(AgentId, u64)],
     (server_conn, driver_conn): (C, C),
-    window: usize,
 ) -> Vec<AgentRoundResult>
 where
     T: Transport + Sync,
     C: ShardTransport + Send,
 {
-    let wire_batch = shard.verifier.config().wire_batch;
     let Shard {
         verifier,
         scheduler,
@@ -620,7 +529,12 @@ where
             )
         });
         let driven = remote::require(
-            remote::drive_round(driver_conn, commands, wire_batch, window),
+            remote::drive_round(
+                driver_conn,
+                commands,
+                remote::DEFAULT_WIRE_BATCH,
+                remote::DEFAULT_WIRE_WINDOW,
+            ),
             "shard wire driver",
         );
         let report = match server.join() {

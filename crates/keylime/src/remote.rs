@@ -27,14 +27,17 @@
 //!
 //! Two levers make the boundary cheap:
 //!
-//! - **Batching** ([`VerifierConfig::wire_batch`]): commands and result
-//!   rows are coalesced into frames of up to `wire_batch` messages, so
-//!   framing + CRC + syscall cost is amortised across a batch instead
-//!   of paid per agent.
-//! - **Windowing** ([`drive_round`]'s `window`): the driver keeps up
-//!   to `window` command batches unacknowledged in flight, so the
-//!   shard's workers never run dry while the next commands cross the
-//!   wire.
+//! - **Batching** ([`DEFAULT_WIRE_BATCH`]): commands and result rows
+//!   are coalesced into frames of up to 64 messages, so framing + CRC +
+//!   syscall cost is amortised across a batch instead of paid per
+//!   agent.
+//! - **Windowing** ([`DEFAULT_WIRE_WINDOW`]): the driver keeps up to
+//!   4 command batches unacknowledged in flight, so the shard's workers
+//!   never run dry while the next commands cross the wire.
+//!
+//! Both are constants; [`drive_round`] still takes a command batch and
+//! a window (`0` meaning the default batch), which only tests and
+//! probes vary.
 //!
 //! The server hands the decoded command stream to
 //! [`FleetScheduler::run_round_streamed`] — the one round engine every
@@ -47,7 +50,6 @@
 //! channel (the *driver* bounds in-flight work), so neither side ever
 //! blocks on a peer that is blocked on it.
 //!
-//! [`VerifierConfig::wire_batch`]: crate::VerifierConfig::wire_batch
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
 use std::collections::BTreeSet;
@@ -63,16 +65,14 @@ use crate::store::PolicyEpoch;
 use crate::transport::Transport;
 use crate::verifier::{Alert, FailureKind, HealthCounts, Verifier};
 
-/// Result rows (and poll commands) per frame when
-/// [`VerifierConfig::wire_batch`](crate::VerifierConfig::wire_batch)
-/// is `0`.
+/// Result rows per frame a shard server sends, and poll commands per
+/// frame a federation's driver sends.
 pub const DEFAULT_WIRE_BATCH: usize = 64;
 
-/// Command batches a driver keeps in flight per shard when no explicit
-/// window is configured.
+/// Command batches a federation's driver keeps in flight per shard.
 pub const DEFAULT_WIRE_WINDOW: usize = 4;
 
-/// Normalises the configured batch size: `0` means the default.
+/// Normalises [`drive_round`]'s batch size: `0` means the default.
 pub(crate) fn effective_batch(wire_batch: usize) -> usize {
     if wire_batch == 0 {
         DEFAULT_WIRE_BATCH
@@ -416,8 +416,7 @@ impl Wire for ShardReply {
 ///   socket is always drained and the driver can never deadlock
 ///   against a full send buffer;
 /// - a writer thread coalesces finished result rows into
-///   [`ShardReply::Results`] frames of up to
-///   [`VerifierConfig::wire_batch`](crate::VerifierConfig::wire_batch)
+///   [`ShardReply::Results`] frames of up to [`DEFAULT_WIRE_BATCH`]
 ///   rows.
 ///
 /// Between them the calling thread runs
@@ -448,7 +447,6 @@ where
     T: Transport + Sync,
     C: ShardTransport,
 {
-    let wire_batch = effective_batch(verifier.config().wire_batch);
     let (tx, mut rx) = conn.split();
     let (cmd_tx, cmd_rx) = mpsc::channel::<Vec<(AgentId, u64)>>();
     let (row_tx, row_rx) = mpsc::channel::<AgentRoundResult>();
@@ -474,12 +472,12 @@ where
         });
         let writer = scope.spawn(move || -> Result<C::Tx, WireError> {
             let mut tx = tx;
-            let mut batch: Vec<AgentRoundResult> = Vec::with_capacity(wire_batch);
+            let mut batch: Vec<AgentRoundResult> = Vec::with_capacity(DEFAULT_WIRE_BATCH);
             while let Ok(first) = row_rx.recv() {
                 batch.push(first);
                 // Greedily coalesce whatever else is already finished,
                 // up to the frame budget — batching without waiting.
-                while batch.len() < wire_batch {
+                while batch.len() < DEFAULT_WIRE_BATCH {
                     match row_rx.try_recv() {
                         Ok(row) => batch.push(row),
                         Err(_) => break,
@@ -570,7 +568,7 @@ pub fn drive_round<C: ShardTransport>(
     for chunk in commands.chunks(wire_batch) {
         // In-flight bound: wait for result rows once `window` batches
         // of commands are outstanding.
-        while pending.len() >= window * wire_batch {
+        while pending.len() >= window.saturating_mul(wire_batch) {
             recv_results(&mut rx, &mut rows, &mut pending)?;
         }
         tx.send_frame(&ShardCommand::Poll(chunk.to_vec()).to_wire())?;
@@ -859,5 +857,42 @@ mod tests {
     fn effective_batch_normalises_zero() {
         assert_eq!(effective_batch(0), DEFAULT_WIRE_BATCH);
         assert_eq!(effective_batch(7), 7);
+    }
+
+    /// The in-flight bound `window × batch` saturates: the largest batch
+    /// and window send every command in one `Poll` frame instead of
+    /// overflowing before the first frame leaves.
+    #[test]
+    fn a_maximal_batch_and_window_saturate_the_in_flight_bound() {
+        let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
+        let shard = std::thread::spawn(move || {
+            let (mut tx, mut rx) = shard_conn.split();
+            let mut polls = Vec::new();
+            loop {
+                match ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap() {
+                    ShardCommand::Start => {}
+                    ShardCommand::Poll(batch) => polls.push(batch),
+                    ShardCommand::End => break,
+                }
+            }
+            let rows = polls
+                .concat()
+                .iter()
+                .map(|(id, _)| sample_row(id.as_str(), RoundOutcome::Verified { new_entries: 0 }))
+                .collect();
+            tx.send_frame(&ShardReply::Results(rows).to_wire()).unwrap();
+            let done = ShardReply::Done {
+                health: HealthCounts::default(),
+                epoch: PolicyEpoch::ZERO,
+            };
+            tx.send_frame(&done.to_wire()).unwrap();
+            polls.len()
+        });
+        let commands: Vec<(AgentId, u64)> = (0..3u64)
+            .map(|lane| (AgentId::numbered("agent", lane), lane))
+            .collect();
+        let driven = drive_round(driver_conn, &commands, usize::MAX, usize::MAX).unwrap();
+        assert_eq!(driven.rows.len(), commands.len());
+        assert_eq!(shard.join().unwrap(), 1, "every command in one frame");
     }
 }

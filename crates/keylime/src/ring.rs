@@ -48,30 +48,18 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// A consistent-hash ring mapping [`AgentId`]s to shard indices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HashRing {
     /// Sorted virtual points: (ring position, shard index).
     points: Vec<(u64, u32)>,
     /// The live shard set.
     shards: BTreeSet<u32>,
-    /// Virtual points per shard.
-    replicas: u32,
 }
 
 impl HashRing {
     /// An empty ring with [`DEFAULT_REPLICAS`] points per shard.
     pub fn new() -> Self {
-        Self::with_replicas(DEFAULT_REPLICAS)
-    }
-
-    /// An empty ring with `replicas` virtual points per shard
-    /// (minimum 1).
-    pub fn with_replicas(replicas: u32) -> Self {
-        HashRing {
-            points: Vec::new(),
-            shards: BTreeSet::new(),
-            replicas: replicas.max(1),
-        }
+        Self::default()
     }
 
     /// Adds a shard's virtual points. Idempotent.
@@ -79,7 +67,7 @@ impl HashRing {
         if !self.shards.insert(shard) {
             return;
         }
-        for replica in 0..self.replicas {
+        for replica in 0..DEFAULT_REPLICAS {
             let point = mix64((u64::from(shard) << 32) | u64::from(replica));
             self.points.push((point, shard));
         }
@@ -125,12 +113,6 @@ impl HashRing {
     /// True when no shard is on the ring.
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
-    }
-}
-
-impl Default for HashRing {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

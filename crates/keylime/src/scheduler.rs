@@ -557,9 +557,9 @@ impl FleetScheduler {
     }
 
     /// The round engine: every way of running a round — a full round, a
-    /// resumed one, a shard's slice of a federated round, the catch-up
-    /// after a shard kill, a wire round — is this function fed a
-    /// different list of `(agent id, lane)` poll commands.
+    /// resumed one, a shard's slice of a federated round, a wire round —
+    /// is this function fed a different list of `(agent id, lane)` poll
+    /// commands.
     ///
     /// - `commands` defines the round's extent. Each command is matched
     ///   to its record and agent process and dispatched as it is pulled

@@ -1,8 +1,9 @@
 //! Fleet-engine integration tests: a lossy concurrent round reaches
 //! every agent, retries are visible in the metrics, the whole
 //! retry/backoff schedule is deterministic under a fixed seed, a round
-//! is nothing but its command list, and a second machine under an
-//! enrolled host name is refused rather than silently shadowing it.
+//! is nothing but its command list (however the wire batches and
+//! windows it), and a second machine under an enrolled host name is
+//! refused rather than silently shadowing it.
 
 use cia_keylime::{
     drive_round, serve_round, Agent, AgentId, AgentRoundResult, AgentStateSnapshot, ChaosTransport,
@@ -274,6 +275,17 @@ impl Rig {
     /// Runs one command list through the public wire entry points and
     /// returns the rows the driver decoded.
     fn run_commands(&mut self, commands: &[(AgentId, u64)]) -> Vec<AgentRoundResult> {
+        self.run_commands_framed(commands, 0, DEFAULT_WIRE_WINDOW)
+    }
+
+    /// [`Rig::run_commands`] with `batch` commands per `Poll` frame (`0`
+    /// is the default batch) and `window` batches in flight.
+    fn run_commands_framed(
+        &mut self,
+        commands: &[(AgentId, u64)],
+        batch: usize,
+        window: usize,
+    ) -> Vec<AgentRoundResult> {
         let (server, driver) = DuplexShardTransport::pair();
         std::thread::scope(|scope| {
             let served = scope.spawn(|| {
@@ -285,7 +297,7 @@ impl Rig {
                     server,
                 )
             });
-            let driven = drive_round(driver, commands, 0, DEFAULT_WIRE_WINDOW);
+            let driven = drive_round(driver, commands, batch, window);
             served.join().unwrap().unwrap();
             driven.unwrap().rows
         })
@@ -317,8 +329,7 @@ proptest! {
     /// any way into two lists, run back to back in the same chaos round,
     /// leaves the same rows, the same per-agent state and the same
     /// counters as one `FleetScheduler::run_round`. Resume (the full
-    /// list minus the acked agents) and shard-kill catch-up (the
-    /// migrated agents at their pre-kill lanes) both rest on this.
+    /// list minus the acked agents) rests on this.
     #[test]
     fn a_round_is_its_command_list(
         seed in 0u64..500,
@@ -357,6 +368,43 @@ proptest! {
         }
         prop_assert_eq!(halves.states(), whole.states());
         prop_assert_eq!(halves.counters(), whole.counters());
+    }
+}
+
+/// Command batch and in-flight window shape only the frames: one
+/// command per frame, a window of one, and a batch larger than the fleet
+/// all give the rows of the default batch and window, round after round
+/// under loss and a partition.
+#[test]
+fn batch_and_window_do_not_change_the_rows() {
+    const ROUNDS: u64 = 4;
+    let trace = |batch: usize, window: usize| -> Vec<Vec<AgentRoundResult>> {
+        let plan = FaultPlan::new(0xba7c)
+            .loss(0..ROUNDS, FaultTarget::AllAgents, 0.3)
+            .partition(1..3, FaultTarget::lanes([2]));
+        let mut rig = rig(21, 10, 4, plan);
+        let commands: Vec<(AgentId, u64)> =
+            rig.verifier.agent_ids().into_iter().zip(0u64..).collect();
+        (0..ROUNDS)
+            .map(|round| {
+                rig.transport.set_round(round);
+                let mut rows = rig.run_commands_framed(&commands, batch, window);
+                rows.sort_by(|a, b| a.id.cmp(&b.id));
+                rows
+            })
+            .collect()
+    };
+    let baseline = trace(0, DEFAULT_WIRE_WINDOW);
+    assert!(
+        baseline.iter().flatten().any(|r| r.attempts > 1),
+        "the loss made agents retry"
+    );
+    for (batch, window) in [(1, 1), (3, 1), (3, 8), (1024, 2)] {
+        assert_eq!(
+            trace(batch, window),
+            baseline,
+            "batch={batch} window={window} diverged"
+        );
     }
 }
 

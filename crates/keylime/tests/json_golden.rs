@@ -222,7 +222,7 @@ const GOLDEN_RESPONSE_ERROR: &str =
 
 const GOLDEN_AGENT_STATE_SNAPSHOT: &str = r#"{"policy_epoch":1,"shared_policy":true,"next_entry":42,"replayed_pcr":"sha256:a7c0720ae236c7be1a6fa79bd8730b8acdf60a1f9be7e502d9b6b10319e8edd7","last_boot_count":2,"status":"Paused","alerts":[{"agent":"host-07","day":1,"kind":{"HashMismatch":{"path":"/usr/bin/x\"y","digest":"ab12"}}}],"attestations":9,"nonce_counter":10,"health":"Degraded","consecutive_unreachable":1,"reprobe_in":0,"reprobe_backoff":4}"#;
 
-const GOLDEN_VERIFIER_CONFIG: &str = r#"{"continue_on_failure":false,"max_retries":3,"retry_backoff_ms":10,"max_backoff_ms":1000,"worker_count":4,"quarantine_enabled":false,"degraded_after":2,"quarantine_after":4,"reprobe_backoff_rounds":2,"reprobe_backoff_max_rounds":32,"allowed_backends":7,"wire_batch":0}"#;
+const GOLDEN_VERIFIER_CONFIG: &str = r#"{"continue_on_failure":false,"max_retries":3,"retry_backoff_ms":10,"max_backoff_ms":1000,"worker_count":4,"quarantine_enabled":false,"degraded_after":2,"quarantine_after":4,"reprobe_backoff_rounds":2,"reprobe_backoff_max_rounds":32,"allowed_backends":7}"#;
 
 const GOLDEN_FAULT_PLAN_LOSSY: &str = r#"{"seed":7,"events":[{"from_round":0,"until_round":18446744073709551615,"target":"AllAgents","kind":{"Loss":{"rate":0.25}}},{"from_round":0,"until_round":18446744073709551615,"target":"Registrar","kind":{"Loss":{"rate":0.25}}}]}"#;
 

@@ -76,6 +76,33 @@ fn build(seed: u64, plan: FaultPlan, workers: usize, nodes: u64) -> TestCluster 
     cluster
 }
 
+/// Hostnames that begin with a journal key family's prefix: each key
+/// loses its prefix exactly once on recovery, so every agent comes back
+/// under its own name with its acked nonce counter and log cursor.
+#[test]
+fn a_hostname_with_a_journal_key_prefix_recovers_under_its_own_name() {
+    let mut cluster = Cluster::with_transport(
+        9,
+        config(2),
+        ChaosTransport::new(ReliableTransport::new(), FaultPlan::new(9)),
+    );
+    cluster.enable_durability().unwrap();
+    for (seed, hostname) in (300u64..).zip(["agent/x", "agent/agent/y", "enrol/x"]) {
+        let machine = MachineConfig {
+            hostname: hostname.to_string(),
+            seed,
+            ..MachineConfig::default()
+        };
+        cluster.add_machine_shared(machine).unwrap();
+    }
+    cluster.publish_policy(RuntimePolicy::new());
+    for round in 0..2 {
+        cluster.transport.set_round(round);
+        assert!(cluster.attest_fleet().all_reached());
+    }
+    cluster.check_durable_equivalence().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

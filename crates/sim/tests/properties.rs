@@ -27,7 +27,6 @@ fn arb_event() -> impl Strategy<Value = FaultEvent> {
         (1u32..90).prop_map(|pct| FaultKind::Loss {
             rate: f64::from(pct) / 100.0,
         }),
-        (1u64..50).prop_map(|extra_ms| FaultKind::Latency { extra_ms }),
         Just(FaultKind::Corrupt),
         Just(FaultKind::CrashRestart),
     ];
@@ -49,12 +48,11 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 
 /// Enrols [`NODES`] agents on a chaos cluster and federates them into
 /// `shards` shards sharing one policy store, driving shard rounds over
-/// `transport_kind` with `wire_batch` rows per result frame.
+/// `transport_kind`.
 fn federated_fleet(
     plan: FaultPlan,
     shards: u32,
     transport_kind: ShardTransportKind,
-    wire_batch: usize,
 ) -> (Cluster<SimTransport>, Federation, Vec<AgentId>) {
     let seed = plan.seed();
     let config = VerifierConfig::builder()
@@ -62,7 +60,6 @@ fn federated_fleet(
         .quarantine_enabled(true)
         .max_retries(3)
         .worker_count(2)
-        .wire_batch(wire_batch)
         .build()
         .expect("valid config");
     let transport = ChaosTransport::new(ReliableTransport::new(), plan);
@@ -107,14 +104,11 @@ fn run_federation(
                 .expect("scripted reboot succeeds");
         }
         cluster.transport.set_round(round);
+        if kill && round == ROUNDS / 2 && fed.shard_count() > 1 {
+            fed.kill_shard(fed.shard_ids()[0]);
+        }
         let (agents, transport) = cluster.federation_parts();
-        let report = if kill && round == ROUNDS / 2 && fed.shard_count() > 1 {
-            let victim = fed.shard_ids()[0];
-            fed.run_round_with_kill(agents, transport, victim).0
-        } else {
-            fed.run_round(agents, transport)
-        };
-        trace.push(report.fleet);
+        trace.push(fed.run_round(agents, transport).fleet);
     }
     trace
 }
@@ -251,7 +245,7 @@ proptest! {
         kill in any::<bool>(),
     ) {
         let (mut cluster, mut fed, ids) =
-            federated_fleet(plan.clone(), shards, ShardTransportKind::InProc, 0);
+            federated_fleet(plan.clone(), shards, ShardTransportKind::InProc);
         let trace = run_federation(&mut cluster, &mut fed, &ids, kill);
         for (round, report) in trace.iter().enumerate() {
             prop_assert_eq!(
@@ -296,7 +290,7 @@ proptest! {
         // And the fleet trace itself is shard-count invariant: the same
         // plan over one shard produces the identical per-round reports.
         let (mut solo_cluster, mut solo_fed, solo_ids) =
-            federated_fleet(plan, 1, ShardTransportKind::InProc, 0);
+            federated_fleet(plan, 1, ShardTransportKind::InProc);
         let solo_trace = run_federation(&mut solo_cluster, &mut solo_fed, &solo_ids, false);
         prop_assert_eq!(trace, solo_trace);
     }
@@ -304,7 +298,7 @@ proptest! {
     /// Satellite: running shard rounds over the wire — binary codec,
     /// framed RPC, batched results over a duplex channel or a real TCP
     /// loopback socket — changes *nothing* in the accounting. For any
-    /// seeded FaultPlan, shard count, and batch size: the wired fleet
+    /// seeded FaultPlan and shard count: the wired fleet
     /// trace is bit-identical to the in-proc trace, every shard snapshot
     /// stays conserved, and the fleet view is still the exact
     /// component-wise sum (frame bytes never leak into `wire_bytes`,
@@ -314,7 +308,6 @@ proptest! {
         plan in arb_plan(),
         shards in 1u32..=4,
         duplex in any::<bool>(),
-        wire_batch in 0usize..8,
     ) {
         let kind = if duplex {
             ShardTransportKind::Duplex
@@ -322,7 +315,7 @@ proptest! {
             ShardTransportKind::Tcp
         };
         let (mut cluster, mut fed, ids) =
-            federated_fleet(plan.clone(), shards, kind, wire_batch);
+            federated_fleet(plan.clone(), shards, kind);
         let trace = run_federation(&mut cluster, &mut fed, &ids, false);
 
         let per_shard: Vec<MetricsSnapshot> =
@@ -336,7 +329,7 @@ proptest! {
         prop_assert_eq!(&fleet, &manual_sum(&per_shard));
 
         let (mut base_cluster, mut base_fed, base_ids) =
-            federated_fleet(plan, shards, ShardTransportKind::InProc, 0);
+            federated_fleet(plan, shards, ShardTransportKind::InProc);
         let base_trace = run_federation(&mut base_cluster, &mut base_fed, &base_ids, false);
         prop_assert_eq!(trace, base_trace);
         // Wall-clock fields (policy timing, latency buckets) legitimately

@@ -8,7 +8,8 @@
 # cia-bench and the shims — the hot-path gates are tier-1 tests in
 # crates/keylime/tests/hot_path_gates.rs), the paper's ablation timings
 # (`ablation_costs`, which asserts the facts behind each comparison;
-# every other timing number is `benchmark/run.sh`'s), then what needs
+# every other timing number is `benchmark/run.sh`'s), the fleet demo
+# (`fleet_demo`, whose acts assert their outcomes), then what needs
 # another profile: the sharding and wire transport-equivalence matrices
 # and the chaos scenario corpus in release mode, the paper-fidelity gate
 # at paper scale (release), and the end-to-end benchmark crate (its own
@@ -53,6 +54,9 @@ cargo test "${OFFLINE[@]}" --workspace -q
 
 echo "== ablations: the paper's design-question timings =="
 cargo run "${OFFLINE[@]}" --release -p cia-bench --bin ablation_costs
+
+echo "== fleet demo: lossy 1,000-agent round, federated round, quarantine savings =="
+cargo run "${OFFLINE[@]}" --release -p cia-bench --bin fleet_demo
 
 echo "== federation + wire: sharding and transport-equivalence matrices (release) =="
 cargo test "${OFFLINE[@]}" --release --test federation_sharding

@@ -5,10 +5,10 @@
 //!   bit;
 //! - the fleet trace is identical across worker counts {1, 4, 8} ×
 //!   shard counts {1, 2, 4} under chaos;
-//! - a shard killed at round start rebalances mid-round onto the
-//!   survivors (consistent hashing moves only its agents), the merged
-//!   report conserves every enrolled agent, and the whole kill trace
-//!   equals the no-kill trace;
+//! - a shard killed at round start rebalances onto the survivors
+//!   (consistent hashing moves only its agents) before the round runs,
+//!   the merged report conserves every enrolled agent, and the whole
+//!   kill trace equals the no-kill trace;
 //! - all shards adopt policy from one shared store: a delta publishes
 //!   once fleet-wide and every shard converges on the same epoch, while
 //!   a quarantined agent shows up as the one row on the older epoch.
@@ -99,19 +99,16 @@ fn run_federated(
     let mut trace = Vec::new();
     for round in 0..ROUNDS {
         cluster.transport.set_round(round);
-        let (agents, transport) = cluster.federation_parts();
-        let report = match kill {
-            Some((kill_round, sid)) if kill_round == round => {
-                let (report, migrated) = fed.run_round_with_kill(agents, transport, sid);
-                assert!(!migrated.is_empty(), "the dead shard owned agents");
-                assert!(!fed.shard_ids().contains(&sid), "dead shard left the ring");
-                for id in &migrated {
-                    assert_ne!(fed.placement(id), Some(sid), "migrated off the corpse");
-                }
-                report
+        if let Some((_, sid)) = kill.filter(|&(at, _)| at == round) {
+            let migrated = fed.kill_shard(sid);
+            assert!(!migrated.is_empty(), "the dead shard owned agents");
+            assert!(!fed.shard_ids().contains(&sid), "dead shard left the ring");
+            for id in &migrated {
+                assert_ne!(fed.placement(id), Some(sid), "migrated off the corpse");
             }
-            _ => fed.run_round(agents, transport),
-        };
+        }
+        let (agents, transport) = cluster.federation_parts();
+        let report = fed.run_round(agents, transport);
         // Conservation: one result per enrolled agent, every round —
         // through the kill round included.
         assert_eq!(
@@ -176,28 +173,44 @@ fn one_shard_federation_equals_plain_cluster_trace() {
 
 /// Acceptance criterion: the fleet trace is a pure function of
 /// `(seed, plan, membership)` — bit-identical across every worker count
-/// × shard count combination.
+/// × shard count combination — and so are the merged fleet metrics,
+/// except `rounds`, which counts one round per shard per fleet round.
 #[test]
 fn fleet_trace_is_identical_across_worker_and_shard_counts() {
-    let (baseline, _) = run_federated(1, 1, None);
+    let (baseline, baseline_metrics) = run_federated(1, 1, None);
     for workers in [1usize, 4, 8] {
         for shards in [1u32, 2, 4] {
             if (workers, shards) == (1, 1) {
                 continue;
             }
-            let (trace, _) = run_federated(workers, shards, None);
+            let (trace, metrics) = run_federated(workers, shards, None);
             assert_eq!(
                 trace, baseline,
                 "trace diverged at workers={workers} shards={shards}"
+            );
+            assert_eq!(
+                metrics.rounds,
+                baseline_metrics.rounds * u64::from(shards),
+                "shard rounds at workers={workers} shards={shards}"
+            );
+            assert_eq!(
+                MetricsSnapshot {
+                    rounds: 0,
+                    ..metrics
+                },
+                MetricsSnapshot {
+                    rounds: 0,
+                    ..baseline_metrics.clone()
+                },
+                "fleet metrics diverged at workers={workers} shards={shards}"
             );
         }
     }
 }
 
-/// Acceptance criterion: a shard killed at round start rebalances
-/// mid-round onto the survivors and the merged trace — kill round
-/// included — equals the no-kill trace, across worker counts {1,4,8} ×
-/// shard counts {2,4}.
+/// Acceptance criterion: a shard killed at round start rebalances onto
+/// the survivors and the merged trace — kill round included — equals
+/// the no-kill trace, across worker counts {1,4,8} × shard counts {2,4}.
 #[test]
 fn shard_kill_trace_equals_no_kill_trace_across_the_matrix() {
     const KILL_ROUND: u64 = 3;

@@ -7,10 +7,9 @@
 //!   it, are bit-identical across transports {in-proc, duplex channel,
 //!   TCP loopback} × worker counts {1, 4, 8} × shard counts {1, 2, 4}
 //!   under chaos;
-//! - batching and windowing knobs (`wire_batch`, `wire_window`) are
-//!   pure performance levers: any setting produces the same trace;
-//! - a shard killed at round start is caught up over the same wire
-//!   transport, and the kill trace equals the no-kill trace;
+//! - a shard killed at round start is `kill_shard` followed by an
+//!   ordinary round over the same wire transport, and the kill trace and
+//!   audit head equal the no-kill ones;
 //! - a shard *added* to a live federation takes over exactly the agents
 //!   consistent hashing assigns it, nobody else moves, and the
 //!   before/after traces agree wherever placement is irrelevant.
@@ -24,7 +23,7 @@ type ChaosCluster = Cluster<ChaosTransport<ReliableTransport>>;
 const NODES: u64 = 12;
 const ROUNDS: u64 = 8;
 
-fn corpus_config(workers: usize, wire_batch: usize) -> VerifierConfig {
+fn corpus_config(workers: usize) -> VerifierConfig {
     VerifierConfig::builder()
         .continue_on_failure(true)
         .quarantine_enabled(true)
@@ -34,7 +33,6 @@ fn corpus_config(workers: usize, wire_batch: usize) -> VerifierConfig {
         .reprobe_backoff_max_rounds(4)
         .max_retries(2)
         .worker_count(workers)
-        .wire_batch(wire_batch)
         .build()
         .unwrap()
 }
@@ -83,59 +81,42 @@ fn fleet_cluster(config: VerifierConfig) -> (ChaosCluster, Vec<AgentId>) {
     (cluster, ids)
 }
 
-/// Runs the chaos corpus federated over the given transport and knobs,
-/// returning the full per-round reports (fleet *and* per-shard) and the
-/// cluster's audit head after the last round.
+/// Runs the chaos corpus federated over the given transport, returning
+/// the full per-round reports (fleet *and* per-shard) and the cluster's
+/// audit head after the last round.
 fn run_wired(
     workers: usize,
     shards: u32,
     transport_kind: ShardTransportKind,
-    wire_batch: usize,
-    wire_window: usize,
 ) -> (Vec<FederatedRoundReport>, Option<Digest>) {
-    run_wired_killing(
-        workers,
-        shards,
-        transport_kind,
-        wire_batch,
-        wire_window,
-        None,
-    )
+    run_wired_killing(workers, shards, transport_kind, None)
 }
 
 /// [`run_wired`] with shard `kill.1` (if any) dying at the start of
-/// round `kill.0`. Every other round goes through
-/// [`Cluster::attest_fleet_federated`], which seals it into the audit
-/// chain; the kill round is not sealed.
+/// round `kill.0`: the shard is killed, then the round runs as usual.
+/// Every round goes through [`Cluster::attest_fleet_federated`], which
+/// seals it into the audit chain.
 fn run_wired_killing(
     workers: usize,
     shards: u32,
     transport_kind: ShardTransportKind,
-    wire_batch: usize,
-    wire_window: usize,
     kill: Option<(u64, u32)>,
 ) -> (Vec<FederatedRoundReport>, Option<Digest>) {
-    let config = corpus_config(workers, wire_batch);
+    let config = corpus_config(workers);
     let (mut cluster, ids) = fleet_cluster(config);
     let mut fed = Federation::from_verifier(
         &cluster.verifier,
-        FederationConfig::new(shards, config)
-            .with_transport(transport_kind)
-            .with_wire_window(wire_window),
+        FederationConfig::new(shards, config).with_transport(transport_kind),
     );
 
     let mut trace = Vec::new();
     for round in 0..ROUNDS {
         cluster.transport.set_round(round);
-        let report = match kill {
-            Some((kill_round, sid)) if kill_round == round => {
-                let (agents, transport) = cluster.federation_parts();
-                let (report, migrated) = fed.run_round_with_kill(agents, transport, sid);
-                assert!(!migrated.is_empty(), "the dead shard owned agents");
-                report
-            }
-            _ => cluster.attest_fleet_federated(&mut fed),
-        };
+        if let Some((_, sid)) = kill.filter(|&(at, _)| at == round) {
+            let migrated = fed.kill_shard(sid);
+            assert!(!migrated.is_empty(), "the dead shard owned agents");
+        }
+        let report = cluster.attest_fleet_federated(&mut fed);
         assert_eq!(
             report.fleet.results.len(),
             ids.len(),
@@ -154,12 +135,11 @@ fn run_wired_killing(
 /// chain sealed from them has the same head in every cell.
 #[test]
 fn wire_transports_are_invisible_across_the_matrix() {
-    let (baseline, head) = run_wired(1, 1, ShardTransportKind::InProc, 0, 2);
+    let (baseline, head) = run_wired(1, 1, ShardTransportKind::InProc);
     assert!(head.is_some(), "every round is sealed");
     for workers in [1usize, 4, 8] {
         for shards in [1u32, 2, 4] {
-            let (inproc, inproc_head) =
-                run_wired(workers, shards, ShardTransportKind::InProc, 0, 2);
+            let (inproc, inproc_head) = run_wired(workers, shards, ShardTransportKind::InProc);
             assert_eq!(
                 fleet_of(&inproc),
                 fleet_of(&baseline),
@@ -170,7 +150,7 @@ fn wire_transports_are_invisible_across_the_matrix() {
                 "in-proc audit head drifted at workers={workers} shards={shards}"
             );
             for kind in [ShardTransportKind::Duplex, ShardTransportKind::Tcp] {
-                let (wired, wired_head) = run_wired(workers, shards, kind, 0, 2);
+                let (wired, wired_head) = run_wired(workers, shards, kind);
                 assert_eq!(
                     wired, inproc,
                     "{kind:?} diverged at workers={workers} shards={shards}"
@@ -188,30 +168,14 @@ fn fleet_of(trace: &[FederatedRoundReport]) -> Vec<&RoundReport> {
     trace.iter().map(|r| &r.fleet).collect()
 }
 
-/// `wire_batch` and `wire_window` are pure performance levers: frame
-/// shapes change, observable behaviour does not. Batch 1 (one row per
-/// frame), a tiny window, and a batch larger than the whole shard all
-/// reproduce the default trace.
-#[test]
-fn batching_and_windowing_do_not_change_the_trace() {
-    let baseline = run_wired(4, 2, ShardTransportKind::Duplex, 0, 2).0;
-    for (batch, window) in [(1, 1), (3, 1), (3, 8), (1024, 2)] {
-        let trace = run_wired(4, 2, ShardTransportKind::Duplex, batch, window).0;
-        assert_eq!(trace, baseline, "batch={batch} window={window} diverged");
-    }
-    // And over real sockets.
-    let tcp = run_wired(4, 2, ShardTransportKind::Tcp, 3, 2).0;
-    assert_eq!(tcp, baseline);
-}
-
-/// A shard kill honours the configured transport: survivors' rounds
-/// and the catch-up over the migrated agents both cross the wire, and
-/// the fleet trace — kill round included — equals the in-proc kill
-/// trace and the in-proc no-kill trace.
+/// A shard kill honours the configured transport: the round after the
+/// kill crosses the wire to the survivors, which now hold the migrated
+/// agents, and the fleet trace and audit head — kill round included —
+/// equal the in-proc no-kill ones.
 #[test]
 fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
     const KILL: Option<(u64, u32)> = Some((3, 0));
-    let baseline = run_wired(1, 1, ShardTransportKind::InProc, 0, 2).0;
+    let (baseline, head) = run_wired(1, 1, ShardTransportKind::InProc);
     for workers in [1usize, 4] {
         for shards in [2u32, 4] {
             for kind in [
@@ -219,11 +183,15 @@ fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
                 ShardTransportKind::Duplex,
                 ShardTransportKind::Tcp,
             ] {
-                let killed = run_wired_killing(workers, shards, kind, 0, 2, KILL).0;
+                let (killed, killed_head) = run_wired_killing(workers, shards, kind, KILL);
                 assert_eq!(
                     fleet_of(&killed),
                     fleet_of(&baseline),
                     "{kind:?} kill trace diverged at workers={workers} shards={shards}"
+                );
+                assert_eq!(
+                    killed_head, head,
+                    "{kind:?} kill audit head diverged at workers={workers} shards={shards}"
                 );
             }
         }
@@ -235,7 +203,7 @@ fn shard_kill_over_the_wire_equals_the_no_kill_trace() {
 /// put — and the fleet stays whole.
 #[test]
 fn add_shard_moves_only_the_agents_the_ring_assigns_it() {
-    let config = corpus_config(2, 0);
+    let config = corpus_config(2);
     let (cluster, ids) = fleet_cluster(config);
     let mut fed = Federation::from_verifier(&cluster.verifier, FederationConfig::new(2, config));
     let before: Vec<(AgentId, u32)> = ids
@@ -273,7 +241,7 @@ fn rounds_stay_conserved_after_a_shard_joins_mid_run() {
         ShardTransportKind::Duplex,
         ShardTransportKind::Tcp,
     ] {
-        let config = corpus_config(4, 3);
+        let config = corpus_config(4);
         let (mut cluster, ids) = fleet_cluster(config);
         let mut fed = Federation::from_verifier(
             &cluster.verifier,
