@@ -440,6 +440,10 @@ impl VerifierJournal {
     /// [`StorageError`] on filesystem/codec failures — *not* on torn
     /// frames, which recovery truncates silently (see the storage
     /// report in the result).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn recover(
         vfs: Vfs,
         dir: &VfsPath,

@@ -436,6 +436,10 @@ impl Wire for ShardReply {
 /// unexpected message, or the driver disappearing mid-round. The
 /// scheduler work that already completed is still reflected in the
 /// shard's scheduler totals.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn serve_round<'e, T, C>(
     scheduler: &FleetScheduler,
     verifier: &mut Verifier,
@@ -551,6 +555,10 @@ pub struct DrivenRound {
 /// row per command sent — as soon as a row names an agent that was never
 /// sent or was already answered, or when `Done` leaves a command
 /// unanswered.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn drive_round<C: ShardTransport>(
     conn: C,
     commands: &[(AgentId, u64)],
@@ -602,6 +610,10 @@ pub fn drive_round<C: ShardTransport>(
 /// Receives one reply frame that must carry result rows (the in-flight
 /// window is only drained before `End`, when `Done` would be a
 /// protocol violation).
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn recv_results<R: FrameReceiver>(
     rx: &mut R,
     rows: &mut Vec<AgentRoundResult>,
@@ -715,6 +727,37 @@ mod tests {
         ];
         for kind in kinds {
             assert_eq!(FailureKind::from_wire(&kind.to_wire()).unwrap(), kind);
+        }
+    }
+
+    /// The evidence every agent sends: a non-TPM backend, several
+    /// entries, and a total that differs from the excerpt's length.
+    #[test]
+    fn quote_response_roundtrips_and_truncations_error() {
+        use cia_crypto::{HashAlgorithm, KeyPair, Sha256};
+        use cia_ima::ImaLogEntry;
+        use cia_tpm::{PcrSelection, Quote};
+
+        let values = vec![Sha256::digest(b"pcr-0"), Sha256::digest(b"pcr-10")];
+        let quote = Quote {
+            nonce: b"fresh-nonce".to_vec(),
+            selection: PcrSelection::of(&[0, 10]),
+            bank: HashAlgorithm::Sha256,
+            pcr_digest: Quote::digest_pcrs(&values),
+            pcr_values: values,
+            boot_count: 3,
+            clock: 41,
+            signature: KeyPair::from_material([7u8; 32]).signing.sign(b"quote"),
+        };
+        let entries = vec![
+            ImaLogEntry::new(Sha256::digest(b"sshd"), "/usr/bin/sshd"),
+            ImaLogEntry::new_in_pcr(12, Sha256::digest(b"nc"), "/usr/bin/nc"),
+        ];
+        let q = QuoteResponse::new(BackendKind::ConfidentialVm, quote, entries, 9);
+        let bytes = q.to_wire();
+        assert_eq!(QuoteResponse::from_wire(&bytes).unwrap(), q);
+        for cut in 0..bytes.len() {
+            assert!(QuoteResponse::from_wire(&bytes[..cut]).is_err());
         }
     }
 

@@ -1,90 +1,15 @@
-//! Pass 1 output: per-file symbol facts for the cross-file rules.
+//! Pass 1 output: per-file function facts for the taint rule.
 //!
-//! For every file the engine records, per function: the sequence of wire
-//! codec operations (`Writer::put_*`, `Reader` getters, nested
-//! `encode`/`decode` calls) in source order with their `match`-arm
-//! structure; every `Enum::Variant` path appearing in a match-arm
-//! *pattern*; the function's `&[u8]` parameters; and the calls it makes.
-//! Pass 2 (`rules/codec_symmetry.rs`, `rules/journal_exhaustive.rs`,
-//! `rules/taint.rs`) joins these across the workspace.
+//! For every file the engine records, per function, its qualified name,
+//! its body range and its `&[u8]` parameters. Pass 2
+//! (`rules/taint.rs`) joins these across the workspace to follow raw
+//! bytes from one function into another.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::TokKind;
-use crate::parse::{self, ItemKind};
+use crate::parse;
 use crate::source::FileContext;
-
-/// The wire shape a codec operation reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// One fixed byte (`put_u8` / `r.u8()` / `u8::decode`).
-    U8,
-    /// One boolean byte.
-    Bool,
-    /// Fixed-width little-endian u32.
-    U32,
-    /// Fixed-width little-endian u64.
-    U64,
-    /// LEB128 varint (`put_varint`, and the blanket `u32`/`u64`/`usize`
-    /// `Wire` impls, which encode as varint).
-    Varint,
-    /// Length-prefixed byte slice.
-    Bytes,
-    /// Length-prefixed UTF-8 string.
-    Str,
-    /// An opaque sub-codec (`x.encode(w)` / `X::decode(r)`); matches any
-    /// single step on the other side.
-    Sub,
-}
-
-impl Shape {
-    /// Human name for findings.
-    pub fn name(self) -> &'static str {
-        match self {
-            Shape::U8 => "u8",
-            Shape::Bool => "bool",
-            Shape::U32 => "u32",
-            Shape::U64 => "u64",
-            Shape::Varint => "varint",
-            Shape::Bytes => "bytes",
-            Shape::Str => "str",
-            Shape::Sub => "sub-codec",
-        }
-    }
-}
-
-/// One codec operation with its provenance.
-#[derive(Debug, Clone)]
-pub struct Op {
-    /// What it moves over the wire.
-    pub shape: Shape,
-    /// For `put_u8(<literal>)`: the literal value (a candidate arm tag).
-    pub lit: Option<u64>,
-    /// 1-based source line.
-    pub line: u32,
-    /// Position in `ctx.code`, for match-arm attribution.
-    pub at: usize,
-}
-
-/// The codec structure of one function: ops outside any tag-dispatching
-/// match (`linear`, in source order) plus at most one tagged match.
-#[derive(Debug, Clone, Default)]
-pub struct Codec {
-    /// Ops outside the tagged match (includes the scrutinee's ops).
-    pub linear: Vec<Op>,
-    /// The tag-dispatching match, when the fn has one.
-    pub arms: Option<CodecArms>,
-}
-
-/// A tag-dispatching codec match: per-tag op sequences.
-#[derive(Debug, Clone)]
-pub struct CodecArms {
-    /// Line of the `match` keyword.
-    pub line: u32,
-    /// Tag value → ops in that arm (encode arms exclude the leading
-    /// `put_u8(tag)` itself).
-    pub by_tag: BTreeMap<u64, Vec<Op>>,
-}
 
 /// Everything recorded about one function.
 #[derive(Debug, Clone)]
@@ -93,12 +18,6 @@ pub struct FnFact {
     pub name: String,
     /// Qualified name (`Quote::decode`).
     pub qual: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
-    /// Codec op structure.
-    pub codec: Codec,
-    /// `(Enum, Variant)` paths appearing in match-arm patterns.
-    pub matched_variants: BTreeSet<(String, String)>,
     /// Names of `&[u8]` parameters, in order.
     pub bytes_params: Vec<String>,
     /// Body range in `ctx.code` indices (for the taint scanner).
@@ -110,301 +29,8 @@ pub struct FnFact {
 pub struct FileFacts {
     /// Workspace-relative path.
     pub path: String,
-    /// Enum name → variants `(name, line)`.
-    pub enums: BTreeMap<String, Vec<(String, u32)>>,
-    /// Qualified fn name → fact. Simple names are also inserted when
-    /// unambiguous, so manifest entries can use either form.
+    /// Qualified fn name → fact.
     pub fns: BTreeMap<String, FnFact>,
-}
-
-/// Classifies the first segment of a `Path::decode(...)` call by the
-/// blanket `Wire` impls in `cia-wire`.
-fn decode_shape(first_segment: &str) -> Shape {
-    match first_segment {
-        "u8" => Shape::U8,
-        "bool" => Shape::Bool,
-        "u32" | "u64" | "usize" => Shape::Varint,
-        "String" => Shape::Str,
-        _ => Shape::Sub,
-    }
-}
-
-/// `put_*` method name → shape.
-fn put_shape(name: &str) -> Option<Shape> {
-    Some(match name {
-        "put_u8" => Shape::U8,
-        "put_bool" => Shape::Bool,
-        "put_u32" => Shape::U32,
-        "put_u64" => Shape::U64,
-        "put_varint" => Shape::Varint,
-        "put_bytes" => Shape::Bytes,
-        "put_str" => Shape::Str,
-        _ => return None,
-    })
-}
-
-/// `Reader` getter name → shape.
-fn get_shape(name: &str) -> Option<Shape> {
-    Some(match name {
-        "u8" => Shape::U8,
-        "bool" => Shape::Bool,
-        "u32" => Shape::U32,
-        "u64" => Shape::U64,
-        "varint" => Shape::Varint,
-        "bytes" => Shape::Bytes,
-        "str" => Shape::Str,
-        _ => return None,
-    })
-}
-
-/// Parses a Rust integer literal (decimal or `0x…`, `_` separators).
-fn int_lit(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        t.parse().ok()
-    }
-}
-
-/// Extracts every codec op in `body`, in source order.
-fn ops_in(ctx: &FileContext, body: (usize, usize)) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let code = &ctx.code;
-    let tok = |k: usize| &ctx.tokens[code[k]];
-    for k in body.0..body.1 {
-        let t = tok(k);
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = k > body.0 && tok(k - 1).is_punct('.');
-        let prev_path = k >= body.0 + 2 && tok(k - 1).is_punct(':') && tok(k - 2).is_punct(':');
-        let next_paren = k + 1 < body.1 && tok(k + 1).is_punct('(');
-        if !next_paren {
-            continue;
-        }
-        if prev_dot {
-            if let Some(shape) = put_shape(&t.text) {
-                // `put_u8(<literal>)` exposes the literal as an arm tag.
-                let lit = if shape == Shape::U8
-                    && k + 3 < body.1
-                    && tok(k + 2).kind == TokKind::Num
-                    && tok(k + 3).is_punct(')')
-                {
-                    int_lit(&tok(k + 2).text)
-                } else {
-                    None
-                };
-                ops.push(Op {
-                    shape,
-                    lit,
-                    line: t.line,
-                    at: k,
-                });
-                continue;
-            }
-            if let Some(shape) = get_shape(&t.text) {
-                // Only argument-free getters are reads (`r.u8()?`);
-                // something like `x.bytes(n)` is not the Reader API.
-                if k + 2 < body.1 && tok(k + 2).is_punct(')') {
-                    ops.push(Op {
-                        shape,
-                        lit: None,
-                        line: t.line,
-                        at: k,
-                    });
-                }
-                continue;
-            }
-            if t.text == "encode" {
-                ops.push(Op {
-                    shape: Shape::Sub,
-                    lit: None,
-                    line: t.line,
-                    at: k,
-                });
-            }
-            continue;
-        }
-        if prev_path && t.text == "decode" {
-            // Walk back to the first segment of the path:
-            // `Vec::<Digest>::decode` → `Vec`.
-            let mut j = k;
-            let mut first = None;
-            while j > body.0 {
-                let p = tok(j - 1);
-                let is_path_part = p.is_punct(':')
-                    || p.is_punct('<')
-                    || p.is_punct('>')
-                    || p.is_punct(',')
-                    || p.kind == TokKind::Ident;
-                if !is_path_part {
-                    break;
-                }
-                if p.kind == TokKind::Ident {
-                    first = Some(p.text.clone());
-                }
-                j -= 1;
-            }
-            let shape = first.as_deref().map(decode_shape).unwrap_or(Shape::Sub);
-            ops.push(Op {
-                shape,
-                lit: None,
-                line: t.line,
-                at: k,
-            });
-        }
-    }
-    ops
-}
-
-/// Splits a fn's ops into linear prefix/suffix and at most one tagged
-/// codec match. A match is *codec-tagged* when its arms dispatch on wire
-/// tags: every non-skipped arm either starts with `put_u8(<literal>)`
-/// (encode side) or is keyed by a numeric-literal pattern (decode side).
-/// Matches whose arms carry no ops at all (e.g. `put_u8(match self {
-/// A => 0, B => 1 })`) stay linear — their ops already appear in order.
-fn codec_of(ctx: &FileContext, body: (usize, usize)) -> Codec {
-    let ops = ops_in(ctx, body);
-    let matches = parse::matches_in(ctx, body);
-    // Pick the outermost match whose arms contain ops.
-    let mut chosen: Option<&parse::MatchNode> = None;
-    for m in &matches {
-        let arm_ops = m.arms.iter().any(|a| {
-            ops.iter()
-                .any(|o| a.body.0 <= o.at && o.at < a.body.1 && !in_pat(m, o.at))
-        });
-        if !arm_ops {
-            continue;
-        }
-        match chosen {
-            Some(c) if c.scrutinee.0 <= m.scrutinee.0 => {}
-            _ => chosen = Some(m),
-        }
-    }
-    let Some(m) = chosen else {
-        return Codec {
-            linear: ops,
-            arms: None,
-        };
-    };
-    let m_start = m.scrutinee.0;
-    let m_end = m.arms.last().map(|a| a.body.1).unwrap_or(m.scrutinee.1);
-    let mut by_tag: BTreeMap<u64, Vec<Op>> = BTreeMap::new();
-    let mut tagged = true;
-    let mut enc_style = false;
-    for arm in &m.arms {
-        let arm_ops: Vec<Op> = ops
-            .iter()
-            .filter(|o| arm.body.0 <= o.at && o.at < arm.body.1)
-            .cloned()
-            .collect();
-        // Decode-side key: the pattern is a single numeric literal.
-        let pat_toks: Vec<usize> = (arm.pat.0..arm.pat.1).collect();
-        let num_key = if pat_toks.len() == 1 {
-            let t = &ctx.tokens[ctx.code[pat_toks[0]]];
-            if t.kind == TokKind::Num {
-                int_lit(&t.text)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some(tag) = num_key {
-            by_tag.insert(tag, arm_ops);
-            continue;
-        }
-        // Encode-side key: arm starts with `put_u8(<literal>)`.
-        if let Some(tag) = arm_ops
-            .first()
-            .filter(|first| first.shape == Shape::U8)
-            .and_then(|first| first.lit)
-        {
-            by_tag.insert(tag, arm_ops[1..].to_vec());
-            enc_style = true;
-            continue;
-        }
-        // Binding / wildcard arms (`tag => return Err(…)`, `_ => …`) are
-        // skipped if op-free; an op-bearing unkeyed arm disqualifies the
-        // match from tagged treatment.
-        if !arm_ops.is_empty() {
-            tagged = false;
-        }
-    }
-    if !tagged || by_tag.is_empty() {
-        return Codec {
-            linear: ops,
-            arms: None,
-        };
-    }
-    // Linear = everything outside the chosen match's arm region; the
-    // scrutinee's own ops (`match r.u8()?`) count as linear — they are
-    // the decode-side twin of the encode arms' leading `put_u8(tag)`,
-    // which is also excluded from the per-arm sequences.
-    let mut linear: Vec<Op> = ops
-        .into_iter()
-        .filter(|o| {
-            let in_match = m_start <= o.at && o.at < m_end;
-            let in_scrut = m.scrutinee.0 <= o.at && o.at < m.scrutinee.1;
-            !in_match || in_scrut
-        })
-        .collect();
-    if enc_style {
-        // The per-arm `put_u8(tag)` writes one tag byte that the decode
-        // side reads in its scrutinee (`match r.u8()?`). Surface it as a
-        // synthetic linear op at the match position so the two linear
-        // sequences mirror.
-        linear.push(Op {
-            shape: Shape::U8,
-            lit: None,
-            line: m.line,
-            at: m_start,
-        });
-        linear.sort_by_key(|o| o.at);
-    }
-    Codec {
-        linear,
-        arms: Some(CodecArms {
-            line: m.line,
-            by_tag,
-        }),
-    }
-}
-
-/// True when code index `at` falls inside one of the match's patterns.
-fn in_pat(m: &parse::MatchNode, at: usize) -> bool {
-    m.arms.iter().any(|a| a.pat.0 <= at && at < a.pat.1)
-}
-
-/// Collects `(Enum, Variant)` paths appearing in match-arm patterns of
-/// any match within `body`. Both segments must be capitalized, so
-/// `Type::method(...)` calls and module paths are excluded.
-fn matched_variants(ctx: &FileContext, body: (usize, usize)) -> BTreeSet<(String, String)> {
-    let mut out = BTreeSet::new();
-    for m in parse::matches_in(ctx, body) {
-        for arm in &m.arms {
-            for k in arm.pat.0..arm.pat.1 {
-                let t = &ctx.tokens[ctx.code[k]];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                let cap = |s: &str| s.chars().next().is_some_and(|c| c.is_ascii_uppercase());
-                if !cap(&t.text) {
-                    continue;
-                }
-                if k + 3 < arm.pat.1
-                    && ctx.tokens[ctx.code[k + 1]].is_punct(':')
-                    && ctx.tokens[ctx.code[k + 2]].is_punct(':')
-                    && ctx.tokens[ctx.code[k + 3]].kind == TokKind::Ident
-                    && cap(&ctx.tokens[ctx.code[k + 3]].text)
-                {
-                    out.insert((t.text.clone(), ctx.tokens[ctx.code[k + 3]].text.clone()));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Extracts the names of `&[u8]` parameters from a fn signature: the
@@ -445,67 +71,30 @@ fn bytes_params(ctx: &FileContext, sig: (usize, usize)) -> Vec<String> {
 
 /// Runs pass 1 over one file.
 pub fn extract(ctx: &FileContext) -> FileFacts {
-    let items = parse::items(ctx);
-    let mut enums = BTreeMap::new();
-    let mut fns: BTreeMap<String, FnFact> = BTreeMap::new();
-    let mut simple_seen: BTreeMap<String, usize> = BTreeMap::new();
-    for item in &items {
-        match item.kind {
-            ItemKind::Enum => {
-                enums.insert(item.name.clone(), item.variants.clone());
-            }
-            ItemKind::Fn => {
-                let fact = FnFact {
-                    name: item.name.clone(),
-                    qual: item.qual.clone(),
-                    line: item.line,
-                    codec: codec_of(ctx, item.body),
-                    matched_variants: matched_variants(ctx, item.body),
-                    bytes_params: Vec::new(),
-                    body: item.body,
-                };
-                fns.insert(item.qual.clone(), fact);
-                *simple_seen.entry(item.name.clone()).or_insert(0) += 1;
-            }
-        }
-    }
-    // Fill bytes_params now that we can recover each fn's signature span
-    // from consecutive item ordering.
-    let fn_items: Vec<&parse::Item> = items.iter().filter(|i| i.kind == ItemKind::Fn).collect();
-    for item in fn_items {
+    let mut fns = BTreeMap::new();
+    for item in parse::items(ctx) {
         // Signature: tokens between the fn name and the `{` that opens
         // the body. The name is the token right after `fn`; find the
         // `fn` by scanning back from the body for the keyword.
         let open = item.body.0.saturating_sub(1);
         let mut start = open;
         while start > 0 {
-            let t = &ctx.tokens[ctx.code[start]];
-            if t.is_ident("fn") {
+            if ctx.tokens[ctx.code[start]].is_ident("fn") {
                 start += 2; // past `fn name`
                 break;
             }
             start -= 1;
         }
-        if let Some(fact) = fns.get_mut(&item.qual) {
-            fact.bytes_params = bytes_params(ctx, (start, open));
-        }
-    }
-    // Alias unambiguous simple names so manifest entries can say either
-    // `serve_round` or `Type::serve_round`.
-    let aliases: Vec<(String, String)> = fns
-        .values()
-        .filter(|f| f.qual != f.name && simple_seen.get(&f.name) == Some(&1))
-        .map(|f| (f.name.clone(), f.qual.clone()))
-        .collect();
-    for (simple, qual) in aliases {
-        if !fns.contains_key(&simple) {
-            let fact = fns[&qual].clone();
-            fns.insert(simple, fact);
-        }
+        let fact = FnFact {
+            bytes_params: bytes_params(ctx, (start, open)),
+            name: item.name,
+            qual: item.qual,
+            body: item.body,
+        };
+        fns.insert(fact.qual.clone(), fact);
     }
     FileFacts {
         path: ctx.path.clone(),
-        enums,
         fns,
     }
 }
@@ -515,81 +104,12 @@ mod tests {
     use super::*;
     use crate::source::FileContext;
 
-    fn facts(src: &str) -> FileFacts {
-        extract(&FileContext::new("crates/x/src/wire.rs", src))
-    }
-
-    #[test]
-    fn linear_encode_decode_ops() {
-        let f = facts(
-            "impl Wire for Entry {\n    fn encode(&self, w: &mut Writer) {\n        w.put_u8(self.pcr);\n        self.hash.encode(w);\n        w.put_str(&self.path);\n    }\n    fn decode(r: &mut Reader) -> Result<Self, WireError> {\n        let pcr = r.u8()?;\n        let hash = Digest::decode(r)?;\n        let path = r.str()?;\n        Ok(Entry { pcr, hash, path })\n    }\n}\n",
-        );
-        let enc = &f.fns["Entry::encode"].codec;
-        let dec = &f.fns["Entry::decode"].codec;
-        let shapes = |c: &Codec| c.linear.iter().map(|o| o.shape).collect::<Vec<_>>();
-        assert_eq!(shapes(enc), [Shape::U8, Shape::Sub, Shape::Str]);
-        assert_eq!(shapes(dec), [Shape::U8, Shape::Sub, Shape::Str]);
-        assert!(enc.arms.is_none());
-    }
-
-    #[test]
-    fn tag_match_keys_both_sides() {
-        let f = facts(
-            "impl Wire for K {\n    fn encode(&self, w: &mut Writer) {\n        match self {\n            K::A => w.put_u8(0),\n            K::B(s) => {\n                w.put_u8(1);\n                w.put_str(s);\n            }\n        }\n    }\n    fn decode(r: &mut Reader) -> Result<Self, WireError> {\n        Ok(match r.u8()? {\n            0 => K::A,\n            1 => K::B(String::decode(r)?),\n            tag => return Err(WireError::BadTag(tag)),\n        })\n    }\n}\n",
-        );
-        let enc = f.fns["K::encode"].codec.arms.as_ref().unwrap();
-        let dec = f.fns["K::decode"].codec.arms.as_ref().unwrap();
-        assert_eq!(enc.by_tag.keys().copied().collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(dec.by_tag.keys().copied().collect::<Vec<_>>(), [0, 1]);
-        assert!(enc.by_tag[&0].is_empty());
-        assert_eq!(enc.by_tag[&1].len(), 1);
-        assert_eq!(enc.by_tag[&1][0].shape, Shape::Str);
-        assert_eq!(dec.by_tag[&1][0].shape, Shape::Str);
-        // Decode's scrutinee read stays linear, and the encode side gets
-        // a synthetic U8 for the per-arm tag puts — the sides mirror.
-        assert_eq!(f.fns["K::decode"].codec.linear.len(), 1);
-        assert_eq!(f.fns["K::decode"].codec.linear[0].shape, Shape::U8);
-        assert_eq!(f.fns["K::encode"].codec.linear.len(), 1);
-        assert_eq!(f.fns["K::encode"].codec.linear[0].shape, Shape::U8);
-    }
-
-    #[test]
-    fn opless_arm_match_stays_linear() {
-        // `w.put_u8(match self { … => 0, … => 1 })` — the arms carry
-        // plain literals, not ops, so the fn is linear with one U8 op.
-        let f = facts(
-            "impl Wire for H {\n    fn encode(&self, w: &mut Writer) {\n        w.put_u8(match self {\n            H::Sha256 => 0,\n            H::Sha1 => 1,\n        });\n    }\n}\n",
-        );
-        let enc = &f.fns["H::encode"].codec;
-        assert!(enc.arms.is_none());
-        assert_eq!(enc.linear.len(), 1);
-        assert_eq!(enc.linear[0].shape, Shape::U8);
-    }
-
-    #[test]
-    fn primitive_decode_paths_classify() {
-        let f = facts(
-            "fn d(r: &mut Reader) -> Result<(), WireError> {\n    let a = usize::decode(r)?;\n    let b = Vec::<Digest>::decode(r)?;\n    let c = String::decode(r)?;\n    Ok(())\n}\n",
-        );
-        let shapes: Vec<_> = f.fns["d"].codec.linear.iter().map(|o| o.shape).collect();
-        assert_eq!(shapes, [Shape::Varint, Shape::Sub, Shape::Str]);
-    }
-
-    #[test]
-    fn matched_variants_come_from_patterns_only() {
-        let f = facts(
-            "fn recover(rec: Rec) -> Rec {\n    match rec {\n        Rec::Full { .. } => Rec::Delta(0),\n        _ => rec,\n    }\n}\n",
-        );
-        let mv = &f.fns["recover"].matched_variants;
-        assert!(mv.contains(&("Rec".into(), "Full".into())));
-        // Rec::Delta appears only in an arm *body* — construction, not
-        // consumption.
-        assert!(!mv.contains(&("Rec".into(), "Delta".into())));
-    }
-
     #[test]
     fn bytes_params_found() {
-        let f = facts("fn peek(buf: &[u8], n: usize) -> u8 {\n    buf[n]\n}\n");
+        let f = extract(&FileContext::new(
+            "crates/x/src/wire.rs",
+            "fn peek(buf: &[u8], n: usize) -> u8 {\n    buf[n]\n}\n",
+        ));
         assert_eq!(f.fns["peek"].bytes_params, ["buf"]);
     }
 }

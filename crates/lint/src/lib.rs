@@ -17,23 +17,22 @@
 //! * **`allow-syntax`** — every `lint:allow` suppression must carry a
 //!   `: reason` clause.
 //!
-//! On top of the file-local rules, a **two-pass cross-file semantic
-//! engine** (pass 1: [`facts`] extraction per file over the [`parse`]
-//! item tree; pass 2: workspace-wide joins in
-//! [`rules::lint_semantic`]) enforces:
+//! On top of the file-local rules, a **two-pass cross-file engine**
+//! (pass 1: [`facts`] extraction per file over the [`parse`] item tree;
+//! pass 2: workspace-wide joins in [`rules::lint_semantic`]) enforces:
 //!
-//! * **`codec-symmetry`** — every `[pairs]`-declared encode/decode pair
-//!   must have mirrored put/get type-and-order sequences.
-//! * **`journal-exhaustive`** — every variant of an `[exhaustive]`-
-//!   declared enum must be matched in its designated consumer fn;
-//!   wildcard arms do not count.
 //! * **`taint`** — raw bytes from `[taint]` sources (`recv_frame`) may
 //!   not be indexed/sliced/`from_utf8`-unwrapped before a sanitizer
 //!   (`from_wire`, `check_crc`) runs, across function and file
 //!   boundaries.
 //!
+//! Contracts the compiler or the test suites already hold are not
+//! re-checked here: every `Wire` impl has a round-trip test next to it,
+//! and the journal-recovery and shard-protocol consumers deny wildcard
+//! arms through clippy.
+//!
 //! See `cia-lint.manifest` at the workspace root for the declared hot
-//! paths, determinism allowlist, and lock order.
+//! paths, determinism allowlist, lock order and taint configuration.
 
 pub mod facts;
 pub mod lexer;

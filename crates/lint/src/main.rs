@@ -3,79 +3,42 @@
 //! ```text
 //! cargo run -p cia-lint                 # report findings, exit 0
 //! cargo run -p cia-lint -- --check      # CI mode: exit 1 on findings
-//! cargo run -p cia-lint -- --json       # machine-readable output
-//! cargo run -p cia-lint -- --manifest custom.manifest path/to/root
 //! ```
 //!
-//! The root defaults to the current directory (cargo runs from the
-//! workspace root); the manifest defaults to `<root>/cia-lint.manifest`.
+//! Lints the current directory (cargo runs from the workspace root)
+//! against its `cia-lint.manifest`.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-use cia_lint::{lint_workspace, report, LintError};
-
-struct Args {
-    check: bool,
-    json: bool,
-    manifest: Option<PathBuf>,
-    root: PathBuf,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        check: false,
-        json: false,
-        manifest: None,
-        root: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => args.check = true,
-            "--json" => args.json = true,
-            "--manifest" => {
-                let path = it.next().ok_or("--manifest needs a path")?;
-                args.manifest = Some(PathBuf::from(path));
-            }
-            "--help" | "-h" => {
-                return Err("usage: cia-lint [--check] [--json] [--manifest FILE] [ROOT]".into())
-            }
-            other if !other.starts_with('-') => args.root = PathBuf::from(other),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
+use cia_lint::{lint_workspace, report};
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--help" | "-h" => {
+                eprintln!("usage: cia-lint [--check]");
+                return ExitCode::from(2);
+            }
+            other => {
+                eprintln!("unknown argument `{other}`");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let manifest = args
-        .manifest
-        .clone()
-        .unwrap_or_else(|| args.root.join("cia-lint.manifest"));
+    }
 
-    let findings = match lint_workspace(&args.root, &manifest) {
+    let findings = match lint_workspace(Path::new("."), Path::new("cia-lint.manifest")) {
         Ok(f) => f,
-        Err(e @ (LintError::Manifest(_) | LintError::Io(_))) => {
+        Err(e) => {
             eprintln!("cia-lint: {e}");
             return ExitCode::from(2);
         }
     };
+    print!("{}", report::human(&findings));
 
-    if args.json {
-        println!("{}", report::json(&findings));
-    } else {
-        print!("{}", report::human(&findings));
-    }
-
-    if args.check && !findings.is_empty() {
+    if check && !findings.is_empty() {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS

@@ -19,19 +19,11 @@
 //! undeclared acquisition is itself a finding, which keeps the manifest
 //! honest as the concurrent surface grows.
 //!
-//! The semantic rules add three *sections* (a `[name]` header switches
-//! the directive set until the next header; the headerless prefix keeps
-//! the original directives):
+//! The taint rule's configuration lives in a `[taint]` *section* (the
+//! header switches the directive set for the rest of the file; any other
+//! `[name]` header is an error):
 //!
 //! ```text
-//! [pairs]                         # codec-symmetry declarations
-//! pair crates/crypto/src/wire.rs Digest          # Digest::encode/::decode
-//! pair crates/x/src/wire.rs enc_quote dec_quote  # free-fn pair
-//!
-//! [exhaustive]                    # journal-exhaustiveness declarations
-//! consume crates/keylime/src/durable.rs PolicyPub \
-//!         crates/keylime/src/durable.rs recover   # (one line, no \)
-//!
 //! [taint]                         # untrusted-input taint config
 //! source recv_frame               # calls that yield raw wire bytes
 //! sanitizer from_wire             # calls that validate them
@@ -40,31 +32,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// One declared encode/decode pair for the codec-symmetry rule.
-#[derive(Debug, Clone)]
-pub struct CodecPair {
-    /// File both functions live in (workspace-relative).
-    pub file: String,
-    /// Encode-side fn name (`Type::encode` or a free-fn name).
-    pub encode: String,
-    /// Decode-side fn name.
-    pub decode: String,
-}
-
-/// One journal-exhaustiveness declaration: every variant of `enum_name`
-/// (defined in `enum_file`) must be matched in `consumer_fn`.
-#[derive(Debug, Clone)]
-pub struct ExhaustiveDecl {
-    /// File defining the enum.
-    pub enum_file: String,
-    /// The enum's name.
-    pub enum_name: String,
-    /// File containing the consumer function.
-    pub consumer_file: String,
-    /// The consumer fn (`Type::recover` or a free-fn name).
-    pub consumer_fn: String,
-}
 
 /// Untrusted-input taint configuration.
 #[derive(Debug, Clone, Default)]
@@ -89,10 +56,6 @@ pub struct Manifest {
     /// Receiver identifiers that look like locks but are not
     /// (`stdout().lock()` and friends).
     pub lock_ignore: Vec<String>,
-    /// `[pairs]` section: declared encode/decode pairs.
-    pub pairs: Vec<CodecPair>,
-    /// `[exhaustive]` section: declared enum consumers.
-    pub exhaustive: Vec<ExhaustiveDecl>,
     /// `[taint]` section configuration.
     pub taint: TaintConfig,
 }
@@ -123,8 +86,6 @@ impl Manifest {
         #[derive(PartialEq, Clone, Copy)]
         enum Section {
             Main,
-            Pairs,
-            Exhaustive,
             Taint,
         }
         let mut m = Manifest::default();
@@ -137,8 +98,6 @@ impl Manifest {
             }
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = match header.trim() {
-                    "pairs" => Section::Pairs,
-                    "exhaustive" => Section::Exhaustive,
                     "taint" => Section::Taint,
                     other => {
                         return Err(ManifestError {
@@ -187,49 +146,6 @@ impl Manifest {
                     }
                     other => return Err(bad(format!("unknown directive `{other}`"))),
                 },
-                Section::Pairs => match (directive, args.as_slice()) {
-                    // `pair <file> <Type>` expands to Type::encode /
-                    // Type::decode; `pair <file> <enc> <dec>` names the
-                    // two fns explicitly.
-                    ("pair", [file, ty]) => m.pairs.push(CodecPair {
-                        file: (*file).to_string(),
-                        encode: format!("{ty}::encode"),
-                        decode: format!("{ty}::decode"),
-                    }),
-                    ("pair", [file, enc, dec]) => m.pairs.push(CodecPair {
-                        file: (*file).to_string(),
-                        encode: (*enc).to_string(),
-                        decode: (*dec).to_string(),
-                    }),
-                    ("pair", _) => {
-                        return Err(bad(
-                            "`pair` takes `<file> <Type>` or `<file> <encode_fn> <decode_fn>`"
-                                .to_string(),
-                        ))
-                    }
-                    (other, _) => {
-                        return Err(bad(format!("unknown `[pairs]` directive `{other}`")))
-                    }
-                },
-                Section::Exhaustive => {
-                    match (directive, args.as_slice()) {
-                        ("consume", [enum_file, enum_name, consumer_file, consumer_fn]) => {
-                            m.exhaustive.push(ExhaustiveDecl {
-                                enum_file: (*enum_file).to_string(),
-                                enum_name: (*enum_name).to_string(),
-                                consumer_file: (*consumer_file).to_string(),
-                                consumer_fn: (*consumer_fn).to_string(),
-                            })
-                        }
-                        ("consume", _) => return Err(bad(
-                            "`consume` takes `<enum_file> <Enum> <consumer_file> <consumer_fn>`"
-                                .to_string(),
-                        )),
-                        (other, _) => {
-                            return Err(bad(format!("unknown `[exhaustive]` directive `{other}`")))
-                        }
-                    }
-                }
                 Section::Taint => match directive {
                     "source" => m.taint.sources.push(need_one(&args)?),
                     "sanitizer" => m.taint.sanitizers.push(need_one(&args)?),
@@ -265,11 +181,6 @@ impl Manifest {
     pub fn taint_trusted(&self, path: &str) -> bool {
         self.taint.trusted.iter().any(|p| path.starts_with(p))
     }
-
-    /// True when the manifest declares any semantic-rule input.
-    pub fn has_semantic_rules(&self) -> bool {
-        !self.pairs.is_empty() || !self.exhaustive.is_empty() || !self.taint.sources.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -297,38 +208,29 @@ lock-ignore stdout\n";
     }
 
     #[test]
-    fn parses_semantic_sections() {
+    fn parses_taint_section() {
         let text = "\
 hot-path crates/x/src/wire.rs\n\
-[pairs]\n\
-pair crates/x/src/wire.rs Digest\n\
-pair crates/x/src/wire.rs enc_q dec_q  # free fns\n\
-[exhaustive]\n\
-consume crates/k/src/durable.rs PolicyPub crates/k/src/durable.rs recover\n\
 [taint]\n\
 source recv_frame\n\
-sanitizer from_wire\n\
+sanitizer from_wire  # validates\n\
 trusted crates/wire/\n";
         let m = Manifest::parse(text).unwrap();
         assert!(m.is_hot_path("crates/x/src/wire.rs"));
-        assert_eq!(m.pairs.len(), 2);
-        assert_eq!(m.pairs[0].encode, "Digest::encode");
-        assert_eq!(m.pairs[0].decode, "Digest::decode");
-        assert_eq!(m.pairs[1].encode, "enc_q");
-        assert_eq!(m.exhaustive.len(), 1);
-        assert_eq!(m.exhaustive[0].enum_name, "PolicyPub");
         assert_eq!(m.taint.sources, ["recv_frame"]);
+        assert_eq!(m.taint.sanitizers, ["from_wire"]);
         assert!(m.taint_trusted("crates/wire/src/codec.rs"));
         assert!(!m.taint_trusted("crates/keylime/src/remote.rs"));
-        assert!(m.has_semantic_rules());
     }
 
     #[test]
     fn rejects_bad_sections() {
-        assert!(Manifest::parse("[frobs]\n").is_err());
-        assert!(Manifest::parse("[pairs]\npair onlyfile\n").is_err());
-        assert!(Manifest::parse("[pairs]\nsource x\n").is_err());
-        assert!(Manifest::parse("[exhaustive]\nconsume a b c\n").is_err());
+        // Sections of retired rules are rejected, so a stale manifest
+        // fails loudly instead of being ignored.
+        for header in ["[frobs]", "[pairs]", "[exhaustive]"] {
+            let err = Manifest::parse(&format!("{header}\n")).unwrap_err();
+            assert!(err.to_string().contains("unknown section"), "{err}");
+        }
         assert!(Manifest::parse("[taint]\nhot-path x\n").is_err());
     }
 

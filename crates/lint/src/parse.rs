@@ -1,12 +1,11 @@
-//! Pass 1 of the semantic engine: a lightweight item tree.
+//! Pass 1 of the taint engine: a lightweight item tree.
 //!
-//! The cross-file rules (codec-symmetry, journal-exhaustiveness, taint)
-//! need more structure than a flat token stream but far less than a real
-//! AST: which `fn` a token belongs to, which `impl` block qualifies it,
-//! which idents are enum variants, and where the arms of a `match` start
-//! and end. This module recovers exactly that by brace matching over the
-//! comment-free token stream — no external parser, same philosophy as the
-//! lexer: precise about nesting, indifferent to everything else.
+//! The taint rule needs more structure than a flat token stream but far
+//! less than a real AST: which `fn` a token belongs to and which `impl`
+//! block qualifies it. This module recovers exactly that by brace
+//! matching over the comment-free token stream — no external parser,
+//! same philosophy as the lexer: precise about nesting, indifferent to
+//! everything else.
 //!
 //! All ranges in this module are **indices into `FileContext::code`**
 //! (the comment-free index vector), half-open `[start, end)`, so rules
@@ -15,65 +14,17 @@
 use crate::lexer::TokKind;
 use crate::source::FileContext;
 
-/// What kind of item was parsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// A function (free or associated).
-    Fn,
-    /// An enum definition.
-    Enum,
-}
-
-/// One top-level-ish item: a `fn` (at any nesting level) or an `enum`.
+/// One `fn` item (free or associated, at any nesting level).
 #[derive(Debug, Clone)]
 pub struct Item {
-    /// Fn or Enum.
-    pub kind: ItemKind,
     /// Simple name, e.g. `decode`.
     pub name: String,
     /// Qualified name: `Type::decode` when declared inside `impl Type`
     /// (or `impl Trait for Type`), otherwise the simple name.
     pub qual: String,
-    /// 1-based line of the `fn`/`enum` keyword.
-    pub line: u32,
     /// Body range in `ctx.code` indices, half-open, excluding the outer
-    /// braces. Empty for bodiless items (trait method signatures).
+    /// braces.
     pub body: (usize, usize),
-    /// Enum variants `(name, line)`, in declaration order. Empty for fns.
-    pub variants: Vec<(String, u32)>,
-}
-
-/// A `match` expression located inside a body range.
-#[derive(Debug, Clone)]
-pub struct MatchNode {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Scrutinee token range (between `match` and its `{`), in
-    /// `ctx.code` indices.
-    pub scrutinee: (usize, usize),
-    /// The arms, in order.
-    pub arms: Vec<Arm>,
-}
-
-/// One `pat => body` arm of a match.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    /// Pattern token range (up to but excluding `=>`).
-    pub pat: (usize, usize),
-    /// Body token range (block arms include their braces).
-    pub body: (usize, usize),
-}
-
-/// Steps combined-bracket depth for `(`/`[`/`{` vs `)`/`]`/`}`.
-fn step_depth(ctx: &FileContext, k: usize, depth: &mut i32) {
-    let t = &ctx.tokens[ctx.code[k]];
-    if t.kind == TokKind::Punct {
-        match t.text.as_bytes().first().copied() {
-            Some(b'(') | Some(b'[') | Some(b'{') => *depth += 1,
-            Some(b')') | Some(b']') | Some(b'}') => *depth -= 1,
-            _ => {}
-        }
-    }
 }
 
 /// Finds the `ctx.code` index of the brace matching the `{` at `open`.
@@ -95,7 +46,7 @@ fn match_brace(ctx: &FileContext, open: usize) -> usize {
 }
 
 /// Finds the body-opening `{` for an item starting at code index `k`
-/// (just past the `fn name` / `enum Name` tokens). Uses the tolerant
+/// (just past the `fn name` tokens). Uses the tolerant
 /// angle-aware depth count from the wire-hygiene rule: `<([` raise,
 /// `>)]` lower, and the body opens at the first `{` at depth <= 0.
 /// Returns `None` if a `;` terminates the item first (no body).
@@ -199,62 +150,13 @@ fn impl_regions(ctx: &FileContext) -> Vec<ImplRegion> {
     regions
 }
 
-/// Parses enum variants from a body range: idents at relative brace
-/// depth 0 within the body that start a variant (i.e. follow the opening
-/// brace or a depth-0 comma), skipping `#[…]` attributes.
-fn enum_variants(ctx: &FileContext, body: (usize, usize)) -> Vec<(String, u32)> {
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut expecting = true;
-    let mut k = body.0;
-    while k < body.1 {
-        let t = &ctx.tokens[ctx.code[k]];
-        if depth == 0 && t.is_punct('#') {
-            // Attribute: skip `#[…]` (and `#![…]`) wholesale.
-            let mut j = k + 1;
-            if j < body.1 && ctx.tokens[ctx.code[j]].is_punct('!') {
-                j += 1;
-            }
-            if j < body.1 && ctx.tokens[ctx.code[j]].is_punct('[') {
-                let mut d = 0i32;
-                while j < body.1 {
-                    let tj = &ctx.tokens[ctx.code[j]];
-                    if tj.is_punct('[') {
-                        d += 1;
-                    } else if tj.is_punct(']') {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                k = j + 1;
-                continue;
-            }
-        }
-        if depth == 0 && expecting && t.kind == TokKind::Ident {
-            variants.push((t.text.clone(), t.line));
-            expecting = false;
-        } else if depth == 0 && t.is_punct(',') {
-            expecting = true;
-        }
-        step_depth(ctx, k, &mut depth);
-        k += 1;
-    }
-    variants
-}
-
-/// Parses every `fn` and `enum` item in the file.
+/// Parses every `fn` item in the file.
 pub fn items(ctx: &FileContext) -> Vec<Item> {
     let impls = impl_regions(ctx);
     let mut out = Vec::new();
     let mut k = 0usize;
     while k < ctx.code.len() {
-        let t = &ctx.tokens[ctx.code[k]];
-        let is_fn = t.is_ident("fn");
-        let is_enum = t.is_ident("enum");
-        if !is_fn && !is_enum {
+        if !ctx.tokens[ctx.code[k]].is_ident("fn") {
             k += 1;
             continue;
         }
@@ -269,138 +171,22 @@ pub fn items(ctx: &FileContext) -> Vec<Item> {
             continue;
         }
         let name = name_tok.text.clone();
-        let line = t.line;
         let Some(open) = find_body_open(ctx, k + 2) else {
             k += 2;
             continue;
         };
-        let close = match_brace(ctx, open);
-        let body = (open + 1, close);
-        if is_enum {
-            out.push(Item {
-                kind: ItemKind::Enum,
-                qual: name.clone(),
-                name,
-                line,
-                body,
-                variants: enum_variants(ctx, body),
-            });
-        } else {
-            let qual = impls
-                .iter()
-                .rev()
-                .find(|r| r.body.0 <= k && k < r.body.1)
-                .map(|r| format!("{}::{}", r.type_name, name))
-                .unwrap_or_else(|| name.clone());
-            out.push(Item {
-                kind: ItemKind::Fn,
-                name,
-                qual,
-                line,
-                body,
-                variants: Vec::new(),
-            });
-        }
+        let qual = impls
+            .iter()
+            .rev()
+            .find(|r| r.body.0 <= k && k < r.body.1)
+            .map(|r| format!("{}::{}", r.type_name, name))
+            .unwrap_or_else(|| name.clone());
+        out.push(Item {
+            name,
+            qual,
+            body: (open + 1, match_brace(ctx, open)),
+        });
         k = open + 1;
-    }
-    out
-}
-
-/// Finds every `match` expression (including nested ones) within a body
-/// range and splits it into scrutinee and arms.
-pub fn matches_in(ctx: &FileContext, body: (usize, usize)) -> Vec<MatchNode> {
-    let mut out = Vec::new();
-    let mut k = body.0;
-    while k < body.1 {
-        let t = &ctx.tokens[ctx.code[k]];
-        if !t.is_ident("match") {
-            k += 1;
-            continue;
-        }
-        // Scrutinee: until `{` at bracket depth 0 (only ()/[] counted —
-        // struct literals are not legal in scrutinee position).
-        let mut depth = 0i32;
-        let mut open = None;
-        for j in k + 1..body.1 {
-            let tj = &ctx.tokens[ctx.code[j]];
-            if tj.kind != TokKind::Punct {
-                continue;
-            }
-            match tj.text.as_bytes().first().copied() {
-                Some(b'(') | Some(b'[') => depth += 1,
-                Some(b')') | Some(b']') => depth -= 1,
-                Some(b'{') if depth <= 0 => {
-                    open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(open) = open else {
-            k += 1;
-            continue;
-        };
-        let close = match_brace(ctx, open);
-        let close = close.min(body.1);
-        let mut node = MatchNode {
-            line: t.line,
-            scrutinee: (k + 1, open),
-            arms: Vec::new(),
-        };
-        // Arms: pattern until `=` `>` at relative depth 0, then body
-        // either a brace-matched block or tokens until a depth-0 `,`.
-        let mut j = open + 1;
-        while j < close {
-            let pat_start = j;
-            let mut d = 0i32;
-            let mut arrow = None;
-            while j < close {
-                let tj = &ctx.tokens[ctx.code[j]];
-                if d == 0
-                    && tj.is_punct('=')
-                    && j + 1 < close
-                    && ctx.tokens[ctx.code[j + 1]].is_punct('>')
-                {
-                    arrow = Some(j);
-                    break;
-                }
-                step_depth(ctx, j, &mut d);
-                j += 1;
-            }
-            let Some(arrow) = arrow else {
-                break;
-            };
-            let body_start = arrow + 2;
-            let body_end;
-            if body_start < close && ctx.tokens[ctx.code[body_start]].is_punct('{') {
-                let bclose = match_brace(ctx, body_start).min(close);
-                body_end = (bclose + 1).min(close);
-                j = body_end;
-                // Optional trailing comma after a block arm.
-                if j < close && ctx.tokens[ctx.code[j]].is_punct(',') {
-                    j += 1;
-                }
-            } else {
-                let mut d = 0i32;
-                let mut e = body_start;
-                while e < close {
-                    let te = &ctx.tokens[ctx.code[e]];
-                    if d == 0 && te.is_punct(',') {
-                        break;
-                    }
-                    step_depth(ctx, e, &mut d);
-                    e += 1;
-                }
-                body_end = e;
-                j = (e + 1).min(close);
-            }
-            node.arms.push(Arm {
-                pat: (pat_start, arrow),
-                body: (body_start, body_end),
-            });
-        }
-        out.push(node);
-        k += 1;
     }
     out
 }
@@ -410,43 +196,10 @@ mod tests {
     use super::*;
     use crate::source::FileContext;
 
-    fn ctx(src: &str) -> FileContext {
-        FileContext::new("crates/x/src/lib.rs", src)
-    }
-
     #[test]
     fn finds_fns_with_impl_qualification() {
-        let c = ctx("impl Wire for Digest {\n    fn encode(&self, w: &mut Writer) {\n        w.put_u8(1);\n    }\n}\nfn free() -> Result<u8, E> { Ok(0) }\n");
-        let items = items(&c);
-        let quals: Vec<_> = items.iter().map(|i| i.qual.as_str()).collect();
+        let c = FileContext::new("crates/x/src/lib.rs", "impl Wire for Digest {\n    fn encode(&self, w: &mut Writer) {\n        w.put_u8(1);\n    }\n}\nfn free() -> Result<u8, E> { Ok(0) }\n");
+        let quals: Vec<_> = items(&c).into_iter().map(|i| i.qual).collect();
         assert_eq!(quals, ["Digest::encode", "free"]);
-        assert_eq!(items[0].line, 2);
-    }
-
-    #[test]
-    fn enum_variants_skip_attributes_and_payloads() {
-        let c = ctx("pub enum Rec {\n    #[allow(dead_code)]\n    Full { json: String },\n    Delta(Vec<u8>),\n    Mark,\n}\n");
-        let items = items(&c);
-        assert_eq!(items[0].kind, ItemKind::Enum);
-        let names: Vec<_> = items[0].variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(names, ["Full", "Delta", "Mark"]);
-    }
-
-    #[test]
-    fn match_arms_split_on_fat_arrow_not_guards() {
-        let c = ctx("fn f(x: u8) -> u8 {\n    match x {\n        0 if x >= 0 => 1,\n        n => { n },\n    }\n}\n");
-        let items = items(&c);
-        let m = matches_in(&c, items[0].body);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].arms.len(), 2);
-    }
-
-    #[test]
-    fn nested_match_in_ok_wrapper_is_found() {
-        let c = ctx("fn d(r: &mut R) -> Result<T, E> {\n    Ok(match r.u8()? {\n        0 => T::A,\n        1 => T::B,\n        t => return Err(E::BadTag(t)),\n    })\n}\n");
-        let items = items(&c);
-        let m = matches_in(&c, items[0].body);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].arms.len(), 3);
     }
 }

@@ -1,8 +1,4 @@
-//! Finding renderers: human diff-style text and machine JSON.
-//!
-//! JSON is emitted by hand — the linter depends on nothing, including
-//! the workspace's own serde shim — with proper string escaping so
-//! snippets containing quotes or backslashes stay valid.
+//! The finding renderer: human diff-style text.
 
 use std::fmt::Write as _;
 
@@ -31,54 +27,6 @@ pub fn human(findings: &[Finding]) -> String {
     out
 }
 
-/// Version of the JSON report schema. Bump on any breaking change to
-/// the shape below; `scripts/check_lint.py` pins it in CI so downstream
-/// tooling can rely on the contract.
-pub const JSON_SCHEMA_VERSION: u32 = 1;
-
-/// Machine-readable report:
-/// `{"schema":1,"findings":[{"rule":…,"path":…,"line":…,"message":…,"snippet":…}],"count":N}`.
-pub fn json(findings: &[Finding]) -> String {
-    let mut out = format!("{{\"schema\":{JSON_SCHEMA_VERSION},\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"path\":{},\"line\":{},\"message\":{},\"snippet\":{}}}",
-            escape(f.rule),
-            escape(&f.path),
-            f.line,
-            escape(&f.message),
-            escape(&f.snippet)
-        );
-    }
-    let _ = write!(out, "],\"count\":{}}}", findings.len());
-    out
-}
-
-/// JSON string literal with standard escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,16 +49,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes() {
-        let text = json(&sample());
-        assert!(text.contains("\\\"k\\\""), "{text}");
-        assert!(text.ends_with("\"count\":1}"));
-        assert!(text.starts_with("{\"schema\":1,\"findings\":["));
-    }
-
-    #[test]
     fn empty_report() {
         assert!(human(&[]).contains("0 findings"));
-        assert_eq!(json(&[]), "{\"schema\":1,\"findings\":[],\"count\":0}");
     }
 }

@@ -7,14 +7,11 @@
 //! reason is itself reported (`allow-syntax`) — silencing a rule is
 //! allowed, silencing it without saying why is not.
 //!
-//! The *semantic* rules (`codec-symmetry`, `journal-exhaustive`,
-//! `taint`) run as a second pass over the whole file set at once: pass 1
-//! extracts per-file facts ([`crate::facts`]), pass 2 joins them across
-//! the workspace here in [`lint_semantic`].
+//! The cross-file `taint` rule runs as a second pass over the whole file
+//! set at once: pass 1 extracts per-file facts ([`crate::facts`]), pass 2
+//! joins them across the workspace here in [`lint_semantic`].
 
-pub mod codec_symmetry;
 pub mod determinism;
-pub mod journal_exhaustive;
 pub mod lock_order;
 pub mod panic_path;
 pub mod taint;
@@ -30,7 +27,7 @@ use crate::source::FileContext;
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule identifier (`determinism`, `panic-path`, `lock-order`,
-    /// `wire-hygiene`, `allow-syntax`).
+    /// `wire-hygiene`, `allow-syntax`, `taint`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -94,12 +91,11 @@ pub fn lint_file(ctx: &FileContext, manifest: &Manifest) -> Vec<Finding> {
     findings
 }
 
-/// Runs the cross-file semantic rules over the whole file set: extracts
-/// facts from every context, joins them per the manifest's `[pairs]` /
-/// `[exhaustive]` / `[taint]` declarations, fills snippets, and filters
-/// suppressions.
+/// Runs the cross-file taint rule over the whole file set: extracts
+/// facts from every context, follows the manifest's `[taint]` sources
+/// through them, fills snippets, and filters suppressions.
 pub fn lint_semantic(ctxs: &[FileContext], manifest: &Manifest) -> Vec<Finding> {
-    if !manifest.has_semantic_rules() {
+    if manifest.taint.sources.is_empty() {
         return Vec::new();
     }
     let ctx_by_path: BTreeMap<String, &FileContext> =
@@ -109,8 +105,6 @@ pub fn lint_semantic(ctxs: &[FileContext], manifest: &Manifest) -> Vec<Finding> 
         extracted.iter().map(|f| (f.path.clone(), f)).collect();
 
     let mut raw = Vec::new();
-    codec_symmetry::check(&facts_by_path, manifest, &mut raw);
-    journal_exhaustive::check(&facts_by_path, manifest, &mut raw);
     taint::check(&ctx_by_path, &facts_by_path, manifest, &mut raw);
 
     raw.iter_mut().for_each(|f| {

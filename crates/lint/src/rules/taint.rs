@@ -210,12 +210,7 @@ fn fn_index<'a>(
 ) -> BTreeMap<&'a str, Vec<(&'a str, &'a FnFact)>> {
     let mut idx: BTreeMap<&str, Vec<(&str, &FnFact)>> = BTreeMap::new();
     for ff in facts.values() {
-        // `fns` aliases simple names to the same fact; index only the
-        // entries keyed by their own qualified name.
-        for (key, fact) in &ff.fns {
-            if *key != fact.qual {
-                continue;
-            }
+        for fact in ff.fns.values() {
             idx.entry(fact.name.as_str())
                 .or_default()
                 .push((ff.path.as_str(), fact));
@@ -232,9 +227,6 @@ pub fn check(
     out: &mut Vec<Finding>,
 ) {
     let cfg = &manifest.taint;
-    if cfg.sources.is_empty() {
-        return;
-    }
     let idx = fn_index(facts);
     let mut emitted: BTreeSet<(String, u32)> = BTreeSet::new();
     let mut emit = |path: &str, line: u32, message: String, out: &mut Vec<Finding>| {
@@ -264,11 +256,7 @@ pub fn check(
         let Some(ctx) = ctxs.get(ff.path.as_str()) else {
             continue;
         };
-        for (key, fact) in &ff.fns {
-            // Skip simple-name aliases; the qualified entry covers them.
-            if *key != fact.qual {
-                continue;
-            }
+        for fact in ff.fns.values() {
             let scan = scan_fn(ctx, fact, &BTreeSet::new(), cfg);
             if !scan.any_taint {
                 continue;

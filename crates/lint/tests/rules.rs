@@ -39,9 +39,9 @@ fn lint_fixture(name: &str) -> Vec<Finding> {
     lint_fixture_with(name, &manifest())
 }
 
-/// Same, with a caller-supplied manifest (the semantic-rule fixtures
-/// each declare their own `[pairs]`/`[exhaustive]`/`[taint]` inputs so
-/// they don't cross-contaminate the file-local fixture runs).
+/// Same, with a caller-supplied manifest (the taint fixtures declare
+/// their own `[taint]` inputs so they don't cross-contaminate the
+/// file-local fixture runs).
 fn lint_fixture_with(name: &str, manifest: &Manifest) -> Vec<Finding> {
     lint_source(
         &format!("crates/fixture/src/{name}"),
@@ -171,114 +171,6 @@ fn allow_above_attributes_suppresses_the_item() {
     );
 }
 
-/// Manifest for the codec-symmetry fixture pair.
-fn codec_manifest(file: &str) -> Manifest {
-    Manifest::parse(&format!(
-        "[pairs]\npair crates/fixture/src/{file} Rec\npair crates/fixture/src/{file} Cmd\n"
-    ))
-    .expect("codec fixture manifest parses")
-}
-
-#[test]
-fn codec_symmetry_fires_at_the_extra_put() {
-    let m = Manifest::parse("[pairs]\npair crates/fixture/src/bad_codec.rs Rec\n").unwrap();
-    let findings = lint_fixture_with("bad_codec.rs", &m);
-    assert_eq!(
-        fired(&findings),
-        vec![("codec-symmetry", 15)],
-        "{findings:#?}"
-    );
-    assert!(
-        findings[0].message.contains("no matching decode read"),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn codec_symmetry_stays_silent_on_good() {
-    let findings = lint_fixture_with("good_codec.rs", &codec_manifest("good_codec.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn codec_symmetry_catches_missing_decode_tag() {
-    // Drop a decode arm from the good twin: the tagged-match comparison
-    // must flag the orphaned encode tag.
-    let src =
-        fixture_source("good_codec.rs").replace("2 => Cmd::Batch(Vec::<Rec>::decode(r)?),", "");
-    let m = codec_manifest("good_codec.rs");
-    let findings = lint_sources(&[("crates/fixture/src/good_codec.rs", src.as_str())], &m);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert!(
-        findings[0].message.contains("tag 2") && findings[0].message.contains("never decoded"),
-        "{findings:#?}"
-    );
-}
-
-/// Seeded-desync check against the *real* crypto codec: temporarily add
-/// a field write to `Digest::encode` and the rule must flag exactly that
-/// line. Proves the rule works on production code, not just fixtures.
-#[test]
-fn codec_symmetry_catches_seeded_desync_in_real_wire_code() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../crates/crypto/src/wire.rs");
-    let original = fs::read_to_string(&path).expect("crypto wire.rs exists");
-    let needle = "w.put_bytes(self.as_bytes());";
-    assert!(original.contains(needle), "Digest::encode changed shape");
-    let seeded = original.replace(
-        needle,
-        "w.put_bytes(self.as_bytes());\n        w.put_u8(1);",
-    );
-    let m = Manifest::parse(
-        "[pairs]\npair crates/crypto/src/wire.rs HashAlgorithm\n\
-         pair crates/crypto/src/wire.rs Digest\n\
-         pair crates/crypto/src/wire.rs Signature\n",
-    )
-    .unwrap();
-
-    // Clean first: the unmodified file must be finding-free.
-    let clean = lint_sources(&[("crates/crypto/src/wire.rs", original.as_str())], &m);
-    assert!(clean.is_empty(), "real codec must be symmetric: {clean:#?}");
-
-    let findings = lint_sources(&[("crates/crypto/src/wire.rs", seeded.as_str())], &m);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    let expected_line = original[..original.find(needle).unwrap()]
-        .matches('\n')
-        .count() as u32
-        + 2; // the injected put_u8 lands on the line after the needle
-    assert_eq!(findings[0].rule, "codec-symmetry");
-    assert_eq!(findings[0].line, expected_line, "{findings:#?}");
-}
-
-#[test]
-fn journal_exhaustive_fires_on_wildcarded_variant() {
-    let m = Manifest::parse(
-        "[exhaustive]\nconsume crates/fixture/src/bad_exhaustive.rs Journal \
-         crates/fixture/src/bad_exhaustive.rs recover\n",
-    )
-    .unwrap();
-    let findings = lint_fixture_with("bad_exhaustive.rs", &m);
-    assert_eq!(
-        fired(&findings),
-        vec![("journal-exhaustive", 12)],
-        "{findings:#?}"
-    );
-    assert!(
-        findings[0].message.contains("Journal::Abort"),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn journal_exhaustive_stays_silent_on_good() {
-    let m = Manifest::parse(
-        "[exhaustive]\nconsume crates/fixture/src/good_exhaustive.rs Journal \
-         crates/fixture/src/good_exhaustive.rs recover\n",
-    )
-    .unwrap();
-    let findings = lint_fixture_with("good_exhaustive.rs", &m);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
 /// Taint config the taint fixtures are linted under.
 fn taint_manifest() -> Manifest {
     Manifest::parse(
@@ -354,27 +246,16 @@ fn workspace_manifest_is_coherent() {
         "queue before SPARE_WIRES"
     );
     assert!(m.determinism_allowed("crates/bench/src/main.rs"));
-    // The semantic sections are populated: the wire codec pairs, the
-    // journal/command consumers, and the taint sources/sanitizers.
-    assert!(
-        m.pairs.len() >= 10,
-        "workspace [pairs] shrank: {}",
-        m.pairs.len()
-    );
-    assert!(
-        m.exhaustive.len() >= 3,
-        "workspace [exhaustive] shrank: {}",
-        m.exhaustive.len()
-    );
     assert!(m.taint.sources.iter().any(|s| s == "recv_frame"));
     assert!(m.taint.sanitizers.iter().any(|s| s == "from_wire"));
     assert!(m.taint_trusted("crates/wire/src/codec.rs"));
 }
 
 /// Drift guard v2: a crate under `crates/` that gains a `wire.rs`,
-/// `remote.rs`, or `durable.rs` must declare it as a hot path in
-/// `cia-lint.manifest` — new wire/durability surfaces cannot silently
-/// dodge the panic-free rule (and the reviewer's eye) just by being new.
+/// `remote.rs`, `durable.rs` or `transport.rs` must declare it as a hot
+/// path in `cia-lint.manifest` — new wire/durability surfaces cannot
+/// silently dodge the panic-free rule (and the reviewer's eye) just by
+/// being new.
 #[test]
 fn every_wire_surface_is_a_declared_hot_path() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -389,7 +270,7 @@ fn every_wire_surface_is_a_declared_hot_path() {
         if !src.is_dir() {
             continue;
         }
-        for name in ["wire.rs", "remote.rs", "durable.rs"] {
+        for name in ["wire.rs", "remote.rs", "durable.rs", "transport.rs"] {
             if src.join(name).is_file() {
                 let rel = format!("crates/{}/src/{name}", entry.file_name().to_string_lossy());
                 if !m.is_hot_path(&rel) {
@@ -400,7 +281,7 @@ fn every_wire_surface_is_a_declared_hot_path() {
     }
     assert!(
         missing.is_empty(),
-        "wire/remote/durable files missing a `hot-path` manifest entry: {missing:?}"
+        "wire/remote/durable/transport files missing a `hot-path` manifest entry: {missing:?}"
     );
 }
 

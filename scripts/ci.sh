@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: formatting, workspace-wide clippy, the repo's own cia-lint
-# static pass (file-local rules + the cross-file semantic engine, plus
-# the --json schema gate via scripts/check_lint.py), the tier-1 release
-# build, every crate's unit and integration suites (`cargo test
-# --workspace`: tier-1's default members plus cia-crypto, cia-vfs,
-# cia-tpm, cia-ima, cia-distro, cia-os, cia-attacks, cia-core, cia-lint,
-# cia-bench and the shims — the hot-path gates are tier-1 tests in
-# crates/keylime/tests/hot_path_gates.rs), the paper's ablation timings
-# (`ablation_costs`, which asserts the facts behind each comparison;
-# every other timing number is `benchmark/run.sh`'s), the fleet demo
-# (`fleet_demo`, whose acts assert their outcomes), then what needs
+# CI gate: formatting, workspace-wide clippy (which also denies wildcard
+# arms in the journal-recovery and shard-protocol consumers), the repo's
+# own cia-lint static pass (file-local rules + the cross-file taint
+# rule), the tier-1 release build, every crate's unit and integration
+# suites (`cargo test --workspace`: tier-1's default members plus
+# cia-crypto, cia-vfs, cia-tpm, cia-ima, cia-distro, cia-os, cia-attacks,
+# cia-core, cia-lint, cia-bench and the shims — the hot-path gates are
+# tier-1 tests in crates/keylime/tests/hot_path_gates.rs), the paper's
+# ablation timings (`ablation_costs`, which asserts the facts behind each
+# comparison; every other timing number is `benchmark/run.sh`'s), the
+# fleet demo (`fleet_demo`, whose acts assert their outcomes), then what needs
 # another profile: the sharding and wire transport-equivalence matrices
 # and the chaos scenario corpus in release mode, the paper-fidelity gate
 # at paper scale (release), and the end-to-end benchmark crate (its own
@@ -42,9 +42,6 @@ cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 
 echo "== cia-lint: workspace static analysis (--check) =="
 cargo run "${OFFLINE[@]}" -q -p cia-lint -- --check
-
-echo "== semlint: JSON report schema gate =="
-cargo run "${OFFLINE[@]}" -q -p cia-lint -- --json | python3 scripts/check_lint.py
 
 echo "== tier-1: cargo build --release =="
 cargo build "${OFFLINE[@]}" --release
