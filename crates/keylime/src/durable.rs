@@ -535,7 +535,7 @@ impl VerifierJournal {
             }
             acks.insert(id, ack);
         }
-        let current = verifier.policy_store().shared();
+        let current = verifier.policy_store().clone();
         for (key, bytes) in log.scan_prefix(PREFIX_ENROL.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
             let id = AgentId::new(key_suffix(&what, PREFIX_ENROL)?);
@@ -548,7 +548,7 @@ impl VerifierJournal {
                     // publish, so it sits at the current epoch; an
                     // override stays pinned to its enrolment epoch.
                     let epoch = if enrol.shared {
-                        current.epoch
+                        current.epoch()
                     } else {
                         PolicyEpoch::from_raw(enrol.epoch)
                     };
@@ -578,7 +578,7 @@ impl VerifierJournal {
                         })?,
                     )
                 }
-                (None, None) => Arc::clone(&current.snapshot),
+                (None, None) => Arc::clone(current.snapshot()),
             };
             verifier.restore_agent(id, enrol.ak, enrol.identity, policy, state);
         }

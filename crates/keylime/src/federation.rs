@@ -11,7 +11,7 @@
 //! **One store, many verifiers.** The coordinator owns one
 //! [`PolicyStore`]: a policy (or delta) is published exactly once
 //! fleet-wide, then every shard adopts the *same* `Arc<RuntimePolicy>`
-//! snapshot via [`Verifier::publish_policy_arc`] — zero per-shard
+//! snapshot via [`Verifier::publish_policy`] — zero per-shard
 //! copies, and every shard's internal epoch advances in lockstep with
 //! the store's (each publish bumps both by exactly one). Which agents
 //! lag is read off the round report: each row carries the epoch that
@@ -104,9 +104,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(config: VerifierConfig) -> Self {
+    /// A shard whose verifier starts on `store`'s snapshot and epoch.
+    fn new(config: VerifierConfig, store: &PolicyStore) -> Self {
+        let mut verifier = Verifier::new(config);
+        verifier.restore_store(Arc::clone(store.snapshot()), store.epoch());
         Shard {
-            verifier: Verifier::new(config),
+            verifier,
             scheduler: FleetScheduler::new(),
         }
     }
@@ -152,7 +155,7 @@ impl Federation {
         let mut shards = BTreeMap::new();
         for sid in 0..config.shards.max(1) {
             ring.add_shard(sid);
-            shards.insert(sid, Shard::new(config.verifier));
+            shards.insert(sid, Shard::new(config.verifier, &store));
         }
         Federation {
             ring,
@@ -169,16 +172,7 @@ impl Federation {
     /// holds) is placed onto its ring shard. The source is not consumed
     /// — the caller decides when to stop driving it.
     pub fn from_verifier(source: &Verifier, config: FederationConfig) -> Self {
-        let shared = source.policy_store().shared();
-        let mut fed = Federation::new(
-            config,
-            PolicyStore::restore(Arc::clone(&shared.snapshot), shared.epoch),
-        );
-        for shard in fed.shards.values_mut() {
-            shard
-                .verifier
-                .restore_store(Arc::clone(&shared.snapshot), shared.epoch);
-        }
+        let mut fed = Federation::new(config, source.policy_store().clone());
         for (id, record) in source.records() {
             let Some(shard) = fed.ring.place(id).and_then(|sid| fed.shards.get_mut(&sid)) else {
                 debug_assert!(false, "a federation ring is never empty");
@@ -236,8 +230,8 @@ impl Federation {
         epoch
     }
 
-    /// Publishes a delta once fleet-wide (the store's copy-on-write /
-    /// zero-copy path), then every shard adopts the resulting snapshot
+    /// Publishes a delta once fleet-wide (copy-on-write: it copies only
+    /// the chunks it touches), then every shard adopts the resulting snapshot
     /// `Arc`. The delta is applied exactly once no matter how many
     /// shards exist.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
@@ -249,7 +243,7 @@ impl Federation {
     fn distribute(&mut self, epoch: PolicyEpoch) {
         let snapshot = self.store.snapshot();
         for shard in self.shards.values_mut() {
-            let shard_epoch = shard.verifier.publish_policy_arc(Arc::clone(snapshot));
+            let shard_epoch = shard.verifier.publish_policy(Arc::clone(snapshot));
             debug_assert_eq!(
                 shard_epoch, epoch,
                 "shard epochs advance in lockstep with the store"
@@ -358,10 +352,7 @@ impl Federation {
         if self.shards.contains_key(&shard) {
             return Vec::new();
         }
-        let mut joined = Shard::new(self.config.verifier);
-        joined
-            .verifier
-            .restore_store(Arc::clone(self.store.snapshot()), self.store.epoch());
+        let mut joined = Shard::new(self.config.verifier, &self.store);
         self.ring.add_shard(shard);
 
         // Everything whose ring placement moved to the joining shard.

@@ -154,7 +154,7 @@ pub use scheduler::{
     AgentRoundResult, BackendCounts, FleetScheduler, MetricsSnapshot, PerBackendCounts,
     RoundOutcome, RoundReport,
 };
-pub use store::{PolicyEpoch, PolicyStore, SharedPolicy};
+pub use store::{PolicyEpoch, PolicyStore};
 pub use tenant::Cluster;
 pub use transport::{ReliableTransport, Transport, TransportError};
 pub use verifier::{

@@ -12,23 +12,166 @@
 //! Policy-File Consistency During Update"); after the update, outdated
 //! digests are dropped ([`RuntimePolicy::dedup_retain`]).
 //!
-//! The `path → {hex digest}` map is the policy's only representation:
-//! [`RuntimePolicy::check_digest`] answers from it (the measured digest
-//! is rendered to hex on the stack) and [`RuntimePolicy::apply_delta`]
-//! edits it in place, so a daily delta costs O(delta), not O(policy).
+//! The `path → {hex digest}` map is the policy's only representation: range
+//! chunks of a few hundred paths, shared by `Arc`. A clone copies only the
+//! chunk index and a mutator copies only the chunk it edits, so a delta
+//! costs O(delta), not O(policy), and an older epoch still pinned shares
+//! every chunk the delta left alone.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
+use std::ops::Bound::{Included, Unbounded};
+use std::sync::Arc;
 
 use cia_crypto::{hex, Derived, Digest};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::error::KeylimeError;
 
-/// Deep copies of [`RuntimePolicy`] performed since process start; the
-/// delta-push benchmark gates fleet distribution on this staying flat
-/// (analogous to the zero-alloc gate on the appraisal hot path).
-static POLICY_DEEP_CLONES: AtomicU64 = AtomicU64::new(0);
+/// Most paths one chunk holds: an insert past it splits the chunk in two.
+const CHUNK_PATHS: usize = 256;
+
+thread_local! {
+    /// See [`RuntimePolicy::chunk_copy_count`].
+    static CHUNK_COPIES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One path range of a policy's digest map, shared by every policy that has
+/// not edited it; the first edit copies it ([`Arc::make_mut`]), counted.
+#[derive(Default)]
+struct Chunk(BTreeMap<String, BTreeSet<String>>);
+
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        CHUNK_COPIES.with(|n| n.set(n.get() + 1));
+        Chunk(self.0.clone())
+    }
+}
+
+/// The digest map as non-empty chunks, each holding the paths from its
+/// bound (fixed when it is created) up to the next chunk's. Equality,
+/// `Debug` and the JSON document see entries, never chunk boundaries.
+#[derive(Clone, Default)]
+struct Digests(BTreeMap<Arc<str>, Arc<Chunk>>);
+
+impl Digests {
+    /// The chunk whose range holds `path`, under its bound (none below all).
+    fn chunk_of(&self, path: &str) -> Option<(&Arc<str>, &Arc<Chunk>)> {
+        self.0
+            .range::<str, _>((Unbounded, Included(path)))
+            .next_back()
+    }
+
+    fn get(&self, path: &str) -> Option<&BTreeSet<String>> {
+        self.chunk_of(path)?.1 .0.get(path)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&String, &BTreeSet<String>)> {
+        self.0.values().flat_map(|c| c.0.iter())
+    }
+
+    /// [`Digests::chunk_of`] for editing through [`Arc::make_mut`].
+    fn slot(&mut self, path: &str) -> Option<(&Arc<str>, &mut Arc<Chunk>)> {
+        // Appends, the generator's common edit, need no search.
+        let last = self.0.last_key_value();
+        if last.is_some_and(|(bound, _)| **bound <= *path) {
+            return self.0.iter_mut().next_back();
+        }
+        self.0
+            .range_mut::<str, _>((Unbounded, Included(path)))
+            .next_back()
+    }
+
+    /// Adds `digest` to `path`'s set (false if there), halving a full chunk.
+    fn insert(&mut self, path: String, digest: String) -> bool {
+        let Some((_, slot)) = self.slot(&path) else {
+            let chunk = Chunk(BTreeMap::from([(path.clone(), BTreeSet::from([digest]))]));
+            self.0.insert(path.into(), Arc::new(chunk));
+            return true;
+        };
+        // Look before editing only when the edit would copy the chunk.
+        if Arc::get_mut(slot).is_none() && slot.0.get(&path).is_some_and(|d| d.contains(&digest)) {
+            return false;
+        }
+        let chunk = &mut Arc::make_mut(slot).0;
+        if !chunk.entry(path).or_default().insert(digest) {
+            return false;
+        }
+        if chunk.len() > CHUNK_PATHS {
+            if let Some(mid) = chunk.keys().nth(chunk.len() / 2).cloned() {
+                let upper = Chunk(chunk.split_off(&mid));
+                self.0.insert(mid.into(), Arc::new(upper));
+            }
+        }
+        true
+    }
+
+    /// Removes `path` and returns how many digests went; an emptied chunk
+    /// goes too, and the chunk below takes over its range.
+    fn remove(&mut self, path: &str) -> Option<usize> {
+        let (bound, slot) = self.slot(path).filter(|(_, c)| c.0.contains_key(path))?;
+        let bound = Arc::clone(bound);
+        let chunk = &mut Arc::make_mut(slot).0;
+        let removed = chunk.remove(path).map(|set| set.len());
+        if chunk.is_empty() {
+            self.0.remove(&bound);
+        }
+        removed
+    }
+
+    /// Drops every digest of `path` but `keep`, if `keep` is among them
+    /// and there are others; returns how many went.
+    fn retain_only(&mut self, path: &str, keep: &str) -> Option<usize> {
+        let (_, slot) = self.slot(path)?;
+        let others_and_keep = |s: &&BTreeSet<String>| s.len() > 1 && s.contains(keep);
+        let removed = slot.0.get(path).filter(others_and_keep)?.len() - 1;
+        Arc::make_mut(slot).0.get_mut(path)?.retain(|d| d == keep);
+        Some(removed)
+    }
+}
+
+impl PartialEq for Digests {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Digests {}
+
+impl fmt::Debug for Digests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The document's `digests` object, exactly as a `BTreeMap` writes it.
+impl Serialize for Digests {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (path, set) in self.iter() {
+            w.key(path);
+            set.write_json(w);
+        }
+        w.end_object();
+    }
+}
+
+/// Reads the `digests` object as full chunks cut from the top down.
+impl Deserialize for Digests {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut rest = BTreeMap::read_json(r)?;
+        let mut chunks = BTreeMap::new();
+        while let Some(bound) = rest.keys().nth_back(CHUNK_PATHS - 1).cloned() {
+            let top = Chunk(rest.split_off(&bound));
+            chunks.insert(bound.into(), Arc::new(top));
+        }
+        if let Some(bound) = rest.keys().next().cloned() {
+            chunks.insert(bound.into(), Arc::new(Chunk(rest)));
+        }
+        Ok(Digests(chunks))
+    }
+}
 
 /// Policy document metadata.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,10 +283,10 @@ impl PolicyDelta {
 /// assert_eq!(policy.check("/tmp/anything", "??"), PolicyCheck::Excluded);
 /// assert_eq!(policy.check("/usr/bin/xz", "bb"), PolicyCheck::NotInPolicy);
 /// ```
-#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimePolicy {
     /// Path → allowed SHA-256 digests (lowercase hex).
-    digests: BTreeMap<String, BTreeSet<String>>,
+    digests: Digests,
     /// Path prefixes the verifier does not evaluate.
     excludes: Vec<String>,
     /// Document metadata.
@@ -152,21 +295,6 @@ pub struct RuntimePolicy {
     /// [`RuntimePolicy::allow`]/[`RuntimePolicy::remove_path`]/
     /// [`RuntimePolicy::dedup_retain`] once first computed.
     totals: Derived<PolicyTotals>,
-}
-
-/// Every clone of a policy is a *deep* copy of the full digest map and is
-/// counted, so a test can prove that fleet-wide distribution through the
-/// shared store performs none (agents swap `Arc` handles instead).
-impl Clone for RuntimePolicy {
-    fn clone(&self) -> Self {
-        POLICY_DEEP_CLONES.fetch_add(1, Ordering::Relaxed);
-        RuntimePolicy {
-            digests: self.digests.clone(),
-            excludes: self.excludes.clone(),
-            meta: self.meta.clone(),
-            totals: self.totals.clone(),
-        }
-    }
 }
 
 /// Rendered-size accounting for one policy: the paper's "lines" (one per
@@ -179,8 +307,8 @@ struct PolicyTotals {
 
 /// Bytes a `(path, digest)` pair contributes to the rendered size: one
 /// `sha256-hex  path\n` line (64 hex chars + two spaces + newline).
-fn line_bytes(path: &str) -> u64 {
-    path.len() as u64 + 64 + 2 + 1
+fn line_bytes(path_len: usize) -> u64 {
+    path_len as u64 + 64 + 2 + 1
 }
 
 impl RuntimePolicy {
@@ -193,25 +321,32 @@ impl RuntimePolicy {
     /// maintained incrementally by the mutators.
     fn totals(&self) -> PolicyTotals {
         *self.totals.get_or_init(|| PolicyTotals {
-            lines: self.digests.values().map(|s| s.len() as u64).sum(),
+            lines: self.digests.iter().map(|(_, s)| s.len() as u64).sum(),
             bytes: self
                 .digests
                 .iter()
-                .map(|(path, set)| set.len() as u64 * line_bytes(path))
+                .map(|(path, set)| set.len() as u64 * line_bytes(path.len()))
                 .sum(),
         })
+    }
+
+    /// Moves the cached totals, once computed, by `lines` pairs of a
+    /// `path_len`-byte path.
+    fn count(&mut self, path_len: usize, lines: i64) {
+        if let Some(t) = self.totals.get_mut() {
+            let bytes = lines * line_bytes(path_len) as i64;
+            t.lines = t.lines.wrapping_add_signed(lines);
+            t.bytes = t.bytes.wrapping_add_signed(bytes);
+        }
     }
 
     /// Adds `digest` to the allowed set for `path` (existing digests are
     /// retained — the update-window consistency rule).
     pub fn allow(&mut self, path: impl Into<String>, digest: impl Into<String>) {
         let path = path.into();
-        let added_bytes = line_bytes(&path);
-        if self.digests.entry(path).or_default().insert(digest.into()) {
-            if let Some(t) = self.totals.get_mut() {
-                t.lines += 1;
-                t.bytes += added_bytes;
-            }
+        let path_len = path.len();
+        if self.digests.insert(path, digest.into()) {
+            self.count(path_len, 1);
         }
     }
 
@@ -300,7 +435,7 @@ impl RuntimePolicy {
 
     /// Number of distinct paths.
     pub fn path_count(&self) -> usize {
-        self.digests.len()
+        self.digests.0.values().map(|c| c.0.len()).sum()
     }
 
     /// Number of `(path, digest)` pairs — the paper's "lines". Served
@@ -320,48 +455,30 @@ impl RuntimePolicy {
     /// Drops every digest for `path` except `keep` (post-update
     /// deduplication).
     pub fn dedup_retain(&mut self, path: &str, keep: &str) {
-        if let Some(set) = self.digests.get_mut(path) {
-            if set.contains(keep) {
-                let before = set.len();
-                set.retain(|d| d == keep);
-                let removed = (before - set.len()) as u64;
-                if removed > 0 {
-                    if let Some(t) = self.totals.get_mut() {
-                        t.lines -= removed;
-                        t.bytes -= removed * line_bytes(path);
-                    }
-                }
-            }
-        }
+        let removed = self.digests.retain_only(path, keep).unwrap_or(0);
+        self.count(path.len(), -(removed as i64));
     }
 
     /// Removes a path entirely (e.g. disallowing outdated kernel modules).
     pub fn remove_path(&mut self, path: &str) -> bool {
-        match self.digests.remove(path) {
-            Some(set) => {
-                if let Some(t) = self.totals.get_mut() {
-                    t.lines -= set.len() as u64;
-                    t.bytes -= set.len() as u64 * line_bytes(path);
-                }
-                true
-            }
-            None => false,
-        }
+        let removed = self.digests.remove(path);
+        self.count(path.len(), -(removed.unwrap_or(0) as i64));
+        removed.is_some()
     }
 
     /// Structural difference against an older policy — what an operator
     /// reviews before approving a generated update.
     pub fn diff(&self, older: &RuntimePolicy) -> PolicyDiff {
         let mut diff = PolicyDiff::default();
-        for (path, digests) in &self.digests {
+        for (path, digests) in self.digests.iter() {
             match older.digests.get(path) {
                 None => diff.added_paths.push(path.clone()),
                 Some(old) if old != digests => diff.changed_paths.push(path.clone()),
                 Some(_) => {}
             }
         }
-        for path in older.digests.keys() {
-            if !self.digests.contains_key(path) {
+        for (path, _) in older.digests.iter() {
+            if self.digests.get(path).is_none() {
                 diff.removed_paths.push(path.clone());
             }
         }
@@ -416,11 +533,23 @@ impl RuntimePolicy {
         delta.len()
     }
 
-    /// Deep copies of any `RuntimePolicy` since process start (see the
-    /// `Clone` impl). `tests/hot_path_gates.rs` gates fleet-wide
-    /// distribution on this.
-    pub fn deep_clone_count() -> u64 {
-        POLICY_DEEP_CLONES.load(Ordering::Relaxed)
+    /// How many of this policy's chunks `delta`'s paths fall in: the most it
+    /// copies, unless its adds land in a chunk its removals emptied.
+    pub fn chunks_touched(&self, delta: &PolicyDelta) -> usize {
+        let paths = (delta.removed_paths.iter())
+            .chain(delta.added.iter().map(|(path, _)| path))
+            .chain(delta.retired.iter().map(|(path, _)| path));
+        let chunks: BTreeSet<_> = paths
+            .map(|p| self.digests.chunk_of(p).map(|c| c.0))
+            .collect();
+        chunks.len()
+    }
+
+    /// Digest-map chunks the calling thread has copied so far: the first
+    /// edit of a chunk that another policy (an older epoch) still shares.
+    /// `tests/hot_path_gates.rs` bounds a publish's copies with this.
+    pub fn chunk_copy_count() -> u64 {
+        CHUNK_COPIES.with(Cell::get)
     }
 }
 
@@ -796,17 +925,74 @@ mod tests {
         assert_delta_matches_rebuild(&base, &empty);
     }
 
+    /// The copy counter counts chunk copies: a clone copies none, and an
+    /// edit copies only the one chunk it touches.
     #[test]
     fn clone_counter_counts_deep_copies() {
-        // Global counters are shared across concurrently running tests,
-        // so only lower bounds are assertable here; the delta-push gate in
-        // `tests/hot_path_gates.rs` asserts the exact zero in a binary where
-        // it is the only test that clones a policy.
         let mut p = RuntimePolicy::new();
-        p.allow("/a", "aa");
-        let before = RuntimePolicy::deep_clone_count();
-        let _c = p.clone();
-        let _d = p.clone();
-        assert!(RuntimePolicy::deep_clone_count() >= before + 2);
+        for i in 0..4 * CHUNK_PATHS {
+            p.allow(format!("/usr/bin/tool-{i:05}"), hex_digest("v1"));
+        }
+        assert!(p.digests.0.len() >= 4, "{} chunks", p.digests.0.len());
+        // The counter is per thread, so the counts here are exact.
+        let before = RuntimePolicy::chunk_copy_count();
+        let mut edited = p.clone();
+        assert_eq!(
+            RuntimePolicy::chunk_copy_count(),
+            before,
+            "a clone copies no chunk"
+        );
+        let delta = PolicyDelta {
+            added: vec![("/usr/bin/tool-00001".into(), hex_digest("v2"))],
+            retired: vec![("/usr/bin/tool-00002".into(), hex_digest("v1"))],
+            ..PolicyDelta::default()
+        };
+        assert_eq!(p.chunks_touched(&delta), 1);
+        edited.apply_delta(&delta);
+        assert_eq!(RuntimePolicy::chunk_copy_count() - before, 1);
+        // Idempotent edits copy nothing: the digest is there already, and
+        // the retirement keeps the only digest.
+        let mut again = p.clone();
+        again.allow("/usr/bin/tool-00003", hex_digest("v1"));
+        again.dedup_retain("/usr/bin/tool-00003", &hex_digest("v1"));
+        assert!(!again.remove_path("/usr/bin/absent"));
+        assert_eq!(RuntimePolicy::chunk_copy_count() - before, 1);
+        assert_eq!(again, p);
+        assert_eq!(p.digests_for("/usr/bin/tool-00001").unwrap().len(), 1);
+        assert_eq!(edited.digests_for("/usr/bin/tool-00001").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_chunk_boundaries() {
+        let mut forward = RuntimePolicy::new();
+        let mut backward = RuntimePolicy::new();
+        let paths: Vec<String> = (0..3 * CHUNK_PATHS).map(|i| format!("/p/{i:05}")).collect();
+        for path in &paths {
+            forward.allow(path.clone(), "aa");
+        }
+        for path in paths.iter().rev() {
+            backward.allow(path.clone(), "aa");
+        }
+        let parsed = RuntimePolicy::from_json(&forward.to_json()).unwrap();
+        assert_ne!(
+            forward.digests.0.len(),
+            parsed.digests.0.len(),
+            "built and parsed policies cut their chunks differently"
+        );
+        for other in [&backward, &parsed] {
+            assert_eq!(&forward, other);
+            assert_eq!(format!("{forward:?}"), format!("{other:?}"));
+            assert_eq!(forward.to_json(), other.to_json());
+        }
+        // Emptying a chunk drops it, and lookups still route.
+        for path in &paths[..CHUNK_PATHS] {
+            assert!(forward.remove_path(path));
+        }
+        assert_eq!(forward.path_count(), 2 * CHUNK_PATHS);
+        assert!(forward.digests.0.values().all(|c| !c.0.is_empty()));
+        for path in &paths[CHUNK_PATHS..] {
+            assert_eq!(forward.check(path, "aa"), PolicyCheck::Allowed);
+        }
+        assert_eq!(forward.check(&paths[0], "aa"), PolicyCheck::NotInPolicy);
     }
 }

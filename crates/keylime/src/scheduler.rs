@@ -40,7 +40,7 @@ use crate::agent::Agent;
 use crate::backend::BackendKind;
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
-use crate::store::{PolicyEpoch, SharedPolicy};
+use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 use crate::verifier::{
     AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, HotStats,
@@ -595,7 +595,7 @@ impl FleetScheduler {
         T: Transport + Sync,
         F: Fn(&AgentRoundResult) + Sync,
     {
-        let (config, shared, records) = verifier.scheduler_view();
+        let (config, store, records) = verifier.scheduler_view();
         let mut results = Vec::new();
         let mut round_counts = MetricsSnapshot::default();
         {
@@ -630,7 +630,7 @@ impl FleetScheduler {
                             let mut lane_transport = transport.fork(job.lane);
                             let row = attest_with_retry(
                                 &config,
-                                &shared,
+                                &store,
                                 &mut counts,
                                 &mut job,
                                 &mut lane_transport,
@@ -663,7 +663,7 @@ impl FleetScheduler {
             });
         }
         results.sort_by(|a, b| a.id.cmp(&b.id));
-        self.fold_round(&round_counts, shared.epoch);
+        self.fold_round(&round_counts, store.epoch());
 
         let mut health = HealthCounts::default();
         for record in records.values() {
@@ -672,7 +672,7 @@ impl FleetScheduler {
         RoundReport {
             results,
             health,
-            policy_epoch: shared.epoch,
+            policy_epoch: store.epoch(),
         }
     }
 }
@@ -713,7 +713,7 @@ fn orphan_row(id: AgentId, record: &AgentRecord, counts: &mut MetricsSnapshot) -
 /// round-trip — not the appraisal CPU time.
 fn attest_with_retry<T: Transport>(
     config: &VerifierConfig,
-    shared: &SharedPolicy,
+    store: &PolicyStore,
     counts: &mut MetricsSnapshot,
     job: &mut Job<'_>,
     transport: &mut T,
@@ -764,7 +764,7 @@ fn attest_with_retry<T: Transport>(
         // or anything replayed by the sim.
         let start = Instant::now();
         let result =
-            Verifier::fetch_evidence(config, shared, job.record, &job.id, transport, job.agent);
+            Verifier::fetch_evidence(config, store, job.record, &job.id, transport, job.agent);
         counts.record_latency_ns(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
 
         let error = match result {

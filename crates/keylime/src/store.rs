@@ -1,26 +1,12 @@
 //! The epoch-tagged shared policy store.
 //!
-//! Fleet-wide policy distribution used to be O(fleet × policy): every
-//! agent record owned a full [`RuntimePolicy`] clone. [`PolicyStore`]
-//! holds one `Arc<RuntimePolicy>` snapshot tagged with a monotonically
-//! increasing [`PolicyEpoch`]; a fleet-wide push is one `Arc` swap per
-//! agent. Per-agent *overrides* remain possible for heterogeneous
-//! fleets — e.g. the snap-scrubbed subset from §III-B keeps its own
-//! policy and simply opts out of the shared snapshot.
-//!
-//! Deltas compose with the store: [`PolicyStore::publish_delta`] applies a
-//! [`PolicyDelta`] to an owned buffer and swaps the published `Arc`, so a
-//! daily update is O(delta) — independent of fleet size — and in steady
-//! state performs **zero** policy deep copies: the previous epoch's
-//! snapshot is *retired* at publish time and, once every agent has
-//! adopted the newer epoch (dropping its handle), *reclaimed* as the
-//! spare buffer the next epoch is built into. The spare sits some number
-//! of recorded deltas behind the published snapshot (one per epoch it
-//! missed), so a publish replays the catch-up deltas in order and then
-//! the new one — O(delta) map edits in place, no copy.
-//! Only a cold start (first delta after a full publish) or a straggler
-//! pinning the old snapshot across an epoch falls back to one
-//! copy-on-write clone.
+//! [`PolicyStore`] holds one `Arc<RuntimePolicy>` snapshot tagged with a
+//! monotonically increasing [`PolicyEpoch`]: a fleet-wide push is one
+//! `Arc` swap per agent, and [`PolicyStore::publish_delta`] applies a
+//! [`PolicyDelta`] copy-on-write, copying only the policy chunks it
+//! touches while agents still pin the previous epoch. Per-agent
+//! *overrides* remain possible — e.g. the snap-scrubbed subset from
+//! §III-B keeps its own policy and opts out of the shared snapshot.
 
 use std::fmt;
 use std::sync::Arc;
@@ -69,61 +55,23 @@ impl fmt::Display for PolicyEpoch {
     }
 }
 
-/// An immutable view of the store's current snapshot, cheap to clone and
-/// hand to scheduler workers: the `Arc` handle plus its epoch.
-#[derive(Debug, Clone)]
-pub struct SharedPolicy {
-    /// The published policy snapshot.
-    pub snapshot: Arc<RuntimePolicy>,
-    /// The epoch the snapshot was published as.
-    pub epoch: PolicyEpoch,
-}
-
 /// The verifier-side shared policy store (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
     snapshot: Arc<RuntimePolicy>,
     epoch: PolicyEpoch,
-    /// The previous retired snapshot plus the ordered deltas that
-    /// superseded it (every epoch published since it was retired — the
-    /// in-place fast path appends here too), held until every agent
-    /// adopts a newer epoch and the handle becomes uniquely ours again
-    /// (`reclaim`).
-    retiring: Option<(Arc<RuntimePolicy>, Vec<PolicyDelta>)>,
-    /// An owned buffer sitting `lag.len()` recorded deltas behind
-    /// `snapshot` — fuel for the zero-copy publish fast path.
-    spare: Option<(RuntimePolicy, Vec<PolicyDelta>)>,
-}
-
-impl Default for PolicyStore {
-    fn default() -> Self {
-        PolicyStore::new()
-    }
 }
 
 impl PolicyStore {
     /// A store holding the empty policy at epoch 0.
     pub fn new() -> Self {
-        PolicyStore {
-            snapshot: Arc::new(RuntimePolicy::new()),
-            epoch: PolicyEpoch::ZERO,
-            retiring: None,
-            spare: None,
-        }
+        PolicyStore::default()
     }
 
-    /// Recovery path: a store holding a journaled snapshot at a
-    /// journaled epoch. The retiring/spare buffers start empty — they
-    /// are pure publish-time performance state, invisible to appraisal,
-    /// so a restored store is observationally identical to the one that
-    /// crashed.
+    /// Recovery path: a store holding a journaled snapshot at a journaled
+    /// epoch — observationally identical to the one that crashed.
     pub fn restore(snapshot: Arc<RuntimePolicy>, epoch: PolicyEpoch) -> Self {
-        PolicyStore {
-            snapshot,
-            epoch,
-            retiring: None,
-            spare: None,
-        }
+        PolicyStore { snapshot, epoch }
     }
 
     /// The active epoch.
@@ -142,86 +90,29 @@ impl PolicyStore {
         &self.snapshot
     }
 
-    /// A cheap `(snapshot, epoch)` view for the scheduler.
-    pub fn shared(&self) -> SharedPolicy {
-        SharedPolicy {
-            snapshot: Arc::clone(&self.snapshot),
-            epoch: self.epoch,
-        }
-    }
-
-    /// Publishes a full replacement policy as a new epoch.
-    pub fn publish(&mut self, policy: RuntimePolicy) -> PolicyEpoch {
-        self.publish_arc(Arc::new(policy))
-    }
-
-    /// Publishes an already-shared snapshot as a new epoch without any
-    /// policy copy at all. A full replacement invalidates the spare
-    /// buffer (its catch-up delta no longer composes to the new content).
-    pub fn publish_arc(&mut self, policy: Arc<RuntimePolicy>) -> PolicyEpoch {
-        self.snapshot = policy;
+    /// Publishes a full replacement policy (or shared snapshot) as a new epoch.
+    pub fn publish(&mut self, policy: impl Into<Arc<RuntimePolicy>>) -> PolicyEpoch {
+        self.snapshot = policy.into();
         self.epoch = self.epoch.next();
-        self.retiring = None;
-        self.spare = None;
         self.epoch
     }
 
-    /// Applies a generator delta and publishes the result as a new epoch.
-    ///
-    /// Steady state (spare buffer available): replay the spare's recorded
-    /// catch-up deltas plus `delta` into the owned buffer and swap the
-    /// published `Arc` — **zero** policy deep copies. Cold start or
-    /// straggler-pinned: one copy-on-write clone. Returns the new epoch
-    /// and the number of entry operations applied.
+    /// Applies a generator delta copy-on-write as a new epoch: handles that
+    /// pin the previous epoch keep it, sharing every chunk the delta left
+    /// alone. Returns the new epoch and the entry operations applied.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
-        self.reclaim();
-        let applied;
-        if let Some((mut buf, lag)) = self.spare.take() {
-            for catchup in &lag {
-                buf.apply_delta(catchup);
-            }
-            applied = buf.apply_delta(delta);
-            let old = std::mem::replace(&mut self.snapshot, Arc::new(buf));
-            self.retiring = Some((old, vec![delta.clone()]));
-        } else if let Some(sole) = Arc::get_mut(&mut self.snapshot) {
-            // Sole current handle (nobody holds this epoch): mutate in
-            // place. A straggler may still pin an *older* retired
-            // snapshot, though — its catch-up lag must grow by this
-            // delta or a later reclaim would replay a stale lag and
-            // publish a policy missing these entries (or resurrecting
-            // digests they revoked).
-            applied = sole.apply_delta(delta);
-            if let Some((_, lag)) = &mut self.retiring {
-                lag.push(delta.clone());
-            }
-        } else {
-            let old = Arc::clone(&self.snapshot);
-            applied = Arc::make_mut(&mut self.snapshot).apply_delta(delta);
-            self.retiring = Some((old, vec![delta.clone()]));
-        }
+        let applied = Arc::make_mut(&mut self.snapshot).apply_delta(delta);
         self.epoch = self.epoch.next();
         (self.epoch, applied)
-    }
-
-    /// Harvests the retired snapshot as the spare buffer if the fleet has
-    /// dropped every handle to it (the first step of each
-    /// [`PolicyStore::publish_delta`]; a still-pinned handle is simply
-    /// kept for a later attempt).
-    fn reclaim(&mut self) {
-        if self.spare.is_some() {
-            return;
-        }
-        if let Some((arc, lag)) = self.retiring.take() {
-            match Arc::try_unwrap(arc) {
-                Ok(policy) => self.spare = Some((policy, lag)),
-                Err(arc) => self.retiring = Some((arc, lag)),
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn policy_with(paths: &[&str]) -> RuntimePolicy {
@@ -249,8 +140,8 @@ mod tests {
     fn publish_arc_is_zero_copy() {
         let mut store = PolicyStore::new();
         let snapshot = Arc::new(policy_with(&["/a"]));
-        store.publish_arc(Arc::clone(&snapshot));
-        // Pointer identity proves no copy was taken (the exact deep-clone
+        store.publish(Arc::clone(&snapshot));
+        // Pointer identity proves no copy was taken (the chunk-copy
         // counter is asserted by the delta-push gate in
         // `tests/hot_path_gates.rs`).
         assert!(Arc::ptr_eq(store.snapshot(), &snapshot));
@@ -262,22 +153,16 @@ mod tests {
         store.publish(policy_with(&["/a"]));
         // Sole handle: the delta mutates the snapshot in place.
         let in_place = Arc::as_ptr(store.snapshot());
-        let (epoch, applied) = store.publish_delta(&PolicyDelta {
-            added: vec![("/b".into(), "bb".into())],
-            ..PolicyDelta::default()
-        });
+        let (epoch, applied) = store.publish_delta(&delta_adding("/b"));
         assert_eq!(Arc::as_ptr(store.snapshot()), in_place);
         assert_eq!(applied, 1);
         assert_eq!(epoch.as_u64(), 2);
         assert_eq!(store.policy().path_count(), 2);
 
-        // A pinned old snapshot forces one copy-on-write clone — and the
+        // A pinned old snapshot gets a copy-on-write successor — and the
         // pinned handle keeps observing the old epoch's content.
         let pinned = Arc::clone(store.snapshot());
-        store.publish_delta(&PolicyDelta {
-            added: vec![("/c".into(), "cc".into())],
-            ..PolicyDelta::default()
-        });
+        store.publish_delta(&delta_adding("/c"));
         assert!(!Arc::ptr_eq(&pinned, store.snapshot()));
         assert_eq!(pinned.path_count(), 2, "pinned snapshot is immutable");
         assert_eq!(store.policy().path_count(), 3);
@@ -290,90 +175,201 @@ mod tests {
         }
     }
 
-    /// The spare-buffer fast path: once the fleet drops the retired
-    /// snapshot, publishes reuse it via the recorded catch-up delta —
-    /// and the content stays exactly what sequential application yields.
+    /// One step of a store's life, as the pin-pattern model replays it.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Full(RuntimePolicy),
+        Delta(PolicyDelta),
+        Pin,
+        /// Drops the pin at this index (modulo the pins held).
+        Unpin(usize),
+    }
+
+    type Model = BTreeMap<String, BTreeSet<String>>;
+
+    fn entries(policy: &RuntimePolicy) -> Model {
+        policy
+            .entries()
+            .map(|(path, set)| (path.clone(), set.clone()))
+            .collect()
+    }
+
+    /// What a delta does, spelled out on a plain map.
+    fn apply(model: &mut Model, delta: &PolicyDelta) {
+        for path in &delta.removed_paths {
+            model.remove(path);
+        }
+        for (path, digest) in &delta.added {
+            model
+                .entry(path.clone())
+                .or_default()
+                .insert(digest.clone());
+        }
+        for (path, keep) in &delta.retired {
+            if let Some(set) = model.get_mut(path).filter(|s| s.contains(keep)) {
+                set.retain(|d| d == keep);
+            }
+        }
+    }
+
+    /// Replays `ops` against a store and a per-epoch model: after every
+    /// step the store equals sequential application of every publish, and
+    /// every pinned snapshot still equals the model of its epoch.
+    fn check_pin_pattern(ops: &[Op]) {
+        let mut store = PolicyStore::new();
+        let mut models: Vec<Model> = vec![Model::new()];
+        let mut pins: Vec<(usize, Arc<RuntimePolicy>)> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                Op::Full(policy) => {
+                    models.push(entries(policy));
+                    store.publish(policy.clone());
+                }
+                Op::Delta(delta) => {
+                    let mut next = models.last().cloned().unwrap_or_default();
+                    apply(&mut next, delta);
+                    models.push(next);
+                    store.publish_delta(delta);
+                }
+                Op::Pin => pins.push((models.len() - 1, Arc::clone(store.snapshot()))),
+                Op::Unpin(i) if !pins.is_empty() => {
+                    pins.remove(i % pins.len());
+                }
+                Op::Unpin(_) => {}
+            }
+            assert_eq!(store.epoch().as_u64() as usize, models.len() - 1);
+            assert!(
+                entries(store.policy()) == models[models.len() - 1],
+                "store diverged at step {step} ({op:?})"
+            );
+            for (epoch, pinned) in &pins {
+                assert!(
+                    entries(pinned) == models[*epoch],
+                    "pin of epoch {epoch} changed at step {step} ({op:?})"
+                );
+            }
+        }
+    }
+
+    /// These four sequences each broke the store's old spare/retiring
+    /// double buffer (a stale catch-up lag published a policy missing a
+    /// path, or resurrected a revoked one); they stay as fixed cases.
     #[test]
     fn reclaimed_spare_replays_the_catchup_delta_faithfully() {
-        let mut store = PolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-
-        // An enrolled fleet: external handles pin the snapshot.
-        let fleet = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/b")); // cold: one CoW copy
-        drop(fleet); // fleet adopts the new epoch
-
-        // Fast path: the retired epoch-1 buffer ("/a") is reclaimed and
-        // must be caught up with the "/b" delta before "/c" lands.
-        let fleet = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/c"));
-        drop(fleet);
-        assert_eq!(store.policy().path_count(), 3);
-        for p in ["/a", "/b", "/c"] {
-            assert!(store.policy().digests_for(p).is_some(), "{p} missing");
-        }
-
-        // And again, one more generation deep.
-        let fleet = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/d"));
-        drop(fleet);
-        assert_eq!(store.policy().path_count(), 4);
-        assert_eq!(store.epoch().as_u64(), 4);
+        use Op::*;
+        check_pin_pattern(&[
+            Full(policy_with(&["/a"])),
+            Pin,
+            Delta(delta_adding("/b")),
+            Unpin(0),
+            Pin,
+            Delta(delta_adding("/c")),
+            Unpin(0),
+            Pin,
+            Delta(delta_adding("/d")),
+            Unpin(0),
+        ]);
     }
 
-    /// Regression (review finding): an in-place publish while a straggler
-    /// pins an *older* retired snapshot must extend that snapshot's
-    /// catch-up lag. Sequence: publish /a, pin straggler, delta +b (CoW
-    /// retires /a), delta +c (current snapshot solely held → in-place),
-    /// drop straggler, delta +d (reclaims /a as the spare and replays the
-    /// lag). The stale-lag bug silently published a policy missing /c.
     #[test]
     fn in_place_publish_extends_the_pinned_stragglers_catchup_lag() {
-        let mut store = PolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-        let straggler = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/b")); // CoW; /a retires
-        store.publish_delta(&delta_adding("/c")); // sole handle: in-place
-        drop(straggler);
-        store.publish_delta(&delta_adding("/d")); // spare replays lag
-        assert_eq!(store.policy().path_count(), 4);
-        for p in ["/a", "/b", "/c", "/d"] {
-            assert!(store.policy().digests_for(p).is_some(), "{p} missing");
+        use Op::*;
+        check_pin_pattern(&[
+            Full(policy_with(&["/a"])),
+            Pin,
+            Delta(delta_adding("/b")),
+            Delta(delta_adding("/c")),
+            Unpin(0),
+            Delta(delta_adding("/d")),
+        ]);
+    }
+
+    #[test]
+    fn in_place_revocation_survives_spare_reclaim() {
+        use Op::*;
+        check_pin_pattern(&[
+            Full(policy_with(&["/a", "/evil"])),
+            Pin,
+            Delta(delta_adding("/b")),
+            Delta(PolicyDelta {
+                removed_paths: vec!["/evil".into()],
+                ..PolicyDelta::default()
+            }),
+            Unpin(0),
+            Delta(delta_adding("/c")),
+        ]);
+    }
+
+    #[test]
+    fn straggler_pin_degrades_to_copy_on_write() {
+        use Op::*;
+        check_pin_pattern(&[
+            Full(policy_with(&["/a"])),
+            Pin,
+            Delta(delta_adding("/b")),
+            Delta(delta_adding("/c")),
+            Delta(delta_adding("/d")),
+        ]);
+    }
+
+    /// Paths `/p/0000`..: a full publish holds the even ones, so deltas
+    /// both edit existing paths and insert between them.
+    fn paths(start: u16, len: u16) -> impl Iterator<Item = String> {
+        (start..start.saturating_add(len)).map(|i| format!("/p/{i:04}"))
+    }
+
+    fn digest(d: u8) -> String {
+        format!("{d:064x}")
+    }
+
+    /// A full publish of 1,000 paths, parsed from its document so its
+    /// chunks are full and the next insert into any of them splits it.
+    fn full(d: u8) -> RuntimePolicy {
+        let mut policy = RuntimePolicy::new();
+        for path in paths(0, 2_000).step_by(2) {
+            policy.allow(path, digest(d));
+        }
+        RuntimePolicy::from_json(&policy.to_json()).unwrap_or_default()
+    }
+
+    fn op((kind, start, len, d): (u8, u16, u16, u8)) -> Op {
+        let pairs = |start, len| paths(start, len).map(|p| (p, digest(d))).collect();
+        match kind {
+            0 => Op::Delta(PolicyDelta {
+                added: pairs(start, len),
+                ..PolicyDelta::default()
+            }),
+            // Removing a long run empties whole chunks; re-adding part of
+            // it lands in whatever chunk took the range over.
+            1 => Op::Delta(PolicyDelta {
+                removed_paths: paths(start, len).collect(),
+                added: pairs(start + len / 2, 20),
+                ..PolicyDelta::default()
+            }),
+            2 => Op::Delta(PolicyDelta {
+                added: pairs(start, len / 4),
+                retired: pairs(start, len),
+                ..PolicyDelta::default()
+            }),
+            3 => Op::Full(full(d)),
+            4 => Op::Pin,
+            _ => Op::Unpin(usize::from(start)),
         }
     }
 
-    /// Same shape, but the in-place delta *revokes* a path: the replayed
-    /// spare must not resurrect it.
-    #[test]
-    fn in_place_revocation_survives_spare_reclaim() {
-        let mut store = PolicyStore::new();
-        store.publish(policy_with(&["/a", "/evil"]));
-        let straggler = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/b")); // CoW; old snapshot retires
-        store.publish_delta(&PolicyDelta {
-            removed_paths: vec!["/evil".into()],
-            ..PolicyDelta::default()
-        }); // in-place revocation
-        drop(straggler);
-        store.publish_delta(&delta_adding("/c")); // spare replays lag
-        assert!(
-            store.policy().digests_for("/evil").is_none(),
-            "revoked path resurrected by a stale catch-up lag"
-        );
-        assert_eq!(store.policy().path_count(), 3);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A straggler pinning the retired snapshot across an epoch degrades
-    /// to copy-on-write — never blocks, never corrupts.
-    #[test]
-    fn straggler_pin_degrades_to_copy_on_write() {
-        let mut store = PolicyStore::new();
-        store.publish(policy_with(&["/a"]));
-        let straggler = Arc::clone(store.snapshot());
-        store.publish_delta(&delta_adding("/b"));
-        store.publish_delta(&delta_adding("/c")); // straggler still pinned
-        store.publish_delta(&delta_adding("/d"));
-        assert_eq!(straggler.path_count(), 1, "straggler view frozen");
-        assert_eq!(store.policy().path_count(), 4);
+        /// Any interleaving of delta publishes, full publishes, pins and
+        /// unpins: no pinned epoch ever changes, and the store is always
+        /// the sequential application of every publish.
+        #[test]
+        fn any_pin_pattern_keeps_every_epoch_intact(
+            steps in proptest::collection::vec((0u8..6, 0u16..2_000, 0u16..600, 0u8..3), 1..24),
+        ) {
+            let mut ops = vec![Op::Full(full(0)), Op::Pin];
+            ops.extend(steps.into_iter().map(op));
+            check_pin_pattern(&ops);
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::backend::{BackendIdentity, BackendKind, CVM_LAUNCH_REGISTER};
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
 use crate::policy::{PolicyCheck, PolicyDelta, RuntimePolicy};
-use crate::store::{PolicyEpoch, PolicyStore, SharedPolicy};
+use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 
 pub use crate::config::VerifierConfig;
@@ -310,7 +310,7 @@ pub(crate) struct AgentRecord {
     backend: BackendIdentity,
     /// Handle to the policy this agent appraises against. Shared agents
     /// hold an `Arc` clone of a [`PolicyStore`] snapshot (a fleet-wide
-    /// push is a handle swap, never a deep copy); override agents hold
+    /// push is a handle swap, never a policy copy); override agents hold
     /// their own privately published snapshot.
     policy: Arc<RuntimePolicy>,
     state: AgentStateSnapshot,
@@ -343,13 +343,13 @@ impl AgentRecord {
     /// not quarantined (a quarantined agent cannot acknowledge a push; it
     /// keeps appraising against the epoch it last adopted until its
     /// recovery round).
-    pub(crate) fn adopt_shared(&mut self, shared: &SharedPolicy) {
+    pub(crate) fn adopt_shared(&mut self, store: &PolicyStore) {
         if self.state.shared_policy
-            && self.state.policy_epoch != shared.epoch
+            && self.state.policy_epoch != store.epoch()
             && self.state.health != AgentHealth::Quarantined
         {
-            self.policy = Arc::clone(&shared.snapshot);
-            self.state.policy_epoch = shared.epoch;
+            self.policy = Arc::clone(store.snapshot());
+            self.state.policy_epoch = store.epoch();
         }
     }
 
@@ -538,32 +538,26 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn use_shared_policy(&mut self, id: &AgentId) -> Result<(), KeylimeError> {
-        let shared = self.store.shared();
+        let store = self.store.clone();
         let record = self.record_mut(id)?;
         record.state.shared_policy = true;
-        record.adopt_shared(&shared);
+        record.adopt_shared(&store);
         Ok(())
     }
 
-    /// Publishes a full policy as a new shared-store epoch and hands the
-    /// snapshot to every non-quarantined shared agent (one `Arc` clone
-    /// each — zero policy deep-copies regardless of fleet size).
-    pub fn publish_policy(&mut self, policy: RuntimePolicy) -> PolicyEpoch {
-        self.publish_policy_arc(Arc::new(policy))
-    }
-
-    /// [`Verifier::publish_policy`] for an already-shared snapshot —
-    /// no copy at all, not even at publish.
-    pub fn publish_policy_arc(&mut self, policy: Arc<RuntimePolicy>) -> PolicyEpoch {
-        let epoch = self.store.publish_arc(policy);
+    /// Publishes a full policy (or an already-shared snapshot) as a new
+    /// shared-store epoch and hands it to every non-quarantined shared
+    /// agent: one `Arc` clone each, zero policy copies at any fleet size.
+    pub fn publish_policy(&mut self, policy: impl Into<Arc<RuntimePolicy>>) -> PolicyEpoch {
+        let epoch = self.store.publish(policy);
         self.adopt_all();
         epoch
     }
 
     /// Applies a generator delta to the shared snapshot copy-on-write and
-    /// distributes the new epoch ([`PolicyStore::publish_delta`]: at most
-    /// one policy copy total, independent of fleet size). Returns the new
-    /// epoch and the number of entry operations applied.
+    /// distributes the new epoch ([`PolicyStore::publish_delta`]: it copies
+    /// only the policy chunks the delta touches, whatever the fleet size).
+    /// Returns the new epoch and the number of entry operations applied.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
         let (epoch, applied) = self.store.publish_delta(delta);
         self.adopt_all();
@@ -571,9 +565,8 @@ impl Verifier {
     }
 
     fn adopt_all(&mut self) {
-        let shared = self.store.shared();
         for record in self.agents.values_mut() {
-            record.adopt_shared(&shared);
+            record.adopt_shared(&self.store);
         }
     }
 
@@ -736,12 +729,12 @@ impl Verifier {
     ) -> Result<AttestationOutcome, KeylimeError> {
         let id = agent.id().clone();
         let config = self.config;
-        let shared = self.store.shared();
+        let store = self.store.clone();
         let record = self.record_mut(&id)?;
         // The same two halves the fleet scheduler wraps its retry loop
         // and latency metering around, so direct and fleet-round
         // verdicts agree by construction.
-        match Self::fetch_evidence(&config, &shared, record, &id, transport, agent)? {
+        match Self::fetch_evidence(&config, &store, record, &id, transport, agent)? {
             FetchedEvidence::Paused => Ok(AttestationOutcome::SkippedPaused),
             FetchedEvidence::Quote { resp, nonce } => Ok(Self::appraise_evidence(
                 &config,
@@ -783,7 +776,7 @@ impl Verifier {
     /// alone.
     pub(crate) fn fetch_evidence<T: Transport>(
         config: &VerifierConfig,
-        shared: &SharedPolicy,
+        store: &PolicyStore,
         record: &mut AgentRecord,
         id: &AgentId,
         transport: &mut T,
@@ -793,7 +786,7 @@ impl Verifier {
         // push (enrolled later, or just recovered from quarantine) picks
         // up the current epoch here. No-op for overrides and while
         // quarantined.
-        record.adopt_shared(shared);
+        record.adopt_shared(store);
 
         if record.state.status == AgentStatus::Paused && !config.continue_on_failure {
             return Ok(FetchedEvidence::Paused);
@@ -1031,16 +1024,16 @@ impl Verifier {
     }
 
     /// Hands the scheduler the per-agent records alongside the config and
-    /// shared-policy snapshots, so each worker can own one
+    /// a clone of the store (one `Arc` bump), so each worker can own one
     /// `&mut AgentRecord` while all of them read the same epoch.
     pub(crate) fn scheduler_view(
         &mut self,
     ) -> (
         VerifierConfig,
-        SharedPolicy,
+        PolicyStore,
         &mut BTreeMap<AgentId, AgentRecord>,
     ) {
-        (self.config, self.store.shared(), &mut self.agents)
+        (self.config, self.store.clone(), &mut self.agents)
     }
 
     /// Copies out one agent's mutable state.
@@ -1358,8 +1351,8 @@ mod tests {
             .unwrap()
             .apply_health(ReachClass::Verified, &config);
         assert_eq!(verifier.health(&id).unwrap(), AgentHealth::Recovering);
-        let shared = verifier.store.shared();
-        verifier.record_mut(&id).unwrap().adopt_shared(&shared);
+        let store = verifier.store.clone();
+        verifier.record_mut(&id).unwrap().adopt_shared(&store);
         assert_eq!(verifier.agent_policy_epoch(&id).unwrap(), new_epoch);
         assert_eq!(verifier.policy(&id).unwrap().path_count(), 2);
     }

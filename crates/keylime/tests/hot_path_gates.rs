@@ -1,19 +1,23 @@
-//! The two hot-path gates: a warm `RuntimePolicy::check_digest` touches
-//! no heap, and a steady-state `Verifier::publish_delta` to a shared fleet
-//! deep-copies no policy.
+//! The hot-path gates: a warm `RuntimePolicy::check_digest` touches no
+//! heap, and a `Verifier::publish_delta` to a shared fleet — or the
+//! replay of a long journal of them — copies only the policy chunks its
+//! deltas touch, never the policy.
 //!
 //! Allocations are counted per thread, by a const-initialised
-//! thread-local inside the counting global allocator, so tests running in
-//! parallel in this binary cannot perturb the count. The deep-clone
-//! counter is process-wide; the push gate is the only test here that
-//! clones a policy.
+//! thread-local inside the counting global allocator, and chunk copies by
+//! a thread-local inside `cia_keylime`, so tests running in parallel in
+//! this binary cannot perturb either count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use cia_crypto::{HashAlgorithm, KeyPair};
-use cia_keylime::{PolicyCheck, PolicyDelta, RuntimePolicy, Verifier, VerifierConfig};
+use cia_keylime::{
+    PolicyCheck, PolicyDelta, RuntimePolicy, Verifier, VerifierConfig, VerifierJournal,
+    DEFAULT_JOURNAL_DIR,
+};
+use cia_vfs::{Vfs, VfsPath};
 
 /// Counts every heap allocation the calling thread makes.
 struct CountingAlloc;
@@ -103,17 +107,6 @@ fn a_steady_state_delta_push_deep_copies_no_policy() {
         policy.allow(format!("/usr/bin/tool-{i:05}"), format!("{i:064x}"));
     }
     policy.exclude("/tmp");
-    // An idempotent update touching 1 % of the policy: each path gains a
-    // digest and retires the old one, so every push applies it in full.
-    let mut delta = PolicyDelta::default();
-    for i in 0..DELTA_TOUCHES {
-        let path = format!("/usr/bin/tool-{i:05}");
-        let digest = format!("{:064x}", i + POLICY_ENTRIES);
-        delta.added.push((path.clone(), digest.clone()));
-        delta.retired.push((path, digest));
-    }
-    delta.meta = policy.meta.clone();
-    delta.meta.version += 1;
 
     let ak = KeyPair::from_material([7u8; 32]).verifying;
     let mut verifier = Verifier::new(VerifierConfig::default());
@@ -121,18 +114,91 @@ fn a_steady_state_delta_push_deep_copies_no_policy() {
     for i in 0..FLEET {
         verifier.add_agent_shared(format!("agent-{i:04}"), ak.clone());
     }
-    // The first push pays the cold copy-on-write and seeds the store's
-    // spare buffer; every push after it is steady state.
-    verifier.publish_delta(&PolicyDelta::default());
 
     for push in 0..PUSHES {
-        let before = RuntimePolicy::deep_clone_count();
+        // Each push moves 1 % of the policy, spread over its range, to a
+        // new digest and retires the old one: every agent still pins the
+        // previous epoch, so every chunk the delta lands in is shared.
+        let mut delta = PolicyDelta::default();
+        for i in 0..DELTA_TOUCHES {
+            let path = format!("/usr/bin/tool-{:05}", i * 37 + push);
+            let digest = format!("{:064x}", POLICY_ENTRIES * (push + 1) + i);
+            delta.added.push((path.clone(), digest.clone()));
+            delta.retired.push((path, digest));
+        }
+        let touched = verifier.policy_store().policy().chunks_touched(&delta);
+        let before = RuntimePolicy::chunk_copy_count();
         let (_, applied) = verifier.publish_delta(black_box(&delta));
+        let copied = RuntimePolicy::chunk_copy_count() - before;
         assert_eq!(applied, delta.len());
-        assert_eq!(
-            RuntimePolicy::deep_clone_count() - before,
-            0,
-            "steady-state push {push} to {FLEET} shared agents deep-copied the policy"
+        assert!(
+            copied <= touched as u64,
+            "push {push} to {FLEET} shared agents copied {copied} chunks; its paths fall in {touched}"
+        );
+        assert!(
+            copied > 0,
+            "push {push} edited shared chunks without copying them"
         );
     }
+}
+
+#[test]
+fn recovering_a_long_journal_copies_only_the_chunks_its_deltas_touched() {
+    const ENTRIES: usize = 50_000;
+    const DELTAS: usize = 60;
+    let mut policy = RuntimePolicy::new();
+    for i in 0..ENTRIES {
+        policy.allow(format!("/usr/lib/pkg-{i:06}"), format!("{i:064x}"));
+    }
+    // Recovery parses the full publish from its document; publishing the
+    // parsed policy gives the live store the same chunk layout, so the
+    // chunks each delta touches are counted against that layout.
+    let policy = RuntimePolicy::from_json(&policy.to_json()).unwrap();
+
+    let dir = VfsPath::new(DEFAULT_JOURNAL_DIR).unwrap();
+    let mut journal = VerifierJournal::create(Vfs::with_standard_layout(), &dir).unwrap();
+    let mut verifier = Verifier::new(VerifierConfig::default());
+    let epoch = verifier.publish_policy(policy);
+    journal
+        .record_publish_full(epoch, verifier.policy_store().policy())
+        .unwrap();
+    let mut touched = 0;
+    for day in 0..DELTAS {
+        // A day's delta: new binaries, which sort after every base path,
+        // plus a few base packages moved to a new digest.
+        let mut delta = PolicyDelta::default();
+        for k in 0..20 {
+            let path = format!("/usr/local/bin/d{day:06}-{k:04}");
+            delta.added.push((path, format!("{:064x}", day * 100 + k)));
+        }
+        for k in 0..5 {
+            let path = format!("/usr/lib/pkg-{:06}", (day * 811 + k * 7_919) % ENTRIES);
+            let digest = format!("{:064x}", ENTRIES + day * 100 + k);
+            delta.added.push((path.clone(), digest.clone()));
+            delta.retired.push((path, digest));
+        }
+        touched += verifier.policy_store().policy().chunks_touched(&delta);
+        let (epoch, _) = verifier.publish_delta(&delta);
+        journal.record_publish_delta(epoch, &delta).unwrap();
+    }
+
+    // Recovery keeps every replayed epoch alive (quarantined agents may
+    // appraise against any of them), so each delta's chunks are shared
+    // when it is replayed.
+    let before = RuntimePolicy::chunk_copy_count();
+    let recovered =
+        VerifierJournal::recover(journal.log().vfs().clone(), &dir, verifier.config()).unwrap();
+    let copied = RuntimePolicy::chunk_copy_count() - before;
+    assert_eq!(
+        recovered.verifier.policy_store().policy(),
+        verifier.policy_store().policy()
+    );
+    assert!(
+        copied > 0,
+        "replayed deltas edited shared chunks without copying them"
+    );
+    assert!(
+        copied <= touched as u64,
+        "recovering {DELTAS} deltas copied {copied} chunks; their paths fall in {touched}"
+    );
 }

@@ -181,25 +181,39 @@ fn arb_delta() -> impl Strategy<Value = PolicyDelta> {
         })
 }
 
+/// Filler paths `/bin/f000`.. that sort before every pool path; a base
+/// with a few hundred of them spans several policy chunks.
+fn filler(start: u16, len: u16) -> impl Iterator<Item = String> {
+    (start..start + len).map(|i| format!("/bin/f{i:03}"))
+}
+
 proptest! {
     /// Incremental delta application is indistinguishable from
     /// rebuilding the policy from the merged JSON: structurally
     /// (`PolicyDiff` empty) and bit-for-bit (JSON), for arbitrary delta
-    /// sequences.
+    /// sequences. A large base spans several chunks, and each delta can
+    /// remove a run of filler paths (emptying whole chunks) and add a run
+    /// back (splitting the chunk that takes them).
     #[test]
     fn apply_delta_equals_rebuild_from_merged_json(
         base in proptest::collection::vec((pool_path(), pool_digest()), 0..10),
-        deltas in proptest::collection::vec(arb_delta(), 1..6),
+        bulk in prop_oneof![Just(0u16), 0u16..900],
+        deltas in proptest::collection::vec((arb_delta(), 0u16..900, 0u16..300, 0u16..300), 1..6),
     ) {
         let mut incremental = RuntimePolicy::new();
+        for path in filler(0, bulk) {
+            incremental.allow(path, format!("{:064x}", 0));
+        }
         for (p, d) in &base {
             incremental.allow(p.clone(), d.clone());
         }
         let mut reference = RuntimePolicy::from_json(&incremental.to_json()).unwrap();
 
-        for (i, delta) in deltas.iter().enumerate() {
+        for (i, (delta, start, cut, grow)) in deltas.iter().enumerate() {
             let mut delta = delta.clone();
             delta.meta.version = i as u64 + 1;
+            delta.removed_paths.extend(filler(*start, *cut));
+            delta.added.extend(filler(start + cut / 2, *grow).map(|p| (p, format!("{i:064x}"))));
             incremental.apply_delta(&delta);
 
             // Reference path: same mutations, then a full JSON round-trip

@@ -224,6 +224,20 @@ fn taint_respects_trusted_prefixes() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
+/// The workspace itself lints clean against its own manifest: this is the
+/// `cia-lint --check` gate, run by a plain `cargo test`.
+#[test]
+fn the_workspace_has_no_findings() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let findings = cia_lint::lint_workspace(&root, &root.join("cia-lint.manifest"))
+        .expect("workspace manifest and sources readable");
+    assert!(
+        findings.is_empty(),
+        "{}",
+        cia_lint::report::human(&findings)
+    );
+}
+
 /// The real workspace manifest parses and declares what the docs say it
 /// declares — a drift guard between `cia-lint.manifest` and the rules.
 #[test]

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: formatting, workspace-wide clippy (which also denies wildcard
-# arms in the journal-recovery and shard-protocol consumers), the repo's
-# own cia-lint static pass (file-local rules + the cross-file taint
-# rule), the tier-1 release build, every crate's unit and integration
-# suites (`cargo test --workspace`: tier-1's default members plus
-# cia-crypto, cia-vfs, cia-tpm, cia-ima, cia-distro, cia-os, cia-attacks,
-# cia-core, cia-lint, cia-bench and the shims — the hot-path gates are
-# tier-1 tests in crates/keylime/tests/hot_path_gates.rs), the paper's
+# arms in the journal-recovery and shard-protocol consumers), the tier-1
+# release build, every crate's unit and integration suites (tier-1's
+# `cargo test`, whose default members are the whole workspace: the
+# hot-path gates in crates/keylime/tests/hot_path_gates.rs, and the
+# repo's own cia-lint static pass as the test
+# crates/lint/tests/rules.rs::the_workspace_has_no_findings), the paper's
 # ablation timings (`ablation_costs`, which asserts the facts behind each
 # comparison; every other timing number is `benchmark/run.sh`'s), the
 # fleet demo (`fleet_demo`, whose acts assert their outcomes), then what needs
@@ -19,9 +18,8 @@
 #
 # Usage: scripts/ci.sh [--offline]
 #
-# Tier-1 is the workspace's default members: `cargo build --release &&
-# cargo test -q`. The workspace step runs those suites once, in the same
-# profile, along with every crate tier-1 leaves out.
+# Tier-1 is `cargo build --release && cargo test -q`; its default
+# members are every crate, so the test step below is tier-1's.
 # The same steps run in .github/workflows/ci.yml. Set CHAOS_LONG=1 to also
 # run the 500-round long simulation inside the chaos job (nightly-style;
 # it stays well under a minute in release).
@@ -40,14 +38,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 
-echo "== cia-lint: workspace static analysis (--check) =="
-cargo run "${OFFLINE[@]}" -q -p cia-lint -- --check
-
 echo "== tier-1: cargo build --release =="
 cargo build "${OFFLINE[@]}" --release
 
-echo "== workspace: every crate's unit and integration suites (tier-1 included) =="
-cargo test "${OFFLINE[@]}" --workspace -q
+echo "== tier-1: cargo test (every crate's suites, the cia-lint gate included) =="
+cargo test "${OFFLINE[@]}" -q
 
 echo "== ablations: the paper's design-question timings =="
 cargo run "${OFFLINE[@]}" --release -p cia-bench --bin ablation_costs
