@@ -11,7 +11,7 @@
 //! ignores cache state: two structs differing only in what they have
 //! memoized are equal.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
@@ -129,7 +129,7 @@ impl<T> Deserialize for Derived<T> {
 /// the cache through a shared `&DigestCache`.
 #[derive(Default)]
 pub struct DigestCache {
-    map: RwLock<HashMap<u64, String>>,
+    map: RwLock<BTreeMap<u64, String>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn versions_monotonically_increase() {
         let (mut stream, repo) = ReleaseStream::new(StreamProfile::small(3));
-        let mut last: std::collections::HashMap<String, Version> = repo
+        let mut last: std::collections::BTreeMap<String, Version> = repo
             .packages()
             .map(|p| (p.name.clone(), p.version.clone()))
             .collect();

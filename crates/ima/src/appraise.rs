@@ -14,7 +14,7 @@
 //! and the appraisal check; `cia-os`'s machine enforces it when
 //! configured.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use cia_crypto::{HashAlgorithm, Signature, SigningKey, VerifyingKey};
 use cia_vfs::{Vfs, VfsPath};
@@ -83,11 +83,11 @@ pub fn sign_file(vfs: &mut Vfs, path: &VfsPath, key: &SigningKey) -> Result<(), 
 ///
 /// Keys are indexed by fingerprint at [`AppraisalKeyring::trust`] time,
 /// so [`AppraisalKeyring::appraise`] resolves a signature's `key_id`
-/// with one hash lookup instead of recomputing every trusted key's
+/// with one map lookup instead of recomputing every trusted key's
 /// fingerprint per appraisal.
 #[derive(Debug, Clone, Default)]
 pub struct AppraisalKeyring {
-    by_fingerprint: HashMap<String, VerifyingKey>,
+    by_fingerprint: BTreeMap<String, VerifyingKey>,
 }
 
 impl AppraisalKeyring {

@@ -1,6 +1,6 @@
 //! The IMA engine: hooks, the measurement cache, and mitigation toggles.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use cia_crypto::{HashAlgorithm, Sha256};
 use cia_tpm::Tpm;
@@ -51,7 +51,7 @@ pub struct Ima {
     config: ImaConfig,
     log: MeasurementLog,
     /// The `iint` cache: measurement state keyed by `(filesystem, inode)`.
-    cache: HashMap<FileId, CachedMeasurement>,
+    cache: BTreeMap<FileId, CachedMeasurement>,
 }
 
 impl Ima {
@@ -66,7 +66,7 @@ impl Ima {
             policy,
             config,
             log: MeasurementLog::new(),
-            cache: HashMap::new(),
+            cache: BTreeMap::new(),
         }
     }
 

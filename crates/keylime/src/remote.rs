@@ -458,8 +458,7 @@ where
     std::thread::scope(|scope| {
         let reader = scope.spawn(move || -> Result<(), WireError> {
             loop {
-                let payload = rx.recv_frame()?;
-                match ShardCommand::from_wire(&payload)? {
+                match rx.recv::<ShardCommand>()? {
                     ShardCommand::Start => {}
                     ShardCommand::Poll(batch) => {
                         if cmd_tx.send(batch).is_err() {
@@ -585,7 +584,7 @@ pub fn drive_round<C: ShardTransport>(
     tx.send_frame(&ShardCommand::End.to_wire())?;
 
     loop {
-        match ShardReply::from_wire(&rx.recv_frame()?)? {
+        match rx.recv::<ShardReply>()? {
             ShardReply::Results(batch) => extend_rows(&mut rows, batch, &mut pending)?,
             ShardReply::Done { health, epoch } => {
                 if !pending.is_empty() {
@@ -619,7 +618,7 @@ fn recv_results<R: FrameReceiver>(
     rows: &mut Vec<AgentRoundResult>,
     pending: &mut BTreeSet<&AgentId>,
 ) -> Result<(), WireError> {
-    match ShardReply::from_wire(&rx.recv_frame()?)? {
+    match rx.recv::<ShardReply>()? {
         ShardReply::Results(batch) => extend_rows(rows, batch, pending),
         ShardReply::Done { .. } => Err(WireError::Protocol {
             reason: "done before end of commands".to_string(),
@@ -807,6 +806,25 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(ShardReply::from_wire(&bytes[..cut]).is_err());
         }
+
+        // Hostile frames at either receiver: an empty payload, a lone
+        // tag whose body is missing, and an unknown tag each arrive as a
+        // typed error for both message kinds.
+        fn hostile_frames<C: ShardTransport>(a: C, b: C) {
+            let (mut tx, _a_rx) = a.split();
+            let (_b_tx, mut rx) = b.split();
+            for payload in [&[][..], &[1], &[9]] {
+                tx.send_frame(payload).unwrap();
+                assert!(rx.recv::<ShardCommand>().is_err(), "{payload:?}");
+                tx.send_frame(payload).unwrap();
+                assert!(rx.recv::<ShardReply>().is_err(), "{payload:?}");
+            }
+            assert_eq!(rx.frames_received(), 6);
+        }
+        let (a, b) = cia_wire::DuplexShardTransport::pair();
+        hostile_frames(a, b);
+        let (a, b) = cia_wire::TcpShardTransport::loopback_pair().unwrap();
+        hostile_frames(a, b);
     }
 
     #[test]
@@ -833,12 +851,9 @@ mod tests {
         let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
         let shard = std::thread::spawn(move || {
             let (mut tx, mut rx) = shard_conn.split();
-            assert_eq!(
-                ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
-                ShardCommand::Start
-            );
+            assert_eq!(rx.recv::<ShardCommand>().unwrap(), ShardCommand::Start);
             assert!(matches!(
-                ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                rx.recv::<ShardCommand>().unwrap(),
                 ShardCommand::Poll(_)
             ));
             let rows = ["a", "b", "c"]
@@ -846,7 +861,7 @@ mod tests {
                 .to_vec();
             tx.send_frame(&ShardReply::Results(rows).to_wire()).unwrap();
             // Hold the connection open until the driver hangs up.
-            while rx.recv_frame().is_ok() {}
+            while rx.recv::<ShardCommand>().is_ok() {}
         });
         let commands: Vec<(AgentId, u64)> = (0..4u64)
             .map(|lane| (AgentId::numbered("agent", lane), lane))
@@ -865,12 +880,9 @@ mod tests {
             let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
             let shard = std::thread::spawn(move || {
                 let (mut tx, mut rx) = shard_conn.split();
-                assert_eq!(
-                    ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
-                    ShardCommand::Start
-                );
+                assert_eq!(rx.recv::<ShardCommand>().unwrap(), ShardCommand::Start);
                 assert!(matches!(
-                    ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap(),
+                    rx.recv::<ShardCommand>().unwrap(),
                     ShardCommand::Poll(_)
                 ));
                 let rows = answered
@@ -884,7 +896,7 @@ mod tests {
                 // The driver may already have hung up on the bad row.
                 let _ = tx.send_frame(&done.to_wire());
                 // Hold the connection open until the driver hangs up.
-                while rx.recv_frame().is_ok() {}
+                while rx.recv::<ShardCommand>().is_ok() {}
             });
             let commands = vec![(AgentId::from("a"), 0), (AgentId::from("b"), 1)];
             let err = drive_round(driver_conn, &commands, 2, 1).unwrap_err();
@@ -912,7 +924,7 @@ mod tests {
             let (mut tx, mut rx) = shard_conn.split();
             let mut polls = Vec::new();
             loop {
-                match ShardCommand::from_wire(&rx.recv_frame().unwrap()).unwrap() {
+                match rx.recv::<ShardCommand>().unwrap() {
                     ShardCommand::Start => {}
                     ShardCommand::Poll(batch) => polls.push(batch),
                     ShardCommand::End => break,

@@ -210,20 +210,6 @@ impl<T: Transport> Cluster<T> {
         self.add_agent(Agent::with_backend(backend), policy)
     }
 
-    /// Provisions a secure-world backend and enrols it on the shared
-    /// policy store (see [`Cluster::add_machine_shared`]).
-    ///
-    /// # Errors
-    ///
-    /// Registration/transport failures.
-    pub fn add_secure_world_shared(
-        &mut self,
-        config: SecureWorldConfig,
-    ) -> Result<AgentId, KeylimeError> {
-        let backend = SecureWorldBackend::provision(config, &self.tee_root);
-        self.add_agent_shared(Agent::with_backend(backend))
-    }
-
     /// Provisions a confidential-VM backend under this cluster's
     /// platform root, then registers and enrols it with `policy`. The
     /// registrar pins the platform-certified launch measurement; the
@@ -239,20 +225,6 @@ impl<T: Transport> Cluster<T> {
     ) -> Result<AgentId, KeylimeError> {
         let backend = ConfidentialVmBackend::provision(config, &self.vm_platform);
         self.add_agent(Agent::with_backend(backend), policy)
-    }
-
-    /// Provisions a confidential-VM backend and enrols it on the shared
-    /// policy store (see [`Cluster::add_machine_shared`]).
-    ///
-    /// # Errors
-    ///
-    /// Registration/transport failures.
-    pub fn add_confidential_vm_shared(
-        &mut self,
-        config: ConfidentialVmConfig,
-    ) -> Result<AgentId, KeylimeError> {
-        let backend = ConfidentialVmBackend::provision(config, &self.vm_platform);
-        self.add_agent_shared(Agent::with_backend(backend))
     }
 
     /// Builds, registers and enrols a machine attached to the verifier's

@@ -19,30 +19,12 @@
 //! undeclared acquisition is itself a finding, which keeps the manifest
 //! honest as the concurrent surface grows.
 //!
-//! The taint rule's configuration lives in a `[taint]` *section* (the
-//! header switches the directive set for the rest of the file; any other
-//! `[name]` header is an error):
-//!
-//! ```text
-//! [taint]                         # untrusted-input taint config
-//! source recv_frame               # calls that yield raw wire bytes
-//! sanitizer from_wire             # calls that validate them
-//! trusted crates/wire/            # path prefix exempt from the rule
-//! ```
+//! A `[name]` section header is an error: the sections of retired
+//! rules (`[taint]`, `[pairs]`, `[exhaustive]`) fail loudly instead of
+//! being ignored.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Untrusted-input taint configuration.
-#[derive(Debug, Clone, Default)]
-pub struct TaintConfig {
-    /// Call names whose results are raw untrusted bytes (`recv_frame`).
-    pub sources: Vec<String>,
-    /// Call names that validate bytes (`from_wire`, `check_crc`).
-    pub sanitizers: Vec<String>,
-    /// Path prefixes exempt from the rule (the codec crate itself).
-    pub trusted: Vec<String>,
-}
 
 /// Parsed manifest contents.
 #[derive(Debug, Default, Clone)]
@@ -56,8 +38,6 @@ pub struct Manifest {
     /// Receiver identifiers that look like locks but are not
     /// (`stdout().lock()` and friends).
     pub lock_ignore: Vec<String>,
-    /// `[taint]` section configuration.
-    pub taint: TaintConfig,
 }
 
 /// A manifest line the parser could not understand.
@@ -83,30 +63,21 @@ impl Manifest {
     /// [`ManifestError`] on an unknown directive, a missing argument, or
     /// a duplicate lock declaration.
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Section {
-            Main,
-            Taint,
-        }
         let mut m = Manifest::default();
-        let mut section = Section::Main;
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = match header.trim() {
-                    "taint" => Section::Taint,
-                    other => {
-                        return Err(ManifestError {
-                            line: line_no,
-                            message: format!("unknown section `[{other}]`"),
-                        })
-                    }
-                };
-                continue;
+            let bad = |message: String| -> ManifestError {
+                ManifestError {
+                    line: line_no,
+                    message,
+                }
+            };
+            if line.starts_with('[') {
+                return Err(bad(format!("unknown section `{line}`")));
             }
             let mut words = line.split_whitespace();
             let directive = words.next().unwrap_or("");
@@ -114,44 +85,25 @@ impl Manifest {
             let need_one = |args: &[&str]| -> Result<String, ManifestError> {
                 match args {
                     [one] => Ok((*one).to_string()),
-                    _ => Err(ManifestError {
-                        line: line_no,
-                        message: format!("`{directive}` takes exactly one argument"),
-                    }),
+                    _ => Err(bad(format!("`{directive}` takes exactly one argument"))),
                 }
             };
-            let bad = |message: String| -> ManifestError {
-                ManifestError {
-                    line: line_no,
-                    message,
-                }
-            };
-            match section {
-                Section::Main => match directive {
-                    "hot-path" => m.hot_paths.push(need_one(&args)?),
-                    "determinism-allow" => m.determinism_allow.push(need_one(&args)?),
-                    "lock-ignore" => m.lock_ignore.push(need_one(&args)?),
-                    "lock-order" => {
-                        if args.is_empty() {
-                            return Err(bad(
-                                "`lock-order` needs at least one lock name".to_string()
-                            ));
-                        }
-                        for name in args {
-                            let rank = m.lock_order.len();
-                            if m.lock_order.insert(name.to_string(), rank).is_some() {
-                                return Err(bad(format!("lock `{name}` declared twice")));
-                            }
+            match directive {
+                "hot-path" => m.hot_paths.push(need_one(&args)?),
+                "determinism-allow" => m.determinism_allow.push(need_one(&args)?),
+                "lock-ignore" => m.lock_ignore.push(need_one(&args)?),
+                "lock-order" => {
+                    if args.is_empty() {
+                        return Err(bad("`lock-order` needs at least one lock name".to_string()));
+                    }
+                    for name in args {
+                        let rank = m.lock_order.len();
+                        if m.lock_order.insert(name.to_string(), rank).is_some() {
+                            return Err(bad(format!("lock `{name}` declared twice")));
                         }
                     }
-                    other => return Err(bad(format!("unknown directive `{other}`"))),
-                },
-                Section::Taint => match directive {
-                    "source" => m.taint.sources.push(need_one(&args)?),
-                    "sanitizer" => m.taint.sanitizers.push(need_one(&args)?),
-                    "trusted" => m.taint.trusted.push(need_one(&args)?),
-                    other => return Err(bad(format!("unknown `[taint]` directive `{other}`"))),
-                },
+                }
+                other => return Err(bad(format!("unknown directive `{other}`"))),
             }
         }
         Ok(m)
@@ -175,11 +127,6 @@ impl Manifest {
     /// True when `name` was declared not-a-lock.
     pub fn lock_ignored(&self, name: &str) -> bool {
         self.lock_ignore.iter().any(|n| n == name)
-    }
-
-    /// True when `path` is under a `[taint] trusted` prefix.
-    pub fn taint_trusted(&self, path: &str) -> bool {
-        self.taint.trusted.iter().any(|p| path.starts_with(p))
     }
 }
 
@@ -209,29 +156,31 @@ lock-ignore stdout\n";
 
     #[test]
     fn parses_taint_section() {
+        // A manifest written for the retired taint rule stops at its
+        // `[taint]` header, naming the line, instead of silently parsing.
         let text = "\
 hot-path crates/x/src/wire.rs\n\
 [taint]\n\
 source recv_frame\n\
 sanitizer from_wire  # validates\n\
 trusted crates/wire/\n";
-        let m = Manifest::parse(text).unwrap();
-        assert!(m.is_hot_path("crates/x/src/wire.rs"));
-        assert_eq!(m.taint.sources, ["recv_frame"]);
-        assert_eq!(m.taint.sanitizers, ["from_wire"]);
-        assert!(m.taint_trusted("crates/wire/src/codec.rs"));
-        assert!(!m.taint_trusted("crates/keylime/src/remote.rs"));
+        let err = Manifest::parse(text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.to_string(),
+            "manifest line 2: unknown section `[taint]`"
+        );
     }
 
     #[test]
     fn rejects_bad_sections() {
         // Sections of retired rules are rejected, so a stale manifest
         // fails loudly instead of being ignored.
-        for header in ["[frobs]", "[pairs]", "[exhaustive]"] {
-            let err = Manifest::parse(&format!("{header}\n")).unwrap_err();
+        for header in ["[frobs]", "[pairs]", "[exhaustive]", "[taint]"] {
+            let err = Manifest::parse(&format!("hot-path x\n{header}\n")).unwrap_err();
             assert!(err.to_string().contains("unknown section"), "{err}");
+            assert_eq!(err.line, 2);
         }
-        assert!(Manifest::parse("[taint]\nhot-path x\n").is_err());
     }
 
     #[test]

@@ -6,9 +6,19 @@
 //! allowlists (benches, the linter itself) or under an explicit
 //! `lint:allow(determinism): reason` when the value feeds metrics only.
 //!
+//! A `HashMap`, `HashSet` or `RandomState` is ambient entropy too: its
+//! hasher is seeded per process, so its iteration order differs from
+//! run to run. Any iteration that feeds a verdict, a report or an
+//! encoder (`Wire::encode`, `to_json`, a hand-written serializer) then
+//! yields different bytes for the same state. Rather than guess which
+//! functions serialize, the rule flags the type names themselves in
+//! pipeline code; `BTreeMap`/`BTreeSet` are the deterministic
+//! replacements.
+//!
 //! Matched patterns: `Instant::now(` / `SystemTime::now(`,
-//! `thread_rng(`, `::from_entropy(` / `.from_entropy(`, and
-//! `rand::random`.
+//! `thread_rng(`, `::from_entropy(` / `.from_entropy(`,
+//! `rand::random`, and the identifiers `HashMap`, `HashSet` and
+//! `RandomState` (once per line).
 
 use crate::source::FileContext;
 
@@ -16,16 +26,36 @@ use super::Finding;
 
 pub const RULE: &str = "determinism";
 
+/// Hash-seeded types: iteration order is random per process.
+const SEEDED_TYPES: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
+
 /// Scans one file for ambient time/entropy reads.
 pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
     let toks = &ctx.tokens;
     let code = &ctx.code;
+    let mut seeded_line = 0;
     for (k, &ti) in code.iter().enumerate() {
         let t = &toks[ti];
         if ctx.in_test_region(t.line) {
             continue;
         }
         let at = |off: usize| code.get(k + off).map(|&i| &toks[i]);
+
+        // HashMap / HashSet / RandomState, once per line
+        if SEEDED_TYPES.iter().any(|name| t.is_ident(name)) {
+            if t.line != seeded_line {
+                seeded_line = t.line;
+                out.push(finding(
+                    ctx,
+                    t.line,
+                    format!(
+                        "`{}` iteration order is seeded per process (use BTreeMap/BTreeSet)",
+                        t.text
+                    ),
+                ));
+            }
+            continue;
+        }
 
         // Instant::now( / SystemTime::now(
         if (t.is_ident("Instant") || t.is_ident("SystemTime"))
@@ -124,6 +154,16 @@ mod tests {
             "fn f() { let s = \"Instant::now()\"; } // Instant::now()\n#[cfg(test)]\nmod tests {\n    fn t() { let x = Instant::now(); }\n}\n",
         );
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn flags_hash_seeded_types_once_per_line() {
+        let out = run(
+            "use std::collections::HashMap;\nstruct S {\n    m: HashMap<u64, HashSet<u64>>,\n    h: RandomState,\n    b: BTreeMap<u64, u64>,\n}\n",
+        );
+        let lines: Vec<u32> = out.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 3, 4], "{out:?}");
+        assert!(out[1].message.contains("`HashMap`"), "{out:?}");
     }
 
     #[test]

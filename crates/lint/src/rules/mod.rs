@@ -1,25 +1,16 @@
 //! The rule engine: which rules run where, and suppression filtering.
 //!
-//! Each *file-local* rule is a pure function from a [`FileContext`]
-//! (plus the [`Manifest`]) to raw findings. The engine scopes rules to
-//! the paths they guard, then drops findings covered by an inline
+//! Each rule is a pure function from a [`FileContext`] (plus the
+//! [`Manifest`]) to raw findings. The engine scopes rules to the paths
+//! they guard, then drops findings covered by an inline
 //! `// lint:allow(rule): reason` comment. A suppression without a
 //! reason is itself reported (`allow-syntax`) — silencing a rule is
 //! allowed, silencing it without saying why is not.
-//!
-//! The cross-file `taint` rule runs as a second pass over the whole file
-//! set at once: pass 1 extracts per-file facts ([`crate::facts`]), pass 2
-//! joins them across the workspace here in [`lint_semantic`].
 
 pub mod determinism;
 pub mod lock_order;
 pub mod panic_path;
-pub mod taint;
-pub mod wire_hygiene;
 
-use std::collections::BTreeMap;
-
-use crate::facts::{self, FileFacts};
 use crate::manifest::Manifest;
 use crate::source::FileContext;
 
@@ -27,7 +18,7 @@ use crate::source::FileContext;
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule identifier (`determinism`, `panic-path`, `lock-order`,
-    /// `wire-hygiene`, `allow-syntax`, `taint`).
+    /// `allow-syntax`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -55,7 +46,6 @@ pub fn lint_file(ctx: &FileContext, manifest: &Manifest) -> Vec<Finding> {
             determinism::check(ctx, &mut raw);
         }
         lock_order::check(ctx, manifest, &mut raw);
-        wire_hygiene::check(ctx, &mut raw);
     }
     if manifest.is_hot_path(&ctx.path) {
         panic_path::check(ctx, &mut raw);
@@ -89,37 +79,6 @@ pub fn lint_file(ctx: &FileContext, manifest: &Manifest) -> Vec<Finding> {
 
     findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     findings
-}
-
-/// Runs the cross-file taint rule over the whole file set: extracts
-/// facts from every context, follows the manifest's `[taint]` sources
-/// through them, fills snippets, and filters suppressions.
-pub fn lint_semantic(ctxs: &[FileContext], manifest: &Manifest) -> Vec<Finding> {
-    if manifest.taint.sources.is_empty() {
-        return Vec::new();
-    }
-    let ctx_by_path: BTreeMap<String, &FileContext> =
-        ctxs.iter().map(|c| (c.path.clone(), c)).collect();
-    let extracted: Vec<FileFacts> = ctxs.iter().map(facts::extract).collect();
-    let facts_by_path: BTreeMap<String, &FileFacts> =
-        extracted.iter().map(|f| (f.path.clone(), f)).collect();
-
-    let mut raw = Vec::new();
-    taint::check(&ctx_by_path, &facts_by_path, manifest, &mut raw);
-
-    raw.iter_mut().for_each(|f| {
-        if let Some(ctx) = ctx_by_path.get(&f.path) {
-            if f.snippet.is_empty() {
-                f.snippet = ctx.snippet(f.line).to_string();
-            }
-        }
-    });
-    raw.retain(|f| {
-        ctx_by_path
-            .get(&f.path)
-            .is_none_or(|ctx| !ctx.is_suppressed(f.rule, f.line))
-    });
-    raw
 }
 
 #[cfg(test)]
@@ -164,5 +123,48 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }\n";
         let ctx = FileContext::new("shims/rand/src/lib.rs", src);
         assert!(lint_file(&ctx, &manifest()).is_empty());
+    }
+}
+
+/// The shapes the retired `wire-hygiene` rule guarded: hash-seeded
+/// iteration feeding a serializer. `determinism` now flags the container
+/// where it is named, so each shape fires at its declaration.
+#[cfg(test)]
+mod wire_hygiene {
+    mod tests {
+        use crate::rules::{determinism, Finding};
+        use crate::source::FileContext;
+
+        fn run(src: &str) -> Vec<Finding> {
+            let ctx = FileContext::new("crates/x/src/lib.rs", src);
+            let mut out = Vec::new();
+            determinism::check(&ctx, &mut out);
+            out
+        }
+
+        #[test]
+        fn flags_iteration_in_serializing_fn() {
+            let src = "struct W { counts: HashMap<String, u64> }\nimpl W {\n    fn encode(&self) -> String {\n        let mut s = String::new();\n        for (k, v) in self.counts.iter() {\n            s.push_str(k);\n        }\n        serde_json::to_string(&s).unwrap_or_default()\n    }\n}\n";
+            let out = run(src);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].line, 1);
+            assert!(out[0].message.contains("`HashMap`"), "{out:?}");
+            assert!(out[0].snippet.contains("counts"), "{out:?}");
+        }
+
+        #[test]
+        fn btreemap_is_always_fine() {
+            let src = "struct W { counts: BTreeMap<String, u64> }\nimpl W {\n    fn encode(&self) -> String {\n        let _ = self.counts.iter();\n        serde_json::to_string(&1).unwrap_or_default()\n    }\n}\n";
+            assert!(run(src).is_empty());
+        }
+
+        #[test]
+        fn for_in_over_map_is_flagged() {
+            let src = "fn encode(seen: HashSet<u64>) -> String {\n    let mut out = String::new();\n    for v in seen {\n        out.push('x');\n    }\n    serde_json::to_string(&out).unwrap_or_default()\n}\n";
+            let out = run(src);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].line, 1);
+            assert!(out[0].message.contains("`HashSet`"), "{out:?}");
+        }
     }
 }

@@ -327,10 +327,10 @@ mod tests {
 
     #[test]
     fn suppression_without_reason_is_recorded_as_such() {
-        let src = "// lint:allow(wire-hygiene)\nlet x = 1;\n";
+        let src = "// lint:allow(lock-order)\nlet x = 1;\n";
         let ctx = FileContext::new("x.rs", src);
         let s = &ctx.suppressions[&1][0];
-        assert_eq!(s.rules, vec!["wire-hygiene"]);
+        assert_eq!(s.rules, vec!["lock-order"]);
         assert!(!s.has_reason);
     }
 

@@ -11,7 +11,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use cia_lint::rules::lock_order;
-use cia_lint::{lint_source, lint_sources, walk, FileContext, Finding, Manifest};
+use cia_lint::{lint_file, walk, FileContext, Finding, Manifest};
 
 /// The manifest fixtures are linted under: both panic fixtures are
 /// declared hot paths; the lock order mirrors the real workspace.
@@ -36,18 +36,8 @@ fn fixture_source(name: &str) -> String {
 
 /// Lints one fixture file under a pipeline-shaped pseudo path.
 fn lint_fixture(name: &str) -> Vec<Finding> {
-    lint_fixture_with(name, &manifest())
-}
-
-/// Same, with a caller-supplied manifest (the taint fixtures declare
-/// their own `[taint]` inputs so they don't cross-contaminate the
-/// file-local fixture runs).
-fn lint_fixture_with(name: &str, manifest: &Manifest) -> Vec<Finding> {
-    lint_source(
-        &format!("crates/fixture/src/{name}"),
-        &fixture_source(name),
-        manifest,
-    )
+    let path = format!("crates/fixture/src/{name}");
+    lint_file(&FileContext::new(&path, &fixture_source(name)), &manifest())
 }
 
 /// `(rule, line)` pairs, sorted, for exact comparison.
@@ -68,6 +58,15 @@ fn determinism_fires_at_exact_lines() {
             ("determinism", 15),
             ("determinism", 16),
             ("determinism", 17),
+            // Hash-seeded containers, whatever consumes their order:
+            // serde, a JSON writer, a `Wire` encoder, a bare `to_json`.
+            ("determinism", 25),
+            ("determinism", 38),
+            ("determinism", 45),
+            ("determinism", 58),
+            ("determinism", 72),
+            ("determinism", 83),
+            ("determinism", 84),
         ],
         "{findings:#?}"
     );
@@ -77,6 +76,45 @@ fn determinism_fires_at_exact_lines() {
 fn determinism_stays_silent_on_good() {
     let findings = lint_fixture("good_determinism.rs");
     assert!(findings.is_empty(), "{findings:#?}");
+}
+
+/// The shapes the retired `wire-hygiene` rule guarded — a hash-seeded
+/// container whose order reaches serde, a JSON writer, a `Wire` encoder
+/// or a bare `to_json` — fire as seeded-type findings at exact lines.
+#[test]
+fn wire_hygiene_fires_at_exact_lines() {
+    let findings = lint_fixture("bad_determinism.rs");
+    let seeded: Vec<Finding> = findings
+        .into_iter()
+        .filter(|f| f.message.contains("seeded per process"))
+        .collect();
+    assert_eq!(
+        fired(&seeded),
+        vec![
+            ("determinism", 25),
+            ("determinism", 38),
+            ("determinism", 45),
+            ("determinism", 58),
+            ("determinism", 72),
+            ("determinism", 83),
+            ("determinism", 84),
+        ],
+        "{seeded:#?}"
+    );
+}
+
+/// An ordered map on the wire is silent on its own merits; the hash map
+/// beside it is silent only because of its reasoned suppression.
+#[test]
+fn wire_hygiene_stays_silent_on_good() {
+    let reason = "// lint:allow(determinism): a point-lookup index, never iterated.";
+    let source = fixture_source("good_determinism.rs");
+    assert!(source.contains(reason), "fixture keeps its suppression");
+    let unsuppressed = source.replace(reason, "// a point-lookup index, never iterated.");
+    let ctx = FileContext::new("crates/fixture/src/good_determinism.rs", &unsuppressed);
+    let findings = lint_file(&ctx, &manifest());
+    assert_eq!(fired(&findings), vec![("determinism", 26)], "{findings:#?}");
+    assert!(findings[0].message.contains("`HashMap`"), "{findings:#?}");
 }
 
 #[test]
@@ -133,26 +171,6 @@ fn lock_order_stays_silent_on_good() {
 }
 
 #[test]
-fn wire_hygiene_fires_at_exact_lines() {
-    let findings = lint_fixture("bad_wire.rs");
-    assert_eq!(
-        fired(&findings),
-        vec![
-            ("wire-hygiene", 10),
-            ("wire-hygiene", 18),
-            ("wire-hygiene", 30)
-        ],
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn wire_hygiene_stays_silent_on_good() {
-    let findings = lint_fixture("good_wire.rs");
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
 fn reasonless_suppressions_are_flagged_but_still_suppress() {
     let findings = lint_fixture("bad_allow.rs");
     assert_eq!(
@@ -169,59 +187,6 @@ fn allow_above_attributes_suppresses_the_item() {
         findings.is_empty(),
         "suppression must skip #[…] lines and land on the item: {findings:#?}"
     );
-}
-
-/// Taint config the taint fixtures are linted under.
-fn taint_manifest() -> Manifest {
-    Manifest::parse(
-        "[taint]\nsource recv_frame\nsource read_frame\n\
-         sanitizer from_wire\nsanitizer check_crc\nsanitizer decode\n",
-    )
-    .unwrap()
-}
-
-#[test]
-fn taint_fires_on_unsanitized_index() {
-    let findings = lint_fixture_with("bad_taint.rs", &taint_manifest());
-    assert_eq!(fired(&findings), vec![("taint", 7)], "{findings:#?}");
-    assert!(
-        findings[0].message.contains("raw transport bytes"),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn taint_stays_silent_on_good() {
-    let findings = lint_fixture_with("good_taint.rs", &taint_manifest());
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn taint_propagates_across_files_into_bytes_params() {
-    // `serve` forwards raw frame bytes into `peek`, defined in another
-    // file; the violation surfaces at peek's indexing line.
-    let a = "pub fn serve(rx: &mut Conn) -> Result<u8, E> {\n    let payload = rx.recv_frame()?;\n    let k = peek(&payload);\n    let cmd = Command::from_wire(&payload)?;\n    Ok(k)\n}\n";
-    let b = "pub fn peek(buf: &[u8]) -> u8 {\n    buf[0]\n}\n";
-    let findings = lint_sources(
-        &[
-            ("crates/fixture/src/xfile_a.rs", a),
-            ("crates/fixture/src/xfile_b.rs", b),
-        ],
-        &taint_manifest(),
-    );
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].path, "crates/fixture/src/xfile_b.rs");
-    assert_eq!(findings[0].line, 2, "{findings:#?}");
-}
-
-#[test]
-fn taint_respects_trusted_prefixes() {
-    let m = Manifest::parse(
-        "[taint]\nsource recv_frame\nsanitizer from_wire\ntrusted crates/fixture/\n",
-    )
-    .unwrap();
-    let findings = lint_fixture_with("bad_taint.rs", &m);
-    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 /// The workspace itself lints clean against its own manifest: this is the
@@ -260,9 +225,6 @@ fn workspace_manifest_is_coherent() {
         "queue before SPARE_WIRES"
     );
     assert!(m.determinism_allowed("crates/bench/src/main.rs"));
-    assert!(m.taint.sources.iter().any(|s| s == "recv_frame"));
-    assert!(m.taint.sanitizers.iter().any(|s| s == "from_wire"));
-    assert!(m.taint_trusted("crates/wire/src/codec.rs"));
 }
 
 /// Drift guard v2: a crate under `crates/` that gains a `wire.rs`,

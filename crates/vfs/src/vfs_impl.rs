@@ -1,6 +1,6 @@
 //! The virtual filesystem proper.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cia_crypto::{Digest, HashAlgorithm};
 use serde::{Deserialize, Serialize};
@@ -20,7 +20,7 @@ pub struct Vfs {
     inodes: BTreeMap<FileId, Inode>,
     files: BTreeMap<VfsPath, FileId>,
     dirs: BTreeSet<VfsPath>,
-    next_ino: HashMap<FilesystemId, u64>,
+    next_ino: BTreeMap<FilesystemId, u64>,
 }
 
 impl Vfs {

@@ -97,7 +97,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
     Ok(())
 }
 
-/// Reads and validates one frame from `r`, returning its payload.
+/// Reads and validates one frame from `r`, returning its payload. Only
+/// [`crate::TcpReceiver`] calls it, and it decodes the payload before
+/// anything leaves this crate.
 ///
 /// # Errors
 ///
@@ -105,7 +107,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
 /// the reader's `UnexpectedEof`); [`WireError::BadMagic`],
 /// [`WireError::FrameTooLarge`], [`WireError::BadCrc`] for corrupt
 /// frames; [`WireError::Io`] for transport failures.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
+pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
     let word = |i: usize| {

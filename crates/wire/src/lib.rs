@@ -12,17 +12,18 @@
 //!   just to be looked at.
 //! - [`Wire`]: the encode/decode trait message types implement. Decode
 //!   never panics: every malformed input surfaces as a [`WireError`].
-//! - [`frame`] / [`unframe`] and [`read_frame`] / [`write_frame`]:
-//!   length-prefixed CRC32-protected framing
-//!   (`[magic][len][crc][payload]`) over byte slices or any
-//!   `Read`/`Write` pair, so torn or corrupted frames are detected at
-//!   the boundary instead of mis-decoding.
+//! - [`frame`] / [`unframe`] and [`write_frame`]: length-prefixed
+//!   CRC32-protected framing (`[magic][len][crc][payload]`) over byte
+//!   slices or any `Write` sink, so torn or corrupted frames are
+//!   detected at the boundary instead of mis-decoding.
 //! - [`ShardTransport`]: a splittable duplex connection carrying frames
 //!   between a federation coordinator and one shard, with two
 //!   implementations — [`DuplexShardTransport`] (in-memory channel,
 //!   frames still fully encoded and CRC-checked) and
 //!   [`TcpShardTransport`] (`std::net` TCP loopback with Nagle
-//!   disabled and a buffered writer flushed per frame).
+//!   disabled and a buffered writer flushed per frame). A receiving
+//!   half returns decoded [`Wire`] messages, never payload bytes: what
+//!   a peer sends is checked and decoded here, at the boundary.
 //!
 //! The protocol spoken over these frames lives with the types it
 //! serializes (`cia-keylime`'s `remote` module); this crate knows only
@@ -40,7 +41,7 @@ mod transport;
 pub use codec::{Reader, Wire, Writer};
 pub use crc::crc32;
 pub use error::WireError;
-pub use frame::{frame, read_frame, unframe, write_frame, FRAME_HEADER_LEN, MAGIC, MAX_FRAME};
+pub use frame::{frame, unframe, write_frame, FRAME_HEADER_LEN, MAGIC, MAX_FRAME};
 pub use transport::{
     DuplexReceiver, DuplexSender, DuplexShardTransport, FrameReceiver, FrameSender, ShardTransport,
     TcpReceiver, TcpSender, TcpShardTransport,

@@ -4,6 +4,9 @@
 //! bidirectional connection. Commands flow one way while results flow
 //! back concurrently, so the connection **splits** into an independent
 //! [`FrameSender`] and [`FrameReceiver`] that different threads own.
+//! A receiver hands out decoded messages only: a frame's payload is
+//! CRC-checked and decoded into a [`Wire`] type before it leaves this
+//! crate, so no caller can act on raw received bytes.
 //! Both halves count frames and bytes locally — telemetry for batching
 //! assertions that deliberately stays out of the scheduler's metrics
 //! registry, which must remain bit-identical to an in-process round.
@@ -22,6 +25,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 
+use crate::codec::Wire;
 use crate::error::WireError;
 use crate::frame::{frame, read_frame, unframe, write_frame, FRAME_HEADER_LEN};
 
@@ -44,14 +48,17 @@ pub trait FrameSender: Send {
 
 /// The receiving half of a split shard connection.
 pub trait FrameReceiver: Send {
-    /// Blocks for the next frame and returns its validated payload.
+    /// Blocks for the next frame and decodes its validated payload as
+    /// exactly one `M`.
     ///
     /// # Errors
     ///
     /// [`WireError::Closed`] at end of stream; [`WireError::BadMagic`],
     /// [`WireError::BadCrc`] and friends for corrupt frames;
-    /// [`WireError::Io`] for transport failures.
-    fn recv_frame(&mut self) -> Result<Vec<u8>, WireError>;
+    /// [`WireError::Io`] for transport failures; any decode error
+    /// (including [`WireError::TrailingBytes`]) when the payload is not
+    /// one well-formed `M`.
+    fn recv<M: Wire>(&mut self) -> Result<M, WireError>;
 
     /// Frames received so far on this half.
     fn frames_received(&self) -> u64;
@@ -151,11 +158,11 @@ pub struct DuplexReceiver {
 }
 
 impl FrameReceiver for DuplexReceiver {
-    fn recv_frame(&mut self) -> Result<Vec<u8>, WireError> {
+    fn recv<M: Wire>(&mut self) -> Result<M, WireError> {
         let framed = self.rx.recv().map_err(|_| WireError::Closed)?;
         self.frames += 1;
         self.bytes += framed.len() as u64;
-        Ok(unframe(&framed)?.to_vec())
+        M::from_wire(unframe(&framed)?)
     }
 
     fn frames_received(&self) -> u64 {
@@ -269,11 +276,11 @@ pub struct TcpReceiver {
 }
 
 impl FrameReceiver for TcpReceiver {
-    fn recv_frame(&mut self) -> Result<Vec<u8>, WireError> {
+    fn recv<M: Wire>(&mut self) -> Result<M, WireError> {
         let payload = read_frame(&mut self.reader)?;
         self.frames += 1;
         self.bytes += (FRAME_HEADER_LEN + payload.len()) as u64;
-        Ok(payload)
+        M::from_wire(&payload)
     }
 
     fn frames_received(&self) -> u64 {
@@ -299,20 +306,20 @@ mod tests {
         // Full-duplex: both directions concurrently.
         let t = std::thread::spawn(move || {
             for i in 0..100u8 {
-                b_tx.send_frame(&[i; 33]).unwrap();
+                b_tx.send_frame(&vec![i; 33].to_wire()).unwrap();
             }
             let mut got = Vec::new();
             for _ in 0..100 {
-                got.push(b_rx.recv_frame().unwrap());
+                got.push(b_rx.recv::<Vec<u8>>().unwrap());
             }
             (b_tx, b_rx, got)
         });
         for i in 0..100u8 {
-            a_tx.send_frame(&[i ^ 0xFF; 7]).unwrap();
+            a_tx.send_frame(&vec![i ^ 0xFF; 7].to_wire()).unwrap();
         }
         let mut got = Vec::new();
         for _ in 0..100 {
-            got.push(a_rx.recv_frame().unwrap());
+            got.push(a_rx.recv::<Vec<u8>>().unwrap());
         }
         let (b_tx, mut b_rx, b_got) = t.join().unwrap();
         for (i, payload) in got.iter().enumerate() {
@@ -323,11 +330,18 @@ mod tests {
         }
         assert_eq!(a_tx.frames_sent(), 100);
         assert_eq!(b_tx.frames_sent(), 100);
-        assert!(a_tx.bytes_sent() >= 100 * (FRAME_HEADER_LEN as u64 + 7));
+        assert!(a_tx.bytes_sent() >= 100 * (FRAME_HEADER_LEN as u64 + 8));
+        // A frame whose payload is not one whole message is a decode
+        // error, not a partial value.
+        a_tx.send_frame(&[3, 1, 2]).unwrap();
+        assert!(matches!(
+            b_rx.recv::<Vec<u8>>(),
+            Err(WireError::BadLength { .. })
+        ));
         // Dropping the peer's halves closes the stream.
         drop(a_tx);
         drop(a_rx);
-        assert!(b_rx.recv_frame().is_err());
+        assert!(b_rx.recv::<Vec<u8>>().is_err());
     }
 
     #[test]
@@ -346,11 +360,14 @@ mod tests {
     fn duplex_receiver_validates_crc() {
         let (a, b) = DuplexShardTransport::pair();
         // Send a corrupted frame by hand.
-        let mut framed = frame(b"payload");
+        let mut framed = frame(&b"payload".to_vec().to_wire());
         let last = framed.len() - 1;
         framed[last] ^= 0x40;
         a.tx.send(framed).unwrap();
         let (_tx, mut rx) = b.split();
-        assert!(matches!(rx.recv_frame(), Err(WireError::BadCrc { .. })));
+        assert!(matches!(
+            rx.recv::<Vec<u8>>(),
+            Err(WireError::BadCrc { .. })
+        ));
     }
 }
