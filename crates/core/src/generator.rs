@@ -324,44 +324,49 @@ impl DynamicPolicyGenerator {
     }
 
     /// Fans the digest work for `files` out across the configured worker
-    /// pool, filling the content-addressed cache. Workers race only on
-    /// cache slots (first writer wins; all compute the same digest), so
-    /// the outcome is independent of scheduling. The serial ingest that
-    /// follows then assembles policy and report in input order from cache
+    /// pool and fills the content-addressed cache. The to-do list holds
+    /// each uncached content identity once; workers claim its files by
+    /// index and hand their `(seed, digest)` pairs back through their
+    /// join handles, and the cache is filled after the join. Each digest
+    /// is a function of its seed alone, and the serial ingest that
+    /// follows assembles policy and report in input order from cache
     /// hits — which is what keeps generation bit-identical across worker
     /// counts.
-    fn prehash<'a>(&self, files: impl Iterator<Item = &'a PackageFile>) {
+    fn prehash<'a>(&mut self, files: impl Iterator<Item = &'a PackageFile>) {
+        let mut seen = BTreeSet::new();
         let todo: Vec<&PackageFile> = files
-            .filter(|f| !self.digest_cache.contains(f.content_seed))
+            .filter(|f| !self.digest_cache.contains(f.content_seed) && seen.insert(f.content_seed))
             .collect();
         let workers = self.config.hash_workers.max(1).min(todo.len());
-        if workers <= 1 {
-            for file in todo {
-                self.digest_cache
-                    .get_or_compute(file.content_seed, || hash_file_content(&file.content()));
-            }
-            return;
-        }
         // Workers claim files by bumping a shared index. `Relaxed` is
         // enough: the index publishes no data, as `todo` is read-only.
         let next = AtomicUsize::new(0);
-        let cache = &self.digest_cache;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(file) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        cache.get_or_compute(file.content_seed, || {
-                            hash_file_content(&file.content())
-                        });
-                    }
-                });
+        let work = || {
+            let mut digests = Vec::new();
+            while let Some(file) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                digests.push((file.content_seed, hash_file_content(&file.content())));
             }
-        });
+            digests
+        };
+        let digests = if workers <= 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        for (seed, digest) in digests {
+            self.digest_cache.insert(seed, digest);
+        }
     }
 
     /// The digest of one package file, served from the content-addressed
     /// cache (prefilled by [`DynamicPolicyGenerator::prehash`]).
-    fn hash_file(&self, file: &PackageFile) -> String {
+    fn hash_file(&mut self, file: &PackageFile) -> String {
         self.digest_cache
             .get_or_compute(file.content_seed, || hash_file_content(&file.content()))
     }

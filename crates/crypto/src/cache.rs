@@ -13,8 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
@@ -116,7 +115,7 @@ impl<T> Deserialize for Derived<T> {
     }
 }
 
-/// A content-addressed digest cache shared across hashing workers.
+/// A content-addressed digest cache.
 ///
 /// Keys are *content identities* — any `u64` that uniquely determines the
 /// bytes being hashed (the simulated mirror derives file bytes purely from
@@ -125,13 +124,13 @@ impl<T> Deserialize for Derived<T> {
 /// cache and skip the SHA-256 entirely; hit/miss counters let callers
 /// assert cache effectiveness without timing.
 ///
-/// Interior mutability (`RwLock`) so a worker pool can consult and fill
-/// the cache through a shared `&DigestCache`.
+/// Plain owned state: a hashing worker pool returns its digests to the
+/// cache's owner, which [`DigestCache::insert`]s them after the join.
 #[derive(Default)]
 pub struct DigestCache {
-    map: RwLock<BTreeMap<u64, String>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    map: BTreeMap<u64, String>,
+    hits: u64,
+    misses: u64,
 }
 
 impl DigestCache {
@@ -142,41 +141,21 @@ impl DigestCache {
 
     /// Whether `key` is already cached (does not count as a hit).
     pub fn contains(&self, key: u64) -> bool {
-        self.map
-            .read()
-            .expect("digest cache poisoned")
-            .contains_key(&key)
+        self.map.contains_key(&key)
     }
 
-    /// The cached digest for `key`, counting a hit or miss.
-    pub fn get(&self, key: u64) -> Option<String> {
-        let found = self
-            .map
-            .read()
-            .expect("digest cache poisoned")
-            .get(&key)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    /// Stores a digest computed for `key`, counting it as a miss.
+    pub fn insert(&mut self, key: u64, digest: String) {
+        self.misses += 1;
+        self.map.insert(key, digest);
     }
 
-    /// Stores a computed digest (last writer wins; workers racing on the
-    /// same content identity compute identical digests).
-    pub fn insert(&self, key: u64, digest: String) {
-        self.map
-            .write()
-            .expect("digest cache poisoned")
-            .insert(key, digest);
-    }
-
-    /// Returns the cached digest for `key`, computing and storing it on a
-    /// miss. Hit/miss counters are updated either way.
-    pub fn get_or_compute(&self, key: u64, compute: impl FnOnce() -> String) -> String {
-        if let Some(found) = self.get(key) {
-            return found;
+    /// Returns the cached digest for `key`, counting a hit, or computes
+    /// and stores it, counting a miss.
+    pub fn get_or_compute(&mut self, key: u64, compute: impl FnOnce() -> String) -> String {
+        if let Some(found) = self.map.get(&key) {
+            self.hits += 1;
+            return found.clone();
         }
         let digest = compute();
         self.insert(key, digest.clone());
@@ -185,22 +164,22 @@ impl DigestCache {
 
     /// Number of cached digests.
     pub fn len(&self) -> usize {
-        self.map.read().expect("digest cache poisoned").len()
+        self.map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
-    /// Lookups that found a cached digest.
+    /// Lookups served from the cache.
     pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
-    /// Lookups that had to compute.
+    /// Digests computed.
     pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 }
 
@@ -264,7 +243,7 @@ mod tests {
 
     #[test]
     fn digest_cache_counts_hits_and_misses() {
-        let cache = DigestCache::new();
+        let mut cache = DigestCache::new();
         assert!(cache.is_empty());
         assert_eq!(cache.get_or_compute(7, || "aa".into()), "aa");
         assert_eq!(cache.get_or_compute(7, || "bb".into()), "aa");
@@ -276,26 +255,5 @@ mod tests {
         // `contains` probes do not disturb the counters.
         assert_eq!(cache.hit_count(), 1);
         assert_eq!(cache.miss_count(), 1);
-    }
-
-    #[test]
-    fn digest_cache_shared_across_threads() {
-        let cache = DigestCache::new();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for key in 0..32 {
-                        cache.get_or_compute(key, || format!("digest-{key}-{t}"));
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 32);
-        // Racing writers on the same identity compute the same bytes in
-        // real use; here we only assert one value per key survived.
-        for key in 0..32 {
-            assert!(cache.contains(key));
-        }
     }
 }

@@ -291,24 +291,11 @@ pub struct RuntimePolicy {
     excludes: Vec<String>,
     /// Document metadata.
     pub meta: PolicyMeta,
-    /// Cached `(line, byte)` totals; maintained incrementally by
-    /// [`RuntimePolicy::allow`]/[`RuntimePolicy::remove_path`]/
-    /// [`RuntimePolicy::dedup_retain`] once first computed.
-    totals: Derived<PolicyTotals>,
-}
-
-/// Rendered-size accounting for one policy: the paper's "lines" (one per
-/// `(path, digest)` pair) and the approximate rendered byte size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PolicyTotals {
-    lines: u64,
-    bytes: u64,
-}
-
-/// Bytes a `(path, digest)` pair contributes to the rendered size: one
-/// `sha256-hex  path\n` line (64 hex chars + two spaces + newline).
-fn line_bytes(path_len: usize) -> u64 {
-    path_len as u64 + 64 + 2 + 1
+    /// Cached line total (see [`RuntimePolicy::line_count`]); maintained
+    /// incrementally by [`RuntimePolicy::allow`]/
+    /// [`RuntimePolicy::remove_path`]/[`RuntimePolicy::dedup_retain`]
+    /// once first computed.
+    totals: Derived<u64>,
 }
 
 impl RuntimePolicy {
@@ -317,36 +304,18 @@ impl RuntimePolicy {
         Self::default()
     }
 
-    /// The cached size totals, computed by full traversal once and then
-    /// maintained incrementally by the mutators.
-    fn totals(&self) -> PolicyTotals {
-        *self.totals.get_or_init(|| PolicyTotals {
-            lines: self.digests.iter().map(|(_, s)| s.len() as u64).sum(),
-            bytes: self
-                .digests
-                .iter()
-                .map(|(path, set)| set.len() as u64 * line_bytes(path.len()))
-                .sum(),
-        })
-    }
-
-    /// Moves the cached totals, once computed, by `lines` pairs of a
-    /// `path_len`-byte path.
-    fn count(&mut self, path_len: usize, lines: i64) {
-        if let Some(t) = self.totals.get_mut() {
-            let bytes = lines * line_bytes(path_len) as i64;
-            t.lines = t.lines.wrapping_add_signed(lines);
-            t.bytes = t.bytes.wrapping_add_signed(bytes);
+    /// Moves the cached line total, once computed, by `lines`.
+    fn count(&mut self, lines: i64) {
+        if let Some(total) = self.totals.get_mut() {
+            *total = total.wrapping_add_signed(lines);
         }
     }
 
     /// Adds `digest` to the allowed set for `path` (existing digests are
     /// retained — the update-window consistency rule).
     pub fn allow(&mut self, path: impl Into<String>, digest: impl Into<String>) {
-        let path = path.into();
-        let path_len = path.len();
-        if self.digests.insert(path, digest.into()) {
-            self.count(path_len, 1);
+        if self.digests.insert(path.into(), digest.into()) {
+            self.count(1);
         }
     }
 
@@ -439,30 +408,26 @@ impl RuntimePolicy {
     }
 
     /// Number of `(path, digest)` pairs — the paper's "lines". Served
-    /// from the cached totals (computed once, then maintained by the
+    /// from the cached total (computed once, then maintained by the
     /// mutators) instead of a full traversal.
     pub fn line_count(&self) -> usize {
-        self.totals().lines as usize
-    }
-
-    /// Approximate rendered size in bytes (one `sha256-hex  path` line per
-    /// pair), matching how the paper reports policy size in MB. Cached
-    /// like [`RuntimePolicy::line_count`].
-    pub fn rendered_size_bytes(&self) -> u64 {
-        self.totals().bytes
+        let total = self
+            .totals
+            .get_or_init(|| self.digests.iter().map(|(_, s)| s.len() as u64).sum());
+        *total as usize
     }
 
     /// Drops every digest for `path` except `keep` (post-update
     /// deduplication).
     pub fn dedup_retain(&mut self, path: &str, keep: &str) {
         let removed = self.digests.retain_only(path, keep).unwrap_or(0);
-        self.count(path.len(), -(removed as i64));
+        self.count(-(removed as i64));
     }
 
     /// Removes a path entirely (e.g. disallowing outdated kernel modules).
     pub fn remove_path(&mut self, path: &str) -> bool {
         let removed = self.digests.remove(path);
-        self.count(path.len(), -(removed.unwrap_or(0) as i64));
+        self.count(-(removed.unwrap_or(0) as i64));
         removed.is_some()
     }
 
@@ -634,8 +599,7 @@ mod tests {
     fn size_accounting() {
         let mut p = RuntimePolicy::new();
         p.allow("/usr/bin/ls", "a".repeat(64));
-        // 11 (path) + 64 + 3 = 78
-        assert_eq!(p.rendered_size_bytes(), 78);
+        assert_eq!(p.line_count(), 1);
         assert_eq!(p.path_count(), 1);
     }
 
@@ -671,19 +635,9 @@ mod tests {
         assert!(RuntimePolicy::new().diff(&RuntimePolicy::new()).is_empty());
     }
 
-    fn recomputed_totals(p: &RuntimePolicy) -> (usize, u64) {
-        let lines = p.entries().map(|(_, s)| s.len()).sum();
-        let bytes = p
-            .entries()
-            .map(|(path, set)| set.len() as u64 * (path.len() as u64 + 64 + 2 + 1))
-            .sum();
-        (lines, bytes)
-    }
-
     fn assert_totals_match(p: &RuntimePolicy) {
-        let (lines, bytes) = recomputed_totals(p);
+        let lines: usize = p.entries().map(|(_, s)| s.len()).sum();
         assert_eq!(p.line_count(), lines);
-        assert_eq!(p.rendered_size_bytes(), bytes);
     }
 
     #[test]

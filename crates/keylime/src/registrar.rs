@@ -19,8 +19,6 @@ use crate::agent::{Agent, AgentRequest, AgentResponse, IdentityResponse};
 use crate::backend::BackendIdentity;
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
-#[cfg(test)]
-use crate::transport::ReliableTransport;
 use crate::transport::Transport;
 
 /// What the registrar stores per enrolled agent: the attestation key and
@@ -218,6 +216,7 @@ mod tests {
         SecureWorldConfig,
     };
     use crate::chaos::{ChaosTransport, FaultPlan};
+    use crate::transport::ReliableTransport;
     use cia_os::{Machine, MachineConfig};
     use cia_tpm::Manufacturer;
 

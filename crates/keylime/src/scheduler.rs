@@ -379,6 +379,31 @@ pub struct AgentRoundResult {
     pub outcome: RoundOutcome,
 }
 
+impl AgentRoundResult {
+    /// The row for `id`'s record as it stands: its enrolment-proven
+    /// backend (not whatever the wire tag claimed), and the epoch and
+    /// store membership the record holds now.
+    pub(crate) fn new(
+        id: AgentId,
+        record: &AgentRecord,
+        day: u32,
+        attempts: u32,
+        backoff_ms: u64,
+        outcome: RoundOutcome,
+    ) -> Self {
+        AgentRoundResult {
+            id,
+            backend: record.backend_identity().kind(),
+            day,
+            attempts,
+            backoff_ms,
+            policy_epoch: record.state().policy_epoch,
+            shared_policy: record.state().shared_policy,
+            outcome,
+        }
+    }
+}
+
 /// The outcome of one concurrent fleet round, ordered by agent id.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundReport {
@@ -692,18 +717,8 @@ fn orphan_row(id: AgentId, record: &AgentRecord, counts: &mut MetricsSnapshot) -
     counts.unreachable += 1;
     counts.per_backend.for_kind_mut(backend).unreachable += 1;
     counts.orphaned += 1;
-    AgentRoundResult {
-        id,
-        backend,
-        day: 0,
-        attempts: 0,
-        backoff_ms: 0,
-        policy_epoch: record.state().policy_epoch,
-        shared_policy: record.state().shared_policy,
-        outcome: RoundOutcome::Unreachable {
-            reason: "no agent process supplied for enrolled id".to_string(),
-        },
-    }
+    let reason = "no agent process supplied for enrolled id".to_string();
+    AgentRoundResult::new(id, record, 0, 0, 0, RoundOutcome::Unreachable { reason })
 }
 
 /// Drives one agent's poll to a terminal outcome: quarantine gating, the
@@ -719,23 +734,9 @@ fn attest_with_retry<T: Transport>(
     transport: &mut T,
 ) -> AgentRoundResult {
     let day = job.agent.day();
-    // Appraisal is against the enrolment-proven backend, so the result
-    // row reports that identity — not whatever the wire tag claims.
     let backend = job.record.backend_identity().kind();
     let mut attempts = 0u32;
     let mut backoff_ms = 0u64;
-    // The row for the slot's current accounting and record state.
-    let row =
-        |job: &Job<'_>, attempts: u32, backoff_ms: u64, outcome: RoundOutcome| AgentRoundResult {
-            id: job.id.clone(),
-            backend,
-            day,
-            attempts,
-            backoff_ms,
-            policy_epoch: job.record.state().policy_epoch,
-            shared_policy: job.record.state().shared_policy,
-            outcome,
-        };
 
     // Quarantine gate: a quarantined agent is polled only when its
     // re-probe is due; otherwise the round costs zero transport calls.
@@ -745,18 +746,14 @@ fn attest_with_retry<T: Transport>(
     if config.quarantine_enabled && job.record.state().health == AgentHealth::Quarantined {
         if let Some(next_probe_in) = job.record.tick_reprobe() {
             counts.quarantine_skips += 1;
-            return row(
-                job,
-                0,
-                0,
-                RoundOutcome::SkippedQuarantined { next_probe_in },
-            );
+            let outcome = RoundOutcome::SkippedQuarantined { next_probe_in };
+            return AgentRoundResult::new(job.id.clone(), job.record, day, 0, 0, outcome);
         }
         counts.probes += 1;
         retry_budget = 0;
     }
 
-    loop {
+    let outcome = loop {
         attempts += 1;
         counts.calls += 1;
         // lint:allow(determinism): latency metering only — the reading
@@ -772,11 +769,10 @@ fn attest_with_retry<T: Transport>(
                 counts.skipped_paused += 1;
                 // Nothing was requested: no reachability evidence, so
                 // health stays as it was.
-                return row(job, attempts, backoff_ms, RoundOutcome::SkippedPaused);
+                break RoundOutcome::SkippedPaused;
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                let outcome = appraise_fetched(config, counts, job, *resp, &nonce, day);
-                return row(job, attempts, backoff_ms, outcome);
+                break appraise_fetched(config, counts, job, *resp, &nonce, day);
             }
             Err(e) => e,
         };
@@ -790,12 +786,7 @@ fn attest_with_retry<T: Transport>(
             counts.per_backend.for_kind_mut(backend).unreachable += 1;
             update_health(job.record, ReachClass::Unreachable, config, counts);
             let reason = error.to_string();
-            return row(
-                job,
-                attempts,
-                backoff_ms,
-                RoundOutcome::Unreachable { reason },
-            );
+            break RoundOutcome::Unreachable { reason };
         }
         counts.retries += 1;
         // Backoff is recorded, not slept: the schedule is part of the
@@ -804,7 +795,15 @@ fn attest_with_retry<T: Transport>(
         let backoff = config.backoff_for_attempt(attempts).as_millis() as u64;
         backoff_ms += backoff;
         counts.backoff_ms += backoff;
-    }
+    };
+    AgentRoundResult::new(
+        job.id.clone(),
+        job.record,
+        day,
+        attempts,
+        backoff_ms,
+        outcome,
+    )
 }
 
 /// Appraises fetched evidence, counts the verdict, and applies the

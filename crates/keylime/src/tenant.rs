@@ -27,9 +27,7 @@ use crate::revocation::{RevocationBus, RevocationEmitter};
 use crate::scheduler::{self, AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
 use crate::store::PolicyEpoch;
 use crate::transport::{ReliableTransport, Transport};
-use crate::verifier::{
-    AgentRecord, AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig,
-};
+use crate::verifier::{AgentStatus, Alert, AttestationOutcome, Verifier, VerifierConfig};
 
 /// Everything needed to run attestation experiments in one process: a TPM
 /// manufacturer, a registrar trusting it, a verifier, a transport, the
@@ -421,7 +419,8 @@ impl<T: Transport> Cluster<T> {
         // A synthetic ack carries the agent's current mutable state; its
         // result row is filler (round 0 / last-committed acks are never
         // part of a resume plan).
-        let result = sequential_row(id, record, 0, 0, RoundOutcome::Verified { new_entries: 0 });
+        let outcome = RoundOutcome::Verified { new_entries: 0 };
+        let result = AgentRoundResult::new(id.clone(), record, 0, 0, 0, outcome);
         journal.record_agent_ack(journal.last_committed(), &result, record)
     }
 
@@ -607,7 +606,8 @@ impl<T: Transport> Cluster<T> {
             AttestationOutcome::Failed { alerts } => RoundOutcome::Failed { alerts },
             AttestationOutcome::SkippedPaused => RoundOutcome::SkippedPaused,
         };
-        let row = sequential_row(id, self.verifier.record(id)?, day, 1, row_outcome);
+        let record = self.verifier.record(id)?;
+        let row = AgentRoundResult::new(id.clone(), record, day, 1, 0, row_outcome);
         self.commit_round_side_effects(vec![row]);
         Ok(outcome)
     }
@@ -742,26 +742,5 @@ impl<T: Transport> Cluster<T> {
     /// [`KeylimeError::UnknownAgent`].
     pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
         self.verifier.alerts(id)
-    }
-}
-
-/// The result row for `id`'s record as it stands, for work done outside
-/// the round engine: a direct poll, or a journal-only ack.
-fn sequential_row(
-    id: &AgentId,
-    record: &AgentRecord,
-    day: u32,
-    attempts: u32,
-    outcome: RoundOutcome,
-) -> AgentRoundResult {
-    AgentRoundResult {
-        id: id.clone(),
-        backend: record.backend_identity().kind(),
-        day,
-        attempts,
-        backoff_ms: 0,
-        policy_epoch: record.state().policy_epoch,
-        shared_policy: record.state().shared_policy,
-        outcome,
     }
 }

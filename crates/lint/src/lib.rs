@@ -12,9 +12,10 @@
 //!   pipeline code at all.
 //! * **`panic-path`** — no `unwrap`/`expect`/`panic!`-family calls in
 //!   declared hot paths outside `#[cfg(test)]`.
-//! * **`lock-order`** — every named lock is ranked in a manifest;
-//!   nested acquisitions must follow the declared total order, and no
-//!   guard may be held across a `Transport::call`.
+//! * **`lock-order`** — every lock is a leaf: no lock is acquired, and
+//!   no `Transport::call` made, while another guard is live. With no
+//!   nesting there is no order to declare, so the rule takes no
+//!   manifest entries.
 //! * **`allow-syntax`** — every `lint:allow` suppression must carry a
 //!   `: reason` clause.
 //!
@@ -26,7 +27,7 @@
 //! no caller can index raw wire bytes.
 //!
 //! See `cia-lint.manifest` at the workspace root for the declared hot
-//! paths, determinism allowlist and lock order.
+//! paths and the determinism allowlist.
 
 pub mod lexer;
 pub mod manifest;

@@ -7,23 +7,16 @@
 //! ```text
 //! hot-path crates/keylime/src/verifier.rs   # panic-free enforcement
 //! determinism-allow crates/bench/           # wall-clock is the point
-//! lock-order inner                          # outermost first
-//! lock-order pins
-//! lock-ignore stdout                        # std handles, not locks
 //! ```
 //!
-//! `lock-order` lines declare the workspace's **total lock order**: a
-//! lock may only be acquired while holding locks that appear strictly
-//! *earlier* in the list. Every zero-argument `.lock()`/`.read()`/
-//! `.write()` receiver must be declared (or explicitly ignored) — an
-//! undeclared acquisition is itself a finding, which keeps the manifest
-//! honest as the concurrent surface grows.
+//! The lock rule needs no declarations: every lock is a leaf, so there
+//! is no order to write down. The retired `lock-order` and
+//! `lock-ignore` directives are errors naming their line.
 //!
 //! A `[name]` section header is an error: the sections of retired
 //! rules (`[taint]`, `[pairs]`, `[exhaustive]`) fail loudly instead of
 //! being ignored.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Parsed manifest contents.
@@ -33,11 +26,6 @@ pub struct Manifest {
     pub hot_paths: Vec<String>,
     /// Path prefixes exempt from the determinism rule.
     pub determinism_allow: Vec<String>,
-    /// Lock name → rank in the declared total order (0 = outermost).
-    pub lock_order: BTreeMap<String, usize>,
-    /// Receiver identifiers that look like locks but are not
-    /// (`stdout().lock()` and friends).
-    pub lock_ignore: Vec<String>,
 }
 
 /// A manifest line the parser could not understand.
@@ -60,8 +48,8 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`ManifestError`] on an unknown directive, a missing argument, or
-    /// a duplicate lock declaration.
+    /// [`ManifestError`] on an unknown directive or section, or a
+    /// directive without exactly one argument.
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
         let mut m = Manifest::default();
         for (idx, raw) in text.lines().enumerate() {
@@ -91,18 +79,6 @@ impl Manifest {
             match directive {
                 "hot-path" => m.hot_paths.push(need_one(&args)?),
                 "determinism-allow" => m.determinism_allow.push(need_one(&args)?),
-                "lock-ignore" => m.lock_ignore.push(need_one(&args)?),
-                "lock-order" => {
-                    if args.is_empty() {
-                        return Err(bad("`lock-order` needs at least one lock name".to_string()));
-                    }
-                    for name in args {
-                        let rank = m.lock_order.len();
-                        if m.lock_order.insert(name.to_string(), rank).is_some() {
-                            return Err(bad(format!("lock `{name}` declared twice")));
-                        }
-                    }
-                }
                 other => return Err(bad(format!("unknown directive `{other}`"))),
             }
         }
@@ -118,16 +94,6 @@ impl Manifest {
     pub fn determinism_allowed(&self, path: &str) -> bool {
         self.determinism_allow.iter().any(|p| path.starts_with(p))
     }
-
-    /// The declared rank of a lock, if declared.
-    pub fn lock_rank(&self, name: &str) -> Option<usize> {
-        self.lock_order.get(name).copied()
-    }
-
-    /// True when `name` was declared not-a-lock.
-    pub fn lock_ignored(&self, name: &str) -> bool {
-        self.lock_ignore.iter().any(|n| n == name)
-    }
 }
 
 #[cfg(test)]
@@ -139,19 +105,11 @@ mod tests {
         let text = "\
 # comment\n\
 hot-path crates/keylime/src/store.rs\n\
-determinism-allow crates/bench/   # trailing comment\n\
-lock-order inner pins\n\
-lock-order map\n\
-lock-ignore stdout\n";
+determinism-allow crates/bench/   # trailing comment\n";
         let m = Manifest::parse(text).unwrap();
         assert!(m.is_hot_path("crates/keylime/src/store.rs"));
         assert!(m.determinism_allowed("crates/bench/src/bin/x.rs"));
         assert!(!m.determinism_allowed("crates/keylime/src/store.rs"));
-        assert_eq!(m.lock_rank("inner"), Some(0));
-        assert_eq!(m.lock_rank("pins"), Some(1));
-        assert_eq!(m.lock_rank("map"), Some(2));
-        assert_eq!(m.lock_rank("ghost"), None);
-        assert!(m.lock_ignored("stdout"));
     }
 
     #[test]
@@ -188,17 +146,31 @@ trusted crates/wire/\n";
         let err = Manifest::parse("frobnicate x\n").unwrap_err();
         assert!(err.to_string().contains("unknown directive"));
         assert_eq!(err.line, 1);
+        // The retired lock directives are unknown too, naming their line.
+        let err = Manifest::parse("lock-order a b\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "manifest line 1: unknown directive `lock-order`"
+        );
+        let err = Manifest::parse("hot-path x\n\nlock-ignore stdout\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "manifest line 3: unknown directive `lock-ignore`"
+        );
     }
 
     #[test]
     fn rejects_duplicate_lock() {
-        let err = Manifest::parse("lock-order a\nlock-order a\n").unwrap_err();
-        assert!(err.to_string().contains("declared twice"));
+        // No lock is declared any more, so a manifest that declares one
+        // twice stops at its first declaration.
+        let err = Manifest::parse("hot-path x\nlock-order a\nlock-order a\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("unknown directive"), "{err}");
     }
 
     #[test]
     fn rejects_arity_errors() {
         assert!(Manifest::parse("hot-path a b\n").is_err());
-        assert!(Manifest::parse("lock-order\n").is_err());
+        assert!(Manifest::parse("determinism-allow\n").is_err());
     }
 }

@@ -1,22 +1,19 @@
-//! `lock-order`: static lock-discipline enforcement.
+//! `lock-order`: every lock is a leaf.
 //!
-//! The manifest declares a total order over every named lock in the
-//! workspace (`lock-order inner pins map` ⇒ `inner` before `pins`
-//! before `map`). This rule tracks guard lifetimes over the token
-//! stream and reports:
+//! No lock in the workspace is acquired while another guard is live,
+//! so there is no order to declare: the rule tracks guard lifetimes
+//! over the token stream and reports
 //!
-//! 1. **Order violations** — acquiring a lock whose declared rank is
-//!    not strictly greater than every lock currently held (equal rank
-//!    means re-acquiring the same lock: guaranteed self-deadlock on a
-//!    non-reentrant mutex).
-//! 2. **Undeclared locks** — a zero-argument `.lock()`/`.read()`/
-//!    `.write()` on a receiver the manifest neither ranks nor ignores.
-//!    This keeps the manifest honest: new locks must be placed in the
-//!    order before they compile past CI.
-//! 3. **Guards across transport** — calling `.call(` (the `Transport`
-//!    RPC entry point) while any guard is held. An RPC under a lock
+//! 1. **Nested acquisitions** — a zero-argument `.lock()`/`.read()`/
+//!    `.write()` while any guard is live. Re-acquiring the lock a live
+//!    guard already holds is named as the self-deadlock it is on a
+//!    non-reentrant mutex.
+//! 2. **Guards across transport** — calling `.call(` (the `Transport`
+//!    RPC entry point) while any guard is live. An RPC under a lock
 //!    stalls every thread behind that lock for a full network round
 //!    trip — the convoy the scheduler's round budget cannot absorb.
+//!
+//! A lock that is only ever taken on its own needs no declaration.
 //!
 //! Guard lifetime model (heuristic, by design): a `let`-bound guard
 //! lives until `drop(name)` or the close of its binding block; an
@@ -24,7 +21,7 @@
 //! zero-argument `.lock()`/`.read()`/`.write()` calls are treated as
 //! acquisitions, so `vfs.read(path)` is never confused for one.
 
-use crate::manifest::Manifest;
+use crate::lexer::{Tok, TokKind};
 use crate::source::FileContext;
 
 use super::Finding;
@@ -33,29 +30,32 @@ pub const RULE: &str = "lock-order";
 
 #[derive(Debug)]
 struct Held {
-    /// Lock name from the manifest.
+    /// Receiver the guard was taken from.
     lock: String,
-    /// Declared rank.
-    rank: usize,
     /// Binding name when `let`-bound.
     bound: Option<String>,
     /// Brace depth at acquisition; the guard dies when its block closes.
     depth: i32,
-    /// True for guards not bound to a name (die at end of statement).
-    temp: bool,
-    /// Line of acquisition, for the violation message.
+    /// Line of acquisition, for the finding's message.
     line: u32,
 }
 
-/// Scans one file for lock-discipline violations.
-pub fn check(ctx: &FileContext, manifest: &Manifest, out: &mut Vec<Finding>) {
+/// Scans one file for acquisitions and transport calls under a live
+/// guard.
+pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
     let toks = &ctx.tokens;
     let code = &ctx.code;
     let mut held: Vec<Held> = Vec::new();
     let mut depth: i32 = 0;
+    let finding = |line: u32, message: String| Finding {
+        rule: RULE,
+        path: ctx.path.clone(),
+        line,
+        message,
+        snippet: ctx.snippet(line).to_string(),
+    };
 
-    let mut k = 0usize;
-    while k < code.len() {
+    for k in 0..code.len() {
         let t = &toks[code[k]];
         let at = |off: usize| code.get(k + off).map(|&i| &toks[i]);
 
@@ -65,13 +65,10 @@ pub fn check(ctx: &FileContext, manifest: &Manifest, out: &mut Vec<Finding>) {
             depth -= 1;
             held.retain(|g| g.depth <= depth);
         } else if t.is_punct(';') {
-            held.retain(|g| !(g.temp && g.depth == depth));
+            held.retain(|g| g.bound.is_some() || g.depth != depth);
         } else if t.is_ident("drop") && at(1).is_some_and(|n| n.is_punct('(')) {
-            if let Some(name) = at(2) {
-                if name.kind == crate::lexer::TokKind::Ident {
-                    let name = name.text.clone();
-                    held.retain(|g| g.bound.as_deref() != Some(name.as_str()));
-                }
+            if let Some(name) = at(2).filter(|n| n.kind == TokKind::Ident) {
+                held.retain(|g| g.bound.as_deref() != Some(name.text.as_str()));
             }
         } else if t.is_ident("call")
             && k > 0
@@ -79,86 +76,48 @@ pub fn check(ctx: &FileContext, manifest: &Manifest, out: &mut Vec<Finding>) {
             && at(1).is_some_and(|n| n.is_punct('('))
             && !ctx.in_test_region(t.line)
         {
-            for g in &held {
-                out.push(Finding {
-                    rule: RULE,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    message: format!(
+            if let Some(g) = held.last() {
+                out.push(finding(
+                    t.line,
+                    format!(
                         "transport `.call()` while holding `{}` (acquired line {}) — \
                          an RPC round trip under a lock convoys every waiter",
                         g.lock, g.line
                     ),
-                    snippet: ctx.snippet(t.line).to_string(),
-                });
+                ));
             }
         } else if is_acquisition(toks, code, k) && !ctx.in_test_region(t.line) {
-            if let Some(receiver) = receiver_name(toks, code, k) {
-                if !manifest.lock_ignored(&receiver) {
-                    match manifest.lock_rank(&receiver) {
-                        None => out.push(Finding {
-                            rule: RULE,
-                            path: ctx.path.clone(),
-                            line: t.line,
-                            message: format!(
-                                "lock `{receiver}` is not in the lock-order manifest; \
-                                 declare it with `lock-order` (or `lock-ignore` if it \
-                                 is not a lock)"
-                            ),
-                            snippet: ctx.snippet(t.line).to_string(),
-                        }),
-                        Some(rank) => {
-                            for g in &held {
-                                if g.rank >= rank {
-                                    let why = if g.rank == rank {
-                                        "re-acquiring a non-reentrant lock self-deadlocks"
-                                    } else {
-                                        "acquisition order inverts the declared manifest order"
-                                    };
-                                    out.push(Finding {
-                                        rule: RULE,
-                                        path: ctx.path.clone(),
-                                        line: t.line,
-                                        message: format!(
-                                            "`{receiver}` acquired while holding `{}` \
-                                             (line {}): {why}",
-                                            g.lock, g.line
-                                        ),
-                                        snippet: ctx.snippet(t.line).to_string(),
-                                    });
-                                }
-                            }
-                            held.push(Held {
-                                lock: receiver,
-                                rank,
-                                bound: binding_name(toks, code, k),
-                                depth,
-                                temp: binding_name(toks, code, k).is_none(),
-                                line: t.line,
-                            });
-                        }
-                    }
-                }
+            // An unnamed receiver (`locks[i].lock()`) is still a guard.
+            let lock = receiver_name(toks, code, k).unwrap_or_else(|| "lock".to_string());
+            let same = held.iter().find(|g| g.lock == lock);
+            if let Some(g) = same.or(held.last()) {
+                let why = if g.lock == lock {
+                    "re-acquiring a non-reentrant lock self-deadlocks"
+                } else {
+                    "every lock is a leaf; release the first guard before taking another"
+                };
+                out.push(finding(
+                    t.line,
+                    format!(
+                        "`{lock}` acquired while holding `{}` (line {}): {why}",
+                        g.lock, g.line
+                    ),
+                ));
             }
+            held.push(Held {
+                lock,
+                bound: binding_name(toks, code, k),
+                depth,
+                line: t.line,
+            });
         }
-        k += 1;
     }
-}
-
-/// The receiver of every acquisition outside test regions, in source
-/// order: the lock names this file takes, as the rule sees them.
-pub fn acquired_locks(ctx: &FileContext) -> Vec<String> {
-    let (toks, code) = (&ctx.tokens, &ctx.code);
-    (0..code.len())
-        .filter(|&k| is_acquisition(toks, code, k) && !ctx.in_test_region(toks[code[k]].line))
-        .filter_map(|k| receiver_name(toks, code, k))
-        .collect()
 }
 
 /// True when `code[k]` starts `.lock()` / `.read()` / `.write()` — the
 /// ident itself, preceded by `.`, followed by `(` `)`. Zero-argument
 /// only: `vfs.read(path)` is I/O, not an acquisition.
-fn is_acquisition(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> bool {
+fn is_acquisition(toks: &[Tok], code: &[usize], k: usize) -> bool {
     let t = &toks[code[k]];
     (t.is_ident("lock") || t.is_ident("read") || t.is_ident("write"))
         && k > 0
@@ -170,7 +129,7 @@ fn is_acquisition(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> bool 
 /// The receiver identifier of the acquisition at `code[k]`: the token
 /// before the `.`, back-walking over one balanced `(…)` group so
 /// `stdout().lock()` resolves to `stdout`.
-fn receiver_name(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> Option<String> {
+fn receiver_name(toks: &[Tok], code: &[usize], k: usize) -> Option<String> {
     let mut j = k.checked_sub(2)?; // skip the `.`
     if toks[code[j]].is_punct(')') {
         let mut d = 0i32;
@@ -189,12 +148,12 @@ fn receiver_name(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> Option
         }
     }
     let t = &toks[code[j]];
-    (t.kind == crate::lexer::TokKind::Ident).then(|| t.text.clone())
+    (t.kind == TokKind::Ident).then(|| t.text.clone())
 }
 
 /// When the statement containing `code[k]` is `let [mut] NAME = …`,
 /// returns `NAME`. Scans back to the nearest statement boundary.
-fn binding_name(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> Option<String> {
+fn binding_name(toks: &[Tok], code: &[usize], k: usize) -> Option<String> {
     let mut j = k;
     while j > 0 {
         let t = &toks[code[j - 1]];
@@ -212,7 +171,7 @@ fn binding_name(toks: &[crate::lexer::Tok], code: &[usize], k: usize) -> Option<
         n += 1;
     }
     let name = &toks[*code.get(n)?];
-    (name.kind == crate::lexer::TokKind::Ident).then(|| name.text.clone())
+    (name.kind == TokKind::Ident).then(|| name.text.clone())
 }
 
 #[cfg(test)]
@@ -220,17 +179,21 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Finding> {
-        let manifest = Manifest::parse("lock-order inner pins map\nlock-ignore stdout\n").unwrap();
         let ctx = FileContext::new("crates/x/src/lib.rs", src);
         let mut out = Vec::new();
-        check(&ctx, &manifest, &mut out);
+        check(&ctx, &mut out);
         out
     }
 
     #[test]
-    fn declared_order_is_silent() {
-        let src = "fn f(s: &S) {\n    let inner = s.inner.read();\n    let pins = s.pins.lock();\n    let m = s.map.write();\n}\n";
-        assert!(run(src).is_empty(), "{:?}", run(src));
+    fn nesting_in_any_order_is_flagged() {
+        // Whatever the order, a guard taken under another is a finding.
+        let src =
+            "fn f(s: &S) {\n    let inner = s.inner.read();\n    let pins = s.pins.lock();\n}\n";
+        let out = run(src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 3);
+        assert!(out[0].message.contains("leaf"), "{}", out[0].message);
     }
 
     #[test]
@@ -240,7 +203,7 @@ mod tests {
         let out = run(src);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].line, 3);
-        assert!(out[0].message.contains("inverts"), "{}", out[0].message);
+        assert!(out[0].message.contains("`pins`"), "{}", out[0].message);
     }
 
     #[test]
@@ -249,6 +212,12 @@ mod tests {
         let out = run(src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("self-deadlocks"));
+    }
+
+    #[test]
+    fn lone_undeclared_lock_is_silent() {
+        let src = "fn f(s: &S) {\n    let g = s.ghost.lock();\n}\n";
+        assert!(run(src).is_empty());
     }
 
     #[test]
@@ -270,15 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn undeclared_lock_is_flagged() {
-        let src = "fn f(s: &S) {\n    let g = s.ghost.lock();\n}\n";
-        let out = run(src);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("not in the lock-order manifest"));
-    }
-
-    #[test]
     fn ignored_and_arged_receivers_are_silent() {
+        // `stdout().lock()` is an acquisition like any other, and alone
+        // it is a leaf; calls with arguments are I/O, not acquisitions.
         let src = "fn f(s: &S, vfs: &V) {\n    let o = stdout().lock();\n    let data = vfs.read(path);\n    vfs.write(path, data);\n}\n";
         assert!(run(src).is_empty(), "{:?}", run(src));
     }

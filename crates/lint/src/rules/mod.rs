@@ -45,7 +45,7 @@ pub fn lint_file(ctx: &FileContext, manifest: &Manifest) -> Vec<Finding> {
         if !manifest.determinism_allowed(&ctx.path) {
             determinism::check(ctx, &mut raw);
         }
-        lock_order::check(ctx, manifest, &mut raw);
+        lock_order::check(ctx, &mut raw);
     }
     if manifest.is_hot_path(&ctx.path) {
         panic_path::check(ctx, &mut raw);
@@ -88,8 +88,7 @@ mod tests {
     fn manifest() -> Manifest {
         Manifest::parse(
             "hot-path crates/keylime/src/store.rs\n\
-             determinism-allow crates/bench/\n\
-             lock-order inner pins\n",
+             determinism-allow crates/bench/\n",
         )
         .unwrap()
     }

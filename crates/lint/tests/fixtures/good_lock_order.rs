@@ -1,12 +1,6 @@
-// Fixture: lock usage the lock-order rule must stay silent on —
-// manifest order respected, guards released before re-ordering or
-// transport calls, ignored receivers, and lock-shaped I/O calls.
-fn ordered(s: &Store) {
-    let inner = s.inner.read();
-    let pins = s.pins.lock();
-    let map = s.map.write();
-}
-
+// Fixture: lock usage the lock-order rule must stay silent on — each
+// guard released before the next lock or a transport call, a lock no
+// manifest names, and lock-shaped I/O calls.
 fn released_then_reordered(s: &Store) {
     let pins = s.pins.lock();
     drop(pins);
@@ -23,6 +17,10 @@ fn scoped(s: &Store) {
 fn rpc_after_release(s: &Store, transport: &mut T) {
     let epoch = { s.inner.read().epoch() };
     transport.call(epoch, serve);
+}
+
+fn undeclared(s: &Store) {
+    let ghost = s.ghost.lock();
 }
 
 fn not_locks(s: &Store, vfs: &mut Vfs) {

@@ -6,21 +6,17 @@
 //! walker deliberately skips, so the deliberately-broken corpus never
 //! pollutes a real `cia-lint --check` run.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
-use cia_lint::rules::lock_order;
-use cia_lint::{lint_file, walk, FileContext, Finding, Manifest};
+use cia_lint::{lint_file, FileContext, Finding, Manifest};
 
 /// The manifest fixtures are linted under: both panic fixtures are
-/// declared hot paths; the lock order mirrors the real workspace.
+/// declared hot paths.
 fn manifest() -> Manifest {
     Manifest::parse(
         "hot-path crates/fixture/src/bad_panic.rs\n\
-         hot-path crates/fixture/src/good_panic.rs\n\
-         lock-order inner pins map\n\
-         lock-ignore stdout\n",
+         hot-path crates/fixture/src/good_panic.rs\n",
     )
     .expect("fixture manifest parses")
 }
@@ -146,22 +142,21 @@ fn lock_order_fires_at_exact_lines() {
     assert_eq!(
         fired(&findings),
         vec![
-            ("lock-order", 5),
-            ("lock-order", 12),
-            ("lock-order", 16),
-            ("lock-order", 21),
+            ("lock-order", 6),
+            ("lock-order", 13),
+            ("lock-order", 18),
+            ("lock-order", 19),
+            ("lock-order", 24),
         ],
         "{findings:#?}"
     );
-    // The four failure modes are distinguishable in the messages.
+    // The three failure modes are distinguishable in the messages.
     let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(messages[0].contains("inverts"), "{messages:?}");
+    assert!(messages[0].contains("leaf"), "{messages:?}");
     assert!(messages[1].contains("self-deadlocks"), "{messages:?}");
-    assert!(
-        messages[2].contains("not in the lock-order manifest"),
-        "{messages:?}"
-    );
-    assert!(messages[3].contains("transport"), "{messages:?}");
+    assert!(messages[2].contains("leaf"), "{messages:?}");
+    assert!(messages[3].contains("leaf"), "{messages:?}");
+    assert!(messages[4].contains("transport"), "{messages:?}");
 }
 
 #[test]
@@ -214,16 +209,6 @@ fn workspace_manifest_is_coherent() {
     assert!(m.is_hot_path("crates/keylime/src/verifier.rs"));
     assert!(m.is_hot_path("crates/keylime/src/scheduler.rs"));
     assert!(m.is_hot_path("crates/keylime/src/store.rs"));
-    let rank = |name: &str| {
-        m.lock_rank(name)
-            .unwrap_or_else(|| panic!("`{name}` missing from lock-order"))
-    };
-    assert_eq!(rank("map"), 0);
-    assert!(rank("map") < rank("totals"), "map before totals");
-    assert!(
-        rank("queue") < rank("SPARE_WIRES"),
-        "queue before SPARE_WIRES"
-    );
     assert!(m.determinism_allowed("crates/bench/src/main.rs"));
 }
 
@@ -259,51 +244,4 @@ fn every_wire_surface_is_a_declared_hot_path() {
         missing.is_empty(),
         "wire/remote/durable/transport files missing a `hot-path` manifest entry: {missing:?}"
     );
-}
-
-/// Declared locks that no pipeline source among `sources` acquires. A
-/// rank for a lock the code no longer takes is manifest drift: it would
-/// keep describing an order nothing follows.
-fn unacquired_locks(m: &Manifest, sources: &[(String, String)]) -> Vec<String> {
-    let acquired: BTreeSet<String> = sources
-        .iter()
-        .filter(|(path, _)| path.starts_with("crates/") || path.starts_with("src/"))
-        .flat_map(|(path, source)| lock_order::acquired_locks(&FileContext::new(path, source)))
-        .collect();
-    m.lock_order
-        .keys()
-        .filter(|name| !acquired.contains(*name))
-        .cloned()
-        .collect()
-}
-
-/// Drift guard, the other direction: every lock `cia-lint.manifest`
-/// ranks still has at least one acquisition site in the workspace.
-#[test]
-fn every_declared_lock_is_acquired_somewhere() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = fs::read_to_string(root.join("cia-lint.manifest")).expect("manifest exists");
-    let m = Manifest::parse(&text).expect("workspace manifest parses");
-    let sources: Vec<(String, String)> = walk::rust_sources(&root)
-        .expect("workspace walkable")
-        .into_iter()
-        .map(|rel| {
-            let source = fs::read_to_string(root.join(&rel)).expect("source readable");
-            (rel, source)
-        })
-        .collect();
-    let stale = unacquired_locks(&m, &sources);
-    assert!(
-        stale.is_empty(),
-        "lock-order names locks nothing acquires: {stale:?}"
-    );
-}
-
-#[test]
-fn a_declared_lock_without_an_acquisition_site_is_drift() {
-    let m = Manifest::parse("lock-order map world\n").expect("parses");
-    let source = "fn f(c: &C) {\n    let m = c.map.read();\n}\n\
-                  #[cfg(test)]\nmod tests {\n    fn g(b: &B) { b.world.lock(); }\n}\n";
-    let sources = [("crates/x/src/lib.rs".to_string(), source.to_string())];
-    assert_eq!(unacquired_locks(&m, &sources), ["world"]);
 }

@@ -12,6 +12,8 @@
 //! [`TOMBSTONE`] sentinel and whose value is empty: the key's previous
 //! versions become garbage for the next compaction to drop.
 
+use cia_wire::crc32;
+
 /// Size of the CRC-32 field.
 pub const CRC_SIZE: usize = 4;
 /// Size of the logical-timestamp field.
@@ -92,40 +94,6 @@ pub struct Frame<'a> {
     pub len: usize,
 }
 
-const CRC_POLY: u32 = 0xEDB8_8320; // CRC-32 (IEEE), reflected form.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ CRC_POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE 802.3) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    !crc
-}
-
 /// Encodes one record frame. `val: None` encodes a tombstone.
 pub fn encode(ts: u64, key: &[u8], val: Option<&[u8]>) -> Vec<u8> {
     let body = val.unwrap_or(&[]);
@@ -198,13 +166,16 @@ mod tests {
 
     #[test]
     fn crc32_known_vectors() {
-        // Standard IEEE check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
+        // The frame checksum is the IEEE CRC-32 of everything after it;
+        // these pinned frames keep journal bytes from drifting.
+        let frame = encode(
+            42,
+            b"agent/sim-0001",
+            Some(b"{\"health\":\"Healthy\"}".as_ref()),
         );
+        assert_eq!(frame[..CRC_SIZE], 0x4DA5_2A2D_u32.to_le_bytes());
+        let tombstone = encode(9, b"dead/key", None);
+        assert_eq!(tombstone[..CRC_SIZE], 0xA865_38C4_u32.to_le_bytes());
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Offline shim for `parking_lot`: non-poisoning [`Mutex`]/[`RwLock`]
-//! wrappers over `std::sync` with parking_lot's infallible lock API.
+//! Offline shim for `parking_lot`: a non-poisoning [`Mutex`] over
+//! `std::sync` with parking_lot's infallible lock API.
 //!
-//! Lock ordering is checked statically: `cia-lint`'s `lock-order` rule
-//! matches every acquisition site against the declared ranks in
-//! `cia-lint.manifest`.
+//! Lock discipline is checked statically: `cia-lint`'s `lock-order`
+//! rule reports any acquisition made while another guard is live.
 
 #![forbid(unsafe_code)]
 
@@ -71,82 +70,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// A readers-writer lock that never poisons.
-#[derive(Debug, Default)]
-pub struct RwLock<T> {
-    inner: sync::RwLock<T>,
-}
-
-/// Read guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Write guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> RwLock<T> {
-    /// Wraps a value.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Tries to acquire a shared read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let inner = match self.inner.try_read() {
-            Ok(guard) => guard,
-            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(RwLockReadGuard { inner })
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,13 +80,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
     }
 
     #[test]

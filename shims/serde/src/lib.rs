@@ -13,9 +13,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -305,34 +304,6 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     }
 }
 
-/// Hash iteration order is nondeterministic, so items are written in the
-/// order of their JSON text: the same set always serializes the same.
-impl<T: Serialize, S> Serialize for HashSet<T, S> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        let (scratch, items) = render_sorted(self.iter().map(|item| (item, ())), w);
-        w.begin_array();
-        for (text, ()) in items {
-            w.element();
-            w.raw(&scratch.as_bytes()[text]);
-        }
-        w.end_array();
-    }
-}
-impl<T, S> Deserialize for HashSet<T, S>
-where
-    T: Deserialize + Eq + Hash,
-    S: BuildHasher + Default,
-{
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let mut out = HashSet::default();
-        read_seq(r, |r| {
-            out.insert(T::read_json(r)?);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-}
-
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+)),+) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
@@ -404,62 +375,6 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-/// Renders each item's key into a scratch writer and sorts the items by
-/// that text. Returns the scratch buffer and `(key text range, item)`
-/// pairs in order.
-fn render_sorted<'a, K: Serialize + 'a, V>(
-    items: impl Iterator<Item = (&'a K, V)>,
-    w: &mut JsonWriter,
-) -> (JsonWriter, Vec<(std::ops::Range<usize>, V)>) {
-    let mut scratch = JsonWriter::default();
-    let mut sorted: Vec<_> = items
-        .map(|(k, v)| {
-            let from = scratch.as_bytes().len();
-            k.write_json(&mut scratch);
-            (from..scratch.as_bytes().len(), v)
-        })
-        .collect();
-    w.inherit_error(&scratch);
-    let text = scratch.as_bytes();
-    sorted.sort_by(|a, b| text[a.0.clone()].cmp(&text[b.0.clone()]));
-    (scratch, sorted)
-}
-
-/// The same encoding as [`BTreeMap`], with entries in the order of their
-/// keys' JSON text: hash iteration order is nondeterministic, and the
-/// same map must always serialize the same.
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        let (scratch, entries) = render_sorted(self.iter(), w);
-        let keys = scratch.as_bytes();
-        if entries
-            .iter()
-            .all(|(k, _)| is_json_string(&keys[k.clone()]))
-        {
-            w.begin_object();
-            for (k, v) in entries {
-                w.element();
-                w.raw(&keys[k]);
-                w.raw(b":");
-                v.write_json(w);
-            }
-            w.end_object();
-        } else {
-            w.begin_array();
-            for (k, v) in entries {
-                w.element();
-                w.begin_array();
-                w.element();
-                w.raw(&keys[k]);
-                w.element();
-                v.write_json(w);
-                w.end_array();
-            }
-            w.end_array();
-        }
-    }
-}
-
 /// Reads a map written by either encoding into `insert`.
 fn read_map<K: Deserialize, V: Deserialize>(
     r: &mut JsonReader<'_>,
@@ -485,21 +400,6 @@ fn read_map<K: Deserialize, V: Deserialize>(
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         let mut out = BTreeMap::new();
-        read_map(r, |k, v| {
-            out.insert(k, v);
-        })?;
-        Ok(out)
-    }
-}
-
-impl<K, V, S> Deserialize for HashMap<K, V, S>
-where
-    K: Deserialize + Eq + Hash,
-    V: Deserialize,
-    S: BuildHasher + Default,
-{
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let mut out = HashMap::default();
         read_map(r, |k, v| {
             out.insert(k, v);
         })?;
@@ -588,22 +488,6 @@ mod tests {
         assert_eq!(json(&m), r#"{"1":true,"2":false}"#);
         let m: BTreeMap<Key, bool> = [(Key(1), true), (Key(12), false)].into_iter().collect();
         assert_eq!(json(&[m]), r#"[[["1",true],[12,false]]]"#);
-    }
-
-    #[test]
-    fn hash_containers_serialize_in_key_text_order() {
-        let m: HashMap<String, u8> = [("b", 2), ("aa", 3), ("a", 1)]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        assert_eq!(json(&m), r#"{"a":1,"aa":3,"b":2}"#);
-        assert_eq!(parse::<HashMap<String, u8>>(&json(&m)).unwrap(), m);
-        let m: HashMap<u64, bool> = [(10, true), (9, false)].into_iter().collect();
-        assert_eq!(json(&m), "[[10,true],[9,false]]");
-        assert_eq!(parse::<HashMap<u64, bool>>(&json(&m)).unwrap(), m);
-        let s: HashSet<i32> = [3, -1, 20].into_iter().collect();
-        assert_eq!(json(&s), "[-1,20,3]");
-        assert_eq!(parse::<HashSet<i32>>(&json(&s)).unwrap(), s);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl JsonWriter {
         &self.out
     }
 
-    /// Carries over a non-finite float met by a scratch writer whose
-    /// text this one copies.
-    pub(crate) fn inherit_error(&mut self, scratch: &JsonWriter) {
-        self.non_finite |= scratch.non_finite;
-    }
-
     /// Cuts the buffer back to `len` bytes, as before writing a container
     /// that is about to be written again in another shape.
     pub(crate) fn truncate(&mut self, len: usize) {
