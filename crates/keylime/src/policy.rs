@@ -12,16 +12,20 @@
 //! Policy-File Consistency During Update"); after the update, outdated
 //! digests are dropped ([`RuntimePolicy::dedup_retain`]).
 //!
-//! The `path → {hex digest}` map is the policy's only representation: range
+//! The `path → {digest}` map is the policy's only representation: range
 //! chunks of a few hundred paths, shared by `Arc`. A clone copies only the
 //! chunk index and a mutator copies only the chunk it edits, so a delta
 //! costs O(delta), not O(policy), and an older epoch still pinned shares
-//! every chunk the delta left alone.
+//! every chunk the delta left alone. Inside a chunk the paths sit in one
+//! string arena and each (path, digest) pair is a fixed-width row holding
+//! the digest as raw bytes, or verbatim when it is not canonical hex.
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Bound::{Included, Unbounded};
+use std::ops::Range;
 use std::sync::Arc;
 
 use cia_crypto::{hex, Derived, Digest};
@@ -32,20 +36,431 @@ use crate::error::KeylimeError;
 /// Most paths one chunk holds: an insert past it splits the chunk in two.
 const CHUNK_PATHS: usize = 256;
 
+/// Longest digest a row holds as raw bytes (SHA-256's).
+const RAW_BYTES: usize = 32;
+
 thread_local! {
     /// See [`RuntimePolicy::chunk_copy_count`].
     static CHUNK_COPIES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// A canonical digest: the bytes whose lowercase hex is the policy entry.
+/// The bytes past `len` are zero, so equality over both fields is
+/// equality of the digests.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Raw {
+    len: u8,
+    bytes: [u8; RAW_BYTES],
+}
+
+impl Raw {
+    /// `bytes`, if they fit a row.
+    fn new(bytes: &[u8]) -> Option<Raw> {
+        let mut raw = Raw::default();
+        raw.bytes.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        raw.len = bytes.len() as u8;
+        Some(raw)
+    }
+
+    /// `hex` as bytes when it is canonical: non-empty lowercase hex of at
+    /// most [`RAW_BYTES`] bytes, so `hex::encode` of its decoding is `hex`.
+    fn parse(hex: &str) -> Option<Raw> {
+        if !hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        let mut raw = Raw::default();
+        let len = hex::decode_to_slice(hex, &mut raw.bytes).ok()?;
+        raw.len = len as u8;
+        (len > 0).then_some(raw)
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// One policy digest: raw bytes when canonical, otherwise its text.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Held<'a> {
+    Raw(Raw),
+    Text(&'a str),
+}
+
+impl<'a> Held<'a> {
+    fn new(text: &'a str) -> Self {
+        Raw::parse(text).map_or(Held::Text(text), Held::Raw)
+    }
+
+    /// The digest as the document writes it, raw bytes rendered into `buf`.
+    fn render<'b>(&self, buf: &'b mut [u8; 2 * RAW_BYTES]) -> &'b str
+    where
+        'a: 'b,
+    {
+        match self {
+            Held::Raw(raw) => {
+                let len = hex::encode_to_slice(raw.as_bytes(), buf);
+                std::str::from_utf8(&buf[..len]).unwrap_or_default()
+            }
+            Held::Text(text) => text,
+        }
+    }
+
+    fn to_text(self) -> String {
+        self.render(&mut [0; 2 * RAW_BYTES]).to_owned()
+    }
+
+    /// Document order: lowercase hex keeps byte order, so two raw digests
+    /// compare as bytes and only a mixed pair is rendered.
+    fn cmp_rendered(&self, other: &Held<'_>) -> Ordering {
+        match (self, other) {
+            (Held::Raw(a), Held::Raw(b)) => a.as_bytes().cmp(b.as_bytes()),
+            _ => (self.render(&mut [0; 2 * RAW_BYTES])).cmp(other.render(&mut [0; 2 * RAW_BYTES])),
+        }
+    }
+}
+
+/// A byte range of a chunk's arena.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// A row's digest.
+#[derive(Clone, Copy)]
+enum Stored {
+    Raw(Raw),
+    /// Anything not canonical (upper case, odd length, non-hex, empty,
+    /// too long), verbatim in the arena: it never matches a measurement.
+    Text(Span),
+    /// No digest: the path's set is empty (a parsed `"/x": []`).
+    Empty,
+}
+
+/// One (path, digest) pair. A chunk's rows sort by path, then by the
+/// digest's rendering, and the rows of one path share its arena span.
+#[derive(Clone, Copy)]
+struct Row {
+    path: Span,
+    /// The path's 8 bytes past its chunk's `skip` ([`key_at`]): most steps
+    /// of a search compare only these, without reading the arena.
+    key: [u8; 8],
+    digest: Stored,
+}
+
+/// The 8 bytes of `path` after its first `skip`, zero padded. Between
+/// paths that share their first `skip` bytes, a smaller key (as a
+/// big-endian number) means a smaller path; only equal keys need the
+/// paths compared.
+fn key_at(path: &[u8], skip: usize) -> [u8; 8] {
+    let tail = path.get(skip..).unwrap_or_default();
+    let mut key = [0; 8];
+    let n = tail.len().min(key.len());
+    key[..n].copy_from_slice(&tail[..n]);
+    key
+}
+
+/// `rows` cut into runs of one path each.
+fn by_path(rows: &[Row]) -> impl Iterator<Item = &[Row]> {
+    rows.chunk_by(|a, b| a.path == b.path)
+}
+
 /// One path range of a policy's digest map, shared by every policy that has
 /// not edited it; the first edit copies it ([`Arc::make_mut`]), counted.
 #[derive(Default)]
-struct Chunk(BTreeMap<String, BTreeSet<String>>);
+struct Chunk {
+    /// Every path once, and every verbatim digest.
+    arena: String,
+    rows: Vec<Row>,
+    /// Distinct paths.
+    paths: usize,
+    /// How many leading bytes every path here shares.
+    skip: usize,
+    /// Arena bytes no row refers to; past half the arena, the chunk is laid
+    /// out again.
+    dead: usize,
+}
 
 impl Clone for Chunk {
     fn clone(&self) -> Self {
         CHUNK_COPIES.with(|n| n.set(n.get() + 1));
-        Chunk(self.0.clone())
+        Chunk {
+            arena: self.arena.clone(),
+            rows: self.rows.clone(),
+            paths: self.paths,
+            skip: self.skip,
+            dead: self.dead,
+        }
+    }
+}
+
+impl Chunk {
+    fn text(&self, span: Span) -> &str {
+        &self.arena[span.range()]
+    }
+
+    fn held(&self, row: &Row) -> Option<Held<'_>> {
+        match row.digest {
+            Stored::Raw(raw) => Some(Held::Raw(raw)),
+            Stored::Text(span) => Some(Held::Text(self.text(span))),
+            Stored::Empty => None,
+        }
+    }
+
+    fn last_path(&self) -> &str {
+        self.rows.last().map_or("", |row| self.text(row.path))
+    }
+
+    /// The rows of `path`: a binary search over the paths, by key when
+    /// `path` has the prefix every path here shares.
+    fn find(&self, path: &str) -> Range<usize> {
+        let path = path.as_bytes();
+        let bytes = |row: &Row| &self.arena.as_bytes()[row.path.range()];
+        let start = match self.rows.first() {
+            Some(first) if path.get(..self.skip) == bytes(first).get(..self.skip) => {
+                let key = u64::from_be_bytes(key_at(path, self.skip));
+                self.rows.partition_point(|row| {
+                    let row_key = u64::from_be_bytes(row.key);
+                    row_key < key || (row_key == key && bytes(row) < path)
+                })
+            }
+            _ => self.rows.partition_point(|row| bytes(row) < path),
+        };
+        let len = match self.rows.get(start) {
+            Some(first) if bytes(first) == path => (self.rows[start..].iter())
+                .take_while(|row| row.path == first.path)
+                .count(),
+            _ => 0,
+        };
+        start..start + len
+    }
+
+    /// True when `path`'s rows hold `digest` (for `None`, any row at all).
+    fn holds(&self, rows: Range<usize>, digest: Option<Held<'_>>) -> bool {
+        match digest {
+            Some(digest) => self.rows[rows]
+                .iter()
+                .any(|row| self.held(row) == Some(digest)),
+            None => !rows.is_empty(),
+        }
+    }
+
+    fn push(&mut self, text: &str) -> Span {
+        let start = self.arena.len();
+        self.arena.push_str(text);
+        // Spans are 32-bit, which makes both casts lossless.
+        assert!(
+            u32::try_from(self.arena.len()).is_ok(),
+            "a policy chunk's arena passed 4 GiB"
+        );
+        Span {
+            start: start as u32,
+            len: text.len() as u32,
+        }
+    }
+
+    fn store(&mut self, digest: Held<'_>) -> Stored {
+        match digest {
+            Held::Raw(raw) => Stored::Raw(raw),
+            Held::Text(text) => Stored::Text(self.push(text)),
+        }
+    }
+
+    /// Appends `path`, above every path here, with `digests` in document
+    /// order and distinct.
+    fn append<'d>(&mut self, path: &str, digests: impl IntoIterator<Item = &'d str>) {
+        let key = key_at(path.as_bytes(), self.skip);
+        let path = self.push(path);
+        self.paths += 1;
+        let start = self.rows.len();
+        for text in digests {
+            let digest = self.store(Held::new(text));
+            self.rows.push(Row { path, key, digest });
+        }
+        if self.rows.len() == start {
+            self.rows.push(Row {
+                path,
+                key,
+                digest: Stored::Empty,
+            });
+        }
+        self.keep_keys();
+    }
+
+    /// How many leading bytes the paths of `rows` share: as many as the
+    /// first and the last share.
+    fn shared(&self, rows: &[Row]) -> usize {
+        let path =
+            |row: Option<&Row>| row.map_or(&[][..], |row| &self.arena.as_bytes()[row.path.range()]);
+        let (first, last) = (path(rows.first()), path(rows.last()));
+        first.iter().zip(last).take_while(|(a, b)| a == b).count()
+    }
+
+    /// Keys every row again once an added path changed the prefix the
+    /// paths share.
+    fn keep_keys(&mut self) {
+        let skip = self.shared(&self.rows);
+        if skip != self.skip {
+            self.skip = skip;
+            let arena = self.arena.as_bytes();
+            for row in &mut self.rows {
+                row.key = key_at(&arena[row.path.range()], skip);
+            }
+        }
+    }
+
+    /// Adds `digest` (for `None`, the path alone) to `path`, whose rows
+    /// are `rows` and do not hold it.
+    fn add(&mut self, rows: Range<usize>, path: &str, digest: Option<Held<'_>>) {
+        let Some(&first) = self.rows.get(rows.start).filter(|_| !rows.is_empty()) else {
+            let key = key_at(path.as_bytes(), self.skip);
+            let path = self.push(path);
+            self.paths += 1;
+            let digest = digest.map_or(Stored::Empty, |d| self.store(d));
+            self.rows.insert(rows.start, Row { path, key, digest });
+            self.keep_keys();
+            return;
+        };
+        let Some(digest) = digest else { return };
+        if let Stored::Empty = first.digest {
+            self.rows[rows.start].digest = self.store(digest);
+            return;
+        }
+        let at = (rows.clone())
+            .find(|&i| {
+                self.held(&self.rows[i])
+                    .is_some_and(|d| d.cmp_rendered(&digest).is_gt())
+            })
+            .unwrap_or(rows.end);
+        let digest = self.store(digest);
+        self.rows.insert(
+            at,
+            Row {
+                path: first.path,
+                key: first.key,
+                digest,
+            },
+        );
+    }
+
+    /// Drops the rows in `rows`, returning how many digests went.
+    fn drain(&mut self, rows: Range<usize>) -> usize {
+        let mut digests = 0;
+        for row in &self.rows[rows.clone()] {
+            match row.digest {
+                Stored::Raw(_) => digests += 1,
+                Stored::Text(span) => {
+                    digests += 1;
+                    self.dead += span.len as usize;
+                }
+                Stored::Empty => {}
+            }
+        }
+        self.rows.drain(rows);
+        digests
+    }
+
+    /// Drops `path`, whose rows are `rows`, returning how many digests went.
+    fn remove(&mut self, rows: Range<usize>) -> usize {
+        if let Some(first) = self.rows.get(rows.start) {
+            self.dead += first.path.len as usize;
+        }
+        let digests = self.drain(rows);
+        self.paths -= 1;
+        self.tidy();
+        digests
+    }
+
+    /// Keeps only row `keep` of `rows`, returning how many digests went.
+    fn retain(&mut self, rows: Range<usize>, keep: usize) -> usize {
+        let digests = self.drain(keep + 1..rows.end) + self.drain(rows.start..keep);
+        self.tidy();
+        digests
+    }
+
+    /// Lays the chunk out again once dead bytes fill half its arena.
+    fn tidy(&mut self) {
+        if self.dead > self.arena.len() / 2 {
+            *self = self.laid_out(&self.rows);
+        }
+    }
+
+    /// `rows` of this chunk as a chunk of their own, with an arena that
+    /// holds only what they refer to.
+    fn laid_out(&self, rows: &[Row]) -> Chunk {
+        let skip = self.shared(rows);
+        let mut out = Chunk {
+            rows: Vec::with_capacity(rows.len()),
+            skip,
+            ..Chunk::default()
+        };
+        for group in by_path(rows) {
+            let text = self.text(group[0].path);
+            let key = key_at(text.as_bytes(), skip);
+            let path = out.push(text);
+            out.paths += 1;
+            for row in group {
+                let digest = match row.digest {
+                    Stored::Text(span) => Stored::Text(out.push(self.text(span))),
+                    digest => digest,
+                };
+                out.rows.push(Row { path, key, digest });
+            }
+        }
+        out.arena.shrink_to_fit();
+        out
+    }
+
+    /// Moves the upper half of the paths to a new chunk, returned with its
+    /// first path.
+    fn split(&mut self) -> Option<(Arc<str>, Chunk)> {
+        let mid = by_path(&self.rows)
+            .take(self.paths / 2)
+            .map(<[Row]>::len)
+            .sum();
+        let upper = self.laid_out(&self.rows[mid..]);
+        let bound = upper.rows.first().map(|row| upper.text(row.path).into())?;
+        *self = self.laid_out(&self.rows[..mid]);
+        Some((bound, upper))
+    }
+
+    /// The chunk's paths, each with its rows.
+    fn sets(&self) -> impl Iterator<Item = (&str, Set<'_>)> {
+        by_path(&self.rows).map(move |rows| (self.text(rows[0].path), Set { chunk: self, rows }))
+    }
+}
+
+/// One path's digests as its chunk holds them, in document order.
+#[derive(Clone, Copy)]
+struct Set<'a> {
+    chunk: &'a Chunk,
+    rows: &'a [Row],
+}
+
+impl<'a> Set<'a> {
+    fn iter(self) -> impl Iterator<Item = Held<'a>> {
+        self.rows.iter().filter_map(move |row| self.chunk.held(row))
+    }
+
+    fn len(self) -> usize {
+        self.iter().count()
+    }
+
+    fn rendered(self) -> BTreeSet<String> {
+        self.iter().map(Held::to_text).collect()
+    }
+}
+
+impl PartialEq for Set<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -63,12 +478,17 @@ impl Digests {
             .next_back()
     }
 
-    fn get(&self, path: &str) -> Option<&BTreeSet<String>> {
-        self.chunk_of(path)?.1 .0.get(path)
+    fn get(&self, path: &str) -> Option<Set<'_>> {
+        let (_, chunk) = self.chunk_of(path)?;
+        let rows = chunk.find(path);
+        (!rows.is_empty()).then(|| Set {
+            chunk,
+            rows: &chunk.rows[rows],
+        })
     }
 
-    fn iter(&self) -> impl Iterator<Item = (&String, &BTreeSet<String>)> {
-        self.0.values().flat_map(|c| c.0.iter())
+    fn iter(&self) -> impl Iterator<Item = (&str, Set<'_>)> {
+        self.0.values().flat_map(|chunk| chunk.sets())
     }
 
     /// [`Digests::chunk_of`] for editing through [`Arc::make_mut`].
@@ -83,51 +503,89 @@ impl Digests {
             .next_back()
     }
 
-    /// Adds `digest` to `path`'s set (false if there), halving a full chunk.
-    fn insert(&mut self, path: String, digest: String) -> bool {
-        let Some((_, slot)) = self.slot(&path) else {
-            let chunk = Chunk(BTreeMap::from([(path.clone(), BTreeSet::from([digest]))]));
+    /// Adds `digest` to `path`'s set (for `None`, makes `path` known) and
+    /// returns false if there was nothing to add; halves a full chunk.
+    fn insert(&mut self, path: &str, digest: Option<&str>) -> bool {
+        let Some((_, slot)) = self.slot(path) else {
+            let mut chunk = Chunk::default();
+            chunk.append(path, digest);
             self.0.insert(path.into(), Arc::new(chunk));
             return true;
         };
-        // Look before editing only when the edit would copy the chunk.
-        if Arc::get_mut(slot).is_none() && slot.0.get(&path).is_some_and(|d| d.contains(&digest)) {
+        // Look before editing, so an edit that changes nothing copies nothing.
+        let digest = digest.map(Held::new);
+        let rows = slot.find(path);
+        if slot.holds(rows.clone(), digest) {
             return false;
         }
-        let chunk = &mut Arc::make_mut(slot).0;
-        if !chunk.entry(path).or_default().insert(digest) {
-            return false;
-        }
-        if chunk.len() > CHUNK_PATHS {
-            if let Some(mid) = chunk.keys().nth(chunk.len() / 2).cloned() {
-                let upper = Chunk(chunk.split_off(&mid));
-                self.0.insert(mid.into(), Arc::new(upper));
+        let chunk = Arc::make_mut(slot);
+        chunk.add(rows, path, digest);
+        if chunk.paths > CHUNK_PATHS {
+            if let Some((bound, upper)) = chunk.split() {
+                self.0.insert(bound, Arc::new(upper));
             }
         }
         true
     }
 
+    /// Sets `path`'s digests to `set` (in document order, distinct), as a
+    /// document entry does: a path above every other one is appended, and
+    /// a repeated one loses its earlier set.
+    fn replace(&mut self, path: &str, set: &[impl AsRef<str>]) {
+        let digests = set.iter().map(AsRef::as_ref);
+        if self
+            .0
+            .values()
+            .next_back()
+            .is_some_and(|c| c.last_path() >= path)
+        {
+            self.remove(path);
+            if set.is_empty() {
+                self.insert(path, None);
+            }
+            for digest in digests {
+                self.insert(path, Some(digest));
+            }
+            return;
+        }
+        match self.0.values_mut().next_back() {
+            Some(last) if last.paths < CHUNK_PATHS => Arc::make_mut(last).append(path, digests),
+            _ => {
+                let mut chunk = Chunk::default();
+                chunk.append(path, digests);
+                self.0.insert(path.into(), Arc::new(chunk));
+            }
+        }
+    }
+
     /// Removes `path` and returns how many digests went; an emptied chunk
     /// goes too, and the chunk below takes over its range.
     fn remove(&mut self, path: &str) -> Option<usize> {
-        let (bound, slot) = self.slot(path).filter(|(_, c)| c.0.contains_key(path))?;
+        let (bound, slot) = self.slot(path)?;
+        let rows = slot.find(path);
+        if rows.is_empty() {
+            return None;
+        }
         let bound = Arc::clone(bound);
-        let chunk = &mut Arc::make_mut(slot).0;
-        let removed = chunk.remove(path).map(|set| set.len());
-        if chunk.is_empty() {
+        let chunk = Arc::make_mut(slot);
+        let removed = chunk.remove(rows);
+        if chunk.paths == 0 {
             self.0.remove(&bound);
         }
-        removed
+        Some(removed)
     }
 
     /// Drops every digest of `path` but `keep`, if `keep` is among them
     /// and there are others; returns how many went.
     fn retain_only(&mut self, path: &str, keep: &str) -> Option<usize> {
         let (_, slot) = self.slot(path)?;
-        let others_and_keep = |s: &&BTreeSet<String>| s.len() > 1 && s.contains(keep);
-        let removed = slot.0.get(path).filter(others_and_keep)?.len() - 1;
-        Arc::make_mut(slot).0.get_mut(path)?.retain(|d| d == keep);
-        Some(removed)
+        let rows = slot.find(path);
+        let keep = Some(Held::new(keep));
+        let at = rows.clone().find(|&i| slot.held(&slot.rows[i]) == keep)?;
+        if rows.len() < 2 {
+            return None;
+        }
+        Some(Arc::make_mut(slot).retain(rows, at))
     }
 }
 
@@ -141,35 +599,50 @@ impl Eq for Digests {}
 
 impl fmt::Debug for Digests {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        f.debug_map()
+            .entries(self.iter().map(|(path, set)| (path, set.rendered())))
+            .finish()
     }
 }
 
-/// The document's `digests` object, exactly as a `BTreeMap` writes it.
+/// The document's `digests` object, exactly as a `BTreeMap` of
+/// `BTreeSet`s writes it; each digest is rendered on the stack.
 impl Serialize for Digests {
     fn write_json(&self, w: &mut JsonWriter) {
+        let mut buf = [0; 2 * RAW_BYTES];
         w.begin_object();
         for (path, set) in self.iter() {
             w.key(path);
-            set.write_json(w);
+            w.begin_array();
+            for digest in set.iter() {
+                w.element();
+                w.str(digest.render(&mut buf));
+            }
+            w.end_array();
         }
         w.end_object();
     }
 }
 
-/// Reads the `digests` object as full chunks cut from the top down.
+/// Reads the `digests` object key by key into chunks: a document in path
+/// order fills full chunks from the bottom up; a repeated key replaces its
+/// set, as a `BTreeMap` would.
 impl Deserialize for Digests {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let mut rest = BTreeMap::read_json(r)?;
-        let mut chunks = BTreeMap::new();
-        while let Some(bound) = rest.keys().nth_back(CHUNK_PATHS - 1).cloned() {
-            let top = Chunk(rest.split_off(&bound));
-            chunks.insert(bound.into(), Arc::new(top));
+        let mut digests = Digests::default();
+        let mut set = Vec::new();
+        r.begin_object()?;
+        while let Some(path) = r.next_key()? {
+            set.clear();
+            r.begin_array()?;
+            while r.next_element()? {
+                set.push(r.str()?);
+            }
+            set.sort_unstable();
+            set.dedup();
+            digests.replace(&path, &set);
         }
-        if let Some(bound) = rest.keys().next().cloned() {
-            chunks.insert(bound.into(), Arc::new(Chunk(rest)));
-        }
-        Ok(Digests(chunks))
+        Ok(digests)
     }
 }
 
@@ -285,7 +758,7 @@ impl PolicyDelta {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimePolicy {
-    /// Path → allowed SHA-256 digests (lowercase hex).
+    /// Path → allowed SHA-256 digests (lowercase hex in the document).
     digests: Digests,
     /// Path prefixes the verifier does not evaluate.
     excludes: Vec<String>,
@@ -313,8 +786,8 @@ impl RuntimePolicy {
 
     /// Adds `digest` to the allowed set for `path` (existing digests are
     /// retained — the update-window consistency rule).
-    pub fn allow(&mut self, path: impl Into<String>, digest: impl Into<String>) {
-        if self.digests.insert(path.into(), digest.into()) {
+    pub fn allow(&mut self, path: impl AsRef<str>, digest: impl AsRef<str>) {
+        if self.digests.insert(path.as_ref(), Some(digest.as_ref())) {
             self.count(1);
         }
     }
@@ -360,51 +833,53 @@ impl RuntimePolicy {
         if self.is_excluded(path) {
             return PolicyCheck::Excluded;
         }
-        self.lookup(path, digest_hex)
+        self.lookup(path, Held::new(digest_hex))
     }
 
     /// [`RuntimePolicy::check`] for a measured [`Digest`] — the
-    /// verifier's hot path. The digest is rendered to lowercase hex in a
-    /// stack buffer (no `String`), so a policy entry matches exactly when
-    /// it is that rendering: upper-case, odd-length and non-hex entries
-    /// never do. Exclusion is tested first so a skipped path costs no
-    /// rendering.
+    /// verifier's hot path. The digest's bytes are compared with the raw
+    /// rows, so a policy entry matches exactly when it is the digest's
+    /// lowercase hex: upper-case, odd-length and non-hex entries never do,
+    /// and nothing is rendered.
     pub fn check_digest(&self, path: &str, digest: &Digest) -> PolicyCheck {
         if self.is_excluded(path) {
             return PolicyCheck::Excluded;
         }
-        // A digest is at most 32 bytes, and hex digits are ASCII: the
-        // buffer always fits and the rendering is always valid UTF-8.
-        let mut buf = [0u8; 64];
-        let len = hex::encode_to_slice(digest.as_bytes(), &mut buf);
-        self.lookup(path, std::str::from_utf8(&buf[..len]).unwrap_or_default())
+        // A digest longer than any raw row becomes the empty one, which no
+        // row holds.
+        self.lookup(
+            path,
+            Held::Raw(Raw::new(digest.as_bytes()).unwrap_or_default()),
+        )
     }
 
     /// The one map lookup behind both checks, for a path already known
     /// not to be excluded.
-    fn lookup(&self, path: &str, digest_hex: &str) -> PolicyCheck {
+    fn lookup(&self, path: &str, digest: Held<'_>) -> PolicyCheck {
         match self.digests.get(path) {
-            Some(allowed) if allowed.contains(digest_hex) => PolicyCheck::Allowed,
+            Some(allowed) if allowed.iter().any(|d| d == digest) => PolicyCheck::Allowed,
             Some(allowed) => PolicyCheck::HashMismatch {
-                expected: allowed.iter().cloned().collect(),
+                expected: allowed.iter().map(Held::to_text).collect(),
             },
             None => PolicyCheck::NotInPolicy,
         }
     }
 
-    /// Iterates over `(path, digests)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (&String, &BTreeSet<String>)> {
-        self.digests.iter()
+    /// Iterates over `(path, digests)` entries, rendering each set.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, BTreeSet<String>)> {
+        self.digests
+            .iter()
+            .map(|(path, set)| (path, set.rendered()))
     }
 
-    /// The allowed digest set for `path`.
-    pub fn digests_for(&self, path: &str) -> Option<&BTreeSet<String>> {
-        self.digests.get(path)
+    /// The allowed digest set for `path`, rendered.
+    pub fn digests_for(&self, path: &str) -> Option<BTreeSet<String>> {
+        self.digests.get(path).map(Set::rendered)
     }
 
     /// Number of distinct paths.
     pub fn path_count(&self) -> usize {
-        self.digests.0.values().map(|c| c.0.len()).sum()
+        self.digests.0.values().map(|c| c.paths).sum()
     }
 
     /// Number of `(path, digest)` pairs — the paper's "lines". Served
@@ -437,14 +912,14 @@ impl RuntimePolicy {
         let mut diff = PolicyDiff::default();
         for (path, digests) in self.digests.iter() {
             match older.digests.get(path) {
-                None => diff.added_paths.push(path.clone()),
-                Some(old) if old != digests => diff.changed_paths.push(path.clone()),
+                None => diff.added_paths.push(path.to_owned()),
+                Some(old) if old != digests => diff.changed_paths.push(path.to_owned()),
                 Some(_) => {}
             }
         }
         for (path, _) in older.digests.iter() {
             if self.digests.get(path).is_none() {
-                diff.removed_paths.push(path.clone());
+                diff.removed_paths.push(path.to_owned());
             }
         }
         for e in &self.excludes {
@@ -489,7 +964,7 @@ impl RuntimePolicy {
             self.remove_path(path);
         }
         for (path, digest) in &delta.added {
-            self.allow(path.clone(), digest.clone());
+            self.allow(path, digest);
         }
         for (path, keep) in &delta.retired {
             self.dedup_retain(path, keep);
@@ -716,6 +1191,12 @@ mod tests {
         ));
         p.allow("/y", sha1.to_hex());
         assert_eq!(p.check_digest("/y", &sha1), PolicyCheck::Allowed);
+        assert_eq!(p.check("/y", &sha1.to_hex()), PolicyCheck::Allowed);
+        let sha256 = HashAlgorithm::Sha256.digest(b"content");
+        assert!(matches!(
+            p.check_digest("/y", &sha256),
+            PolicyCheck::HashMismatch { .. }
+        ));
     }
 
     #[test]
@@ -943,10 +1424,101 @@ mod tests {
             assert!(forward.remove_path(path));
         }
         assert_eq!(forward.path_count(), 2 * CHUNK_PATHS);
-        assert!(forward.digests.0.values().all(|c| !c.0.is_empty()));
+        assert!(forward.digests.0.values().all(|c| !c.rows.is_empty()));
         for path in &paths[CHUNK_PATHS..] {
             assert_eq!(forward.check(path, "aa"), PolicyCheck::Allowed);
         }
         assert_eq!(forward.check(&paths[0], "aa"), PolicyCheck::NotInPolicy);
+    }
+
+    #[test]
+    fn a_row_is_52_bytes() {
+        // A path span, its key, and a length-tagged 32-byte digest or a
+        // text span.
+        assert_eq!(std::mem::size_of::<Row>(), 52);
+    }
+
+    #[test]
+    fn a_digest_too_long_for_a_row_is_kept_verbatim() {
+        use cia_crypto::HashAlgorithm;
+        let d = HashAlgorithm::Sha256.digest(b"content");
+        let long = format!("{}00", d.to_hex());
+        let mut p = RuntimePolicy::new();
+        p.allow("/x", &long);
+        let (_, chunk) = p.digests.chunk_of("/x").unwrap();
+        assert!(matches!(
+            chunk.rows[..],
+            [Row {
+                digest: Stored::Text(_),
+                ..
+            }]
+        ));
+        assert_eq!(
+            p.check_digest("/x", &d),
+            PolicyCheck::HashMismatch {
+                expected: vec![long.clone()]
+            }
+        );
+        assert_eq!(p.check("/x", &long), PolicyCheck::Allowed);
+        let parsed = RuntimePolicy::from_json(&p.to_json()).unwrap();
+        assert_eq!(parsed.digests_for("/x"), Some(BTreeSet::from([long])));
+        assert_eq!(parsed, p);
+    }
+
+    #[test]
+    fn a_path_with_no_digests_stays_a_path() {
+        let p = RuntimePolicy::from_json(r#"{"digests":{"/x":[]},"excludes":[],"meta":{"version":0,"generator":"","generated_day":0},"totals":null}"#).unwrap();
+        assert_eq!(
+            p.check("/x", "aa"),
+            PolicyCheck::HashMismatch { expected: vec![] }
+        );
+        assert_eq!(p.path_count(), 1);
+        assert_eq!(p.line_count(), 0);
+        assert_eq!(p.digests_for("/x"), Some(BTreeSet::new()));
+        assert_eq!(
+            p.check_digest("/x", &cia_crypto::HashAlgorithm::Sha256.digest(b"x")),
+            PolicyCheck::HashMismatch { expected: vec![] }
+        );
+        assert!(p.to_json().contains(r#"{"/x":[]}"#));
+        assert_eq!(RuntimePolicy::from_json(&p.to_json()).unwrap(), p);
+        // Its first digest replaces the empty set; removing the path drops it.
+        let mut q = p.clone();
+        q.allow("/x", "aa");
+        assert_eq!(q.check("/x", "aa"), PolicyCheck::Allowed);
+        assert_eq!((q.path_count(), q.line_count()), (1, 1));
+        assert!(q.remove_path("/x"));
+        assert_eq!(q.path_count(), 0);
+    }
+
+    #[test]
+    fn check_compares_text_not_bytes() {
+        let mut p = RuntimePolicy::new();
+        p.allow("/x", "aa");
+        assert_eq!(
+            p.check("/x", "AA"),
+            PolicyCheck::HashMismatch {
+                expected: vec!["aa".to_string()]
+            }
+        );
+        p.allow("/x", "AA");
+        assert_eq!(p.check("/x", "AA"), PolicyCheck::Allowed);
+        assert_eq!(p.line_count(), 2);
+    }
+
+    #[test]
+    fn parsing_replaces_a_repeated_key_and_keeps_an_empty_set() {
+        let doc = r#"{"digests":{"/b":["aa"],"/a":[],"/b":["cc","AA"]},"excludes":[],"meta":{"version":0,"generator":"","generated_day":0},"totals":null}"#;
+        let p = RuntimePolicy::from_json(doc).unwrap();
+        assert_eq!(
+            p.to_json(),
+            r#"{"digests":{"/a":[],"/b":["AA","cc"]},"excludes":[],"meta":{"version":0,"generator":"","generated_day":0},"totals":null}"#
+        );
+        assert_eq!((p.path_count(), p.line_count()), (2, 2));
+        assert_eq!(
+            p.check("/b", "aa"),
+            PolicyCheck::HashMismatch {
+                expected: vec!["AA".to_string(), "cc".to_string()]
+            }
+        );
     }
 }

@@ -190,7 +190,7 @@ mod tests {
     fn entries(policy: &RuntimePolicy) -> Model {
         policy
             .entries()
-            .map(|(path, set)| (path.clone(), set.clone()))
+            .map(|(path, set)| (path.to_owned(), set))
             .collect()
     }
 

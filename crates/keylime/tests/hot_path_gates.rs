@@ -1,12 +1,13 @@
 //! The hot-path gates: a warm `RuntimePolicy::check_digest` touches no
-//! heap, and a `Verifier::publish_delta` to a shared fleet — or the
-//! replay of a long journal of them — copies only the policy chunks its
-//! deltas touch, never the policy.
+//! heap, a policy holds a bounded number of bytes per (path, digest) pair,
+//! and a `Verifier::publish_delta` to a shared fleet — or the replay of a
+//! long journal of them — copies only the policy chunks its deltas touch,
+//! never the policy, each copy for a few allocations.
 //!
-//! Allocations are counted per thread, by a const-initialised
-//! thread-local inside the counting global allocator, and chunk copies by
-//! a thread-local inside `cia_keylime`, so tests running in parallel in
-//! this binary cannot perturb either count.
+//! Allocations and live heap bytes are counted per thread, by
+//! const-initialised thread-locals inside the counting global allocator,
+//! and chunk copies by a thread-local inside `cia_keylime`, so tests
+//! running in parallel in this binary cannot perturb any count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,11 +20,13 @@ use cia_keylime::{
 };
 use cia_vfs::{Vfs, VfsPath};
 
-/// Counts every heap allocation the calling thread makes.
+/// Counts every heap allocation the calling thread makes, and the bytes
+/// it has allocated and not yet freed.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_allocation() {
@@ -31,22 +34,29 @@ fn count_allocation() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's `GlobalAlloc` contract is exactly the one `System` needs.
-// Counting only bumps a const-initialised thread-local `Cell` that has no
+// Counting only bumps const-initialised thread-local `Cell`s that have no
 // destructor: it never allocates and never re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        count_bytes(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
+        count_bytes(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -57,6 +67,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations made by this thread so far.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Heap bytes this thread has allocated and not freed (a thread that
+/// frees another's memory can go negative).
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 const POLICY_ENTRIES: usize = 10_000;
@@ -95,6 +111,50 @@ fn a_warm_check_digest_makes_no_heap_allocation() {
         "{allocated} allocations over {} allowed/excluded/not-in-policy checks",
         ROUNDS * probes.len() as u64
     );
+}
+
+#[test]
+fn a_policy_holds_at_most_96_bytes_per_pair() {
+    const BYTES_PER_PAIR: i64 = 96;
+    let before = live_bytes();
+    let mut policy = RuntimePolicy::new();
+    for i in 0..POLICY_ENTRIES {
+        let path = format!("/usr/bin/tool-{i:05}");
+        let digest = HashAlgorithm::Sha256.digest(path.as_bytes());
+        policy.allow(path, digest.to_hex());
+    }
+    let held = live_bytes() - before;
+    assert_eq!(black_box(&policy).line_count(), POLICY_ENTRIES);
+    let per_pair = held / POLICY_ENTRIES as i64;
+    assert!(
+        per_pair <= BYTES_PER_PAIR,
+        "a {POLICY_ENTRIES}-entry policy holds {held} bytes, {per_pair} per (path, digest) pair"
+    );
+}
+
+#[test]
+fn the_first_edit_of_a_shared_chunk_costs_at_most_four_allocations() {
+    const ALLOCATIONS_PER_COPY: u64 = 4;
+    // One chunk of 1 to 256 paths: the copy's cost must not grow with them.
+    for paths in [1, 16, 128, 256] {
+        let mut policy = RuntimePolicy::new();
+        for i in 0..paths {
+            policy.allow(format!("/usr/bin/tool-{i:05}"), format!("{i:064x}"));
+        }
+        let path = format!("/usr/bin/tool-{:05}", paths / 2);
+        let digest = format!("{:064x}", paths + 1);
+        let mut edited = policy.clone();
+        let copies = RuntimePolicy::chunk_copy_count();
+        let before = allocations();
+        edited.allow(path.as_str(), digest.as_str());
+        let allocated = allocations() - before;
+        assert_eq!(RuntimePolicy::chunk_copy_count() - copies, 1);
+        assert!(
+            allocated <= ALLOCATIONS_PER_COPY,
+            "adding a digest to a shared {paths}-path chunk made {allocated} allocations"
+        );
+        assert_ne!(black_box(&edited), black_box(&policy));
+    }
 }
 
 #[test]

@@ -238,3 +238,182 @@ proptest! {
         }
     }
 }
+
+// --- Model equivalence over every digest shape ---------------------------
+
+/// Digest text of every shape a policy document can carry: canonical
+/// 64-, 40- and 2-digit hex, which a policy holds as raw bytes, and the
+/// upper-case, odd-length, non-hex, empty and 66-digit text it keeps
+/// verbatim. A few fixed values per shape make sets collide.
+fn digest_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[0-9a-f]{64}",
+        "[0-9a-f]{40}",
+        "[0-9a-f]{2}",
+        "[0-9A-F]{64}",
+        "[0-9a-f]{1,5}",
+        "[g-z!.-]{1,8}",
+        "[0-9a-f]{66}",
+        (0u8..12).prop_map(|i| match i % 6 {
+            0 => format!("{i:064x}"),
+            1 => format!("{i:040x}"),
+            2 => format!("{i:02x}"),
+            3 => format!("{i:064X}"),
+            4 => format!("{i:03x}"),
+            _ => String::new(),
+        }),
+    ]
+}
+
+/// Paths a model test edits and probes (the last is never added). Past
+/// the prefix a chunk's paths share, some differ only after 8 more bytes.
+const MODEL_PATHS: [&str; 9] = [
+    "/m/p0",
+    "/m/p1",
+    "/m/p2",
+    "/m/p3/lib/modules/a.ko",
+    "/m/p3/lib/modules/b.ko",
+    "/m/p3/lib/modules/b.ko.xz",
+    "/m/p3/lib/mod",
+    "/m",
+    "/m/p9",
+];
+
+fn model_path() -> impl Strategy<Value = String> {
+    (0..MODEL_PATHS.len() - 1).prop_map(|i| MODEL_PATHS[i].to_string())
+}
+
+#[derive(Debug, Clone)]
+enum ModelOp {
+    Allow(String, String),
+    RemovePath(String),
+    DedupRetain(String, String),
+    ApplyDelta(PolicyDelta),
+}
+
+fn model_op() -> impl Strategy<Value = ModelOp> {
+    let allow = || (model_path(), digest_text()).prop_map(|(p, d)| ModelOp::Allow(p, d));
+    prop_oneof![
+        allow(),
+        allow(),
+        allow(),
+        model_path().prop_map(ModelOp::RemovePath),
+        (model_path(), digest_text()).prop_map(|(p, d)| ModelOp::DedupRetain(p, d)),
+        // Retire a digest the path most likely holds: one of the fixed ones.
+        (model_path(), 0u8..12).prop_map(|(p, i)| ModelOp::DedupRetain(p, format!("{i:02x}"))),
+        (
+            proptest::collection::vec((model_path(), digest_text()), 0..4),
+            proptest::collection::vec(model_path(), 0..2),
+            proptest::collection::vec((model_path(), digest_text()), 0..2),
+        )
+            .prop_map(|(added, removed_paths, retired)| {
+                ModelOp::ApplyDelta(PolicyDelta {
+                    added,
+                    removed_paths,
+                    retired,
+                    ..PolicyDelta::default()
+                })
+            }),
+    ]
+}
+
+type Model = std::collections::BTreeMap<String, std::collections::BTreeSet<String>>;
+
+fn model_dedup(model: &mut Model, path: &str, keep: &str) {
+    if let Some(set) = model.get_mut(path) {
+        if set.len() > 1 && set.contains(keep) {
+            set.retain(|d| d == keep);
+        }
+    }
+}
+
+fn model_check(model: &Model, path: &str, digest: &str) -> PolicyCheck {
+    match model.get(path) {
+        None => PolicyCheck::NotInPolicy,
+        Some(set) if set.contains(digest) => PolicyCheck::Allowed,
+        Some(set) => PolicyCheck::HashMismatch {
+            expected: set.iter().cloned().collect(),
+        },
+    }
+}
+
+fn model_document(model: &Model) -> String {
+    format!(
+        r#"{{"digests":{},"excludes":[],"meta":{{"version":0,"generator":"","generated_day":0}},"totals":null}}"#,
+        serde_json::to_string(model).unwrap()
+    )
+}
+
+proptest! {
+    /// A policy behaves as a plain map of digest strings under every
+    /// mutator, whatever shape its digests take: raw or verbatim storage
+    /// is never visible in a check, a rendered set, a count or the
+    /// document. The start is a parsed document, so empty sets occur.
+    #[test]
+    fn policy_equals_a_string_map_model(
+        start in proptest::collection::vec(
+            (model_path(), proptest::collection::vec(digest_text(), 0..3)),
+            0..5,
+        ),
+        ops in proptest::collection::vec(model_op(), 1..24),
+        probes in proptest::collection::vec(digest_text(), 0..4),
+    ) {
+        let mut model: Model = start
+            .into_iter()
+            .map(|(path, digests)| (path, digests.into_iter().collect()))
+            .collect();
+        let mut policy = RuntimePolicy::from_json(&model_document(&model)).unwrap();
+        let mut probes = probes;
+        for op in &ops {
+            match op {
+                ModelOp::Allow(path, digest) => {
+                    policy.allow(path, digest);
+                    model.entry(path.clone()).or_default().insert(digest.clone());
+                }
+                ModelOp::RemovePath(path) => {
+                    prop_assert_eq!(policy.remove_path(path), model.remove(path).is_some());
+                }
+                ModelOp::DedupRetain(path, keep) => {
+                    policy.dedup_retain(path, keep);
+                    model_dedup(&mut model, path, keep);
+                }
+                ModelOp::ApplyDelta(delta) => {
+                    prop_assert_eq!(policy.apply_delta(delta), delta.len());
+                    for path in &delta.removed_paths {
+                        model.remove(path);
+                    }
+                    for (path, digest) in &delta.added {
+                        model.entry(path.clone()).or_default().insert(digest.clone());
+                    }
+                    for (path, keep) in &delta.retired {
+                        model_dedup(&mut model, path, keep);
+                    }
+                }
+            }
+
+            probes.extend(model.values().flatten().cloned());
+            for path in MODEL_PATHS {
+                prop_assert_eq!(policy.digests_for(path), model.get(path).cloned());
+                for digest in &probes {
+                    let expected = model_check(&model, path, digest);
+                    prop_assert_eq!(policy.check(path, digest), expected.clone(), "{} {:?}", path, digest);
+                    let algorithm = match digest.len() {
+                        64 => HashAlgorithm::Sha256,
+                        40 => HashAlgorithm::Sha1,
+                        _ => continue,
+                    };
+                    if digest.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')) {
+                        let typed = Digest::parse_hex(algorithm, digest).unwrap();
+                        prop_assert_eq!(policy.check_digest(path, &typed), expected);
+                    }
+                }
+            }
+            let entries: Model = policy.entries().map(|(p, s)| (p.to_owned(), s)).collect();
+            prop_assert_eq!(&entries, &model);
+            prop_assert_eq!(policy.line_count(), model.values().map(|s| s.len()).sum::<usize>());
+            prop_assert_eq!(policy.path_count(), model.len());
+            prop_assert_eq!(policy.to_json(), model_document(&model));
+            probes.truncate(4);
+        }
+    }
+}

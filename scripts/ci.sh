@@ -3,7 +3,10 @@
 # arms in the journal-recovery and shard-protocol consumers), the tier-1
 # release build, every crate's unit and integration suites (tier-1's
 # `cargo test`, whose default members are the whole workspace: the
-# hot-path gates in crates/keylime/tests/hot_path_gates.rs, and the
+# hot-path gates in crates/keylime/tests/hot_path_gates.rs — zero
+# allocations per warm check_digest, at most 96 live heap bytes per
+# policy (path, digest) pair, chunk copies bounded per push and per
+# recovery, at most 4 allocations per chunk copy — and the
 # repo's own cia-lint static pass as the test
 # crates/lint/tests/rules.rs::the_workspace_has_no_findings), the paper's
 # ablation timings (`ablation_costs`, which asserts the facts behind each
