@@ -2,20 +2,16 @@
 //! containing struct.
 //!
 //! The attestation hot path memoizes expensive derived values (template
-//! hashes, policy size totals) directly inside the structs they belong to.
-//! Those caches must never travel on the wire — a peer-supplied cache
-//! would be an integrity hole, and the wire format should not change
-//! shape with cache state — so `Derived<T>` serializes to `null` and
-//! deserializes to an empty slot regardless of input, forcing the
-//! receiver to recompute from the authoritative fields. Equality likewise
-//! ignores cache state: two structs differing only in what they have
-//! memoized are equal.
+//! hashes) directly inside the structs they belong to. Those caches must
+//! never travel on the wire — a peer-supplied cache would be an integrity
+//! hole — so `Derived<T>` has no serde impls: a struct holding one writes
+//! its codec by hand, without the cache, and the receiver recomputes from
+//! the authoritative fields. Equality likewise ignores cache state: two
+//! structs differing only in what they have memoized are equal.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
-
-use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 /// A write-once memoization slot (see the module docs).
 ///
@@ -56,17 +52,6 @@ impl<T> Derived<T> {
     pub fn clear(&mut self) {
         self.0 = OnceLock::new();
     }
-
-    /// Mutable access to the cached value, if one was computed.
-    pub fn get_mut(&mut self) -> Option<&mut T> {
-        self.0.get_mut()
-    }
-
-    /// Pre-populates an empty slot (e.g. with a value that was computed
-    /// as a by-product of construction). A no-op when already filled.
-    pub fn prime(&self, value: T) {
-        let _ = self.0.set(value);
-    }
 }
 
 impl<T> Default for Derived<T> {
@@ -99,21 +84,6 @@ impl<T> PartialEq for Derived<T> {
 }
 
 impl<T> Eq for Derived<T> {}
-
-/// Always `null` on the wire — caches are recomputed, never trusted.
-impl<T> Serialize for Derived<T> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.null();
-    }
-}
-
-/// Always deserializes to an empty slot, whatever the input holds.
-impl<T> Deserialize for Derived<T> {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        r.skip_value()?;
-        Ok(Derived::new())
-    }
-}
 
 /// A content-addressed digest cache.
 ///
@@ -208,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn prime_fills_only_empty_slots() {
-        let slot: Derived<u32> = Derived::new();
-        slot.prime(1);
-        slot.prime(2);
-        assert_eq!(slot.get(), Some(&1));
-    }
-
-    #[test]
     fn clone_carries_the_cache() {
         let slot: Derived<u32> = Derived::new();
         slot.get_or_init(|| 9);
@@ -228,17 +190,6 @@ mod tests {
         full.get_or_init(|| 3);
         let empty: Derived<u32> = Derived::new();
         assert_eq!(full, empty);
-    }
-
-    #[test]
-    fn serializes_to_null_and_deserializes_empty() {
-        let full: Derived<u32> = Derived::new();
-        full.get_or_init(|| 3);
-        assert_eq!(serde_json::to_string(&full).unwrap(), "null");
-        let back: Derived<u32> = serde_json::from_str("99").unwrap();
-        assert_eq!(back.get(), None);
-        let back: Derived<u32> = serde_json::from_str(r#"{"cached":[3]}"#).unwrap();
-        assert_eq!(back.get(), None);
     }
 
     #[test]

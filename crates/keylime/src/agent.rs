@@ -61,10 +61,8 @@ pub enum IdentityResponse {
     /// launch measurement plus proof of possession.
     ConfidentialVm {
         /// Platform certificate over the guest attestation key (context:
-        /// the launch measurement).
+        /// the launch measurement, the only copy the registrar reads).
         certificate: BackendCert,
-        /// The launch measurement the certificate attests.
-        launch_measurement: cia_crypto::Digest,
         /// Proof of possession bound to the registrar challenge.
         binding: ChallengeBinding,
     },
@@ -101,13 +99,10 @@ pub struct QuoteResponse {
     pub(crate) entries: Vec<ImaLogEntry>,
     /// Total entries currently in the measurement list.
     pub(crate) total_entries: usize,
-    /// Platform reset counter, so the verifier can detect reboots.
-    pub(crate) boot_count: u64,
 }
 
 impl QuoteResponse {
-    /// Assembles a response; the boot counter is taken from the quote so
-    /// the two can never disagree.
+    /// Assembles a response.
     pub fn new(
         backend: BackendKind,
         quote: Quote,
@@ -116,7 +111,6 @@ impl QuoteResponse {
     ) -> Self {
         QuoteResponse {
             backend,
-            boot_count: quote.boot_count,
             quote,
             entries,
             total_entries,
@@ -144,9 +138,10 @@ impl QuoteResponse {
         self.total_entries
     }
 
-    /// Platform reset counter.
+    /// Platform reset counter, read from the signed quote so the
+    /// verifier can detect reboots.
     pub fn boot_count(&self) -> u64 {
-        self.boot_count
+        self.quote.boot_count
     }
 }
 
@@ -330,6 +325,21 @@ mod tests {
         assert!(q.quote().verify(ak, b"n1"));
         assert!(q.quote().pcr_value(10).is_some());
         assert!(q.quote().pcr_value(0).is_some());
+    }
+
+    /// The reset counter is read from the signed quote: a JSON response
+    /// claiming another one decodes to the quote's.
+    #[test]
+    fn json_boot_count_comes_from_the_signed_quote() {
+        let mut a = agent();
+        a.restart().unwrap();
+        let q = quote(&mut a, 0);
+        assert_eq!(q.quote().boot_count, 1);
+        let json = serde_json::to_string(&q).unwrap();
+        let forged = json.replacen('{', r#"{"boot_count":99,"#, 1);
+        let back: QuoteResponse = serde_json::from_str(&forged).unwrap();
+        assert_eq!(back.boot_count(), 1);
+        assert_eq!(back, q);
     }
 
     #[test]

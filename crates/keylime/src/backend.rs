@@ -8,13 +8,17 @@
 //!   0–10 plus the IMA measurement list of a [`Machine`] (evidence
 //!   register: PCR 10).
 //! * [`SecureWorldBackend`] — a TrustZone-style secure world running its
-//!   own policy-driven measurement agent (the PDRIMA shape). Measurement
-//!   state lives behind a world-switch gate the normal world cannot
-//!   reach (evidence register 0).
+//!   own policy-driven measurement agent (the PDRIMA shape): only loads
+//!   under its measured prefixes are measured (evidence register 0).
 //! * [`ConfidentialVmBackend`] — privilege-separated user-space integrity
 //!   enforcement inside a confidential VM (the PS-UIE shape). Identity is
 //!   rooted in the platform-certified launch measurement (register 0);
 //!   runtime measurements extend register 1.
+//!
+//! The two non-TPM shapes are one measured device core — derived key,
+//! platform certificate, measurement list, runtime register, signed quote
+//! and reset — plus what each adds. Their isolation from the workload is
+//! that core's private fields.
 //!
 //! All three produce the same [`Quote`](cia_tpm::Quote) evidence shape
 //! and the same excerpt (the [`ImaLogEntry`] tail), so the verifier's
@@ -48,23 +52,20 @@ pub const CVM_RUNTIME_REGISTER: u8 = 1;
 /// Which attestation backend produced (or is expected to produce) a piece
 /// of evidence.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 #[serde(rename_all = "kebab-case")]
 pub enum BackendKind {
-    /// TPM quote + IMA measurement list (the classic Keylime path).
+    /// TPM quote + IMA measurement list (the classic Keylime path); the
+    /// default, as pre-backend wire messages carried no tag.
+    #[default]
     TpmIma,
     /// TrustZone-style secure-world measurement agent (PDRIMA shape).
     SecureWorld,
     /// Confidential VM with launch-measurement-rooted identity (PS-UIE
     /// shape).
     ConfidentialVm,
-}
-
-impl Default for BackendKind {
-    /// Pre-backend wire messages carried no tag; they were all TPM+IMA.
-    fn default() -> Self {
-        BackendKind::TpmIma
-    }
 }
 
 impl BackendKind {
@@ -75,13 +76,9 @@ impl BackendKind {
         BackendKind::ConfidentialVm,
     ];
 
-    /// Stable dense index (used for per-backend metric slots).
+    /// Stable dense index: the position in [`BackendKind::ALL`].
     pub(crate) fn index(self) -> usize {
-        match self {
-            BackendKind::TpmIma => 0,
-            BackendKind::SecureWorld => 1,
-            BackendKind::ConfidentialVm => 2,
-        }
+        self as usize
     }
 
     /// Stable display name (also the serde rendering).
@@ -129,12 +126,6 @@ pub enum BackendError {
         /// Underlying platform error.
         reason: String,
     },
-    /// The operation would cross a privilege boundary the backend
-    /// enforces (secure-world isolation, CVM privilege separation).
-    Protected {
-        /// Which boundary stopped the operation.
-        reason: String,
-    },
     /// A platform operation (restart, provisioning) failed.
     Platform {
         /// Underlying platform error.
@@ -144,15 +135,13 @@ pub enum BackendError {
 
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Reasons pass through verbatim: the agent surfaces them as
+        // `AgentResponse::Error`, and the TPM path must keep its
+        // pre-refactor error strings.
         match self {
-            // Quote/identity reasons pass through verbatim: the agent
-            // surfaces them as `AgentResponse::Error`, and the TPM path
-            // must keep its pre-refactor error strings.
-            BackendError::Quote { reason } | BackendError::Identity { reason } => {
-                f.write_str(reason)
-            }
-            BackendError::Protected { reason } => write!(f, "protected: {reason}"),
-            BackendError::Platform { reason } => f.write_str(reason),
+            BackendError::Quote { reason }
+            | BackendError::Identity { reason }
+            | BackendError::Platform { reason } => f.write_str(reason),
         }
     }
 }
@@ -167,11 +156,7 @@ pub struct BackendSet(u8);
 impl BackendSet {
     /// The set containing every known backend.
     pub fn all() -> Self {
-        let mut bits = 0u8;
-        for kind in BackendKind::ALL {
-            bits |= 1 << kind.index();
-        }
-        BackendSet(bits)
+        BackendSet((1 << BackendKind::ALL.len()) - 1)
     }
 
     /// The empty set (rejected by config validation).
@@ -285,11 +270,6 @@ impl BackendRoot {
         }
     }
 
-    /// The root's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The public key registrars trust.
     pub fn public_key(&self) -> &VerifyingKey {
         &self.keys.verifying
@@ -389,6 +369,127 @@ impl ChallengeBinding {
 }
 
 // ---------------------------------------------------------------------------
+// The measured device both non-TPM backends are
+// ---------------------------------------------------------------------------
+
+/// The measured device both non-TPM backends are: a key derived from its
+/// provisioning seed and certified by a platform root, one measurement
+/// list extending one runtime register, a restart counter and a quote
+/// clock. Its fields are private, and that is the isolation both shapes
+/// model: the workload reaches them only through the typed entry points.
+#[derive(Debug)]
+struct Device {
+    kind: BackendKind,
+    hostname: String,
+    keys: KeyPair,
+    certificate: BackendCert,
+    entries: Vec<ImaLogEntry>,
+    register: Digest,
+    restarts: u64,
+    clock: u64,
+    day: u32,
+}
+
+impl Device {
+    /// Derives the attestation key from `tag`, the host name and the seed
+    /// (no ambient entropy: replay-equal provisioning) and has `root`
+    /// certify it over `context`.
+    fn provision(
+        kind: BackendKind,
+        tag: &[u8],
+        hostname: String,
+        seed: u64,
+        root: &BackendRoot,
+        context: &[u8],
+    ) -> Self {
+        let seed = seed.to_be_bytes();
+        let derived = HashAlgorithm::Sha256.digest_parts(&[tag, hostname.as_bytes(), &seed]);
+        let mut material = [0u8; 32];
+        material.copy_from_slice(derived.as_bytes());
+        let keys = KeyPair::from_material(material);
+        Device {
+            kind,
+            certificate: root.issue(&keys.verifying, context),
+            hostname,
+            keys,
+            entries: Vec::new(),
+            register: HashAlgorithm::Sha256.zero_digest(),
+            restarts: 0,
+            clock: 0,
+            day: 0,
+        }
+    }
+
+    /// Records `content` loaded at `path` as measured, extending the
+    /// runtime register (the kind's evidence register).
+    fn measure(&mut self, path: &str, content: &[u8]) {
+        let pcr = self.kind.evidence_register();
+        let entry = ImaLogEntry::new_in_pcr(pcr, HashAlgorithm::Sha256.digest(content), path);
+        let tpl = entry.template_hash(HashAlgorithm::Sha256);
+        self.register = extend_digest(HashAlgorithm::Sha256, self.register, tpl);
+        self.entries.push(entry);
+    }
+
+    /// The certificate plus proof of possession answering the registrar
+    /// `challenge`.
+    fn identity(&self, challenge: &[u8]) -> IdentityResponse {
+        let certificate = self.certificate.clone();
+        let binding = ChallengeBinding::sign(&self.keys, challenge);
+        match self.kind {
+            BackendKind::SecureWorld => IdentityResponse::SecureWorld {
+                certificate,
+                binding,
+            },
+            _ => IdentityResponse::ConfidentialVm {
+                certificate,
+                binding,
+            },
+        }
+    }
+
+    /// A quote over the `(register, value)` pairs the caller names, in
+    /// register order, plus the measurement list from `from_entry` on (an
+    /// offset past the end yields none). It signs the same canonical
+    /// message a TPM signs, so the verifier's quote check is
+    /// backend-agnostic.
+    fn quote(
+        &mut self,
+        nonce: &[u8],
+        from_entry: usize,
+        registers: &[(u8, Digest)],
+    ) -> QuoteResponse {
+        self.clock += 1;
+        let (bank, boot_count, clock) = (HashAlgorithm::Sha256, self.restarts, self.clock);
+        let indices: Vec<u8> = registers.iter().map(|&(pcr, _)| pcr).collect();
+        let selection = PcrSelection::of(&indices);
+        let pcr_values: Vec<Digest> = registers.iter().map(|&(_, value)| value).collect();
+        let pcr_digest = Quote::digest_pcrs(&pcr_values);
+        let msg = Quote::message_bytes(nonce, &selection, bank, &pcr_digest, boot_count, clock);
+        let quote = Quote {
+            nonce: nonce.to_vec(),
+            selection,
+            bank,
+            pcr_values,
+            pcr_digest,
+            boot_count,
+            clock,
+            signature: self.keys.signing.sign(&msg),
+        };
+        let excerpt = self.entries[from_entry.min(self.entries.len())..].to_vec();
+        QuoteResponse::new(self.kind, quote, excerpt, self.entries.len())
+    }
+
+    /// Clears the measurement list and register, bumps the restart
+    /// counter and restarts the quote clock.
+    fn reset(&mut self) {
+        self.entries.clear();
+        self.register = HashAlgorithm::Sha256.zero_digest();
+        self.restarts += 1;
+        self.clock = 0;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Secure world (PDRIMA shape)
 // ---------------------------------------------------------------------------
 
@@ -415,31 +516,14 @@ impl SecureWorldConfig {
     }
 }
 
-/// State living inside the secure world, reachable only through the
-/// world-switch gate.
-#[derive(Debug)]
-struct SecureWorldState {
-    measured_prefixes: Vec<String>,
-    entries: Vec<ImaLogEntry>,
-    register: Digest,
-    restarts: u64,
-    clock: u64,
-}
-
 /// A TrustZone-style backend: a policy-driven measurement agent running
-/// inside a simulated secure world (PDRIMA shape).
-///
-/// Measurement state sits in the private `world` field, modelling the
-/// SMC world-switch gate: nothing in the normal world can reach the
-/// measurement list except through the typed entry points, and every
-/// entry that changes it takes `&mut self`.
+/// inside a simulated secure world (PDRIMA shape). It measures only loads
+/// under its measured prefixes, into register 0, and the TEE vendor
+/// certifies its key over the prefixes' digest.
 #[derive(Debug)]
 pub struct SecureWorldBackend {
-    hostname: String,
-    keys: KeyPair,
-    certificate: BackendCert,
-    world: SecureWorldState,
-    day: u32,
+    device: Device,
+    measured_prefixes: Vec<String>,
 }
 
 impl SecureWorldBackend {
@@ -447,32 +531,29 @@ impl SecureWorldBackend {
     /// seed and has the TEE vendor `root` certify it over the
     /// measurement-policy digest.
     pub fn provision(config: SecureWorldConfig, root: &BackendRoot) -> Self {
-        let keys = derive_keys(b"SW_DEVICE_KEY:", &config.hostname, config.seed);
         let mut policy = Sha256::new();
         policy.update(b"SW_MEASUREMENT_POLICY:");
         for prefix in &config.measured_prefixes {
             policy.update(prefix.as_bytes());
             policy.update(&[0]);
         }
-        let certificate = root.issue(&keys.verifying, policy.finalize().as_bytes());
+        let context = policy.finalize();
         SecureWorldBackend {
-            hostname: config.hostname,
-            keys,
-            certificate,
-            world: SecureWorldState {
-                measured_prefixes: config.measured_prefixes,
-                entries: Vec::new(),
-                register: HashAlgorithm::Sha256.zero_digest(),
-                restarts: 0,
-                clock: 0,
-            },
-            day: 0,
+            device: Device::provision(
+                BackendKind::SecureWorld,
+                b"SW_DEVICE_KEY:",
+                config.hostname,
+                config.seed,
+                root,
+                context.as_bytes(),
+            ),
+            measured_prefixes: config.measured_prefixes,
         }
     }
 
     /// The device attestation public key (what the registrar stores).
     pub fn public_key(&self) -> &VerifyingKey {
-        &self.keys.verifying
+        &self.device.keys.verifying
     }
 
     /// Loads a trusted application into the secure world. Returns `true`
@@ -480,87 +561,34 @@ impl SecureWorldBackend {
     /// register was extended); `false` for an unmeasured load — the
     /// policy-coverage gap an attacker hides in.
     pub fn load_trusted_app(&mut self, path: &str, content: &[u8]) -> bool {
-        let world = &mut self.world;
-        if !world
-            .measured_prefixes
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
-        {
-            return false;
+        let covered = (self.measured_prefixes.iter()).any(|p| path.starts_with(p.as_str()));
+        if covered {
+            self.device.measure(path, content);
         }
-        let entry = ImaLogEntry::new_in_pcr(
-            SECURE_WORLD_REGISTER,
-            HashAlgorithm::Sha256.digest(content),
-            path,
-        );
-        let tpl = entry.template_hash(HashAlgorithm::Sha256);
-        world.register = extend_digest(HashAlgorithm::Sha256, world.register, tpl);
-        world.entries.push(entry);
-        true
-    }
-
-    /// What the normal world gets when it tries to touch the measurement
-    /// list directly: nothing — the gate only exposes typed entry points.
-    ///
-    /// # Errors
-    ///
-    /// Always [`BackendError::Protected`].
-    pub fn tamper_from_normal_world(&mut self) -> Result<(), BackendError> {
-        Err(BackendError::Protected {
-            reason: "measurement state lives in the secure world".to_string(),
-        })
+        covered
     }
 
     /// Number of measured loads so far.
     pub fn measured_count(&self) -> usize {
-        self.world.entries.len()
+        self.device.entries.len()
     }
 
     /// Advances the device's notion of the simulated day.
     pub fn advance_days(&mut self, days: u32) {
-        self.day += days;
-    }
-
-    /// The vendor certificate plus proof of possession answering the
-    /// registrar `challenge`.
-    pub(crate) fn identity(&self, challenge: &[u8]) -> IdentityResponse {
-        IdentityResponse::SecureWorld {
-            certificate: self.certificate.clone(),
-            binding: ChallengeBinding::sign(&self.keys, challenge),
-        }
+        self.device.day += days;
     }
 
     /// A quote over the world's register plus the measured loads from
     /// `from_entry` on (an offset past the end yields none).
     pub(crate) fn quote(&mut self, nonce: &[u8], from_entry: usize) -> QuoteResponse {
-        let world = &mut self.world;
-        world.clock += 1;
-        let values = vec![world.register];
-        let quote = sign_quote(
-            &self.keys,
-            nonce,
-            PcrSelection::single(SECURE_WORLD_REGISTER),
-            values,
-            world.restarts,
-            world.clock,
-        );
-        let from = from_entry.min(world.entries.len());
-        QuoteResponse::new(
-            BackendKind::SecureWorld,
-            quote,
-            world.entries[from..].to_vec(),
-            world.entries.len(),
-        )
+        let register = (SECURE_WORLD_REGISTER, self.device.register);
+        self.device.quote(nonce, from_entry, &[register])
     }
 
     /// Resets the world: the measurement list and register clear and the
     /// restart counter bumps.
     pub(crate) fn restart(&mut self) {
-        let world = &mut self.world;
-        world.entries.clear();
-        world.register = HashAlgorithm::Sha256.zero_digest();
-        world.restarts += 1;
-        world.clock = 0;
+        self.device.reset();
     }
 }
 
@@ -593,31 +621,21 @@ impl ConfidentialVmConfig {
 
 /// Computes the platform launch measurement of a guest image.
 pub fn launch_measurement_of(image: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"CVM_LAUNCH:");
-    h.update(image);
-    h.finalize()
+    HashAlgorithm::Sha256.digest_parts(&[b"CVM_LAUNCH:", image])
 }
 
 /// A confidential-VM backend: user-space integrity enforcement running at
 /// a higher privilege than the workload (PS-UIE shape).
 ///
-/// Register 0 carries the platform launch measurement the identity is
-/// rooted in; register 1 is extended by the in-guest enforcement agent
-/// for every measured execution. The workload cannot rewrite either — the
-/// enforcement agent's state is privilege-separated.
+/// Register 0 carries the launch measurement of whatever image actually
+/// launched; the platform certifies the key over the enrolled one.
+/// Register 1 is extended by the in-guest enforcement agent for every
+/// measured execution.
 #[derive(Debug)]
 pub struct ConfidentialVmBackend {
-    hostname: String,
-    keys: KeyPair,
-    certificate: BackendCert,
+    device: Device,
     enrolled_launch: Digest,
     launch_measurement: Digest,
-    entries: Vec<ImaLogEntry>,
-    runtime_register: Digest,
-    restarts: u64,
-    clock: u64,
-    day: u32,
 }
 
 impl ConfidentialVmBackend {
@@ -625,26 +643,24 @@ impl ConfidentialVmBackend {
     /// seed and has the `platform` certify it over the image's launch
     /// measurement.
     pub fn provision(config: ConfidentialVmConfig, platform: &BackendRoot) -> Self {
-        let keys = derive_keys(b"CVM_GUEST_KEY:", &config.hostname, config.seed);
         let launch = launch_measurement_of(&config.image);
-        let certificate = platform.issue(&keys.verifying, launch.as_bytes());
         ConfidentialVmBackend {
-            hostname: config.hostname,
-            keys,
-            certificate,
+            device: Device::provision(
+                BackendKind::ConfidentialVm,
+                b"CVM_GUEST_KEY:",
+                config.hostname,
+                config.seed,
+                platform,
+                launch.as_bytes(),
+            ),
             enrolled_launch: launch,
             launch_measurement: launch,
-            entries: Vec::new(),
-            runtime_register: HashAlgorithm::Sha256.zero_digest(),
-            restarts: 0,
-            clock: 0,
-            day: 0,
         }
     }
 
     /// The guest attestation public key (what the registrar stores).
     pub fn public_key(&self) -> &VerifyingKey {
-        &self.keys.verifying
+        &self.device.keys.verifying
     }
 
     /// The launch measurement the platform certified at provisioning.
@@ -654,26 +670,7 @@ impl ConfidentialVmBackend {
 
     /// The enforcement agent measures and records an execution.
     pub fn exec_measured(&mut self, path: &str, content: &[u8]) {
-        let entry = ImaLogEntry::new_in_pcr(
-            CVM_RUNTIME_REGISTER,
-            HashAlgorithm::Sha256.digest(content),
-            path,
-        );
-        let tpl = entry.template_hash(HashAlgorithm::Sha256);
-        self.runtime_register = extend_digest(HashAlgorithm::Sha256, self.runtime_register, tpl);
-        self.entries.push(entry);
-    }
-
-    /// What the workload gets when it tries to rewrite the enforcement
-    /// agent's history: nothing — the agent runs privilege-separated.
-    ///
-    /// # Errors
-    ///
-    /// Always [`BackendError::Protected`].
-    pub fn try_rewrite_history(&mut self) -> Result<(), BackendError> {
-        Err(BackendError::Protected {
-            reason: "enforcement state is privilege-separated from the workload".to_string(),
-        })
+        self.device.measure(path, content);
     }
 
     /// Relaunches the VM from a different image. The platform measures
@@ -682,104 +679,30 @@ impl ConfidentialVmBackend {
     /// enrolled one. The verifier catches the divergence.
     pub fn relaunch_with_image(&mut self, image: &[u8]) {
         self.launch_measurement = launch_measurement_of(image);
-        self.reset_runtime();
+        self.device.reset();
     }
 
     /// Advances the guest's notion of the simulated day.
     pub fn advance_days(&mut self, days: u32) {
-        self.day += days;
-    }
-
-    /// The platform certificate, the certified launch measurement and a
-    /// proof of possession answering the registrar `challenge`.
-    pub(crate) fn identity(&self, challenge: &[u8]) -> IdentityResponse {
-        IdentityResponse::ConfidentialVm {
-            certificate: self.certificate.clone(),
-            launch_measurement: self.enrolled_launch,
-            binding: ChallengeBinding::sign(&self.keys, challenge),
-        }
+        self.device.day += days;
     }
 
     /// A quote over the launch and runtime registers plus the measured
     /// executions from `from_entry` on (an offset past the end yields
     /// none).
     pub(crate) fn quote(&mut self, nonce: &[u8], from_entry: usize) -> QuoteResponse {
-        self.clock += 1;
-        let values = vec![self.launch_measurement, self.runtime_register];
-        let quote = sign_quote(
-            &self.keys,
-            nonce,
-            PcrSelection::of(&[CVM_LAUNCH_REGISTER, CVM_RUNTIME_REGISTER]),
-            values,
-            self.restarts,
-            self.clock,
-        );
-        let from = from_entry.min(self.entries.len());
-        QuoteResponse::new(
-            BackendKind::ConfidentialVm,
-            quote,
-            self.entries[from..].to_vec(),
-            self.entries.len(),
-        )
+        let registers = [
+            (CVM_LAUNCH_REGISTER, self.launch_measurement),
+            (CVM_RUNTIME_REGISTER, self.device.register),
+        ];
+        self.device.quote(nonce, from_entry, &registers)
     }
 
     /// A clean restart relaunches the enrolled image: register 0 keeps
     /// the certified launch measurement.
     pub(crate) fn restart(&mut self) {
         self.launch_measurement = self.enrolled_launch;
-        self.reset_runtime();
-    }
-
-    fn reset_runtime(&mut self) {
-        self.entries.clear();
-        self.runtime_register = HashAlgorithm::Sha256.zero_digest();
-        self.restarts += 1;
-        self.clock = 0;
-    }
-}
-
-/// Deterministically derives a backend attestation key pair from a
-/// provisioning seed (no ambient entropy: replay-equal provisioning).
-fn derive_keys(tag: &[u8], hostname: &str, seed: u64) -> KeyPair {
-    let mut h = Sha256::new();
-    h.update(tag);
-    h.update(hostname.as_bytes());
-    h.update(&seed.to_be_bytes());
-    let digest = h.finalize();
-    let mut material = [0u8; 32];
-    material.copy_from_slice(digest.as_bytes());
-    KeyPair::from_material(material)
-}
-
-/// Signs a quote over `values` with a backend attestation key — the same
-/// canonical message the TPM signs, so the verifier's quote check is
-/// backend-agnostic.
-fn sign_quote(
-    keys: &KeyPair,
-    nonce: &[u8],
-    selection: PcrSelection,
-    values: Vec<Digest>,
-    boot_count: u64,
-    clock: u64,
-) -> Quote {
-    let pcr_digest = Quote::digest_pcrs(&values);
-    let msg = Quote::message_bytes(
-        nonce,
-        &selection,
-        HashAlgorithm::Sha256,
-        &pcr_digest,
-        boot_count,
-        clock,
-    );
-    Quote {
-        nonce: nonce.to_vec(),
-        selection,
-        bank: HashAlgorithm::Sha256,
-        pcr_values: values,
-        pcr_digest,
-        boot_count,
-        clock,
-        signature: keys.signing.sign(&msg),
+        self.device.reset();
     }
 }
 
@@ -818,8 +741,8 @@ impl Backend {
     pub(crate) fn hostname(&self) -> &str {
         match self {
             Backend::TpmIma(machine) => machine.hostname(),
-            Backend::SecureWorld(b) => &b.hostname,
-            Backend::ConfidentialVm(b) => &b.hostname,
+            Backend::SecureWorld(b) => &b.device.hostname,
+            Backend::ConfidentialVm(b) => &b.device.hostname,
         }
     }
 
@@ -828,8 +751,8 @@ impl Backend {
     pub(crate) fn day(&self) -> u32 {
         match self {
             Backend::TpmIma(machine) => machine.clock.day(),
-            Backend::SecureWorld(b) => b.day,
-            Backend::ConfidentialVm(b) => b.day,
+            Backend::SecureWorld(b) => b.device.day,
+            Backend::ConfidentialVm(b) => b.device.day,
         }
     }
 
@@ -849,8 +772,8 @@ impl Backend {
                     reason: e.to_string(),
                 }),
             },
-            Backend::SecureWorld(b) => Ok(b.identity(challenge)),
-            Backend::ConfidentialVm(b) => Ok(b.identity(challenge)),
+            Backend::SecureWorld(b) => Ok(b.device.identity(challenge)),
+            Backend::ConfidentialVm(b) => Ok(b.device.identity(challenge)),
         }
     }
 
@@ -897,16 +820,11 @@ impl Backend {
         match self {
             Backend::TpmIma(machine) => machine.reboot().map_err(|e| BackendError::Platform {
                 reason: e.to_string(),
-            }),
-            Backend::SecureWorld(b) => {
-                b.restart();
-                Ok(())
-            }
-            Backend::ConfidentialVm(b) => {
-                b.restart();
-                Ok(())
-            }
+            })?,
+            Backend::SecureWorld(b) => b.restart(),
+            Backend::ConfidentialVm(b) => b.restart(),
         }
+        Ok(())
     }
 
     /// The wrapped machine, when this is the TPM+IMA backend.
@@ -1031,16 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn secure_world_isolation_holds() {
-        let root = tee_root();
-        let mut sw = SecureWorldBackend::provision(SecureWorldConfig::new("sw-0", 1), &root);
-        assert!(matches!(
-            sw.tamper_from_normal_world(),
-            Err(BackendError::Protected { .. })
-        ));
-    }
-
-    #[test]
     fn cvm_quote_pins_launch_measurement() {
         let mut rng = StdRng::seed_from_u64(12);
         let platform = BackendRoot::generate("CC Platform", &mut rng);
@@ -1076,18 +984,6 @@ mod tests {
             vm.enrolled_launch_measurement(),
             "clean restart relaunches the enrolled image"
         );
-    }
-
-    #[test]
-    fn cvm_privilege_separation_holds() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let platform = BackendRoot::generate("CC Platform", &mut rng);
-        let mut vm =
-            ConfidentialVmBackend::provision(ConfidentialVmConfig::new("cvm-0", 2), &platform);
-        assert!(matches!(
-            vm.try_rewrite_history(),
-            Err(BackendError::Protected { .. })
-        ));
     }
 
     #[test]

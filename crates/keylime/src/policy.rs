@@ -28,7 +28,7 @@ use std::ops::Bound::{Included, Unbounded};
 use std::ops::Range;
 use std::sync::Arc;
 
-use cia_crypto::{hex, Derived, Digest};
+use cia_crypto::{hex, Digest};
 use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::error::KeylimeError;
@@ -350,39 +350,31 @@ impl Chunk {
         );
     }
 
-    /// Drops the rows in `rows`, returning how many digests went.
-    fn drain(&mut self, rows: Range<usize>) -> usize {
-        let mut digests = 0;
+    /// Drops the rows in `rows`.
+    fn drain(&mut self, rows: Range<usize>) {
         for row in &self.rows[rows.clone()] {
-            match row.digest {
-                Stored::Raw(_) => digests += 1,
-                Stored::Text(span) => {
-                    digests += 1;
-                    self.dead += span.len as usize;
-                }
-                Stored::Empty => {}
+            if let Stored::Text(span) = row.digest {
+                self.dead += span.len as usize;
             }
         }
         self.rows.drain(rows);
-        digests
     }
 
-    /// Drops `path`, whose rows are `rows`, returning how many digests went.
-    fn remove(&mut self, rows: Range<usize>) -> usize {
+    /// Drops `path`, whose rows are `rows`.
+    fn remove(&mut self, rows: Range<usize>) {
         if let Some(first) = self.rows.get(rows.start) {
             self.dead += first.path.len as usize;
         }
-        let digests = self.drain(rows);
+        self.drain(rows);
         self.paths -= 1;
         self.tidy();
-        digests
     }
 
-    /// Keeps only row `keep` of `rows`, returning how many digests went.
-    fn retain(&mut self, rows: Range<usize>, keep: usize) -> usize {
-        let digests = self.drain(keep + 1..rows.end) + self.drain(rows.start..keep);
+    /// Keeps only row `keep` of `rows`.
+    fn retain(&mut self, rows: Range<usize>, keep: usize) {
+        self.drain(keep + 1..rows.end);
+        self.drain(rows.start..keep);
         self.tidy();
-        digests
     }
 
     /// Lays the chunk out again once dead bytes fill half its arena.
@@ -449,10 +441,6 @@ impl<'a> Set<'a> {
         self.rows.iter().filter_map(move |row| self.chunk.held(row))
     }
 
-    fn len(self) -> usize {
-        self.iter().count()
-    }
-
     fn rendered(self) -> BTreeSet<String> {
         self.iter().map(Held::to_text).collect()
     }
@@ -503,20 +491,20 @@ impl Digests {
             .next_back()
     }
 
-    /// Adds `digest` to `path`'s set (for `None`, makes `path` known) and
-    /// returns false if there was nothing to add; halves a full chunk.
-    fn insert(&mut self, path: &str, digest: Option<&str>) -> bool {
+    /// Adds `digest` to `path`'s set (for `None`, makes `path` known);
+    /// halves a full chunk.
+    fn insert(&mut self, path: &str, digest: Option<&str>) {
         let Some((_, slot)) = self.slot(path) else {
             let mut chunk = Chunk::default();
             chunk.append(path, digest);
             self.0.insert(path.into(), Arc::new(chunk));
-            return true;
+            return;
         };
         // Look before editing, so an edit that changes nothing copies nothing.
         let digest = digest.map(Held::new);
         let rows = slot.find(path);
         if slot.holds(rows.clone(), digest) {
-            return false;
+            return;
         }
         let chunk = Arc::make_mut(slot);
         chunk.add(rows, path, digest);
@@ -525,7 +513,6 @@ impl Digests {
                 self.0.insert(bound, Arc::new(upper));
             }
         }
-        true
     }
 
     /// Sets `path`'s digests to `set` (in document order, distinct), as a
@@ -558,34 +545,37 @@ impl Digests {
         }
     }
 
-    /// Removes `path` and returns how many digests went; an emptied chunk
+    /// Removes `path`, returning whether it was there; an emptied chunk
     /// goes too, and the chunk below takes over its range.
-    fn remove(&mut self, path: &str) -> Option<usize> {
-        let (bound, slot) = self.slot(path)?;
+    fn remove(&mut self, path: &str) -> bool {
+        let Some((bound, slot)) = self.slot(path) else {
+            return false;
+        };
         let rows = slot.find(path);
         if rows.is_empty() {
-            return None;
+            return false;
         }
         let bound = Arc::clone(bound);
         let chunk = Arc::make_mut(slot);
-        let removed = chunk.remove(rows);
+        chunk.remove(rows);
         if chunk.paths == 0 {
             self.0.remove(&bound);
         }
-        Some(removed)
+        true
     }
 
     /// Drops every digest of `path` but `keep`, if `keep` is among them
-    /// and there are others; returns how many went.
-    fn retain_only(&mut self, path: &str, keep: &str) -> Option<usize> {
-        let (_, slot) = self.slot(path)?;
+    /// and there are others.
+    fn retain_only(&mut self, path: &str, keep: &str) {
+        let Some((_, slot)) = self.slot(path) else {
+            return;
+        };
         let rows = slot.find(path);
         let keep = Some(Held::new(keep));
-        let at = rows.clone().find(|&i| slot.held(&slot.rows[i]) == keep)?;
-        if rows.len() < 2 {
-            return None;
+        let at = rows.clone().find(|&i| slot.held(&slot.rows[i]) == keep);
+        if let Some(at) = at.filter(|_| rows.len() > 1) {
+            Arc::make_mut(slot).retain(rows, at);
         }
-        Some(Arc::make_mut(slot).retain(rows, at))
     }
 }
 
@@ -764,11 +754,6 @@ pub struct RuntimePolicy {
     excludes: Vec<String>,
     /// Document metadata.
     pub meta: PolicyMeta,
-    /// Cached line total (see [`RuntimePolicy::line_count`]); maintained
-    /// incrementally by [`RuntimePolicy::allow`]/
-    /// [`RuntimePolicy::remove_path`]/[`RuntimePolicy::dedup_retain`]
-    /// once first computed.
-    totals: Derived<u64>,
 }
 
 impl RuntimePolicy {
@@ -777,19 +762,10 @@ impl RuntimePolicy {
         Self::default()
     }
 
-    /// Moves the cached line total, once computed, by `lines`.
-    fn count(&mut self, lines: i64) {
-        if let Some(total) = self.totals.get_mut() {
-            *total = total.wrapping_add_signed(lines);
-        }
-    }
-
     /// Adds `digest` to the allowed set for `path` (existing digests are
     /// retained — the update-window consistency rule).
     pub fn allow(&mut self, path: impl AsRef<str>, digest: impl AsRef<str>) {
-        if self.digests.insert(path.as_ref(), Some(digest.as_ref())) {
-            self.count(1);
-        }
+        self.digests.insert(path.as_ref(), Some(digest.as_ref()));
     }
 
     /// Adds an exclude prefix (e.g. `/tmp`). Paths equal to it or below
@@ -882,28 +858,24 @@ impl RuntimePolicy {
         self.digests.0.values().map(|c| c.paths).sum()
     }
 
-    /// Number of `(path, digest)` pairs — the paper's "lines". Served
-    /// from the cached total (computed once, then maintained by the
-    /// mutators) instead of a full traversal.
+    /// Number of `(path, digest)` pairs — the paper's "lines": every
+    /// chunk row but a digest-less path's.
     pub fn line_count(&self) -> usize {
-        let total = self
-            .totals
-            .get_or_init(|| self.digests.iter().map(|(_, s)| s.len() as u64).sum());
-        *total as usize
+        (self.digests.0.values())
+            .flat_map(|chunk| &chunk.rows)
+            .filter(|row| !matches!(row.digest, Stored::Empty))
+            .count()
     }
 
     /// Drops every digest for `path` except `keep` (post-update
     /// deduplication).
     pub fn dedup_retain(&mut self, path: &str, keep: &str) {
-        let removed = self.digests.retain_only(path, keep).unwrap_or(0);
-        self.count(-(removed as i64));
+        self.digests.retain_only(path, keep);
     }
 
     /// Removes a path entirely (e.g. disallowing outdated kernel modules).
     pub fn remove_path(&mut self, path: &str) -> bool {
-        let removed = self.digests.remove(path);
-        self.count(-(removed.unwrap_or(0) as i64));
-        removed.is_some()
+        self.digests.remove(path)
     }
 
     /// Structural difference against an older policy — what an operator
@@ -1257,11 +1229,11 @@ mod tests {
         HashAlgorithm::Sha256.digest(tag.as_bytes()).to_hex()
     }
 
-    /// Applies `delta` in place and checks the result — cached totals
+    /// Applies `delta` in place and checks the result — line count
     /// included — against the same policy rebuilt from its JSON document.
     fn assert_delta_matches_rebuild(base: &RuntimePolicy, delta: &PolicyDelta) {
         let mut incremental = base.clone();
-        assert_totals_match(&incremental); // warm: the delta must maintain them
+        assert_totals_match(&incremental);
         incremental.apply_delta(delta);
 
         let rebuilt = RuntimePolicy::from_json(&incremental.to_json()).unwrap();
@@ -1490,6 +1462,22 @@ mod tests {
         assert_eq!(q.path_count(), 0);
     }
 
+    /// Documents written while the policy cached its line total carry
+    /// `"totals":null`; they parse to the same policy.
+    #[test]
+    fn a_document_with_the_old_totals_key_parses_the_same() {
+        let mut p = RuntimePolicy::new();
+        p.allow("/usr/bin/ls", "aa11");
+        p.allow("/x", "AA");
+        p.exclude("/tmp");
+        let doc = p.to_json();
+        let old = format!(r#"{},"totals":null}}"#, doc.strip_suffix('}').unwrap());
+        let parsed = RuntimePolicy::from_json(&old).unwrap();
+        assert_eq!(parsed, p);
+        assert_eq!(parsed.to_json(), doc);
+        assert_eq!(parsed.line_count(), 2);
+    }
+
     #[test]
     fn check_compares_text_not_bytes() {
         let mut p = RuntimePolicy::new();
@@ -1511,7 +1499,7 @@ mod tests {
         let p = RuntimePolicy::from_json(doc).unwrap();
         assert_eq!(
             p.to_json(),
-            r#"{"digests":{"/a":[],"/b":["AA","cc"]},"excludes":[],"meta":{"version":0,"generator":"","generated_day":0},"totals":null}"#
+            r#"{"digests":{"/a":[],"/b":["AA","cc"]},"excludes":[],"meta":{"version":0,"generator":"","generated_day":0}}"#
         );
         assert_eq!((p.path_count(), p.line_count()), (2, 2));
         assert_eq!(

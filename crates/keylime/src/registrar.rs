@@ -10,13 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use cia_crypto::VerifyingKey;
+use cia_crypto::{Digest, HashAlgorithm, VerifyingKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::agent::{Agent, AgentRequest, AgentResponse, IdentityResponse};
-use crate::backend::BackendIdentity;
+use crate::backend::{BackendIdentity, BackendKind};
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
 use crate::transport::Transport;
@@ -111,6 +111,7 @@ impl Registrar {
         identity: IdentityResponse,
         challenge: &[u8],
     ) -> Result<RegistrationRecord, KeylimeError> {
+        let kind = identity.backend();
         match identity {
             IdentityResponse::TpmEk {
                 ek_certificate,
@@ -139,54 +140,38 @@ impl Registrar {
             IdentityResponse::SecureWorld {
                 certificate,
                 binding,
-            } => {
-                if !self.tee_roots.iter().any(|root| certificate.verify(root)) {
-                    return Err(KeylimeError::Registration {
-                        reason: "device certificate does not chain to a trusted TEE vendor"
-                            .to_string(),
-                    });
-                }
-                if !binding.verify(&certificate.subject, challenge) {
-                    return Err(KeylimeError::Registration {
-                        reason: "secure-world binding failed proof of possession".to_string(),
-                    });
-                }
-                Ok(RegistrationRecord {
-                    ak: certificate.subject,
-                    identity: BackendIdentity::secure_world(),
-                })
             }
-            IdentityResponse::ConfidentialVm {
+            | IdentityResponse::ConfidentialVm {
                 certificate,
-                launch_measurement,
                 binding,
             } => {
-                if !self
-                    .platform_roots
-                    .iter()
-                    .any(|root| certificate.verify(root))
-                {
-                    return Err(KeylimeError::Registration {
-                        reason: "guest certificate does not chain to a trusted platform"
-                            .to_string(),
-                    });
-                }
-                // The platform certified the launch measurement inside
-                // the certificate context; the response's copy must be
-                // the certified one, not whatever the guest claims.
-                if certificate.context != launch_measurement.as_bytes() {
-                    return Err(KeylimeError::Registration {
-                        reason: "launch measurement is not the platform-certified one".to_string(),
-                    });
+                let refuse = |what: &str| {
+                    Err(KeylimeError::Registration {
+                        reason: format!("{kind} {what}"),
+                    })
+                };
+                // A CVM's launch measurement is the context the platform
+                // certified; no other copy is read.
+                let launch = Digest::from_bytes(HashAlgorithm::Sha256, &certificate.context);
+                let (roots, identity) = match (kind, launch) {
+                    (BackendKind::SecureWorld, _) => {
+                        (&self.tee_roots, BackendIdentity::secure_world())
+                    }
+                    (_, Ok(launch)) => (
+                        &self.platform_roots,
+                        BackendIdentity::confidential_vm(launch),
+                    ),
+                    (_, Err(_)) => return refuse("launch measurement is not a SHA-256 digest"),
+                };
+                if !roots.iter().any(|root| certificate.verify(root)) {
+                    return refuse("certificate does not chain to a trusted root");
                 }
                 if !binding.verify(&certificate.subject, challenge) {
-                    return Err(KeylimeError::Registration {
-                        reason: "confidential-VM binding failed proof of possession".to_string(),
-                    });
+                    return refuse("binding failed proof of possession");
                 }
                 Ok(RegistrationRecord {
                     ak: certificate.subject,
-                    identity: BackendIdentity::confidential_vm(launch_measurement),
+                    identity,
                 })
             }
         }
@@ -212,11 +197,12 @@ impl Registrar {
 mod tests {
     use super::*;
     use crate::backend::{
-        BackendKind, BackendRoot, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,
-        SecureWorldConfig,
+        launch_measurement_of, BackendRoot, ChallengeBinding, ConfidentialVmBackend,
+        ConfidentialVmConfig, SecureWorldBackend, SecureWorldConfig,
     };
     use crate::chaos::{ChaosTransport, FaultPlan};
     use crate::transport::ReliableTransport;
+    use cia_crypto::KeyPair;
     use cia_os::{Machine, MachineConfig};
     use cia_tpm::Manufacturer;
 
@@ -304,5 +290,32 @@ mod tests {
         let record = registrar.record_for(agent.id()).unwrap();
         assert_eq!(record.identity.kind(), BackendKind::ConfidentialVm);
         assert_eq!(record.identity.launch_measurement(), Some(enrolled));
+    }
+
+    /// A CVM's launch measurement is its certificate context, so a
+    /// platform-certified context that is not a SHA-256 digest is
+    /// refused; the same key certified over a digest registers.
+    #[test]
+    fn cvm_identity_whose_context_is_not_a_digest_is_refused() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let platform = BackendRoot::generate("CC Platform", &mut rng);
+        let mut registrar = Registrar::new(vec![], 1);
+        registrar.trust_platform_root(platform.public_key().clone());
+        let keys = KeyPair::generate(&mut rng);
+        let identity = |context: &[u8]| IdentityResponse::ConfidentialVm {
+            certificate: platform.issue(&keys.verifying, context),
+            binding: ChallengeBinding::sign(&keys, b"c"),
+        };
+        for context in [&b""[..], b"short", &[7; 31], &[7; 33]] {
+            assert!(matches!(
+                registrar.validate(identity(context), b"c"),
+                Err(KeylimeError::Registration { .. })
+            ));
+        }
+        let launch = launch_measurement_of(b"image");
+        let record = registrar
+            .validate(identity(launch.as_bytes()), b"c")
+            .unwrap();
+        assert_eq!(record.identity.launch_measurement(), Some(launch));
     }
 }

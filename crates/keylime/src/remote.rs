@@ -310,8 +310,6 @@ impl Wire for QuoteResponse {
         let quote = cia_tpm::quote::Quote::decode(r)?;
         let entries = Vec::<cia_ima::log::ImaLogEntry>::decode(r)?;
         let total_entries = usize::decode(r)?;
-        // `new` re-syncs the boot counter from the signed quote, so the
-        // unsigned wire image cannot smuggle a divergent one.
         Ok(QuoteResponse::new(backend, quote, entries, total_entries))
     }
 }

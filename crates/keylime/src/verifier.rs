@@ -703,7 +703,7 @@ impl Verifier {
                     );
                 }
                 record.state.next_entry = q.total_entries;
-                record.state.last_boot_count = Some(q.boot_count);
+                record.state.last_boot_count = Some(q.quote.boot_count);
             }
             // The operator resumes the agent whatever it answered; only
             // a transport failure aborts the resolve.
@@ -816,7 +816,7 @@ impl Verifier {
         if record
             .state
             .last_boot_count
-            .is_some_and(|last| last != resp.boot_count)
+            .is_some_and(|last| last != resp.quote.boot_count)
         {
             record.state.next_entry = 0;
             record.state.replayed_pcr = HashAlgorithm::Sha256.zero_digest();
@@ -991,7 +991,7 @@ impl Verifier {
                         );
                     }
                     record.state.next_entry += processed;
-                    record.state.last_boot_count = Some(resp.boot_count);
+                    record.state.last_boot_count = Some(resp.quote.boot_count);
                     stats.entries_evaluated += processed as u64 + 1;
                     stats.policy_check_ns += check_started.elapsed().as_nanos() as u64;
                     return fail(record, alerts);
@@ -1008,7 +1008,7 @@ impl Verifier {
         // full fold verified against the quote in ②.
         record.state.replayed_pcr = full_fold;
         record.state.next_entry += processed;
-        record.state.last_boot_count = Some(resp.boot_count);
+        record.state.last_boot_count = Some(resp.quote.boot_count);
         record.state.attestations += 1;
 
         if alerts.is_empty() {

@@ -215,7 +215,7 @@ const GOLDEN_REQUEST_QUOTE: &str =
 
 const GOLDEN_RESPONSE_IDENTITY: &str = r#"{"Identity":{"TpmEk":{"ek_certificate":{"manufacturer":"Simulated TPM Works","ek_public":{"material":[223,35,11,73,97,93,23,83,7,213,128,195,61,111,218,97,252,123,154,236,145,223,15,92,26,94,190,59,140,191,238,2]},"signature":"sha256:bb81ff5dcb45a582f797fa3b76de6726a9ad7c4e15aa34386c76df67dd10dd88"},"binding":{"ak_public":{"material":[234,94,74,175,235,4,202,126,154,141,240,87,119,195,67,5,110,2,181,90,199,144,116,219,89,201,75,70,230,67,115,216]},"challenge":[99,49],"signature":"sha256:ee32a667d2491f2eb2c51c87892a9b45b16044e72fd726f44f7f0bd0b20fc478"}}}}"#;
 
-const GOLDEN_RESPONSE_QUOTE: &str = r#"{"Quote":{"backend":"TpmIma","quote":{"nonce":[110,49],"selection":{"mask":2047},"bank":"Sha256","pcr_values":["sha256:be490e5794f59ab7712a28a1352147fabf59e5b69a885ce51301b4603120486e","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:a215b849dd06496f9c619b0509119f1da52b7d26fc14076081811da8d9ef5214","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:3128d58bc8bc5be0bf82a8f36edb3866c6dbe2123985f3eea3b5140f0406e29b","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:b862b7a2e946283eb35c785259a58d701d78fd4131317164ddc8e6c644f4dfc1"],"pcr_digest":"sha256:2afa1536905f45cb5531901d885fc01369503119272d843c473d4aa523fb2140","boot_count":0,"clock":6,"signature":"sha256:ed308a77c1d666e86c2c81f3549b419e5a32629c2d976ada549ab50569318a9a"},"entries":[{"pcr":10,"filedata_hash":"sha256:e15bf37fd8539d0e2bac8e6b8e647246e75050af43c0bcd6d1c0959161c6543d","path":"boot_aggregate"}],"total_entries":1,"boot_count":0}}"#;
+const GOLDEN_RESPONSE_QUOTE: &str = r#"{"Quote":{"backend":"TpmIma","quote":{"nonce":[110,49],"selection":{"mask":2047},"bank":"Sha256","pcr_values":["sha256:be490e5794f59ab7712a28a1352147fabf59e5b69a885ce51301b4603120486e","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:a215b849dd06496f9c619b0509119f1da52b7d26fc14076081811da8d9ef5214","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:3128d58bc8bc5be0bf82a8f36edb3866c6dbe2123985f3eea3b5140f0406e29b","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:0000000000000000000000000000000000000000000000000000000000000000","sha256:b862b7a2e946283eb35c785259a58d701d78fd4131317164ddc8e6c644f4dfc1"],"pcr_digest":"sha256:2afa1536905f45cb5531901d885fc01369503119272d843c473d4aa523fb2140","boot_count":0,"clock":6,"signature":"sha256:ed308a77c1d666e86c2c81f3549b419e5a32629c2d976ada549ab50569318a9a"},"entries":[{"pcr":10,"filedata_hash":"sha256:e15bf37fd8539d0e2bac8e6b8e647246e75050af43c0bcd6d1c0959161c6543d","path":"boot_aggregate"}],"total_entries":1}}"#;
 
 const GOLDEN_RESPONSE_ERROR: &str =
     r#"{"Error":{"reason":"tpm \"busy\"\n\tretry \\ later \u0001 é →"}}"#;
@@ -234,4 +234,4 @@ const GOLDEN_POLICY_DELTA: &str = r#"{"added":[["/usr/bin/a","aa"]],"removed_pat
 
 const GOLDEN_ROUND_REPORT: &str = r#"{"results":[{"id":"host-00","backend":"TpmIma","day":3,"attempts":1,"backoff_ms":0,"policy_epoch":2,"shared_policy":true,"outcome":{"Verified":{"new_entries":5}}},{"id":"host-01","backend":"TpmIma","day":3,"attempts":2,"backoff_ms":50,"policy_epoch":2,"shared_policy":false,"outcome":{"Failed":{"alerts":[{"agent":"host-07","day":3,"kind":{"HashMismatch":{"path":"/usr/bin/x\"y","digest":"ab12"}}}]}}},{"id":"host-02","backend":"TpmIma","day":3,"attempts":3,"backoff_ms":100,"policy_epoch":2,"shared_policy":true,"outcome":"SkippedPaused"},{"id":"host-03","backend":"TpmIma","day":3,"attempts":4,"backoff_ms":150,"policy_epoch":2,"shared_policy":true,"outcome":{"SkippedQuarantined":{"next_probe_in":2}}},{"id":"host-04","backend":"TpmIma","day":3,"attempts":5,"backoff_ms":200,"policy_epoch":2,"shared_policy":true,"outcome":{"Unreachable":{"reason":"request dropped"}}}],"health":{"healthy":3,"degraded":1,"quarantined":1,"recovering":0},"policy_epoch":2}"#;
 
-const GOLDEN_RUNTIME_POLICY: &str = r#"{"digests":{"/usr/bin/cat":["bb22","cc33"],"/usr/bin/ls":["aa11"]},"excludes":["/tmp","/var/log"],"meta":{"version":3,"generator":"keylime-policy-gen","generated_day":12},"totals":null}"#;
+const GOLDEN_RUNTIME_POLICY: &str = r#"{"digests":{"/usr/bin/cat":["bb22","cc33"],"/usr/bin/ls":["aa11"]},"excludes":["/tmp","/var/log"],"meta":{"version":3,"generator":"keylime-policy-gen","generated_day":12}}"#;

@@ -339,7 +339,7 @@ fn model_check(model: &Model, path: &str, digest: &str) -> PolicyCheck {
 
 fn model_document(model: &Model) -> String {
     format!(
-        r#"{{"digests":{},"excludes":[],"meta":{{"version":0,"generator":"","generated_day":0}},"totals":null}}"#,
+        r#"{{"digests":{},"excludes":[],"meta":{{"version":0,"generator":"","generated_day":0}}}}"#,
         serde_json::to_string(model).unwrap()
     )
 }
