@@ -9,6 +9,10 @@ use std::fmt;
 /// ```
 /// assert_eq!(cia_crypto::hex::encode(&[0xde, 0xad]), "dead");
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "encode_to_slice writes only ASCII hex digits"
+)]
 pub fn encode(bytes: &[u8]) -> String {
     let mut out = vec![0u8; bytes.len() * 2];
     encode_to_slice(bytes, &mut out);

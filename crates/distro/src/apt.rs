@@ -50,11 +50,6 @@ impl UpdateManager {
         self.installed.iter()
     }
 
-    /// Number of installed packages.
-    pub fn installed_count(&self) -> usize {
-        self.installed.len()
-    }
-
     /// Kernel releases installed but not yet booted.
     pub fn staged_kernels(&self) -> &[String] {
         &self.staged_kernels

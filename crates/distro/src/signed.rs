@@ -175,11 +175,6 @@ impl ManifestAuthority {
         );
     }
 
-    /// Number of trusted maintainers.
-    pub fn trusted_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Verifies a signed manifest against the trust store.
     ///
     /// # Errors

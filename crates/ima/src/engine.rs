@@ -80,12 +80,6 @@ impl Ima {
         self.config
     }
 
-    /// Replaces the policy (e.g. loading an enriched policy). Takes effect
-    /// for subsequent accesses only, like writing `/sys/.../ima/policy`.
-    pub fn set_policy(&mut self, policy: ImaPolicy) {
-        self.policy = policy;
-    }
-
     /// The measurement list.
     pub fn log(&self) -> &MeasurementLog {
         &self.log

@@ -226,6 +226,7 @@ impl Agent {
     ///
     /// When the agent does not run the TPM+IMA backend; heterogeneous
     /// call sites should use [`Agent::try_machine`].
+    #[expect(clippy::expect_used, reason = "documented panic; see # Panics")]
     pub fn machine(&self) -> &Machine {
         self.backend
             .as_machine()
@@ -238,6 +239,7 @@ impl Agent {
     ///
     /// When the agent does not run the TPM+IMA backend; heterogeneous
     /// call sites should go through [`Agent::backend_mut`].
+    #[expect(clippy::expect_used, reason = "documented panic; see # Panics")]
     pub fn machine_mut(&mut self) -> &mut Machine {
         self.backend
             .as_machine_mut()

@@ -714,9 +714,11 @@ impl ConfidentialVmBackend {
 /// agents stay `Send` without boxing.
 #[non_exhaustive]
 #[derive(Debug)]
-// One `Backend` lives per agent; the TPM+IMA variant's size is dominated by
-// the simulated machine it owns, which boxing would only move, not shrink.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one Backend lives per agent; the TPM+IMA variant's size is the simulated \
+              machine it owns, which boxing would only move, not shrink"
+)]
 pub enum Backend {
     /// TPM + IMA: a TPM quote over PCRs 0–10 plus the machine's IMA
     /// measurement list (the classic Keylime path).

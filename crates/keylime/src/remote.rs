@@ -649,12 +649,14 @@ fn extend_rows(
 /// transports it constructed itself, so a wire failure there is a bug,
 /// not an operational condition — it must stop the round loudly rather
 /// than fabricate result rows for a shard that never answered.
+#[expect(
+    clippy::panic,
+    reason = "unrecoverable by design, see the doc comment; every fallible wire call \
+              outside the federation surfaces WireError instead"
+)]
 pub(crate) fn require<V>(res: Result<V, WireError>, what: &str) -> V {
     match res {
         Ok(v) => v,
-        // lint:allow(panic-path): unrecoverable by design — see the doc
-        // comment; every fallible wire call outside the federation
-        // surfaces WireError instead of unwrapping.
         Err(err) => panic!("{what}: {err}"),
     }
 }

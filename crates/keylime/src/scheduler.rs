@@ -98,8 +98,6 @@ impl PerBackendCounts {
             BackendKind::TpmIma => self.tpm_ima,
             BackendKind::SecureWorld => self.secure_world,
             BackendKind::ConfidentialVm => self.confidential_vm,
-            #[allow(unreachable_patterns)]
-            _ => BackendCounts::default(),
         }
     }
 }
@@ -756,9 +754,11 @@ fn attest_with_retry<T: Transport>(
     let outcome = loop {
         attempts += 1;
         counts.calls += 1;
-        // lint:allow(determinism): latency metering only — the reading
-        // feeds MetricsSnapshot histograms, never an attestation verdict
-        // or anything replayed by the sim.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "latency metering only: feeds MetricsSnapshot histograms, never a verdict \
+                      or anything the sim replays"
+        )]
         let start = Instant::now();
         let result =
             Verifier::fetch_evidence(config, store, job.record, &job.id, transport, job.agent);

@@ -186,8 +186,7 @@ impl<T: Transport> Cluster<T> {
         let (id, record) = self.register_with_retry(agent)?;
         self.verifier
             .add_agent_with_identity(id.clone(), record.ak, record.identity, policy);
-        self.journal_agent_snapshot(&id)
-            .expect("journal enrolment append");
+        must_journal(self.journal_agent_snapshot(&id), "journal enrolment append");
         Ok(id)
     }
 
@@ -250,8 +249,7 @@ impl<T: Transport> Cluster<T> {
         let (id, record) = self.register_with_retry(agent)?;
         self.verifier
             .add_agent_shared_with_identity(id.clone(), record.ak, record.identity);
-        self.journal_agent_snapshot(&id)
-            .expect("journal enrolment append");
+        must_journal(self.journal_agent_snapshot(&id), "journal enrolment append");
         Ok(id)
     }
 
@@ -292,6 +290,7 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// Where the cluster keeps its journal inside the journal filesystem.
+    #[expect(clippy::expect_used, reason = "the path is a valid constant")]
     pub fn journal_dir() -> VfsPath {
         VfsPath::new(DEFAULT_JOURNAL_DIR).expect("constant journal path is valid")
     }
@@ -428,6 +427,10 @@ impl<T: Transport> Cluster<T> {
     /// row — the rows are sorted by agent id, so the journal's bytes are
     /// identical for any worker count — each from the agent's record as
     /// the round left it.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine only reports enrolled agents"
+    )]
     fn write_acks(
         journal: &mut VerifierJournal,
         verifier: &Verifier,
@@ -438,9 +441,10 @@ impl<T: Transport> Cluster<T> {
             let record = verifier
                 .record(&result.id)
                 .expect("the engine only reports enrolled agents");
-            journal
-                .record_agent_ack(round, result, record)
-                .expect("journal ack append");
+            must_journal(
+                journal.record_agent_ack(round, result, record),
+                "journal ack append",
+            );
         }
     }
 
@@ -506,8 +510,11 @@ impl<T: Transport> Cluster<T> {
     /// agent, no policy copies). Records the push in the scheduler's
     /// metrics.
     pub fn publish_policy(&mut self, policy: RuntimePolicy) -> PolicyEpoch {
-        // lint:allow(determinism): push-duration metering only — feeds
-        // FleetScheduler::record_policy_push, never control flow.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "push-duration metering only: feeds FleetScheduler::record_policy_push, \
+                      never control flow"
+        )]
         let start = std::time::Instant::now();
         let epoch = self.verifier.publish_policy(policy);
         // A full publish applies no *delta* entries — the counter tracks
@@ -515,9 +522,10 @@ impl<T: Transport> Cluster<T> {
         self.scheduler
             .record_policy_push(epoch, start.elapsed().as_nanos() as u64, 0);
         if let Some(journal) = self.journal.as_mut() {
-            journal
-                .record_publish_full(epoch, self.verifier.policy_store().policy())
-                .expect("journal policy publish");
+            must_journal(
+                journal.record_publish_full(epoch, self.verifier.policy_store().policy()),
+                "journal policy publish",
+            );
         }
         epoch
     }
@@ -528,16 +536,20 @@ impl<T: Transport> Cluster<T> {
     /// Records the push (duration and entry count) in the scheduler's
     /// metrics.
     pub fn publish_delta(&mut self, delta: &PolicyDelta) -> (PolicyEpoch, usize) {
-        // lint:allow(determinism): push-duration metering only — feeds
-        // FleetScheduler::record_policy_push, never control flow.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "push-duration metering only: feeds FleetScheduler::record_policy_push, \
+                      never control flow"
+        )]
         let start = std::time::Instant::now();
         let (epoch, applied) = self.verifier.publish_delta(delta);
         self.scheduler
             .record_policy_push(epoch, start.elapsed().as_nanos() as u64, applied as u64);
         if let Some(journal) = self.journal.as_mut() {
-            journal
-                .record_publish_delta(epoch, delta)
-                .expect("journal delta publish");
+            must_journal(
+                journal.record_publish_delta(epoch, delta),
+                "journal delta publish",
+            );
         }
         (epoch, applied)
     }
@@ -598,7 +610,7 @@ impl<T: Transport> Cluster<T> {
         let outcome = self.verifier.attest(&mut self.transport, agent, day);
         // Journaled before the error is looked at: a call the transport
         // dropped has still spent a nonce.
-        self.journal_agent_ack(id).expect("journal sequential ack");
+        must_journal(self.journal_agent_ack(id), "journal sequential ack");
         let outcome = outcome?;
         // One direct poll is a one-row round: one attempt, no backoff.
         let row_outcome = match outcome.clone() {
@@ -623,8 +635,7 @@ impl<T: Transport> Cluster<T> {
         // The agent is now an override: re-journal its enrolment (with
         // the new policy document embedded) and its current state, so a
         // recovery lands on the post-push view.
-        self.journal_agent_snapshot(id)
-            .expect("journal override push");
+        must_journal(self.journal_agent_snapshot(id), "journal override push");
         Ok(())
     }
 
@@ -657,7 +668,7 @@ impl<T: Transport> Cluster<T> {
     {
         let mut journaled = self.journal.as_mut().zip(round);
         if let Some((journal, round)) = &mut journaled {
-            journal.begin_round(*round).expect("journal round start");
+            must_journal(journal.begin_round(*round), "journal round start");
         }
         let report = self.scheduler.run_round_streamed(
             &mut self.verifier,
@@ -668,7 +679,7 @@ impl<T: Transport> Cluster<T> {
         );
         if let Some((journal, round)) = journaled {
             Self::write_acks(journal, &self.verifier, round, &report.results);
-            journal.commit_round(round).expect("journal round commit");
+            must_journal(journal.commit_round(round), "journal round commit");
         }
         self.commit_round_side_effects(report.results.clone());
         report
@@ -713,7 +724,7 @@ impl<T: Transport> Cluster<T> {
         let resolved = self
             .verifier
             .resolve_by_skipping(&mut self.transport, &mut self.agents[idx]);
-        self.journal_agent_ack(id).expect("journal sequential ack");
+        must_journal(self.journal_agent_ack(id), "journal sequential ack");
         resolved
     }
 
@@ -742,5 +753,19 @@ impl<T: Transport> Cluster<T> {
     /// [`KeylimeError::UnknownAgent`].
     pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
         self.verifier.alerts(id)
+    }
+}
+
+/// Unwraps a journal append. The journal lives on the cluster's own
+/// filesystem, so a failed append is a bug rather than an operational
+/// condition: the cluster stops loudly instead of running on with a
+/// journal that no longer replays to its state.
+#[expect(
+    clippy::panic,
+    reason = "a cluster whose journal cannot be appended to must stop; see the doc comment"
+)]
+fn must_journal(res: Result<(), StorageError>, what: &str) {
+    if let Err(err) = res {
+        panic!("{what}: {err}");
     }
 }

@@ -935,8 +935,11 @@ impl Verifier {
         // Each entry extends the fold exactly once: the full fold was
         // already computed in ②, so the happy path adopts it wholesale
         // and only a stop-on-failure exit re-folds the accepted prefix.
-        // lint:allow(determinism): policy-check latency metering only —
-        // feeds HotStats::policy_check_ns, never an appraisal verdict.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "policy-check latency metering only: feeds HotStats::policy_check_ns, \
+                      never an appraisal verdict"
+        )]
         let check_started = Instant::now();
         let has_boot_aggregate = identity.kind().has_boot_aggregate();
         let mut processed = 0usize;

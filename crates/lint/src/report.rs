@@ -7,8 +7,8 @@ use crate::rules::Finding;
 /// Human-readable report, one block per finding:
 ///
 /// ```text
-/// crates/keylime/src/store.rs:41: [panic-path] `.unwrap()` can panic …
-///     |     let v = map.get(&k).unwrap();
+/// crates/keylime/src/store.rs:41: [lock-order] `pins` acquired while holding `inner` …
+///     |     let pins = self.pins.lock();
 /// ```
 pub fn human(findings: &[Finding]) -> String {
     let mut out = String::new();
@@ -33,18 +33,18 @@ mod tests {
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
-            rule: "panic-path",
+            rule: "lock-order",
             path: "crates/x/src/lib.rs".to_string(),
             line: 7,
-            message: "`.unwrap()` can panic".to_string(),
-            snippet: "let v = m.get(\"k\").unwrap();".to_string(),
+            message: "`b` acquired while holding `a` (line 6)".to_string(),
+            snippet: "let b = s.b.lock();".to_string(),
         }]
     }
 
     #[test]
     fn human_names_file_line_and_rule() {
         let text = human(&sample());
-        assert!(text.contains("crates/x/src/lib.rs:7: [panic-path]"));
+        assert!(text.contains("crates/x/src/lib.rs:7: [lock-order]"));
         assert!(text.contains("1 finding\n"));
     }
 

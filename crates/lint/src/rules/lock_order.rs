@@ -44,7 +44,6 @@ struct Held {
 /// guard.
 pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
     let toks = &ctx.tokens;
-    let code = &ctx.code;
     let mut held: Vec<Held> = Vec::new();
     let mut depth: i32 = 0;
     let finding = |line: u32, message: String| Finding {
@@ -55,9 +54,8 @@ pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
         snippet: ctx.snippet(line).to_string(),
     };
 
-    for k in 0..code.len() {
-        let t = &toks[code[k]];
-        let at = |off: usize| code.get(k + off).map(|&i| &toks[i]);
+    for (k, t) in toks.iter().enumerate() {
+        let at = |off: usize| toks.get(k + off);
 
         if t.is_punct('{') {
             depth += 1;
@@ -72,7 +70,7 @@ pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
             }
         } else if t.is_ident("call")
             && k > 0
-            && toks[code[k - 1]].is_punct('.')
+            && toks[k - 1].is_punct('.')
             && at(1).is_some_and(|n| n.is_punct('('))
             && !ctx.in_test_region(t.line)
         {
@@ -86,9 +84,9 @@ pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
                     ),
                 ));
             }
-        } else if is_acquisition(toks, code, k) && !ctx.in_test_region(t.line) {
+        } else if is_acquisition(toks, k) && !ctx.in_test_region(t.line) {
             // An unnamed receiver (`locks[i].lock()`) is still a guard.
-            let lock = receiver_name(toks, code, k).unwrap_or_else(|| "lock".to_string());
+            let lock = receiver_name(toks, k).unwrap_or_else(|| "lock".to_string());
             let same = held.iter().find(|g| g.lock == lock);
             if let Some(g) = same.or(held.last()) {
                 let why = if g.lock == lock {
@@ -106,7 +104,7 @@ pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
             }
             held.push(Held {
                 lock,
-                bound: binding_name(toks, code, k),
+                bound: binding_name(toks, k),
                 depth,
                 line: t.line,
             });
@@ -114,27 +112,27 @@ pub fn check(ctx: &FileContext, out: &mut Vec<Finding>) {
     }
 }
 
-/// True when `code[k]` starts `.lock()` / `.read()` / `.write()` — the
+/// True when `toks[k]` starts `.lock()` / `.read()` / `.write()` — the
 /// ident itself, preceded by `.`, followed by `(` `)`. Zero-argument
 /// only: `vfs.read(path)` is I/O, not an acquisition.
-fn is_acquisition(toks: &[Tok], code: &[usize], k: usize) -> bool {
-    let t = &toks[code[k]];
+fn is_acquisition(toks: &[Tok], k: usize) -> bool {
+    let t = &toks[k];
     (t.is_ident("lock") || t.is_ident("read") || t.is_ident("write"))
         && k > 0
-        && toks[code[k - 1]].is_punct('.')
-        && code.get(k + 1).is_some_and(|&i| toks[i].is_punct('('))
-        && code.get(k + 2).is_some_and(|&i| toks[i].is_punct(')'))
+        && toks[k - 1].is_punct('.')
+        && toks.get(k + 1).is_some_and(|n| n.is_punct('('))
+        && toks.get(k + 2).is_some_and(|n| n.is_punct(')'))
 }
 
-/// The receiver identifier of the acquisition at `code[k]`: the token
+/// The receiver identifier of the acquisition at `toks[k]`: the token
 /// before the `.`, back-walking over one balanced `(…)` group so
 /// `stdout().lock()` resolves to `stdout`.
-fn receiver_name(toks: &[Tok], code: &[usize], k: usize) -> Option<String> {
+fn receiver_name(toks: &[Tok], k: usize) -> Option<String> {
     let mut j = k.checked_sub(2)?; // skip the `.`
-    if toks[code[j]].is_punct(')') {
+    if toks[j].is_punct(')') {
         let mut d = 0i32;
         loop {
-            let t = &toks[code[j]];
+            let t = &toks[j];
             if t.is_punct(')') {
                 d += 1;
             } else if t.is_punct('(') {
@@ -147,30 +145,30 @@ fn receiver_name(toks: &[Tok], code: &[usize], k: usize) -> Option<String> {
             j = j.checked_sub(1)?;
         }
     }
-    let t = &toks[code[j]];
+    let t = &toks[j];
     (t.kind == TokKind::Ident).then(|| t.text.clone())
 }
 
-/// When the statement containing `code[k]` is `let [mut] NAME = …`,
+/// When the statement containing `toks[k]` is `let [mut] NAME = …`,
 /// returns `NAME`. Scans back to the nearest statement boundary.
-fn binding_name(toks: &[Tok], code: &[usize], k: usize) -> Option<String> {
+fn binding_name(toks: &[Tok], k: usize) -> Option<String> {
     let mut j = k;
     while j > 0 {
-        let t = &toks[code[j - 1]];
+        let t = &toks[j - 1];
         if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
             break;
         }
         j -= 1;
     }
-    let t = &toks[code[j]];
+    let t = &toks[j];
     if !t.is_ident("let") {
         return None;
     }
     let mut n = j + 1;
-    if code.get(n).is_some_and(|&i| toks[i].is_ident("mut")) {
+    if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
         n += 1;
     }
-    let name = &toks[*code.get(n)?];
+    let name = toks.get(n)?;
     (name.kind == TokKind::Ident).then(|| name.text.clone())
 }
 

@@ -1,6 +1,6 @@
 // Fixture: lock usage the lock-order rule must stay silent on — each
-// guard released before the next lock or a transport call, a lock no
-// manifest names, and lock-shaped I/O calls.
+// guard released before the next lock or a transport call, a lone
+// lock, and lock-shaped I/O calls.
 fn released_then_reordered(s: &Store) {
     let pins = s.pins.lock();
     drop(pins);
@@ -27,10 +27,4 @@ fn not_locks(s: &Store, vfs: &mut Vfs) {
     let out = stdout().lock();
     let data = vfs.read(path);
     vfs.write(path, data);
-}
-
-fn justified(s: &Store) {
-    let pins = s.pins.lock();
-    // lint:allow(lock-order): seeded inversion for a deadlock test.
-    let inner = s.inner.read();
 }

@@ -1,146 +1,192 @@
-//! Fixture corpus self-test: every rule fires at exactly the expected
-//! `file:line` pairs on the known-bad fixtures and stays completely
-//! silent on the known-good ones.
+//! The workspace's lint gates, each proven to bite.
 //!
-//! The fixtures live in `tests/fixtures/` — a directory the workspace
-//! walker deliberately skips, so the deliberately-broken corpus never
-//! pollutes a real `cia-lint --check` run.
+//! * `lock-order` (this crate) fires at exactly the expected lines of
+//!   `tests/fixtures/bad_lock_order.rs`, stays silent on
+//!   `good_lock_order.rs`, and finds nothing in the workspace.
+//! * Determinism and panic-path are clippy's: the fixture crate
+//!   `tests/fixtures/clippy` is linted by `cargo clippy` under the
+//!   workspace `clippy.toml`, and its findings are asserted by file and
+//!   line. A configuration entry that stops biting fails here, not
+//!   silently in the clippy gate.
+//!
+//! The fixtures live in `tests/fixtures/`, a directory the workspace
+//! walker skips, so the deliberately broken corpus never pollutes the
+//! workspace check.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
+use std::sync::OnceLock;
 
-use cia_lint::{lint_file, FileContext, Finding, Manifest};
+use cia_lint::{lint_file, FileContext, Finding};
 
-/// The manifest fixtures are linted under: both panic fixtures are
-/// declared hot paths.
-fn manifest() -> Manifest {
-    Manifest::parse(
-        "hot-path crates/fixture/src/bad_panic.rs\n\
-         hot-path crates/fixture/src/good_panic.rs\n",
-    )
-    .expect("fixture manifest parses")
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Reads one fixture file.
-fn fixture_source(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
+fn fixtures() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// Lints one fixture file under a pipeline-shaped pseudo path.
+/// Lints one lock-order fixture under a pipeline-shaped pseudo path.
 fn lint_fixture(name: &str) -> Vec<Finding> {
-    let path = format!("crates/fixture/src/{name}");
-    lint_file(&FileContext::new(&path, &fixture_source(name)), &manifest())
+    let path = fixtures().join(name);
+    let source = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
+    lint_file(&FileContext::new(
+        &format!("crates/fixture/src/{name}"),
+        &source,
+    ))
 }
 
-/// `(rule, line)` pairs, sorted, for exact comparison.
-fn fired(findings: &[Finding]) -> Vec<(&'static str, u32)> {
-    let mut pairs: Vec<(&'static str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
-    pairs.sort_unstable();
-    pairs
+/// One clippy finding in the fixture crate: file under `src/`, line,
+/// message.
+type Diagnostic = (String, u32, String);
+
+/// Runs `cargo clippy --all-targets` once over the fixture crate with
+/// the workspace `clippy.toml` and returns its findings, sorted and
+/// deduplicated (the lib and its test build report shared lines twice).
+fn clippy_findings() -> &'static [Diagnostic] {
+    static FINDINGS: OnceLock<Vec<Diagnostic>> = OnceLock::new();
+    FINDINGS.get_or_init(|| {
+        let output = Command::new(env!("CARGO"))
+            .args(["clippy", "--offline", "--quiet", "--all-targets"])
+            .args(["--message-format=short", "--target-dir"])
+            .arg(PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("clippy-fixture"))
+            .current_dir(fixtures().join("clippy"))
+            .env("CLIPPY_CONF_DIR", workspace_root())
+            .output()
+            .expect("cargo runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let mut found: Vec<Diagnostic> = stderr
+            .lines()
+            .filter_map(|line| {
+                // `src/<file>:<line>:<col>: <level>: <message>`
+                let (file, rest) = line.strip_prefix("src/")?.split_once(':')?;
+                let (line, rest) = rest.split_once(':')?;
+                let (_col, rest) = rest.split_once(": ")?;
+                let (_level, message) = rest.split_once(": ")?;
+                Some((file.to_string(), line.parse().ok()?, message.to_string()))
+            })
+            .collect();
+        assert!(
+            !found.is_empty(),
+            "cargo clippy reported nothing on a fixture built to fail:\n{stderr}"
+        );
+        found.sort();
+        found.dedup();
+        found
+    })
+}
+
+/// Clippy's findings in one fixture file, in line order.
+fn clippy_fixture(file: &str) -> Vec<&'static Diagnostic> {
+    clippy_findings()
+        .iter()
+        .filter(|(f, ..)| f == file)
+        .collect()
+}
+
+fn lines(found: &[&Diagnostic]) -> Vec<u32> {
+    found.iter().map(|(_, line, _)| *line).collect()
 }
 
 #[test]
 fn determinism_fires_at_exact_lines() {
-    let findings = lint_fixture("bad_determinism.rs");
+    let found = clippy_fixture("bad_determinism.rs");
     assert_eq!(
-        fired(&findings),
-        vec![
-            ("determinism", 7),
-            ("determinism", 11),
-            ("determinism", 15),
-            ("determinism", 16),
-            ("determinism", 17),
-            // Hash-seeded containers, whatever consumes their order:
-            // serde, a JSON writer, a `Wire` encoder, a bare `to_json`.
-            ("determinism", 25),
-            ("determinism", 38),
-            ("determinism", 45),
-            ("determinism", 58),
-            ("determinism", 72),
-            ("determinism", 83),
-            ("determinism", 84),
-        ],
-        "{findings:#?}"
+        lines(&found),
+        vec![4, 4, 5, 10, 14, 18, 25, 34, 39, 40],
+        "{found:#?}"
     );
+    let methods: Vec<u32> = found
+        .iter()
+        .filter(|(_, _, m)| m.starts_with("use of a disallowed method"))
+        .map(|(_, line, _)| *line)
+        .collect();
+    assert_eq!(methods, vec![10, 14, 18], "{found:#?}");
 }
 
 #[test]
 fn determinism_stays_silent_on_good() {
-    let findings = lint_fixture("good_determinism.rs");
-    assert!(findings.is_empty(), "{findings:#?}");
+    let found = clippy_fixture("good_determinism.rs");
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 /// The shapes the retired `wire-hygiene` rule guarded — a hash-seeded
-/// container whose order reaches serde, a JSON writer, a `Wire` encoder
-/// or a bare `to_json` — fire as seeded-type findings at exact lines.
+/// container whose order reaches a serializer — fire as disallowed
+/// types wherever the type is named.
 #[test]
 fn wire_hygiene_fires_at_exact_lines() {
-    let findings = lint_fixture("bad_determinism.rs");
-    let seeded: Vec<Finding> = findings
-        .into_iter()
-        .filter(|f| f.message.contains("seeded per process"))
+    let seeded: Vec<u32> = clippy_fixture("bad_determinism.rs")
+        .iter()
+        .filter(|(_, _, m)| m.starts_with("use of a disallowed type"))
+        .map(|(_, line, _)| *line)
         .collect();
-    assert_eq!(
-        fired(&seeded),
-        vec![
-            ("determinism", 25),
-            ("determinism", 38),
-            ("determinism", 45),
-            ("determinism", 58),
-            ("determinism", 72),
-            ("determinism", 83),
-            ("determinism", 84),
-        ],
-        "{seeded:#?}"
-    );
+    assert_eq!(seeded, vec![4, 4, 5, 25, 34, 39, 40]);
 }
 
 /// An ordered map on the wire is silent on its own merits; the hash map
-/// beside it is silent only because of its reasoned suppression.
+/// beside it is silent only because of its reasoned expectation — were
+/// the type not flagged, the expectation would be unfulfilled and
+/// reported.
 #[test]
 fn wire_hygiene_stays_silent_on_good() {
-    let reason = "// lint:allow(determinism): a point-lookup index, never iterated.";
-    let source = fixture_source("good_determinism.rs");
-    assert!(source.contains(reason), "fixture keeps its suppression");
-    let unsuppressed = source.replace(reason, "// a point-lookup index, never iterated.");
-    let ctx = FileContext::new("crates/fixture/src/good_determinism.rs", &unsuppressed);
-    let findings = lint_file(&ctx, &manifest());
-    assert_eq!(fired(&findings), vec![("determinism", 26)], "{findings:#?}");
-    assert!(findings[0].message.contains("`HashMap`"), "{findings:#?}");
+    let source = fs::read_to_string(fixtures().join("clippy/src/good_determinism.rs"))
+        .expect("fixture readable");
+    assert!(
+        source.contains("clippy::disallowed_types")
+            && source.contains("index: std::collections::HashMap"),
+        "fixture keeps its expectation on the hash map"
+    );
+    let found = clippy_fixture("good_determinism.rs");
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 #[test]
 fn panic_path_fires_at_exact_lines() {
-    let findings = lint_fixture("bad_panic.rs");
+    let found = clippy_fixture("bad_panic.rs");
     assert_eq!(
-        fired(&findings),
-        vec![
-            ("panic-path", 4),
-            ("panic-path", 5),
-            ("panic-path", 7),
-            ("panic-path", 11),
-            ("panic-path", 12),
-            ("panic-path", 13),
-        ],
-        "{findings:#?}"
+        lines(&found),
+        vec![10, 11, 13, 15, 18, 19, 20],
+        "{found:#?}"
     );
 }
 
 #[test]
 fn panic_path_stays_silent_on_good() {
-    let findings = lint_fixture("good_panic.rs");
-    assert!(findings.is_empty(), "{findings:#?}");
+    let found = clippy_fixture("good_panic.rs");
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// A reasonless expectation is a finding of its own but still silences
+/// its lint (one finding, not two); a stale one is a finding too.
+#[test]
+fn reasonless_suppressions_are_flagged_but_still_suppress() {
+    let found = clippy_fixture("bad_allow.rs");
+    assert_eq!(lines(&found), vec![6, 11], "{found:#?}");
+    assert!(
+        found[0].2.contains("without specifying a reason"),
+        "{found:#?}"
+    );
+    assert!(
+        found[1].2.contains("expectation is unfulfilled"),
+        "{found:#?}"
+    );
+}
+
+#[test]
+fn allow_above_attributes_suppresses_the_item() {
+    let found = clippy_fixture("allow_attr.rs");
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 #[test]
 fn lock_order_fires_at_exact_lines() {
     let findings = lint_fixture("bad_lock_order.rs");
+    let fired: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(
-        fired(&findings),
+        fired,
         vec![
             ("lock-order", 6),
             ("lock-order", 13),
@@ -165,32 +211,10 @@ fn lock_order_stays_silent_on_good() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
-#[test]
-fn reasonless_suppressions_are_flagged_but_still_suppress() {
-    let findings = lint_fixture("bad_allow.rs");
-    assert_eq!(
-        fired(&findings),
-        vec![("allow-syntax", 5), ("allow-syntax", 11)],
-        "suppressed rules must not double-report: {findings:#?}"
-    );
-}
-
-#[test]
-fn allow_above_attributes_suppresses_the_item() {
-    let findings = lint_fixture("allow_attr.rs");
-    assert!(
-        findings.is_empty(),
-        "suppression must skip #[…] lines and land on the item: {findings:#?}"
-    );
-}
-
-/// The workspace itself lints clean against its own manifest: this is the
-/// `cia-lint --check` gate, run by a plain `cargo test`.
+/// The workspace itself is lock-order clean.
 #[test]
 fn the_workspace_has_no_findings() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let findings = cia_lint::lint_workspace(&root, &root.join("cia-lint.manifest"))
-        .expect("workspace manifest and sources readable");
+    let findings = cia_lint::lint_workspace(&workspace_root()).expect("workspace sources readable");
     assert!(
         findings.is_empty(),
         "{}",
@@ -198,50 +222,44 @@ fn the_workspace_has_no_findings() {
     );
 }
 
-/// The real workspace manifest parses and declares what the docs say it
-/// declares — a drift guard between `cia-lint.manifest` and the rules.
-#[test]
-fn workspace_manifest_is_coherent() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../cia-lint.manifest");
-    let text = fs::read_to_string(&path).expect("workspace manifest exists");
-    let m = Manifest::parse(&text).expect("workspace manifest parses");
-    assert!(m.is_hot_path("crates/ima/src/appraise.rs"));
-    assert!(m.is_hot_path("crates/keylime/src/verifier.rs"));
-    assert!(m.is_hot_path("crates/keylime/src/scheduler.rs"));
-    assert!(m.is_hot_path("crates/keylime/src/store.rs"));
-    assert!(m.determinism_allowed("crates/bench/src/main.rs"));
-}
+/// The panic-family lints a hot-path crate denies at its root, as the
+/// fixture crate does.
+const PANIC_LINTS: [&str; 7] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+    "clippy::allow_attributes_without_reason",
+];
 
-/// Drift guard v2: a crate under `crates/` that gains a `wire.rs`,
-/// `remote.rs`, `durable.rs` or `transport.rs` must declare it as a hot
-/// path in `cia-lint.manifest` — new wire/durability surfaces cannot
-/// silently dodge the panic-free rule (and the reviewer's eye) just by
-/// being new.
+/// Drift guard: a crate under `crates/` with a `wire.rs`, `remote.rs`,
+/// `durable.rs` or `transport.rs` owns a hot path, so its `lib.rs` must
+/// deny every panic-family lint. A new wire or durability surface cannot
+/// dodge the panic-free rule just by being new.
 #[test]
 fn every_wire_surface_is_a_declared_hot_path() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = fs::read_to_string(root.join("cia-lint.manifest")).expect("manifest exists");
-    let m = Manifest::parse(&text).expect("workspace manifest parses");
-
-    let crates_dir = root.join("crates");
     let mut missing = Vec::new();
-    for entry in fs::read_dir(&crates_dir).expect("crates/ readable") {
-        let entry = entry.expect("dir entry");
-        let src = entry.path().join("src");
-        if !src.is_dir() {
+    for entry in fs::read_dir(workspace_root().join("crates")).expect("crates/ readable") {
+        let src = entry.expect("dir entry").path().join("src");
+        let surfaces = ["wire.rs", "remote.rs", "durable.rs", "transport.rs"];
+        if !surfaces.iter().any(|name| src.join(name).is_file()) {
             continue;
         }
-        for name in ["wire.rs", "remote.rs", "durable.rs", "transport.rs"] {
-            if src.join(name).is_file() {
-                let rel = format!("crates/{}/src/{name}", entry.file_name().to_string_lossy());
-                if !m.is_hot_path(&rel) {
-                    missing.push(rel);
-                }
+        let root = fs::read_to_string(src.join("lib.rs")).unwrap_or_default();
+        let denied = root
+            .split_once("#![deny(")
+            .and_then(|(_, rest)| rest.split_once(")]"))
+            .map_or("", |(list, _)| list);
+        for lint in PANIC_LINTS {
+            if !denied.contains(lint) {
+                missing.push(format!("{}: {lint}", src.display()));
             }
         }
     }
     assert!(
         missing.is_empty(),
-        "wire/remote/durable/transport files missing a `hot-path` manifest entry: {missing:?}"
+        "hot-path crate roots missing a panic-lint deny: {missing:#?}"
     );
 }

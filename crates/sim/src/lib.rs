@@ -200,19 +200,9 @@ impl SimRunner {
         &self.cluster
     }
 
-    /// Mutable access to the cluster between rounds.
-    pub fn cluster_mut(&mut self) -> &mut Cluster<SimTransport> {
-        &mut self.cluster
-    }
-
     /// The enrolled ids in lane order (lane i ↔ `ids()[i]`).
     pub fn ids(&self) -> &[AgentId] {
         &self.ids
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_run(&self) -> u64 {
-        self.round
     }
 
     /// Executes one round: applies scheduled crashes, advances the chaos

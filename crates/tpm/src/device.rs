@@ -129,8 +129,8 @@ impl Tpm {
         self.clock += 1;
         let pcr_values: Vec<Digest> = selection
             .indices()
-            .map(|i| self.bank(bank).read(i).expect("selection indices in range"))
-            .collect();
+            .map(|i| self.bank(bank).read(i))
+            .collect::<Result<_, _>>()?;
         let pcr_digest = Quote::digest_pcrs(&pcr_values);
         let msg = Quote::message_bytes(
             nonce,

@@ -40,6 +40,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A hot-path crate: its library code surfaces typed errors, never a
+// panic (DESIGN.md §10). An escape is a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod device;
 pub mod error;

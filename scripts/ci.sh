@@ -1,23 +1,30 @@
 #!/usr/bin/env bash
-# CI gate: formatting, workspace-wide clippy (which also denies wildcard
-# arms in the journal-recovery and shard-protocol consumers), the tier-1
-# release build, every crate's unit and integration suites (tier-1's
-# `cargo test`, whose default members are the whole workspace: the
-# hot-path gates in crates/keylime/tests/hot_path_gates.rs — zero
-# allocations per warm check_digest, at most 96 live heap bytes per
-# policy (path, digest) pair, chunk copies bounded per push and per
-# recovery, at most 4 allocations per chunk copy — and the
-# repo's own cia-lint static pass as the test
-# crates/lint/tests/rules.rs::the_workspace_has_no_findings), the paper's
-# ablation timings (`ablation_costs`, which asserts the facts behind each
-# comparison; every other timing number is `benchmark/run.sh`'s), the
-# fleet demo (`fleet_demo`, whose acts assert their outcomes), then what needs
-# another profile: the sharding and wire transport-equivalence matrices
-# and the chaos scenario corpus in release mode, the paper-fidelity gate
-# at paper scale (release), and the end-to-end benchmark crate (its own
-# workspace: builds against the public surface `benchmark/README.md`
-# lists, so a signature change that breaks it is caught here rather than
-# by the benchmark pipeline).
+# CI gate. Which step holds which rule:
+#
+# * clippy (workspace, all targets, -D warnings): determinism (the root
+#   clippy.toml's disallowed Instant/SystemTime::now and hash-seeded
+#   types), panic-path (the panic-family lints each hot-path crate denies
+#   at its root), escape reasons (allow_attributes_without_reason, and a
+#   stale #[expect] is an unfulfilled expectation) and wildcard arms (the
+#   journal-recovery and shard-protocol consumers).
+# * tier-1 `cargo test` (default members are every crate): lock-order,
+#   as crates/lint/tests/rules.rs::the_workspace_has_no_findings; the
+#   clippy fixture crate that proves the clippy configuration still
+#   bites; the hot-path gates in crates/keylime/tests/hot_path_gates.rs
+#   (zero allocations per warm check_digest, at most 96 live heap bytes
+#   per policy (path, digest) pair, chunk copies bounded per push and per
+#   recovery, at most 4 allocations per chunk copy); and every crate's
+#   unit and integration suites.
+#
+# Then the paper's ablation timings (`ablation_costs`, which asserts the
+# facts behind each comparison; every other timing number is
+# `benchmark/run.sh`'s), the fleet demo (`fleet_demo`, whose acts assert
+# their outcomes), and what needs another profile: the sharding and wire
+# transport-equivalence matrices and the chaos scenario corpus in release
+# mode, the paper-fidelity gate at paper scale (release), and the
+# end-to-end benchmark crate (its own workspace: builds against the
+# public surface `benchmark/README.md` lists, so a signature change that
+# breaks it is caught here rather than by the benchmark pipeline).
 #
 # Usage: scripts/ci.sh [--offline]
 #
@@ -38,13 +45,13 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, -D warnings) =="
+echo "== cargo clippy (workspace, -D warnings): determinism, panic-path, escape reasons, wildcard arms =="
 cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build "${OFFLINE[@]}" --release
 
-echo "== tier-1: cargo test (every crate's suites, the cia-lint gate included) =="
+echo "== tier-1: cargo test (every crate's suites; lock-order and the clippy fixture included) =="
 cargo test "${OFFLINE[@]}" -q
 
 echo "== ablations: the paper's design-question timings =="
