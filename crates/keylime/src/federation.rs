@@ -488,7 +488,8 @@ impl Federation {
 
 /// One shard's round behind a wire connection of the binary RPC
 /// protocol: a *server* thread runs the shard event loop
-/// ([`remote::serve_round`] — reader, round engine, batching writer)
+/// ([`remote::serve_round`] — reader, round engine, and a writer woken
+/// once per batch of rows)
 /// while the calling thread plays the coordinator
 /// ([`remote::drive_round`] — batched, windowed commands). The rows
 /// returned are the **driver side's decoded rows**, so everything in the

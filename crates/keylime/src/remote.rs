@@ -28,9 +28,13 @@
 //! Two levers make the boundary cheap:
 //!
 //! - **Batching** ([`DEFAULT_WIRE_BATCH`]): commands and result rows
-//!   are coalesced into frames of up to 64 messages, so framing + CRC +
-//!   syscall cost is amortised across a batch instead of paid per
-//!   agent.
+//!   travel in frames of up to 64 messages, so framing + CRC + syscall
+//!   cost is amortised across a batch instead of paid per agent. On the
+//!   server, finished rows wait in a pending batch, and its writer
+//!   thread is woken once per batch rather than once per row: when 64
+//!   rows are pending, when a worker is about to block on the command
+//!   stream, and after each row while a worker is blocked there (see
+//!   [`serve_round`]).
 //! - **Windowing** ([`DEFAULT_WIRE_WINDOW`]): the driver keeps up to
 //!   4 command batches unacknowledged in flight, so the shard's workers
 //!   never run dry while the next commands cross the wire.
@@ -47,13 +51,18 @@
 //! wire round's [`RoundReport`] is **bit-identical** to the in-process
 //! report for the same commands and seed. Deadlock freedom comes from
 //! the server's reader draining commands eagerly into an unbounded
-//! channel (the *driver* bounds in-flight work), so neither side ever
-//! blocks on a peer that is blocked on it.
+//! channel (the *driver* bounds in-flight work), and from the writer's
+//! flush rule, which sends every finished row before the server waits
+//! for a command, so neither side ever blocks on a peer that is blocked
+//! on it.
 //!
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
+
+use parking_lot::Mutex;
 
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
 
@@ -413,16 +422,17 @@ impl Wire for ShardReply {
 ///   forwards poll batches — eagerly, into an unbounded queue, so the
 ///   socket is always drained and the driver can never deadlock
 ///   against a full send buffer;
-/// - a writer thread coalesces finished result rows into
-///   [`ShardReply::Results`] frames of up to [`DEFAULT_WIRE_BATCH`]
+/// - a writer thread sends each batch of finished rows it is handed as
+///   one [`ShardReply::Results`] frame of at most [`DEFAULT_WIRE_BATCH`]
 ///   rows.
 ///
 /// Between them the calling thread runs
 /// [`FleetScheduler::run_round_streamed`] exactly as an in-process
 /// round would: its command iterator reads the reader's queue, so the
 /// engine's workers pull each command as it arrives, and its observer
-/// hands each finished row — the row is all the observer gets — to
-/// the writer.
+/// adds each finished row — the row is all the observer gets — to the
+/// pending batch. The writer is woken once per batch, not once per
+/// row, by the flush rule next to the code.
 ///
 /// After the round completes the server sends
 /// [`ShardReply::Done`] and returns the same [`RoundReport`] an
@@ -451,8 +461,33 @@ where
 {
     let (tx, mut rx) = conn.split();
     let (cmd_tx, cmd_rx) = mpsc::channel::<Vec<(AgentId, u64)>>();
-    let (row_tx, row_rx) = mpsc::channel::<AgentRoundResult>();
+    let (batch_tx, batch_rx) = mpsc::channel::<Vec<AgentRoundResult>>();
+    let flush_tx = batch_tx.clone();
+    // Finished rows not yet handed to the writer.
+    let pending = Mutex::new(Vec::<AgentRoundResult>::with_capacity(DEFAULT_WIRE_BATCH));
+    // Set while a worker is blocked on the command stream.
+    let waiting = AtomicBool::new(false);
+    let (pending, waiting) = (&pending, &waiting);
 
+    // The flush rule. The pending batch goes to the writer when it holds
+    // `DEFAULT_WIRE_BATCH` rows, when a worker is about to block on the
+    // command stream, and after every row while a worker is blocked
+    // there. It is live for every batch, window and worker count, with
+    // no timer. The driver withholds commands only until rows come back,
+    // and the server waits on the driver only while a worker is blocked
+    // in the command iterator. That worker first sets `waiting`, then
+    // asks the writer (with an empty batch) to take the pending rows: it
+    // runs under the engine's queue lock, so it must not take `pending`
+    // itself. A row pushed before the writer takes the batch leaves with
+    // it. A row pushed after sees `waiting`, because the flag was set
+    // before the request was sent, and leaves at once. So no finished
+    // row stays pending while a worker is blocked, and every command the
+    // driver still counts is queued or being attested. Rows collect in
+    // one batch, not one per worker, because a worker holding rows of
+    // its own could wait behind the queue lock for a command that the
+    // driver sends only once those rows are back. The batch-1 / window-1
+    // driver, which holds back command 2 until row 1 is back, is that
+    // case.
     std::thread::scope(|scope| {
         let reader = scope.spawn(move || -> Result<(), WireError> {
             loop {
@@ -473,35 +508,56 @@ where
         });
         let writer = scope.spawn(move || -> Result<C::Tx, WireError> {
             let mut tx = tx;
-            let mut batch: Vec<AgentRoundResult> = Vec::with_capacity(DEFAULT_WIRE_BATCH);
-            while let Ok(first) = row_rx.recv() {
-                batch.push(first);
-                // Greedily coalesce whatever else is already finished,
-                // up to the frame budget — batching without waiting.
-                while batch.len() < DEFAULT_WIRE_BATCH {
-                    match row_rx.try_recv() {
-                        Ok(row) => batch.push(row),
-                        Err(_) => break,
-                    }
+            let mut send = |rows: Vec<AgentRoundResult>| {
+                if rows.is_empty() {
+                    return Ok(());
                 }
-                let frame = ShardReply::Results(std::mem::take(&mut batch)).to_wire();
-                tx.send_frame(&frame)?;
+                tx.send_frame(&ShardReply::Results(rows).to_wire())
+            };
+            for batch in batch_rx {
+                if batch.is_empty() {
+                    // A worker is about to block: hand over what is pending.
+                    send(std::mem::take(&mut *pending.lock()))?;
+                } else {
+                    send(batch)?;
+                }
             }
+            // The engine has returned, so no row can join the last batch.
+            send(std::mem::take(&mut *pending.lock()))?;
             Ok(tx)
         });
 
+        let commands = std::iter::from_fn(move || match cmd_rx.try_recv() {
+            Ok(batch) => Some(batch),
+            Err(mpsc::TryRecvError::Disconnected) => None,
+            Err(mpsc::TryRecvError::Empty) => {
+                waiting.store(true, Ordering::SeqCst);
+                let _ = flush_tx.send(Vec::new());
+                let batch = cmd_rx.recv().ok();
+                waiting.store(false, Ordering::SeqCst);
+                batch
+            }
+        });
         let report = scheduler.run_round_streamed(
             verifier,
             agents,
             agent_transport,
-            std::iter::from_fn(move || cmd_rx.recv().ok()).flatten(),
-            |result: &AgentRoundResult| {
-                let _ = row_tx.send(result.clone());
+            commands.flatten(),
+            move |result: &AgentRoundResult| {
+                let full = {
+                    let mut rows = pending.lock();
+                    rows.push(result.clone());
+                    (rows.len() >= DEFAULT_WIRE_BATCH || waiting.load(Ordering::SeqCst)).then(
+                        || std::mem::replace(&mut *rows, Vec::with_capacity(DEFAULT_WIRE_BATCH)),
+                    )
+                };
+                if let Some(rows) = full {
+                    let _ = batch_tx.send(rows);
+                }
             },
         );
-        // Disconnect the row stream so the writer drains and hands the
-        // sender back for the Done frame.
-        drop(row_tx);
+        // The engine dropped both senders, so the writer sends the last
+        // batch and hands the sender back for the Done frame.
         let mut tx = match writer.join() {
             Ok(tx) => tx?,
             Err(payload) => std::panic::resume_unwind(payload),

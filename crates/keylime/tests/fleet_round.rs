@@ -18,6 +18,8 @@ use cia_wire::DuplexShardTransport;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// A link losing each direction of every call with probability
 /// `drop_rate`.
@@ -371,18 +373,25 @@ proptest! {
     }
 }
 
-/// Command batch and in-flight window shape only the frames: one
-/// command per frame, a window of one, and a batch larger than the fleet
-/// all give the rows of the default batch and window, round after round
-/// under loss and a partition.
+/// Command batch and in-flight window shape only the frames, and the
+/// shard's worker count shapes only who attests what: one command per
+/// frame, a window of one, and a batch larger than the fleet, each at
+/// one worker and at four, all give the rows of the default batch and
+/// window, round after round under loss and a partition. The (1, 1) and
+/// (3, 1) cells hold command 2 back until row 1 returns, so they fail if
+/// the server keeps a finished row from the wire while it waits for
+/// commands. Each cell runs on a detached thread under a watchdog: a
+/// server that stops flushing fails the test naming the cell instead of
+/// hanging the suite.
 #[test]
 fn batch_and_window_do_not_change_the_rows() {
     const ROUNDS: u64 = 4;
-    let trace = |batch: usize, window: usize| -> Vec<Vec<AgentRoundResult>> {
+    const WATCHDOG: Duration = Duration::from_secs(120);
+    fn trace(batch: usize, window: usize, workers: usize) -> Vec<Vec<AgentRoundResult>> {
         let plan = FaultPlan::new(0xba7c)
             .loss(0..ROUNDS, FaultTarget::AllAgents, 0.3)
             .partition(1..3, FaultTarget::lanes([2]));
-        let mut rig = rig(21, 10, 4, plan);
+        let mut rig = rig(21, 10, workers, plan);
         let commands: Vec<(AgentId, u64)> =
             rig.verifier.agent_ids().into_iter().zip(0u64..).collect();
         (0..ROUNDS)
@@ -393,18 +402,32 @@ fn batch_and_window_do_not_change_the_rows() {
                 rows
             })
             .collect()
+    }
+    let watched = |batch: usize, window: usize, workers: usize| {
+        let cell = format!("batch={batch} window={window} workers={workers}");
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(trace(batch, window, workers)));
+        match done_rx.recv_timeout(WATCHDOG) {
+            Ok(rows) => rows,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{cell}: the wire rounds did not finish within {WATCHDOG:?}")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("{cell}: the wire rounds panicked"),
+        }
     };
-    let baseline = trace(0, DEFAULT_WIRE_WINDOW);
+    let baseline = watched(0, DEFAULT_WIRE_WINDOW, 4);
     assert!(
         baseline.iter().flatten().any(|r| r.attempts > 1),
         "the loss made agents retry"
     );
-    for (batch, window) in [(1, 1), (3, 1), (3, 8), (1024, 2)] {
-        assert_eq!(
-            trace(batch, window),
-            baseline,
-            "batch={batch} window={window} diverged"
-        );
+    for workers in [1, 4] {
+        for (batch, window) in [(0, DEFAULT_WIRE_WINDOW), (1, 1), (3, 1), (3, 8), (1024, 2)] {
+            assert_eq!(
+                watched(batch, window, workers),
+                baseline,
+                "batch={batch} window={window} workers={workers} diverged"
+            );
+        }
     }
 }
 
