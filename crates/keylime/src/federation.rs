@@ -282,10 +282,10 @@ impl Federation {
     ///
     /// The coordinator↔shard path is chosen by
     /// [`FederationConfig::transport`]. In-process, a shard thread calls
-    /// straight into its scheduler, whose workers pull from the shard's
-    /// list; over in-memory duplex channels or TCP loopback sockets it
-    /// runs [`wire_round`] instead, and the same workers pull from the
-    /// decoded `Poll` stream. All three produce bit-identical reports —
+    /// straight into its scheduler, which runs the shard's list as one
+    /// batch; over in-memory duplex channels or TCP loopback sockets it
+    /// runs [`wire_round`] instead, and the same engine runs each decoded
+    /// `Poll` frame as a batch. All three produce bit-identical reports —
     /// the wire boundary changes mechanics, not outcomes.
     pub fn run_round<T>(&mut self, agents: &mut [Agent], transport: &T) -> FederatedRoundReport
     where
@@ -315,7 +315,7 @@ impl Federation {
                                 &mut shard.verifier,
                                 pool.into_iter(),
                                 transport,
-                                commands.into_iter(),
+                                std::iter::once(commands),
                                 |_| {},
                             )
                             .results
@@ -488,9 +488,9 @@ impl Federation {
 
 /// One shard's round behind a wire connection of the binary RPC
 /// protocol: a *server* thread runs the shard event loop
-/// ([`remote::serve_round`] — reader, round engine, and a writer woken
-/// once per batch of rows)
-/// while the calling thread plays the coordinator
+/// ([`remote::serve_round`] — a reader thread, and the round engine
+/// answering each `Poll` frame with one `Results` frame) while the
+/// calling thread plays the coordinator
 /// ([`remote::drive_round`] — batched, windowed commands). The rows
 /// returned are the **driver side's decoded rows**, so everything in the
 /// merged report round-tripped the codec; equivalence with the server's

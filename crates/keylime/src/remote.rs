@@ -6,19 +6,22 @@
 //! boundary** in that path: the coordinator speaks a compact binary
 //! protocol (see [`cia_wire`]) over any splittable
 //! [`ShardTransport`] — an in-memory duplex channel or a real TCP
-//! socket — and the shard runs a small event loop that turns incoming
-//! poll commands into scheduler work and streams result rows back.
+//! socket — and the shard runs a small event loop that turns each
+//! incoming frame of poll commands into scheduler work and answers it
+//! with one frame of result rows.
 //!
 //! ## Protocol
 //!
-//! One round is one conversation, driver → server:
+//! One round is one conversation, driver → server. Every `Poll` frame
+//! is answered by exactly one `Results` frame, sent once all of that
+//! frame's commands are attested:
 //!
 //! ```text
 //! driver                              server
 //!   │  Start                            │
-//!   │  Poll [(id, lane); ≤ batch]  ───▶ │  (workers pull as it lands)
+//!   │  Poll [(id, lane); ≤ batch]  ───▶ │  (queued as it lands)
 //!   │  Poll …                      ───▶ │
-//!   │  ◀───  Results [row; ≤ batch]     │  (streams as rows finish)
+//!   │  ◀───  Results [rows of Poll 1]   │  (one per Poll, in order)
 //!   │  Poll …                      ───▶ │
 //!   │  End                         ───▶ │
 //!   │  ◀───  Results …                  │
@@ -27,42 +30,34 @@
 //!
 //! Two levers make the boundary cheap:
 //!
-//! - **Batching** ([`DEFAULT_WIRE_BATCH`]): commands and result rows
-//!   travel in frames of up to 64 messages, so framing + CRC + syscall
-//!   cost is amortised across a batch instead of paid per agent. On the
-//!   server, finished rows wait in a pending batch, and its writer
-//!   thread is woken once per batch rather than once per row: when 64
-//!   rows are pending, when a worker is about to block on the command
-//!   stream, and after each row while a worker is blocked there (see
-//!   [`serve_round`]).
-//! - **Windowing** ([`DEFAULT_WIRE_WINDOW`]): the driver keeps up to
-//!   4 command batches unacknowledged in flight, so the shard's workers
-//!   never run dry while the next commands cross the wire.
+//! - **Batching** ([`DEFAULT_WIRE_BATCH`]): commands travel in frames of
+//!   up to 64, and each frame's rows come back as one frame, so framing +
+//!   CRC + syscall cost is amortised across a batch instead of paid per
+//!   agent.
+//! - **Windowing** ([`DEFAULT_WIRE_WINDOW`]): the driver keeps up to 4
+//!   `Poll` frames without their `Results` frame in flight, so the
+//!   shard's workers never run dry while the next commands cross the
+//!   wire.
 //!
 //! Both are constants; [`drive_round`] still takes a command batch and
 //! a window (`0` meaning the default batch), which only tests and
 //! probes vary.
 //!
-//! The server hands the decoded command stream to
+//! The server hands the decoded `Poll` stream to
 //! [`FleetScheduler::run_round_streamed`] — the one round engine every
-//! in-process round runs on too — as its command iterator, which the
-//! engine's workers pull from one command at a time, so the first agents
-//! are fetching while later `Poll` frames are still in flight and a
-//! wire round's [`RoundReport`] is **bit-identical** to the in-process
-//! report for the same commands and seed. Deadlock freedom comes from
-//! the server's reader draining commands eagerly into an unbounded
-//! channel (the *driver* bounds in-flight work), and from the writer's
-//! flush rule, which sends every finished row before the server waits
-//! for a command, so neither side ever blocks on a peer that is blocked
-//! on it.
+//! in-process round runs on too — one frame per batch, so a wire round's
+//! [`RoundReport`] is **bit-identical** to the in-process report for the
+//! same commands and seed. Neither side can block on a peer that is
+//! blocked on it: the server's reader drains commands eagerly into an
+//! unbounded channel (the *driver* bounds in-flight work), so the
+//! driver's `Poll` sends always complete, and the driver waits for a
+//! `Results` frame only while a `Poll` frame is unanswered, which the
+//! server answers without waiting for any later command.
 //!
 //! [`FleetScheduler::run_round_streamed`]: FleetScheduler
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-
-use parking_lot::Mutex;
 
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
 
@@ -74,11 +69,12 @@ use crate::store::PolicyEpoch;
 use crate::transport::Transport;
 use crate::verifier::{Alert, FailureKind, HealthCounts, Verifier};
 
-/// Result rows per frame a shard server sends, and poll commands per
-/// frame a federation's driver sends.
+/// Poll commands per frame a federation's driver sends, and so the most
+/// result rows a shard server sends back in one frame.
 pub const DEFAULT_WIRE_BATCH: usize = 64;
 
-/// Command batches a federation's driver keeps in flight per shard.
+/// `Poll` frames a federation's driver keeps in flight per shard without
+/// their `Results` frame.
 pub const DEFAULT_WIRE_WINDOW: usize = 4;
 
 /// Normalises [`drive_round`]'s batch size: `0` means the default.
@@ -367,7 +363,8 @@ impl Wire for ShardCommand {
 /// Server → driver message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ShardReply {
-    /// A batch of finished result rows, streamed in completion order.
+    /// The rows of one `Poll` frame's commands, in completion order:
+    /// none for a command naming an un-enrolled or already claimed id.
     Results(Vec<AgentRoundResult>),
     /// The round is complete: post-round health and the active epoch.
     Done {
@@ -415,28 +412,20 @@ impl Wire for ShardReply {
 
 /// Runs one shard round as the server side of the wire protocol.
 ///
-/// Splits `conn`, then puts the two halves of the wire around the
-/// round engine until the driver sends `End`:
+/// Splits `conn` and spawns a reader thread that decodes incoming
+/// [`ShardCommand`] frames and forwards each `Poll` batch — eagerly, into
+/// an unbounded queue, so the socket is always drained and the driver can
+/// never deadlock against a full send buffer. The calling thread runs
+/// [`FleetScheduler::run_round_streamed`] over that queue, one `Poll`
+/// frame's commands per batch, exactly as an in-process round would, and
+/// sends each batch's rows back as one [`ShardReply::Results`] frame once
+/// they are all attested: every `Poll` frame gets exactly one `Results`
+/// frame, empty when none of its commands names an enrolled, unclaimed
+/// id.
 ///
-/// - a reader thread decodes incoming [`ShardCommand`] frames and
-///   forwards poll batches — eagerly, into an unbounded queue, so the
-///   socket is always drained and the driver can never deadlock
-///   against a full send buffer;
-/// - a writer thread sends each batch of finished rows it is handed as
-///   one [`ShardReply::Results`] frame of at most [`DEFAULT_WIRE_BATCH`]
-///   rows.
-///
-/// Between them the calling thread runs
-/// [`FleetScheduler::run_round_streamed`] exactly as an in-process
-/// round would: its command iterator reads the reader's queue, so the
-/// engine's workers pull each command as it arrives, and its observer
-/// adds each finished row — the row is all the observer gets — to the
-/// pending batch. The writer is woken once per batch, not once per
-/// row, by the flush rule next to the code.
-///
-/// After the round completes the server sends
-/// [`ShardReply::Done`] and returns the same [`RoundReport`] an
-/// in-process round over the same commands would have produced.
+/// When the driver sends `End` the server sends [`ShardReply::Done`]
+/// and returns the same [`RoundReport`] an in-process round over the same
+/// commands would have produced.
 ///
 /// # Errors
 ///
@@ -459,35 +448,8 @@ where
     T: Transport + Sync,
     C: ShardTransport,
 {
-    let (tx, mut rx) = conn.split();
+    let (mut tx, mut rx) = conn.split();
     let (cmd_tx, cmd_rx) = mpsc::channel::<Vec<(AgentId, u64)>>();
-    let (batch_tx, batch_rx) = mpsc::channel::<Vec<AgentRoundResult>>();
-    let flush_tx = batch_tx.clone();
-    // Finished rows not yet handed to the writer.
-    let pending = Mutex::new(Vec::<AgentRoundResult>::with_capacity(DEFAULT_WIRE_BATCH));
-    // Set while a worker is blocked on the command stream.
-    let waiting = AtomicBool::new(false);
-    let (pending, waiting) = (&pending, &waiting);
-
-    // The flush rule. The pending batch goes to the writer when it holds
-    // `DEFAULT_WIRE_BATCH` rows, when a worker is about to block on the
-    // command stream, and after every row while a worker is blocked
-    // there. It is live for every batch, window and worker count, with
-    // no timer. The driver withholds commands only until rows come back,
-    // and the server waits on the driver only while a worker is blocked
-    // in the command iterator. That worker first sets `waiting`, then
-    // asks the writer (with an empty batch) to take the pending rows: it
-    // runs under the engine's queue lock, so it must not take `pending`
-    // itself. A row pushed before the writer takes the batch leaves with
-    // it. A row pushed after sees `waiting`, because the flag was set
-    // before the request was sent, and leaves at once. So no finished
-    // row stays pending while a worker is blocked, and every command the
-    // driver still counts is queued or being attested. Rows collect in
-    // one batch, not one per worker, because a worker holding rows of
-    // its own could wait behind the queue lock for a command that the
-    // driver sends only once those rows are back. The batch-1 / window-1
-    // driver, which holds back command 2 until row 1 is back, is that
-    // case.
     std::thread::scope(|scope| {
         let reader = scope.spawn(move || -> Result<(), WireError> {
             loop {
@@ -506,62 +468,16 @@ where
                 }
             }
         });
-        let writer = scope.spawn(move || -> Result<C::Tx, WireError> {
-            let mut tx = tx;
-            let mut send = |rows: Vec<AgentRoundResult>| {
-                if rows.is_empty() {
-                    return Ok(());
+        // After a failed send the round still runs to the end of the
+        // command stream, which the reader closes when the driver hangs up.
+        let mut sent = Ok(());
+        let report =
+            scheduler.run_round_streamed(verifier, agents, agent_transport, cmd_rx, |rows| {
+                if sent.is_ok() {
+                    sent = tx.send_frame(&ShardReply::Results(rows.to_vec()).to_wire());
                 }
-                tx.send_frame(&ShardReply::Results(rows).to_wire())
-            };
-            for batch in batch_rx {
-                if batch.is_empty() {
-                    // A worker is about to block: hand over what is pending.
-                    send(std::mem::take(&mut *pending.lock()))?;
-                } else {
-                    send(batch)?;
-                }
-            }
-            // The engine has returned, so no row can join the last batch.
-            send(std::mem::take(&mut *pending.lock()))?;
-            Ok(tx)
-        });
-
-        let commands = std::iter::from_fn(move || match cmd_rx.try_recv() {
-            Ok(batch) => Some(batch),
-            Err(mpsc::TryRecvError::Disconnected) => None,
-            Err(mpsc::TryRecvError::Empty) => {
-                waiting.store(true, Ordering::SeqCst);
-                let _ = flush_tx.send(Vec::new());
-                let batch = cmd_rx.recv().ok();
-                waiting.store(false, Ordering::SeqCst);
-                batch
-            }
-        });
-        let report = scheduler.run_round_streamed(
-            verifier,
-            agents,
-            agent_transport,
-            commands.flatten(),
-            move |result: &AgentRoundResult| {
-                let full = {
-                    let mut rows = pending.lock();
-                    rows.push(result.clone());
-                    (rows.len() >= DEFAULT_WIRE_BATCH || waiting.load(Ordering::SeqCst)).then(
-                        || std::mem::replace(&mut *rows, Vec::with_capacity(DEFAULT_WIRE_BATCH)),
-                    )
-                };
-                if let Some(rows) = full {
-                    let _ = batch_tx.send(rows);
-                }
-            },
-        );
-        // The engine dropped both senders, so the writer sends the last
-        // batch and hands the sender back for the Done frame.
-        let mut tx = match writer.join() {
-            Ok(tx) => tx?,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
+            });
+        sent?;
         tx.send_frame(
             &ShardReply::Done {
                 health: report.health,
@@ -595,19 +511,21 @@ pub struct DrivenRound {
 ///
 /// Sends `Start`, then the `(agent, lane)` commands chunked into
 /// [`ShardCommand::Poll`] frames of `wire_batch` (`0` means
-/// [`DEFAULT_WIRE_BATCH`]), keeping at most `window` batches
-/// unacknowledged in flight — the pipelining lever: the shard always
+/// [`DEFAULT_WIRE_BATCH`]), keeping at most `window` `Poll` frames
+/// without their `Results` frame — the pipelining lever: the shard always
 /// has the next commands queued while it works, without the driver
 /// buffering the whole fleet. `End` closes the stream; the call
 /// returns when [`ShardReply::Done`] arrives.
 ///
 /// # Errors
 ///
-/// Any [`WireError`] from the connection, or
-/// [`WireError::Protocol`] when the shard's replies are not exactly one
-/// row per command sent — as soon as a row names an agent that was never
-/// sent or was already answered, or when `Done` leaves a command
-/// unanswered.
+/// Any [`WireError`] from the connection, or [`WireError::Protocol`]
+/// when `commands` names an id twice (before anything is sent), or when
+/// the shard's replies are not one `Results` frame per `Poll` frame and
+/// exactly one row per command sent — as soon as a row names an agent
+/// that was never sent or was already answered, or a `Results` frame
+/// arrives with no `Poll` frame outstanding, or when `Done` leaves a
+/// command or a frame unanswered.
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
@@ -618,51 +536,57 @@ pub fn drive_round<C: ShardTransport>(
     wire_batch: usize,
     window: usize,
 ) -> Result<DrivenRound, WireError> {
+    let mut named = BTreeSet::new();
+    if let Some((id, _)) = commands.iter().find(|(id, _)| !named.insert(id)) {
+        return Err(WireError::Protocol {
+            reason: format!("the command list names `{id}` twice"),
+        });
+    }
     let wire_batch = effective_batch(wire_batch);
     let window = window.max(1);
     let (mut tx, mut rx) = conn.split();
 
     tx.send_frame(&ShardCommand::Start.to_wire())?;
     let mut rows: Vec<AgentRoundResult> = Vec::with_capacity(commands.len());
-    // The ids sent and not yet answered.
+    // The ids sent and not yet answered, and the `Poll` frames sent
+    // without their `Results` frame.
     let mut pending: BTreeSet<&AgentId> = BTreeSet::new();
+    let mut unanswered = 0usize;
     for chunk in commands.chunks(wire_batch) {
-        // In-flight bound: wait for result rows once `window` batches
-        // of commands are outstanding.
-        while pending.len() >= window.saturating_mul(wire_batch) {
-            recv_results(&mut rx, &mut rows, &mut pending)?;
+        while unanswered >= window {
+            recv_results(&mut rx, &mut rows, &mut pending, &mut unanswered)?;
         }
         tx.send_frame(&ShardCommand::Poll(chunk.to_vec()).to_wire())?;
         pending.extend(chunk.iter().map(|(id, _)| id));
+        unanswered += 1;
     }
     tx.send_frame(&ShardCommand::End.to_wire())?;
-
-    loop {
-        match rx.recv::<ShardReply>()? {
-            ShardReply::Results(batch) => extend_rows(&mut rows, batch, &mut pending)?,
-            ShardReply::Done { health, epoch } => {
-                if !pending.is_empty() {
-                    return Err(WireError::Protocol {
-                        reason: format!(
-                            "shard finished with {} of {} commands unanswered",
-                            pending.len(),
-                            commands.len()
-                        ),
-                    });
-                }
-                return Ok(DrivenRound {
-                    rows,
-                    health,
-                    epoch,
-                });
-            }
-        }
+    while unanswered > 0 {
+        recv_results(&mut rx, &mut rows, &mut pending, &mut unanswered)?;
+    }
+    match rx.recv::<ShardReply>()? {
+        ShardReply::Results(_) => Err(WireError::Protocol {
+            reason: "shard sent a Results frame with no Poll frame outstanding".to_string(),
+        }),
+        ShardReply::Done { .. } if !pending.is_empty() => Err(WireError::Protocol {
+            reason: format!(
+                "shard finished with {} of {} commands unanswered",
+                pending.len(),
+                commands.len()
+            ),
+        }),
+        ShardReply::Done { health, epoch } => Ok(DrivenRound {
+            rows,
+            health,
+            epoch,
+        }),
     }
 }
 
-/// Receives one reply frame that must carry result rows (the in-flight
-/// window is only drained before `End`, when `Done` would be a
-/// protocol violation).
+/// Receives the `Results` frame of an unanswered `Poll` frame, each of
+/// whose rows must answer one `pending` command — a row for an agent
+/// that was never sent, or was already answered, is a protocol error, not
+/// a window to wait out. `Done` while a frame is unanswered is one too.
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
@@ -671,23 +595,17 @@ fn recv_results<R: FrameReceiver>(
     rx: &mut R,
     rows: &mut Vec<AgentRoundResult>,
     pending: &mut BTreeSet<&AgentId>,
+    unanswered: &mut usize,
 ) -> Result<(), WireError> {
-    match rx.recv::<ShardReply>()? {
-        ShardReply::Results(batch) => extend_rows(rows, batch, pending),
-        ShardReply::Done { .. } => Err(WireError::Protocol {
-            reason: "done before end of commands".to_string(),
-        }),
-    }
-}
-
-/// Appends a batch of result rows, each of which must answer one
-/// `pending` command — a row for an agent that was never sent, or was
-/// already answered, is a protocol error, not a window to wait out.
-fn extend_rows(
-    rows: &mut Vec<AgentRoundResult>,
-    batch: Vec<AgentRoundResult>,
-    pending: &mut BTreeSet<&AgentId>,
-) -> Result<(), WireError> {
+    let batch = match rx.recv::<ShardReply>()? {
+        ShardReply::Results(batch) => batch,
+        ShardReply::Done { .. } => {
+            return Err(WireError::Protocol {
+                reason: format!("shard finished with {unanswered} Poll frames unanswered"),
+            })
+        }
+    };
+    *unanswered -= 1;
     for row in batch {
         if !pending.remove(&row.id) {
             return Err(WireError::Protocol {
@@ -927,6 +845,66 @@ mod tests {
         shard.join().unwrap();
     }
 
+    /// A hostile shard answers the one `Poll` frame it was sent, then
+    /// sends a second, empty `Results` frame before `Done`: every row
+    /// checks out, but the shard replied to a frame that was never sent.
+    #[test]
+    fn a_shard_that_answers_more_frames_than_were_sent_is_a_protocol_error() {
+        let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
+        let shard = std::thread::spawn(move || {
+            let (mut tx, mut rx) = shard_conn.split();
+            assert_eq!(rx.recv::<ShardCommand>().unwrap(), ShardCommand::Start);
+            let ShardCommand::Poll(batch) = rx.recv::<ShardCommand>().unwrap() else {
+                panic!("expected a Poll frame");
+            };
+            let rows = batch
+                .iter()
+                .map(|(id, _)| sample_row(id.as_str(), RoundOutcome::Verified { new_entries: 0 }))
+                .collect();
+            tx.send_frame(&ShardReply::Results(rows).to_wire()).unwrap();
+            tx.send_frame(&ShardReply::Results(Vec::new()).to_wire())
+                .unwrap();
+            let done = ShardReply::Done {
+                health: HealthCounts::default(),
+                epoch: PolicyEpoch::ZERO,
+            };
+            // The driver may already have hung up on the extra frame.
+            let _ = tx.send_frame(&done.to_wire());
+            // Hold the connection open until the driver hangs up.
+            while rx.recv::<ShardCommand>().is_ok() {}
+        });
+        let commands = vec![(AgentId::from("a"), 0)];
+        let err = drive_round(driver_conn, &commands, 1, 1).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Protocol { reason } if reason.contains("no Poll frame")),
+            "{err:?}"
+        );
+        shard.join().unwrap();
+    }
+
+    /// A command list naming an id twice would merge into one pending
+    /// command and come back one row short: the driver refuses it before
+    /// the shard sees a single frame.
+    #[test]
+    fn a_command_list_that_names_an_id_twice_is_refused_before_start() {
+        let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();
+        let commands = vec![
+            (AgentId::from("a"), 0),
+            (AgentId::from("b"), 1),
+            (AgentId::from("a"), 2),
+        ];
+        let err = drive_round(driver_conn, &commands, 0, 1).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Protocol { reason } if reason.contains("`a` twice")),
+            "{err:?}"
+        );
+        let (_tx, mut rx) = shard_conn.split();
+        assert!(
+            matches!(rx.recv::<ShardCommand>(), Err(WireError::Closed)),
+            "the driver hung up without sending Start"
+        );
+    }
+
     /// A hostile shard answers `Poll[a, b]` with rows for `a, a` or
     /// `a, z` and then reports the round done: the row counts add up,
     /// but the driver must refuse the round instead of losing `b`.
@@ -970,9 +948,8 @@ mod tests {
         assert_eq!(effective_batch(7), 7);
     }
 
-    /// The in-flight bound `window × batch` saturates: the largest batch
-    /// and window send every command in one `Poll` frame instead of
-    /// overflowing before the first frame leaves.
+    /// The largest batch and window send every command in one `Poll`
+    /// frame, answered by one `Results` frame.
     #[test]
     fn a_maximal_batch_and_window_saturate_the_in_flight_bound() {
         let (driver_conn, shard_conn) = cia_wire::DuplexShardTransport::pair();

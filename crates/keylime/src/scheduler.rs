@@ -6,10 +6,11 @@
 //! the rest of the round. [`FleetScheduler`] replaces the sequential
 //! sweep with a worker pool:
 //!
-//! - a round is a list of poll commands; `worker_count` workers pull
-//!   from it one command at a time under a single lock, each taking the
-//!   command's verifier record and agent process with it — that lock is
-//!   all that sits between the list and the workers;
+//! - a round is a list of poll commands, in batches; the calling thread
+//!   matches each command of a batch to its verifier record and agent
+//!   process, then `worker_count` workers (the calling thread among
+//!   them) pull the batch's jobs one at a time under a single lock — that
+//!   lock is all that sits between the batch and the workers;
 //! - each job gets its own deterministic transport *lane*
 //!   ([`Transport::fork`]), so the faults an agent sees depend only on
 //!   the fault plan, the round and the agent's lane
@@ -490,12 +491,13 @@ impl RoundReport {
     }
 }
 
-/// One unit of work: an agent, its verifier record, and its lane.
+/// One unit of work: a command matched to its verifier record and,
+/// unless it is orphaned, its agent process.
 struct Job<'a> {
     id: AgentId,
     lane: u64,
     record: &'a mut AgentRecord,
-    agent: &'a mut Agent,
+    agent: Option<&'a mut Agent>,
 }
 
 /// The concurrent fleet attestation engine. See the module docs.
@@ -574,7 +576,7 @@ impl FleetScheduler {
             verifier,
             agents.iter_mut(),
             transport,
-            commands.into_iter(),
+            std::iter::once(commands),
             |_| {},
         )
     }
@@ -582,15 +584,16 @@ impl FleetScheduler {
     /// The round engine: every way of running a round — a full round, a
     /// resumed one, a shard's slice of a federated round, a wire round —
     /// is this function fed a different list of `(agent id, lane)` poll
-    /// commands.
+    /// commands, in batches.
     ///
-    /// - `commands` defines the round's extent. Each command is matched
-    ///   to its record and agent process and dispatched as it is pulled
-    ///   from the iterator, so a wire server can hand in the live command
-    ///   stream and have the first agents fetching while later commands
-    ///   are still in flight. Enrolled records that receive no command
-    ///   produce no row and are not touched; commands naming un-enrolled
-    ///   ids, and duplicate commands, are ignored.
+    /// - `batches` defines the round's extent. The calling thread takes
+    ///   one batch at a time, matches each command to its record and
+    ///   agent process, and attests the batch on the worker pool before
+    ///   it takes the next, so a wire server can hand in the live
+    ///   `Poll` stream. Enrolled records that receive no command produce
+    ///   no row and are not touched; commands naming un-enrolled ids, and
+    ///   repeats of an id claimed earlier in the round (in any batch),
+    ///   are ignored. An in-process round is one batch.
     /// - The *lane* is the transport lane ([`Transport::fork`]) the agent
     ///   is polled over. It is the caller's to choose because it must not
     ///   depend on the list: every builder takes it from the agent's
@@ -598,92 +601,57 @@ impl FleetScheduler {
     ///   an agent sees is the same whichever list it arrives in.
     /// - `agents` is any iterator of agent processes, so a shard can run
     ///   over the subset of a fleet the ring placed on it.
-    /// - `observer` is called exactly once per result row, from the
-    ///   thread that finished it — the write point for wire result
-    ///   frames. That includes orphaned commands (an enrolled record
-    ///   whose agent process is missing): their row reports
-    ///   [`RoundOutcome::Unreachable`] and their record is unchanged.
-    ///   Nothing touches a record between its row and the engine's
-    ///   return, so a caller that wants the post-round state (the
-    ///   journal) reads the record itself afterwards.
-    pub(crate) fn run_round_streamed<'e, T, F>(
+    /// - `on_batch` is called on the calling thread once per batch, with
+    ///   that batch's rows, once they are all attested — the write point
+    ///   for wire result frames. The rows include orphaned commands (an
+    ///   enrolled record whose agent process is missing): their row
+    ///   reports [`RoundOutcome::Unreachable`] and their record is
+    ///   unchanged. Nothing touches a record between its row and the
+    ///   engine's return, so a caller that wants the post-round state
+    ///   (the journal) reads the record itself afterwards.
+    pub(crate) fn run_round_streamed<'e, T>(
         &self,
         verifier: &mut Verifier,
         agents: impl Iterator<Item = &'e mut Agent>,
         transport: &T,
-        commands: impl Iterator<Item = (AgentId, u64)> + Send,
-        observer: F,
+        batches: impl IntoIterator<Item = Vec<(AgentId, u64)>>,
+        mut on_batch: impl FnMut(&[AgentRoundResult]),
     ) -> RoundReport
     where
         T: Transport + Sync,
-        F: Fn(&AgentRoundResult) + Sync,
     {
         let (config, store, records) = verifier.scheduler_view();
         let mut results = Vec::new();
         let mut round_counts = MetricsSnapshot::default();
         {
-            // The round queue: the command stream, each command claiming
-            // its record and — unless it is orphaned — its agent process
-            // as it is pulled. Commands for un-enrolled ids and repeats
-            // of a claimed id find no record and fall out here.
-            let mut unclaimed: BTreeMap<&AgentId, &mut AgentRecord> = records.iter_mut().collect();
-            let mut processes: BTreeMap<AgentId, &mut Agent> =
-                agents.map(|a| (a.id().clone(), a)).collect();
-            let queue = Mutex::new(commands.fuse().filter_map(move |(id, lane)| {
-                let record = unclaimed.remove(&id)?;
-                let agent = processes.remove(&id);
-                Some((id, lane, record, agent))
-            }));
-            let work = || {
-                let mut rows = Vec::new();
-                let mut counts = MetricsSnapshot::default();
-                // The guard dies when `pull` returns: a worker waits for
-                // its next command under the lock, then attests and
-                // observes it outside.
-                let pull = || queue.lock().next();
-                while let Some((id, lane, record, agent)) = pull() {
-                    let row = match agent {
-                        Some(agent) => {
-                            let mut job = Job {
-                                id,
-                                lane,
-                                record,
-                                agent,
-                            };
-                            let mut lane_transport = transport.fork(job.lane);
-                            let row = attest_with_retry(
-                                &config,
-                                &store,
-                                &mut counts,
-                                &mut job,
-                                &mut lane_transport,
-                            );
-                            // The lane is fresh per job, so its byte total
-                            // is exactly this agent's round traffic.
-                            counts.wire_bytes += lane_transport.wire_bytes();
-                            row
-                        }
-                        None => orphan_row(id, record, &mut counts),
-                    };
-                    observer(&row);
-                    rows.push(row);
+            // A command claims its record and — unless it is orphaned —
+            // its agent process for the rest of the round. Commands for
+            // un-enrolled ids and repeats of a claimed id find no record
+            // and fall out here.
+            let mut unclaimed: BTreeMap<&AgentId, (&mut AgentRecord, Option<&mut Agent>)> = records
+                .iter_mut()
+                .map(|(id, record)| (id, (record, None)))
+                .collect();
+            for agent in agents {
+                if let Some((_, process)) = unclaimed.get_mut(agent.id()) {
+                    *process = Some(agent);
                 }
-                (rows, counts)
-            };
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..config.worker_count.max(1))
-                    .map(|_| scope.spawn(work))
-                    .collect();
-                for worker in workers {
-                    match worker.join() {
-                        Ok((rows, counts)) => {
-                            results.extend(rows);
-                            round_counts = round_counts.merged(&counts);
-                        }
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
+            }
+            for batch in batches {
+                let jobs = batch.into_iter().filter_map(|(id, lane)| {
+                    let (record, agent) = unclaimed.remove(&id)?;
+                    Some(Job {
+                        id,
+                        lane,
+                        record,
+                        agent,
+                    })
+                });
+                let (rows, counts) = attest_batch(&config, &store, transport, jobs.collect());
+                on_batch(&rows);
+                results.extend(rows);
+                round_counts = round_counts.merged(&counts);
+            }
         }
         results.sort_by(|a, b| a.id.cmp(&b.id));
         self.fold_round(&round_counts, store.epoch());
@@ -698,6 +666,63 @@ impl FleetScheduler {
             policy_epoch: store.epoch(),
         }
     }
+}
+
+/// Attests one batch of claimed jobs on `worker_count` workers — the
+/// calling thread and `worker_count - 1` scoped threads, never more than
+/// there are jobs — and returns the batch's rows, in completion order, and
+/// counts. Workers pull jobs one at a time under the queue lock and attest
+/// them outside it.
+fn attest_batch<T: Transport + Sync>(
+    config: &VerifierConfig,
+    store: &PolicyStore,
+    transport: &T,
+    jobs: Vec<Job<'_>>,
+) -> (Vec<AgentRoundResult>, MetricsSnapshot) {
+    let helpers = config.worker_count.min(jobs.len()).saturating_sub(1);
+    let queue = Mutex::new(jobs.into_iter());
+    let work = || {
+        let mut rows = Vec::new();
+        let mut counts = MetricsSnapshot::default();
+        // The guard dies when `pull` returns.
+        let pull = || queue.lock().next();
+        while let Some(mut job) = pull() {
+            let row = match job.agent.take() {
+                Some(agent) => {
+                    let mut lane_transport = transport.fork(job.lane);
+                    let row = attest_with_retry(
+                        config,
+                        store,
+                        &mut counts,
+                        &mut job,
+                        agent,
+                        &mut lane_transport,
+                    );
+                    // The lane is fresh per job, so its byte total is
+                    // exactly this agent's round traffic.
+                    counts.wire_bytes += lane_transport.wire_bytes();
+                    row
+                }
+                None => orphan_row(job.id, job.record, &mut counts),
+            };
+            rows.push(row);
+        }
+        (rows, counts)
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let (mut rows, mut counts) = work();
+        for worker in spawned {
+            match worker.join() {
+                Ok((more, more_counts)) => {
+                    rows.extend(more);
+                    counts = counts.merged(&more_counts);
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        (rows, counts)
+    })
 }
 
 /// The command list of a full round: every enrolled id, its lane its
@@ -729,9 +754,10 @@ fn attest_with_retry<T: Transport>(
     store: &PolicyStore,
     counts: &mut MetricsSnapshot,
     job: &mut Job<'_>,
+    agent: &mut Agent,
     transport: &mut T,
 ) -> AgentRoundResult {
-    let day = job.agent.day();
+    let day = agent.day();
     let backend = job.record.backend_identity().kind();
     let mut attempts = 0u32;
     let mut backoff_ms = 0u64;
@@ -760,8 +786,7 @@ fn attest_with_retry<T: Transport>(
                       or anything the sim replays"
         )]
         let start = Instant::now();
-        let result =
-            Verifier::fetch_evidence(config, store, job.record, &job.id, transport, job.agent);
+        let result = Verifier::fetch_evidence(config, store, job.record, &job.id, transport, agent);
         counts.record_latency_ns(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
 
         let error = match result {
@@ -913,9 +938,11 @@ mod tests {
     }
 
     /// The engine's orphan contract: a command for an enrolled id with
-    /// no agent process yields one `Unreachable` row, observed exactly
-    /// once, and the record is left exactly as it was — whichever worker
-    /// pulls it, and however often the list names the id.
+    /// no agent process yields one `Unreachable` row, handed to the batch
+    /// callback exactly once, and the record is left exactly as it was —
+    /// whichever worker pulls it, and however often the list names the
+    /// id. The repeat arrives in a later batch than the first command, so
+    /// the claim has to outlive the batch that made it.
     #[test]
     fn orphaned_command_is_observed_once_and_its_record_is_unchanged() {
         use rand::SeedableRng;
@@ -932,18 +959,16 @@ mod tests {
             let before = verifier.export_agent_state(&id).unwrap();
 
             let scheduler = FleetScheduler::new();
-            let observed = parking_lot::Mutex::new(Vec::new());
+            let mut observed = Vec::new();
             let report = scheduler.run_round_streamed(
                 &mut verifier,
                 std::iter::empty(),
                 &crate::transport::ReliableTransport::new(),
-                vec![
-                    (id.clone(), 0),
-                    (AgentId::from("not-enrolled"), 1),
-                    (id.clone(), 2),
-                ]
-                .into_iter(),
-                |row| observed.lock().push(row.clone()),
+                [
+                    vec![(id.clone(), 0), (AgentId::from("not-enrolled"), 1)],
+                    vec![(id.clone(), 2)],
+                ],
+                |rows| observed.push(rows.to_vec()),
             );
 
             assert_eq!(
@@ -956,7 +981,11 @@ mod tests {
                 RoundOutcome::Unreachable { .. }
             ));
             assert_eq!(report.results[0].attempts, 0, "an orphan spends no call");
-            assert_eq!(observed.into_inner(), report.results);
+            assert_eq!(
+                observed,
+                [report.results.clone(), Vec::new()],
+                "{worker_count} workers: one callback per batch, the repeat answered by none"
+            );
             assert_eq!(verifier.export_agent_state(&id).unwrap(), before);
             let snap = scheduler.snapshot();
             assert_eq!((snap.orphaned, snap.unreachable, snap.calls), (1, 1, 0));

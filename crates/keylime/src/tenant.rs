@@ -674,7 +674,7 @@ impl<T: Transport> Cluster<T> {
             &mut self.verifier,
             self.agents.iter_mut(),
             &self.transport,
-            commands.into_iter(),
+            std::iter::once(commands),
             |_| {},
         );
         if let Some((journal, round)) = journaled {

@@ -14,7 +14,7 @@ use cia_keylime::{
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
 use cia_vfs::VfsPath;
-use cia_wire::DuplexShardTransport;
+use cia_wire::{DuplexShardTransport, WireError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -429,6 +429,70 @@ fn batch_and_window_do_not_change_the_rows() {
             );
         }
     }
+}
+
+/// A command the shard answers with no row must not stall the driver's
+/// window. With one command per frame and a window of one, a command for
+/// an un-enrolled id used to leave the driver waiting for a row that
+/// never came, so it never sent `End` and the shard never sent `Done`.
+/// Each `Poll` frame now gets its `Results` frame, empty or not, and
+/// `Done` names the command left unanswered. A list that repeats an
+/// enrolled id is refused before `Start`, and the server, whose driver
+/// hung up, returns an error instead of waiting. Both run under the
+/// watchdog of `batch_and_window_do_not_change_the_rows`.
+#[test]
+fn a_command_answered_with_no_row_fails_the_round_instead_of_stalling_it() {
+    const WATCHDOG: Duration = Duration::from_secs(120);
+    fn drive(commands: fn(Vec<AgentId>) -> Vec<(AgentId, u64)>) -> (String, bool) {
+        let mut rig = rig(7, 4, 1, FaultPlan::new(7));
+        let commands = commands(rig.verifier.agent_ids());
+        let (server, driver) = DuplexShardTransport::pair();
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| {
+                serve_round(
+                    &rig.scheduler,
+                    &mut rig.verifier,
+                    rig.agents.iter_mut(),
+                    &rig.transport,
+                    server,
+                )
+            });
+            let driven = drive_round(driver, &commands, 1, 1);
+            let served = served.join().unwrap();
+            match driven {
+                Err(WireError::Protocol { reason }) => (reason, served.is_err()),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        })
+    }
+    let watched = |case: &'static str, commands: fn(Vec<AgentId>) -> Vec<(AgentId, u64)>| {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(drive(commands)));
+        match done_rx.recv_timeout(WATCHDOG) {
+            Ok(outcome) => outcome,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{case}: the wire round did not finish within {WATCHDOG:?}")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("{case}: the wire round panicked"),
+        }
+    };
+
+    let (reason, server_failed) = watched("unknown id first", |ids| {
+        let mut commands = vec![(AgentId::from("not-enrolled"), 99)];
+        commands.extend(ids.into_iter().zip(0u64..));
+        commands
+    });
+    assert!(reason.contains("1 of 5 commands unanswered"), "{reason}");
+    assert!(!server_failed, "the shard kept to the protocol");
+
+    let (reason, server_failed) = watched("enrolled id repeated", |ids| {
+        let first = ids[0].clone();
+        let mut commands: Vec<(AgentId, u64)> = ids.into_iter().zip(0u64..).collect();
+        commands.push((first, 0));
+        commands
+    });
+    assert!(reason.contains("twice"), "{reason}");
+    assert!(server_failed, "the server saw its driver hang up");
 }
 
 /// Agent ids derive from host names. A second machine enrolled under a
