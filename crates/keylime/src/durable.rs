@@ -298,7 +298,7 @@ impl VerifierJournal {
             what: format!("enrol/{id}"),
             reason: e.to_string(),
         })?;
-        let state = record.state();
+        let state = &record.state;
         let enrolment = EnrolmentRecord {
             ak: record.ak().clone(),
             identity: record.backend_identity(),
@@ -377,7 +377,7 @@ impl VerifierJournal {
         let ack = AckRecord {
             round,
             result: result.clone(),
-            state: state.clone(),
+            state: *state,
             policy_json,
         };
         let bytes = encode("agent ack", &ack)?;
@@ -399,7 +399,7 @@ impl VerifierJournal {
         result: &AgentRoundResult,
         record: &AgentRecord,
     ) -> Result<(), StorageError> {
-        let state = record.state();
+        let state = &record.state;
         let unresolvable = !state.shared_policy || state.policy_epoch.as_u64() < self.base_epoch;
         let policy_json = unresolvable.then(|| record.policy().to_json());
         self.record_ack(round, result, state, policy_json)

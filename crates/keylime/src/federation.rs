@@ -565,7 +565,7 @@ mod tests {
             let shard = &fed.shards[&fed.placement(id).unwrap()];
             let record = shard.verifier.record(id).unwrap();
             assert!(Arc::ptr_eq(record.policy(), policy), "{when}: {id} handle");
-            assert_eq!(record.state(), state, "{when}: {id} state");
+            assert_eq!(&record.state, state, "{when}: {id} state");
         }
     }
 
@@ -605,7 +605,7 @@ mod tests {
 
         let held: Held = source
             .records()
-            .map(|(id, r)| (id.clone(), (Arc::clone(r.policy()), r.state().clone())))
+            .map(|(id, r)| (id.clone(), (Arc::clone(r.policy()), r.state)))
             .collect();
         let mut fed = Federation::from_verifier(&source, FederationConfig::new(3, config));
         assert_holds(&fed, &held, "from_verifier");
@@ -614,7 +614,7 @@ mod tests {
             .record(&laggard)
             .unwrap();
         assert!(
-            lagging.state().policy_epoch < fed.store().epoch(),
+            lagging.state.policy_epoch < fed.store().epoch(),
             "the laggard's record still holds its older epoch"
         );
 

@@ -44,8 +44,8 @@ use crate::ids::AgentId;
 use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 use crate::verifier::{
-    AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, HotStats,
-    ReachClass, Verifier, VerifierConfig,
+    AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, ReachClass,
+    Verifier, VerifierConfig,
 };
 
 /// Number of log2 latency buckets (bucket i counts calls in
@@ -150,10 +150,6 @@ pub struct MetricsSnapshot {
     /// Serialized bytes that crossed the transport, both directions,
     /// summed over every lane of every round.
     pub wire_bytes: u64,
-    /// Nanoseconds spent inside the policy-evaluation loop, summed over
-    /// every poll (`policy_check_ns / entries_evaluated` is the per-entry
-    /// check cost).
-    pub policy_check_ns: u64,
     /// The active shared-store epoch at the last round or push — a gauge,
     /// not a counter, so it stays outside the conservation identity.
     pub policy_epoch: u64,
@@ -297,7 +293,6 @@ impl MetricsSnapshot {
             to_healthy: self.to_healthy + other.to_healthy,
             entries_evaluated: self.entries_evaluated + other.entries_evaluated,
             wire_bytes: self.wire_bytes + other.wire_bytes,
-            policy_check_ns: self.policy_check_ns + other.policy_check_ns,
             policy_epoch: self.policy_epoch.max(other.policy_epoch),
             policy_push_ns: self.policy_push_ns + other.policy_push_ns,
             delta_entries_applied: self.delta_entries_applied + other.delta_entries_applied,
@@ -396,8 +391,8 @@ impl AgentRoundResult {
             day,
             attempts,
             backoff_ms,
-            policy_epoch: record.state().policy_epoch,
-            shared_policy: record.state().shared_policy,
+            policy_epoch: record.state.policy_epoch,
+            shared_policy: record.state.shared_policy,
             outcome,
         }
     }
@@ -658,7 +653,7 @@ impl FleetScheduler {
 
         let mut health = HealthCounts::default();
         for record in records.values() {
-            health.count(record.state().health);
+            health.count(record.state.health);
         }
         RoundReport {
             results,
@@ -767,7 +762,7 @@ fn attest_with_retry<T: Transport>(
     // The probe itself gets a single attempt — no retry budget — so a
     // still-dead agent costs one call instead of 1 + max_retries.
     let mut retry_budget = config.max_retries;
-    if config.quarantine_enabled && job.record.state().health == AgentHealth::Quarantined {
+    if config.quarantine_enabled && job.record.state.health == AgentHealth::Quarantined {
         if let Some(next_probe_in) = job.record.tick_reprobe() {
             counts.quarantine_skips += 1;
             let outcome = RoundOutcome::SkippedQuarantined { next_probe_in };
@@ -797,7 +792,7 @@ fn attest_with_retry<T: Transport>(
                 break RoundOutcome::SkippedPaused;
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                break appraise_fetched(config, counts, job, *resp, &nonce, day);
+                break appraise_fetched(config, counts, job, &resp, &nonce, day);
             }
             Err(e) => e,
         };
@@ -831,23 +826,21 @@ fn attest_with_retry<T: Transport>(
     )
 }
 
-/// Appraises fetched evidence, counts the verdict, and applies the
-/// health transition.
+/// Appraises fetched evidence, applies the state it leaves, counts the
+/// verdict, and applies the health transition.
 fn appraise_fetched(
     config: &VerifierConfig,
     counts: &mut MetricsSnapshot,
     job: &mut Job<'_>,
-    resp: crate::agent::QuoteResponse,
+    resp: &crate::agent::QuoteResponse,
     nonce: &[u8],
     day: u32,
 ) -> RoundOutcome {
     let backend = job.record.backend_identity().kind();
-    let mut hot = HotStats::default();
-    let outcome =
-        Verifier::appraise_evidence(config, job.record, &job.id, resp, nonce, day, &mut hot);
-    counts.entries_evaluated += hot.entries_evaluated;
-    counts.policy_check_ns += hot.policy_check_ns;
-    match outcome {
+    let appraisal = Verifier::appraise(config, job.record, resp, nonce, &job.id, day);
+    job.record.state = appraisal.next;
+    counts.entries_evaluated += appraisal.entries_evaluated;
+    match appraisal.outcome {
         AttestationOutcome::Verified { new_entries } => {
             counts.verified += 1;
             counts.per_backend.for_kind_mut(backend).verified += 1;
@@ -878,7 +871,7 @@ fn update_health(
     config: &VerifierConfig,
     counts: &mut MetricsSnapshot,
 ) {
-    let before = record.state().health;
+    let before = record.state.health;
     let after = record.apply_health(class, config);
     if before != after {
         *match after {

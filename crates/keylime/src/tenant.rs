@@ -382,11 +382,10 @@ impl<T: Transport> Cluster<T> {
             return Err("enrolled agent set diverged after recovery".to_string());
         }
         for ((id, live), (_, rec)) in self.verifier.records().zip(twin.records()) {
-            if live.state() != rec.state() {
+            if live.state != rec.state {
                 return Err(format!(
                     "agent {id} state diverged after recovery:\n live {:?}\n rec  {:?}",
-                    live.state(),
-                    rec.state()
+                    live.state, rec.state
                 ));
             }
             if live.policy() != rec.policy() {
@@ -552,11 +551,6 @@ impl<T: Transport> Cluster<T> {
             );
         }
         (epoch, applied)
-    }
-
-    /// The wire bytes one policy push costs: the serialized delta.
-    pub fn policy_push_wire_bytes(&self, delta: &PolicyDelta) -> u64 {
-        serde_json::to_string(delta).map_or(0, |s| s.len() as u64)
     }
 
     /// The shared policy store's active epoch.
@@ -746,13 +740,26 @@ impl<T: Transport> Cluster<T> {
         self.verifier.health(id)
     }
 
-    /// Alerts shortcut.
+    /// Every alert raised for `id`, oldest first, read from the rows of
+    /// the audit chain. Every round this cluster commits is sealed there,
+    /// a [`Cluster::attest`] poll as a one-row round. Like the registrar
+    /// and the revocation bus, the chain lives in memory only; the
+    /// journal does not persist it.
     ///
     /// # Errors
     ///
     /// [`KeylimeError::UnknownAgent`].
-    pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
-        self.verifier.alerts(id)
+    pub fn alerts(&self, id: &AgentId) -> Result<Vec<Alert>, KeylimeError> {
+        self.verifier.record(id)?;
+        let rows = self.audit.seals().iter().flat_map(|seal| &seal.rows);
+        Ok(rows
+            .filter(|row| &row.id == id)
+            .filter_map(|row| match &row.outcome {
+                RoundOutcome::Failed { alerts } => Some(alerts.iter().cloned()),
+                _ => None,
+            })
+            .flatten()
+            .collect())
     }
 }
 

@@ -1,11 +1,19 @@
 //! The Keylime verifier: polls agents and issues trust verdicts.
+//!
+//! One attestation is two halves. The request half
+//! (`Verifier::fetch_evidence`) talks to the agent and writes the
+//! record: each quote request spends a nonce, and a reboot restarts the
+//! cursor and fold before the re-quote. The appraisal half
+//! (`Verifier::appraise`) is a function of values: record and evidence
+//! in, verdict and next state out. Its caller applies the next state.
+//! The record holds no alert history; an alert lives in the row of the
+//! round that raised it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use cia_crypto::{Digest, HashAlgorithm, Sha256};
-use cia_ima::BOOT_AGGREGATE_NAME;
+use cia_ima::{ImaLogEntry, BOOT_AGGREGATE_NAME};
 use cia_tpm::pcr::extend_digest;
 use serde::{Deserialize, Serialize};
 
@@ -163,18 +171,6 @@ pub(crate) enum ReachClass {
     Unreachable,
 }
 
-/// Hot-path throughput counters for one or more attestation rounds:
-/// what the fold-and-check loop actually did, as opposed to the
-/// scheduler's call accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HotStats {
-    /// Log entries evaluated against the policy (including entries that
-    /// failed and, under stop-on-failure, the failing entry itself).
-    pub entries_evaluated: u64,
-    /// Wall-clock nanoseconds spent in the policy-evaluation loop.
-    pub policy_check_ns: u64,
-}
-
 /// Result of one poll.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttestationOutcome {
@@ -197,6 +193,33 @@ impl AttestationOutcome {
     /// True for [`AttestationOutcome::Verified`].
     pub fn is_verified(&self) -> bool {
         matches!(self, AttestationOutcome::Verified { .. })
+    }
+}
+
+/// What [`Verifier::appraise`] decides about one piece of evidence: the
+/// verdict, the agent state it leaves behind, and how many log entries
+/// it held against the policy. The caller applies `next`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Appraisal {
+    /// The verdict.
+    pub outcome: AttestationOutcome,
+    /// The agent's state after this appraisal.
+    pub next: AgentStateSnapshot,
+    /// Log entries evaluated against the policy, the failing entry
+    /// included.
+    pub entries_evaluated: u64,
+}
+
+impl Appraisal {
+    /// A failed appraisal raising `alerts`, with `next` paused.
+    fn failed(mut next: AgentStateSnapshot, alerts: Vec<Alert>, entries_evaluated: u64) -> Self {
+        next.status = AgentStatus::Paused;
+        let outcome = AttestationOutcome::Failed { alerts };
+        Appraisal {
+            outcome,
+            next,
+            entries_evaluated,
+        }
     }
 }
 
@@ -224,7 +247,10 @@ pub(crate) enum FetchedEvidence {
 /// the snapshot — the journal persists those separately (enrolment
 /// records and policy epochs), so a snapshot plus the enrolment record
 /// plus the epoch map reconstructs the full record bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// It holds no history: its size does not grow with the agent's
+/// lifetime. Alerts live in the round rows that raised them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentStateSnapshot {
     /// The store epoch the agent last acknowledged (adopted). A
     /// quarantined agent keeps appraising against this epoch until it
@@ -243,8 +269,6 @@ pub struct AgentStateSnapshot {
     pub last_boot_count: Option<u64>,
     /// Trusted/Paused verdict state.
     pub status: AgentStatus,
-    /// Every alert raised so far.
-    pub alerts: Vec<Alert>,
     /// Successful attestation count.
     pub attestations: u64,
     /// Next nonce sequence number.
@@ -272,7 +296,6 @@ impl AgentStateSnapshot {
             replayed_pcr: HashAlgorithm::Sha256.zero_digest(),
             last_boot_count: None,
             status: AgentStatus::Trusted,
-            alerts: Vec::new(),
             attestations: 0,
             nonce_counter: 0,
             health: AgentHealth::Healthy,
@@ -313,7 +336,9 @@ pub(crate) struct AgentRecord {
     /// push is a handle swap, never a policy copy); override agents hold
     /// their own privately published snapshot.
     policy: Arc<RuntimePolicy>,
-    state: AgentStateSnapshot,
+    /// Everything a round can change — what the journal acks and what a
+    /// migration carries.
+    pub(crate) state: AgentStateSnapshot,
 }
 
 impl AgentRecord {
@@ -330,12 +355,6 @@ impl AgentRecord {
     /// The current policy handle.
     pub(crate) fn policy(&self) -> &Arc<RuntimePolicy> {
         &self.policy
-    }
-
-    /// The mutable state, read in place — what the journal acks and what
-    /// a migration carries.
-    pub(crate) fn state(&self) -> &AgentStateSnapshot {
-        &self.state
     }
 
     /// Swaps in the published snapshot — one `Arc` clone, zero policy
@@ -608,15 +627,6 @@ impl Verifier {
         Ok(self.record(id)?.state.status)
     }
 
-    /// All alerts raised for an agent so far.
-    ///
-    /// # Errors
-    ///
-    /// [`KeylimeError::UnknownAgent`].
-    pub fn alerts(&self, id: &AgentId) -> Result<&[Alert], KeylimeError> {
-        Ok(&self.record(id)?.state.alerts)
-    }
-
     /// Number of successful attestations for an agent.
     ///
     /// # Errors
@@ -695,13 +705,7 @@ impl Verifier {
         let record = self.record_mut(&id)?;
         match Self::fetch_tail(record, &id, transport, agent) {
             Ok((q, _nonce)) => {
-                for entry in &q.entries {
-                    record.state.replayed_pcr = extend_digest(
-                        HashAlgorithm::Sha256,
-                        record.state.replayed_pcr,
-                        entry.template_hash(HashAlgorithm::Sha256),
-                    );
-                }
+                record.state.replayed_pcr = fold(record.state.replayed_pcr, &q.entries);
                 record.state.next_entry = q.total_entries;
                 record.state.last_boot_count = Some(q.quote.boot_count);
             }
@@ -736,15 +740,11 @@ impl Verifier {
         // verdicts agree by construction.
         match Self::fetch_evidence(&config, &store, record, &id, transport, agent)? {
             FetchedEvidence::Paused => Ok(AttestationOutcome::SkippedPaused),
-            FetchedEvidence::Quote { resp, nonce } => Ok(Self::appraise_evidence(
-                &config,
-                record,
-                &id,
-                *resp,
-                &nonce,
-                day,
-                &mut HotStats::default(),
-            )),
+            FetchedEvidence::Quote { resp, nonce } => {
+                let appraisal = Self::appraise(&config, record, &resp, &nonce, &id, day);
+                record.state = appraisal.next;
+                Ok(appraisal.outcome)
+            }
         }
     }
 
@@ -827,202 +827,146 @@ impl Verifier {
         Ok((resp, nonce))
     }
 
-    /// The CPU half of one attestation: appraises fetched evidence
-    /// against the record's policy. Pure of transport.
-    pub(crate) fn appraise_evidence(
+    /// The CPU half of one attestation: appraises `resp`, quoted under
+    /// `nonce`, against `record`, and returns the verdict with the state
+    /// it leaves. It writes nothing and reads no clock, so anyone holding
+    /// the same record and evidence derives the same [`Appraisal`]; the
+    /// caller applies `next`.
+    ///
+    /// P2 is a property of this function: under stop-on-failure the first
+    /// failing entry ends the appraisal, `next.next_entry` stays on it,
+    /// and `next.replayed_pcr` folds only the accepted prefix before it.
+    /// Every stop pauses `next`; only a clean appraisal makes it trusted.
+    pub(crate) fn appraise(
         config: &VerifierConfig,
-        record: &mut AgentRecord,
-        id: &AgentId,
-        resp: QuoteResponse,
+        record: &AgentRecord,
+        resp: &QuoteResponse,
         nonce: &[u8],
+        id: &AgentId,
         day: u32,
-        stats: &mut HotStats,
-    ) -> AttestationOutcome {
-        let mut alerts: Vec<Alert> = Vec::new();
-        let fail = |record: &mut AgentRecord, alerts: Vec<Alert>| {
-            record.state.status = AgentStatus::Paused;
-            record.state.alerts.extend(alerts.iter().cloned());
-            AttestationOutcome::Failed { alerts }
+    ) -> Appraisal {
+        let alert = |kind| Alert {
+            agent: id.clone(),
+            day,
+            kind,
         };
+        let state = record.state;
+        let identity = record.backend;
+        let backend = identity.kind();
+        let quote = &resp.quote;
+        let boot_aggregate_due = backend.has_boot_aggregate() && state.next_entry == 0;
 
         // ⓪ Backend gating. The enrolled identity — not the evidence's
         // own tag — decides how this agent is appraised; a tag that
         // disagrees with the record is a substitution attempt.
-        let identity = record.backend;
-        if !config.allowed_backends.contains(identity.kind()) {
-            alerts.push(Alert {
-                agent: id.clone(),
-                day,
-                kind: FailureKind::BackendNotAllowed {
-                    backend: identity.kind(),
-                },
-            });
-            return fail(record, alerts);
-        }
-        if resp.backend != identity.kind() {
-            alerts.push(Alert {
-                agent: id.clone(),
-                day,
-                kind: FailureKind::BackendMismatch {
-                    expected: identity.kind(),
-                    reported: resp.backend,
-                },
-            });
-            return fail(record, alerts);
-        }
-
-        // ① Quote authenticity and freshness.
-        if !resp.quote.verify(&record.ak, nonce) {
-            alerts.push(Alert {
-                agent: id.clone(),
-                day,
-                kind: FailureKind::QuoteInvalid,
-            });
-            return fail(record, alerts);
-        }
-
-        // Log cannot rewind within one boot.
-        if resp.total_entries < record.state.next_entry {
-            alerts.push(Alert {
-                agent: id.clone(),
-                day,
-                kind: FailureKind::LogRewound,
-            });
-            return fail(record, alerts);
-        }
-
+        // ① Quote authenticity and freshness. A quote covering entry 0
+        // must select PCRs 0–9 on a backend with a boot aggregate, or ③
+        // would hash only the registers the agent chose to show.
+        // The log cannot rewind within one boot.
         // Launch-rooted identity (confidential VMs): the quoted launch
         // register must equal the platform-certified measurement the
         // agent enrolled with. Checked after ① so only a signed register
         // is trusted.
-        if let Some(enrolled_launch) = identity.launch_measurement() {
-            if resp.quote.pcr_value(CVM_LAUNCH_REGISTER) != Some(enrolled_launch) {
-                alerts.push(Alert {
-                    agent: id.clone(),
-                    day,
-                    kind: FailureKind::LaunchMeasurementMismatch,
-                });
-                return fail(record, alerts);
-            }
+        let rejected = if !config.allowed_backends.contains(backend) {
+            Some(FailureKind::BackendNotAllowed { backend })
+        } else if resp.backend != backend {
+            Some(FailureKind::BackendMismatch {
+                expected: backend,
+                reported: resp.backend,
+            })
+        } else if !quote.verify(&record.ak, nonce)
+            || (boot_aggregate_due && !(0..=9).all(|pcr| quote.selection.contains(pcr)))
+        {
+            Some(FailureKind::QuoteInvalid)
+        } else if resp.total_entries < state.next_entry {
+            Some(FailureKind::LogRewound)
+        } else if identity
+            .launch_measurement()
+            .is_some_and(|launch| quote.pcr_value(CVM_LAUNCH_REGISTER) != Some(launch))
+        {
+            Some(FailureKind::LaunchMeasurementMismatch)
+        } else {
+            None
+        };
+        if let Some(kind) = rejected {
+            return Appraisal::failed(state, vec![alert(kind)], 0);
         }
 
         // ② The excerpt must replay to the quoted evidence register
         // (PCR 10 on TPM+IMA). Template-hash caches never travel, so the
-        // fold below recomputes them from the entry fields and any
-        // tampering lands here as a PCR mismatch.
+        // fold recomputes them from the entry fields and any tampering
+        // lands here as a PCR mismatch.
         let entries = &resp.entries;
-        let mut full_fold = record.state.replayed_pcr;
-        for entry in entries {
-            full_fold = extend_digest(
-                HashAlgorithm::Sha256,
-                full_fold,
-                entry.template_hash(HashAlgorithm::Sha256),
-            );
-        }
-        let quoted_evidence = resp.quote.pcr_value(identity.kind().evidence_register());
-        if quoted_evidence != Some(full_fold) {
-            alerts.push(Alert {
-                agent: id.clone(),
-                day,
-                kind: FailureKind::PcrMismatch,
-            });
-            return fail(record, alerts);
+        let full_fold = fold(state.replayed_pcr, entries);
+        if quote.pcr_value(backend.evidence_register()) != Some(full_fold) {
+            return Appraisal::failed(state, vec![alert(FailureKind::PcrMismatch)], 0);
         }
 
         // ③ Policy evaluation, entry by entry. The fast paths (allowed /
         // excluded) run entirely on borrowed data — no per-entry heap
         // allocation; hex rendering happens only when building an alert.
-        // Each entry extends the fold exactly once: the full fold was
-        // already computed in ②, so the happy path adopts it wholesale
-        // and only a stop-on-failure exit re-folds the accepted prefix.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "policy-check latency metering only: feeds HotStats::policy_check_ns, \
-                      never an appraisal verdict"
-        )]
-        let check_started = Instant::now();
-        let has_boot_aggregate = identity.kind().has_boot_aggregate();
-        let mut processed = 0usize;
+        // The happy path adopts the full fold from ②; only a
+        // stop-on-failure exit re-folds the accepted prefix.
+        let mut next = state;
+        next.last_boot_count = Some(quote.boot_count);
+        let mut alerts = Vec::new();
         for (offset, entry) in entries.iter().enumerate() {
-            let absolute_index = record.state.next_entry + offset;
-            let verdict =
-                if has_boot_aggregate && absolute_index == 0 && entry.path == BOOT_AGGREGATE_NAME {
-                    // boot_aggregate must match the quoted PCRs 0–9.
-                    let mut h = Sha256::new();
-                    for pcr in 0..=9u8 {
-                        if let Some(v) = resp.quote.pcr_value(pcr) {
-                            h.update(v.as_bytes());
-                        }
+            let verdict = if boot_aggregate_due && offset == 0 && entry.path == BOOT_AGGREGATE_NAME
+            {
+                // boot_aggregate must match the quoted PCRs 0–9.
+                let mut h = Sha256::new();
+                for pcr in 0..=9u8 {
+                    if let Some(v) = quote.pcr_value(pcr) {
+                        h.update(v.as_bytes());
                     }
-                    if h.finalize() == entry.filedata_hash {
-                        None
-                    } else {
-                        Some(FailureKind::BootAggregateMismatch)
-                    }
-                } else {
-                    match record
-                        .policy
-                        .check_digest(&entry.path, &entry.filedata_hash)
-                    {
-                        PolicyCheck::Allowed | PolicyCheck::Excluded => None,
-                        PolicyCheck::HashMismatch { .. } => Some(FailureKind::HashMismatch {
-                            path: entry.path.clone(),
-                            digest: entry.filedata_hash.to_hex(),
-                        }),
-                        PolicyCheck::NotInPolicy => Some(FailureKind::NotInPolicy {
-                            path: entry.path.clone(),
-                            digest: entry.filedata_hash.to_hex(),
-                        }),
-                    }
-                };
-
+                }
+                (h.finalize() != entry.filedata_hash).then_some(FailureKind::BootAggregateMismatch)
+            } else {
+                match record
+                    .policy
+                    .check_digest(&entry.path, &entry.filedata_hash)
+                {
+                    PolicyCheck::Allowed | PolicyCheck::Excluded => None,
+                    PolicyCheck::HashMismatch { .. } => Some(FailureKind::HashMismatch {
+                        path: entry.path.clone(),
+                        digest: entry.filedata_hash.to_hex(),
+                    }),
+                    PolicyCheck::NotInPolicy => Some(FailureKind::NotInPolicy {
+                        path: entry.path.clone(),
+                        digest: entry.filedata_hash.to_hex(),
+                    }),
+                }
+            };
             if let Some(kind) = verdict {
-                alerts.push(Alert {
-                    agent: id.clone(),
-                    day,
-                    kind,
-                });
+                alerts.push(alert(kind));
                 if !config.continue_on_failure {
-                    // P2: stop here. `next_entry` stays at the failing
-                    // entry; everything after it goes unevaluated. Only
-                    // the accepted prefix enters the replayed fold.
-                    for accepted in &entries[..processed] {
-                        record.state.replayed_pcr = extend_digest(
-                            HashAlgorithm::Sha256,
-                            record.state.replayed_pcr,
-                            accepted.template_hash(HashAlgorithm::Sha256),
-                        );
-                    }
-                    record.state.next_entry += processed;
-                    record.state.last_boot_count = Some(resp.quote.boot_count);
-                    stats.entries_evaluated += processed as u64 + 1;
-                    stats.policy_check_ns += check_started.elapsed().as_nanos() as u64;
-                    return fail(record, alerts);
+                    // P2: stop here. Everything after this entry goes
+                    // unevaluated.
+                    next.replayed_pcr = fold(state.replayed_pcr, &entries[..offset]);
+                    next.next_entry += offset;
+                    return Appraisal::failed(next, alerts, offset as u64 + 1);
                 }
                 // Continue-on-failure: evaluate everything; the entry
                 // still advances the fold so later PCR checks align.
             }
-            processed += 1;
         }
 
-        stats.entries_evaluated += processed as u64;
-        stats.policy_check_ns += check_started.elapsed().as_nanos() as u64;
-        // Every entry was processed, so the replayed fold is exactly the
-        // full fold verified against the quote in ②.
-        record.state.replayed_pcr = full_fold;
-        record.state.next_entry += processed;
-        record.state.last_boot_count = Some(resp.quote.boot_count);
-        record.state.attestations += 1;
-
-        if alerts.is_empty() {
-            record.state.status = AgentStatus::Trusted;
+        next.replayed_pcr = full_fold;
+        next.next_entry += entries.len();
+        next.attestations += 1;
+        let outcome = if alerts.is_empty() {
+            next.status = AgentStatus::Trusted;
             AttestationOutcome::Verified {
-                new_entries: processed,
+                new_entries: entries.len(),
             }
         } else {
-            // continue_on_failure: alerts recorded, polling continues.
-            record.state.alerts.extend(alerts.iter().cloned());
+            // Continue-on-failure: the status stands, polling continues.
             AttestationOutcome::Failed { alerts }
+        };
+        Appraisal {
+            outcome,
+            next,
+            entries_evaluated: entries.len() as u64,
         }
     }
 
@@ -1045,7 +989,7 @@ impl Verifier {
     ///
     /// [`KeylimeError::UnknownAgent`].
     pub fn export_agent_state(&self, id: &AgentId) -> Result<AgentStateSnapshot, KeylimeError> {
-        Ok(self.record(id)?.state.clone())
+        Ok(self.record(id)?.state)
     }
 
     /// Recovery path: re-creates one agent record from its journaled
@@ -1116,6 +1060,18 @@ impl Verifier {
             .get_mut(id)
             .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })
     }
+}
+
+/// `pcr` extended by each entry's SHA-256 template hash, in order: the
+/// verifier's replay of the evidence register.
+fn fold(pcr: Digest, entries: &[ImaLogEntry]) -> Digest {
+    entries.iter().fold(pcr, |pcr, entry| {
+        extend_digest(
+            HashAlgorithm::Sha256,
+            pcr,
+            entry.template_hash(HashAlgorithm::Sha256),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1382,5 +1338,237 @@ mod tests {
             verifier.current_epoch()
         );
         assert_eq!(verifier.policy(&id).unwrap().path_count(), 2);
+    }
+
+    /// A quote covering entry 0 on TPM+IMA must select PCRs 0–9. The
+    /// `boot_aggregate` check hashes the quoted PCRs 0–9, so a quote that
+    /// selected only PCR 10 would make the expected aggregate the SHA-256
+    /// of empty input, a value a tampered boot chain can simply log.
+    #[test]
+    fn a_quote_at_entry_zero_must_select_the_boot_registers() {
+        use cia_ima::{MeasurementLog, IMA_PCR};
+        use cia_tpm::{Manufacturer, PcrSelection, Tpm};
+
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut tpm = Tpm::manufacture(&Manufacturer::generate(&mut rng), &mut rng);
+        let ak = tpm.create_ak(&mut rng);
+        let mut log = MeasurementLog::new();
+        let empty = HashAlgorithm::Sha256.digest(b"");
+        let entry = ImaLogEntry::new(empty, BOOT_AGGREGATE_NAME);
+        log.append(entry, &mut tpm).unwrap();
+        let nonce = b"fresh".to_vec();
+        let selection = PcrSelection::single(IMA_PCR);
+        let resp = QuoteResponse {
+            backend: BackendKind::TpmIma,
+            quote: tpm
+                .quote(&nonce, &selection, HashAlgorithm::Sha256)
+                .unwrap(),
+            entries: log.entries().to_vec(),
+            total_entries: log.len(),
+        };
+        let record = AgentRecord { ak, ..record() };
+        let id = AgentId::from("node");
+
+        let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0);
+        let alert = Alert {
+            agent: id,
+            day: 0,
+            kind: FailureKind::QuoteInvalid,
+        };
+        assert_eq!(
+            appraisal.outcome,
+            AttestationOutcome::Failed {
+                alerts: vec![alert]
+            }
+        );
+        let paused = AgentStateSnapshot {
+            status: AgentStatus::Paused,
+            ..record.state
+        };
+        assert_eq!(
+            appraisal.next, paused,
+            "nothing advances past a rejected quote"
+        );
+        assert_eq!(appraisal.entries_evaluated, 0);
+    }
+
+    /// A transport that keeps every quote response it delivers, so a
+    /// test can hand a round's evidence to a second appraiser.
+    #[derive(Debug)]
+    struct Recorder {
+        inner: crate::chaos::ChaosTransport<crate::transport::ReliableTransport>,
+        quotes: Arc<parking_lot::Mutex<Vec<QuoteResponse>>>,
+    }
+
+    impl Transport for Recorder {
+        fn call<Req, Resp>(
+            &mut self,
+            request: &Req,
+            serve: impl FnOnce(Req) -> Resp,
+        ) -> Result<Resp, crate::transport::TransportError>
+        where
+            Req: Serialize + serde::de::DeserializeOwned,
+            Resp: Serialize + serde::de::DeserializeOwned,
+        {
+            let response = self.inner.call(request, serve)?;
+            let json = serde_json::to_string(&response).unwrap();
+            if let Ok(AgentResponse::Quote(quote)) = serde_json::from_str(&json) {
+                self.quotes.lock().push(quote);
+            }
+            Ok(response)
+        }
+
+        fn requests(&self) -> u64 {
+            self.inner.requests()
+        }
+
+        fn drops(&self) -> u64 {
+            self.inner.drops()
+        }
+
+        fn wire_bytes(&self) -> u64 {
+            self.inner.wire_bytes()
+        }
+
+        fn fork(&self, lane: u64) -> Self {
+            Recorder {
+                inner: self.inner.fork(lane),
+                quotes: Arc::clone(&self.quotes),
+            }
+        }
+    }
+
+    /// The witness check, on honest evidence: over seeded lossy rounds
+    /// with one tampered agent and one reboot, a second party holding
+    /// each agent's record from before the round and the evidence the
+    /// round appraised re-derives every appraised row's verdict and the
+    /// state the engine applied, under both failure postures.
+    ///
+    /// The record the engine appraised against is the record before the
+    /// round plus the request half's writes, re-derived from the
+    /// evidence: shared-policy adoption, one nonce spent per quote
+    /// request (the last one is the one the quote binds), and on a
+    /// reboot a cursor and fold restarted from zero.
+    #[test]
+    fn a_second_party_re_derives_every_appraisal_from_the_evidence() {
+        use crate::chaos::{ChaosTransport, FaultPlan, FaultTarget};
+        use crate::scheduler::RoundOutcome;
+        use crate::tenant::Cluster;
+        use crate::transport::ReliableTransport;
+        use cia_os::{ExecMethod, MachineConfig};
+        use cia_vfs::VfsPath;
+
+        let tool: &[u8] = b"fleet tool";
+        let tool_path = |round: u64| VfsPath::new(&format!("/usr/bin/tool-{round}")).unwrap();
+        let rogue = VfsPath::new("/usr/local/bin/rogue").unwrap();
+        for continue_on_failure in [false, true] {
+            let config = VerifierConfig {
+                continue_on_failure,
+                worker_count: 2,
+                ..VerifierConfig::engine_default()
+            };
+            let plan = FaultPlan::new(46).loss(0..u64::MAX, FaultTarget::AllAgents, 0.3);
+            let quotes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let transport = Recorder {
+                inner: ChaosTransport::new(ReliableTransport::new(), plan),
+                quotes: Arc::clone(&quotes),
+            };
+            let mut cluster = Cluster::with_transport(46, config, transport);
+            let mut policy = RuntimePolicy::new();
+            let digest = HashAlgorithm::Sha256.digest(tool).to_hex();
+            for round in 0..8 {
+                policy.allow(tool_path(round).as_str(), digest.clone());
+            }
+            cluster.publish_policy(policy);
+            let ids: Vec<AgentId> = (0..4u64)
+                .map(|i| {
+                    let machine = MachineConfig {
+                        hostname: format!("node-{i:02}"),
+                        seed: 460 + i,
+                        ..MachineConfig::default()
+                    };
+                    cluster.add_machine_shared(machine).unwrap()
+                })
+                .collect();
+            let (tampered, rebooted) = (&ids[1], &ids[2]);
+
+            let (mut appraised, mut failed, mut restarted) = (0, 0, 0);
+            for round in 0..8u64 {
+                for id in &ids {
+                    let agent = cluster.agent_mut(id).unwrap();
+                    if id == rebooted && round == 4 {
+                        agent.restart().unwrap();
+                    }
+                    let machine = agent.machine_mut();
+                    if id == tampered && round == 2 {
+                        machine.write_executable(&rogue, b"not in policy").unwrap();
+                        machine.exec(&rogue, ExecMethod::Direct).unwrap();
+                    }
+                    machine.write_executable(&tool_path(round), tool).unwrap();
+                    machine.exec(&tool_path(round), ExecMethod::Direct).unwrap();
+                }
+                let before: BTreeMap<AgentId, AgentRecord> = (cluster.verifier.records())
+                    .map(|(id, record)| (id.clone(), record.clone()))
+                    .collect();
+                cluster.transport.inner.set_round(round);
+                let report = cluster.attest_fleet();
+                let delivered = std::mem::take(&mut *quotes.lock());
+
+                for row in &report.results {
+                    let class = match &row.outcome {
+                        RoundOutcome::Verified { .. } => ReachClass::Verified,
+                        RoundOutcome::Failed { .. } => ReachClass::ReachedNotVerified,
+                        _ => continue,
+                    };
+                    let mut record = before[&row.id].clone();
+                    record.adopt_shared(cluster.verifier.policy_store());
+                    let spent = record.state.nonce_counter;
+                    // The agent's last delivered quote is the appraised one.
+                    let (counter, resp) = (delivered.iter().rev())
+                        .find_map(|resp| {
+                            (spent..spent + 64)
+                                .find(|&k| Verifier::make_nonce(&row.id, k) == resp.quote.nonce)
+                                .map(|k| (k, resp))
+                        })
+                        .expect("an appraised row had its quote delivered");
+                    record.state.nonce_counter = counter + 1;
+                    if (record.state.last_boot_count)
+                        .is_some_and(|boot| boot != resp.quote.boot_count)
+                    {
+                        record.state.next_entry = 0;
+                        record.state.replayed_pcr = HashAlgorithm::Sha256.zero_digest();
+                        restarted += 1;
+                    }
+
+                    let nonce = Verifier::make_nonce(&row.id, counter);
+                    let appraisal =
+                        Verifier::appraise(&config, &record, resp, &nonce, &row.id, row.day);
+                    let verdict = match appraisal.outcome {
+                        AttestationOutcome::Verified { new_entries } => {
+                            RoundOutcome::Verified { new_entries }
+                        }
+                        AttestationOutcome::Failed { alerts } => RoundOutcome::Failed { alerts },
+                        AttestationOutcome::SkippedPaused => RoundOutcome::SkippedPaused,
+                    };
+                    assert_eq!(verdict, row.outcome, "round {round}: {} verdict", row.id);
+                    record.state = appraisal.next;
+                    record.apply_health(class, &config);
+                    let live = cluster.verifier.record(&row.id).unwrap();
+                    assert_eq!(record.state, live.state, "round {round}: {} state", row.id);
+                    appraised += 1;
+                    failed += usize::from(class == ReachClass::ReachedNotVerified);
+                }
+            }
+            let metrics = cluster.scheduler.snapshot();
+            let posture = if continue_on_failure {
+                "continue"
+            } else {
+                "stop"
+            };
+            assert!(metrics.retries > 0, "{posture}: the link lost calls");
+            assert!(appraised >= 24, "{posture}: {appraised} rows re-derived");
+            assert!(failed > 0, "{posture}: the tampered agent failed");
+            assert_eq!(restarted, 1, "{posture}: the reboot was re-quoted once");
+        }
     }
 }

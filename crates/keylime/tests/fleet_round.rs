@@ -317,7 +317,6 @@ impl Rig {
     fn counters(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             rounds: 0,
-            policy_check_ns: 0,
             latency_ns_buckets: Vec::new(),
             ..self.scheduler.snapshot()
         }

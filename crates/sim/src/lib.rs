@@ -133,7 +133,6 @@ impl SimReport {
 /// every other counter is deterministic).
 pub fn deterministic_metrics(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     MetricsSnapshot {
-        policy_check_ns: 0,
         latency_ns_buckets: Vec::new(),
         ..snapshot.clone()
     }

@@ -138,7 +138,6 @@ fn manual_sum(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
         out.to_healthy += s.to_healthy;
         out.entries_evaluated += s.entries_evaluated;
         out.wire_bytes += s.wire_bytes;
-        out.policy_check_ns += s.policy_check_ns;
         out.policy_epoch = out.policy_epoch.max(s.policy_epoch);
         out.policy_push_ns += s.policy_push_ns;
         out.delta_entries_applied += s.delta_entries_applied;

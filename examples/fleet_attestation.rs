@@ -118,9 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..PolicyDelta::default()
     };
     println!(
-        "\ndelta push: {} bytes on the wire (the full document is {} bytes)",
-        cluster.policy_push_wire_bytes(&delta),
-        cluster.verifier.policy_store().policy().to_json().len()
+        "\ndelta push: {} entry operation(s); the full policy has {} entries",
+        delta.len(),
+        cluster.verifier.policy_store().policy().line_count()
     );
     let (epoch, applied) = cluster.publish_delta(&delta);
     println!("applied {applied} entry -> {epoch}, fleet-wide");

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# CI gate. Which step holds which rule:
+# CI gate. The first step is informational and never fails: it prints
+# crates/keylime's non-test line tally (scripts/keylime_lines.sh, the
+# count ROADMAP item 10 tracks), so every run's log shows it. Which of
+# the gating steps holds which rule:
 #
 # * clippy (workspace, all targets, -D warnings): determinism (the root
 #   clippy.toml's disallowed Instant/SystemTime::now and hash-seeded
@@ -41,6 +44,9 @@ OFFLINE=()
 if [[ "${1:-}" == "--offline" ]]; then
   OFFLINE=(--offline)
 fi
+
+echo "== info: crates/keylime non-test lines (ROADMAP item 10; never fails) =="
+bash scripts/keylime_lines.sh || true
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check

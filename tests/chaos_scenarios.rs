@@ -394,6 +394,59 @@ fn durable_enrolment_bytes_do_not_grow_with_the_policy() {
     cluster.check_durable_equivalence().unwrap();
 }
 
+/// A failing agent's record is bounded. One durable agent, under
+/// continue-on-failure, runs 50 new out-of-policy binaries every round
+/// for 20 rounds. What each round adds to the journal (its marks and the
+/// agent's one ack) stays flat, and so does the agent's serialized
+/// state: the record keeps no alert history, so an ack carries only the
+/// alerts of its own round's row.
+#[test]
+fn a_failing_agents_journal_acks_stay_flat() {
+    let config = VerifierConfig::builder()
+        .continue_on_failure(true)
+        .build()
+        .unwrap();
+    let mut cluster = Cluster::new(17, config);
+    let id = cluster
+        .add_machine_shared(MachineConfig::default())
+        .unwrap();
+    cluster.enable_durability().unwrap();
+
+    let journal_bytes = |c: &Cluster| c.journal().unwrap().log().vfs().total_bytes();
+    let (mut round_bytes, mut state_bytes) = (Vec::new(), Vec::new());
+    for round in 0..20u64 {
+        let m = cluster.agent_mut(&id).unwrap().machine_mut();
+        for i in 0..50 {
+            let rogue = VfsPath::new(&format!("/opt/rogue/r{round:02}-{i:02}")).unwrap();
+            m.write_executable(&rogue, format!("rogue {round:02} {i:02}").as_bytes())
+                .unwrap();
+            m.exec(&rogue, ExecMethod::Direct).unwrap();
+        }
+        let before = journal_bytes(&cluster);
+        let report = cluster.attest_fleet();
+        assert!(
+            matches!(&report.results[0].outcome, RoundOutcome::Failed { alerts } if alerts.len() == 50),
+            "round {round}: {:?}",
+            report.results[0].outcome
+        );
+        round_bytes.push(journal_bytes(&cluster) - before);
+        let state = cluster.verifier.export_agent_state(&id).unwrap();
+        state_bytes.push(serde_json::to_string(&state).unwrap().len() as u64);
+    }
+    // Counters gain digits over 20 rounds (the cursor goes 51 → 1001);
+    // an alert history would add about 7.7k bytes per round.
+    let spread = |v: &[u64]| v.iter().max().unwrap() - v.iter().min().unwrap();
+    assert!(
+        spread(&round_bytes) <= 32,
+        "journal bytes per round grew: {round_bytes:?}"
+    );
+    assert!(
+        spread(&state_bytes) <= 8,
+        "serialized agent state grew: {state_bytes:?}"
+    );
+    cluster.check_durable_equivalence().unwrap();
+}
+
 /// The sequential path journals too. `Cluster::attest` and
 /// `Cluster::resolve` move an agent's record (nonce counter, log cursor,
 /// alerts, status) outside any round, so each writes the agent's ack;
