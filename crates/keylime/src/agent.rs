@@ -275,9 +275,12 @@ impl Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendRoot, SecureWorldBackend, SecureWorldConfig};
+    use crate::backend::{
+        required_registers, BackendRoot, ConfidentialVmBackend, ConfidentialVmConfig,
+        SecureWorldBackend, SecureWorldConfig,
+    };
     use cia_os::MachineConfig;
-    use cia_tpm::Manufacturer;
+    use cia_tpm::{Manufacturer, PcrSelection};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -342,6 +345,36 @@ mod tests {
         let back: QuoteResponse = serde_json::from_str(&forged).unwrap();
         assert_eq!(back.boot_count(), 1);
         assert_eq!(back, q);
+    }
+
+    /// Every backend quotes exactly `required_registers` for the poll:
+    /// TPM+IMA PCRs 0–10 from entry 0 and PCR 10 alone past it; the
+    /// secure world its one register and the confidential VM its launch
+    /// and runtime registers, wherever the poll starts.
+    #[test]
+    fn each_backend_quotes_the_required_registers() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let root = BackendRoot::generate("Platform", &mut rng);
+        let sw = SecureWorldBackend::provision(SecureWorldConfig::new("sw", 3), &root);
+        let vm = ConfidentialVmBackend::provision(ConfidentialVmConfig::new("cvm", 4), &root);
+        let mut agents = [agent(), Agent::with_backend(sw), Agent::with_backend(vm)];
+        let boot_and_ima: Vec<u8> = (0..=10).collect();
+        for a in &mut agents {
+            let kind = a.backend_kind();
+            for from_entry in [0, 1, 7] {
+                let expected = match (kind, from_entry) {
+                    (BackendKind::TpmIma, 0) => PcrSelection::of(&boot_and_ima),
+                    (BackendKind::TpmIma, _) => PcrSelection::single(10),
+                    (BackendKind::SecureWorld, _) => PcrSelection::single(0),
+                    _ => PcrSelection::of(&[0, 1]),
+                };
+                let q = quote(a, from_entry);
+                let selection = q.quote().selection;
+                assert_eq!(selection, expected, "{kind} from entry {from_entry}");
+                assert_eq!(selection, required_registers(kind, from_entry));
+                assert_eq!(q.quote().pcr_values.len(), selection.indices().count());
+            }
+        }
     }
 
     #[test]

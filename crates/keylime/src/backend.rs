@@ -4,9 +4,9 @@
 //! simulated TPM+IMA Linux box. [`Backend`] is the closed set of shapes
 //! an agent can run, so a single fleet round can mix them:
 //!
-//! * [`Backend::TpmIma`] — the classic Keylime path: TPM quote over PCRs
-//!   0–10 plus the IMA measurement list of a [`Machine`] (evidence
-//!   register: PCR 10).
+//! * [`Backend::TpmIma`] — the classic Keylime path: TPM quote plus the
+//!   IMA measurement list of a [`Machine`] (evidence register: PCR 10;
+//!   PCRs 0–9 too when the excerpt starts at entry 0).
 //! * [`SecureWorldBackend`] — a TrustZone-style secure world running its
 //!   own policy-driven measurement agent (the PDRIMA shape): only loads
 //!   under its measured prefixes are measured (evidence register 0).
@@ -25,6 +25,10 @@
 //! replay/appraisal core is shared; [`BackendKind`] (evidence register,
 //! boot-aggregate handling) and [`BackendIdentity`] (launch-measurement
 //! pinning) drive the appraisal dispatch differences.
+//!
+//! Which registers a quote selects is one rule, [`required_registers`]:
+//! every agent quotes exactly that set, and the verifier rejects a quote
+//! whose selection does not cover it.
 
 use cia_crypto::{Digest, HashAlgorithm, KeyPair, Sha256, Signature, VerifyingKey};
 use cia_ima::{ImaLogEntry, IMA_PCR};
@@ -110,6 +114,30 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// The static-boot registers a `boot_aggregate` folds: PCRs 0–9.
+pub(crate) const BOOT_AGGREGATE_PCRS: [u8; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+
+/// The registers a quote answering a poll from `from_entry` must select
+/// on `kind`, and the ones an agent quotes:
+///
+/// * the evidence register, which the excerpt replays to, always;
+/// * PCRs 0–9 when `from_entry` is 0 on a backend with a boot aggregate,
+///   because the `boot_aggregate` entry is checked against them;
+/// * the launch register on a confidential VM, which pins the launched
+///   image every poll.
+///
+/// A poll past entry 0 on TPM+IMA therefore quotes PCR 10 alone.
+pub fn required_registers(kind: BackendKind, from_entry: usize) -> PcrSelection {
+    let mut registers = PcrSelection::single(kind.evidence_register());
+    if kind.has_boot_aggregate() && from_entry == 0 {
+        registers = registers.union(PcrSelection::of(&BOOT_AGGREGATE_PCRS));
+    }
+    if kind == BackendKind::ConfidentialVm {
+        registers = registers.union(PcrSelection::single(CVM_LAUNCH_REGISTER));
+    }
+    registers
 }
 
 /// Errors a backend can produce while serving a request.
@@ -447,22 +475,21 @@ impl Device {
         }
     }
 
-    /// A quote over the `(register, value)` pairs the caller names, in
-    /// register order, plus the measurement list from `from_entry` on (an
-    /// offset past the end yields none). It signs the same canonical
-    /// message a TPM signs, so the verifier's quote check is
-    /// backend-agnostic.
+    /// A quote over [`required_registers`] for this poll, each value
+    /// taken from `read`, in register order, plus the measurement list
+    /// from `from_entry` on (an offset past the end yields none). It signs
+    /// the same canonical message a TPM signs, so the verifier's quote
+    /// check is backend-agnostic.
     fn quote(
         &mut self,
         nonce: &[u8],
         from_entry: usize,
-        registers: &[(u8, Digest)],
+        read: impl Fn(u8) -> Digest,
     ) -> QuoteResponse {
         self.clock += 1;
         let (bank, boot_count, clock) = (HashAlgorithm::Sha256, self.restarts, self.clock);
-        let indices: Vec<u8> = registers.iter().map(|&(pcr, _)| pcr).collect();
-        let selection = PcrSelection::of(&indices);
-        let pcr_values: Vec<Digest> = registers.iter().map(|&(_, value)| value).collect();
+        let selection = required_registers(self.kind, from_entry);
+        let pcr_values: Vec<Digest> = selection.indices().map(read).collect();
         let pcr_digest = Quote::digest_pcrs(&pcr_values);
         let msg = Quote::message_bytes(nonce, &selection, bank, &pcr_digest, boot_count, clock);
         let quote = Quote {
@@ -581,8 +608,8 @@ impl SecureWorldBackend {
     /// A quote over the world's register plus the measured loads from
     /// `from_entry` on (an offset past the end yields none).
     pub(crate) fn quote(&mut self, nonce: &[u8], from_entry: usize) -> QuoteResponse {
-        let register = (SECURE_WORLD_REGISTER, self.device.register);
-        self.device.quote(nonce, from_entry, &[register])
+        let register = self.device.register;
+        self.device.quote(nonce, from_entry, |_| register)
     }
 
     /// Resets the world: the measurement list and register clear and the
@@ -691,11 +718,14 @@ impl ConfidentialVmBackend {
     /// executions from `from_entry` on (an offset past the end yields
     /// none).
     pub(crate) fn quote(&mut self, nonce: &[u8], from_entry: usize) -> QuoteResponse {
-        let registers = [
-            (CVM_LAUNCH_REGISTER, self.launch_measurement),
-            (CVM_RUNTIME_REGISTER, self.device.register),
-        ];
-        self.device.quote(nonce, from_entry, &registers)
+        let (launch, runtime) = (self.launch_measurement, self.device.register);
+        self.device.quote(nonce, from_entry, |register| {
+            if register == CVM_LAUNCH_REGISTER {
+                launch
+            } else {
+                runtime
+            }
+        })
     }
 
     /// A clean restart relaunches the enrolled image: register 0 keeps
@@ -720,8 +750,9 @@ impl ConfidentialVmBackend {
               machine it owns, which boxing would only move, not shrink"
 )]
 pub enum Backend {
-    /// TPM + IMA: a TPM quote over PCRs 0–10 plus the machine's IMA
-    /// measurement list (the classic Keylime path).
+    /// TPM + IMA: a TPM quote over [`required_registers`] (PCR 10, plus
+    /// PCRs 0–9 from entry 0) and the machine's IMA measurement list (the
+    /// classic Keylime path).
     TpmIma(Machine),
     /// TrustZone-style secure world.
     SecureWorld(SecureWorldBackend),
@@ -779,8 +810,9 @@ impl Backend {
         }
     }
 
-    /// Produces a quote plus the measurement-list excerpt: the entries
-    /// from `from_entry` on (an offset past the end yields none).
+    /// Produces a quote over [`required_registers`] plus the
+    /// measurement-list excerpt: the entries from `from_entry` on (an
+    /// offset past the end yields none).
     ///
     /// # Errors
     ///
@@ -792,7 +824,7 @@ impl Backend {
     ) -> Result<QuoteResponse, BackendError> {
         match self {
             Backend::TpmIma(machine) => {
-                let selection = PcrSelection::of(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+                let selection = required_registers(BackendKind::TpmIma, from_entry);
                 let quote = machine
                     .tpm
                     .quote(nonce, &selection, HashAlgorithm::Sha256)

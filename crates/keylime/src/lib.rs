@@ -8,8 +8,9 @@
 //!   binding, guarding against spoofed TPMs.
 //! - [`Verifier`] — polls agents: checks quote signatures and nonces,
 //!   replays the IMA log against quoted PCR 10, validates
-//!   `boot_aggregate` against quoted PCRs 0–9, and evaluates every new
-//!   log entry against the agent's [`RuntimePolicy`].
+//!   `boot_aggregate` against quoted PCRs 0–9 (a quote selects them only
+//!   when its excerpt starts at entry 0: [`required_registers`]), and
+//!   evaluates every new log entry against the agent's [`RuntimePolicy`].
 //! - [`Cluster`] — the tenant: the operator-facing orchestration layer
 //!   (enroll machines, push policies, resolve failures).
 //!
@@ -145,9 +146,9 @@ pub mod verifier;
 pub use agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
 pub use audit::{AuditLog, AuditSeal};
 pub use backend::{
-    Backend, BackendCert, BackendError, BackendIdentity, BackendKind, BackendRoot, BackendSet,
-    ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,
-    SecureWorldConfig,
+    required_registers, Backend, BackendCert, BackendError, BackendIdentity, BackendKind,
+    BackendRoot, BackendSet, ChallengeBinding, ConfidentialVmBackend, ConfidentialVmConfig,
+    SecureWorldBackend, SecureWorldConfig,
 };
 pub use chaos::{ChaosTransport, FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use config::{ConfigError, VerifierConfigBuilder, MAX_RETRIES_LIMIT};

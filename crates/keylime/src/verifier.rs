@@ -18,7 +18,9 @@ use cia_tpm::pcr::extend_digest;
 use serde::{Deserialize, Serialize};
 
 use crate::agent::{Agent, AgentRequest, AgentResponse, QuoteResponse};
-use crate::backend::{BackendIdentity, BackendKind, CVM_LAUNCH_REGISTER};
+use crate::backend::{
+    required_registers, BackendIdentity, BackendKind, BOOT_AGGREGATE_PCRS, CVM_LAUNCH_REGISTER,
+};
 use crate::error::KeylimeError;
 use crate::ids::AgentId;
 use crate::policy::{PolicyCheck, PolicyDelta, RuntimePolicy};
@@ -859,9 +861,12 @@ impl Verifier {
         // ⓪ Backend gating. The enrolled identity — not the evidence's
         // own tag — decides how this agent is appraised; a tag that
         // disagrees with the record is a substitution attempt.
-        // ① Quote authenticity and freshness. A quote covering entry 0
-        // must select PCRs 0–9 on a backend with a boot aggregate, or ③
-        // would hash only the registers the agent chose to show.
+        // ① Quote authenticity and freshness. Whatever the agent chose
+        // to send, the selection must cover `required_registers` for
+        // this poll: PCRs 0–9 when a boot aggregate is due (or ③ would
+        // hash only the registers the agent chose to show), the
+        // evidence register and a confidential VM's launch register
+        // always.
         // The log cannot rewind within one boot.
         // Launch-rooted identity (confidential VMs): the quoted launch
         // register must equal the platform-certified measurement the
@@ -875,7 +880,7 @@ impl Verifier {
                 reported: resp.backend,
             })
         } else if !quote.verify(&record.ak, nonce)
-            || (boot_aggregate_due && !(0..=9).all(|pcr| quote.selection.contains(pcr)))
+            || !(quote.selection).covers(&required_registers(backend, state.next_entry))
         {
             Some(FailureKind::QuoteInvalid)
         } else if resp.total_entries < state.next_entry {
@@ -915,7 +920,7 @@ impl Verifier {
             {
                 // boot_aggregate must match the quoted PCRs 0–9.
                 let mut h = Sha256::new();
-                for pcr in 0..=9u8 {
+                for pcr in BOOT_AGGREGATE_PCRS {
                     if let Some(v) = quote.pcr_value(pcr) {
                         h.update(v.as_bytes());
                     }
@@ -1077,6 +1082,7 @@ fn fold(pcr: Digest, entries: &[ImaLogEntry]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cia_tpm::{PcrSelection, Quote};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1344,10 +1350,11 @@ mod tests {
     /// `boot_aggregate` check hashes the quoted PCRs 0–9, so a quote that
     /// selected only PCR 10 would make the expected aggregate the SHA-256
     /// of empty input, a value a tampered boot chain can simply log.
+    /// Past entry 0 the same PCR 10 alone is a complete reply.
     #[test]
     fn a_quote_at_entry_zero_must_select_the_boot_registers() {
         use cia_ima::{MeasurementLog, IMA_PCR};
-        use cia_tpm::{Manufacturer, PcrSelection, Tpm};
+        use cia_tpm::{Manufacturer, Tpm};
 
         let mut rng = StdRng::seed_from_u64(13);
         let mut tpm = Tpm::manufacture(&Manufacturer::generate(&mut rng), &mut rng);
@@ -1371,7 +1378,7 @@ mod tests {
 
         let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0);
         let alert = Alert {
-            agent: id,
+            agent: id.clone(),
             day: 0,
             kind: FailureKind::QuoteInvalid,
         };
@@ -1390,6 +1397,97 @@ mod tests {
             "nothing advances past a rejected quote"
         );
         assert_eq!(appraisal.entries_evaluated, 0);
+
+        let past_zero = AgentRecord {
+            state: AgentStateSnapshot {
+                next_entry: 1,
+                replayed_pcr: fold(HashAlgorithm::Sha256.zero_digest(), log.entries()),
+                ..record.state
+            },
+            ..record
+        };
+        let resp = QuoteResponse {
+            entries: Vec::new(),
+            ..resp
+        };
+        let appraisal = Verifier::appraise(&config(), &past_zero, &resp, &nonce, &id, 0);
+        assert_eq!(
+            appraisal.outcome,
+            AttestationOutcome::Verified { new_entries: 0 }
+        );
+    }
+
+    /// A quote signed by `keys` over `register` alone, at its reset value.
+    fn signed_quote(keys: &cia_crypto::KeyPair, nonce: &[u8], register: u8) -> Quote {
+        let selection = PcrSelection::single(register);
+        let pcr_values = vec![HashAlgorithm::Sha256.zero_digest()];
+        let pcr_digest = Quote::digest_pcrs(&pcr_values);
+        let bank = HashAlgorithm::Sha256;
+        let msg = Quote::message_bytes(nonce, &selection, bank, &pcr_digest, 0, 1);
+        Quote {
+            nonce: nonce.to_vec(),
+            selection,
+            bank,
+            pcr_values,
+            pcr_digest,
+            boot_count: 0,
+            clock: 1,
+            signature: keys.signing.sign(&msg),
+        }
+    }
+
+    /// A signed quote whose selection omits a register `required_registers`
+    /// names is `QuoteInvalid`, past entry 0 too: a TPM+IMA reply without
+    /// PCR 10, and a confidential VM's without its launch register.
+    #[test]
+    fn a_quote_must_select_the_registers_the_verifier_reads() {
+        use crate::backend::CVM_RUNTIME_REGISTER;
+
+        let keys = cia_crypto::KeyPair::generate(&mut StdRng::seed_from_u64(17));
+        let nonce = b"fresh".to_vec();
+        let id = AgentId::from("node");
+        let launch = HashAlgorithm::Sha256.digest(b"launch");
+        // (enrolled backend, poll cursor, the one register quoted)
+        let cases = [
+            (BackendIdentity::tpm_ima(), 1, 0),
+            (
+                BackendIdentity::confidential_vm(launch),
+                0,
+                CVM_RUNTIME_REGISTER,
+            ),
+        ];
+        for (backend, next_entry, register) in cases {
+            let record = AgentRecord {
+                ak: keys.verifying.clone(),
+                backend,
+                state: AgentStateSnapshot {
+                    next_entry,
+                    ..record().state
+                },
+                ..record()
+            };
+            let resp = QuoteResponse {
+                backend: backend.kind(),
+                quote: signed_quote(&keys, &nonce, register),
+                entries: Vec::new(),
+                total_entries: next_entry,
+            };
+            assert!(resp.quote.verify(&keys.verifying, &nonce), "signed");
+            let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0);
+            let alert = Alert {
+                agent: id.clone(),
+                day: 0,
+                kind: FailureKind::QuoteInvalid,
+            };
+            assert_eq!(
+                appraisal.outcome,
+                AttestationOutcome::Failed {
+                    alerts: vec![alert]
+                },
+                "{}",
+                backend.kind()
+            );
+        }
     }
 
     /// A transport that keeps every quote response it delivers, so a

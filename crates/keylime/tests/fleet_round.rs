@@ -380,8 +380,8 @@ proptest! {
 /// (3, 1) cells hold command 2 back until row 1 returns, so they fail if
 /// the server keeps a finished row from the wire while it waits for
 /// commands. Each cell runs on a detached thread under a watchdog: a
-/// server that stops flushing fails the test naming the cell instead of
-/// hanging the suite.
+/// server that leaves a command frame unanswered fails the test naming
+/// the cell instead of hanging the suite.
 #[test]
 fn batch_and_window_do_not_change_the_rows() {
     const ROUNDS: u64 = 4;

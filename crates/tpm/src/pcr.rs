@@ -137,6 +137,19 @@ impl PcrSelection {
     pub fn is_empty(&self) -> bool {
         self.mask == 0
     }
+
+    /// Every index selected here or in `other`.
+    #[must_use]
+    pub fn union(self, other: PcrSelection) -> Self {
+        PcrSelection {
+            mask: self.mask | other.mask,
+        }
+    }
+
+    /// True when every index `other` selects is selected here too.
+    pub fn covers(&self, other: &PcrSelection) -> bool {
+        self.mask & other.mask == other.mask
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +219,17 @@ mod tests {
         assert_eq!(sel.indices().collect::<Vec<_>>(), vec![0, 10, 23]);
         assert!(!sel.is_empty());
         assert!(PcrSelection::of(&[]).is_empty());
+    }
+
+    #[test]
+    fn union_and_cover() {
+        let boot = PcrSelection::of(&[0, 9]);
+        let both = boot.union(PcrSelection::single(10));
+        assert_eq!(both, PcrSelection::of(&[0, 9, 10]));
+        assert!(both.covers(&boot));
+        assert!(both.covers(&both));
+        assert!(!boot.covers(&both));
+        assert!(boot.covers(&PcrSelection::of(&[])));
     }
 
     #[test]

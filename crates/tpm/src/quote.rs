@@ -69,14 +69,17 @@ impl Quote {
 
     /// Verifies the quote: signature over the canonical message, nonce
     /// freshness, and consistency of `pcr_values` with `pcr_digest`.
+    ///
+    /// The checks run cheapest first, so a value count that disagrees
+    /// with the selection is rejected before any value is hashed.
     pub fn verify(&self, ak_public: &VerifyingKey, expected_nonce: &[u8]) -> bool {
         if self.nonce != expected_nonce {
             return false;
         }
-        if Self::digest_pcrs(&self.pcr_values) != self.pcr_digest {
+        if self.pcr_values.len() != self.selection.indices().count() {
             return false;
         }
-        if self.pcr_values.len() != self.selection.indices().count() {
+        if Self::digest_pcrs(&self.pcr_values) != self.pcr_digest {
             return false;
         }
         let msg = Self::message_bytes(
@@ -160,6 +163,19 @@ mod tests {
         q.pcr_values[0] = HashAlgorithm::Sha256.digest(b"forged");
         assert!(!q.verify(tpm.ak_public().unwrap(), b"n"));
         // Rewriting the digest too breaks the signature.
+        q.pcr_digest = Quote::digest_pcrs(&q.pcr_values);
+        assert!(!q.verify(tpm.ak_public().unwrap(), b"n"));
+    }
+
+    #[test]
+    fn padded_pcr_values_rejected() {
+        let mut tpm = tpm_with_ak();
+        let mut q = tpm
+            .quote(b"n", &PcrSelection::single(10), HashAlgorithm::Sha256)
+            .unwrap();
+        // Extra values the selection does not name, with a digest that
+        // agrees with them: the count check rejects the quote.
+        q.pcr_values.push(HashAlgorithm::Sha256.digest(b"padding"));
         q.pcr_digest = Quote::digest_pcrs(&q.pcr_values);
         assert!(!q.verify(tpm.ak_public().unwrap(), b"n"));
     }

@@ -449,7 +449,7 @@ fn a_failing_agents_journal_acks_stay_flat() {
 
 /// The sequential path journals too. `Cluster::attest` and
 /// `Cluster::resolve` move an agent's record (nonce counter, log cursor,
-/// alerts, status) outside any round, so each writes the agent's ack;
+/// status) outside any round, so each writes the agent's ack;
 /// without it a crash rewinds the nonce counter — a recorded quote for
 /// the reused nonce replays — and forgets a `Paused` verdict.
 #[test]
