@@ -79,7 +79,8 @@ impl fmt::Debug for SigningKey {
 /// (registrar enrolment), standing in for an EK/AK certificate chain.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerifyingKey {
-    material: [u8; 32],
+    /// `pub(crate)` for the wire codec only.
+    pub(crate) material: [u8; 32],
 }
 
 impl VerifyingKey {

@@ -1,16 +1,16 @@
 //! Binary wire codec impls for the crypto primitives.
 //!
 //! Lives here rather than in `cia-wire` because of the orphan rule —
-//! and because [`Digest`] and [`Signature`] keep their fields private,
-//! so only this crate can rebuild them from validated bytes. Digest
-//! bytes decode through [`cia_wire::Reader::bytes`], borrowing from the
-//! frame buffer and copying once into the digest's fixed inline array:
-//! no heap allocation on the hot path.
+//! and because [`Digest`], [`Signature`] and [`VerifyingKey`] keep their
+//! fields private, so only this crate can rebuild them from validated
+//! bytes. Digest bytes decode through [`cia_wire::Reader::bytes`],
+//! borrowing from the frame buffer and copying once into the digest's
+//! fixed inline array: no heap allocation on the hot path.
 
 use cia_wire::{Reader, Wire, WireError, Writer};
 
 use crate::digest::{Digest, HashAlgorithm};
-use crate::keys::Signature;
+use crate::keys::{Signature, VerifyingKey};
 
 impl Wire for HashAlgorithm {
     fn encode(&self, w: &mut Writer) {
@@ -58,6 +58,21 @@ impl Wire for Signature {
     }
 }
 
+impl Wire for VerifyingKey {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bytes(&self.material);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let raw = r.bytes()?;
+        let material = <[u8; 32]>::try_from(raw).map_err(|_| WireError::BadLength {
+            len: raw.len(),
+            remaining: 32,
+        })?;
+        Ok(VerifyingKey { material })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +104,27 @@ mod tests {
         let back = Signature::from_wire(&sig.to_wire()).unwrap();
         assert_eq!(back, sig);
         assert!(pair.verifying.verify(b"quote", &back));
+    }
+
+    #[test]
+    fn verifying_key_roundtrips_and_is_32_bytes() {
+        let key = crate::KeyPair::from_material([9u8; 32]).verifying;
+        let bytes = key.to_wire();
+        assert_eq!(bytes.len(), 33, "a length byte and the material");
+        assert_eq!(VerifyingKey::from_wire(&bytes).unwrap(), key);
+        for cut in 0..bytes.len() {
+            assert!(VerifyingKey::from_wire(&bytes[..cut]).is_err());
+        }
+        for len in [0usize, 31, 33, 64] {
+            let mut w = Writer::new();
+            w.put_bytes(&vec![9u8; len]);
+            assert!(
+                matches!(
+                    VerifyingKey::from_wire(w.as_slice()),
+                    Err(WireError::BadLength { .. })
+                ),
+                "{len}-byte key"
+            );
+        }
     }
 }

@@ -15,8 +15,13 @@ use crate::backend::{Backend, BackendCert, BackendKind, ChallengeBinding};
 use crate::ids::AgentId;
 
 /// Requests an agent answers.
+///
+/// A transport carries it in its binary `cia_wire` encoding
+/// (`#[serde(wire)]`; the `Wire` impl is in `remote.rs`); its JSON form
+/// stays for everything else.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(wire)]
 pub enum AgentRequest {
     /// Prove platform identity (registration protocol).
     Identity {
@@ -145,9 +150,10 @@ impl QuoteResponse {
     }
 }
 
-/// Responses an agent produces.
+/// Responses an agent produces, carried as [`AgentRequest`] is.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(wire)]
 pub enum AgentResponse {
     /// Answer to [`AgentRequest::Identity`].
     Identity(IdentityResponse),

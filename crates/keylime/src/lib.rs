@@ -34,7 +34,8 @@
 //!   list (e.g. `/tmp`) that the studied policy shipped with.
 //!
 //! Requests and responses cross an explicit [`Transport`] — a trait over
-//! JSON-serialized request/response calls. [`ReliableTransport`] always
+//! request/response calls that encode both messages to bytes (the agent
+//! RPC in the binary `cia-wire` codec). [`ReliableTransport`] always
 //! delivers, and [`Transport::fork`] derives independent deterministic
 //! lanes so concurrent fleet rounds stay reproducible.
 //!

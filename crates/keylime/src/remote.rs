@@ -61,8 +61,11 @@ use std::sync::mpsc;
 
 use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
 
-use crate::agent::{Agent, QuoteResponse};
-use crate::backend::BackendKind;
+use cia_crypto::{Signature, VerifyingKey};
+use cia_tpm::{AkBinding, EkCertificate};
+
+use crate::agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
+use crate::backend::{BackendCert, BackendKind, ChallengeBinding};
 use crate::ids::AgentId;
 use crate::scheduler::{AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
 use crate::store::PolicyEpoch;
@@ -316,6 +319,162 @@ impl Wire for QuoteResponse {
         let entries = Vec::<cia_ima::log::ImaLogEntry>::decode(r)?;
         let total_entries = usize::decode(r)?;
         Ok(QuoteResponse::new(backend, quote, entries, total_entries))
+    }
+}
+
+impl Wire for BackendCert {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(&self.authority);
+        self.subject.encode(w);
+        w.put_bytes(&self.context);
+        self.signature.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BackendCert {
+            authority: r.str()?.to_string(),
+            subject: VerifyingKey::decode(r)?,
+            context: r.bytes()?.to_vec(),
+            signature: Signature::decode(r)?,
+        })
+    }
+}
+
+impl Wire for ChallengeBinding {
+    fn encode(&self, w: &mut Writer) {
+        self.public.encode(w);
+        w.put_bytes(&self.challenge);
+        self.signature.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ChallengeBinding {
+            public: VerifyingKey::decode(r)?,
+            challenge: r.bytes()?.to_vec(),
+            signature: Signature::decode(r)?,
+        })
+    }
+}
+
+/// Tagged by the backend that produced it.
+impl Wire for IdentityResponse {
+    fn encode(&self, w: &mut Writer) {
+        self.backend().encode(w);
+        match self {
+            IdentityResponse::TpmEk {
+                ek_certificate,
+                binding,
+            } => {
+                ek_certificate.encode(w);
+                binding.encode(w);
+            }
+            IdentityResponse::SecureWorld {
+                certificate,
+                binding,
+            }
+            | IdentityResponse::ConfidentialVm {
+                certificate,
+                binding,
+            } => {
+                certificate.encode(w);
+                binding.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match BackendKind::decode(r)? {
+            BackendKind::TpmIma => IdentityResponse::TpmEk {
+                ek_certificate: EkCertificate::decode(r)?,
+                binding: AkBinding::decode(r)?,
+            },
+            BackendKind::SecureWorld => IdentityResponse::SecureWorld {
+                certificate: BackendCert::decode(r)?,
+                binding: ChallengeBinding::decode(r)?,
+            },
+            BackendKind::ConfidentialVm => IdentityResponse::ConfidentialVm {
+                certificate: BackendCert::decode(r)?,
+                binding: ChallengeBinding::decode(r)?,
+            },
+        })
+    }
+}
+
+/// The agent RPC's request: what `Transport::call` carries to an agent
+/// (`#[serde(wire)]` on the type routes the transport's codec here).
+impl Wire for AgentRequest {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            AgentRequest::Identity { challenge } => {
+                w.put_u8(0);
+                w.put_bytes(challenge);
+            }
+            AgentRequest::Quote {
+                nonce,
+                from_entry,
+                structured,
+            } => {
+                w.put_u8(1);
+                w.put_bytes(nonce);
+                w.put_varint(*from_entry as u64);
+                w.put_bool(*structured);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => AgentRequest::Identity {
+                challenge: r.bytes()?.to_vec(),
+            },
+            1 => AgentRequest::Quote {
+                nonce: r.bytes()?.to_vec(),
+                from_entry: usize::decode(r)?,
+                structured: r.bool()?,
+            },
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "agent request",
+                    tag: u64::from(tag),
+                })
+            }
+        })
+    }
+}
+
+/// The agent RPC's response, carried the way [`AgentRequest`] is.
+impl Wire for AgentResponse {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            AgentResponse::Identity(identity) => {
+                w.put_u8(0);
+                identity.encode(w);
+            }
+            AgentResponse::Quote(quote) => {
+                w.put_u8(1);
+                quote.encode(w);
+            }
+            AgentResponse::Error { reason } => {
+                w.put_u8(2);
+                w.put_str(reason);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => AgentResponse::Identity(IdentityResponse::decode(r)?),
+            1 => AgentResponse::Quote(QuoteResponse::decode(r)?),
+            2 => AgentResponse::Error {
+                reason: r.str()?.to_string(),
+            },
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "agent response",
+                    tag: u64::from(tag),
+                })
+            }
+        })
     }
 }
 
@@ -732,6 +891,133 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(QuoteResponse::from_wire(&bytes[..cut]).is_err());
         }
+    }
+
+    /// Every agent RPC message a fleet sends: both requests (the inert
+    /// `structured` flag either way), every response kind, and the
+    /// identity of each backend.
+    fn agent_messages() -> (Vec<AgentRequest>, Vec<AgentResponse>) {
+        use crate::backend::{
+            BackendRoot, ConfidentialVmBackend, ConfidentialVmConfig, SecureWorldBackend,
+            SecureWorldConfig,
+        };
+        use cia_os::{Machine, MachineConfig};
+        use cia_tpm::Manufacturer;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(8);
+        let manufacturer = Manufacturer::generate(&mut rng);
+        let root = BackendRoot::generate("Platform", &mut rng);
+        let mut agents = [
+            Agent::new(Machine::new(&manufacturer, MachineConfig::default())),
+            Agent::with_backend(SecureWorldBackend::provision(
+                SecureWorldConfig::new("sw", 3),
+                &root,
+            )),
+            Agent::with_backend(ConfidentialVmBackend::provision(
+                ConfidentialVmConfig::new("cvm", 4),
+                &root,
+            )),
+        ];
+        let requests = vec![
+            AgentRequest::Identity {
+                challenge: b"registrar-challenge".to_vec(),
+            },
+            AgentRequest::Quote {
+                nonce: vec![0xA5; 32],
+                from_entry: 0,
+                structured: true,
+            },
+            AgentRequest::Quote {
+                nonce: Vec::new(),
+                from_entry: 300_000,
+                structured: false,
+            },
+        ];
+        let mut responses = vec![AgentResponse::Error {
+            reason: "backend unavailable".into(),
+        }];
+        for agent in &mut agents {
+            for request in &requests[..2] {
+                responses.push(agent.handle(request.clone()));
+            }
+        }
+        (requests, responses)
+    }
+
+    #[test]
+    fn agent_messages_roundtrip_and_truncations_error() {
+        let (requests, responses) = agent_messages();
+        let identities = responses
+            .iter()
+            .filter_map(|r| match r {
+                AgentResponse::Identity(identity) => Some(identity.backend()),
+                _ => None,
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(
+            identities,
+            [
+                BackendKind::TpmIma,
+                BackendKind::SecureWorld,
+                BackendKind::ConfidentialVm
+            ]
+        );
+        assert_eq!(
+            responses
+                .iter()
+                .filter(|r| matches!(r, AgentResponse::Quote(_)))
+                .count(),
+            3
+        );
+        for request in requests {
+            let bytes = request.to_wire();
+            assert_eq!(AgentRequest::from_wire(&bytes).unwrap(), request);
+            for cut in 0..bytes.len() {
+                assert!(AgentRequest::from_wire(&bytes[..cut]).is_err(), "{cut}");
+            }
+        }
+        for response in responses {
+            let bytes = response.to_wire();
+            assert_eq!(AgentResponse::from_wire(&bytes).unwrap(), response);
+            for cut in 0..bytes.len() {
+                assert!(AgentResponse::from_wire(&bytes[..cut]).is_err(), "{cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn agent_messages_reject_unknown_tags() {
+        let (_, responses) = agent_messages();
+        assert!(matches!(
+            AgentRequest::from_wire(&[2]),
+            Err(WireError::BadTag {
+                what: "agent request",
+                tag: 2
+            })
+        ));
+        assert!(matches!(
+            AgentResponse::from_wire(&[3]),
+            Err(WireError::BadTag {
+                what: "agent response",
+                tag: 3
+            })
+        ));
+        // An identity response whose backend tag names no backend.
+        let identity = responses
+            .iter()
+            .find(|r| matches!(r, AgentResponse::Identity(_)))
+            .unwrap();
+        let mut bytes = identity.to_wire();
+        bytes[1] = 7;
+        assert!(matches!(
+            AgentResponse::from_wire(&bytes),
+            Err(WireError::BadTag {
+                what: "backend kind",
+                tag: 7
+            })
+        ));
     }
 
     #[test]

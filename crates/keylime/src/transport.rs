@@ -2,9 +2,18 @@
 //!
 //! The real deployment runs agent, registrar and verifier as separate
 //! networked services. The simulator keeps them in one process but forces
-//! every request/response through a [`Transport`], which serializes both
-//! directions to JSON — so nothing non-wire-safe can leak between
-//! components.
+//! every request/response through a [`Transport`], which encodes both
+//! directions to bytes and decodes them back — so nothing non-wire-safe
+//! can leak between components.
+//!
+//! The bytes are each message's [`Serialize::write_message`]: the binary
+//! `cia_wire` encoding for the agent RPC's [`AgentRequest`] and
+//! [`AgentResponse`] (both derive with `#[serde(wire)]`), the JSON text
+//! for any other type. There is one codec path; the type picks the
+//! encoding.
+//!
+//! [`AgentRequest`]: crate::AgentRequest
+//! [`AgentResponse`]: crate::AgentResponse
 //!
 //! `Transport` is a trait so the verifier, registrar and the fleet
 //! [`scheduler`](crate::scheduler) are generic over the channel:
@@ -65,11 +74,15 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// A JSON-serializing request/response channel between two components.
+/// A request/response channel between two components that carries each
+/// message as bytes.
 ///
 /// Implementations decide *delivery* (always, or under a fault plan);
 /// the serialization contract is shared: both the request and the response
-/// must round-trip through JSON, exactly as they would on a network.
+/// must round-trip through their message encoding
+/// ([`Serialize::write_message`] /
+/// [`read_message`](serde::Deserialize::read_message): binary for the
+/// agent RPC, JSON otherwise), exactly as they would on a network.
 pub trait Transport: Send {
     /// Performs one RPC: serializes `request`, lets `serve` compute the
     /// response on the far side, and deserializes the reply.
@@ -94,8 +107,9 @@ pub trait Transport: Send {
     /// Messages lost to injected faults on this transport.
     fn drops(&self) -> u64;
 
-    /// Total serialized bytes that crossed this transport, both
-    /// directions (requests count even when the response was lost).
+    /// Total encoded bytes that crossed this transport, both directions
+    /// (requests count even when the response was lost): the binary
+    /// length of an agent message, the JSON length of any other.
     fn wire_bytes(&self) -> u64;
 
     /// Inert: nothing calls it. Still here because
@@ -159,8 +173,9 @@ impl Drop for WireBuffer {
 }
 
 /// Encodes `message` into this thread's wire buffer and decodes a copy
-/// from it, as the far side of a network would. Returns the copy and the
-/// bytes the message took on the wire.
+/// from it, as the far side of a network would, with the message's own
+/// codec pair. Returns the copy and the bytes the message took on the
+/// wire.
 ///
 /// The buffer is taken out of its slot for the duration, so a nested
 /// call (a `serve` that makes calls of its own) works on a buffer of
@@ -171,8 +186,9 @@ fn cross_wire<M: Serialize + DeserializeOwned>(message: &M) -> Result<(M, u64), 
         wire = spare_wires().pop().unwrap_or_default();
     }
     wire.clear();
-    let crossed = serde_json::to_writer(&mut wire, message)
-        .and_then(|()| serde_json::from_slice(&wire))
+    let crossed = message
+        .write_message(&mut wire)
+        .and_then(|()| M::read_message(&wire))
         .map(|copy| (copy, wire.len() as u64))
         .map_err(|e| TransportError::Codec {
             reason: e.to_string(),
@@ -338,6 +354,92 @@ mod tests {
             .join()
             .unwrap();
             assert_eq!(out, n);
+        }
+    }
+
+    /// An agent message crosses as its `cia_wire` encoding, and the
+    /// transport meters its binary length.
+    #[test]
+    fn agent_messages_cross_in_binary() {
+        use crate::agent::{AgentRequest, AgentResponse};
+        use cia_wire::Wire;
+
+        let request = AgentRequest::Quote {
+            nonce: vec![7; 32],
+            from_entry: 1,
+            structured: true,
+        };
+        let response = AgentResponse::Error {
+            reason: "busy".into(),
+        };
+        let mut t = ReliableTransport::new();
+        let back: AgentResponse = t
+            .call(&request, |served| {
+                assert_eq!(served, request);
+                response.clone()
+            })
+            .unwrap();
+        assert_eq!(back, response);
+        // A tag, the nonce's length and 32 bytes, `from_entry`, the flag;
+        // a tag, the reason's length and 4 bytes.
+        assert_eq!(t.wire_bytes(), 36 + 6);
+        assert_eq!(
+            t.wire_bytes(),
+            (request.to_wire().len() + response.to_wire().len()) as u64
+        );
+    }
+
+    /// Bytes on the wire that claim to be an agent response: they decode
+    /// only if `AgentResponse` decodes them.
+    #[derive(Debug)]
+    struct Raw(Vec<u8>);
+
+    impl Serialize for Raw {
+        fn write_json(&self, w: &mut serde::JsonWriter) {
+            self.0.write_json(w);
+        }
+
+        fn write_message(&self, out: &mut Vec<u8>) -> Result<(), serde::DeError> {
+            out.extend_from_slice(&self.0);
+            Ok(())
+        }
+    }
+
+    impl serde::Deserialize for Raw {
+        fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::DeError> {
+            Vec::read_json(r).map(Raw)
+        }
+
+        fn read_message(bytes: &[u8]) -> Result<Self, serde::DeError> {
+            crate::agent::AgentResponse::read_message(bytes).map(|_| Raw(bytes.to_vec()))
+        }
+    }
+
+    /// Bytes that do not decode as an agent response, whatever they are,
+    /// are a `Codec` error from the call, never a panic.
+    #[test]
+    fn undecodable_agent_bytes_are_a_codec_error() {
+        use crate::agent::AgentResponse;
+        use cia_wire::Wire;
+
+        let whole = AgentResponse::Error {
+            reason: "a reason long enough to cut".into(),
+        }
+        .to_wire();
+        let mut t = ReliableTransport::new();
+        let mut deliver = |bytes: &[u8]| t.call(&0u8, |_: u8| Raw(bytes.to_vec()));
+        assert!(deliver(&whole).is_ok());
+        let mut hostile: Vec<Vec<u8>> = (0..whole.len()).map(|cut| whole[..cut].to_vec()).collect();
+        hostile.push(vec![9]);
+        hostile.push([&whole[..], &[0]].concat());
+        hostile.push(vec![0xFF; 64]);
+        for bytes in hostile {
+            match deliver(&bytes) {
+                Err(TransportError::Codec { reason }) => {
+                    assert!(reason.starts_with("AgentResponse: "), "{reason}")
+                }
+                other => panic!("{bytes:?} delivered {other:?}"),
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! The hot-path gates: a warm `RuntimePolicy::check_digest` touches no
 //! heap, a policy holds a bounded number of bytes per (path, digest) pair,
-//! and a `Verifier::publish_delta` to a shared fleet — or the replay of a
+//! a `Verifier::publish_delta` to a shared fleet — or the replay of a
 //! long journal of them — copies only the policy chunks its deltas touch,
-//! never the policy, each copy for a few allocations.
+//! never the policy, each copy for a few allocations, and a warm agent
+//! RPC call makes a pinned number of allocations.
 //!
 //! Allocations and live heap bytes are counted per thread, by
 //! const-initialised thread-locals inside the counting global allocator,
@@ -15,10 +16,14 @@ use std::hint::black_box;
 
 use cia_crypto::{HashAlgorithm, KeyPair};
 use cia_keylime::{
-    PolicyCheck, PolicyDelta, RuntimePolicy, Verifier, VerifierConfig, VerifierJournal,
-    DEFAULT_JOURNAL_DIR,
+    Agent, AgentRequest, AgentResponse, PolicyCheck, PolicyDelta, ReliableTransport, RuntimePolicy,
+    Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
 };
+use cia_os::{ExecMethod, Machine, MachineConfig};
+use cia_tpm::Manufacturer;
 use cia_vfs::{Vfs, VfsPath};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Counts every heap allocation the calling thread makes, and the bytes
 /// it has allocated and not yet freed.
@@ -260,5 +265,52 @@ fn recovering_a_long_journal_copies_only_the_chunks_its_deltas_touched() {
     assert!(
         copied <= touched as u64,
         "recovering {DELTAS} deltas copied {copied} chunks; their paths fall in {touched}"
+    );
+}
+
+/// A warm `ReliableTransport::call` of a steady TPM+IMA poll — a quote
+/// request from entry 1 and a response with four new entries — makes at
+/// most this many heap allocations: the decoded copies' own buffers (the
+/// request's nonce; the quote's nonce and register values, the entry
+/// list and each entry's path) and the entry list's growth. The agent's
+/// work is outside the count. A codec that parses text again, or a
+/// buffer that is not reused, fails here.
+#[test]
+fn a_warm_steady_poll_call_makes_a_pinned_number_of_allocations() {
+    const ALLOCATIONS_PER_CALL: u64 = 9;
+    let mut rng = StdRng::seed_from_u64(5);
+    let manufacturer = Manufacturer::generate(&mut rng);
+    let mut agent = Agent::new(Machine::new(&manufacturer, MachineConfig::default()));
+    let machine = agent.machine_mut();
+    for i in 0..4 {
+        let path = VfsPath::new(&format!("/usr/bin/tool-{i}")).unwrap();
+        machine.write_executable(&path, b"tool").unwrap();
+        machine.exec(&path, ExecMethod::Direct).unwrap();
+    }
+    let request = AgentRequest::Quote {
+        nonce: HashAlgorithm::Sha256.digest(b"poll").as_bytes().to_vec(),
+        from_entry: 1,
+        structured: true,
+    };
+    let response = agent.handle(request.clone());
+    let AgentResponse::Quote(quote) = &response else {
+        panic!("a quote request yields a quote, got {response:?}");
+    };
+    assert_eq!(quote.entries().len(), 4);
+
+    let mut transport = ReliableTransport::new();
+    let mut allocated = Vec::new();
+    for _ in 0..4 {
+        let served = response.clone();
+        let before = allocations();
+        let back: AgentResponse = transport.call(&request, move |_| served).unwrap();
+        allocated.push(allocations() - before);
+        assert_eq!(black_box(back), response);
+    }
+    // The first call grows this thread's wire buffer; the rest are warm.
+    let warm = allocated[1..].iter().max().copied().unwrap_or_default();
+    assert!(
+        warm <= ALLOCATIONS_PER_CALL,
+        "a warm steady poll call made {warm} allocations (calls: {allocated:?})"
     );
 }

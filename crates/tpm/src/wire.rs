@@ -1,21 +1,27 @@
-//! Binary wire codec impls for quotes and PCR selections.
+//! Binary wire codec impls for quotes, PCR selections and TPM identity.
 //!
 //! A [`PcrSelection`] travels as its selected indices (one byte each —
 //! at most 24), rebuilt through [`PcrSelection::of`] so the private
 //! mask never crosses the crate boundary raw. A [`Quote`] is a plain
 //! field-by-field record; its digests decode zero-copy through the
-//! `cia-crypto` impls.
+//! `cia-crypto` impls. So are the registration messages, an
+//! [`EkCertificate`] and an [`AkBinding`].
 
-use cia_crypto::{Digest, HashAlgorithm, Signature};
+use cia_crypto::{Digest, HashAlgorithm, Signature, VerifyingKey};
 use cia_wire::{Reader, Wire, WireError, Writer};
 
+use crate::identity::{AkBinding, EkCertificate};
 use crate::pcr::{PcrSelection, PCR_COUNT};
 use crate::quote::Quote;
 
 impl Wire for PcrSelection {
+    /// The bytes `put_bytes` would write for the index list, without
+    /// collecting it first.
     fn encode(&self, w: &mut Writer) {
-        let indices: Vec<u8> = self.indices().collect();
-        w.put_bytes(&indices);
+        w.put_varint(self.indices().count() as u64);
+        for index in self.indices() {
+            w.put_u8(index);
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -64,6 +70,38 @@ impl Wire for Quote {
     }
 }
 
+impl Wire for EkCertificate {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(&self.manufacturer);
+        self.ek_public.encode(w);
+        self.signature.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(EkCertificate {
+            manufacturer: r.str()?.to_string(),
+            ek_public: VerifyingKey::decode(r)?,
+            signature: Signature::decode(r)?,
+        })
+    }
+}
+
+impl Wire for AkBinding {
+    fn encode(&self, w: &mut Writer) {
+        self.ak_public.encode(w);
+        w.put_bytes(&self.challenge);
+        self.signature.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(AkBinding {
+            ak_public: VerifyingKey::decode(r)?,
+            challenge: r.bytes()?.to_vec(),
+            signature: Signature::decode(r)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +119,10 @@ mod tests {
             PcrSelection::of(&[23]),
         ] {
             assert_eq!(PcrSelection::from_wire(&sel.to_wire()).unwrap(), sel);
+            // The encoding is the length-prefixed index list.
+            let mut w = Writer::new();
+            w.put_bytes(&sel.indices().collect::<Vec<u8>>());
+            assert_eq!(sel.to_wire(), w.into_vec());
         }
     }
 
@@ -107,6 +149,30 @@ mod tests {
         // Truncations never panic, always error.
         for cut in 0..bytes.len() {
             assert!(Quote::from_wire(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn tpm_identity_roundtrips_and_truncations_error() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let manufacturer = Manufacturer::generate(&mut rng);
+        let mut tpm = Tpm::manufacture(&manufacturer, &mut rng);
+        tpm.create_ak(&mut rng);
+        let cert = tpm.ek_certificate().clone();
+        let binding = tpm.certify_ak(b"registrar-challenge").unwrap();
+        let cert_bytes = cert.to_wire();
+        let binding_bytes = binding.to_wire();
+        let back = EkCertificate::from_wire(&cert_bytes).unwrap();
+        assert!(back.verify(manufacturer.public_key()));
+        assert_eq!(back, cert);
+        let back = AkBinding::from_wire(&binding_bytes).unwrap();
+        assert!(back.verify(&cert.ek_public, b"registrar-challenge"));
+        assert_eq!(back, binding);
+        for cut in 0..cert_bytes.len() {
+            assert!(EkCertificate::from_wire(&cert_bytes[..cut]).is_err());
+        }
+        for cut in 0..binding_bytes.len() {
+            assert!(AkBinding::from_wire(&binding_bytes[..cut]).is_err());
         }
     }
 }

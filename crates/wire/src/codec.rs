@@ -41,6 +41,13 @@ impl Writer {
         }
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds and
+    /// its allocation: a buffer reused across messages stops allocating
+    /// once it has grown to fit.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Bytes encoded so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -399,9 +406,15 @@ impl<T: Wire> Wire for Vec<T> {
             item.encode(w);
         }
     }
+    /// Reserves up front no more bytes than the input still holds: a
+    /// length prefix alone cannot make the decoder reserve
+    /// `size_of::<T>()` times the input's size. An honest vector whose
+    /// elements are larger in memory than on the wire grows as it
+    /// decodes.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.seq_len(1)?;
-        let mut items = Vec::with_capacity(len);
+        let fits = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }

@@ -10,6 +10,13 @@
 //! as strings, newtype variants as one-entry objects, named fields as
 //! objects), so wire shapes stay familiar even though the implementation
 //! is local.
+//!
+//! One addition real serde does not have: a message codec pair,
+//! [`Serialize::write_message`] and [`Deserialize::read_message`], the
+//! bytes a transport carries. Both default to the JSON text; a type
+//! derived with the container attribute `#[serde(wire)]` routes them to
+//! its `cia_wire::Wire` impl, so an RPC can move a type in binary while
+//! its JSON derives stay for everything else.
 
 #![forbid(unsafe_code)]
 
@@ -54,6 +61,20 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Appends `self`'s JSON text to `w`.
     fn write_json(&self, w: &mut JsonWriter);
+
+    /// Appends `self` to `out` as one message: the bytes a transport
+    /// carries. By default that is the JSON text
+    /// [`write_json`](Serialize::write_json) writes; a type derived with
+    /// `#[serde(wire)]` writes its binary `cia_wire` encoding instead.
+    /// Shim-only: real serde has no such method.
+    ///
+    /// # Errors
+    ///
+    /// When the value has no encoding (a non-finite float in JSON); `out`
+    /// is then left as it was.
+    fn write_message(&self, out: &mut Vec<u8>) -> Result<(), DeError> {
+        to_json(self, out)
+    }
 }
 
 /// Types that read themselves from JSON.
@@ -64,6 +85,54 @@ pub trait Deserialize: Sized {
     ///
     /// On malformed JSON or a value of the wrong shape.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError>;
+
+    /// Reads exactly one message, as
+    /// [`Serialize::write_message`] writes it: JSON text by default, the
+    /// binary `cia_wire` encoding for a type derived with
+    /// `#[serde(wire)]`. Shim-only: real serde has no such method.
+    ///
+    /// # Errors
+    ///
+    /// When `bytes` are not exactly one well-formed message.
+    fn read_message(bytes: &[u8]) -> Result<Self, DeError> {
+        let text =
+            std::str::from_utf8(bytes).map_err(|e| DeError::new(format!("invalid utf-8: {e}")))?;
+        from_json(text)
+    }
+}
+
+/// Appends `value`'s JSON text to `out`, growing it in place: a buffer
+/// reused across messages stops allocating once it has grown to fit.
+///
+/// # Errors
+///
+/// When the value holds a non-finite float; `out` is then left as it was.
+pub fn to_json<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<(), DeError> {
+    let start = out.len();
+    let mut w = JsonWriter::new(std::mem::take(out));
+    value.write_json(&mut w);
+    let error = w.error();
+    *out = w.into_inner();
+    match error {
+        Some(reason) => {
+            out.truncate(start);
+            Err(DeError::new(reason))
+        }
+        None => Ok(()),
+    }
+}
+
+/// Reads exactly one value from JSON text (whitespace around it is
+/// allowed).
+///
+/// # Errors
+///
+/// On malformed JSON, a value of the wrong shape, or trailing text.
+pub fn from_json<T: Deserialize>(text: &str) -> Result<T, DeError> {
+    let mut reader = JsonReader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 /// Deserialization traits namespace (API parity with real serde).

@@ -10,6 +10,13 @@
 //! attributes such as `#[serde(transparent)]` are accepted and ignored —
 //! newtype structs already serialize transparently here.
 //!
+//! One container attribute is the shim's own: `#[serde(wire)]` makes the
+//! derived impls override the message pair, `Serialize::write_message`
+//! and `Deserialize::read_message`, to call the type's `cia_wire::Wire`
+//! impl (`Wire::encode` into a `cia_wire::Writer`, `Wire::from_wire`).
+//! The crate deriving it must depend on `cia-wire` and implement `Wire`
+//! for the type; its JSON methods are generated as for any other type.
+//!
 //! Generated encoding (matches real serde's externally-tagged defaults):
 //! named struct -> object; newtype struct -> inner value; tuple struct
 //! -> array; unit variant -> `"Variant"`; newtype variant ->
@@ -56,14 +63,17 @@ enum Item {
     },
 }
 
-fn parse_item(input: TokenStream) -> Item {
+/// Parses the derive input: the item, and whether its container
+/// attributes include `#[serde(wire)]`.
+fn parse_item(input: TokenStream) -> (Item, bool) {
     let mut tokens = input.into_iter().peekable();
+    let mut attrs = Vec::new();
     // Skip attributes and visibility.
     loop {
         match tokens.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                tokens.next();
-                tokens.next(); // the [...] group
+                attrs.extend(tokens.next());
+                attrs.extend(tokens.next()); // the [...] group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 tokens.next();
@@ -89,7 +99,8 @@ fn parse_item(input: TokenStream) -> Item {
             panic!("serde shim derive: generic types are not supported (deriving {name})");
         }
     }
-    match keyword.as_str() {
+    let wire = has_serde_arg(&attrs, "wire");
+    let item = match keyword.as_str() {
         "struct" => {
             let fields = match tokens.next() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -114,7 +125,8 @@ fn parse_item(input: TokenStream) -> Item {
             }
         }
         other => panic!("serde shim derive: cannot derive for `{other}`"),
-    }
+    };
+    (item, wire)
 }
 
 /// Splits a token sequence on top-level commas, tracking `<`/`>` depth so
@@ -158,9 +170,9 @@ fn strip_attrs_and_vis(chunk: &[TokenTree]) -> &[TokenTree] {
     &chunk[i..]
 }
 
-/// True when the chunk's leading attributes contain `#[serde(default)]`
+/// True when the chunk's leading attributes contain `#[serde(arg)]`
 /// (alone or among other serde arguments).
-fn has_serde_default(chunk: &[TokenTree]) -> bool {
+fn has_serde_arg(chunk: &[TokenTree], arg: &str) -> bool {
     let mut i = 0;
     while i + 1 < chunk.len() {
         let (TokenTree::Punct(p), TokenTree::Group(attr)) = (&chunk[i], &chunk[i + 1]) else {
@@ -177,7 +189,7 @@ fn has_serde_default(chunk: &[TokenTree]) -> bool {
                 && args
                     .stream()
                     .into_iter()
-                    .any(|t| matches!(&t, TokenTree::Ident(a) if a.to_string() == "default"))
+                    .any(|t| matches!(&t, TokenTree::Ident(a) if a.to_string() == arg))
             {
                 return true;
             }
@@ -191,7 +203,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<NamedField> {
     split_top_level(stream)
         .iter()
         .map(|chunk| {
-            let has_default = has_serde_default(chunk);
+            let has_default = has_serde_arg(chunk, "default");
             let chunk = strip_attrs_and_vis(chunk);
             match chunk.first() {
                 Some(TokenTree::Ident(id)) => NamedField {
@@ -255,7 +267,7 @@ fn write_object<'a>(entries: impl Iterator<Item = (&'a str, String)>) -> String 
     format!("__w.begin_object();\n{keys}__w.end_object();")
 }
 
-fn gen_serialize(item: &Item) -> String {
+fn gen_serialize(item: &Item, wire: bool) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
@@ -308,11 +320,23 @@ fn gen_serialize(item: &Item) -> String {
             (name, format!("match self {{\n{arms}}}"))
         }
     };
+    let message = if wire {
+        "fn write_message(&self, __out: &mut ::std::vec::Vec<u8>) \
+             -> ::core::result::Result<(), ::serde::DeError> {\n\
+             let mut __w = ::cia_wire::Writer::from_vec(::core::mem::take(__out));\n\
+             ::cia_wire::Wire::encode(self, &mut __w);\n\
+             *__out = __w.into_vec();\n\
+             ::core::result::Result::Ok(())\n\
+         }"
+    } else {
+        ""
+    };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn write_json(&self, __w: &mut ::serde::JsonWriter) {{\n\
                  {body}\n\
              }}\n\
+             {message}\n\
          }}"
     )
 }
@@ -391,7 +415,7 @@ fn read_named(ctor: &str, fields: &[NamedField]) -> String {
     )
 }
 
-fn gen_deserialize(item: &Item) -> String {
+fn gen_deserialize(item: &Item, wire: bool) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let value = match fields {
@@ -433,12 +457,23 @@ fn gen_deserialize(item: &Item) -> String {
             (name, body)
         }
     };
+    let message = if wire {
+        format!(
+            "fn read_message(__bytes: &[u8]) -> ::core::result::Result<Self, ::serde::DeError> {{\n\
+                 <Self as ::cia_wire::Wire>::from_wire(__bytes)\n\
+                     .map_err(|__e| ::serde::DeError::new(::std::format!(\"{name}: {{__e}}\")))\n\
+             }}"
+        )
+    } else {
+        String::new()
+    };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
              fn read_json(__r: &mut ::serde::JsonReader<'_>) \
                  -> ::core::result::Result<Self, ::serde::DeError> {{\n\
                  {body}\n\
              }}\n\
+             {message}\n\
          }}"
     )
 }
@@ -446,8 +481,8 @@ fn gen_deserialize(item: &Item) -> String {
 /// Derives the shim's `Serialize` trait.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
+    let (item, wire) = parse_item(input);
+    gen_serialize(&item, wire)
         .parse()
         .expect("serde shim derive: generated Serialize impl must parse")
 }
@@ -455,8 +490,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 /// Derives the shim's `Deserialize` trait.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
+    let (item, wire) = parse_item(input);
+    gen_deserialize(&item, wire)
         .parse()
         .expect("serde shim derive: generated Deserialize impl must parse")
 }

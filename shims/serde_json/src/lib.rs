@@ -3,15 +3,17 @@
 //! Provides the entry points the workspace uses — [`to_string`],
 //! [`to_vec`], [`to_writer`], [`from_str`], [`from_slice`]. The JSON
 //! writer and reader themselves live in `serde` ([`serde::JsonWriter`],
-//! [`serde::JsonReader`]): every type writes and reads its own JSON text,
-//! with no intermediate tree.
+//! [`serde::JsonReader`], [`serde::to_json`], [`serde::from_json`]):
+//! every type writes and reads its own JSON text, with no intermediate
+//! tree. These are always JSON, also for a type derived with
+//! `#[serde(wire)]`.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 
 use serde::de::DeserializeOwned;
-use serde::{JsonReader, JsonWriter, Serialize};
+use serde::Serialize;
 
 /// Serialization/deserialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,26 +63,12 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 /// (The real crate takes any `io::Write`; the shim takes the `Vec<u8>`
 /// the workspace passes.) On error `writer` is left as it was.
 pub fn to_writer<T: Serialize + ?Sized>(writer: &mut Vec<u8>, value: &T) -> Result<()> {
-    let start = writer.len();
-    let mut w = JsonWriter::new(std::mem::take(writer));
-    value.write_json(&mut w);
-    let error = w.error();
-    *writer = w.into_inner();
-    match error {
-        Some(reason) => {
-            writer.truncate(start);
-            Err(Error::new(reason))
-        }
-        None => Ok(()),
-    }
+    Ok(serde::to_json(value, writer)?)
 }
 
 /// Deserializes a value from a JSON string.
 pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T> {
-    let mut reader = JsonReader::new(text);
-    let value = T::read_json(&mut reader)?;
-    reader.finish()?;
-    Ok(value)
+    Ok(serde::from_json(text)?)
 }
 
 /// Deserializes a value from JSON bytes.
