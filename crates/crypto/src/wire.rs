@@ -33,6 +33,10 @@ impl Wire for HashAlgorithm {
 }
 
 impl Wire for Digest {
+    /// An algorithm byte, a one-byte length and the shortest digest
+    /// (SHA-1's 20 bytes).
+    const MIN_WIRE_LEN: usize = 2 + 20;
+
     fn encode(&self, w: &mut Writer) {
         self.algorithm().encode(w);
         w.put_bytes(self.as_bytes());

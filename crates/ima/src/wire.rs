@@ -11,6 +11,11 @@ use cia_wire::{Reader, Wire, WireError, Writer};
 use crate::log::ImaLogEntry;
 
 impl Wire for ImaLogEntry {
+    /// The PCR byte, the digest and an empty path's length byte: a
+    /// decoded entry list is reserved for exactly (an entry is 144 bytes
+    /// in memory, about 51 on the wire).
+    const MIN_WIRE_LEN: usize = 1 + Digest::MIN_WIRE_LEN + 1;
+
     fn encode(&self, w: &mut Writer) {
         w.put_u8(self.pcr);
         self.filedata_hash.encode(w);
@@ -45,6 +50,23 @@ mod tests {
     fn non_default_pcr_survives() {
         let entry = ImaLogEntry::new_in_pcr(12, Sha256::digest(b"x"), "/etc/shadow");
         assert_eq!(ImaLogEntry::from_wire(&entry.to_wire()).unwrap(), entry);
+    }
+
+    #[test]
+    fn the_shortest_entry_is_the_declared_minimum() {
+        let sha1 = cia_crypto::HashAlgorithm::Sha1.digest(b"z");
+        let shortest = ImaLogEntry::new_in_pcr(0, sha1, "");
+        assert_eq!(shortest.to_wire().len(), ImaLogEntry::MIN_WIRE_LEN);
+    }
+
+    #[test]
+    fn a_decoded_entry_list_is_reserved_for_exactly() {
+        let list: Vec<ImaLogEntry> = (0..4)
+            .map(|i| ImaLogEntry::new(Sha256::digest(&[i]), format!("/usr/bin/tool-{i}")))
+            .collect();
+        let back = Vec::<ImaLogEntry>::from_wire(&list.to_wire()).unwrap();
+        assert_eq!(back, list);
+        assert_eq!(back.capacity(), 4, "no regrowth while decoding");
     }
 
     #[test]

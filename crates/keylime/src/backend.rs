@@ -35,6 +35,7 @@ use cia_ima::{ImaLogEntry, IMA_PCR};
 use cia_os::Machine;
 use cia_tpm::pcr::extend_digest;
 use cia_tpm::{PcrSelection, Quote};
+use cia_wire::{Reader, Wire, WireError, Writer};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -277,6 +278,22 @@ impl BackendIdentity {
     /// The enrolled launch measurement, when the backend has one.
     pub fn launch_measurement(&self) -> Option<Digest> {
         self.launch_measurement
+    }
+}
+
+/// The journal's enrolment records carry the identity as its kind and
+/// optional launch measurement, exactly as enrolled.
+impl Wire for BackendIdentity {
+    fn encode(&self, w: &mut Writer) {
+        self.kind.encode(w);
+        self.launch_measurement.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BackendIdentity {
+            kind: BackendKind::decode(r)?,
+            launch_measurement: Option::<Digest>::decode(r)?,
+        })
     }
 }
 
@@ -938,6 +955,32 @@ mod tests {
             BackendKind::ALL.to_vec(),
             "stable iteration order"
         );
+    }
+
+    #[test]
+    fn backend_identity_wire_roundtrip() {
+        let measurement = HashAlgorithm::Sha256.digest(b"launch image");
+        for identity in [
+            BackendIdentity::tpm_ima(),
+            BackendIdentity::secure_world(),
+            BackendIdentity::confidential_vm(measurement),
+        ] {
+            let bytes = identity.to_wire();
+            assert_eq!(BackendIdentity::from_wire(&bytes), Ok(identity));
+            for cut in 0..bytes.len() {
+                assert!(BackendIdentity::from_wire(&bytes[..cut]).is_err());
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert_eq!(
+                BackendIdentity::from_wire(&long),
+                Err(WireError::TrailingBytes { remaining: 1 })
+            );
+        }
+        assert!(matches!(
+            BackendIdentity::from_wire(&[3, 0]),
+            Err(WireError::BadTag { .. })
+        ));
     }
 
     #[test]

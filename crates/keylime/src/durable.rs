@@ -14,14 +14,21 @@
 //!
 //! # Key schema
 //!
-//! | key                     | value                                   |
-//! |-------------------------|-----------------------------------------|
-//! | `policy/base`           | founding store checkpoint (epoch 0)     |
-//! | `policy/pub/<epoch>`    | one publish: full policy or delta       |
-//! | `enrol/<agent id>`      | enrolment constants (AK, backend, …)    |
-//! | `agent/<agent id>`      | latest ack: round result + state        |
-//! | `meta/started`          | highest round ever started              |
-//! | `meta/committed`        | highest round fully committed           |
+//! Every value is one [`cia_wire`] record, the binary codec the agent
+//! RPC and the shard protocol speak; a full policy document travels as
+//! its JSON text inside its record.
+//!
+//! | key                  | value                               | encoding                                    |
+//! |----------------------|-------------------------------------|---------------------------------------------|
+//! | `policy/base`        | founding store checkpoint (epoch 0) | epoch, policy JSON text                     |
+//! | `policy/pub/<epoch>` | one publish: full policy or delta   | tag 0 + policy JSON text, or tag 1 + delta  |
+//! | `enrol/<agent id>`   | enrolment constants (AK, backend, …)| AK, identity, shared, epoch, override JSON? |
+//! | `agent/<agent id>`   | latest ack: round result + state    | round, result row, state, policy JSON?      |
+//! | `meta/started`       | highest round ever started          | round                                       |
+//! | `meta/committed`     | highest round fully committed       | round                                       |
+//!
+//! A value that does not decode — cut short, garbage, or with bytes left
+//! over — fails recovery with [`StorageError::Codec`] naming its key.
 //!
 //! Keys are last-write-wins, so the journal compacts safely: each
 //! agent's latest ack, each epoch's publish, and the round marks all
@@ -53,16 +60,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cia_crypto::{Digest, VerifyingKey};
 use cia_storage::{LogStore, RecoveryReport, StorageError};
 use cia_vfs::{Vfs, VfsPath};
-use serde::{Deserialize, Serialize};
+use cia_wire::{Reader, Wire, WireError, Writer};
 
 use crate::backend::BackendIdentity;
 use crate::ids::AgentId;
-use crate::policy::{PolicyDelta, RuntimePolicy};
+use crate::policy::{PolicyDelta, PolicyMeta, RuntimePolicy};
 use crate::scheduler::AgentRoundResult;
 use crate::store::PolicyEpoch;
-use crate::verifier::{AgentRecord, AgentStateSnapshot, Verifier, VerifierConfig};
+use crate::verifier::{
+    AgentHealth, AgentRecord, AgentStateSnapshot, AgentStatus, Verifier, VerifierConfig,
+};
 
 /// Where a cluster's journal lives inside its virtual filesystem.
 pub const DEFAULT_JOURNAL_DIR: &str = "/var/lib/keylime/journal";
@@ -83,10 +93,6 @@ fn enrol_key(id: &AgentId) -> Vec<u8> {
     format!("{PREFIX_ENROL}{id}").into_bytes()
 }
 
-fn ack_key(id: &AgentId) -> Vec<u8> {
-    format!("{PREFIX_ACK}{id}").into_bytes()
-}
-
 /// What a journal key names after its family prefix, stripped exactly
 /// once: an agent called `agent/x` has the ack key `agent/agent/x`.
 fn key_suffix<'k>(what: &'k str, prefix: &str) -> Result<&'k str, StorageError> {
@@ -97,30 +103,53 @@ fn key_suffix<'k>(what: &'k str, prefix: &str) -> Result<&'k str, StorageError> 
         })
 }
 
-fn encode<T: Serialize>(what: &str, value: &T) -> Result<Vec<u8>, StorageError> {
-    serde_json::to_vec(value).map_err(|e| StorageError::Codec {
-        what: what.to_string(),
+/// Decodes the record stored under `key`; a value that does not
+/// decode is a codec error naming the key.
+fn decode_record<T: Wire>(key: &[u8], bytes: &[u8]) -> Result<T, StorageError> {
+    T::from_wire(bytes).map_err(|e| StorageError::Codec {
+        what: String::from_utf8_lossy(key).into_owned(),
         reason: e.to_string(),
     })
 }
 
-fn decode<T: serde::de::DeserializeOwned>(what: &str, bytes: &[u8]) -> Result<T, StorageError> {
-    serde_json::from_slice(bytes).map_err(|e| StorageError::Codec {
-        what: what.to_string(),
-        reason: e.to_string(),
-    })
+/// Encodes one record into `value`, a buffer reused across appends, and
+/// appends it under `key`.
+fn put_record(
+    log: &mut LogStore,
+    value: &mut Writer,
+    key: &[u8],
+    encode: impl FnOnce(&mut Writer),
+) -> Result<(), StorageError> {
+    value.clear();
+    encode(value);
+    log.put(key, value.as_slice())?;
+    Ok(())
 }
 
 /// The founding policy-store checkpoint, written once at journal
 /// creation: the store content and epoch every later publish builds on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct BaseCheckpoint {
     epoch: u64,
     policy_json: String,
 }
 
+impl Wire for BaseCheckpoint {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.epoch);
+        w.put_str(&self.policy_json);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BaseCheckpoint {
+            epoch: r.varint()?,
+            policy_json: String::decode(r)?,
+        })
+    }
+}
+
 /// One shared-store publish, keyed by the epoch it produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum PolicyPub {
     /// A full replacement policy.
     Full { policy_json: String },
@@ -128,10 +157,48 @@ enum PolicyPub {
     Delta { delta: PolicyDelta },
 }
 
+impl PolicyPub {
+    /// Encodes a full publish from the borrowed document.
+    fn encode_full(w: &mut Writer, policy_json: &str) {
+        w.put_u8(0);
+        w.put_str(policy_json);
+    }
+
+    /// Encodes a delta publish from the borrowed delta.
+    fn encode_delta(w: &mut Writer, delta: &PolicyDelta) {
+        w.put_u8(1);
+        delta.encode(w);
+    }
+}
+
+impl Wire for PolicyPub {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PolicyPub::Full { policy_json } => PolicyPub::encode_full(w, policy_json),
+            PolicyPub::Delta { delta } => PolicyPub::encode_delta(w, delta),
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(PolicyPub::Full {
+                policy_json: String::decode(r)?,
+            }),
+            1 => Ok(PolicyPub::Delta {
+                delta: PolicyDelta::decode(r)?,
+            }),
+            tag => Err(WireError::BadTag {
+                what: "policy publish",
+                tag: u64::from(tag),
+            }),
+        }
+    }
+}
+
 /// The enrolment-time constants of one agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct EnrolmentRecord {
-    ak: cia_crypto::VerifyingKey,
+    ak: VerifyingKey,
     identity: BackendIdentity,
     shared: bool,
     /// The store epoch current at enrolment (what a never-acked
@@ -141,9 +208,29 @@ struct EnrolmentRecord {
     override_policy: Option<String>,
 }
 
+impl Wire for EnrolmentRecord {
+    fn encode(&self, w: &mut Writer) {
+        self.ak.encode(w);
+        self.identity.encode(w);
+        w.put_bool(self.shared);
+        w.put_varint(self.epoch);
+        self.override_policy.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(EnrolmentRecord {
+            ak: VerifyingKey::decode(r)?,
+            identity: BackendIdentity::decode(r)?,
+            shared: r.bool()?,
+            epoch: r.varint()?,
+            override_policy: Option::<String>::decode(r)?,
+        })
+    }
+}
+
 /// One agent's latest acknowledged round: the result the operator saw
 /// and the exact record state that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct AckRecord {
     round: u64,
     result: AgentRoundResult,
@@ -153,9 +240,177 @@ struct AckRecord {
     policy_json: Option<String>,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+impl AckRecord {
+    /// Encodes an ack from borrowed parts: the journal's hot path, which
+    /// copies no result row to write one.
+    fn encode_parts(
+        w: &mut Writer,
+        round: u64,
+        result: &AgentRoundResult,
+        state: &AgentStateSnapshot,
+        policy_json: Option<&str>,
+    ) {
+        w.put_varint(round);
+        result.encode(w);
+        state.encode(w);
+        match policy_json {
+            None => w.put_u8(0),
+            Some(json) => {
+                w.put_u8(1);
+                w.put_str(json);
+            }
+        }
+    }
+}
+
+impl Wire for AckRecord {
+    fn encode(&self, w: &mut Writer) {
+        AckRecord::encode_parts(
+            w,
+            self.round,
+            &self.result,
+            &self.state,
+            self.policy_json.as_deref(),
+        );
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(AckRecord {
+            round: r.varint()?,
+            result: AgentRoundResult::decode(r)?,
+            state: AgentStateSnapshot::decode(r)?,
+            policy_json: Option::<String>::decode(r)?,
+        })
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RoundMark {
     round: u64,
+}
+
+impl Wire for RoundMark {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.round);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(RoundMark { round: r.varint()? })
+    }
+}
+
+impl Wire for AgentStatus {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(match self {
+            AgentStatus::Trusted => 0,
+            AgentStatus::Paused => 1,
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(AgentStatus::Trusted),
+            1 => Ok(AgentStatus::Paused),
+            tag => Err(WireError::BadTag {
+                what: "agent status",
+                tag: u64::from(tag),
+            }),
+        }
+    }
+}
+
+impl Wire for AgentHealth {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(match self {
+            AgentHealth::Healthy => 0,
+            AgentHealth::Degraded => 1,
+            AgentHealth::Quarantined => 2,
+            AgentHealth::Recovering => 3,
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(AgentHealth::Healthy),
+            1 => Ok(AgentHealth::Degraded),
+            2 => Ok(AgentHealth::Quarantined),
+            3 => Ok(AgentHealth::Recovering),
+            tag => Err(WireError::BadTag {
+                what: "agent health",
+                tag: u64::from(tag),
+            }),
+        }
+    }
+}
+
+impl Wire for AgentStateSnapshot {
+    fn encode(&self, w: &mut Writer) {
+        self.policy_epoch.encode(w);
+        w.put_bool(self.shared_policy);
+        w.put_varint(self.next_entry as u64);
+        self.replayed_pcr.encode(w);
+        self.last_boot_count.encode(w);
+        self.status.encode(w);
+        w.put_varint(self.attestations);
+        w.put_varint(self.nonce_counter);
+        self.health.encode(w);
+        self.consecutive_unreachable.encode(w);
+        self.reprobe_in.encode(w);
+        self.reprobe_backoff.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(AgentStateSnapshot {
+            policy_epoch: PolicyEpoch::decode(r)?,
+            shared_policy: r.bool()?,
+            next_entry: usize::decode(r)?,
+            replayed_pcr: Digest::decode(r)?,
+            last_boot_count: Option::<u64>::decode(r)?,
+            status: AgentStatus::decode(r)?,
+            attestations: r.varint()?,
+            nonce_counter: r.varint()?,
+            health: AgentHealth::decode(r)?,
+            consecutive_unreachable: u32::decode(r)?,
+            reprobe_in: u32::decode(r)?,
+            reprobe_backoff: u32::decode(r)?,
+        })
+    }
+}
+
+impl Wire for PolicyMeta {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.version);
+        w.put_str(&self.generator);
+        self.generated_day.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PolicyMeta {
+            version: r.varint()?,
+            generator: String::decode(r)?,
+            generated_day: u32::decode(r)?,
+        })
+    }
+}
+
+impl Wire for PolicyDelta {
+    fn encode(&self, w: &mut Writer) {
+        self.added.encode(w);
+        self.removed_paths.encode(w);
+        self.retired.encode(w);
+        self.staged_kernels.encode(w);
+        self.meta.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PolicyDelta {
+            added: Vec::decode(r)?,
+            removed_paths: Vec::decode(r)?,
+            retired: Vec::decode(r)?,
+            staged_kernels: Vec::decode(r)?,
+            meta: PolicyMeta::decode(r)?,
+        })
+    }
 }
 
 /// What a recovered journal says about a round that was in flight when
@@ -201,6 +456,10 @@ pub struct VerifierJournal {
     /// The epoch of the `policy/base` checkpoint: publishes at or below
     /// it are folded into the checkpoint and cannot be resolved singly.
     base_epoch: u64,
+    /// The ack key and the encoded value of the record being appended,
+    /// reused across appends so a warm ack allocates nothing of its own.
+    key: Vec<u8>,
+    value: Writer,
 }
 
 impl VerifierJournal {
@@ -211,33 +470,43 @@ impl VerifierJournal {
     ///
     /// [`StorageError`] on filesystem or codec failures.
     pub fn create(vfs: Vfs, dir: &VfsPath) -> Result<Self, StorageError> {
-        let (mut log, _) = LogStore::open(vfs, dir)?;
-        let base_epoch = match log.get(KEY_BASE)? {
-            Some(bytes) => decode::<BaseCheckpoint>("policy/base", &bytes)?.epoch,
-            None => {
-                let base = BaseCheckpoint {
-                    epoch: PolicyEpoch::ZERO.as_u64(),
-                    policy_json: RuntimePolicy::new().to_json(),
-                };
-                log.put(KEY_BASE, &encode("policy/base", &base)?)?;
-                base.epoch
-            }
-        };
+        let (log, _) = LogStore::open(vfs, dir)?;
+        let base = log
+            .get(KEY_BASE)?
+            .map(|bytes| decode_record::<BaseCheckpoint>(KEY_BASE, &bytes))
+            .transpose()?;
         let started = Self::round_mark(&log, KEY_STARTED)?;
         let committed = Self::round_mark(&log, KEY_COMMITTED)?;
-        Ok(VerifierJournal {
+        let mut journal = VerifierJournal::reopened(log, started, committed, 0);
+        match base {
+            Some(base) => journal.base_epoch = base.epoch,
+            None => journal.checkpoint_base(PolicyEpoch::ZERO, &RuntimePolicy::new())?,
+        }
+        Ok(journal)
+    }
+
+    fn reopened(log: LogStore, started: u64, committed: u64, base_epoch: u64) -> Self {
+        VerifierJournal {
             log,
             started,
             committed,
             base_epoch,
-        })
+            key: Vec::new(),
+            value: Writer::new(),
+        }
     }
 
     fn round_mark(log: &LogStore, key: &[u8]) -> Result<u64, StorageError> {
         Ok(match log.get(key)? {
-            Some(bytes) => decode::<RoundMark>("round mark", &bytes)?.round,
+            Some(bytes) => decode_record::<RoundMark>(key, &bytes)?.round,
             None => 0,
         })
+    }
+
+    /// Encodes one record into the reused value buffer and appends it
+    /// under `key`.
+    fn put(&mut self, key: &[u8], record: &impl Wire) -> Result<(), StorageError> {
+        put_record(&mut self.log, &mut self.value, key, |w| record.encode(w))
     }
 
     /// Re-checkpoints the founding store state. Used when durability is
@@ -257,7 +526,7 @@ impl VerifierJournal {
             epoch: epoch.as_u64(),
             policy_json: policy.to_json(),
         };
-        self.log.put(KEY_BASE, &encode("policy/base", &base)?)?;
+        self.put(KEY_BASE, &base)?;
         self.base_epoch = base.epoch;
         Ok(())
     }
@@ -306,9 +575,7 @@ impl VerifierJournal {
             epoch: state.policy_epoch.as_u64(),
             override_policy: (!state.shared_policy).then(|| record.policy().to_json()),
         };
-        let bytes = encode("enrolment", &enrolment)?;
-        self.log.put(&enrol_key(id), &bytes)?;
-        Ok(())
+        self.put(&enrol_key(id), &enrolment)
     }
 
     /// Journals a full-policy publish under the epoch it produced.
@@ -321,12 +588,10 @@ impl VerifierJournal {
         epoch: PolicyEpoch,
         policy: &RuntimePolicy,
     ) -> Result<(), StorageError> {
-        let entry = PolicyPub::Full {
-            policy_json: policy.to_json(),
-        };
-        let bytes = encode("policy publish", &entry)?;
-        self.log.put(&pub_key(epoch), &bytes)?;
-        Ok(())
+        let policy_json = policy.to_json();
+        put_record(&mut self.log, &mut self.value, &pub_key(epoch), |w| {
+            PolicyPub::encode_full(w, &policy_json);
+        })
     }
 
     /// Journals a delta publish under the epoch it produced.
@@ -339,12 +604,9 @@ impl VerifierJournal {
         epoch: PolicyEpoch,
         delta: &PolicyDelta,
     ) -> Result<(), StorageError> {
-        let entry = PolicyPub::Delta {
-            delta: delta.clone(),
-        };
-        let bytes = encode("policy delta", &entry)?;
-        self.log.put(&pub_key(epoch), &bytes)?;
-        Ok(())
+        put_record(&mut self.log, &mut self.value, &pub_key(epoch), |w| {
+            PolicyPub::encode_delta(w, delta);
+        })
     }
 
     /// Stamps the start of round `round` (`meta/started`).
@@ -353,8 +615,7 @@ impl VerifierJournal {
     ///
     /// [`StorageError`].
     pub fn begin_round(&mut self, round: u64) -> Result<(), StorageError> {
-        let bytes = encode("round start", &RoundMark { round })?;
-        self.log.put(KEY_STARTED, &bytes)?;
+        self.put(KEY_STARTED, &RoundMark { round })?;
         self.started = self.started.max(round);
         Ok(())
     }
@@ -374,15 +635,24 @@ impl VerifierJournal {
         state: &AgentStateSnapshot,
         policy_json: Option<String>,
     ) -> Result<(), StorageError> {
-        let ack = AckRecord {
-            round,
-            result: result.clone(),
-            state: *state,
-            policy_json,
-        };
-        let bytes = encode("agent ack", &ack)?;
-        self.log.put(&ack_key(&result.id), &bytes)?;
-        Ok(())
+        self.put_ack(round, result, state, policy_json.as_deref())
+    }
+
+    /// Appends one ack, encoded from its borrowed parts under a key built
+    /// in the reused key buffer.
+    fn put_ack(
+        &mut self,
+        round: u64,
+        result: &AgentRoundResult,
+        state: &AgentStateSnapshot,
+        policy_json: Option<&str>,
+    ) -> Result<(), StorageError> {
+        self.key.clear();
+        self.key.extend_from_slice(PREFIX_ACK.as_bytes());
+        self.key.extend_from_slice(result.id.as_str().as_bytes());
+        put_record(&mut self.log, &mut self.value, &self.key, |w| {
+            AckRecord::encode_parts(w, round, result, state, policy_json);
+        })
     }
 
     /// Journals `record`'s ack for `round`. The one place that decides
@@ -402,7 +672,7 @@ impl VerifierJournal {
         let state = &record.state;
         let unresolvable = !state.shared_policy || state.policy_epoch.as_u64() < self.base_epoch;
         let policy_json = unresolvable.then(|| record.policy().to_json());
-        self.record_ack(round, result, state, policy_json)
+        self.put_ack(round, result, state, policy_json.as_deref())
     }
 
     /// Seals round `round` (`meta/committed`).
@@ -411,8 +681,7 @@ impl VerifierJournal {
     ///
     /// [`StorageError`].
     pub fn commit_round(&mut self, round: u64) -> Result<(), StorageError> {
-        let bytes = encode("round commit", &RoundMark { round })?;
-        self.log.put(KEY_COMMITTED, &bytes)?;
+        self.put(KEY_COMMITTED, &RoundMark { round })?;
         self.committed = self.committed.max(round);
         Ok(())
     }
@@ -459,7 +728,7 @@ impl VerifierJournal {
         let mut epoch_policies: BTreeMap<u64, Arc<RuntimePolicy>> = BTreeMap::new();
         let mut base_epoch = 0u64;
         if let Some(bytes) = log.get(KEY_BASE)? {
-            let base: BaseCheckpoint = decode("policy/base", &bytes)?;
+            let base: BaseCheckpoint = decode_record(KEY_BASE, &bytes)?;
             base_epoch = base.epoch;
             let policy = Arc::new(RuntimePolicy::from_json(&base.policy_json).map_err(|e| {
                 StorageError::Codec {
@@ -485,7 +754,7 @@ impl VerifierJournal {
             if keyed_epoch <= base_epoch {
                 continue;
             }
-            let entry: PolicyPub = decode(&what, &bytes)?;
+            let entry: PolicyPub = decode_record(&key, &bytes)?;
             let produced = match entry {
                 PolicyPub::Full { policy_json } => {
                     let policy = RuntimePolicy::from_json(&policy_json).map_err(|e| {
@@ -529,7 +798,7 @@ impl VerifierJournal {
         for (key, bytes) in log.scan_prefix(PREFIX_ACK.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
             let id = AgentId::new(key_suffix(&what, PREFIX_ACK)?);
-            let ack: AckRecord = decode(&what, &bytes)?;
+            let ack: AckRecord = decode_record(&key, &bytes)?;
             if started > committed && ack.round == started {
                 in_flight.push(ack.result.clone());
             }
@@ -539,7 +808,7 @@ impl VerifierJournal {
         for (key, bytes) in log.scan_prefix(PREFIX_ENROL.as_bytes())? {
             let what = String::from_utf8_lossy(&key).into_owned();
             let id = AgentId::new(key_suffix(&what, PREFIX_ENROL)?);
-            let enrol: EnrolmentRecord = decode(&what, &bytes)?;
+            let enrol: EnrolmentRecord = decode_record(&key, &bytes)?;
             let (state, ack_policy_json) = match acks.remove(&id) {
                 Some(ack) => (ack.state, ack.policy_json),
                 None => {
@@ -594,12 +863,7 @@ impl VerifierJournal {
 
         Ok(Recovered {
             verifier,
-            journal: VerifierJournal {
-                log,
-                started,
-                committed,
-                base_epoch,
-            },
+            journal: VerifierJournal::reopened(log, started, committed, base_epoch),
             resume,
             storage_report,
         })
@@ -738,6 +1002,208 @@ mod tests {
             VerifierJournal::recover(journal.log().vfs().clone(), &dir, VerifierConfig::default())
                 .unwrap_err();
         assert!(matches!(err, StorageError::Codec { .. }), "{err:?}");
+    }
+
+    /// Round-trips `value`, and checks that every strict prefix of its
+    /// encoding fails and that one byte past it is `TrailingBytes`.
+    fn assert_codec<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
+        let bytes = value.to_wire();
+        assert_eq!(T::from_wire(&bytes).as_ref(), Ok(value));
+        for cut in 0..bytes.len() {
+            assert!(
+                T::from_wire(&bytes[..cut]).is_err(),
+                "{value:?}: a {cut}-byte prefix decoded"
+            );
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(
+            T::from_wire(&long),
+            Err(WireError::TrailingBytes { remaining: 1 }),
+            "{value:?}"
+        );
+    }
+
+    fn steady_result(id: &str) -> AgentRoundResult {
+        AgentRoundResult {
+            id: AgentId::new(id),
+            backend: crate::backend::BackendKind::TpmIma,
+            day: 3,
+            attempts: 1,
+            backoff_ms: 0,
+            policy_epoch: PolicyEpoch::from_raw(2),
+            shared_policy: true,
+            outcome: crate::scheduler::RoundOutcome::Verified { new_entries: 4 },
+        }
+    }
+
+    fn busy_state(health: AgentHealth) -> AgentStateSnapshot {
+        AgentStateSnapshot {
+            next_entry: 1_001,
+            replayed_pcr: cia_crypto::HashAlgorithm::Sha256.digest(b"fold"),
+            last_boot_count: Some(3),
+            status: AgentStatus::Paused,
+            attestations: 200,
+            nonce_counter: 70_000,
+            health,
+            consecutive_unreachable: 2,
+            reprobe_in: 1,
+            reprobe_backoff: 4,
+            ..AgentStateSnapshot::fresh(PolicyEpoch::from_raw(9), false)
+        }
+    }
+
+    fn sample_delta() -> PolicyDelta {
+        PolicyDelta {
+            added: vec![("/usr/bin/a".into(), "aa".into())],
+            removed_paths: vec!["/lib/modules/old".into()],
+            retired: vec![("/usr/bin/b".into(), "bb".into())],
+            staged_kernels: vec!["6.1.0-13".into()],
+            meta: PolicyMeta {
+                version: 7,
+                generator: "keylime-policy".into(),
+                generated_day: 12,
+            },
+        }
+    }
+
+    #[test]
+    fn every_agent_state_round_trips_in_every_health_state() {
+        for health in [
+            AgentHealth::Healthy,
+            AgentHealth::Degraded,
+            AgentHealth::Quarantined,
+            AgentHealth::Recovering,
+        ] {
+            assert_codec(&health);
+            assert_codec(&busy_state(health));
+        }
+        assert_codec(&AgentStateSnapshot::fresh(PolicyEpoch::ZERO, true));
+        assert_codec(&AgentStatus::Trusted);
+        assert_codec(&AgentStatus::Paused);
+        assert!(matches!(
+            AgentHealth::from_wire(&[4]),
+            Err(WireError::BadTag { .. })
+        ));
+        assert!(matches!(
+            AgentStatus::from_wire(&[2]),
+            Err(WireError::BadTag { .. })
+        ));
+    }
+
+    #[test]
+    fn every_journal_record_round_trips() {
+        assert_codec(&BaseCheckpoint {
+            epoch: 300,
+            policy_json: policy_with(&["/a"]).to_json(),
+        });
+        assert_codec(&PolicyPub::Full {
+            policy_json: policy_with(&["/b"]).to_json(),
+        });
+        assert_codec(&PolicyPub::Delta {
+            delta: sample_delta(),
+        });
+        assert_codec(&sample_delta());
+        assert_codec(&PolicyDelta::default());
+        assert_codec(&sample_delta().meta);
+        for override_policy in [None, Some(policy_with(&["/special"]).to_json())] {
+            assert_codec(&EnrolmentRecord {
+                ak: ak(1),
+                identity: BackendIdentity::confidential_vm(
+                    cia_crypto::HashAlgorithm::Sha256.digest(b"image"),
+                ),
+                shared: override_policy.is_none(),
+                epoch: 5,
+                override_policy,
+            });
+        }
+        let failed = AgentRoundResult {
+            outcome: crate::scheduler::RoundOutcome::Failed {
+                alerts: vec![crate::verifier::Alert {
+                    agent: AgentId::new("node-1"),
+                    day: 3,
+                    kind: crate::verifier::FailureKind::NotInPolicy {
+                        path: "/opt/rogue".into(),
+                        digest: "ee".into(),
+                    },
+                }],
+            },
+            ..steady_result("node-1")
+        };
+        for (result, policy_json) in [
+            (steady_result("node-0"), None),
+            (failed, None),
+            (
+                steady_result("override"),
+                Some(policy_with(&["/o"]).to_json()),
+            ),
+        ] {
+            assert_codec(&AckRecord {
+                round: 130,
+                result,
+                state: busy_state(AgentHealth::Recovering),
+                policy_json,
+            });
+        }
+        assert_codec(&RoundMark { round: 0 });
+        assert_codec(&RoundMark { round: u64::MAX });
+        assert!(matches!(
+            PolicyPub::from_wire(&[2]),
+            Err(WireError::BadTag { .. })
+        ));
+    }
+
+    /// CRC-valid frames whose values are cut short, garbage, or carry a
+    /// byte too many fail recovery as a codec error naming their key.
+    #[test]
+    fn an_undecodable_value_fails_recovery_naming_its_key() {
+        let dir = journal_dir();
+        let mut journal = VerifierJournal::create(Vfs::with_standard_layout(), &dir).unwrap();
+        let mut verifier = Verifier::new(VerifierConfig::default());
+        let id = AgentId::new("solo");
+        verifier.add_agent_shared(id.clone(), ak(4));
+        journal.record_enrolment(&verifier, &id).unwrap();
+        let delta = sample_delta();
+        let (epoch, _) = verifier.publish_delta(&delta);
+        journal.record_publish_delta(epoch, &delta).unwrap();
+        journal.begin_round(1).unwrap();
+        let state = verifier.export_agent_state(&id).unwrap();
+        journal
+            .record_ack(1, &steady_result("solo"), &state, None)
+            .unwrap();
+        journal.commit_round(1).unwrap();
+        let config = verifier.config();
+        assert!(VerifierJournal::recover(journal.log().vfs().clone(), &dir, config).is_ok());
+
+        let keys: Vec<Vec<u8>> = vec![
+            b"agent/solo".to_vec(),
+            b"enrol/solo".to_vec(),
+            pub_key(epoch),
+            KEY_STARTED.to_vec(),
+            KEY_COMMITTED.to_vec(),
+            KEY_BASE.to_vec(),
+        ];
+        for key in keys {
+            let good = journal.log().get(&key).unwrap().unwrap();
+            let mut long = good.clone();
+            long.push(0);
+            let bad_values = [
+                good[..good.len() - 1].to_vec(),
+                vec![0xFF; 12],
+                Vec::new(),
+                long,
+            ];
+            for bad in bad_values {
+                let (mut log, _) = LogStore::open(journal.log().vfs().clone(), &dir).unwrap();
+                log.put(&key, &bad).unwrap();
+                let err = VerifierJournal::recover(log.vfs().clone(), &dir, config).unwrap_err();
+                let name = String::from_utf8_lossy(&key).into_owned();
+                assert!(
+                    matches!(&err, StorageError::Codec { what, .. } if *what == name),
+                    "{name} holding {bad:?}: {err:?}"
+                );
+            }
+        }
     }
 
     /// Journal compaction must not change what recovery rebuilds.

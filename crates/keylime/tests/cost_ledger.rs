@@ -4,11 +4,15 @@
 //! every run. A change that moves one re-pins it and says why, so a cost
 //! that grows back fails here rather than only in a benchmark.
 
-use cia_crypto::HashAlgorithm;
-use cia_keylime::{Agent, AgentRequest, AgentResponse, ReliableTransport, Transport};
+use cia_crypto::{HashAlgorithm, KeyPair};
+use cia_keylime::{
+    Agent, AgentId, AgentRequest, AgentResponse, AgentRoundResult, AgentStateSnapshot, Alert,
+    BackendKind, FailureKind, PolicyEpoch, ReliableTransport, RoundOutcome, RuntimePolicy,
+    Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
+};
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
-use cia_vfs::VfsPath;
+use cia_vfs::{Vfs, VfsPath};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,3 +92,122 @@ const AT_ENTRY_ZERO: u64 = 545;
 const PAST_ENTRY_ZERO: u64 = 145;
 /// Past entry 0, four new entries.
 const PAST_ENTRY_ZERO_FOUR_NEW: u64 = 349;
+
+/// A fresh journal, the verifier it journals, and a benchmark-shaped
+/// agent id: 17 bytes, as `node-{index:012x}` names an agent.
+fn journal() -> (VerifierJournal, Verifier, AgentId) {
+    let dir = VfsPath::new(DEFAULT_JOURNAL_DIR).unwrap();
+    let journal = VerifierJournal::create(Vfs::with_standard_layout(), &dir).unwrap();
+    let mut verifier = Verifier::new(VerifierConfig::default());
+    let id = AgentId::new(format!("node-{:012x}", 0));
+    let mut rng = StdRng::seed_from_u64(5);
+    verifier.add_agent_shared(id.clone(), KeyPair::generate(&mut rng).verifying);
+    (journal, verifier, id)
+}
+
+/// The bytes `write` grows the journal by: frame header, key and value.
+fn journal_growth(journal: &mut VerifierJournal, write: impl FnOnce(&mut VerifierJournal)) -> u64 {
+    let before = journal.log().vfs().total_bytes();
+    write(journal);
+    journal.log().vfs().total_bytes() - before
+}
+
+/// A steady round's row for `id`: verified, four new entries, on epoch 1.
+fn steady_row(id: &AgentId) -> AgentRoundResult {
+    AgentRoundResult {
+        id: id.clone(),
+        backend: BackendKind::TpmIma,
+        day: 0,
+        attempts: 1,
+        backoff_ms: 0,
+        policy_epoch: PolicyEpoch::ZERO.next(),
+        shared_policy: true,
+        outcome: RoundOutcome::Verified { new_entries: 4 },
+    }
+}
+
+/// What the journal appends per agent and per round, in the binary
+/// `cia_wire` records it writes.
+#[test]
+fn journal_records_have_pinned_sizes() {
+    let (mut journal, verifier, id) = journal();
+    let state = AgentStateSnapshot::fresh(PolicyEpoch::ZERO.next(), true);
+
+    let steady = steady_row(&id);
+    let bytes = journal_growth(&mut journal, |j| {
+        j.record_ack(1, &steady, &state, None).unwrap();
+    });
+    assert_eq!(bytes, STEADY_ACK);
+
+    let failed = AgentRoundResult {
+        outcome: RoundOutcome::Failed {
+            alerts: vec![Alert {
+                agent: id.clone(),
+                day: 0,
+                kind: FailureKind::NotInPolicy {
+                    path: "/opt/rogue/r00-00".to_string(),
+                    digest: HashAlgorithm::Sha256.digest(b"rogue").to_hex(),
+                },
+            }],
+        },
+        ..steady.clone()
+    };
+    let bytes = journal_growth(&mut journal, |j| {
+        j.record_ack(1, &failed, &state, None).unwrap();
+    });
+    assert_eq!(bytes, FAILED_ACK_ONE_ALERT);
+
+    let mut policy = RuntimePolicy::new();
+    policy.allow(
+        "/usr/bin/tool",
+        HashAlgorithm::Sha256.digest(b"tool").to_hex(),
+    );
+    let override_state = AgentStateSnapshot::fresh(PolicyEpoch::ZERO, false);
+    let override_row = AgentRoundResult {
+        shared_policy: false,
+        policy_epoch: PolicyEpoch::ZERO,
+        ..steady.clone()
+    };
+    let policy_json = policy.to_json();
+    let embedded = policy_json.len() as u64;
+    let bytes = journal_growth(&mut journal, |j| {
+        j.record_ack(1, &override_row, &override_state, Some(policy_json))
+            .unwrap();
+    });
+    assert_eq!(bytes - embedded, OVERRIDE_ACK_LESS_ITS_POLICY);
+
+    let bytes = journal_growth(&mut journal, |j| {
+        j.record_enrolment(&verifier, &id).unwrap();
+    });
+    assert_eq!(bytes, ENROLMENT);
+
+    let bytes = journal_growth(&mut journal, |j| {
+        j.begin_round(2).unwrap();
+        j.commit_round(2).unwrap();
+    });
+    assert_eq!(bytes, ROUND_MARKS);
+}
+
+// Every journal frame is a 20-byte header (CRC, timestamp, key and value
+// lengths), the key, and the record. A result row spends 4 fixed bytes
+// each on its day and attempt count (the shard protocol's layout).
+
+/// A shared agent's verified steady ack: 20, then 23 for `agent/` and
+/// the id, then 79 for the record (the round; the 32-byte result row;
+/// the 45-byte state, 34 of them the PCR fold; no policy).
+/// `durable.bytes_per_ack` in the benchmark is this frame.
+const STEADY_ACK: u64 = 122;
+/// A failed ack carrying one not-in-policy alert: the steady ack with its
+/// 2-byte outcome replaced by 108 (the list, and the alert's agent id,
+/// day, 17-byte path and 64-character hex digest).
+const FAILED_ACK_ONE_ALERT: u64 = 228;
+/// An override agent's ack, less the policy document it embeds: the
+/// steady ack plus the document's two-byte length prefix.
+const OVERRIDE_ACK_LESS_ITS_POLICY: u64 = 124;
+/// A shared TPM+IMA agent's enrolment: 20, then 23 for `enrol/` and the
+/// id, then 38 for the record (the 32-byte AK with its length, the
+/// identity, the shared flag, the epoch and no override policy).
+const ENROLMENT: u64 = 81;
+/// One round's marks: 20 + 12 (`meta/started`) + 1 and 20 + 14
+/// (`meta/committed`) + 1; the round is a one-byte varint.
+const ROUND_MARKS: u64 = 68;

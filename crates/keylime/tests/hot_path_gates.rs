@@ -2,8 +2,9 @@
 //! heap, a policy holds a bounded number of bytes per (path, digest) pair,
 //! a `Verifier::publish_delta` to a shared fleet — or the replay of a
 //! long journal of them — copies only the policy chunks its deltas touch,
-//! never the policy, each copy for a few allocations, and a warm agent
-//! RPC call makes a pinned number of allocations.
+//! never the policy, each copy for a few allocations, a warm agent
+//! RPC call makes a pinned number of allocations, and a warm journal
+//! ack at most one.
 //!
 //! Allocations and live heap bytes are counted per thread, by
 //! const-initialised thread-locals inside the counting global allocator,
@@ -16,7 +17,8 @@ use std::hint::black_box;
 
 use cia_crypto::{HashAlgorithm, KeyPair};
 use cia_keylime::{
-    Agent, AgentRequest, AgentResponse, PolicyCheck, PolicyDelta, ReliableTransport, RuntimePolicy,
+    Agent, AgentId, AgentRequest, AgentResponse, AgentRoundResult, AgentStateSnapshot, BackendKind,
+    PolicyCheck, PolicyDelta, PolicyEpoch, ReliableTransport, RoundOutcome, RuntimePolicy,
     Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
 };
 use cia_os::{ExecMethod, Machine, MachineConfig};
@@ -272,12 +274,14 @@ fn recovering_a_long_journal_copies_only_the_chunks_its_deltas_touched() {
 /// request from entry 1 and a response with four new entries — makes at
 /// most this many heap allocations: the decoded copies' own buffers (the
 /// request's nonce; the quote's nonce and register values, the entry
-/// list and each entry's path) and the entry list's growth. The agent's
-/// work is outside the count. A codec that parses text again, or a
-/// buffer that is not reused, fails here.
+/// list and each entry's path). The entry list is reserved for exactly
+/// once, from the entry's declared shortest encoding, so it never
+/// regrows. The agent's work is outside the count. A codec that parses
+/// text again, a buffer that is not reused, or a list that regrows
+/// while it decodes fails here.
 #[test]
 fn a_warm_steady_poll_call_makes_a_pinned_number_of_allocations() {
-    const ALLOCATIONS_PER_CALL: u64 = 9;
+    const ALLOCATIONS_PER_CALL: u64 = 8;
     let mut rng = StdRng::seed_from_u64(5);
     let manufacturer = Manufacturer::generate(&mut rng);
     let mut agent = Agent::new(Machine::new(&manufacturer, MachineConfig::default()));
@@ -312,5 +316,60 @@ fn a_warm_steady_poll_call_makes_a_pinned_number_of_allocations() {
     assert!(
         warm <= ALLOCATIONS_PER_CALL,
         "a warm steady poll call made {warm} allocations (calls: {allocated:?})"
+    );
+}
+
+/// A warm journal ack — `VerifierJournal::record_ack` of a shared agent's
+/// steady row, the record `Cluster` appends per agent per round — makes at
+/// most one heap allocation. The key, the encoded value and the frame go
+/// through buffers the journal and its log reuse, and a rewritten key's
+/// keydir entry is updated in place; what is left is the segment growing
+/// its one buffer, which amortised doubling makes rare. An ack that
+/// copies its result row, re-joins the segment path, or encodes into a
+/// fresh buffer fails here.
+#[test]
+fn a_warm_journal_ack_makes_at_most_one_allocation() {
+    const ALLOCATIONS_PER_ACK: u64 = 1;
+    let dir = VfsPath::new(DEFAULT_JOURNAL_DIR).unwrap();
+    let mut journal = VerifierJournal::create(Vfs::with_standard_layout(), &dir).unwrap();
+    let epoch = PolicyEpoch::ZERO.next();
+    let rows: Vec<AgentRoundResult> = (0..64u64)
+        .map(|i| AgentRoundResult {
+            id: AgentId::new(format!("node-{i:012x}")),
+            backend: BackendKind::TpmIma,
+            day: 0,
+            attempts: 1,
+            backoff_ms: 0,
+            policy_epoch: epoch,
+            shared_policy: true,
+            outcome: RoundOutcome::Verified { new_entries: 4 },
+        })
+        .collect();
+    let state = AgentStateSnapshot::fresh(epoch, true);
+    // Round 1 enters every key in the keydir and grows the buffers.
+    for row in &rows {
+        journal.record_ack(1, row, &state, None).unwrap();
+    }
+    let mut allocated = Vec::new();
+    for round in 2..6 {
+        for row in &rows {
+            let before = allocations();
+            journal.record_ack(round, row, &state, None).unwrap();
+            allocated.push(allocations() - before);
+        }
+    }
+    let warm = allocated.iter().max().copied().unwrap_or_default();
+    assert!(
+        warm <= ALLOCATIONS_PER_ACK,
+        "a warm journal ack made {warm} allocations"
+    );
+    // The per-ack bound alone would pass an ack that allocates once
+    // every time. The segment doubles as it grows, so 256 acks of 122
+    // bytes regrow it a few times in all.
+    let total: u64 = allocated.iter().sum();
+    assert!(
+        total <= 8,
+        "{} warm acks made {total} allocations: more than the segment's growth",
+        allocated.len()
     );
 }

@@ -26,4 +26,4 @@ pub mod log;
 pub mod record;
 
 pub use log::{Header, KeyDir, KeyValue, LogStore, RecoveryReport, StorageError};
-pub use record::{decode, encode, Frame, FrameError, HEADER_SIZE, TOMBSTONE};
+pub use record::{decode, encode_into, Frame, FrameError, HEADER_SIZE, TOMBSTONE};

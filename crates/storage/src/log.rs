@@ -31,6 +31,7 @@
 //! property the test suite pins.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use cia_vfs::{Mode, Vfs, VfsError, VfsPath};
 
@@ -113,12 +114,17 @@ pub struct LogStore {
     keydir: KeyDir,
     /// Active segment's file id (`segment-<id>.log`).
     active: u64,
+    /// The active segment's path, joined once per segment switch rather
+    /// than once per append.
+    active_path: VfsPath,
     /// Next logical timestamp (monotonic, never wall clock).
     next_ts: u64,
     /// Frames currently on disk across all segments, in write order.
     frames: u64,
     /// Live bytes of the active segment (its append cursor).
     active_len: u64,
+    /// The frame an append encodes into, reused across appends.
+    frame: Vec<u8>,
 }
 
 fn segment_name(id: u64) -> String {
@@ -139,9 +145,11 @@ impl LogStore {
             dir: dir.clone(),
             keydir: KeyDir::new(),
             active: 0,
+            active_path: dir.join(&segment_name(0))?,
             next_ts: 0,
             frames: 0,
             active_len: 0,
+            frame: Vec::new(),
         };
         store.vfs.mkdir_p(dir)?;
         let report = store.replay()?;
@@ -169,6 +177,14 @@ impl LogStore {
         Ok(self.dir.join(&segment_name(id))?)
     }
 
+    /// Makes segment `id`, `len` bytes long, the one appends go to.
+    fn set_active(&mut self, id: u64, len: u64) -> Result<(), StorageError> {
+        self.active_path = self.segment_path(id)?;
+        self.active = id;
+        self.active_len = len;
+        Ok(())
+    }
+
     fn replay(&mut self) -> Result<RecoveryReport, StorageError> {
         let mut report = RecoveryReport::default();
         let ids = self.segment_ids();
@@ -193,8 +209,7 @@ impl LogStore {
                     }
                 }
             }
-            self.active = file_id;
-            self.active_len = bytes.len() as u64;
+            self.set_active(file_id, bytes.len() as u64)?;
         }
 
         if let Some((idx, file_id, keep)) = torn_at {
@@ -202,8 +217,7 @@ impl LogStore {
             let full = self.vfs.read(&path)?.len();
             report.bytes_truncated = (full - keep) as u64;
             self.vfs.truncate_file(&path, keep)?;
-            self.active = file_id;
-            self.active_len = keep as u64;
+            self.set_active(file_id, keep as u64)?;
             for &later in &ids[idx + 1..] {
                 let path = self.segment_path(later)?;
                 self.vfs.remove_file(&path)?;
@@ -215,12 +229,11 @@ impl LogStore {
         } else if ids.is_empty() {
             // Fresh store: start segment 0 empty so the active segment
             // always exists.
-            let path = self.segment_path(0)?;
-            if !self.vfs.exists(&path) {
-                self.vfs.create_file(&path, Vec::new(), Mode::REGULAR)?;
+            self.set_active(0, 0)?;
+            if !self.vfs.exists(&self.active_path) {
+                self.vfs
+                    .create_file(&self.active_path, Vec::new(), Mode::REGULAR)?;
             }
-            self.active = 0;
-            self.active_len = 0;
         }
         Ok(report)
     }
@@ -264,23 +277,28 @@ impl LogStore {
     fn append(&mut self, key: &[u8], val: Option<&[u8]>) -> Result<u64, StorageError> {
         let ts = self.next_ts;
         self.next_ts += 1;
-        let frame = record::encode(ts, key, val);
-        let path = self.segment_path(self.active)?;
+        self.frame.clear();
+        record::encode_into(&mut self.frame, ts, key, val);
         let offset = self.active_len as usize;
-        self.vfs.append_file(&path, &frame, Mode::REGULAR)?;
-        self.active_len += frame.len() as u64;
+        self.vfs
+            .append_file(&self.active_path, &self.frame, Mode::REGULAR)?;
+        self.active_len += self.frame.len() as u64;
         self.frames += 1;
         match val {
             Some(v) => {
-                self.keydir.insert(
-                    key.to_vec(),
-                    Header {
-                        file_id: self.active,
-                        val_offset: (offset + HEADER_SIZE + key.len()) as u64,
-                        val_size: v.len() as u32,
-                        ts,
-                    },
-                );
+                let header = Header {
+                    file_id: self.active,
+                    val_offset: (offset + HEADER_SIZE + key.len()) as u64,
+                    val_size: v.len() as u32,
+                    ts,
+                };
+                // A rewritten key keeps its keydir entry: no key copy.
+                match self.keydir.get_mut(key) {
+                    Some(live) => *live = header,
+                    None => {
+                        self.keydir.insert(key.to_vec(), header);
+                    }
+                }
             }
             None => {
                 self.keydir.remove(key);
@@ -296,23 +314,28 @@ impl LogStore {
     /// [`StorageError::Vfs`] when the indexed segment cannot be read —
     /// an index/disk divergence that recovery would repair.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StorageError> {
-        let Some(header) = self.keydir.get(key) else {
-            return Ok(None);
+        match self.keydir.get(key) {
+            Some(header) => Ok(Some(self.value(key, header)?.to_vec())),
+            None => Ok(None),
+        }
+    }
+
+    /// The value `header` indexes, borrowed from its segment.
+    fn value(&self, key: &[u8], header: &Header) -> Result<&[u8], StorageError> {
+        let bytes = if header.file_id == self.active {
+            self.vfs.read(&self.active_path)?
+        } else {
+            self.vfs.read(&self.segment_path(header.file_id)?)?
         };
-        let path = self.segment_path(header.file_id)?;
-        let bytes = self.vfs.read(&path)?;
         let start = header.val_offset as usize;
         let end = start + header.val_size as usize;
-        if end > bytes.len() {
-            return Err(StorageError::Codec {
-                what: String::from_utf8_lossy(key).into_owned(),
-                reason: format!(
-                    "keydir points {start}..{end} past segment end {}",
-                    bytes.len()
-                ),
-            });
-        }
-        Ok(Some(bytes[start..end].to_vec()))
+        bytes.get(start..end).ok_or_else(|| StorageError::Codec {
+            what: String::from_utf8_lossy(key).into_owned(),
+            reason: format!(
+                "keydir points {start}..{end} past segment end {}",
+                bytes.len()
+            ),
+        })
     }
 
     /// The live keys with `prefix`, in sorted order, with their values.
@@ -321,19 +344,11 @@ impl LogStore {
     ///
     /// As [`LogStore::get`].
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<KeyValue>, StorageError> {
-        let mut out = Vec::new();
-        for key in self
-            .keydir
-            .range(prefix.to_vec()..)
-            .map(|(k, _)| k.clone())
-            .take_while(|k| k.starts_with(prefix))
-            .collect::<Vec<_>>()
-        {
-            if let Some(val) = self.get(&key)? {
-                out.push((key, val));
-            }
-        }
-        Ok(out)
+        self.keydir
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(prefix))
+            .map(|(key, header)| Ok((key.clone(), self.value(key, header)?.to_vec())))
+            .collect()
     }
 
     /// Number of live keys.
@@ -384,9 +399,9 @@ impl LogStore {
         let mut new_bytes = Vec::new();
         let mut new_keydir = KeyDir::new();
         for (key, header) in &self.keydir {
-            let Some(val) = self.get(key)? else { continue };
+            let val = self.value(key, header)?;
             let offset = new_bytes.len();
-            new_bytes.extend_from_slice(&record::encode(header.ts, key, Some(&val)));
+            record::encode_into(&mut new_bytes, header.ts, key, Some(val));
             new_keydir.insert(
                 key.clone(),
                 Header {
@@ -400,13 +415,13 @@ impl LogStore {
 
         let live = new_keydir.len() as u64;
         let dropped = self.frames - live;
-        self.active_len = new_bytes.len() as u64;
+        let new_len = new_bytes.len() as u64;
         self.vfs.write_file(&new_path, new_bytes, Mode::REGULAR)?;
         for old in old_ids {
             self.vfs.remove_file(&self.segment_path(old)?)?;
         }
         self.keydir = new_keydir;
-        self.active = new_id;
+        self.set_active(new_id, new_len)?;
         self.frames = live;
         Ok(dropped)
     }

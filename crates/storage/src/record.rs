@@ -94,23 +94,25 @@ pub struct Frame<'a> {
     pub len: usize,
 }
 
-/// Encodes one record frame. `val: None` encodes a tombstone.
-pub fn encode(ts: u64, key: &[u8], val: Option<&[u8]>) -> Vec<u8> {
+/// Appends one record frame to `out`. `val: None` encodes a tombstone.
+/// The one frame encoder: a writer reusing one buffer per frame and a
+/// compaction appending a whole segment both call it.
+pub fn encode_into(out: &mut Vec<u8>, ts: u64, key: &[u8], val: Option<&[u8]>) {
     let body = val.unwrap_or(&[]);
     let vsz = match val {
         Some(v) => v.len() as u32,
         None => TOMBSTONE,
     };
-    let mut frame = Vec::with_capacity(HEADER_SIZE + key.len() + body.len());
-    frame.extend_from_slice(&[0u8; CRC_SIZE]);
-    frame.extend_from_slice(&ts.to_le_bytes());
-    frame.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&vsz.to_le_bytes());
-    frame.extend_from_slice(key);
-    frame.extend_from_slice(body);
-    let crc = crc32(&frame[CRC_SIZE..]);
-    frame[..CRC_SIZE].copy_from_slice(&crc.to_le_bytes());
-    frame
+    let start = out.len();
+    out.reserve(HEADER_SIZE + key.len() + body.len());
+    out.extend_from_slice(&[0u8; CRC_SIZE]);
+    out.extend_from_slice(&ts.to_le_bytes());
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&vsz.to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(body);
+    let crc = crc32(&out[start + CRC_SIZE..]);
+    out[start..start + CRC_SIZE].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -163,6 +165,21 @@ pub fn decode(segment: &[u8], offset: usize) -> Result<Frame<'_>, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(ts: u64, key: &[u8], val: Option<&[u8]>) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_into(&mut frame, ts, key, val);
+        frame
+    }
+
+    #[test]
+    fn encode_into_appends_after_what_the_buffer_holds() {
+        let mut segment = encode(1, b"a", Some(b"first"));
+        let first = segment.len();
+        encode_into(&mut segment, 2, b"b", Some(b"second"));
+        assert_eq!(segment[first..], encode(2, b"b", Some(b"second")));
+        assert_eq!(decode(&segment, first).unwrap().val, b"second");
+    }
 
     #[test]
     fn crc32_known_vectors() {

@@ -23,7 +23,7 @@
 use crate::error::WireError;
 
 /// Append-only encode buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Writer {
     buf: Vec<u8>,
 }
@@ -291,6 +291,14 @@ impl<'a> Reader<'a> {
 /// rule keeps foreign impls out of this crate). `decode` must be total:
 /// malformed bytes return a [`WireError`], never panic.
 pub trait Wire: Sized {
+    /// A lower bound on the bytes one encoded value takes, or 0 when the
+    /// type declares none. [`Vec::decode`](Wire::decode) reserves room
+    /// for no more elements than the input could hold at this size, so a
+    /// type that is larger in memory than on the wire declares it to be
+    /// reserved for exactly; one that declares none is reserved for no
+    /// more elements than fit the input at its in-memory size.
+    const MIN_WIRE_LEN: usize = 0;
+
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut Writer);
 
@@ -406,14 +414,21 @@ impl<T: Wire> Wire for Vec<T> {
             item.encode(w);
         }
     }
-    /// Reserves up front no more bytes than the input still holds: a
-    /// length prefix alone cannot make the decoder reserve
-    /// `size_of::<T>()` times the input's size. An honest vector whose
-    /// elements are larger in memory than on the wire grows as it
-    /// decodes.
+    /// Reserves up front for no more elements than the input could
+    /// hold: `remaining / T::MIN_WIRE_LEN` when `T` declares a bound, so
+    /// an honest list is reserved for exactly once; otherwise
+    /// `remaining / size_of::<T>()`, so no more bytes than the input
+    /// holds and an honest vector whose elements are larger in memory
+    /// than on the wire grows as it decodes. Either way a length prefix
+    /// alone cannot make the decoder reserve more than linear in the
+    /// input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.seq_len(1)?;
-        let fits = r.remaining() / std::mem::size_of::<T>().max(1);
+        let per_element = match T::MIN_WIRE_LEN {
+            0 => std::mem::size_of::<T>(),
+            declared => declared,
+        };
+        let fits = r.remaining() / per_element.max(1);
         let mut items = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             items.push(T::decode(r)?);

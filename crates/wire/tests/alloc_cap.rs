@@ -11,6 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cia_crypto::HashAlgorithm;
+use cia_ima::log::ImaLogEntry;
 use cia_wire::{Reader, Wire, WireError, Writer};
 
 struct LargestRequest;
@@ -107,6 +109,27 @@ fn an_honest_vector_of_wide_elements_still_decodes_whole() {
             "{n} elements: {largest} bytes"
         );
     }
+}
+
+#[test]
+fn a_lying_count_of_ima_log_entries_reserves_linearly_in_the_input() {
+    // An entry declares its shortest encoding, so a list is reserved for
+    // `remaining / MIN_WIRE_LEN` elements: a count that lies costs at most
+    // `size_of / MIN_WIRE_LEN` times the input, never the count's worth.
+    let entry = ImaLogEntry::new(HashAlgorithm::Sha256.digest(b"tool"), "/usr/bin/tool");
+    let mut w = Writer::new();
+    w.put_varint(1_000_000);
+    entry.encode(&mut w);
+    let mut input = w.into_vec();
+    input.resize(100_000, 0xFF);
+    let (decoded, largest) = largest_request(|| Vec::<ImaLogEntry>::from_wire(&input));
+    assert!(decoded.is_err(), "a lying count does not decode");
+    let per_byte = std::mem::size_of::<ImaLogEntry>() / ImaLogEntry::MIN_WIRE_LEN + 1;
+    assert!(
+        largest <= per_byte * input.len(),
+        "one request of {largest} bytes for a {}-byte input",
+        input.len()
+    );
 }
 
 impl Wide {

@@ -16,9 +16,13 @@
 #   bites; the hot-path gates in crates/keylime/tests/hot_path_gates.rs
 #   (zero allocations per warm check_digest, at most 96 live heap bytes
 #   per policy (path, digest) pair, chunk copies bounded per push and per
-#   recovery, at most 4 allocations per chunk copy, at most 9 allocations
-#   per warm agent RPC call of a steady poll); and every crate's unit and
-#   integration suites.
+#   recovery, at most 4 allocations per chunk copy, at most 8 allocations
+#   per warm agent RPC call of a steady poll, at most 1 allocation per
+#   warm journal ack); the cost ledger in
+#   crates/keylime/tests/cost_ledger.rs (the exact binary bytes of the
+#   agent RPC's quote messages and of the journal's acks, enrolment
+#   record and round marks); and every crate's unit and integration
+#   suites.
 #
 # Then the paper's ablation timings (`ablation_costs`, which asserts the
 # facts behind each comparison; every other timing number is
