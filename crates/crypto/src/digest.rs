@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use cia_wire::Wire;
 use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::hex;
@@ -10,7 +11,9 @@ use crate::hex;
 ///
 /// Mirrors the algorithm prefixes that appear in IMA's `ima-ng` template
 /// (`sha256:...`) and the TPM 2.0 bank selectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Wire,
+)]
 pub enum HashAlgorithm {
     /// SHA-1 (legacy PCR bank and template hashes).
     Sha1,

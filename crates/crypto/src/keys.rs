@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use cia_wire::Wire;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -20,23 +21,13 @@ use crate::hex;
 use crate::hmac::Hmac;
 
 /// A detached signature over a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Wire)]
 pub struct Signature(Digest);
 
 impl Signature {
     /// The raw signature bytes.
     pub fn as_bytes(&self) -> &[u8] {
         self.0.as_bytes()
-    }
-
-    /// The signature as the digest the MAC produced (wire codec use).
-    pub(crate) fn digest(&self) -> Digest {
-        self.0
-    }
-
-    /// Rebuilds a signature from a decoded digest (wire codec use).
-    pub(crate) fn from_digest(digest: Digest) -> Self {
-        Signature(digest)
     }
 }
 

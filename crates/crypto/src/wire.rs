@@ -1,8 +1,9 @@
-//! Binary wire codec impls for the crypto primitives.
+//! The hand-written wire codec impls of the crypto primitives
+//! ([`HashAlgorithm`] and [`Signature`](crate::Signature) derive
+//! theirs).
 //!
-//! Lives here rather than in `cia-wire` because of the orphan rule —
-//! and because [`Digest`], [`Signature`] and [`VerifyingKey`] keep their
-//! fields private, so only this crate can rebuild them from validated
+//! [`Digest`] and [`VerifyingKey`] keep their bytes private and
+//! length-checked, so only this crate can rebuild them from validated
 //! bytes. Digest bytes decode through [`cia_wire::Reader::bytes`],
 //! borrowing from the frame buffer and copying once into the digest's
 //! fixed inline array: no heap allocation on the hot path.
@@ -10,28 +11,9 @@
 use cia_wire::{Reader, Wire, WireError, Writer};
 
 use crate::digest::{Digest, HashAlgorithm};
-use crate::keys::{Signature, VerifyingKey};
+use crate::keys::VerifyingKey;
 
-impl Wire for HashAlgorithm {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            HashAlgorithm::Sha1 => 0,
-            HashAlgorithm::Sha256 => 1,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(HashAlgorithm::Sha1),
-            1 => Ok(HashAlgorithm::Sha256),
-            tag => Err(WireError::BadTag {
-                what: "hash algorithm",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
+/// By hand: length-checked private material.
 impl Wire for Digest {
     /// An algorithm byte, a one-byte length and the shortest digest
     /// (SHA-1's 20 bytes).
@@ -52,16 +34,7 @@ impl Wire for Digest {
     }
 }
 
-impl Wire for Signature {
-    fn encode(&self, w: &mut Writer) {
-        self.digest().encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Signature::from_digest(Digest::decode(r)?))
-    }
-}
-
+/// By hand: length-checked private material.
 impl Wire for VerifyingKey {
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(&self.material);
@@ -80,7 +53,7 @@ impl Wire for VerifyingKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sha256;
+    use crate::{Sha256, Signature};
 
     #[test]
     fn digest_roundtrips_both_algorithms() {

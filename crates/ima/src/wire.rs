@@ -10,6 +10,8 @@ use cia_wire::{Reader, Wire, WireError, Writer};
 
 use crate::log::ImaLogEntry;
 
+/// By hand: its memo slots are rebuilt through
+/// [`ImaLogEntry::new_in_pcr`].
 impl Wire for ImaLogEntry {
     /// The PCR byte, the digest and an empty path's length byte: a
     /// decoded entry list is reserved for exactly (an entry is 144 bytes

@@ -9,6 +9,7 @@
 use cia_ima::ImaLogEntry;
 use cia_os::Machine;
 use cia_tpm::{AkBinding, EkCertificate, Quote};
+use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{Backend, BackendCert, BackendKind, ChallengeBinding};
@@ -17,10 +18,10 @@ use crate::ids::AgentId;
 /// Requests an agent answers.
 ///
 /// A transport carries it in its binary `cia_wire` encoding
-/// (`#[serde(wire)]`; the `Wire` impl is in `remote.rs`); its JSON form
+/// (`#[serde(wire)]` routes it to the derived `Wire` impl); its JSON form
 /// stays for everything else.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 #[serde(wire)]
 pub enum AgentRequest {
     /// Prove platform identity (registration protocol).
@@ -42,9 +43,10 @@ pub enum AgentRequest {
 }
 
 /// Identity material returned during registration — shaped by the
-/// backend's root of trust.
+/// backend's root of trust. The variants are declared in
+/// [`BackendKind`] order, so the wire tag is the producing backend's.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub enum IdentityResponse {
     /// TPM identity: manufacturer-endorsed EK plus AK binding.
     TpmEk {
@@ -88,7 +90,7 @@ impl IdentityResponse {
 ///
 /// Fields are private so new backends can reshape the payload without a
 /// breaking change; read access goes through the accessors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct QuoteResponse {
     /// Which backend produced this evidence. Unsigned wire metadata: the
     /// verifier trusts its own enrolment record, not this tag, and
@@ -152,7 +154,7 @@ impl QuoteResponse {
 
 /// Responses an agent produces, carried as [`AgentRequest`] is.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 #[serde(wire)]
 pub enum AgentResponse {
     /// Answer to [`AgentRequest::Identity`].

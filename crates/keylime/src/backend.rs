@@ -35,7 +35,7 @@ use cia_ima::{ImaLogEntry, IMA_PCR};
 use cia_os::Machine;
 use cia_tpm::pcr::extend_digest;
 use cia_tpm::{PcrSelection, Quote};
-use cia_wire::{Reader, Wire, WireError, Writer};
+use cia_wire::Wire;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -58,7 +58,7 @@ pub const CVM_RUNTIME_REGISTER: u8 = 1;
 /// of evidence.
 #[non_exhaustive]
 #[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Wire,
 )]
 #[serde(rename_all = "kebab-case")]
 pub enum BackendKind {
@@ -238,7 +238,7 @@ impl Default for BackendSet {
 
 /// What the registrar learned about an agent's platform at enrolment; the
 /// verifier treats this as ground truth when appraising evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct BackendIdentity {
     kind: BackendKind,
     launch_measurement: Option<Digest>,
@@ -278,22 +278,6 @@ impl BackendIdentity {
     /// The enrolled launch measurement, when the backend has one.
     pub fn launch_measurement(&self) -> Option<Digest> {
         self.launch_measurement
-    }
-}
-
-/// The journal's enrolment records carry the identity as its kind and
-/// optional launch measurement, exactly as enrolled.
-impl Wire for BackendIdentity {
-    fn encode(&self, w: &mut Writer) {
-        self.kind.encode(w);
-        self.launch_measurement.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BackendIdentity {
-            kind: BackendKind::decode(r)?,
-            launch_measurement: Option::<Digest>::decode(r)?,
-        })
     }
 }
 
@@ -347,7 +331,7 @@ fn backend_cert_message(authority: &str, subject: &VerifyingKey, context: &[u8])
 
 /// A platform certificate over a backend's attestation key — the non-TPM
 /// analogue of the EK certificate chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct BackendCert {
     /// Issuing root's name.
     pub authority: String,
@@ -370,7 +354,7 @@ impl BackendCert {
 
 /// Proof of possession of a certified attestation key, bound to the
 /// registrar's challenge — the non-TPM analogue of the AK binding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct ChallengeBinding {
     /// The key answering the challenge.
     pub public: VerifyingKey,
@@ -932,6 +916,7 @@ impl From<ConfidentialVmBackend> for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cia_wire::WireError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

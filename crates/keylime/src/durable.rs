@@ -60,19 +60,17 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cia_crypto::{Digest, VerifyingKey};
+use cia_crypto::VerifyingKey;
 use cia_storage::{LogStore, RecoveryReport, StorageError};
 use cia_vfs::{Vfs, VfsPath};
-use cia_wire::{Reader, Wire, WireError, Writer};
+use cia_wire::{Wire, Writer};
 
 use crate::backend::BackendIdentity;
 use crate::ids::AgentId;
-use crate::policy::{PolicyDelta, PolicyMeta, RuntimePolicy};
+use crate::policy::{PolicyDelta, RuntimePolicy};
 use crate::scheduler::AgentRoundResult;
 use crate::store::PolicyEpoch;
-use crate::verifier::{
-    AgentHealth, AgentRecord, AgentStateSnapshot, AgentStatus, Verifier, VerifierConfig,
-};
+use crate::verifier::{AgentRecord, AgentStateSnapshot, Verifier, VerifierConfig};
 
 /// Where a cluster's journal lives inside its virtual filesystem.
 pub const DEFAULT_JOURNAL_DIR: &str = "/var/lib/keylime/journal";
@@ -128,28 +126,14 @@ fn put_record(
 
 /// The founding policy-store checkpoint, written once at journal
 /// creation: the store content and epoch every later publish builds on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct BaseCheckpoint {
     epoch: u64,
     policy_json: String,
 }
 
-impl Wire for BaseCheckpoint {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.epoch);
-        w.put_str(&self.policy_json);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BaseCheckpoint {
-            epoch: r.varint()?,
-            policy_json: String::decode(r)?,
-        })
-    }
-}
-
 /// One shared-store publish, keyed by the epoch it produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 enum PolicyPub {
     /// A full replacement policy.
     Full { policy_json: String },
@@ -157,6 +141,9 @@ enum PolicyPub {
     Delta { delta: PolicyDelta },
 }
 
+/// The derived layout, written from borrowed parts so a publish copies
+/// no document or delta; `the_borrowed_encoders_match_the_derive` keeps
+/// the two in step.
 impl PolicyPub {
     /// Encodes a full publish from the borrowed document.
     fn encode_full(w: &mut Writer, policy_json: &str) {
@@ -171,32 +158,8 @@ impl PolicyPub {
     }
 }
 
-impl Wire for PolicyPub {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PolicyPub::Full { policy_json } => PolicyPub::encode_full(w, policy_json),
-            PolicyPub::Delta { delta } => PolicyPub::encode_delta(w, delta),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(PolicyPub::Full {
-                policy_json: String::decode(r)?,
-            }),
-            1 => Ok(PolicyPub::Delta {
-                delta: PolicyDelta::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "policy publish",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
 /// The enrolment-time constants of one agent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct EnrolmentRecord {
     ak: VerifyingKey,
     identity: BackendIdentity,
@@ -208,29 +171,9 @@ struct EnrolmentRecord {
     override_policy: Option<String>,
 }
 
-impl Wire for EnrolmentRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.ak.encode(w);
-        self.identity.encode(w);
-        w.put_bool(self.shared);
-        w.put_varint(self.epoch);
-        self.override_policy.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EnrolmentRecord {
-            ak: VerifyingKey::decode(r)?,
-            identity: BackendIdentity::decode(r)?,
-            shared: r.bool()?,
-            epoch: r.varint()?,
-            override_policy: Option::<String>::decode(r)?,
-        })
-    }
-}
-
 /// One agent's latest acknowledged round: the result the operator saw
 /// and the exact record state that produced it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct AckRecord {
     round: u64,
     result: AgentRoundResult,
@@ -241,8 +184,9 @@ struct AckRecord {
 }
 
 impl AckRecord {
-    /// Encodes an ack from borrowed parts: the journal's hot path, which
-    /// copies no result row to write one.
+    /// Encodes an ack from borrowed parts, in the derived layout: the
+    /// journal's hot path, which copies no result row to write one
+    /// (`the_borrowed_encoders_match_the_derive` keeps the two in step).
     fn encode_parts(
         w: &mut Writer,
         round: u64,
@@ -263,154 +207,9 @@ impl AckRecord {
     }
 }
 
-impl Wire for AckRecord {
-    fn encode(&self, w: &mut Writer) {
-        AckRecord::encode_parts(
-            w,
-            self.round,
-            &self.result,
-            &self.state,
-            self.policy_json.as_deref(),
-        );
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AckRecord {
-            round: r.varint()?,
-            result: AgentRoundResult::decode(r)?,
-            state: AgentStateSnapshot::decode(r)?,
-            policy_json: Option::<String>::decode(r)?,
-        })
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Wire)]
 struct RoundMark {
     round: u64,
-}
-
-impl Wire for RoundMark {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.round);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RoundMark { round: r.varint()? })
-    }
-}
-
-impl Wire for AgentStatus {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AgentStatus::Trusted => 0,
-            AgentStatus::Paused => 1,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(AgentStatus::Trusted),
-            1 => Ok(AgentStatus::Paused),
-            tag => Err(WireError::BadTag {
-                what: "agent status",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Wire for AgentHealth {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AgentHealth::Healthy => 0,
-            AgentHealth::Degraded => 1,
-            AgentHealth::Quarantined => 2,
-            AgentHealth::Recovering => 3,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(AgentHealth::Healthy),
-            1 => Ok(AgentHealth::Degraded),
-            2 => Ok(AgentHealth::Quarantined),
-            3 => Ok(AgentHealth::Recovering),
-            tag => Err(WireError::BadTag {
-                what: "agent health",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Wire for AgentStateSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        self.policy_epoch.encode(w);
-        w.put_bool(self.shared_policy);
-        w.put_varint(self.next_entry as u64);
-        self.replayed_pcr.encode(w);
-        self.last_boot_count.encode(w);
-        self.status.encode(w);
-        w.put_varint(self.attestations);
-        w.put_varint(self.nonce_counter);
-        self.health.encode(w);
-        self.consecutive_unreachable.encode(w);
-        self.reprobe_in.encode(w);
-        self.reprobe_backoff.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AgentStateSnapshot {
-            policy_epoch: PolicyEpoch::decode(r)?,
-            shared_policy: r.bool()?,
-            next_entry: usize::decode(r)?,
-            replayed_pcr: Digest::decode(r)?,
-            last_boot_count: Option::<u64>::decode(r)?,
-            status: AgentStatus::decode(r)?,
-            attestations: r.varint()?,
-            nonce_counter: r.varint()?,
-            health: AgentHealth::decode(r)?,
-            consecutive_unreachable: u32::decode(r)?,
-            reprobe_in: u32::decode(r)?,
-            reprobe_backoff: u32::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PolicyMeta {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.version);
-        w.put_str(&self.generator);
-        self.generated_day.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PolicyMeta {
-            version: r.varint()?,
-            generator: String::decode(r)?,
-            generated_day: u32::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PolicyDelta {
-    fn encode(&self, w: &mut Writer) {
-        self.added.encode(w);
-        self.removed_paths.encode(w);
-        self.retired.encode(w);
-        self.staged_kernels.encode(w);
-        self.meta.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PolicyDelta {
-            added: Vec::decode(r)?,
-            removed_paths: Vec::decode(r)?,
-            retired: Vec::decode(r)?,
-            staged_kernels: Vec::decode(r)?,
-            meta: PolicyMeta::decode(r)?,
-        })
-    }
 }
 
 /// What a recovered journal says about a round that was in flight when
@@ -873,6 +672,9 @@ impl VerifierJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyMeta;
+    use crate::verifier::{AgentHealth, AgentStatus};
+    use cia_wire::WireError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1151,6 +953,61 @@ mod tests {
             PolicyPub::from_wire(&[2]),
             Err(WireError::BadTag { .. })
         ));
+    }
+
+    /// The journal writes acks and publishes from borrowed parts, so the
+    /// layout lives twice: in each record's derived `encode` and in its
+    /// borrowed encoder. They write the same bytes for every outcome, with
+    /// and without an embedded policy, and for both publish kinds.
+    #[test]
+    fn the_borrowed_encoders_match_the_derive() {
+        use crate::scheduler::RoundOutcome;
+        let alert = crate::verifier::Alert {
+            agent: AgentId::new("node-1"),
+            day: 300,
+            kind: crate::verifier::FailureKind::LaunchMeasurementMismatch,
+        };
+        let outcomes = [
+            RoundOutcome::Verified { new_entries: 4 },
+            RoundOutcome::Failed {
+                alerts: vec![alert],
+            },
+            RoundOutcome::SkippedPaused,
+            RoundOutcome::SkippedQuarantined { next_probe_in: 200 },
+            RoundOutcome::Unreachable {
+                reason: "timeout".into(),
+            },
+        ];
+        for outcome in outcomes {
+            for policy_json in [None, Some(policy_with(&["/o"]).to_json())] {
+                let ack = AckRecord {
+                    round: 130,
+                    result: AgentRoundResult {
+                        outcome: outcome.clone(),
+                        ..steady_result("node-1")
+                    },
+                    state: busy_state(AgentHealth::Degraded),
+                    policy_json,
+                };
+                let mut w = Writer::new();
+                AckRecord::encode_parts(
+                    &mut w,
+                    ack.round,
+                    &ack.result,
+                    &ack.state,
+                    ack.policy_json.as_deref(),
+                );
+                assert_eq!(w.into_vec(), ack.to_wire(), "{ack:?}");
+            }
+        }
+        let policy_json = policy_with(&["/b"]).to_json();
+        let mut w = Writer::new();
+        PolicyPub::encode_full(&mut w, &policy_json);
+        assert_eq!(w.into_vec(), PolicyPub::Full { policy_json }.to_wire());
+        let mut w = Writer::new();
+        PolicyPub::encode_delta(&mut w, &sample_delta());
+        let delta = sample_delta();
+        assert_eq!(w.into_vec(), PolicyPub::Delta { delta }.to_wire());
     }
 
     /// CRC-valid frames whose values are cut short, garbage, or carry a

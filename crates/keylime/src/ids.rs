@@ -10,10 +10,11 @@
 use std::borrow::Borrow;
 use std::fmt;
 
+use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
 
 /// The identity of one Keylime agent (the machine's host name).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Wire)]
 pub struct AgentId(String);
 
 impl AgentId {

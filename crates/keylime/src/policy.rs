@@ -29,6 +29,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use cia_crypto::{hex, Digest};
+use cia_wire::Wire;
 use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 use crate::error::KeylimeError;
@@ -637,7 +638,7 @@ impl Deserialize for Digests {
 }
 
 /// Policy document metadata.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct PolicyMeta {
     /// Monotonic policy version (bumped on every regeneration).
     pub version: u64,
@@ -699,7 +700,7 @@ impl PolicyDiff {
 /// more than one list (the common case: a digest added during the window
 /// and deduplicated at its close, or a kernel path dropped and re-added
 /// on reboot) resolves deterministically.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct PolicyDelta {
     /// `(path, digest)` pairs appended during the window (update-window
     /// retention: existing digests stay allowed).

@@ -59,18 +59,14 @@
 use std::collections::BTreeSet;
 use std::sync::mpsc;
 
-use cia_wire::{FrameReceiver, FrameSender, Reader, ShardTransport, Wire, WireError, Writer};
+use cia_wire::{FrameReceiver, FrameSender, ShardTransport, Wire, WireError};
 
-use cia_crypto::{Signature, VerifyingKey};
-use cia_tpm::{AkBinding, EkCertificate};
-
-use crate::agent::{Agent, AgentRequest, AgentResponse, IdentityResponse, QuoteResponse};
-use crate::backend::{BackendCert, BackendKind, ChallengeBinding};
+use crate::agent::Agent;
 use crate::ids::AgentId;
-use crate::scheduler::{AgentRoundResult, FleetScheduler, RoundOutcome, RoundReport};
+use crate::scheduler::{AgentRoundResult, FleetScheduler, RoundReport};
 use crate::store::PolicyEpoch;
 use crate::transport::Transport;
-use crate::verifier::{Alert, FailureKind, HealthCounts, Verifier};
+use crate::verifier::{HealthCounts, Verifier};
 
 /// Poll commands per frame a federation's driver sends, and so the most
 /// result rows a shard server sends back in one frame.
@@ -90,399 +86,10 @@ pub(crate) fn effective_batch(wire_batch: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Wire impls for the message vocabulary.
-
-impl Wire for AgentId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(self.as_str());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AgentId::new(r.str()?))
-    }
-}
-
-impl Wire for BackendKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            BackendKind::TpmIma => 0,
-            BackendKind::SecureWorld => 1,
-            BackendKind::ConfidentialVm => 2,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(BackendKind::TpmIma),
-            1 => Ok(BackendKind::SecureWorld),
-            2 => Ok(BackendKind::ConfidentialVm),
-            tag => Err(WireError::BadTag {
-                what: "backend kind",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
-impl Wire for PolicyEpoch {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.as_u64());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PolicyEpoch::from_raw(r.varint()?))
-    }
-}
-
-impl Wire for FailureKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            FailureKind::QuoteInvalid => w.put_u8(0),
-            FailureKind::PcrMismatch => w.put_u8(1),
-            FailureKind::LogRewound => w.put_u8(2),
-            FailureKind::BootAggregateMismatch => w.put_u8(3),
-            // Tag 4 (an unparseable text excerpt) is retired.
-            FailureKind::HashMismatch { path, digest } => {
-                w.put_u8(5);
-                w.put_str(path);
-                w.put_str(digest);
-            }
-            FailureKind::NotInPolicy { path, digest } => {
-                w.put_u8(6);
-                w.put_str(path);
-                w.put_str(digest);
-            }
-            FailureKind::BackendNotAllowed { backend } => {
-                w.put_u8(7);
-                backend.encode(w);
-            }
-            FailureKind::BackendMismatch { expected, reported } => {
-                w.put_u8(8);
-                expected.encode(w);
-                reported.encode(w);
-            }
-            FailureKind::LaunchMeasurementMismatch => w.put_u8(9),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => FailureKind::QuoteInvalid,
-            1 => FailureKind::PcrMismatch,
-            2 => FailureKind::LogRewound,
-            3 => FailureKind::BootAggregateMismatch,
-            5 => FailureKind::HashMismatch {
-                path: r.str()?.to_string(),
-                digest: r.str()?.to_string(),
-            },
-            6 => FailureKind::NotInPolicy {
-                path: r.str()?.to_string(),
-                digest: r.str()?.to_string(),
-            },
-            7 => FailureKind::BackendNotAllowed {
-                backend: BackendKind::decode(r)?,
-            },
-            8 => FailureKind::BackendMismatch {
-                expected: BackendKind::decode(r)?,
-                reported: BackendKind::decode(r)?,
-            },
-            9 => FailureKind::LaunchMeasurementMismatch,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "failure kind",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
-
-impl Wire for Alert {
-    fn encode(&self, w: &mut Writer) {
-        self.agent.encode(w);
-        w.put_u32(self.day);
-        self.kind.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Alert {
-            agent: AgentId::decode(r)?,
-            day: r.u32()?,
-            kind: FailureKind::decode(r)?,
-        })
-    }
-}
-
-impl Wire for RoundOutcome {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RoundOutcome::Verified { new_entries } => {
-                w.put_u8(0);
-                w.put_varint(*new_entries as u64);
-            }
-            RoundOutcome::Failed { alerts } => {
-                w.put_u8(1);
-                alerts.encode(w);
-            }
-            RoundOutcome::SkippedPaused => w.put_u8(2),
-            RoundOutcome::SkippedQuarantined { next_probe_in } => {
-                w.put_u8(3);
-                w.put_u32(*next_probe_in);
-            }
-            RoundOutcome::Unreachable { reason } => {
-                w.put_u8(4);
-                w.put_str(reason);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => RoundOutcome::Verified {
-                new_entries: usize::decode(r)?,
-            },
-            1 => RoundOutcome::Failed {
-                alerts: Vec::<Alert>::decode(r)?,
-            },
-            2 => RoundOutcome::SkippedPaused,
-            3 => RoundOutcome::SkippedQuarantined {
-                next_probe_in: r.u32()?,
-            },
-            4 => RoundOutcome::Unreachable {
-                reason: r.str()?.to_string(),
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "round outcome",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
-
-impl Wire for AgentRoundResult {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.backend.encode(w);
-        w.put_u32(self.day);
-        w.put_u32(self.attempts);
-        w.put_varint(self.backoff_ms);
-        self.policy_epoch.encode(w);
-        w.put_bool(self.shared_policy);
-        self.outcome.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AgentRoundResult {
-            id: AgentId::decode(r)?,
-            backend: BackendKind::decode(r)?,
-            day: r.u32()?,
-            attempts: r.u32()?,
-            backoff_ms: r.varint()?,
-            policy_epoch: PolicyEpoch::decode(r)?,
-            shared_policy: r.bool()?,
-            outcome: RoundOutcome::decode(r)?,
-        })
-    }
-}
-
-impl Wire for HealthCounts {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.healthy as u64);
-        w.put_varint(self.degraded as u64);
-        w.put_varint(self.quarantined as u64);
-        w.put_varint(self.recovering as u64);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HealthCounts {
-            healthy: usize::decode(r)?,
-            degraded: usize::decode(r)?,
-            quarantined: usize::decode(r)?,
-            recovering: usize::decode(r)?,
-        })
-    }
-}
-
-impl Wire for QuoteResponse {
-    fn encode(&self, w: &mut Writer) {
-        self.backend.encode(w);
-        self.quote.encode(w);
-        self.entries.encode(w);
-        w.put_varint(self.total_entries as u64);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let backend = BackendKind::decode(r)?;
-        let quote = cia_tpm::quote::Quote::decode(r)?;
-        let entries = Vec::<cia_ima::log::ImaLogEntry>::decode(r)?;
-        let total_entries = usize::decode(r)?;
-        Ok(QuoteResponse::new(backend, quote, entries, total_entries))
-    }
-}
-
-impl Wire for BackendCert {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.authority);
-        self.subject.encode(w);
-        w.put_bytes(&self.context);
-        self.signature.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BackendCert {
-            authority: r.str()?.to_string(),
-            subject: VerifyingKey::decode(r)?,
-            context: r.bytes()?.to_vec(),
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ChallengeBinding {
-    fn encode(&self, w: &mut Writer) {
-        self.public.encode(w);
-        w.put_bytes(&self.challenge);
-        self.signature.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ChallengeBinding {
-            public: VerifyingKey::decode(r)?,
-            challenge: r.bytes()?.to_vec(),
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
-/// Tagged by the backend that produced it.
-impl Wire for IdentityResponse {
-    fn encode(&self, w: &mut Writer) {
-        self.backend().encode(w);
-        match self {
-            IdentityResponse::TpmEk {
-                ek_certificate,
-                binding,
-            } => {
-                ek_certificate.encode(w);
-                binding.encode(w);
-            }
-            IdentityResponse::SecureWorld {
-                certificate,
-                binding,
-            }
-            | IdentityResponse::ConfidentialVm {
-                certificate,
-                binding,
-            } => {
-                certificate.encode(w);
-                binding.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match BackendKind::decode(r)? {
-            BackendKind::TpmIma => IdentityResponse::TpmEk {
-                ek_certificate: EkCertificate::decode(r)?,
-                binding: AkBinding::decode(r)?,
-            },
-            BackendKind::SecureWorld => IdentityResponse::SecureWorld {
-                certificate: BackendCert::decode(r)?,
-                binding: ChallengeBinding::decode(r)?,
-            },
-            BackendKind::ConfidentialVm => IdentityResponse::ConfidentialVm {
-                certificate: BackendCert::decode(r)?,
-                binding: ChallengeBinding::decode(r)?,
-            },
-        })
-    }
-}
-
-/// The agent RPC's request: what `Transport::call` carries to an agent
-/// (`#[serde(wire)]` on the type routes the transport's codec here).
-impl Wire for AgentRequest {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AgentRequest::Identity { challenge } => {
-                w.put_u8(0);
-                w.put_bytes(challenge);
-            }
-            AgentRequest::Quote {
-                nonce,
-                from_entry,
-                structured,
-            } => {
-                w.put_u8(1);
-                w.put_bytes(nonce);
-                w.put_varint(*from_entry as u64);
-                w.put_bool(*structured);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => AgentRequest::Identity {
-                challenge: r.bytes()?.to_vec(),
-            },
-            1 => AgentRequest::Quote {
-                nonce: r.bytes()?.to_vec(),
-                from_entry: usize::decode(r)?,
-                structured: r.bool()?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "agent request",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
-
-/// The agent RPC's response, carried the way [`AgentRequest`] is.
-impl Wire for AgentResponse {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AgentResponse::Identity(identity) => {
-                w.put_u8(0);
-                identity.encode(w);
-            }
-            AgentResponse::Quote(quote) => {
-                w.put_u8(1);
-                quote.encode(w);
-            }
-            AgentResponse::Error { reason } => {
-                w.put_u8(2);
-                w.put_str(reason);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => AgentResponse::Identity(IdentityResponse::decode(r)?),
-            1 => AgentResponse::Quote(QuoteResponse::decode(r)?),
-            2 => AgentResponse::Error {
-                reason: r.str()?.to_string(),
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "agent response",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Protocol messages.
 
 /// Driver → server message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Wire)]
 pub(crate) enum ShardCommand {
     /// Opens the round.
     Start,
@@ -492,35 +99,8 @@ pub(crate) enum ShardCommand {
     End,
 }
 
-impl Wire for ShardCommand {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ShardCommand::Start => w.put_u8(0),
-            ShardCommand::Poll(batch) => {
-                w.put_u8(1);
-                batch.encode(w);
-            }
-            ShardCommand::End => w.put_u8(2),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ShardCommand::Start,
-            1 => ShardCommand::Poll(Vec::<(AgentId, u64)>::decode(r)?),
-            2 => ShardCommand::End,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "shard command",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
-
 /// Server → driver message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Wire)]
 pub(crate) enum ShardReply {
     /// The rows of one `Poll` frame's commands, in completion order:
     /// none for a command naming an un-enrolled or already claimed id.
@@ -532,38 +112,6 @@ pub(crate) enum ShardReply {
         /// The shared-store epoch the round ran under.
         epoch: PolicyEpoch,
     },
-}
-
-impl Wire for ShardReply {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ShardReply::Results(rows) => {
-                w.put_u8(0);
-                rows.encode(w);
-            }
-            ShardReply::Done { health, epoch } => {
-                w.put_u8(1);
-                health.encode(w);
-                epoch.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ShardReply::Results(Vec::<AgentRoundResult>::decode(r)?),
-            1 => ShardReply::Done {
-                health: HealthCounts::decode(r)?,
-                epoch: PolicyEpoch::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "shard reply",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -797,6 +345,11 @@ pub(crate) fn require<V>(res: Result<V, WireError>, what: &str) -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::{AgentRequest, AgentResponse, QuoteResponse};
+    use crate::backend::BackendKind;
+    use crate::scheduler::RoundOutcome;
+    use crate::verifier::{Alert, FailureKind};
+    use cia_wire::Writer;
 
     fn sample_row(id: &str, outcome: RoundOutcome) -> AgentRoundResult {
         AgentRoundResult {
@@ -1014,7 +567,7 @@ mod tests {
         assert!(matches!(
             AgentResponse::from_wire(&bytes),
             Err(WireError::BadTag {
-                what: "backend kind",
+                what: "identity response",
                 tag: 7
             })
         ));

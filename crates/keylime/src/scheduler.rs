@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use cia_wire::Wire;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -316,7 +317,7 @@ impl MetricsSnapshot {
 /// the durability journal persists each agent's result as its ack
 /// record, and a recovered verifier replays them verbatim.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub enum RoundOutcome {
     /// The poll verified cleanly.
     Verified {
@@ -346,7 +347,7 @@ pub enum RoundOutcome {
 
 /// One agent's result in a scheduler round. Every enrolled agent gets
 /// exactly one — unreachable agents are reported, never dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct AgentRoundResult {
     /// The agent.
     pub id: AgentId,

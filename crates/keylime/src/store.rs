@@ -11,6 +11,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{PolicyDelta, RuntimePolicy};
@@ -23,7 +24,7 @@ use crate::policy::{PolicyDelta, RuntimePolicy};
 /// agent's skew — it appraises against the epoch it last acknowledged —
 /// stays observable).
 #[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Wire,
 )]
 pub struct PolicyEpoch(u64);
 

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use cia_crypto::{Digest, HashAlgorithm, Sha256};
 use cia_ima::{ImaLogEntry, BOOT_AGGREGATE_NAME};
 use cia_tpm::pcr::extend_digest;
+use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
 
 use crate::agent::{Agent, AgentRequest, AgentResponse, QuoteResponse};
@@ -31,7 +32,7 @@ pub use crate::config::VerifierConfig;
 
 /// Why an attestation failed.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub enum FailureKind {
     /// Quote signature or nonce check failed.
     QuoteInvalid,
@@ -79,7 +80,7 @@ pub enum FailureKind {
 }
 
 /// One attestation failure event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct Alert {
     /// The agent that failed.
     pub agent: AgentId,
@@ -90,7 +91,7 @@ pub struct Alert {
 }
 
 /// Verifier-side state of one agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub enum AgentStatus {
     /// Attesting cleanly; polling continues.
     Trusted,
@@ -117,7 +118,7 @@ pub enum AgentStatus {
 /// With [`VerifierConfig::quarantine_enabled`] the scheduler skips
 /// Quarantined agents on a decaying re-probe backoff instead of burning
 /// the full retry budget every round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Wire)]
 pub enum AgentHealth {
     /// Reachable and attesting.
     Healthy,
@@ -131,7 +132,7 @@ pub enum AgentHealth {
 }
 
 /// Per-state agent counts for one point in time (or one round).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct HealthCounts {
     /// Agents in [`AgentHealth::Healthy`].
     pub healthy: usize,
@@ -252,7 +253,7 @@ pub(crate) enum FetchedEvidence {
 ///
 /// It holds no history: its size does not grow with the agent's
 /// lifetime. Alerts live in the round rows that raised them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct AgentStateSnapshot {
     /// The store epoch the agent last acknowledged (adopted). A
     /// quarantined agent keeps appraising against this epoch until it

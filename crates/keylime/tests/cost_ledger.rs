@@ -13,6 +13,7 @@ use cia_keylime::{
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
 use cia_vfs::{Vfs, VfsPath};
+use cia_wire::Wire;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -126,6 +127,20 @@ fn steady_row(id: &AgentId) -> AgentRoundResult {
     }
 }
 
+/// A steady round's result row, as a shard's `Results` frame carries it
+/// per agent and a journal ack embeds it.
+#[test]
+fn a_steady_result_row_has_a_pinned_size() {
+    let id = AgentId::new(format!("node-{:012x}", 0));
+    assert_eq!(steady_row(&id).to_wire().len() as u64, STEADY_ROW);
+}
+
+/// A steady row: the 18-byte id with its length, then one byte each for
+/// the backend, the day, the attempt count, the backoff, the epoch, the
+/// shared flag, and two for the outcome (its tag and the new-entry
+/// count). Every integer is a varint.
+const STEADY_ROW: u64 = 26;
+
 /// What the journal appends per agent and per round, in the binary
 /// `cia_wire` records it writes.
 #[test]
@@ -189,21 +204,20 @@ fn journal_records_have_pinned_sizes() {
 }
 
 // Every journal frame is a 20-byte header (CRC, timestamp, key and value
-// lengths), the key, and the record. A result row spends 4 fixed bytes
-// each on its day and attempt count (the shard protocol's layout).
+// lengths), the key, and the record.
 
 /// A shared agent's verified steady ack: 20, then 23 for `agent/` and
-/// the id, then 79 for the record (the round; the 32-byte result row;
+/// the id, then 73 for the record (the round; the 26-byte result row;
 /// the 45-byte state, 34 of them the PCR fold; no policy).
 /// `durable.bytes_per_ack` in the benchmark is this frame.
-const STEADY_ACK: u64 = 122;
+const STEADY_ACK: u64 = 116;
 /// A failed ack carrying one not-in-policy alert: the steady ack with its
-/// 2-byte outcome replaced by 108 (the list, and the alert's agent id,
+/// 2-byte outcome replaced by 105 (the list, and the alert's agent id,
 /// day, 17-byte path and 64-character hex digest).
-const FAILED_ACK_ONE_ALERT: u64 = 228;
+const FAILED_ACK_ONE_ALERT: u64 = 219;
 /// An override agent's ack, less the policy document it embeds: the
 /// steady ack plus the document's two-byte length prefix.
-const OVERRIDE_ACK_LESS_ITS_POLICY: u64 = 124;
+const OVERRIDE_ACK_LESS_ITS_POLICY: u64 = 118;
 /// A shared TPM+IMA agent's enrolment: 20, then 23 for `enrol/` and the
 /// id, then 38 for the record (the 32-byte AK with its length, the
 /// identity, the shared flag, the epoch and no override policy).

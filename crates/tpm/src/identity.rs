@@ -7,6 +7,7 @@
 //! simulator form.
 
 use cia_crypto::{KeyPair, Signature, VerifyingKey};
+use cia_wire::Wire;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +59,7 @@ fn ek_cert_message(manufacturer: &str, ek_public: &VerifyingKey) -> Vec<u8> {
 
 /// An endorsement-key certificate: the manufacturer's signature binding an
 /// EK public key to a genuine TPM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct EkCertificate {
     /// Issuing manufacturer's name.
     pub manufacturer: String,
@@ -81,7 +82,7 @@ impl EkCertificate {
 ///
 /// The registrar sends a fresh challenge; the TPM answers with its AK
 /// public key and an EK signature over `(challenge, AK fingerprint)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct AkBinding {
     /// The AK being introduced.
     pub ak_public: VerifyingKey,

@@ -1,6 +1,7 @@
 //! TPM quotes: signed attestations over PCR values.
 
 use cia_crypto::{Digest, HashAlgorithm, Sha256, Signature, VerifyingKey};
+use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
 
 use crate::pcr::PcrSelection;
@@ -12,7 +13,7 @@ use crate::pcr::PcrSelection;
 /// mirroring the `TPMS_ATTEST` structure. The selected PCR values
 /// themselves ride along so the verifier can both check their authenticity
 /// (via `pcr_digest`) and use them (e.g. replay an IMA log against PCR 10).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Wire)]
 pub struct Quote {
     /// Verifier-supplied anti-replay nonce ("qualifying data").
     pub nonce: Vec<u8>,

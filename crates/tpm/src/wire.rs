@@ -1,19 +1,17 @@
-//! Binary wire codec impls for quotes, PCR selections and TPM identity.
+//! The hand-written wire codec impl of a PCR selection. A
+//! [`Quote`](crate::Quote), an [`EkCertificate`](crate::EkCertificate)
+//! and an [`AkBinding`](crate::AkBinding) are plain field lists and
+//! derive theirs.
 //!
 //! A [`PcrSelection`] travels as its selected indices (one byte each —
 //! at most 24), rebuilt through [`PcrSelection::of`] so the private
-//! mask never crosses the crate boundary raw. A [`Quote`] is a plain
-//! field-by-field record; its digests decode zero-copy through the
-//! `cia-crypto` impls. So are the registration messages, an
-//! [`EkCertificate`] and an [`AkBinding`].
+//! mask never crosses the crate boundary raw.
 
-use cia_crypto::{Digest, HashAlgorithm, Signature, VerifyingKey};
 use cia_wire::{Reader, Wire, WireError, Writer};
 
-use crate::identity::{AkBinding, EkCertificate};
 use crate::pcr::{PcrSelection, PCR_COUNT};
-use crate::quote::Quote;
 
+/// By hand: a private mask, with validated indices.
 impl Wire for PcrSelection {
     /// The bytes `put_bytes` would write for the index list, without
     /// collecting it first.
@@ -44,69 +42,13 @@ impl Wire for PcrSelection {
     }
 }
 
-impl Wire for Quote {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.nonce);
-        self.selection.encode(w);
-        self.bank.encode(w);
-        self.pcr_values.encode(w);
-        self.pcr_digest.encode(w);
-        w.put_varint(self.boot_count);
-        w.put_varint(self.clock);
-        self.signature.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Quote {
-            nonce: r.bytes()?.to_vec(),
-            selection: PcrSelection::decode(r)?,
-            bank: HashAlgorithm::decode(r)?,
-            pcr_values: Vec::<Digest>::decode(r)?,
-            pcr_digest: Digest::decode(r)?,
-            boot_count: r.varint()?,
-            clock: r.varint()?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
-impl Wire for EkCertificate {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.manufacturer);
-        self.ek_public.encode(w);
-        self.signature.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EkCertificate {
-            manufacturer: r.str()?.to_string(),
-            ek_public: VerifyingKey::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AkBinding {
-    fn encode(&self, w: &mut Writer) {
-        self.ak_public.encode(w);
-        w.put_bytes(&self.challenge);
-        self.signature.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AkBinding {
-            ak_public: VerifyingKey::decode(r)?,
-            challenge: r.bytes()?.to_vec(),
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::Tpm;
-    use crate::identity::Manufacturer;
+    use crate::identity::{AkBinding, EkCertificate, Manufacturer};
+    use crate::quote::Quote;
+    use cia_crypto::HashAlgorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

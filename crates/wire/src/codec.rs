@@ -1,5 +1,5 @@
 //! The binary codec: varint integers, length-prefixed slices, and the
-//! [`Wire`] trait message types implement.
+//! [`Wire`] trait message types derive.
 //!
 //! Layout rules (all little-endian where fixed-width):
 //!
@@ -14,7 +14,8 @@
 //!   back **zero-copy** as `&'a [u8]` / `&'a str` borrowing from the
 //!   frame buffer.
 //! - sequences: varint element count + elements; options: one presence
-//!   byte; enums: one varint tag + the variant's fields.
+//!   byte; structs: their fields in declaration order; enums: one tag
+//!   byte (the variant's declaration index) + the variant's fields.
 //!
 //! Decoding is total: every method returns `Result<_, WireError>` and
 //! nothing panics on malformed input, which the torn-frame corpus in
@@ -287,8 +288,13 @@ impl<'a> Reader<'a> {
 
 /// Binary encode/decode for one message type.
 ///
-/// Implementations live next to the types they serialize (the orphan
-/// rule keeps foreign impls out of this crate). `decode` must be total:
+/// A message type derives it: `#[derive(Wire)]` (re-exported beside
+/// this trait) encodes a struct's fields in declaration order and an
+/// enum as a `u8` tag, the variant's declaration index, then its
+/// fields, so `encode` and `decode` are one declaration and cannot
+/// drift apart. A type whose decode must validate or rebuild private
+/// state (a digest, a key, a PCR mask, a log entry's memo slots)
+/// implements it by hand, next to the type. `decode` must be total:
 /// malformed bytes return a [`WireError`], never panic.
 pub trait Wire: Sized {
     /// A lower bound on the bytes one encoded value takes, or 0 when the

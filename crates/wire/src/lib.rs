@@ -10,8 +10,10 @@
 //!   [`Reader::bytes`] and [`Reader::str`] borrow straight out of the
 //!   frame buffer, so digests and log excerpts are never re-allocated
 //!   just to be looked at.
-//! - [`Wire`]: the encode/decode trait message types implement. Decode
-//!   never panics: every malformed input surfaces as a [`WireError`].
+//! - [`Wire`]: the encode/decode trait message types implement, and its
+//!   `#[derive(Wire)]` (from `cia-wire-derive`), which writes the impl
+//!   of a plain struct or enum from its declaration. Decode never
+//!   panics: every malformed input surfaces as a [`WireError`].
 //! - [`frame`] / [`unframe`] and [`write_frame`]: length-prefixed
 //!   CRC32-protected framing (`[magic][len][crc][payload]`) over byte
 //!   slices or any `Write` sink, so torn or corrupted frames are
@@ -49,6 +51,7 @@ mod error;
 mod frame;
 mod transport;
 
+pub use cia_wire_derive::Wire;
 pub use codec::{Reader, Wire, Writer};
 pub use crc::crc32;
 pub use error::WireError;

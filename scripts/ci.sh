@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate. The first step is informational and never fails: it prints
 # crates/keylime's non-test line tally (scripts/keylime_lines.sh, the
-# count ROADMAP item 10 tracks), so every run's log shows it. Which of
-# the gating steps holds which rule:
+# count ROADMAP item 10 tracks) and the same tally of the derive crate
+# (crates/wire_derive/src), so every run's log shows the net change.
+# Which of the gating steps holds which rule:
 #
 # * clippy (workspace, all targets, -D warnings): determinism (the root
 #   clippy.toml's disallowed Instant/SystemTime::now and hash-seeded
@@ -20,9 +21,11 @@
 #   per warm agent RPC call of a steady poll, at most 1 allocation per
 #   warm journal ack); the cost ledger in
 #   crates/keylime/tests/cost_ledger.rs (the exact binary bytes of the
-#   agent RPC's quote messages and of the journal's acks, enrolment
-#   record and round marks); and every crate's unit and integration
-#   suites.
+#   agent RPC's quote messages, of one steady shard `Results` row, and
+#   of the journal's acks, enrolment record and round marks); the
+#   byte-identity pin in crates/keylime/tests/agent_rpc_bytes.rs (the
+#   SHA-256 of every agent RPC message shape's encoding); and every
+#   crate's unit and integration suites.
 #
 # Then the paper's ablation timings (`ablation_costs`, which asserts the
 # facts behind each comparison; every other timing number is
@@ -50,8 +53,9 @@ if [[ "${1:-}" == "--offline" ]]; then
   OFFLINE=(--offline)
 fi
 
-echo "== info: crates/keylime non-test lines (ROADMAP item 10; never fails) =="
+echo "== info: crates/keylime and derive-crate non-test lines (ROADMAP item 10; never fails) =="
 bash scripts/keylime_lines.sh || true
+bash scripts/keylime_lines.sh crates/wire_derive/src || true
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
