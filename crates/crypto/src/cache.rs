@@ -1,89 +1,12 @@
-//! [`Derived`]: a memoization slot for values derivable from their
-//! containing struct.
+//! [`DigestCache`]: a content-addressed cache of rendered file digests.
 //!
-//! The attestation hot path memoizes expensive derived values (template
-//! hashes) directly inside the structs they belong to. Those caches must
-//! never travel on the wire — a peer-supplied cache would be an integrity
-//! hole — so `Derived<T>` has no serde impls: a struct holding one writes
-//! its codec by hand, without the cache, and the receiver recomputes from
-//! the authoritative fields. Equality likewise ignores cache state: two
-//! structs differing only in what they have memoized are equal.
+//! The policy generator hashes the same mirror files day after day; the
+//! cache keys each by its content identity so an unchanged file is hashed
+//! once. (The verifier's own memo of ima-ng template hashes is
+//! `cia_ima::TemplateHashMemo`, keyed by the template's inputs.)
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
-
-/// A write-once memoization slot (see the module docs).
-///
-/// Thin wrapper over [`OnceLock`]; `&self` callers fill it via
-/// [`Derived::get_or_init`], `&mut self` callers invalidate it with
-/// [`Derived::clear`] after mutating the fields it was derived from.
-///
-/// # Examples
-///
-/// ```
-/// use cia_crypto::cache::Derived;
-///
-/// let slot: Derived<u64> = Derived::new();
-/// assert_eq!(slot.get(), None);
-/// assert_eq!(*slot.get_or_init(|| 42), 42);
-/// assert_eq!(*slot.get_or_init(|| 7), 42, "initialized once");
-/// ```
-pub struct Derived<T>(OnceLock<T>);
-
-impl<T> Derived<T> {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Derived(OnceLock::new())
-    }
-
-    /// The cached value, if one was computed.
-    pub fn get(&self) -> Option<&T> {
-        self.0.get()
-    }
-
-    /// Returns the cached value, computing and storing it on first use.
-    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
-        self.0.get_or_init(init)
-    }
-
-    /// Drops the cached value; the next [`Derived::get_or_init`]
-    /// recomputes. Call after mutating the fields the value derives from.
-    pub fn clear(&mut self) {
-        self.0 = OnceLock::new();
-    }
-}
-
-impl<T> Default for Derived<T> {
-    fn default() -> Self {
-        Derived::new()
-    }
-}
-
-impl<T: Clone> Clone for Derived<T> {
-    fn clone(&self) -> Self {
-        Derived(self.0.clone())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Derived<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.get() {
-            Some(v) => write!(f, "Derived({v:?})"),
-            None => f.write_str("Derived(<empty>)"),
-        }
-    }
-}
-
-/// Cache state never participates in equality: the derived value is a
-/// function of the semantic fields, which are compared by the container.
-impl<T> PartialEq for Derived<T> {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl<T> Eq for Derived<T> {}
 
 /// A content-addressed digest cache.
 ///
@@ -166,31 +89,6 @@ impl fmt::Debug for DigestCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn init_once_and_clear() {
-        let mut slot: Derived<String> = Derived::new();
-        assert_eq!(slot.get(), None);
-        assert_eq!(slot.get_or_init(|| "a".into()), "a");
-        assert_eq!(slot.get_or_init(|| "b".into()), "a");
-        slot.clear();
-        assert_eq!(slot.get_or_init(|| "b".into()), "b");
-    }
-
-    #[test]
-    fn clone_carries_the_cache() {
-        let slot: Derived<u32> = Derived::new();
-        slot.get_or_init(|| 9);
-        assert_eq!(slot.clone().get(), Some(&9));
-    }
-
-    #[test]
-    fn equality_ignores_cache_state() {
-        let full: Derived<u32> = Derived::new();
-        full.get_or_init(|| 3);
-        let empty: Derived<u32> = Derived::new();
-        assert_eq!(full, empty);
-    }
 
     #[test]
     fn digest_cache_counts_hits_and_misses() {

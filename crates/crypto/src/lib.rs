@@ -48,7 +48,7 @@ pub mod sha1;
 pub mod sha256;
 pub mod wire;
 
-pub use cache::{Derived, DigestCache};
+pub use cache::DigestCache;
 pub use digest::{Digest, HashAlgorithm};
 pub use hmac::Hmac;
 pub use keys::{KeyPair, Signature, SigningKey, VerifyingKey};

@@ -19,6 +19,21 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+#[cfg(feature = "count-compressions")]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// SHA-256 compressions (64-byte blocks) this thread has run so far.
+///
+/// Exists only under the `count-compressions` feature, which only test
+/// builds enable: a release build compiles no counter. Per thread, so
+/// tests running in parallel cannot perturb each other's counts.
+#[cfg(feature = "count-compressions")]
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(std::cell::Cell::get)
+}
+
 /// An incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -131,6 +146,8 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(feature = "count-compressions")]
+        COMPRESSIONS.with(|n| n.set(n.get() + 1));
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

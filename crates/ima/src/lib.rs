@@ -78,5 +78,5 @@ pub use appraise::{
 };
 pub use engine::{Ima, ImaConfig};
 pub use error::ImaError;
-pub use log::{ImaLogEntry, MeasurementLog, BOOT_AGGREGATE_NAME, IMA_PCR};
+pub use log::{ImaLogEntry, MeasurementLog, TemplateHashMemo, BOOT_AGGREGATE_NAME, IMA_PCR};
 pub use policy::{ImaFunc, ImaPolicy, PolicyAction, PolicyRule};

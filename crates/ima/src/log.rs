@@ -1,9 +1,13 @@
-//! The IMA measurement list (`ascii_runtime_measurements`).
+//! The IMA measurement list (`ascii_runtime_measurements`), and the
+//! verifier's memo of the template hashes it folds.
 
-use cia_crypto::{Derived, Digest, HashAlgorithm};
+use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+
+use cia_crypto::{Digest, HashAlgorithm};
 use cia_tpm::pcr::extend_digest;
 use cia_tpm::Tpm;
-use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::error::ImaError;
 
@@ -21,7 +25,10 @@ pub const BOOT_AGGREGATE_NAME: &str = "boot_aggregate";
 /// ```text
 /// 10 <sha1 template hash> ima-ng sha256:<filedata hash> <path>
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An entry is its three fields and nothing else: its template hash is
+/// computed from them ([`ImaLogEntry::template_hash`]), never carried.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImaLogEntry {
     /// PCR the entry was extended into (always 10 here).
     pub pcr: u8,
@@ -31,56 +38,6 @@ pub struct ImaLogEntry {
     /// executions this is the *inside-the-sandbox* path — the truncation
     /// that causes the paper's SNAP false positives.
     pub path: String,
-    /// Memoized SHA-1 template hash. Never trusted from the wire
-    /// (hand-written serde below omits it entirely); recomputed on
-    /// first use.
-    tpl_sha1: Derived<Digest>,
-    /// Memoized SHA-256 template hash.
-    tpl_sha256: Derived<Digest>,
-}
-
-// Hand-written wire form: only the three semantic fields travel. The
-// memoized template hashes are derived state — shipping them would both
-// bloat the excerpt by ~40% and invite a verifier to trust
-// attacker-controlled caches, so they are omitted and recomputed.
-impl Serialize for ImaLogEntry {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("pcr");
-        self.pcr.write_json(w);
-        w.key("filedata_hash");
-        self.filedata_hash.write_json(w);
-        w.key("path");
-        w.str(&self.path);
-        w.end_object();
-    }
-}
-
-/// Reads like a derived impl: unknown keys are skipped, the first of
-/// duplicate keys wins, and a missing field is an error.
-impl Deserialize for ImaLogEntry {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let (mut pcr, mut filedata_hash, mut path) = (None, None, None);
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "pcr" if pcr.is_none() => pcr = Some(u8::read_json(r)?),
-                "filedata_hash" if filedata_hash.is_none() => {
-                    filedata_hash = Some(Digest::read_json(r)?);
-                }
-                "path" if path.is_none() => path = Some(String::read_json(r)?),
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |name: &str| DeError::new(format!("missing field `{name}`"));
-        Ok(ImaLogEntry {
-            pcr: pcr.ok_or_else(|| missing("pcr"))?,
-            filedata_hash: filedata_hash.ok_or_else(|| missing("filedata_hash"))?,
-            path: path.ok_or_else(|| missing("path"))?,
-            tpl_sha1: Derived::new(),
-            tpl_sha256: Derived::new(),
-        })
-    }
 }
 
 impl ImaLogEntry {
@@ -90,8 +47,6 @@ impl ImaLogEntry {
             pcr: IMA_PCR,
             filedata_hash,
             path: path.into(),
-            tpl_sha1: Derived::new(),
-            tpl_sha256: Derived::new(),
         }
     }
 
@@ -117,25 +72,17 @@ impl ImaLogEntry {
         out
     }
 
-    /// The template hash in `bank` (the digest PCR 10 is extended with).
+    /// The template hash in `bank` (the digest PCR 10 is extended with):
+    /// the one definition of it, computed afresh on every call.
     ///
-    /// Memoized: computed once per entry per bank (at append or parse
-    /// time in practice), then served from the cache — the verifier's
-    /// fold loop hits this for every entry of every round. The cached
-    /// value is dropped rather than sent when an entry crosses the wire,
-    /// so a peer can never supply a forged template hash.
+    /// Streams the template parts straight into the hasher — the same
+    /// bytes as [`ImaLogEntry::template_data`], with no allocation. A
+    /// verifier that folds entries it may have seen before asks a
+    /// [`TemplateHashMemo`] instead, which calls this on a miss.
     pub fn template_hash(&self, bank: HashAlgorithm) -> Digest {
-        let slot = match bank {
-            HashAlgorithm::Sha1 => &self.tpl_sha1,
-            HashAlgorithm::Sha256 => &self.tpl_sha256,
-        };
-        *slot.get_or_init(|| {
-            // Stream the template parts straight into the hasher — same
-            // bytes as `template_data`, but no per-entry allocations.
-            let mut prefixed = [0u8; Digest::MAX_PREFIXED_HEX];
-            let n = self.filedata_hash.write_prefixed_hex(&mut prefixed);
-            bank.digest_parts(&[b"ima-ng ", &prefixed[..n], b" ", self.path.as_bytes()])
-        })
+        let mut prefixed = [0u8; Digest::MAX_PREFIXED_HEX];
+        let n = self.filedata_hash.write_prefixed_hex(&mut prefixed);
+        bank.digest_parts(&[b"ima-ng ", &prefixed[..n], b" ", self.path.as_bytes()])
     }
 
     /// Renders the canonical ASCII line.
@@ -192,6 +139,140 @@ impl ImaLogEntry {
             });
         }
         Ok(entry)
+    }
+}
+
+/// A bounded, content-addressed memo of SHA-256 template hashes: what a
+/// verifier folds, so an entry a fleet peer (or this agent, before a
+/// re-sync from entry 0) already sent is not hashed again.
+///
+/// The key is exactly the template's inputs, the filedata [`Digest`]
+/// (algorithm and bytes) and the path, compared in full on every hit; the
+/// value is the hash [`ImaLogEntry::template_hash`] computed for that key
+/// on a miss. So a hit returns exactly what recomputing would, and an
+/// entry rewritten in flight still folds to a PCR mismatch. The table is
+/// reserved for [`TemplateHashMemo::CAPACITY`] entries when the memo is
+/// made and cleared when it is full: a hit allocates nothing, a miss at
+/// most one boxed path. Paths longer than 256 bytes are hashed and not
+/// held, so a memo holds at most about 5 MiB (DESIGN.md §8).
+///
+/// Plain owned state: a verifier gives each round worker its own memo.
+/// Nothing reads its contents except a lookup, so the fixed hasher is
+/// never seen in any output; `Debug` prints only the counts.
+///
+/// # Examples
+///
+/// ```
+/// use cia_crypto::HashAlgorithm;
+/// use cia_ima::{ImaLogEntry, TemplateHashMemo};
+///
+/// let entry = ImaLogEntry::new(HashAlgorithm::Sha256.digest(b"ls"), "/usr/bin/ls");
+/// let mut memo = TemplateHashMemo::new();
+/// let first = memo.template_hash(&entry);
+/// assert_eq!(memo.template_hash(&entry), first);
+/// assert_eq!(first, entry.template_hash(HashAlgorithm::Sha256));
+/// assert_eq!((memo.hits(), memo.misses()), (1, 1));
+/// ```
+pub struct TemplateHashMemo {
+    slots: Slots,
+    hits: u64,
+    misses: u64,
+}
+
+/// One memoized template: its full key and the hash computed for it.
+struct Slot {
+    filedata_hash: Digest,
+    path: Box<str>,
+    template_hash: Digest,
+}
+
+/// Slots by a fingerprint of their key. A fingerprint collision only
+/// costs a recomputation: a hit also compares the full key.
+#[expect(
+    clippy::disallowed_types,
+    reason = "never iterated: lookups only, under a fixed (unseeded) hasher, so no output \
+              depends on its order"
+)]
+type Slots = std::collections::HashMap<u64, Slot, BuildHasherDefault<DefaultHasher>>;
+
+impl TemplateHashMemo {
+    /// The most entries a memo holds; the next new one clears it first.
+    /// Room for a 10,000-entry log re-sent from entry 0.
+    pub const CAPACITY: usize = 14_336;
+
+    /// Paths longer than this are hashed but not held.
+    const MAX_PATH_LEN: usize = 256;
+
+    /// An empty memo, its table reserved for [`Self::CAPACITY`] entries.
+    pub fn new() -> Self {
+        TemplateHashMemo {
+            slots: Slots::with_capacity_and_hasher(Self::CAPACITY, Default::default()),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// `entry`'s SHA-256 template hash: from the memo when its digest and
+    /// path were seen before, else computed and remembered.
+    pub fn template_hash(&mut self, entry: &ImaLogEntry) -> Digest {
+        let (digest, path) = (&entry.filedata_hash, entry.path.as_str());
+        let key = self.slots.hasher().hash_one((digest, path));
+        if let Some(slot) = self.slots.get(&key) {
+            if slot.filedata_hash == *digest && *slot.path == *path {
+                self.hits += 1;
+                return slot.template_hash;
+            }
+        }
+        self.misses += 1;
+        let template_hash = entry.template_hash(HashAlgorithm::Sha256);
+        if path.len() <= Self::MAX_PATH_LEN {
+            if self.slots.len() >= Self::CAPACITY && !self.slots.contains_key(&key) {
+                self.slots.clear();
+            }
+            let slot = Slot {
+                filedata_hash: *digest,
+                path: path.into(),
+                template_hash,
+            };
+            self.slots.insert(key, slot);
+        }
+        template_hash
+    }
+
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Lookups answered from the memo.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Template hashes computed.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+impl Default for TemplateHashMemo {
+    fn default() -> Self {
+        TemplateHashMemo::new()
+    }
+}
+
+impl fmt::Debug for TemplateHashMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TemplateHashMemo")
+            .field("len", &self.len())
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish()
     }
 }
 
@@ -381,10 +462,13 @@ mod tests {
     #[test]
     fn template_hash_is_memoized_and_stable() {
         let e = entry(b"memo", "/usr/bin/memo");
-        let first = e.template_hash(HashAlgorithm::Sha256);
-        assert_eq!(e.tpl_sha256.get(), Some(&first), "cached after first use");
-        assert_eq!(e.template_hash(HashAlgorithm::Sha256), first);
-        // The cache equals a from-scratch recomputation.
+        let mut memo = TemplateHashMemo::new();
+        let first = memo.template_hash(&e);
+        assert_eq!(memo.len(), 1, "held after first use");
+        assert_eq!(memo.template_hash(&e), first);
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        // The memoized value equals a from-scratch recomputation.
+        assert_eq!(first, e.template_hash(HashAlgorithm::Sha256));
         assert_eq!(
             first,
             HashAlgorithm::Sha256.digest(&e.template_data()),
@@ -395,12 +479,78 @@ mod tests {
     #[test]
     fn serde_drops_the_cache_but_preserves_equality() {
         let e = entry(b"wire", "/usr/bin/wire");
-        let warm = e.template_hash(HashAlgorithm::Sha256);
         let wire = serde_json::to_string(&e).unwrap();
+        assert!(
+            !wire.contains("tpl"),
+            "only the three fields travel: {wire}"
+        );
         let back: ImaLogEntry = serde_json::from_str(&wire).unwrap();
-        assert_eq!(back, e, "equality ignores cache state");
-        assert_eq!(back.tpl_sha256.get(), None, "cache never travels");
-        assert_eq!(back.template_hash(HashAlgorithm::Sha256), warm);
+        assert_eq!(back, e);
+        assert_eq!(
+            back.template_hash(HashAlgorithm::Sha256),
+            e.template_hash(HashAlgorithm::Sha256)
+        );
+    }
+
+    /// The memo's key is the whole template input: one digest under two
+    /// paths, or one path under two digests, are four templates.
+    #[test]
+    fn the_memo_keys_on_both_the_digest_and_the_path() {
+        let digest = HashAlgorithm::Sha256.digest(b"same");
+        let entries = [
+            ImaLogEntry::new(digest, "/usr/bin/a"),
+            ImaLogEntry::new(digest, "/usr/bin/b"),
+            entry(b"one", "/usr/bin/c"),
+            entry(b"two", "/usr/bin/c"),
+            // The same bytes under the other algorithm.
+            ImaLogEntry::new(HashAlgorithm::Sha1.digest(b"same"), "/usr/bin/a"),
+        ];
+        let mut memo = TemplateHashMemo::new();
+        for round in 0..2 {
+            for e in &entries {
+                assert_eq!(
+                    memo.template_hash(e),
+                    e.template_hash(HashAlgorithm::Sha256),
+                    "round {round}: {e:?}"
+                );
+            }
+        }
+        assert_eq!(memo.len(), entries.len());
+        assert_eq!((memo.hits(), memo.misses()), (5, 5));
+    }
+
+    /// Past its capacity the memo clears and starts over: it never holds
+    /// more, and every answer stays the recomputed one.
+    #[test]
+    fn the_memo_stays_within_its_bound() {
+        let mut memo = TemplateHashMemo::new();
+        let total = TemplateHashMemo::CAPACITY + 10;
+        for i in 0..total {
+            let e = entry(&i.to_le_bytes(), &format!("/usr/bin/t{i}"));
+            assert_eq!(
+                memo.template_hash(&e),
+                e.template_hash(HashAlgorithm::Sha256)
+            );
+            assert!(memo.len() <= TemplateHashMemo::CAPACITY);
+        }
+        assert_eq!(
+            memo.len(),
+            10,
+            "cleared once, at the first entry past the bound"
+        );
+        let long = entry(b"long", &"/p".repeat(200));
+        assert_eq!(
+            memo.template_hash(&long),
+            long.template_hash(HashAlgorithm::Sha256)
+        );
+        assert_eq!(memo.len(), 10, "an over-long path is hashed, not held");
+        assert_eq!(
+            format!("{memo:?}"),
+            format!(
+                "TemplateHashMemo {{ len: 10, hits: 0, misses: {} }}",
+                total + 1
+            )
+        );
     }
 
     #[test]

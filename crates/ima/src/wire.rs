@@ -1,20 +1,21 @@
 //! Binary wire codec impl for IMA measurement log entries.
 //!
-//! A log entry travels as `(pcr, filedata_hash, path)` — the private
-//! template-hash memo slots are recomputed lazily on the far side by
-//! [`ImaLogEntry::new_in_pcr`], which keeps the wire image minimal and
-//! the rebuilt entry semantically identical.
+//! A log entry travels as its three fields, `(pcr, filedata_hash,
+//! path)`, in declaration order — exactly what `#[derive(Wire)]` would
+//! write. The impl is by hand only to declare `MIN_WIRE_LEN`, which the
+//! derive leaves at the trait's default, so a decoded entry list is
+//! reserved for exactly. An entry carries no template hash: a verifier
+//! computes it from the fields (through its `TemplateHashMemo`).
 
 use cia_crypto::Digest;
 use cia_wire::{Reader, Wire, WireError, Writer};
 
 use crate::log::ImaLogEntry;
 
-/// By hand: its memo slots are rebuilt through
-/// [`ImaLogEntry::new_in_pcr`].
+/// By hand only for `MIN_WIRE_LEN`; the bytes are the derive's.
 impl Wire for ImaLogEntry {
     /// The PCR byte, the digest and an empty path's length byte: a
-    /// decoded entry list is reserved for exactly (an entry is 144 bytes
+    /// decoded entry list is reserved for exactly (an entry is 64 bytes
     /// in memory, about 51 on the wire).
     const MIN_WIRE_LEN: usize = 1 + Digest::MIN_WIRE_LEN + 1;
 
@@ -28,7 +29,11 @@ impl Wire for ImaLogEntry {
         let pcr = r.u8()?;
         let filedata_hash = Digest::decode(r)?;
         let path = r.str()?;
-        Ok(ImaLogEntry::new_in_pcr(pcr, filedata_hash, path))
+        Ok(ImaLogEntry {
+            pcr,
+            filedata_hash,
+            path: path.to_owned(),
+        })
     }
 }
 
@@ -46,6 +51,13 @@ mod tests {
             back.template_hash(cia_crypto::HashAlgorithm::Sha256),
             entry.template_hash(cia_crypto::HashAlgorithm::Sha256)
         );
+    }
+
+    /// No memo travels or is kept: an entry is its three fields.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_entry_is_64_bytes_in_memory() {
+        assert_eq!(std::mem::size_of::<ImaLogEntry>(), 64);
     }
 
     #[test]

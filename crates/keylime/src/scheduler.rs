@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use cia_ima::TemplateHashMemo;
 use cia_wire::Wire;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -46,7 +47,7 @@ use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 use crate::verifier::{
     AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, ReachClass,
-    Verifier, VerifierConfig,
+    Verifier, VerifierConfig, WorkerMemos,
 };
 
 /// Number of log2 latency buckets (bucket i counts calls in
@@ -616,7 +617,7 @@ impl FleetScheduler {
     where
         T: Transport + Sync,
     {
-        let (config, store, records) = verifier.scheduler_view();
+        let (config, store, records, (memo, helper_memos)) = verifier.scheduler_view();
         let mut results = Vec::new();
         let mut round_counts = MetricsSnapshot::default();
         {
@@ -643,7 +644,9 @@ impl FleetScheduler {
                         agent,
                     })
                 });
-                let (rows, counts) = attest_batch(&config, &store, transport, jobs.collect());
+                let memos = (&mut *memo, &mut *helper_memos);
+                let (rows, counts) =
+                    attest_batch(&config, &store, transport, jobs.collect(), memos);
                 on_batch(&rows);
                 results.extend(rows);
                 round_counts = round_counts.merged(&counts);
@@ -666,18 +669,21 @@ impl FleetScheduler {
 
 /// Attests one batch of claimed jobs on `worker_count` workers — the
 /// calling thread and `worker_count - 1` scoped threads, never more than
-/// there are jobs — and returns the batch's rows, in completion order, and
-/// counts. Workers pull jobs one at a time under the queue lock and attest
-/// them outside it.
+/// there are jobs or helper memos — and returns the batch's rows, in
+/// completion order, and counts. Workers pull jobs one at a time under
+/// the queue lock and attest them outside it, each folding through its
+/// own template-hash memo: `memos` is the calling thread's, then the
+/// helpers'.
 fn attest_batch<T: Transport + Sync>(
     config: &VerifierConfig,
     store: &PolicyStore,
     transport: &T,
     jobs: Vec<Job<'_>>,
+    (own, helper_memos): WorkerMemos<'_>,
 ) -> (Vec<AgentRoundResult>, MetricsSnapshot) {
     let helpers = config.worker_count.min(jobs.len()).saturating_sub(1);
     let queue = Mutex::new(jobs.into_iter());
-    let work = || {
+    let work = |memo: &mut TemplateHashMemo| {
         let mut rows = Vec::new();
         let mut counts = MetricsSnapshot::default();
         // The guard dies when `pull` returns.
@@ -693,6 +699,7 @@ fn attest_batch<T: Transport + Sync>(
                         &mut job,
                         agent,
                         &mut lane_transport,
+                        memo,
                     );
                     // The lane is fresh per job, so its byte total is
                     // exactly this agent's round traffic.
@@ -706,8 +713,11 @@ fn attest_batch<T: Transport + Sync>(
         (rows, counts)
     };
     std::thread::scope(|scope| {
-        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-        let (mut rows, mut counts) = work();
+        let work = &work;
+        let spawned: Vec<_> = (helper_memos.iter_mut().take(helpers))
+            .map(|memo| scope.spawn(move || work(memo)))
+            .collect();
+        let (mut rows, mut counts) = work(own);
         for worker in spawned {
             match worker.join() {
                 Ok((more, more_counts)) => {
@@ -752,6 +762,7 @@ fn attest_with_retry<T: Transport>(
     job: &mut Job<'_>,
     agent: &mut Agent,
     transport: &mut T,
+    memo: &mut TemplateHashMemo,
 ) -> AgentRoundResult {
     let day = agent.day();
     let backend = job.record.backend_identity().kind();
@@ -793,7 +804,7 @@ fn attest_with_retry<T: Transport>(
                 break RoundOutcome::SkippedPaused;
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                break appraise_fetched(config, counts, job, &resp, &nonce, day);
+                break appraise_fetched(config, counts, job, &resp, &nonce, day, memo);
             }
             Err(e) => e,
         };
@@ -836,9 +847,10 @@ fn appraise_fetched(
     resp: &crate::agent::QuoteResponse,
     nonce: &[u8],
     day: u32,
+    memo: &mut TemplateHashMemo,
 ) -> RoundOutcome {
     let backend = job.record.backend_identity().kind();
-    let appraisal = Verifier::appraise(config, job.record, resp, nonce, &job.id, day);
+    let appraisal = Verifier::appraise(config, job.record, resp, nonce, &job.id, day, memo);
     job.record.state = appraisal.next;
     counts.entries_evaluated += appraisal.entries_evaluated;
     match appraisal.outcome {

@@ -7,13 +7,15 @@
 //! (`Verifier::appraise`) is a function of values: record and evidence
 //! in, verdict and next state out. Its caller applies the next state.
 //! The record holds no alert history; an alert lives in the row of the
-//! round that raised it.
+//! round that raised it. Appraisal folds entries through a
+//! [`TemplateHashMemo`] the verifier owns, one per round worker; the
+//! memo is a cache, not agent state, and a new verifier starts cold.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cia_crypto::{Digest, HashAlgorithm, Sha256};
-use cia_ima::{ImaLogEntry, BOOT_AGGREGATE_NAME};
+use cia_ima::{ImaLogEntry, TemplateHashMemo, BOOT_AGGREGATE_NAME};
 use cia_tpm::pcr::extend_digest;
 use cia_wire::Wire;
 use serde::{Deserialize, Serialize};
@@ -448,16 +450,26 @@ pub struct Verifier {
     /// The shared policy store: one epoch-tagged snapshot all shared
     /// agents appraise against.
     store: PolicyStore,
+    /// The first round worker's template-hash memo, which sequential
+    /// attests use too.
+    memo: TemplateHashMemo,
+    /// One more memo for each further round worker
+    /// (`config.worker_count - 1`).
+    helper_memos: Vec<TemplateHashMemo>,
 }
 
 impl Verifier {
     /// Creates a verifier.
     pub fn new(config: VerifierConfig) -> Self {
-        Verifier {
+        let mut verifier = Verifier {
             config,
             agents: BTreeMap::new(),
             store: PolicyStore::new(),
-        }
+            memo: TemplateHashMemo::new(),
+            helper_memos: Vec::new(),
+        };
+        verifier.size_memos();
+        verifier
     }
 
     /// The active configuration.
@@ -469,6 +481,14 @@ impl Verifier {
     /// when the transport degrades). Takes effect from the next round.
     pub fn set_config(&mut self, config: VerifierConfig) {
         self.config = config;
+        self.size_memos();
+    }
+
+    /// One memo per round worker.
+    fn size_memos(&mut self) {
+        let helpers = self.config.worker_count.saturating_sub(1);
+        self.helper_memos
+            .resize_with(helpers, TemplateHashMemo::new);
     }
 
     /// Enrols an agent with a per-agent *override* policy: its AK public
@@ -705,10 +725,10 @@ impl Verifier {
         agent: &mut Agent,
     ) -> Result<(), KeylimeError> {
         let id = agent.id().clone();
-        let record = self.record_mut(&id)?;
+        let (record, memo) = self.record_and_memo(&id)?;
         match Self::fetch_tail(record, &id, transport, agent) {
             Ok((q, _nonce)) => {
-                record.state.replayed_pcr = fold(record.state.replayed_pcr, &q.entries);
+                record.state.replayed_pcr = fold(record.state.replayed_pcr, &q.entries, memo);
                 record.state.next_entry = q.total_entries;
                 record.state.last_boot_count = Some(q.quote.boot_count);
             }
@@ -737,14 +757,14 @@ impl Verifier {
         let id = agent.id().clone();
         let config = self.config;
         let store = self.store.clone();
-        let record = self.record_mut(&id)?;
+        let (record, memo) = self.record_and_memo(&id)?;
         // The same two halves the fleet scheduler wraps its retry loop
         // and latency metering around, so direct and fleet-round
         // verdicts agree by construction.
         match Self::fetch_evidence(&config, &store, record, &id, transport, agent)? {
             FetchedEvidence::Paused => Ok(AttestationOutcome::SkippedPaused),
             FetchedEvidence::Quote { resp, nonce } => {
-                let appraisal = Self::appraise(&config, record, &resp, &nonce, &id, day);
+                let appraisal = Self::appraise(&config, record, &resp, &nonce, &id, day, memo);
                 record.state = appraisal.next;
                 Ok(appraisal.outcome)
             }
@@ -832,9 +852,10 @@ impl Verifier {
 
     /// The CPU half of one attestation: appraises `resp`, quoted under
     /// `nonce`, against `record`, and returns the verdict with the state
-    /// it leaves. It writes nothing and reads no clock, so anyone holding
-    /// the same record and evidence derives the same [`Appraisal`]; the
-    /// caller applies `next`.
+    /// it leaves. It writes nothing but `memo` and reads no clock, so
+    /// anyone holding the same record and evidence derives the same
+    /// [`Appraisal`], whatever their memo holds; the caller applies
+    /// `next`.
     ///
     /// P2 is a property of this function: under stop-on-failure the first
     /// failing entry ends the appraisal, `next.next_entry` stays on it,
@@ -847,6 +868,7 @@ impl Verifier {
         nonce: &[u8],
         id: &AgentId,
         day: u32,
+        memo: &mut TemplateHashMemo,
     ) -> Appraisal {
         let alert = |kind| Alert {
             agent: id.clone(),
@@ -899,11 +921,11 @@ impl Verifier {
         }
 
         // ② The excerpt must replay to the quoted evidence register
-        // (PCR 10 on TPM+IMA). Template-hash caches never travel, so the
-        // fold recomputes them from the entry fields and any tampering
-        // lands here as a PCR mismatch.
+        // (PCR 10 on TPM+IMA). Template hashes never travel: the fold
+        // takes each from the entry's own fields (the memo is keyed by
+        // all of them), so any tampering lands here as a PCR mismatch.
         let entries = &resp.entries;
-        let full_fold = fold(state.replayed_pcr, entries);
+        let full_fold = fold(state.replayed_pcr, entries, memo);
         if quote.pcr_value(backend.evidence_register()) != Some(full_fold) {
             return Appraisal::failed(state, vec![alert(FailureKind::PcrMismatch)], 0);
         }
@@ -948,7 +970,7 @@ impl Verifier {
                 if !config.continue_on_failure {
                     // P2: stop here. Everything after this entry goes
                     // unevaluated.
-                    next.replayed_pcr = fold(state.replayed_pcr, &entries[..offset]);
+                    next.replayed_pcr = fold(state.replayed_pcr, &entries[..offset], memo);
                     next.next_entry += offset;
                     return Appraisal::failed(next, alerts, offset as u64 + 1);
                 }
@@ -976,17 +998,21 @@ impl Verifier {
         }
     }
 
-    /// Hands the scheduler the per-agent records alongside the config and
-    /// a clone of the store (one `Arc` bump), so each worker can own one
-    /// `&mut AgentRecord` while all of them read the same epoch.
+    /// Hands the scheduler the per-agent records alongside the config, a
+    /// clone of the store (one `Arc` bump) and the memos — the calling
+    /// thread's, then one per helper worker — so each worker can own one
+    /// `&mut AgentRecord` and its own memo while all of them read the
+    /// same epoch.
     pub(crate) fn scheduler_view(
         &mut self,
     ) -> (
         VerifierConfig,
         PolicyStore,
         &mut BTreeMap<AgentId, AgentRecord>,
+        WorkerMemos<'_>,
     ) {
-        (self.config, self.store.clone(), &mut self.agents)
+        let memos = (&mut self.memo, &mut self.helper_memos[..]);
+        (self.config, self.store.clone(), &mut self.agents, memos)
     }
 
     /// Copies out one agent's mutable state.
@@ -1066,23 +1092,34 @@ impl Verifier {
             .get_mut(id)
             .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })
     }
+
+    /// One agent's record and the sequential paths' memo.
+    fn record_and_memo(
+        &mut self,
+        id: &AgentId,
+    ) -> Result<(&mut AgentRecord, &mut TemplateHashMemo), KeylimeError> {
+        let record = (self.agents.get_mut(id))
+            .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })?;
+        Ok((record, &mut self.memo))
+    }
 }
+
+/// A round's template-hash memos: the calling thread's, then one per
+/// helper worker.
+pub(crate) type WorkerMemos<'v> = (&'v mut TemplateHashMemo, &'v mut [TemplateHashMemo]);
 
 /// `pcr` extended by each entry's SHA-256 template hash, in order: the
 /// verifier's replay of the evidence register.
-fn fold(pcr: Digest, entries: &[ImaLogEntry]) -> Digest {
+fn fold(pcr: Digest, entries: &[ImaLogEntry], memo: &mut TemplateHashMemo) -> Digest {
     entries.iter().fold(pcr, |pcr, entry| {
-        extend_digest(
-            HashAlgorithm::Sha256,
-            pcr,
-            entry.template_hash(HashAlgorithm::Sha256),
-        )
+        extend_digest(HashAlgorithm::Sha256, pcr, memo.template_hash(entry))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cia_ima::MeasurementLog;
     use cia_tpm::{PcrSelection, Quote};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1354,7 +1391,7 @@ mod tests {
     /// Past entry 0 the same PCR 10 alone is a complete reply.
     #[test]
     fn a_quote_at_entry_zero_must_select_the_boot_registers() {
-        use cia_ima::{MeasurementLog, IMA_PCR};
+        use cia_ima::IMA_PCR;
         use cia_tpm::{Manufacturer, Tpm};
 
         let mut rng = StdRng::seed_from_u64(13);
@@ -1377,7 +1414,8 @@ mod tests {
         let record = AgentRecord { ak, ..record() };
         let id = AgentId::from("node");
 
-        let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0);
+        let memo = &mut TemplateHashMemo::new();
+        let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0, memo);
         let alert = Alert {
             agent: id.clone(),
             day: 0,
@@ -1402,7 +1440,7 @@ mod tests {
         let past_zero = AgentRecord {
             state: AgentStateSnapshot {
                 next_entry: 1,
-                replayed_pcr: fold(HashAlgorithm::Sha256.zero_digest(), log.entries()),
+                replayed_pcr: log.replay(HashAlgorithm::Sha256),
                 ..record.state
             },
             ..record
@@ -1411,7 +1449,7 @@ mod tests {
             entries: Vec::new(),
             ..resp
         };
-        let appraisal = Verifier::appraise(&config(), &past_zero, &resp, &nonce, &id, 0);
+        let appraisal = Verifier::appraise(&config(), &past_zero, &resp, &nonce, &id, 0, memo);
         assert_eq!(
             appraisal.outcome,
             AttestationOutcome::Verified { new_entries: 0 }
@@ -1474,7 +1512,8 @@ mod tests {
                 total_entries: next_entry,
             };
             assert!(resp.quote.verify(&keys.verifying, &nonce), "signed");
-            let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0);
+            let memo = &mut TemplateHashMemo::new();
+            let appraisal = Verifier::appraise(&config(), &record, &resp, &nonce, &id, 0, memo);
             let alert = Alert {
                 agent: id.clone(),
                 day: 0,
@@ -1541,7 +1580,8 @@ mod tests {
     /// with one tampered agent and one reboot, a second party holding
     /// each agent's record from before the round and the evidence the
     /// round appraised re-derives every appraised row's verdict and the
-    /// state the engine applied, under both failure postures.
+    /// state the engine applied, under both failure postures — with a
+    /// memo warmed by every earlier appraisal and with a cold one alike.
     ///
     /// The record the engine appraised against is the record before the
     /// round plus the request half's writes, re-derived from the
@@ -1592,6 +1632,7 @@ mod tests {
             let (tampered, rebooted) = (&ids[1], &ids[2]);
 
             let (mut appraised, mut failed, mut restarted) = (0, 0, 0);
+            let mut warm = TemplateHashMemo::new();
             for round in 0..8u64 {
                 for id in &ids {
                     let agent = cluster.agent_mut(id).unwrap();
@@ -1640,8 +1681,16 @@ mod tests {
                     }
 
                     let nonce = Verifier::make_nonce(&row.id, counter);
-                    let appraisal =
-                        Verifier::appraise(&config, &record, resp, &nonce, &row.id, row.day);
+                    let appraise = |memo: &mut TemplateHashMemo| {
+                        Verifier::appraise(&config, &record, resp, &nonce, &row.id, row.day, memo)
+                    };
+                    let appraisal = appraise(&mut warm);
+                    assert_eq!(
+                        appraise(&mut TemplateHashMemo::new()),
+                        appraisal,
+                        "round {round}: {} cold and warm",
+                        row.id
+                    );
                     let verdict = match appraisal.outcome {
                         AttestationOutcome::Verified { new_entries } => {
                             RoundOutcome::Verified { new_entries }
@@ -1668,6 +1717,173 @@ mod tests {
             assert!(appraised >= 24, "{posture}: {appraised} rows re-derived");
             assert!(failed > 0, "{posture}: the tampered agent failed");
             assert_eq!(restarted, 1, "{posture}: the reboot was re-quoted once");
+            assert!(warm.hits() > 0, "{posture}: the fleet's entries repeat");
         }
+    }
+
+    /// A TPM that has measured `boot_aggregate` and then `files`, its AK,
+    /// and its log.
+    fn measured(
+        files: &[(String, Vec<u8>)],
+    ) -> (cia_tpm::Tpm, cia_crypto::VerifyingKey, MeasurementLog) {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut tpm =
+            cia_tpm::Tpm::manufacture(&cia_tpm::Manufacturer::generate(&mut rng), &mut rng);
+        let ak = tpm.create_ak(&mut rng);
+        let mut log = MeasurementLog::new();
+        let boot = ImaLogEntry::new(HashAlgorithm::Sha256.digest(b"boot"), BOOT_AGGREGATE_NAME);
+        log.append(boot, &mut tpm).unwrap();
+        for (path, content) in files {
+            measure(&mut tpm, &mut log, path, content);
+        }
+        (tpm, ak, log)
+    }
+
+    fn measure(tpm: &mut cia_tpm::Tpm, log: &mut MeasurementLog, path: &str, content: &[u8]) {
+        let entry = ImaLogEntry::new(HashAlgorithm::Sha256.digest(content), path);
+        log.append(entry, tpm).unwrap();
+    }
+
+    /// The poll from entry `from` on: PCR 10 quoted under `nonce`.
+    fn poll(
+        tpm: &mut cia_tpm::Tpm,
+        log: &MeasurementLog,
+        from: usize,
+        nonce: &[u8],
+    ) -> QuoteResponse {
+        let selection = PcrSelection::single(cia_ima::IMA_PCR);
+        QuoteResponse {
+            backend: BackendKind::TpmIma,
+            quote: tpm.quote(nonce, &selection, HashAlgorithm::Sha256).unwrap(),
+            entries: log.entries()[from..].to_vec(),
+            total_entries: log.len(),
+        }
+    }
+
+    /// A record that has appraised the `boot_aggregate` and trusts
+    /// `policy`.
+    fn past_boot(
+        ak: cia_crypto::VerifyingKey,
+        log: &MeasurementLog,
+        policy: RuntimePolicy,
+    ) -> AgentRecord {
+        AgentRecord {
+            ak,
+            policy: Arc::new(policy),
+            state: AgentStateSnapshot {
+                next_entry: 1,
+                replayed_pcr: log.replay_prefix(HashAlgorithm::Sha256, 1),
+                ..record().state
+            },
+            ..record()
+        }
+    }
+
+    fn pcr_mismatch(id: &AgentId) -> AttestationOutcome {
+        let kind = FailureKind::PcrMismatch;
+        let alert = Alert {
+            agent: id.clone(),
+            day: 0,
+            kind,
+        };
+        AttestationOutcome::Failed {
+            alerts: vec![alert],
+        }
+    }
+
+    /// A memo warmed with honest entries — the tampered pairs included,
+    /// each honestly measured elsewhere — still folds a response whose
+    /// path or digest was rewritten in flight to a PCR mismatch: a hit
+    /// answers for the rewritten fields, never for the original entry.
+    #[test]
+    fn a_warm_memo_still_catches_evidence_rewritten_in_flight() {
+        let files = [("/usr/bin/a", b"a"), ("/usr/bin/b", b"b")];
+        let files: Vec<(String, Vec<u8>)> = (files.iter())
+            .map(|(path, content)| (path.to_string(), content.to_vec()))
+            .collect();
+        let (mut tpm, ak, log) = measured(&files);
+        let mut policy = RuntimePolicy::new();
+        policy.exclude("/usr/bin");
+        let record = past_boot(ak, &log, policy);
+        let (id, nonce) = (AgentId::from("node"), b"fresh".to_vec());
+        let honest = poll(&mut tpm, &log, 1, &nonce);
+
+        let mut memo = TemplateHashMemo::new();
+        let config = config();
+        let appraisal = Verifier::appraise(&config, &record, &honest, &nonce, &id, 0, &mut memo);
+        assert_eq!(
+            appraisal.outcome,
+            AttestationOutcome::Verified { new_entries: 2 }
+        );
+
+        let (a, b) = (&honest.entries[0], &honest.entries[1]);
+        let rewrites = [
+            ImaLogEntry::new(a.filedata_hash, b.path.clone()),
+            ImaLogEntry::new(b.filedata_hash, a.path.clone()),
+        ];
+        for forged in rewrites {
+            // The forged pair is one the fleet measured honestly too.
+            memo.template_hash(&forged);
+            let mut tampered = honest.clone();
+            tampered.entries[0] = forged.clone();
+            let hits = memo.hits();
+            let appraisal =
+                Verifier::appraise(&config, &record, &tampered, &nonce, &id, 0, &mut memo);
+            assert_eq!(appraisal.outcome, pcr_mismatch(&id), "{forged:?}");
+            assert!(memo.hits() >= hits + 2, "both entries were memo hits");
+        }
+    }
+
+    /// An agent whose log holds more distinct entries than the memo's
+    /// capacity leaves the memo within its bound, and the polls after it
+    /// still verify, and still catch a rewrite.
+    #[test]
+    fn an_agent_past_the_memo_capacity_leaves_it_bounded_and_correct() {
+        let files: Vec<(String, Vec<u8>)> = (0..TemplateHashMemo::CAPACITY + 100)
+            .map(|i| (format!("/srv/app/f{i}"), i.to_le_bytes().to_vec()))
+            .collect();
+        let (mut tpm, ak, mut log) = measured(&files);
+        let mut policy = RuntimePolicy::new();
+        policy.exclude("/srv/app");
+        let mut record = past_boot(ak, &log, policy);
+        let (id, config) = (AgentId::from("node"), config());
+        let mut memo = TemplateHashMemo::new();
+
+        let nonce = b"backlog".to_vec();
+        let resp = poll(&mut tpm, &log, 1, &nonce);
+        let appraisal = Verifier::appraise(&config, &record, &resp, &nonce, &id, 0, &mut memo);
+        let new_entries = files.len();
+        assert_eq!(
+            appraisal.outcome,
+            AttestationOutcome::Verified { new_entries }
+        );
+        assert!(memo.len() <= TemplateHashMemo::CAPACITY, "{memo:?}");
+        record.state = appraisal.next;
+
+        // The next poll re-sends entries the memo dropped and held, and
+        // one it never saw.
+        let repeats = [&files[0], &files[files.len() - 1]];
+        for (path, content) in repeats {
+            measure(&mut tpm, &mut log, path, content);
+        }
+        measure(&mut tpm, &mut log, "/srv/app/new", b"new");
+        let nonce = b"steady".to_vec();
+        let from = record.state.next_entry;
+        let resp = poll(&mut tpm, &log, from, &nonce);
+        let appraisal = Verifier::appraise(&config, &record, &resp, &nonce, &id, 0, &mut memo);
+        assert_eq!(
+            appraisal.outcome,
+            AttestationOutcome::Verified { new_entries: 3 }
+        );
+        assert_eq!(
+            appraisal.next.replayed_pcr,
+            log.replay(HashAlgorithm::Sha256)
+        );
+        assert!(memo.len() <= TemplateHashMemo::CAPACITY, "{memo:?}");
+
+        let mut tampered = resp.clone();
+        tampered.entries[1].path = files[1].0.clone();
+        let appraisal = Verifier::appraise(&config, &record, &tampered, &nonce, &id, 0, &mut memo);
+        assert_eq!(appraisal.outcome, pcr_mismatch(&id));
     }
 }

@@ -4,11 +4,11 @@
 //! every run. A change that moves one re-pins it and says why, so a cost
 //! that grows back fails here rather than only in a benchmark.
 
-use cia_crypto::{HashAlgorithm, KeyPair};
+use cia_crypto::{sha256, HashAlgorithm, KeyPair};
 use cia_keylime::{
     Agent, AgentId, AgentRequest, AgentResponse, AgentRoundResult, AgentStateSnapshot, Alert,
-    BackendKind, FailureKind, PolicyEpoch, ReliableTransport, RoundOutcome, RuntimePolicy,
-    Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
+    AttestationOutcome, BackendKind, FailureKind, PolicyEpoch, ReliableTransport, RoundOutcome,
+    RuntimePolicy, Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
 };
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
@@ -93,6 +93,96 @@ const AT_ENTRY_ZERO: u64 = 545;
 const PAST_ENTRY_ZERO: u64 = 145;
 /// Past entry 0, four new entries.
 const PAST_ENTRY_ZERO_FOUR_NEW: u64 = 349;
+
+/// Runs the four `/usr/bin/tool-{i}` executables on `agent`'s machine:
+/// four new log entries, the same four on every machine.
+fn run_tools(agent: &mut Agent) {
+    let machine = agent.machine_mut();
+    for i in 0..4 {
+        let path = VfsPath::new(&format!("/usr/bin/tool-{i}")).unwrap();
+        machine.write_executable(&path, b"tool").unwrap();
+        machine.exec(&path, ExecMethod::Direct).unwrap();
+    }
+}
+
+/// One sequential poll of `agent` and the SHA-256 compressions it ran,
+/// on both sides of the call: the verifier's nonce, the agent's quote,
+/// the quote's verification, the log fold and any boot aggregate.
+fn poll_compressions(verifier: &mut Verifier, agent: &mut Agent, new_entries: usize) -> u64 {
+    let mut transport = ReliableTransport::new();
+    let before = sha256::compressions();
+    let outcome = verifier.attest(&mut transport, agent, 0).unwrap();
+    let compressions = sha256::compressions() - before;
+    assert_eq!(outcome, AttestationOutcome::Verified { new_entries });
+    compressions
+}
+
+/// SHA-256 compressions per poll, counted (the `count-compressions`
+/// feature of `cia-crypto`, which only this crate's tests enable). Past
+/// entry 0 every poll pays 13 for the protocol: 1 for the nonce, and 6
+/// each to sign and to verify the quote (1 for its register digest, 5
+/// for the HMAC). Each new entry adds 2 for its PCR extend, and 2 for its
+/// ima-ng template hash unless the verifier's memo holds the entry's
+/// digest and path: a fleet peer sent the same measurement before.
+#[test]
+fn a_poll_has_a_pinned_number_of_sha256_compressions() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let manufacturer = Manufacturer::generate(&mut rng);
+    let mut verifier = Verifier::new(VerifierConfig::default());
+    let mut policy = RuntimePolicy::new();
+    policy.exclude("/usr/bin");
+    verifier.publish_policy(policy);
+    let mut enrol = |i: u64| {
+        let config = MachineConfig {
+            hostname: format!("node-{i}"),
+            seed: 50 + i,
+            ..MachineConfig::default()
+        };
+        let agent = Agent::new(Machine::new(&manufacturer, config));
+        let ak = agent.machine().tpm.ak_public().unwrap().clone();
+        verifier.add_agent_shared(agent.id().clone(), ak);
+        agent
+    };
+    let (first, peer) = (&mut enrol(0), &mut enrol(1));
+
+    assert_eq!(
+        poll_compressions(&mut verifier, first, 1),
+        AT_ENTRY_ZERO_POLL
+    );
+    assert_eq!(
+        poll_compressions(&mut verifier, peer, 1),
+        AT_ENTRY_ZERO_POLL_WARM
+    );
+    assert_eq!(
+        poll_compressions(&mut verifier, first, 0),
+        STEADY_POLL_NOTHING_NEW
+    );
+    run_tools(first);
+    assert_eq!(
+        poll_compressions(&mut verifier, first, 4),
+        STEADY_POLL_FOUR_NEW_COLD
+    );
+    run_tools(peer);
+    assert_eq!(
+        poll_compressions(&mut verifier, peer, 4),
+        STEADY_POLL_FOUR_NEW_WARM
+    );
+}
+
+/// The poll from entry 0: the protocol's 13 with the quote over PCRs
+/// 0–10 (its register digest takes 6, not 1, on each side: 23), the
+/// `boot_aggregate` check's hash of PCRs 0–9 (6), and the
+/// `boot_aggregate` entry's fold (4).
+const AT_ENTRY_ZERO_POLL: u64 = 33;
+/// A fleet peer's poll from entry 0: machines that boot the same chain
+/// log the same `boot_aggregate`, so its template hash is a memo hit.
+const AT_ENTRY_ZERO_POLL_WARM: u64 = 31;
+/// Past entry 0 with nothing new: the protocol alone.
+const STEADY_POLL_NOTHING_NEW: u64 = 13;
+/// Four new entries the memo has not seen: 13 + 4 × (2 + 2).
+const STEADY_POLL_FOUR_NEW_COLD: u64 = 29;
+/// The same four entries, from a fleet peer: 13 + 4 × 2.
+const STEADY_POLL_FOUR_NEW_WARM: u64 = 21;
 
 /// A fresh journal, the verifier it journals, and a benchmark-shaped
 /// agent id: 17 bytes, as `node-{index:012x}` names an agent.

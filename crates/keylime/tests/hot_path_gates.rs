@@ -3,8 +3,9 @@
 //! a `Verifier::publish_delta` to a shared fleet — or the replay of a
 //! long journal of them — copies only the policy chunks its deltas touch,
 //! never the policy, each copy for a few allocations, a warm agent
-//! RPC call makes a pinned number of allocations, and a warm journal
-//! ack at most one.
+//! RPC call makes a pinned number of allocations, so does the appraisal
+//! of a steady poll whatever its entries (with one more per entry the
+//! template-hash memo has not seen), and a warm journal ack at most one.
 //!
 //! Allocations and live heap bytes are counted per thread, by
 //! const-initialised thread-locals inside the counting global allocator,
@@ -17,9 +18,10 @@ use std::hint::black_box;
 
 use cia_crypto::{HashAlgorithm, KeyPair};
 use cia_keylime::{
-    Agent, AgentId, AgentRequest, AgentResponse, AgentRoundResult, AgentStateSnapshot, BackendKind,
-    PolicyCheck, PolicyDelta, PolicyEpoch, ReliableTransport, RoundOutcome, RuntimePolicy,
-    Transport, Verifier, VerifierConfig, VerifierJournal, DEFAULT_JOURNAL_DIR,
+    Agent, AgentId, AgentRequest, AgentResponse, AgentRoundResult, AgentStateSnapshot,
+    AttestationOutcome, BackendKind, PolicyCheck, PolicyDelta, PolicyEpoch, ReliableTransport,
+    RoundOutcome, RuntimePolicy, Transport, TransportError, Verifier, VerifierConfig,
+    VerifierJournal, DEFAULT_JOURNAL_DIR,
 };
 use cia_os::{ExecMethod, Machine, MachineConfig};
 use cia_tpm::Manufacturer;
@@ -317,6 +319,129 @@ fn a_warm_steady_poll_call_makes_a_pinned_number_of_allocations() {
         warm <= ALLOCATIONS_PER_CALL,
         "a warm steady poll call made {warm} allocations (calls: {allocated:?})"
     );
+}
+
+/// A [`ReliableTransport`] that notes this thread's allocation count as
+/// each call hands its response back: a poll's allocations after that
+/// mark are the verifier's own, once the evidence has arrived.
+#[derive(Debug)]
+struct MarkedTransport {
+    inner: ReliableTransport,
+    mark: u64,
+}
+
+impl Transport for MarkedTransport {
+    fn call<Req, Resp>(
+        &mut self,
+        request: &Req,
+        serve: impl FnOnce(Req) -> Resp,
+    ) -> Result<Resp, TransportError>
+    where
+        Req: serde::Serialize + serde::de::DeserializeOwned,
+        Resp: serde::Serialize + serde::de::DeserializeOwned,
+    {
+        let response = self.inner.call(request, serve);
+        self.mark = allocations();
+        response
+    }
+
+    fn requests(&self) -> u64 {
+        self.inner.requests()
+    }
+
+    fn drops(&self) -> u64 {
+        self.inner.drops()
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.inner.wire_bytes()
+    }
+
+    fn fork(&self, lane: u64) -> Self {
+        MarkedTransport {
+            inner: self.inner.fork(lane),
+            mark: 0,
+        }
+    }
+}
+
+/// Heap allocations the verifier makes in one sequential poll of `agent`
+/// after the response arrives: boxing the evidence, then the appraisal
+/// (quote verification, the log fold, the policy checks, the verdict).
+fn appraisal_allocations(verifier: &mut Verifier, agent: &mut Agent, new_entries: usize) -> u64 {
+    let mut transport = MarkedTransport {
+        inner: ReliableTransport::new(),
+        mark: 0,
+    };
+    let outcome = verifier.attest(&mut transport, agent, 0).unwrap();
+    let allocated = allocations() - transport.mark;
+    assert_eq!(outcome, AttestationOutcome::Verified { new_entries });
+    allocated
+}
+
+/// The appraisal of a steady poll makes a pinned number of heap
+/// allocations when the verifier's template-hash memo holds its entries
+/// (a fleet peer sent them first), the same number as a poll with no new
+/// entries: the fold and the policy checks add none. The three are the
+/// evidence's box and the quote check's buffers. With a cold memo each
+/// new entry costs at most one more, the memo's copy of its path.
+#[test]
+fn a_warm_appraisal_makes_a_pinned_number_of_allocations() {
+    const ALLOCATIONS_PER_APPRAISAL: u64 = 3;
+    let mut rng = StdRng::seed_from_u64(5);
+    let manufacturer = Manufacturer::generate(&mut rng);
+    let mut verifier = Verifier::new(VerifierConfig::default());
+    let mut policy = RuntimePolicy::new();
+    let digest = HashAlgorithm::Sha256.digest(b"tool").to_hex();
+    for i in 0..4 {
+        policy.allow(format!("/usr/bin/tool-{i}"), &digest);
+    }
+    verifier.publish_policy(policy);
+    let mut enrol = |i: u64| {
+        let config = MachineConfig {
+            hostname: format!("node-{i}"),
+            seed: 50 + i,
+            ..MachineConfig::default()
+        };
+        let agent = Agent::new(Machine::new(&manufacturer, config));
+        let ak = agent.machine().tpm.ak_public().unwrap().clone();
+        verifier.add_agent_shared(agent.id().clone(), ak);
+        agent
+    };
+    let (first, peer) = (&mut enrol(0), &mut enrol(1));
+    let run_tools = |agent: &mut Agent| {
+        let machine = agent.machine_mut();
+        for i in 0..4 {
+            let path = VfsPath::new(&format!("/usr/bin/tool-{i}")).unwrap();
+            machine.write_executable(&path, b"tool").unwrap();
+            machine.exec(&path, ExecMethod::Direct).unwrap();
+        }
+    };
+
+    appraisal_allocations(&mut verifier, first, 1);
+    appraisal_allocations(&mut verifier, peer, 1);
+    let nothing_new = appraisal_allocations(&mut verifier, first, 0);
+    run_tools(first);
+    let cold = appraisal_allocations(&mut verifier, first, 4);
+    run_tools(peer);
+    let warm = appraisal_allocations(&mut verifier, peer, 4);
+
+    assert_eq!(
+        warm, ALLOCATIONS_PER_APPRAISAL,
+        "a warm steady appraisal's allocations"
+    );
+    assert_eq!(
+        warm, nothing_new,
+        "the fold of four known entries allocated"
+    );
+    assert!(
+        cold <= warm + 4,
+        "a cold appraisal of four new entries made {cold} allocations (warm: {warm})"
+    );
+    // The memo held the boot_aggregate and the four tools, each hashed
+    // once and then answered once; its `Debug` prints only the counts.
+    let memo = "TemplateHashMemo { len: 5, hits: 5, misses: 5 }";
+    assert!(format!("{verifier:?}").contains(memo), "{verifier:?}");
 }
 
 /// A warm journal ack — `VerifierJournal::record_ack` of a shared agent's

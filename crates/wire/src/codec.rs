@@ -292,9 +292,9 @@ impl<'a> Reader<'a> {
 /// this trait) encodes a struct's fields in declaration order and an
 /// enum as a `u8` tag, the variant's declaration index, then its
 /// fields, so `encode` and `decode` are one declaration and cannot
-/// drift apart. A type whose decode must validate or rebuild private
-/// state (a digest, a key, a PCR mask, a log entry's memo slots)
-/// implements it by hand, next to the type. `decode` must be total:
+/// drift apart. A type whose decode must validate private state (a
+/// digest, a key, a PCR mask), or that declares `MIN_WIRE_LEN` (a log
+/// entry), implements it by hand, next to the type. `decode` must be total:
 /// malformed bytes return a [`WireError`], never panic.
 pub trait Wire: Sized {
     /// A lower bound on the bytes one encoded value takes, or 0 when the

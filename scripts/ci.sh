@@ -18,11 +18,21 @@
 #   (zero allocations per warm check_digest, at most 96 live heap bytes
 #   per policy (path, digest) pair, chunk copies bounded per push and per
 #   recovery, at most 4 allocations per chunk copy, at most 8 allocations
-#   per warm agent RPC call of a steady poll, at most 1 allocation per
-#   warm journal ack); the cost ledger in
+#   per warm agent RPC call of a steady poll, 3 allocations per appraisal
+#   of a steady poll whose entries the template-hash memo holds and at
+#   most one more per entry it does not, at most 1 allocation per warm
+#   journal ack); the cost ledger in
 #   crates/keylime/tests/cost_ledger.rs (the exact binary bytes of the
 #   agent RPC's quote messages, of one steady shard `Results` row, and
-#   of the journal's acks, enrolment record and round marks); the
+#   of the journal's acks, enrolment record and round marks, and the
+#   SHA-256 compressions per poll: 33 from entry 0, 13 with nothing new,
+#   29 with four new entries and a cold memo, 21 with a warm one, counted
+#   through cia-crypto's test-only `count-compressions` feature); the
+#   template-hash memo's tests (crates/ima/src/log.rs and
+#   crates/keylime/src/verifier.rs: its key is the whole template input,
+#   it stays within its bound, a warm memo still catches evidence
+#   rewritten in flight, and cold and warm memos derive identical
+#   appraisals); the
 #   byte-identity pin in crates/keylime/tests/agent_rpc_bytes.rs (the
 #   SHA-256 of every agent RPC message shape's encoding); and every
 #   crate's unit and integration suites.
