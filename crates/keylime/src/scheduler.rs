@@ -8,9 +8,9 @@
 //!
 //! - a round is a list of poll commands, in batches; the calling thread
 //!   matches each command of a batch to its verifier record and agent
-//!   process, then `worker_count` workers (the calling thread among
-//!   them) pull the batch's jobs one at a time under a single lock — that
-//!   lock is all that sits between the batch and the workers;
+//!   process, then deals the batch's jobs round-robin into one owned
+//!   share per worker (`worker_count` of them, the calling thread among
+//!   them) — no lock sits between the batch and the workers;
 //! - each job gets its own deterministic transport *lane*
 //!   ([`Transport::fork`]), so the faults an agent sees depend only on
 //!   the fault plan, the round and the agent's lane
@@ -32,11 +32,11 @@
 //! fleet keeps attesting through failures instead of pausing on them.
 
 use std::collections::BTreeMap;
+use std::sync::{MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cia_ima::TemplateHashMemo;
 use cia_wire::Wire;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::agent::Agent;
@@ -47,7 +47,7 @@ use crate::store::{PolicyEpoch, PolicyStore};
 use crate::transport::Transport;
 use crate::verifier::{
     AgentHealth, AgentRecord, Alert, AttestationOutcome, FetchedEvidence, HealthCounts, ReachClass,
-    Verifier, VerifierConfig, WorkerMemos,
+    Verifier, VerifierConfig, WorkerScratch, Workers,
 };
 
 /// Number of log2 latency buckets (bucket i counts calls in
@@ -497,14 +497,24 @@ struct Job<'a> {
     agent: Option<&'a mut Agent>,
 }
 
+/// The engine's counters, the workspace's one lock: the benchmark's
+/// probes share a scheduler by `&` with `serve_round` on a scoped thread,
+/// and `&mut self` waits on the benchmark's contract (ROADMAP item 2).
+#[expect(
+    clippy::disallowed_types,
+    reason = "merged once per round or push, off the hot path; no guard outlives the method \
+              that takes it, and none is held across another lock or a call (ROADMAP item 2)"
+)]
+type Totals = std::sync::Mutex<MetricsSnapshot>;
+
 /// The concurrent fleet attestation engine. See the module docs.
 #[derive(Debug)]
 pub struct FleetScheduler {
     /// The engine's counters, accumulated across rounds. The hot path
     /// never touches them — every worker counts into a snapshot of its
-    /// own, and the thread that ran the round merges them in under this
-    /// one lock, with [`MetricsSnapshot::merged`], when the round ends.
-    totals: Mutex<MetricsSnapshot>,
+    /// own, and the thread that ran the round merges them in, with
+    /// [`MetricsSnapshot::merged`], when the round ends.
+    totals: Totals,
 }
 
 impl Default for FleetScheduler {
@@ -521,14 +531,20 @@ impl FleetScheduler {
             ..MetricsSnapshot::default()
         };
         FleetScheduler {
-            totals: Mutex::new(zeroed),
+            totals: Totals::new(zeroed),
         }
+    }
+
+    /// The counters, poison recovered: the conserved ones change only by
+    /// one assignment of a merged snapshot, so a panic cannot unbalance them.
+    fn totals(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Merges one finished round's counts into the totals and moves the
     /// epoch gauge to the epoch the round ran under.
     fn fold_round(&self, counts: &MetricsSnapshot, epoch: PolicyEpoch) {
-        let mut totals = self.totals.lock();
+        let mut totals = self.totals();
         *totals = totals.merged(counts);
         totals.rounds += 1;
         totals.policy_epoch = epoch.as_u64();
@@ -538,7 +554,7 @@ impl FleetScheduler {
     /// `epoch`, and the push duration and delta entry operations (0 for a
     /// full publish) accumulate.
     pub fn record_policy_push(&self, epoch: PolicyEpoch, push_ns: u64, delta_entries: u64) {
-        let mut totals = self.totals.lock();
+        let mut totals = self.totals();
         totals.policy_epoch = epoch.as_u64();
         totals.policy_push_ns += push_ns;
         totals.delta_entries_applied += delta_entries;
@@ -546,7 +562,7 @@ impl FleetScheduler {
 
     /// The counters so far, as a serializable value.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.totals.lock().clone()
+        self.totals().clone()
     }
 
     /// Runs one concurrent attestation round over every enrolled agent.
@@ -617,7 +633,7 @@ impl FleetScheduler {
     where
         T: Transport + Sync,
     {
-        let (config, store, records, (memo, helper_memos)) = verifier.scheduler_view();
+        let (config, store, records, (own, helpers)) = verifier.scheduler_view();
         let mut results = Vec::new();
         let mut round_counts = MetricsSnapshot::default();
         {
@@ -644,9 +660,9 @@ impl FleetScheduler {
                         agent,
                     })
                 });
-                let memos = (&mut *memo, &mut *helper_memos);
+                let workers = (&mut *own, &mut *helpers);
                 let (rows, counts) =
-                    attest_batch(&config, &store, transport, jobs.collect(), memos);
+                    attest_batch(&config, &store, transport, jobs.collect(), workers);
                 on_batch(&rows);
                 results.extend(rows);
                 round_counts = round_counts.merged(&counts);
@@ -668,56 +684,39 @@ impl FleetScheduler {
 }
 
 /// Attests one batch of claimed jobs on `worker_count` workers — the
-/// calling thread and `worker_count - 1` scoped threads, never more than
-/// there are jobs or helper memos — and returns the batch's rows, in
-/// completion order, and counts. Workers pull jobs one at a time under
-/// the queue lock and attest them outside it, each folding through its
-/// own template-hash memo: `memos` is the calling thread's, then the
-/// helpers'.
+/// calling thread and scoped helper threads, never more than there are
+/// jobs or helper scratch — and returns the batch's rows, in completion
+/// order, and counts. The jobs are dealt into one owned share per worker
+/// before any worker starts ([`deal`]), so which worker sees which agent
+/// depends only on the command list. Each worker folds through its own
+/// template-hash memo and encodes through its own wire buffer: `workers`
+/// is the calling thread's scratch, then the helpers'.
 fn attest_batch<T: Transport + Sync>(
     config: &VerifierConfig,
     store: &PolicyStore,
     transport: &T,
     jobs: Vec<Job<'_>>,
-    (own, helper_memos): WorkerMemos<'_>,
+    (own, helpers): Workers<'_>,
 ) -> (Vec<AgentRoundResult>, MetricsSnapshot) {
-    let helpers = config.worker_count.min(jobs.len()).saturating_sub(1);
-    let queue = Mutex::new(jobs.into_iter());
-    let work = |memo: &mut TemplateHashMemo| {
-        let mut rows = Vec::new();
+    let workers = config.worker_count.min(jobs.len()).min(helpers.len() + 1);
+    let work = |share: Vec<Job<'_>>, scratch: &mut WorkerScratch| {
         let mut counts = MetricsSnapshot::default();
-        // The guard dies when `pull` returns.
-        let pull = || queue.lock().next();
-        while let Some(mut job) = pull() {
-            let row = match job.agent.take() {
-                Some(agent) => {
-                    let mut lane_transport = transport.fork(job.lane);
-                    let row = attest_with_retry(
-                        config,
-                        store,
-                        &mut counts,
-                        &mut job,
-                        agent,
-                        &mut lane_transport,
-                        memo,
-                    );
-                    // The lane is fresh per job, so its byte total is
-                    // exactly this agent's round traffic.
-                    counts.wire_bytes += lane_transport.wire_bytes();
-                    row
-                }
-                None => orphan_row(job.id, job.record, &mut counts),
-            };
-            rows.push(row);
-        }
+        let memo = &mut scratch.memo;
+        let attest = |job| attest_with_retry(config, store, transport, job, &mut counts, memo);
+        let rows: Vec<_> = scratch
+            .wire
+            .lend(|| share.into_iter().map(attest).collect());
         (rows, counts)
     };
+    let mut shares = deal(jobs, workers).into_iter();
+    let own_share = shares.next().unwrap_or_default();
     std::thread::scope(|scope| {
         let work = &work;
-        let spawned: Vec<_> = (helper_memos.iter_mut().take(helpers))
-            .map(|memo| scope.spawn(move || work(memo)))
+        // `deal` made at most one share per helper, so the zip drops none.
+        let spawned: Vec<_> = (shares.zip(helpers))
+            .map(|(share, scratch)| scope.spawn(move || work(share, scratch)))
             .collect();
-        let (mut rows, mut counts) = work(own);
+        let (mut rows, mut counts) = work(own_share, own);
         for worker in spawned {
             match worker.join() {
                 Ok((more, more_counts)) => {
@@ -729,6 +728,19 @@ fn attest_batch<T: Transport + Sync>(
         }
         (rows, counts)
     })
+}
+
+/// Deals `jobs` round-robin into `shares` owned shares (at least one):
+/// job `i` goes to share `i % shares`, in order. Every job lands in
+/// exactly one share.
+fn deal<J>(jobs: Vec<J>, shares: usize) -> Vec<Vec<J>> {
+    let shares = shares.max(1);
+    let per_share = jobs.len().div_ceil(shares);
+    let mut dealt: Vec<Vec<J>> = (0..shares).map(|_| Vec::with_capacity(per_share)).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        dealt[i % shares].push(job);
+    }
+    dealt
 }
 
 /// The command list of a full round: every enrolled id, its lane its
@@ -750,20 +762,24 @@ fn orphan_row(id: AgentId, record: &AgentRecord, counts: &mut MetricsSnapshot) -
     AgentRoundResult::new(id, record, 0, 0, 0, RoundOutcome::Unreachable { reason })
 }
 
-/// Drives one agent's poll to a terminal outcome: quarantine gating, the
-/// quote fetch with bounded exponential backoff around dropped calls,
-/// then appraisal of whatever evidence came back. Never panics, never
-/// loses the agent. Latency metering covers the fetch — the wire
+/// Drives one agent's poll to a terminal outcome over its own transport
+/// lane: quarantine gating, the quote fetch with bounded exponential
+/// backoff around dropped calls, then appraisal of whatever evidence
+/// came back. An orphaned job gets its [`orphan_row`]. Never panics,
+/// never loses the agent. Latency metering covers the fetch — the wire
 /// round-trip — not the appraisal CPU time.
 fn attest_with_retry<T: Transport>(
     config: &VerifierConfig,
     store: &PolicyStore,
+    transport: &T,
+    mut job: Job<'_>,
     counts: &mut MetricsSnapshot,
-    job: &mut Job<'_>,
-    agent: &mut Agent,
-    transport: &mut T,
     memo: &mut TemplateHashMemo,
 ) -> AgentRoundResult {
+    let Some(agent) = job.agent.take() else {
+        return orphan_row(job.id, job.record, counts);
+    };
+    let transport = &mut transport.fork(job.lane);
     let day = agent.day();
     let backend = job.record.backend_identity().kind();
     let mut attempts = 0u32;
@@ -804,7 +820,7 @@ fn attest_with_retry<T: Transport>(
                 break RoundOutcome::SkippedPaused;
             }
             Ok(FetchedEvidence::Quote { resp, nonce }) => {
-                break appraise_fetched(config, counts, job, &resp, &nonce, day, memo);
+                break appraise_fetched(config, counts, &mut job, &resp, &nonce, day, memo);
             }
             Err(e) => e,
         };
@@ -828,14 +844,10 @@ fn attest_with_retry<T: Transport>(
         backoff_ms += backoff;
         counts.backoff_ms += backoff;
     };
-    AgentRoundResult::new(
-        job.id.clone(),
-        job.record,
-        day,
-        attempts,
-        backoff_ms,
-        outcome,
-    )
+    // The lane is fresh per job, so its byte total is exactly this
+    // agent's round traffic.
+    counts.wire_bytes += transport.wire_bytes();
+    AgentRoundResult::new(job.id, job.record, day, attempts, backoff_ms, outcome)
 }
 
 /// Appraises fetched evidence, applies the state it leaves, counts the
@@ -998,6 +1010,78 @@ mod tests {
             assert_eq!(snap.rounds, 1);
             assert!(snap.is_conserved());
         }
+    }
+
+    /// The split deals every command to exactly one worker: one row per
+    /// command, whatever the worker count, orphans included. As many
+    /// workers run as there are shares, never more than there are jobs,
+    /// and each running worker's wire buffer comes back to the verifier
+    /// at the capacity it grew to, so the next round's workers start warm.
+    #[test]
+    fn the_split_gives_every_job_one_row_and_every_share_a_worker() {
+        use cia_os::{Machine, MachineConfig};
+        use cia_tpm::Manufacturer;
+        use rand::SeedableRng;
+
+        let manufacturer = Manufacturer::generate(&mut rand::rngs::StdRng::seed_from_u64(23));
+        // (commands, workers, commands with no agent process)
+        for (jobs, worker_count, orphans) in [(5, 2, 0), (5, 3, 0), (1, 4, 0), (5, 3, 2)] {
+            let config = VerifierConfig {
+                worker_count,
+                ..VerifierConfig::engine_default()
+            };
+            let mut verifier = Verifier::new(config);
+            let mut agents: Vec<Agent> = (0..jobs as u64)
+                .map(|i| {
+                    let machine = MachineConfig {
+                        hostname: format!("node-{i}"),
+                        seed: 230 + i,
+                        ..MachineConfig::default()
+                    };
+                    let agent = Agent::new(Machine::new(&manufacturer, machine));
+                    let ak = agent.machine().tpm.ak_public().unwrap().clone();
+                    verifier.add_agent_shared(agent.id().clone(), ak);
+                    agent
+                })
+                .collect();
+            agents.truncate(jobs - orphans);
+            let case = format!("{jobs} jobs, {worker_count} workers, {orphans} orphaned");
+
+            let scheduler = FleetScheduler::new();
+            let transport = crate::transport::ReliableTransport::new();
+            let capacities = |verifier: &mut Verifier| -> Vec<usize> {
+                let (own, helpers) = verifier.scheduler_view().3;
+                let workers = std::iter::once(&*own).chain(helpers.iter());
+                workers.map(|worker| worker.wire.capacity()).collect()
+            };
+            let report = scheduler.run_round(&mut verifier, &mut agents, &transport);
+            let ids: BTreeMap<&AgentId, usize> = report
+                .results
+                .iter()
+                .map(|row| (&row.id, row.attempts as usize))
+                .collect();
+            assert_eq!((report.results.len(), ids.len()), (jobs, jobs), "{case}");
+            let unpolled = ids.values().filter(|&&attempts| attempts == 0).count();
+            assert_eq!(unpolled, orphans, "{case}");
+
+            let grown = capacities(&mut verifier);
+            let running = worker_count.min(jobs);
+            assert_eq!(grown.len(), worker_count, "{case}");
+            for (worker, capacity) in grown.iter().enumerate() {
+                assert_eq!(*capacity > 0, worker < running, "{case}: worker {worker}");
+            }
+            // A steady poll's messages fit the buffers the first poll grew.
+            scheduler.run_round(&mut verifier, &mut agents, &transport);
+            assert_eq!(capacities(&mut verifier), grown, "{case}");
+        }
+    }
+
+    #[test]
+    fn the_deal_keeps_every_job_in_order() {
+        assert_eq!(deal((0..5).collect(), 2), [vec![0, 2, 4], vec![1, 3]]);
+        assert_eq!(deal((0..5).collect(), 3), [vec![0, 3], vec![1, 4], vec![2]]);
+        assert_eq!(deal(vec![7], 4), [vec![7], vec![], vec![], vec![]]);
+        assert_eq!(deal(Vec::<u8>::new(), 0), [Vec::<u8>::new()]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -143,32 +142,36 @@ thread_local! {
     /// codec allocates nothing for the bytes. (Growing a fresh buffer per
     /// message costs a `realloc` chain each time, and two workers doing
     /// that contend on the allocator's locks.)
-    static WIRE: WireBuffer = const { WireBuffer(Cell::new(Vec::new())) };
+    static WIRE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-/// Wire buffers left by exited threads. Fleet rounds run on scoped
-/// workers that exit every round; the next round's workers pick their
-/// predecessors' buffers up instead of growing new ones.
-///
-/// A plain `std` mutex, held for one push or pop at a time, including
-/// from [`WireBuffer::drop`] during thread exit.
-static SPARE_WIRES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// A wire buffer that outlives the threads it is lent to. Each round
+/// worker owns one in the verifier, so the next round's scoped workers
+/// start with the buffers this round's grew.
+#[derive(Default)]
+pub(crate) struct WireBuffer(Vec<u8>);
 
-/// The spare buffers; a panic cannot leave the list inconsistent.
-fn spare_wires() -> MutexGuard<'static, Vec<Vec<u8>>> {
-    SPARE_WIRES.lock().unwrap_or_else(PoisonError::into_inner)
+impl WireBuffer {
+    /// Runs `f` with this buffer as the calling thread's wire buffer and
+    /// takes it back, grown, afterwards. The thread's own buffer is
+    /// restored, so nothing else on the thread sees the swap.
+    pub(crate) fn lend<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let own = Cell::from_mut(&mut self.0);
+        WIRE.with(|slot| slot.swap(own));
+        let out = f();
+        WIRE.with(|slot| slot.swap(own));
+        out
+    }
+
+    /// The bytes the buffer holds room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
 }
 
-/// A thread's wire buffer, handed on to [`SPARE_WIRES`] when the thread
-/// exits.
-struct WireBuffer(Cell<Vec<u8>>);
-
-impl Drop for WireBuffer {
-    fn drop(&mut self) {
-        let wire = self.0.take();
-        if wire.capacity() > 0 {
-            spare_wires().push(wire);
-        }
+impl fmt::Debug for WireBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WireBuffer {{ capacity: {} }}", self.capacity())
     }
 }
 
@@ -181,10 +184,7 @@ impl Drop for WireBuffer {
 /// call (a `serve` that makes calls of its own) works on a buffer of
 /// its own.
 fn cross_wire<M: Serialize + DeserializeOwned>(message: &M) -> Result<(M, u64), TransportError> {
-    let mut wire = WIRE.with(|slot| slot.0.take());
-    if wire.capacity() == 0 {
-        wire = spare_wires().pop().unwrap_or_default();
-    }
+    let mut wire = WIRE.with(Cell::take);
     wire.clear();
     let crossed = message
         .write_message(&mut wire)
@@ -193,28 +193,13 @@ fn cross_wire<M: Serialize + DeserializeOwned>(message: &M) -> Result<(M, u64), 
         .map_err(|e| TransportError::Codec {
             reason: e.to_string(),
         });
-    WIRE.with(|slot| slot.0.set(wire));
+    WIRE.with(|slot| slot.set(wire));
     crossed
 }
 
-/// Serializes `request` across the wire, serves it, and brings the
-/// response back — the delivery-independent half of every [`Transport`].
-/// Returns the response together with the total bytes serialized in both
-/// directions, so implementations can meter wire traffic.
-fn codec_roundtrip<Req, Resp>(
-    request: &Req,
-    serve: impl FnOnce(Req) -> Resp,
-) -> Result<(Resp, u64), TransportError>
-where
-    Req: Serialize + DeserializeOwned,
-    Resp: Serialize + DeserializeOwned,
-{
-    let (decoded, request_bytes) = cross_wire(request)?;
-    let (response, response_bytes) = cross_wire(&serve(decoded))?;
-    Ok((response, request_bytes + response_bytes))
-}
-
-/// A transport that always delivers.
+/// A transport that always delivers: it serializes each request across
+/// the wire, serves it, and brings the response back the same way. A
+/// fault plan wraps it ([`ChaosTransport`](crate::chaos::ChaosTransport)).
 #[derive(Debug, Default, Clone)]
 pub struct ReliableTransport {
     requests: u64,
@@ -239,8 +224,9 @@ impl Transport for ReliableTransport {
         Resp: Serialize + DeserializeOwned,
     {
         self.requests += 1;
-        let (response, bytes) = codec_roundtrip(request, serve)?;
-        self.wire_bytes += bytes;
+        let (decoded, request_bytes) = cross_wire(request)?;
+        let (response, response_bytes) = cross_wire(&serve(decoded))?;
+        self.wire_bytes += request_bytes + response_bytes;
         Ok(response)
     }
 

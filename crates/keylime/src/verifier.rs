@@ -8,8 +8,8 @@
 //! in, verdict and next state out. Its caller applies the next state.
 //! The record holds no alert history; an alert lives in the row of the
 //! round that raised it. Appraisal folds entries through a
-//! [`TemplateHashMemo`] the verifier owns, one per round worker; the
-//! memo is a cache, not agent state, and a new verifier starts cold.
+//! [`TemplateHashMemo`] the verifier owns, one per round worker beside its
+//! wire buffer: caches, not agent state, so a new verifier starts cold.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use crate::error::KeylimeError;
 use crate::ids::AgentId;
 use crate::policy::{PolicyCheck, PolicyDelta, RuntimePolicy};
 use crate::store::{PolicyEpoch, PolicyStore};
-use crate::transport::Transport;
+use crate::transport::{Transport, WireBuffer};
 
 pub use crate::config::VerifierConfig;
 
@@ -450,12 +450,11 @@ pub struct Verifier {
     /// The shared policy store: one epoch-tagged snapshot all shared
     /// agents appraise against.
     store: PolicyStore,
-    /// The first round worker's template-hash memo, which sequential
-    /// attests use too.
-    memo: TemplateHashMemo,
-    /// One more memo for each further round worker
+    /// The first round worker's scratch, whose memo sequential attests use.
+    worker: WorkerScratch,
+    /// One more scratch for each further round worker
     /// (`config.worker_count - 1`).
-    helper_memos: Vec<TemplateHashMemo>,
+    helpers: Vec<WorkerScratch>,
 }
 
 impl Verifier {
@@ -465,10 +464,10 @@ impl Verifier {
             config,
             agents: BTreeMap::new(),
             store: PolicyStore::new(),
-            memo: TemplateHashMemo::new(),
-            helper_memos: Vec::new(),
+            worker: WorkerScratch::default(),
+            helpers: Vec::new(),
         };
-        verifier.size_memos();
+        verifier.size_workers();
         verifier
     }
 
@@ -481,14 +480,13 @@ impl Verifier {
     /// when the transport degrades). Takes effect from the next round.
     pub fn set_config(&mut self, config: VerifierConfig) {
         self.config = config;
-        self.size_memos();
+        self.size_workers();
     }
 
-    /// One memo per round worker.
-    fn size_memos(&mut self) {
+    /// One scratch per round worker.
+    fn size_workers(&mut self) {
         let helpers = self.config.worker_count.saturating_sub(1);
-        self.helper_memos
-            .resize_with(helpers, TemplateHashMemo::new);
+        self.helpers.resize_with(helpers, WorkerScratch::default);
     }
 
     /// Enrols an agent with a per-agent *override* policy: its AK public
@@ -999,20 +997,20 @@ impl Verifier {
     }
 
     /// Hands the scheduler the per-agent records alongside the config, a
-    /// clone of the store (one `Arc` bump) and the memos — the calling
-    /// thread's, then one per helper worker — so each worker can own one
-    /// `&mut AgentRecord` and its own memo while all of them read the
-    /// same epoch.
+    /// clone of the store (one `Arc` bump) and the worker scratch — the
+    /// calling thread's, then one per helper worker — so each worker can
+    /// own its `&mut AgentRecord`s, memo and wire buffer while all of them
+    /// read the same epoch.
     pub(crate) fn scheduler_view(
         &mut self,
     ) -> (
         VerifierConfig,
         PolicyStore,
         &mut BTreeMap<AgentId, AgentRecord>,
-        WorkerMemos<'_>,
+        Workers<'_>,
     ) {
-        let memos = (&mut self.memo, &mut self.helper_memos[..]);
-        (self.config, self.store.clone(), &mut self.agents, memos)
+        let workers = (&mut self.worker, &mut self.helpers[..]);
+        (self.config, self.store.clone(), &mut self.agents, workers)
     }
 
     /// Copies out one agent's mutable state.
@@ -1088,9 +1086,7 @@ impl Verifier {
     }
 
     fn record_mut(&mut self, id: &AgentId) -> Result<&mut AgentRecord, KeylimeError> {
-        self.agents
-            .get_mut(id)
-            .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })
+        Ok(self.record_and_memo(id)?.0)
     }
 
     /// One agent's record and the sequential paths' memo.
@@ -1100,13 +1096,19 @@ impl Verifier {
     ) -> Result<(&mut AgentRecord, &mut TemplateHashMemo), KeylimeError> {
         let record = (self.agents.get_mut(id))
             .ok_or_else(|| KeylimeError::UnknownAgent { id: id.clone() })?;
-        Ok((record, &mut self.memo))
+        Ok((record, &mut self.worker.memo))
     }
 }
 
-/// A round's template-hash memos: the calling thread's, then one per
-/// helper worker.
-pub(crate) type WorkerMemos<'v> = (&'v mut TemplateHashMemo, &'v mut [TemplateHashMemo]);
+/// What one round worker keeps across rounds.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerScratch {
+    pub(crate) memo: TemplateHashMemo,
+    pub(crate) wire: WireBuffer,
+}
+
+/// A round's worker scratch: the calling thread's, then the helpers'.
+pub(crate) type Workers<'v> = (&'v mut WorkerScratch, &'v mut [WorkerScratch]);
 
 /// `pcr` extended by each entry's SHA-256 template hash, in order: the
 /// verifier's replay of the evidence register.
@@ -1530,12 +1532,13 @@ mod tests {
         }
     }
 
-    /// A transport that keeps every quote response it delivers, so a
-    /// test can hand a round's evidence to a second appraiser.
+    /// A transport that sends every quote response it delivers down a
+    /// channel, so a test can hand a round's evidence to a second
+    /// appraiser. Each lane sends through its own clone of the sender.
     #[derive(Debug)]
     struct Recorder {
         inner: crate::chaos::ChaosTransport<crate::transport::ReliableTransport>,
-        quotes: Arc<parking_lot::Mutex<Vec<QuoteResponse>>>,
+        quotes: std::sync::mpsc::Sender<QuoteResponse>,
     }
 
     impl Transport for Recorder {
@@ -1551,7 +1554,7 @@ mod tests {
             let response = self.inner.call(request, serve)?;
             let json = serde_json::to_string(&response).unwrap();
             if let Ok(AgentResponse::Quote(quote)) = serde_json::from_str(&json) {
-                self.quotes.lock().push(quote);
+                self.quotes.send(quote).unwrap();
             }
             Ok(response)
         }
@@ -1571,7 +1574,7 @@ mod tests {
         fn fork(&self, lane: u64) -> Self {
             Recorder {
                 inner: self.inner.fork(lane),
-                quotes: Arc::clone(&self.quotes),
+                quotes: self.quotes.clone(),
             }
         }
     }
@@ -1607,10 +1610,10 @@ mod tests {
                 ..VerifierConfig::engine_default()
             };
             let plan = FaultPlan::new(46).loss(0..u64::MAX, FaultTarget::AllAgents, 0.3);
-            let quotes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let (sender, quotes) = std::sync::mpsc::channel();
             let transport = Recorder {
                 inner: ChaosTransport::new(ReliableTransport::new(), plan),
-                quotes: Arc::clone(&quotes),
+                quotes: sender,
             };
             let mut cluster = Cluster::with_transport(46, config, transport);
             let mut policy = RuntimePolicy::new();
@@ -1652,7 +1655,7 @@ mod tests {
                     .collect();
                 cluster.transport.inner.set_round(round);
                 let report = cluster.attest_fleet();
-                let delivered = std::mem::take(&mut *quotes.lock());
+                let delivered: Vec<QuoteResponse> = quotes.try_iter().collect();
 
                 for row in &report.results {
                     let class = match &row.outcome {

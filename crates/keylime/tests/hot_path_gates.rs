@@ -382,12 +382,13 @@ fn appraisal_allocations(verifier: &mut Verifier, agent: &mut Agent, new_entries
 /// The appraisal of a steady poll makes a pinned number of heap
 /// allocations when the verifier's template-hash memo holds its entries
 /// (a fleet peer sent them first), the same number as a poll with no new
-/// entries: the fold and the policy checks add none. The three are the
-/// evidence's box and the quote check's buffers. With a cold memo each
-/// new entry costs at most one more, the memo's copy of its path.
+/// entries: the fold and the policy checks add none. The two are the
+/// evidence's box and the quote check's signed message, reserved at its
+/// exact length. With a cold memo each new entry costs at most one
+/// more, the memo's copy of its path.
 #[test]
 fn a_warm_appraisal_makes_a_pinned_number_of_allocations() {
-    const ALLOCATIONS_PER_APPRAISAL: u64 = 3;
+    const ALLOCATIONS_PER_APPRAISAL: u64 = 2;
     let mut rng = StdRng::seed_from_u64(5);
     let manufacturer = Manufacturer::generate(&mut rng);
     let mut verifier = Verifier::new(VerifierConfig::default());

@@ -53,16 +53,22 @@ impl Quote {
         boot_count: u64,
         clock: u64,
     ) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(nonce.len() + 64);
-        msg.extend_from_slice(b"TPM2_QUOTE:");
+        const TAG: &[u8] = b"TPM2_QUOTE:";
+        let bank = bank.name().as_bytes();
+        let pcr_digest = pcr_digest.as_bytes();
+        // Sized exactly, so the message is built without a regrowth.
+        let pcrs = selection.indices().count();
+        let len = TAG.len() + 4 + nonce.len() + pcrs + 1 + bank.len() + pcr_digest.len() + 16;
+        let mut msg = Vec::with_capacity(len);
+        msg.extend_from_slice(TAG);
         msg.extend_from_slice(&(nonce.len() as u32).to_be_bytes());
         msg.extend_from_slice(nonce);
         for idx in selection.indices() {
             msg.push(idx);
         }
         msg.push(0xff);
-        msg.extend_from_slice(bank.name().as_bytes());
-        msg.extend_from_slice(pcr_digest.as_bytes());
+        msg.extend_from_slice(bank);
+        msg.extend_from_slice(pcr_digest);
         msg.extend_from_slice(&boot_count.to_be_bytes());
         msg.extend_from_slice(&clock.to_be_bytes());
         msg
@@ -137,6 +143,19 @@ mod tests {
             tpm.pcr_read(HashAlgorithm::Sha256, 10).unwrap()
         );
         assert!(q.pcr_value(11).is_none());
+    }
+
+    /// The signed message is built in one allocation of its exact size,
+    /// for any selection, bank and nonce length.
+    #[test]
+    fn the_message_is_reserved_exactly() {
+        let digest = HashAlgorithm::Sha256.digest(b"pcrs");
+        for (nonce, pcrs) in [(&[7u8; 32][..], &[10u8][..]), (b"n", &[0, 1, 2, 10])] {
+            for bank in [HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
+                let msg = Quote::message_bytes(nonce, &PcrSelection::of(pcrs), bank, &digest, 3, 9);
+                assert_eq!(msg.len(), msg.capacity(), "{nonce:?} {pcrs:?} {bank:?}");
+            }
+        }
     }
 
     #[test]

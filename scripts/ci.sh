@@ -7,18 +7,20 @@
 #
 # * clippy (workspace, all targets, -D warnings): determinism (the root
 #   clippy.toml's disallowed Instant/SystemTime::now and hash-seeded
-#   types), panic-path (the panic-family lints each hot-path crate denies
-#   at its root), escape reasons (allow_attributes_without_reason, and a
-#   stale #[expect] is an unfulfilled expectation) and wildcard arms (the
+#   types), the lock ban (its disallowed std::sync::Mutex and RwLock),
+#   panic-path (the panic-family lints each hot-path crate denies at its
+#   root), escape reasons (allow_attributes_without_reason, and a stale
+#   #[expect] is an unfulfilled expectation) and wildcard arms (the
 #   journal-recovery and shard-protocol consumers).
-# * tier-1 `cargo test` (default members are every crate): lock-order,
-#   as crates/lint/tests/rules.rs::the_workspace_has_no_findings; the
-#   clippy fixture crate that proves the clippy configuration still
-#   bites; the hot-path gates in crates/keylime/tests/hot_path_gates.rs
+# * tier-1 `cargo test` (default members are every crate): tests/rules.rs,
+#   which lints the clippy fixture crate (tests/fixtures/clippy) and
+#   proves the determinism, lock-ban and panic-path configuration still
+#   bites, and that every wire-surface crate denies the panic lints; the
+#   hot-path gates in crates/keylime/tests/hot_path_gates.rs
 #   (zero allocations per warm check_digest, at most 96 live heap bytes
 #   per policy (path, digest) pair, chunk copies bounded per push and per
 #   recovery, at most 4 allocations per chunk copy, at most 8 allocations
-#   per warm agent RPC call of a steady poll, 3 allocations per appraisal
+#   per warm agent RPC call of a steady poll, 2 allocations per appraisal
 #   of a steady poll whose entries the template-hash memo holds and at
 #   most one more per entry it does not, at most 1 allocation per warm
 #   journal ack); the cost ledger in
@@ -70,13 +72,13 @@ bash scripts/keylime_lines.sh crates/wire_derive/src || true
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, -D warnings): determinism, panic-path, escape reasons, wildcard arms =="
+echo "== cargo clippy (workspace, -D warnings): determinism, lock ban, panic-path, escape reasons, wildcard arms =="
 cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build "${OFFLINE[@]}" --release
 
-echo "== tier-1: cargo test (every crate's suites; lock-order and the clippy fixture included) =="
+echo "== tier-1: cargo test (every crate's suites; the clippy fixture test tests/rules.rs included) =="
 cargo test "${OFFLINE[@]}" -q
 
 echo "== ablations: the paper's design-question timings =="

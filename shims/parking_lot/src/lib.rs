@@ -1,93 +1,2 @@
-//! Offline shim for `parking_lot`: a non-poisoning [`Mutex`] over
-//! `std::sync` with parking_lot's infallible lock API.
-//!
-//! Lock discipline is checked statically: `cia-lint`'s `lock-order`
-//! rule reports any acquisition made while another guard is live.
-
-#![forbid(unsafe_code)]
-
-use std::ops::{Deref, DerefMut};
-use std::sync;
-
-/// A mutual-exclusion lock that never poisons.
-#[derive(Debug, Default)]
-pub struct Mutex<T> {
-    inner: sync::Mutex<T>,
-}
-
-/// Guard for [`Mutex`].
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    inner: sync::MutexGuard<'a, T>,
-}
-
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Mutex<T> {
-    /// Wraps a value.
-    pub const fn new(value: T) -> Self {
-        Mutex {
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    /// Acquires the lock (recovers from poisoning).
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(guard) => guard,
-            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(MutexGuard { inner })
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mutex_basics() {
-        let m = Mutex::new(1);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-}
+//! Empty placeholder: no crate depends on `parking_lot`. It exists only
+//! because `benchmark/Cargo.toml`'s patch table still names this path.

@@ -15,6 +15,7 @@
 pub mod allow_attr;
 pub mod bad_allow;
 pub mod bad_determinism;
+pub mod bad_lock;
 pub mod bad_panic;
 pub mod good_determinism;
 pub mod good_panic;

@@ -1,42 +1,24 @@
-//! The workspace's lint gates, each proven to bite.
+//! The workspace's clippy gates, each proven to bite.
 //!
-//! * `lock-order` (this crate) fires at exactly the expected lines of
-//!   `tests/fixtures/bad_lock_order.rs`, stays silent on
-//!   `good_lock_order.rs`, and finds nothing in the workspace.
-//! * Determinism and panic-path are clippy's: the fixture crate
-//!   `tests/fixtures/clippy` is linted by `cargo clippy` under the
-//!   workspace `clippy.toml`, and its findings are asserted by file and
-//!   line. A configuration entry that stops biting fails here, not
-//!   silently in the clippy gate.
-//!
-//! The fixtures live in `tests/fixtures/`, a directory the workspace
-//! walker skips, so the deliberately broken corpus never pollutes the
-//! workspace check.
+//! Determinism, panic-path and the lock ban are clippy's: the fixture
+//! crate `tests/fixtures/clippy` is linted by `cargo clippy` under the
+//! workspace `clippy.toml`, and its findings are asserted by file and
+//! line. A configuration entry that stops biting fails here, not
+//! silently in the clippy gate. The fixture crate has a `[workspace]` of
+//! its own, so the workspace's clippy gate never sees the deliberately
+//! broken corpus.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
 
-use cia_lint::{lint_file, FileContext, Finding};
-
 fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn fixtures() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-/// Lints one lock-order fixture under a pipeline-shaped pseudo path.
-fn lint_fixture(name: &str) -> Vec<Finding> {
-    let path = fixtures().join(name);
-    let source = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    lint_file(&FileContext::new(
-        &format!("crates/fixture/src/{name}"),
-        &source,
-    ))
+    workspace_root().join("tests/fixtures")
 }
 
 /// One clippy finding in the fixture crate: file under `src/`, line,
@@ -181,44 +163,17 @@ fn allow_above_attributes_suppresses_the_item() {
     assert!(found.is_empty(), "{found:#?}");
 }
 
+/// `Mutex` and `RwLock` are flagged wherever they are named, by import,
+/// type or constructor path; a channel is not, and neither is a lock
+/// declared once under a reasoned expectation — were the alias not
+/// flagged, its expectation would be unfulfilled and reported.
 #[test]
-fn lock_order_fires_at_exact_lines() {
-    let findings = lint_fixture("bad_lock_order.rs");
-    let fired: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(
-        fired,
-        vec![
-            ("lock-order", 6),
-            ("lock-order", 13),
-            ("lock-order", 18),
-            ("lock-order", 19),
-            ("lock-order", 24),
-        ],
-        "{findings:#?}"
-    );
-    // The three failure modes are distinguishable in the messages.
-    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(messages[0].contains("leaf"), "{messages:?}");
-    assert!(messages[1].contains("self-deadlocks"), "{messages:?}");
-    assert!(messages[2].contains("leaf"), "{messages:?}");
-    assert!(messages[3].contains("leaf"), "{messages:?}");
-    assert!(messages[4].contains("transport"), "{messages:?}");
-}
-
-#[test]
-fn lock_order_stays_silent_on_good() {
-    let findings = lint_fixture("good_lock_order.rs");
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-/// The workspace itself is lock-order clean.
-#[test]
-fn the_workspace_has_no_findings() {
-    let findings = cia_lint::lint_workspace(&workspace_root()).expect("workspace sources readable");
+fn lock_ban_fires_at_exact_lines() {
+    let found = clippy_fixture("bad_lock.rs");
+    assert_eq!(lines(&found), vec![4, 4, 7, 8, 13, 14], "{found:#?}");
     assert!(
-        findings.is_empty(),
-        "{}",
-        cia_lint::report::human(&findings)
+        (found.iter()).all(|(_, _, m)| m.starts_with("use of a disallowed type")),
+        "{found:#?}"
     );
 }
 
